@@ -304,7 +304,6 @@ class TrainConfig:
     hidden: int = 16
     lambda_dice: float = 1.0
     val_fraction: float = 0.25
-    seed: int = 0
 
 
 def _design_matrix(entries, drop_invalid=True):
@@ -324,14 +323,15 @@ def _design_matrix(entries, drop_invalid=True):
     return np.vstack(xs), np.concatenate(ys)
 
 
-def train(dataset: list, config: TrainConfig | None = None
+def train(dataset: list, config: TrainConfig | None = None, seed: int = 0
           ) -> tuple[AffordanceModel, list[dict]]:
     """Full-batch gradient descent with momentum; returns (best model, log).
 
     `dataset` is a list of (FeatureSet, AffordanceLabelSet) pairs, one per
     scene; the trailing `val_fraction` of scenes form the validation split.
     The model with the lowest validation loss wins, and the log has one row
-    per epoch: {"epoch", "train_loss", "val_loss"}.
+    per epoch: {"epoch", "train_loss", "val_loss"}. `seed` draws the
+    initial weights.
     """
     if not dataset:
         raise TrainingError("dataset is empty")
@@ -349,7 +349,7 @@ def train(dataset: list, config: TrainConfig | None = None
 
     mean = x_raw.mean(axis=0)
     std = np.maximum(x_raw.std(axis=0), 1e-8)
-    model = replace(init_model(config.hidden, config.seed),
+    model = replace(init_model(config.hidden, seed),
                     scaler_mean=mean, scaler_std=std)
     x = (x_raw - mean) / std
     xv = (xv_raw - mean) / std

@@ -26,8 +26,6 @@ from .errors import SceneKinError
 
 def _load(args) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
-    if getattr(args, "workers", None):
-        config = replace(config, run=replace(config.run, workers=args.workers))
     if getattr(args, "n_scenes", None):
         config = replace(config, run=replace(config.run,
                                              n_scenes=args.n_scenes))
@@ -71,9 +69,11 @@ def cmd_run(args) -> int:
     config = _load(args)
     manifest = pipeline.run(
         config, args.scenes, args.model, args.out,
-        refine_enabled=not args.no_refine,
-        use_contact_heat=not args.no_regularity,
-        mode="oracle" if args.oracle_correspondence else None)
+        # an ablation flag that is not given leaves the config value in force
+        refine_enabled=False if args.no_refine else None,
+        use_contact_heat=False if args.no_regularity else None,
+        mode="oracle" if args.oracle_correspondence else None,
+        workers=args.workers)
     _emit(args, {"scenes": len(manifest["scenes"]),
                  "config_hash": manifest["config_hash"],
                  "flags": manifest["flags"], "out": args.out})
@@ -123,7 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the interactive perception loop")
     common(p, needs=("scenes",))
     p.add_argument("--model", required=True, help="trained model JSON")
-    p.add_argument("--workers", type=int, help="parallel scene workers")
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel scene workers; not a config key, so the "
+                        "config hash and the artifacts do not depend on it")
     p.add_argument("--no-refine", action="store_true",
                    help="skip iterative refinement")
     p.add_argument("--no-regularity", action="store_true",

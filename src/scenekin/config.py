@@ -1,8 +1,10 @@
 """Pipeline configuration: one nested document covering every tunable default.
 
 The on-disk format is JSON. Loading is strict: unknown keys are rejected, and
-every value must coerce to its field type. All lengths are meters and angles
-are radians unless a field name says ``_deg``.
+every value must match its field's annotation, down to the type and number
+of tuple items. All lengths are meters and angles are radians unless a field
+name says ``_deg``. Every key can change what a run writes; settings that
+cannot (such as the number of worker processes) are arguments, not keys.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -19,15 +22,7 @@ from .artinfer import InferenceConfig
 from .errors import ConfigError
 from .refine import RefineConfig
 from .sensing import CaptureConfig
-from .simworld import GenerationConfig, PullBudget
-
-
-@dataclass(frozen=True)
-class InteractionConfig:
-    pull: PullBudget = field(default_factory=PullBudget)
-    motion_epsilon: float = 1e-3
-    gripper_radius: float = 0.04
-    snap_tolerance: float = 0.03   # commanded contact -> surface projection
+from .simworld import GenerationConfig, InteractionConfig
 
 
 @dataclass(frozen=True)
@@ -55,16 +50,9 @@ class AggregateConfig:
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    revolute_thresholds_deg: tuple[float, ...] = (15.0, 30.0)
-    prismatic_min_travel: float = 0.05
-
-
-@dataclass(frozen=True)
 class RunConfig:
     n_scenes: int = 5
     max_hotspots: int = 12
-    workers: int = 1
     refine: bool = True
 
 
@@ -79,68 +67,48 @@ class PipelineConfig:
     inference: InferenceConfig = field(default_factory=InferenceConfig)
     refine: RefineConfig = field(default_factory=RefineConfig)
     aggregate: AggregateConfig = field(default_factory=AggregateConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
 
-_TUPLE_FIELDS = {"resolution", "ring_tilts_deg", "ring_inward_tilts_deg",
-                 "revolute_thresholds_deg", "room_width", "room_depth",
-                 "cabinet_height", "cabinet_width", "cabinet_depth",
-                 "door_max_angle", "drawer_travel", "drawer_front_height",
-                 "distractor_crate_height", "distractor_slab_height"}
+_SCALARS = {float: ("a number", (int, float)), int: ("an integer", int),
+            bool: ("true/false", bool), str: ("a string", str)}
 
 
-def _coerce(name: str, ftype, value, path: str):
+def _coerce(ftype, value, path: str):
+    """Check `value` against the annotation `ftype`; return the field value."""
     if dataclasses.is_dataclass(ftype):
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object")
         return _build(ftype, value, path)
-    if value is None:
-        return value
-    if ftype is float or ftype == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
-    if ftype is int or ftype == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return int(value)
-    if ftype is bool or ftype == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected true/false, got {value!r}")
-        return value
-    if ftype is str or ftype == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    if name in _TUPLE_FIELDS:
+    if typing.get_origin(ftype) is tuple:
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path}: expected a list")
-        return tuple(value)
-    return value
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        items = typing.get_args(ftype)
+        if len(items) == 2 and items[1] is Ellipsis:
+            items = (items[0],) * len(value)
+        elif len(value) != len(items):
+            raise ConfigError(
+                f"{path}: expected {len(items)} items, got {len(value)}")
+        return tuple(_coerce(t, v, f"{path}[{k}]")
+                     for k, (t, v) in enumerate(zip(items, value)))
+    what, accepted = _SCALARS[ftype]
+    # bool is an int subclass, so true/false only counts where bool is asked
+    if not isinstance(value, accepted) or (
+            isinstance(value, bool) and ftype is not bool):
+        raise ConfigError(f"{path}: expected {what}, got {value!r}")
+    return ftype(value)
 
 
 def _build(dc_type, data: dict, path: str = ""):
-    known = {f.name: f for f in fields(dc_type)}
-    unknown = set(data) - set(known)
+    hints = typing.get_type_hints(dc_type)
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(
             f"unknown key(s) {sorted(unknown)} under '{path or 'root'}'"
-            f" (known: {sorted(known)})")
-    kwargs = {}
-    for name, f in known.items():
-        if name not in data:
-            continue
-        sub = f"{path}.{name}" if path else name
-        ftype = f.type
-        # resolve nested dataclass types recorded as strings by
-        # `from __future__ import annotations`
-        default = f.default_factory() if f.default_factory is not dataclasses.MISSING \
-            else f.default
-        if dataclasses.is_dataclass(default):
-            kwargs[name] = _coerce(name, type(default), data[name], sub)
-        else:
-            kwargs[name] = _coerce(name, ftype, data[name], sub)
+            f" (known: {sorted(hints)})")
+    kwargs = {name: _coerce(hints[name], value,
+                            f"{path}.{name}" if path else name)
+              for name, value in data.items()}
     try:
         return dc_type(**kwargs)
     except (TypeError, ValueError) as e:

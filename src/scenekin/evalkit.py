@@ -171,61 +171,28 @@ def build_report(scenes: list[dict]) -> EvalReport:
     Each entry needs "interactions", "inferences", and "gt_joints" (see the
     module docstring); missing keys raise ArtifactError naming the scene.
     Aggregation pools raw counts and errors across scenes rather than
-    averaging per-scene rates.
+    averaging per-scene rates: the aggregate is the metrics of one scene that
+    holds every scene's joints, re-indexed, and every record and inference.
     """
-    per_scene = []
-    all_records, all_joints = [], []
-    pooled_angle = {"prismatic": [], "revolute": []}
-    pooled_pos, pooled_iou = [], []
+    pooled = {"interactions": [], "inferences": [], "gt_joints": []}
     for k, scene in enumerate(scenes):
-        for key in ("interactions", "inferences", "gt_joints"):
+        for key in pooled:
             if key not in scene:
                 raise ArtifactError(
                     f"scene {scene.get('scene_seed', k)} is missing {key!r}")
-        per_scene.append(_scene_metrics(scene))
-        offset = len(all_joints)
-        for g in scene["gt_joints"]:
-            g2 = dict(g)
-            g2["index"] = g["index"] + offset
-            all_joints.append(g2)
-        for r in scene["interactions"]:
-            r2 = dict(r)
-            if r2.get("moved_joint") is not None:
-                r2["moved_joint"] = r2["moved_joint"] + offset
-            all_records.append(r2)
-        for inf in scene["inferences"]:
-            gt = inf.get("gt_joint")
-            if gt is None:
-                continue
-            pooled_angle.setdefault(inf["kind"], []).append(
-                angle_error(inf["axis"], gt["axis"]))
-            if inf["kind"] == "revolute" and gt["type"] == "revolute":
-                pooled_pos.append(axis_position_error(
-                    inf["axis"], inf["pivot"], gt["axis"], gt["pivot"]))
-            if inf.get("iou") is not None:
-                pooled_iou.append(float(inf["iou"]))
-
-    mean_pris, med_pris = _mean_median(pooled_angle["prismatic"])
-    mean_rev, med_rev = _mean_median(pooled_angle["revolute"])
-    mean_pos, med_pos = _mean_median(pooled_pos)
-    aggregate = {
-        "precision": precision(all_records),
-        "coverage": coverage(all_records, all_joints) if all_joints else None,
-        "angle_error_prismatic": {"mean": mean_pris, "median": med_pris},
-        "angle_error_revolute": {"mean": mean_rev, "median": med_rev},
-        "axis_position_error": {"mean": mean_pos, "median": med_pos},
-        "mobile_seg_iou_mean": None if not pooled_iou else float(np.mean(pooled_iou)),
-        "counts": {
-            "scenes": len(scenes),
-            "parts": len(all_joints),
-            "attempts": sum(1 for r in all_records
-                            if r.get("stage") == "initial"),
-            "successes": sum(1 for r in all_records
-                             if r.get("stage") == "initial" and r["success"]),
-            "inferences": sum(len(s["inferences"]) for s in scenes),
-        },
-    }
-    return EvalReport(tuple(per_scene), aggregate)
+        offset = len(pooled["gt_joints"])
+        pooled["gt_joints"] += [dict(g, index=g["index"] + offset)
+                                for g in scene["gt_joints"]]
+        pooled["interactions"] += [
+            r if r.get("moved_joint") is None
+            else dict(r, moved_joint=r["moved_joint"] + offset)
+            for r in scene["interactions"]]
+        pooled["inferences"] += scene["inferences"]
+    per_scene = tuple(_scene_metrics(scene) for scene in scenes)
+    aggregate = _scene_metrics(pooled)
+    del aggregate["scene_seed"]
+    aggregate["counts"]["scenes"] = len(scenes)
+    return EvalReport(per_scene, aggregate)
 
 
 def _fmt(value, digits=3):

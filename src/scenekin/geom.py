@@ -1,4 +1,4 @@
-"""Core geometric types: rigid transforms, point clouds, spatial queries, normals.
+"""Core geometric types: rigid transforms, point clouds, line queries, normals.
 
 Conventions used across the package:
 
@@ -11,7 +11,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -151,68 +151,6 @@ class PointCloud:
         )
 
 
-def concatenate_clouds(clouds: list[PointCloud], keep_ids: bool = True) -> PointCloud:
-    """Stack clouds; aux fields survive only if present on every input."""
-    if not clouds:
-        return PointCloud(np.zeros((0, 3)))
-    pos = np.vstack([c.positions for c in clouds])
-
-    def _stack(field):
-        vals = [getattr(c, field) for c in clouds]
-        if any(v is None for v in vals):
-            return None
-        return np.concatenate(vals)
-
-    ids = _stack("point_ids") if keep_ids else None
-    return PointCloud(pos, colors=_stack("colors"), part_ids=_stack("part_ids"),
-                      point_ids=ids)
-
-
-def apply_transform(T: RigidTransform, cloud: PointCloud) -> PointCloud:
-    """Map every position through T; auxiliary lists pass through unchanged."""
-    return replace(cloud, positions=T.apply(cloud.positions))
-
-
-class SpatialIndex:
-    """Read-only nearest-neighbor index over a point cloud.
-
-    Backed by a k-d tree; results are identical to a brute-force linear scan,
-    with distance ties broken by lowest point index.
-    """
-
-    def __init__(self, cloud: PointCloud):
-        if len(cloud) == 0:
-            raise ValidationError("cannot index an empty cloud")
-        self.cloud = cloud
-        self._tree = cKDTree(cloud.positions)
-
-    def nearest(self, query) -> tuple[int, float]:
-        q = as_vec3(query)
-        d, i = self._tree.query(q)
-        # Re-check the minimal-distance ball so exact ties resolve to the
-        # lowest index, matching the brute-force contract.
-        candidates = self._tree.query_ball_point(q, r=float(d) + 1e-12)
-        if len(candidates) > 1:
-            dists = np.linalg.norm(self.cloud.positions[candidates] - q, axis=1)
-            dmin = dists.min()
-            best = min(c for c, dc in zip(candidates, dists) if dc <= dmin)
-            return int(best), float(dmin)
-        return int(i), float(d)
-
-    def nearest_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bulk nearest query (no tie re-check; intended for continuous data)."""
-        d, i = self._tree.query(np.asarray(queries, dtype=np.float64))
-        return np.asarray(i, dtype=np.int64), np.asarray(d, dtype=np.float64)
-
-    def within(self, query, radius: float) -> list[int]:
-        return sorted(self._tree.query_ball_point(as_vec3(query), r=radius))
-
-
-def nearest_neighbor(index: SpatialIndex, query) -> tuple[int, float]:
-    """Index and Euclidean distance of the closest point to `query`."""
-    return index.nearest(query)
-
-
 def estimate_normals(cloud: PointCloud, k: int, viewpoint=None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point surface normals from k-nearest-neighbor covariance.
@@ -335,12 +273,7 @@ def line_to_line_distance(origin_a, dir_a, origin_b, dir_b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Cloud serialization: ASCII table and a binary little-endian variant.
-#
-# ASCII: one point per line, "x y z r g b [part_id [point_id]]". Clouds
-# without colors are written with 0.5-gray fill.
-#
-# Binary layout (all little-endian):
+# Cloud serialization, binary little-endian layout:
 #   magic  b"SKPC", u16 version (=1), u16 flags, u64 count,
 #   f64 positions [N*3], then per flag bit: f64 colors [N*3] (bit 0),
 #   i64 part_ids [N] (bit 1), i64 point_ids [N] (bit 2).
@@ -348,41 +281,6 @@ def line_to_line_distance(origin_a, dir_a, origin_b, dir_b) -> float:
 
 _BIN_MAGIC = b"SKPC"
 _FLAG_COLORS, _FLAG_PARTS, _FLAG_IDS = 1, 2, 4
-
-
-def save_cloud_ascii(cloud: PointCloud, path) -> None:
-    cols = [cloud.positions]
-    cols.append(cloud.colors if cloud.colors is not None
-                else np.full((len(cloud), 3), 0.5))
-    parts = []
-    if cloud.part_ids is not None:
-        parts.append(cloud.part_ids)
-        if cloud.point_ids is not None:
-            parts.append(cloud.point_ids)
-    with open(path, "w") as fh:
-        for i in range(len(cloud)):
-            vals = [repr(float(v)) for c in cols for v in c[i]]
-            vals += [str(int(p[i])) for p in parts]
-            fh.write(" ".join(vals) + "\n")
-
-
-def load_cloud_ascii(path) -> PointCloud:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(line.split())
-    if not rows:
-        return PointCloud(np.zeros((0, 3)))
-    width = len(rows[0])
-    if width not in (6, 7, 8) or any(len(r) != width for r in rows):
-        raise ValidationError("cloud table must have 6, 7, or 8 uniform columns")
-    arr = np.array([[float(v) for v in r[:6]] for r in rows])
-    part_ids = np.array([int(r[6]) for r in rows], dtype=np.int64) if width >= 7 else None
-    point_ids = np.array([int(r[7]) for r in rows], dtype=np.int64) if width == 8 else None
-    return PointCloud(arr[:, :3], colors=arr[:, 3:6], part_ids=part_ids,
-                      point_ids=point_ids)
 
 
 def save_cloud_binary(cloud: PointCloud, path) -> None:

@@ -68,11 +68,3 @@ def hotspots_to_dict(hs: HotspotSet) -> dict:
             for h in hs.items
         ],
     }
-
-
-def hotspots_from_dict(doc: dict) -> HotspotSet:
-    if doc.get("version") != "hotspots.v1":
-        raise ValidationError(f"unsupported hotspots version {doc.get('version')!r}")
-    items = tuple(Hotspot(int(d["index"]), np.array(d["position"]),
-                          float(d["score"])) for d in doc["items"])
-    return HotspotSet(items, float(doc["radius"]))

@@ -33,7 +33,7 @@ from .errors import (
     SceneKinError,
     ValidationError,
 )
-from .geom import PointCloud, load_cloud_binary, save_cloud_binary
+from .geom import load_cloud_binary, save_cloud_binary
 from .refine import refine_loop
 from .simworld import SceneSpec, project_to_surface
 
@@ -173,9 +173,8 @@ def train_model(config: PipelineConfig, dataset_dir, out_dir) -> dict:
         feats = affordance.extract_features(cloud,
                                             **_feature_config_kwargs(config))
         dataset.append((feats, labels))
-    train_cfg = replace(config.affordance.train,
-                        seed=derive_seed(config.seed, "train"))
-    model, log = affordance.train(dataset, train_cfg)
+    model, log = affordance.train(dataset, config.affordance.train,
+                                  derive_seed(config.seed, "train"))
     chash = config_hash(config)
     model_path = os.path.join(out_dir, "model.json")
     affordance.save_model(model, model_path, chash, config.seed)
@@ -213,19 +212,34 @@ def _segmentation_iou_vs_oracle(obs, seg, part_index: int) -> float | None:
     return float(np.mean(vals))
 
 
+def _flags(config: PipelineConfig, refine_enabled: bool | None,
+           use_contact_heat: bool | None, mode: str | None) -> dict:
+    """Ablation switches of a run; None means "as the config says"."""
+    return {
+        "refine": config.run.refine if refine_enabled is None else refine_enabled,
+        "regularity": (config.inference.use_contact_heat
+                       if use_contact_heat is None else use_contact_heat),
+        "mode": mode or config.inference.mode,
+    }
+
+
 def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
-              config: PipelineConfig, refine_enabled: bool = True,
-              use_contact_heat: bool = True, mode: str | None = None) -> dict:
+              config: PipelineConfig, refine_enabled: bool | None = None,
+              use_contact_heat: bool | None = None,
+              mode: str | None = None) -> dict:
     """Full interactive loop on one scene; returns the run record.
 
     Probes the NMS hotspots in score order: clearance check, canonical pulls
     (first engaging direction wins), before/after capture, articulation
     inference, optional refinement. The scene carries accumulated state
-    between hotspots (opened parts stay open).
+    between hotspots (opened parts stay open). An ablation argument left at
+    None takes its value from the config (`run.refine`,
+    `inference.use_contact_heat`, `inference.mode`).
     """
+    flags = _flags(config, refine_enabled, use_contact_heat, mode)
     infer_cfg: InferenceConfig = replace(
-        config.inference, use_contact_heat=use_contact_heat,
-        mode=mode or config.inference.mode)
+        config.inference, use_contact_heat=flags["regularity"],
+        mode=flags["mode"])
     rng = np.random.default_rng(derive_seed(config.seed, "run", scene.seed))
     cloud = sensing.capture_scene_cloud(scene, config.capture, rng)
     feats = affordance.extract_features(cloud, **_feature_config_kwargs(config))
@@ -299,10 +313,10 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
                                                           outcome.moved_joint)})
             continue
 
-        if refine_enabled and joint.kind == REVOLUTE:
+        if flags["refine"] and joint.kind == REVOLUTE:
             result = refine_loop(current, obs, joint, seg, config.refine,
                                  infer_cfg, config.capture,
-                                 config.interaction.pull, rng)
+                                 config.interaction, rng)
             for entry in result.log:
                 if "delta_state" in entry:
                     interactions.append({
@@ -365,26 +379,25 @@ def _run_scene_job(args):
 
 
 def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
-        refine_enabled: bool | None = None, use_contact_heat: bool = True,
-        mode: str | None = None) -> dict:
+        refine_enabled: bool | None = None,
+        use_contact_heat: bool | None = None, mode: str | None = None,
+        workers: int = 1) -> dict:
     """Run the full loop over every scene in `scenes_dir`; write artifacts.
 
     Per scene: inference.v1 JSON (hotspots, interactions, inferences,
     refinement logs) and a scene_model.v1 export. A scene only counts as
-    failed when its initial scene capture fails.
+    failed when its initial scene capture fails. The ablation arguments
+    follow `run_scene`. `workers` > 1 runs scenes in that many processes;
+    the artifacts are the same as in a serial run.
     """
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(config)
     manifest = _read_json(os.path.join(scenes_dir, "manifest.json"))
-    flags = {
-        "refine": config.run.refine if refine_enabled is None else refine_enabled,
-        "regularity": use_contact_heat,
-        "mode": mode or config.inference.mode,
-    }
+    flags = _flags(config, refine_enabled, use_contact_heat, mode)
     jobs = [(os.path.join(scenes_dir, e["file"]), model_path, config, flags)
             for e in manifest["scenes"]]
-    if config.run.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.run.workers) as pool:
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_scene_job, jobs))
     else:
         records = [_run_scene_job(j) for j in jobs]

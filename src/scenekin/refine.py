@@ -52,7 +52,7 @@ from .sensing import (
     range_image,
 )
 from .simworld import (
-    PullBudget,
+    InteractionConfig,
     SceneSpec,
     gripper_clearance,
     interact,
@@ -74,7 +74,6 @@ class RefinementPlan:
 class RefineConfig:
     target_state: float = math.radians(30.0)
     max_iters: int = 2
-    gripper_radius: float = 0.04
     # a re-estimate whose axis swings further than this from the current one
     # is treated as a failed fit and rejected outright; within it, the
     # free-space evidence decides which axis is kept
@@ -216,24 +215,25 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
                 seg: PartSegmentation, refine_config: RefineConfig | None = None,
                 infer_config: InferenceConfig | None = None,
                 capture_config: CaptureConfig | None = None,
-                budget: PullBudget | None = None,
+                interaction: InteractionConfig | None = None,
                 rng: np.random.Generator | None = None) -> RefineResult:
     """Open a partially moved hinge further and re-estimate it.
 
-    Each iteration plans with part_affordance, pulls, recaptures the after
-    cloud, and re-infers against the ORIGINAL before cloud so the state
-    tracks total opening. A re-estimate is rejected when it is not revolute,
-    its |state| did not increase, or its axis swings more than
-    `axis_consistency_deg`. Otherwise its opening is taken, and its axis and
-    pivot too when free-space evidence supports them at least as well as the
-    current ones (see `_better_supported`); the log entry records both
-    scores. Interaction, capture, tracking or inference failures end the loop
-    with the best estimate so far; prismatic inputs pass through unchanged.
+    Each iteration plans with part_affordance, pulls with the `interaction`
+    settings of the initial probes, recaptures the after cloud, and re-infers
+    against the ORIGINAL before cloud so the state tracks total opening. A
+    re-estimate is rejected when it is not revolute, its |state| did not
+    increase, or its axis swings more than `axis_consistency_deg`. Otherwise
+    its opening is taken, and its axis and pivot too when free-space evidence
+    supports them at least as well as the current ones (see
+    `_better_supported`); the log entry records both scores. Interaction,
+    capture, tracking or inference failures end the loop with the best
+    estimate so far; prismatic inputs pass through unchanged.
     """
     refine_config = refine_config or RefineConfig()
     infer_config = infer_config or InferenceConfig()
     capture_config = capture_config or CaptureConfig()
-    budget = budget or PullBudget()
+    interaction = interaction or InteractionConfig()
     log: list[dict] = []
     iters = 0
     while (joint.kind == REVOLUTE
@@ -243,7 +243,7 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
         entry: dict = {"iteration": iters}
         try:
             plan = part_affordance(joint, seg, obs.after, scene,
-                                   refine_config.gripper_radius)
+                                   interaction.gripper_radius)
         except RefinementUnavailable as e:
             entry["status"] = f"unavailable: {e}"
             log.append(entry)
@@ -251,9 +251,11 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
         entry["hotspot"] = plan.hotspot.tolist()
         entry["direction"] = plan.force_direction.tolist()
         try:
-            grasp = project_to_surface(scene, plan.hotspot)
+            grasp = project_to_surface(scene, plan.hotspot,
+                                       interaction.snap_tolerance)
             outcome, scene = interact(scene, grasp, plan.force_direction,
-                                      budget)
+                                      interaction.pull,
+                                      interaction.motion_epsilon)
         except (PreconditionError, ValidationError) as e:
             entry["status"] = f"interaction error: {e}"
             log.append(entry)

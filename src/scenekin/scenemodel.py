@@ -1,4 +1,4 @@
-"""Scene-level articulation model: aggregation, frame mapping, and export.
+"""Scene-level articulation model: aggregation and export.
 
 Per-interaction joint estimates are merged into one entry per physical part.
 Two estimates merge when they describe the same joint (same type, axes within
@@ -15,11 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artinfer import PRISMATIC, REVOLUTE, JointModel
+from .artinfer import REVOLUTE, JointModel
 from .errors import ValidationError
 from .geom import (
     PointCloud,
-    RigidTransform,
     line_to_line_distance,
     load_cloud_binary,
     save_cloud_binary,
@@ -43,19 +42,6 @@ class SceneArticulationModel:
     entries: tuple[ModelEntry, ...]
     scene_seed: int | None = None
     config_hash: str | None = None
-
-
-def to_world(joint: JointModel, observation_frame: RigidTransform) -> JointModel:
-    """Map a joint into the frame reached by `observation_frame`.
-
-    The axis rotates, the pivot maps rigidly and is re-canonicalized by the
-    JointModel constructor, and the state is frame-invariant.
-    """
-    axis = observation_frame.rotation @ joint.axis
-    pivot = None
-    if joint.kind == REVOLUTE:
-        pivot = observation_frame.apply(joint.pivot)
-    return JointModel(joint.kind, axis, pivot, joint.state, pitch=joint.pitch)
 
 
 def fit_oriented_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

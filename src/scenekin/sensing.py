@@ -12,7 +12,7 @@ oracle correspondence channel that survives articulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

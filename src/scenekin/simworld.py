@@ -25,15 +25,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import scenemodel
-from .artinfer import JointModel
+from .artinfer import PRISMATIC, REVOLUTE
 from .errors import PreconditionError, SceneGenerationError, ValidationError
 from .geom import RigidTransform, as_vec3, normalize, rotation_from_angle_axis
 
 PART_KINDS = ("static_body", "mobile_part", "distractor", "wall", "floor")
-
-PRISMATIC = "prismatic"
-REVOLUTE = "revolute"
 
 WORLD_UP = np.array([0.0, 0.0, 1.0])
 
@@ -91,11 +87,6 @@ class PartGeometry:
         n_local = np.zeros(3)
         n_local[axis] = 1.0 if p[axis] >= 0 else -1.0
         return self.rotation @ n_local
-
-    def corners(self) -> np.ndarray:
-        signs = np.array([[sx, sy, sz] for sx in (-1, 1)
-                          for sy in (-1, 1) for sz in (-1, 1)], dtype=np.float64)
-        return (signs * self.half_extents) @ self.rotation.T + self.center
 
     def transformed(self, T: RigidTransform) -> "PartGeometry":
         return replace(self, center=T.apply(self.center),
@@ -224,6 +215,16 @@ class PullBudget:
     step: float = 0.01        # pulled length per step, meters
     total: float = 0.4        # total pulled length, meters
     align_min: float = 0.5    # stop when pull/tangent alignment decays to this
+
+
+@dataclass(frozen=True)
+class InteractionConfig:
+    """How the agent pulls: budget, success test, gripper size, contact snap."""
+
+    pull: PullBudget = field(default_factory=PullBudget)
+    motion_epsilon: float = 1e-3   # joint-state change that counts as motion
+    gripper_radius: float = 0.04
+    snap_tolerance: float = 0.03   # commanded contact -> surface projection
 
 
 @dataclass(frozen=True)
@@ -651,27 +652,6 @@ def interact(scene: SceneSpec, contact, pull_direction, budget: PullBudget | Non
     new_scene = scene.with_joint_state(joint_idx, theta)
     return (InteractionOutcome(True, joint_idx, delta, p_cur, steps, True),
             new_scene)
-
-
-def ground_truth_model(scene: SceneSpec) -> "scenemodel.SceneArticulationModel":
-    """World-frame articulation model with one entry per generated joint.
-
-    Entry states follow the observed-delta convention: state relative to the
-    closed (as-generated) pose, i.e. the joint's current state.
-    """
-    entries = []
-    for j, (part_idx, joint) in enumerate(scene.joints):
-        if joint.joint_type == PRISMATIC:
-            jm = JointModel(PRISMATIC, joint.axis.copy(), None, joint.state)
-        else:
-            jm = JointModel(REVOLUTE, joint.axis.copy(), joint.pivot.copy(),
-                            joint.state)
-        box = scene.part_world(part_idx)
-        entries.append(scenemodel.ModelEntry(
-            entry_id=j, joint=jm, mobile_points=None,
-            mobile_box=(box.center, box.half_extents, box.rotation),
-            hotspot_ids=(), confidence=1.0))
-    return scenemodel.SceneArticulationModel(tuple(entries), scene_seed=scene.seed)
 
 
 # ---------------------------------------------------------------------------

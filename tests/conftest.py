@@ -10,6 +10,16 @@ from scenekin.sensing import (
 )
 from scenekin.simworld import PullBudget, interact
 
+# A two-room pipeline config small enough to run every CLI stage in seconds.
+TINY = {
+    "seed": 5,
+    "run": {"n_scenes": 2, "max_hotspots": 3},
+    "generation": {"n_revolute": 1, "n_prismatic": 1, "n_distractor": 0},
+    "capture": {"resolution": [50, 40]},
+    "affordance": {"samples_per_scene": 60,
+                   "train": {"epochs": 40, "hidden": 0}},
+}
+
 
 def observe_interaction(scene, contact, direction, capture_config=None,
                         budget=None, heat_sigma=0.05, rng=None):

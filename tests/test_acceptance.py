@@ -5,43 +5,24 @@ session fixtures (a trained affordance model, the refinement benchmark) so
 the suite stays within its runtime budgets.
 """
 
-import hashlib
 import json
 import math
 import os
-import subprocess
-import sys
 import time
-from dataclasses import replace
 
 import numpy as np
-import pytest
 
-from scenekin import affordance, evalkit, hotspot, sensing, simworld
-from scenekin.artinfer import (
-    InferenceConfig,
-    infer_articulation,
-    screw_decompose,
-)
-from scenekin.config import PipelineConfig, derive_seed
-from scenekin.errors import InferenceError, SceneKinError
+from scenekin import affordance, evalkit, hotspot
+from scenekin.artinfer import screw_decompose
+from scenekin.cli import main
 from scenekin.geom import (
     PointCloud,
     RigidTransform,
     line_to_line_distance,
     normalize,
-    rotation_from_angle_axis,
-)
-from scenekin.pipeline import _feature_config_kwargs, observe_interaction, run_scene
-from scenekin.refine import RefineConfig, refine_loop
-from scenekin.simworld import (
-    GenerationConfig,
-    PullBudget,
-    generate_scene,
-    surface_normal,
 )
 
-from conftest import observe_interaction as observe_simple
+from conftest import TINY
 
 
 def announce(criterion: str, passed: bool, detail: str = ""):
@@ -224,3 +205,46 @@ def test_criterion_7_metric_oracles():
     elapsed = time.time() - t0
     announce("criterion 7 (precision/coverage/IoU vs naive counting, 1000 logs)",
              elapsed < 30.0, f"{elapsed:.1f}s")
+
+
+# ---------------------------------------------------------------------------
+# Criterion 8: byte-identical reruns, serial and with --workers 2
+# ---------------------------------------------------------------------------
+
+def _tree_bytes(top) -> dict:
+    out = {}
+    for root, _, files in os.walk(top):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, top)] = fh.read()
+    return out
+
+
+def test_criterion_8_byte_identical_reruns(tmp_path):
+    t0 = time.time()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY))
+    common = ["--config", str(cfg)]
+    assert main(["gen-scenes", *common, "--out", str(tmp_path / "scenes")]) == 0
+    assert main(["collect", *common, "--scenes", str(tmp_path / "scenes"),
+                 "--out", str(tmp_path / "data")]) == 0
+    assert main(["train", *common, "--dataset", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "model")]) == 0
+    runs = {"serial": [], "workers2": ["--workers", "2"]}
+    for name, extra in runs.items():
+        assert main(["run", *common, "--scenes", str(tmp_path / "scenes"),
+                     "--model", str(tmp_path / "model" / "model.json"),
+                     "--out", str(tmp_path / name), *extra]) == 0
+    serial, parallel = (_tree_bytes(tmp_path / name) for name in runs)
+    differ = sorted(k for k in serial.keys() | parallel.keys()
+                    if serial.get(k) != parallel.get(k))
+    # eval with the same config must accept either run without --force
+    evals = [main(["eval", *common, "--run", str(tmp_path / name),
+                   "--scenes", str(tmp_path / "scenes"),
+                   "--out", str(tmp_path / f"eval_{name}")]) for name in runs]
+    elapsed = time.time() - t0
+    ok = bool(serial) and not differ and evals == [0, 0] and elapsed < 120.0
+    announce("criterion 8 (byte-identical run/, serial vs --workers 2)", ok,
+             f"{len(serial)} files, differing {differ}, eval exit codes "
+             f"{evals}, {elapsed:.1f}s")

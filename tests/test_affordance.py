@@ -216,15 +216,15 @@ class TestTrainPredict:
 
     def test_zero_epochs_returns_initialized(self):
         dataset = separable_dataset(2)
-        model, log = train(dataset, TrainConfig(epochs=0, hidden=0, seed=3))
+        model, log = train(dataset, TrainConfig(epochs=0, hidden=0), seed=3)
         ref = init_model(hidden=0, seed=3)
         np.testing.assert_array_equal(model.w2, ref.w2)
         assert log == []
 
     def test_deterministic(self):
         dataset = separable_dataset(3, seed=5)
-        m1, _ = train(dataset, TrainConfig(epochs=50, hidden=8, seed=2))
-        m2, _ = train(dataset, TrainConfig(epochs=50, hidden=8, seed=2))
+        m1, _ = train(dataset, TrainConfig(epochs=50, hidden=8), seed=2)
+        m2, _ = train(dataset, TrainConfig(epochs=50, hidden=8), seed=2)
         np.testing.assert_array_equal(m1.params(), m2.params())
 
     def test_predict_zero_model_is_half(self):

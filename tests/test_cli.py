@@ -2,7 +2,6 @@ import hashlib
 import json
 import os
 
-import numpy as np
 import pytest
 
 from scenekin.cli import main
@@ -17,14 +16,7 @@ from scenekin.errors import ConfigError
 from scenekin.pipeline import load_scene_dir
 from scenekin.simworld import load_scene
 
-TINY = {
-    "seed": 5,
-    "run": {"n_scenes": 2, "max_hotspots": 3},
-    "generation": {"n_revolute": 1, "n_prismatic": 1, "n_distractor": 0},
-    "capture": {"resolution": [50, 40]},
-    "affordance": {"samples_per_scene": 60,
-                   "train": {"epochs": 40, "hidden": 0}},
-}
+from conftest import TINY
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +62,24 @@ class TestConfig:
         back = config_from_dict(config_to_dict(config))
         assert config_to_dict(back) == config_to_dict(config)
         assert config_hash(back) == config_hash(config)
+
+    def test_default_document_loads_back_equal_and_hashable(self):
+        back = config_from_dict(config_to_dict(PipelineConfig()))
+        assert back == PipelineConfig()
+        assert isinstance(back.generation.drawer_cabinet_height, tuple)
+        hash(back)
+
+    def test_tuple_items_type_checked(self):
+        with pytest.raises(ConfigError, match=r"capture\.resolution\[0\]"):
+            config_from_dict({"capture": {"resolution": ["64", 48]}})
+        with pytest.raises(ConfigError, match=r"ring_tilts_deg\[1\]"):
+            config_from_dict({"capture": {"ring_tilts_deg": [-30.0, True]}})
+
+    def test_tuple_length_checked(self):
+        with pytest.raises(ConfigError, match="generation.room_width"):
+            config_from_dict({"generation": {"room_width": [4.0]}})
+        with pytest.raises(ConfigError, match="capture.resolution"):
+            config_from_dict({"capture": {"resolution": [64, 48, 1]}})
 
     def test_hash_changes_with_values(self):
         a = config_from_dict({"seed": 1})
@@ -172,6 +182,30 @@ class TestPipelineArtifacts:
         out = capsys.readouterr().out.strip()
         doc = json.loads(out)
         assert "aggregate" in doc
+
+    def test_run_flags_default_to_config(self, workspace, tmp_path):
+        base, _ = workspace
+        ablated = tmp_path / "ablated.json"
+        ablated.write_text(json.dumps({
+            **TINY, "run": {"n_scenes": 2, "max_hotspots": 0, "refine": False},
+            "inference": {"use_contact_heat": False}}))
+        defaults = tmp_path / "defaults.json"
+        defaults.write_text(json.dumps(
+            {**TINY, "run": {"n_scenes": 2, "max_hotspots": 0}}))
+
+        def flags(cfg, *extra):
+            out = tmp_path / f"run{len(os.listdir(tmp_path))}"
+            assert main(["run", "--config", str(cfg),
+                         "--scenes", str(base / "scenes"),
+                         "--model", str(base / "model" / "model.json"),
+                         "--out", str(out), *extra]) == 0
+            return json.loads((out / "manifest.json").read_text())["flags"]
+
+        off = {"refine": False, "regularity": False, "mode": "icp"}
+        assert flags(ablated) == off
+        assert flags(defaults) == {"refine": True, "regularity": True,
+                                   "mode": "icp"}
+        assert flags(defaults, "--no-refine", "--no-regularity") == off
 
     def test_scene_dir_loader(self, workspace):
         base, _ = workspace

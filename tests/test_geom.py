@@ -6,17 +6,12 @@ from scenekin.errors import ValidationError
 from scenekin.geom import (
     PointCloud,
     RigidTransform,
-    SpatialIndex,
-    apply_transform,
     estimate_normals,
     line_to_line_distance,
-    load_cloud_ascii,
     load_cloud_binary,
-    nearest_neighbor,
     point_to_line_distance,
     rotation_from_angle_axis,
     rotation_to_angle_axis,
-    save_cloud_ascii,
     save_cloud_binary,
 )
 
@@ -28,41 +23,25 @@ def random_rotation(rng):
 
 class TestRigidTransform:
     def test_identity_keeps_cloud(self):
-        cloud = PointCloud(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
-        out = apply_transform(RigidTransform.identity(), cloud)
-        np.testing.assert_array_equal(out.positions, cloud.positions)
+        pts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(RigidTransform.identity().apply(pts), pts)
 
     def test_pure_translation(self):
         T = RigidTransform.from_translation([1.0, 0.0, 0.0])
-        cloud = PointCloud(np.zeros((1, 3)))
-        out = apply_transform(T, cloud)
-        np.testing.assert_allclose(out.positions, [[1.0, 0.0, 0.0]])
+        np.testing.assert_allclose(T.apply(np.zeros((1, 3))), [[1.0, 0.0, 0.0]])
 
     def test_quarter_turn_about_z(self):
         R = rotation_from_angle_axis([0.0, 0.0, 1.0], np.pi / 2)
-        out = apply_transform(RigidTransform(R, np.zeros(3)),
-                              PointCloud(np.array([[1.0, 0.0, 0.0]])))
-        np.testing.assert_allclose(out.positions, [[0.0, 1.0, 0.0]], atol=1e-12)
-
-    def test_aux_fields_carried_through(self):
-        cloud = PointCloud(
-            np.random.default_rng(0).normal(size=(5, 3)),
-            colors=np.full((5, 3), 0.25),
-            part_ids=np.arange(5),
-            point_ids=np.arange(5) * 10,
-        )
-        out = apply_transform(RigidTransform.from_translation([0, 1, 0]), cloud)
-        np.testing.assert_array_equal(out.colors, cloud.colors)
-        np.testing.assert_array_equal(out.part_ids, cloud.part_ids)
-        np.testing.assert_array_equal(out.point_ids, cloud.point_ids)
+        out = RigidTransform(R, np.zeros(3)).apply(np.array([[1.0, 0.0, 0.0]]))
+        np.testing.assert_allclose(out, [[0.0, 1.0, 0.0]], atol=1e-12)
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             T = RigidTransform(random_rotation(rng), rng.normal(size=3))
-            cloud = PointCloud(rng.normal(size=(40, 3)))
-            back = apply_transform(T.inverse(), apply_transform(T, cloud))
-            np.testing.assert_allclose(back.positions, cloud.positions, atol=1e-9)
+            pts = rng.normal(size=(40, 3))
+            np.testing.assert_allclose(T.inverse().apply(T.apply(pts)), pts,
+                                       atol=1e-9)
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValidationError):
@@ -89,42 +68,6 @@ class TestPointCloud:
         sub = cloud.subset(np.array([True, False, True, False]))
         assert len(sub) == 2
         np.testing.assert_array_equal(sub.part_ids, [0, 2])
-
-
-class TestSpatialIndex:
-    def test_simple_query(self):
-        cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-        idx, dist = nearest_neighbor(SpatialIndex(cloud), [0.1, 0.0, 0.0])
-        assert idx == 0
-        assert dist == pytest.approx(0.1)
-
-    def test_exact_hit(self):
-        cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
-        idx, dist = nearest_neighbor(SpatialIndex(cloud), [1.0, 2.0, 3.0])
-        assert idx == 1
-        assert dist == 0.0
-
-    def test_tie_breaks_to_lowest_index(self):
-        cloud = PointCloud(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
-                                     [0.0, 1.0, 0.0]]))
-        idx, dist = nearest_neighbor(SpatialIndex(cloud), [0.0, 0.0, 0.0])
-        assert idx == 0
-        assert dist == pytest.approx(1.0)
-
-    def test_empty_cloud_rejected(self):
-        with pytest.raises(ValidationError):
-            SpatialIndex(PointCloud(np.zeros((0, 3))))
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(42)
-        pts = rng.uniform(-1, 1, size=(1000, 3))
-        index = SpatialIndex(PointCloud(pts))
-        for q in rng.uniform(-1, 1, size=(100, 3)):
-            d = np.linalg.norm(pts - q, axis=1)
-            expect = int(np.argmin(d))
-            idx, dist = index.nearest(q)
-            assert idx == expect
-            assert dist == pytest.approx(d[expect])
 
 
 class TestEstimateNormals:
@@ -235,16 +178,6 @@ class TestCloudSerialization:
             part_ids=rng.integers(0, 5, size=17),
             point_ids=np.arange(17) * 3 + 1,
         )
-
-    def test_ascii_round_trip(self, tmp_path):
-        cloud = self._cloud()
-        p = tmp_path / "cloud.xyz"
-        save_cloud_ascii(cloud, p)
-        back = load_cloud_ascii(p)
-        np.testing.assert_allclose(back.positions, cloud.positions)
-        np.testing.assert_allclose(back.colors, cloud.colors)
-        np.testing.assert_array_equal(back.part_ids, cloud.part_ids)
-        np.testing.assert_array_equal(back.point_ids, cloud.point_ids)
 
     def test_binary_round_trip(self, tmp_path):
         cloud = self._cloud()

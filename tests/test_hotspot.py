@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from scenekin.errors import ValidationError
 from scenekin.geom import PointCloud
-from scenekin.hotspot import hotspots_from_dict, hotspots_to_dict, nms
+from scenekin.hotspot import hotspots_to_dict, nms
 
 
 def brute_force_nms(positions, scores, radius, threshold):
@@ -114,6 +116,9 @@ class TestNms:
     def test_round_trip(self):
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
         hs = nms(cloud, np.array([0.9, 0.8]), radius=0.25)
-        back = hotspots_from_dict(hotspots_to_dict(hs))
-        assert [h.index for h in back.items] == [h.index for h in hs.items]
-        assert back.radius == hs.radius
+        back = json.loads(json.dumps(hotspots_to_dict(hs)))
+        assert back["version"] == "hotspots.v1"
+        assert back["radius"] == hs.radius
+        assert back["items"] == [
+            {"index": h.index, "position": h.position.tolist(),
+             "score": h.score} for h in hs.items]

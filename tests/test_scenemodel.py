@@ -1,17 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
 from scenekin.artinfer import JointModel
-from scenekin.geom import RigidTransform, normalize, rotation_from_angle_axis
+from scenekin.geom import normalize
 from scenekin.scenemodel import (
     aggregate,
     export_model,
     fit_oriented_box,
     load_model,
     models_equivalent,
-    to_world,
 )
 
 
@@ -23,41 +20,6 @@ def slab_points(center, normal_axis=1, w=0.4, h=0.8, n=300, seed=0):
     pts[:, axes[0]] = rng.uniform(-w / 2, w / 2, n)
     pts[:, axes[1]] = rng.uniform(-h / 2, h / 2, n)
     return pts + np.asarray(center)
-
-
-class TestToWorld:
-    def test_identity(self):
-        j = JointModel("revolute", [0, 0, 1], [1.0, 2.0, 0.0], 0.5)
-        out = to_world(j, RigidTransform.identity())
-        np.testing.assert_allclose(out.axis, j.axis)
-        np.testing.assert_allclose(out.pivot, j.pivot)
-        assert out.state == j.state
-
-    def test_quarter_yaw_maps_axis(self):
-        j = JointModel("prismatic", [1.0, 0.0, 0.0], None, 0.3)
-        frame = RigidTransform(rotation_from_angle_axis([0, 0, 1], np.pi / 2),
-                               np.zeros(3))
-        out = to_world(j, frame)
-        np.testing.assert_allclose(out.axis, [0, 1, 0], atol=1e-12)
-
-    def test_state_invariant_under_random_frames(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            axis = normalize(rng.normal(size=3))
-            pivot = rng.uniform(-2, 2, size=3)
-            j = JointModel("revolute", axis, pivot,
-                           float(rng.uniform(-1.0, 1.0)))
-            frame = RigidTransform(
-                rotation_from_angle_axis(normalize(rng.normal(size=3)),
-                                         rng.uniform(0, math.pi)),
-                rng.uniform(-2, 2, size=3))
-            out = to_world(j, frame)
-            assert out.state == pytest.approx(j.state, abs=1e-12)
-            # mapped pivot stays on the mapped axis line
-            mapped_pivot = frame.apply(j.pivot)
-            rel = out.pivot - mapped_pivot
-            rel -= np.dot(rel, out.axis) * out.axis
-            assert np.linalg.norm(rel) < 1e-9
 
 
 class TestAggregate:

@@ -14,7 +14,6 @@ from scenekin.simworld import (
     find_interpenetrations,
     generate_scene,
     gripper_clearance,
-    ground_truth_model,
     interact,
     load_scene,
     nearest_part,
@@ -256,29 +255,6 @@ class TestInteract:
         assert o1.delta_state == o2.delta_state
         assert np.array_equal(o1.final_contact, o2.final_contact)
         assert s1.joints[0][1].state == s2.joints[0][1].state
-
-
-class TestGroundTruthModel:
-    def test_entry_count(self):
-        scene = generate_scene(7, GenerationConfig(2, 2, 3))
-        model = ground_truth_model(scene)
-        assert len(model.entries) == 4
-
-    def test_drawer_axis_exact(self):
-        scene = make_drawer_scene()
-        model = ground_truth_model(scene)
-        np.testing.assert_array_equal(model.entries[0].joint.axis,
-                                      [1.0, 0.0, 0.0])
-        assert model.entries[0].joint.kind == "prismatic"
-
-    def test_door_pivot_on_hinge_line(self):
-        scene = make_door_scene()
-        model = ground_truth_model(scene)
-        joint = model.entries[0].joint
-        # canonical pivot must still lie on the generated hinge line x=-0.6, y=0
-        rel = joint.pivot - np.array([-0.6, 0.0, 0.0])
-        rel -= np.dot(rel, joint.axis) * joint.axis
-        assert np.linalg.norm(rel) < 1e-12
 
 
 class TestSceneSerialization:
