@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import PreconditionError, TrainingError, ValidationError
-from .geom import PointCloud, estimate_normals
+from .geom import PointCloud
 from .simworld import (
     PullBudget,
     SceneSpec,
@@ -90,8 +90,7 @@ def extract_features(cloud: PointCloud, radius: float = 0.05,
     if n == 0:
         raise ValidationError("cannot extract features from an empty cloud")
     pos = cloud.positions
-    tree = cKDTree(pos)
-    neighbor_lists = tree.query_ball_point(pos, r=radius)
+    neighbor_lists = cloud.tree.query_ball_point(pos, r=radius)
     counts = np.array([len(l) for l in neighbor_lists], dtype=np.int64)
     centers = np.repeat(np.arange(n), counts)
     neighbors = np.concatenate(neighbor_lists) if n else np.zeros(0, np.int64)
@@ -119,7 +118,7 @@ def extract_features(cloud: PointCloud, radius: float = 0.05,
 
     k_eff = min(k_normals, n)
     if k_eff >= 3:
-        normals, normals_valid = estimate_normals(cloud, k_eff)
+        normals, normals_valid = cloud.normals(k_eff)
     else:
         normals = np.zeros((n, 3))
         normals_valid = np.zeros(n, dtype=bool)

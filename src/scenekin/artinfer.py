@@ -1,12 +1,12 @@
 """Joint inference from before/after observations of one interaction.
 
-The pipeline is explicit geometry end to end: nearest-neighbor change
-detection splits each cloud into static and moved points, a contact-centered
-Gaussian heatmap selects the moved component the interaction actually touched,
-rigid alignment (identity-matched correspondences or ICP) recovers the motion
-of the mobile part, and a screw decomposition of that motion yields the joint
-model: a translation axis with a slide distance, or a rotation axis with a
-pivot and an opening angle.
+The pipeline is explicit geometry end to end: change detection against the
+other cloud's local surface splits each cloud into static and moved points, a
+contact-centered Gaussian heatmap selects the moved component the interaction
+actually touched, rigid alignment (identity-matched correspondences or ICP)
+recovers the motion of the mobile part, and a screw decomposition of that
+motion yields the joint model: a translation axis with a slide distance, or a
+rotation axis with a pivot and an opening angle.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -29,6 +31,7 @@ from .geom import (
     RigidTransform,
     as_vec3,
     normalize,
+    rotation_from_angle_axis,
     rotation_to_angle_axis,
 )
 
@@ -156,27 +159,23 @@ class InferenceConfig:
 
 
 def _connected_components(points: np.ndarray, radius: float) -> np.ndarray:
-    """Component label per point for the radius neighbor graph (union-find)."""
+    """Component label per point for the radius neighbor graph.
+
+    Labels count up in order of each component's lowest point index.
+    """
     n = len(points)
-    parent = np.arange(n)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    tree = cKDTree(points)
-    for i, j in tree.query_pairs(r=radius):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return np.array([find(i) for i in range(n)])
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    return connected_components(graph, directed=False)[1]
 
 
 def _select_component(positions: np.ndarray, candidates: np.ndarray,
                       heat: np.ndarray, radius: float, use_heat: bool) -> np.ndarray:
-    """Mask of the best candidate component: max heat mass, or max size."""
+    """Mask of the best candidate component: max heat mass, or max size.
+
+    An exact tie goes to the component holding the lowest point index.
+    """
     idx = np.flatnonzero(candidates)
     labels = _connected_components(positions[idx], radius)
     best_label, best_score = None, -np.inf
@@ -202,29 +201,26 @@ def change_candidates(obs: ObservationPair, epsilon: float,
     """
     if len(obs.before) == 0 or len(obs.after) == 0:
         raise ValidationError("both clouds must be non-empty")
-    tree_b = cKDTree(obs.before.positions)
-    tree_a = cKDTree(obs.after.positions)
-    nrm_b, val_b = _cloud_normals(obs.before)
-    nrm_a, val_a = _cloud_normals(obs.after)
-    still_b = _explained_by(obs.before.positions, tree_a, obs.after.positions,
-                            nrm_a, val_a, epsilon, far_cap)
-    still_a = _explained_by(obs.after.positions, tree_b, obs.before.positions,
-                            nrm_b, val_b, epsilon, far_cap)
+    still_b = _explained_by(obs.before.positions, obs.after, epsilon, far_cap)
+    still_a = _explained_by(obs.after.positions, obs.before, epsilon, far_cap)
     return ~still_b, ~still_a
 
 
 def detect_change(obs: ObservationPair, epsilon: float = 0.01,
                   component_radius: float = 0.04,
-                  use_contact_heat: bool = True) -> PartSegmentation:
-    """Split both clouds into static and moved points by nearest-neighbor distance.
+                  use_contact_heat: bool = True,
+                  far_cap: float = 0.05) -> PartSegmentation:
+    """Split both clouds into static and moved points.
 
-    A point is a moved candidate when its nearest neighbor in the other cloud
-    is farther than `epsilon`. Candidates are grouped into connected components
-    (link radius `component_radius`) and the component with the largest contact
-    heat mass is kept (largest component when `use_contact_heat` is off).
-    Raises NoMotionError when either cloud has no candidates.
+    A point is a moved candidate when the other cloud shows no surface at its
+    position (`change_candidates`): no sample within `epsilon`, and no sample
+    within `far_cap` whose local plane passes within `epsilon` of it.
+    Candidates are grouped into connected components (link radius
+    `component_radius`) and the component with the largest contact heat mass
+    is kept (largest component when `use_contact_heat` is off). Raises
+    NoMotionError when either cloud has no candidates.
     """
-    cand_b, cand_a = change_candidates(obs, epsilon)
+    cand_b, cand_a = change_candidates(obs, epsilon, far_cap)
     if not cand_b.any() or not cand_a.any():
         raise NoMotionError("no points moved beyond epsilon")
     mask_b = _select_component(obs.before.positions, cand_b, obs.heat_before,
@@ -254,21 +250,14 @@ def kabsch(src: np.ndarray, dst: np.ndarray,
     return RigidTransform(R, cd - R @ cs)
 
 
-def _slab_normal(points: np.ndarray) -> np.ndarray:
-    mean = points.mean(axis=0)
-    cov = np.cov((points - mean).T)
-    _, v = np.linalg.eigh(np.atleast_2d(cov))
-    return v[:, 0]
-
-
 def _icp_init(src: np.ndarray, dst: np.ndarray, contact_before: np.ndarray,
               contact_after: np.ndarray) -> RigidTransform:
     """Initial guess: minimal rotation aligning the slab normals, then match
     the contact points. Assumes the opening stays below a half turn."""
     if len(src) < 8 or len(dst) < 8:
         return RigidTransform.from_translation(contact_after - contact_before)
-    n_s = _slab_normal(src)
-    n_d = _slab_normal(dst)
+    n_s = _fit_slab(src)[1][:, 0]
+    n_d = _fit_slab(dst)[1][:, 0]
     if float(np.dot(n_s, n_d)) < 0.0:
         n_d = -n_d
     axis = np.cross(n_s, n_d)
@@ -277,8 +266,6 @@ def _icp_init(src: np.ndarray, dst: np.ndarray, contact_before: np.ndarray,
         R = np.eye(3)
     else:
         angle = math.atan2(nn, float(np.dot(n_s, n_d)))
-        from .geom import rotation_from_angle_axis
-
         R = rotation_from_angle_axis(axis / nn, angle)
     return RigidTransform(R, contact_after - R @ contact_before)
 
@@ -423,17 +410,13 @@ def _competitive_labels(positions: np.ndarray, moved: np.ndarray,
 
 
 def _cloud_normals(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    from .geom import estimate_normals
-
     k = min(10, len(cloud))
     if k < 3:
         return np.zeros((len(cloud), 3)), np.zeros(len(cloud), dtype=bool)
-    return estimate_normals(cloud, k)
+    return cloud.normals(k)
 
 
-def _explained_by(points: np.ndarray, target_tree: cKDTree,
-                  target_pos: np.ndarray, target_normals: np.ndarray,
-                  target_valid: np.ndarray, fit_epsilon: float,
+def _explained_by(points: np.ndarray, target: PointCloud, fit_epsilon: float,
                   far_cap: float) -> np.ndarray:
     """Points consistent with the target surface.
 
@@ -443,10 +426,11 @@ def _explained_by(points: np.ndarray, target_tree: cKDTree,
     far-away points from matching an extended plane. Samples without a valid
     normal fall back to the point distance.
     """
-    d, idx = target_tree.query(points)
-    offset = points - target_pos[idx]
-    plane = np.abs(np.einsum("ni,ni->n", offset, target_normals[idx]))
-    by_plane = (d <= far_cap) & (plane <= fit_epsilon) & target_valid[idx]
+    normals, valid = _cloud_normals(target)
+    d, idx = target.tree.query(points)
+    offset = points - target.positions[idx]
+    plane = np.abs(np.einsum("ni,ni->n", offset, normals[idx]))
+    by_plane = (d <= far_cap) & (plane <= fit_epsilon) & valid[idx]
     return (d <= fit_epsilon) | by_plane
 
 
@@ -463,26 +447,19 @@ def _consistency_reseg(obs: ObservationPair, T: RigidTransform,
     The last condition drops occlusion shadows on far surfaces parallel to
     the motion, which T cannot reject on its own.
     """
-    tree_b = cKDTree(obs.before.positions)
-    tree_a = cKDTree(obs.after.positions)
-    nrm_b, val_b = _cloud_normals(obs.before)
-    nrm_a, val_a = _cloud_normals(obs.after)
-
     moved_b, moved_a = change_candidates(obs, epsilon, far_cap)
-    fit_b = _explained_by(T.apply(obs.before.positions), tree_a,
-                          obs.after.positions, nrm_a, val_a, fit_epsilon,
-                          far_cap)
+    fit_b = _explained_by(T.apply(obs.before.positions), obs.after,
+                          fit_epsilon, far_cap)
     # before side grows only along the seed surface: unexplained moved points
     # here are either sampling gaps of the part's image (coplanar) or
     # occlusion shadows of its new pose (offset behind the part)
+    nrm_b, val_b = _cloud_normals(obs.before)
     mask_b = _competitive_labels(obs.before.positions, moved_b,
                                  fit_b, ambiguity_radius, normals=nrm_b,
                                  normals_valid=val_b,
                                  in_plane_tol=fit_epsilon)
-    Ti = T.inverse()
-    fit_a = _explained_by(Ti.apply(obs.after.positions), tree_b,
-                          obs.before.positions, nrm_b, val_b, fit_epsilon,
-                          far_cap)
+    fit_a = _explained_by(T.inverse().apply(obs.after.positions), obs.before,
+                          fit_epsilon, far_cap)
     mask_a = _competitive_labels(obs.after.positions, moved_a,
                                  fit_a, ambiguity_radius)
 
@@ -544,7 +521,7 @@ def infer_articulation(obs: ObservationPair, config: InferenceConfig | None = No
     config = config or InferenceConfig()
     try:
         seg = detect_change(obs, config.epsilon, config.component_radius,
-                            config.use_contact_heat)
+                            config.use_contact_heat, config.fit_far_cap)
     except (NoMotionError, ValidationError) as e:
         raise InferenceError(f"change_detection: {e}") from e
     anchor = seg

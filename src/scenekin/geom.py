@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -141,6 +142,21 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.positions)
 
+    @cached_property
+    def tree(self) -> cKDTree:
+        """k-d tree over the positions, built on first use."""
+        return cKDTree(self.positions)
+
+    @cached_property
+    def _normals_by_k(self) -> dict:
+        return {}
+
+    def normals(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """`estimate_normals(self, k)`, computed once per k; do not modify."""
+        if k not in self._normals_by_k:
+            self._normals_by_k[k] = estimate_normals(self, k)
+        return self._normals_by_k[k]
+
     def subset(self, index) -> "PointCloud":
         """Select points by boolean mask or integer indices, carrying aux data."""
         return PointCloud(
@@ -151,22 +167,20 @@ class PointCloud:
         )
 
 
-def estimate_normals(cloud: PointCloud, k: int, viewpoint=None
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def estimate_normals(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-point surface normals from k-nearest-neighbor covariance.
 
     Each normal is the eigenvector of the neighborhood covariance with the
-    smallest eigenvalue. Orientation faces `viewpoint` when given, else the +z
-    hemisphere. Returns (normals (N,3), valid (N,) bool); points whose
-    neighborhood covariance has rank < 2 are flagged invalid.
+    smallest eigenvalue, oriented into the +z hemisphere. Returns
+    (normals (N,3), valid (N,) bool); points whose neighborhood covariance
+    has rank < 2 are flagged invalid.
 
     Requires len(cloud) >= k >= 3.
     """
     n = len(cloud)
     if k < 3 or n < k:
         raise ValidationError(f"need at least k={k} >= 3 points, have {n}")
-    tree = cKDTree(cloud.positions)
-    _, idx = tree.query(cloud.positions, k=k)
+    _, idx = cloud.tree.query(cloud.positions, k=k)
     neigh = cloud.positions[idx]                      # (N, k, 3)
     centered = neigh - neigh.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / k
@@ -175,12 +189,7 @@ def estimate_normals(cloud: PointCloud, k: int, viewpoint=None
     scale = w[:, 2]
     # rank < 2: second eigenvalue vanishes relative to the largest
     valid = (scale > 1e-18) & (w[:, 1] > 1e-9 * np.maximum(scale, 1e-18))
-    if viewpoint is not None:
-        to_view = as_vec3(viewpoint) - cloud.positions
-        flip = np.einsum("ni,ni->n", normals, to_view) < 0.0
-    else:
-        flip = normals[:, 2] < 0.0
-    normals[flip] *= -1.0
+    normals[normals[:, 2] < 0.0] *= -1.0
     normals[~valid] = 0.0
     return normals, valid
 
@@ -248,7 +257,7 @@ def point_to_line_distance(points, origin, direction) -> np.ndarray:
     rel = pts - o
     cross = np.cross(rel, u)
     d = np.linalg.norm(cross, axis=1)
-    return d if d.shape[0] > 1 else d
+    return d
 
 
 def closest_point_on_line(point, origin, direction) -> np.ndarray:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 from .geom import PointCloud
@@ -47,7 +46,7 @@ def nms(cloud: PointCloud, scores: np.ndarray, radius: float = 0.25,
         return HotspotSet((), radius)
     # sorting by (-score, index) makes a single pass equivalent to the greedy loop
     order = eligible[np.lexsort((eligible, -scores[eligible]))]
-    tree = cKDTree(cloud.positions)
+    tree = cloud.tree
     suppressed = np.zeros(len(cloud), dtype=bool)
     picked = []
     for i in order:

@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .artinfer import REVOLUTE, JointModel
 from .errors import ValidationError
@@ -117,38 +118,19 @@ def aggregate(estimates: list[tuple[JointModel, np.ndarray, int]],
                                       merge_angle_deg, merge_line_dist):
                     mergeable[i, j] = mergeable[j, i] = True
 
-    def components(adj: np.ndarray) -> list[list[int]]:
-        seen = [False] * n
-        out = []
-        for s in range(n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                k = stack.pop()
-                comp.append(k)
-                for m in np.flatnonzero(adj[k]):
-                    if not seen[m]:
-                        seen[m] = True
-                        stack.append(int(m))
-            out.append(sorted(comp))
-        return out
-
-    part_groups = components(overlap)
-    part_of = {}
-    for g, members in enumerate(part_groups):
-        for m in members:
-            part_of[m] = g
-    merge_groups = components(mergeable)
+    # components are numbered in order of their lowest estimate index
+    _, part_of = connected_components(overlap, directed=False)
+    part_size = np.bincount(part_of)
+    n_groups, merge_of = connected_components(mergeable, directed=False)
 
     entries = []
-    for group in merge_groups:
+    for g in range(n_groups):
+        group = np.flatnonzero(merge_of == g)
         winner = min(group, key=lambda k: (-abs(estimates[k][0].state),
                                            estimates[k][2]))
         joint, pts, _ = estimates[winner]
         hotspots = tuple(sorted(estimates[k][2] for k in group))
-        denom = len(part_groups[part_of[winner]])
+        denom = int(part_size[part_of[winner]])
         entries.append((hotspots[0], ModelEntry(
             entry_id=-1, joint=joint, mobile_points=np.asarray(pts, dtype=np.float64),
             mobile_box=fit_oriented_box(pts), hotspot_ids=hotspots,

@@ -299,20 +299,27 @@ def ring_poses(scene: SceneSpec, config: CaptureConfig) -> list[CameraPose]:
     return poses
 
 
-def capture_scene_cloud(scene: SceneSpec, config: CaptureConfig | None = None,
-                        rng: np.random.Generator | None = None) -> PointCloud:
-    """Fused, voxel-downsampled scene cloud from the viewpoint ring."""
-    config = config or CaptureConfig()
-    poses = ring_poses(scene, config)
+def _fused_captures(scene: SceneSpec, poses, config: CaptureConfig,
+                   rng: np.random.Generator | None) -> PointCloud:
+    """Fused captures from `poses`; under noise each capture draws its own
+    generator from `rng` (from a fresh seed-0 generator when `rng` is None)."""
     captures = []
-    for i, pose in enumerate(poses):
+    for pose in poses:
         sub = None
         if config.noise_sigma > 0.0:
             base = rng if rng is not None else np.random.default_rng(0)
             sub = np.random.default_rng(base.integers(0, 2 ** 63 - 1))
         captures.append(raycast_capture(scene, pose, config.max_range,
                                         config.noise_sigma, sub))
-    return _voxel_downsample(fuse_clouds(captures), config.voxel)
+    return fuse_clouds(captures)
+
+
+def capture_scene_cloud(scene: SceneSpec, config: CaptureConfig | None = None,
+                        rng: np.random.Generator | None = None) -> PointCloud:
+    """Fused, voxel-downsampled scene cloud from the viewpoint ring."""
+    config = config or CaptureConfig()
+    fused = _fused_captures(scene, ring_poses(scene, config), config, rng)
+    return _voxel_downsample(fused, config.voxel)
 
 
 def object_view_poses(scene: SceneSpec, focus, config: CaptureConfig
@@ -359,15 +366,7 @@ def capture_object_views(scene: SceneSpec, focus, config: CaptureConfig | None =
     focus = as_vec3(focus)
     if poses is None:
         poses = object_view_poses(scene, focus, config)
-    captures = []
-    for pose in poses:
-        sub = None
-        if config.noise_sigma > 0.0:
-            base = rng if rng is not None else np.random.default_rng(0)
-            sub = np.random.default_rng(base.integers(0, 2 ** 63 - 1))
-        captures.append(raycast_capture(scene, pose, config.max_range,
-                                        config.noise_sigma, sub))
-    fused = fuse_clouds(captures)
+    fused = _fused_captures(scene, poses, config, rng)
     if len(fused) == 0:
         return fused, poses
     keep = np.linalg.norm(fused.positions - focus, axis=1) <= config.crop_radius

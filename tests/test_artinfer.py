@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scenekin import artinfer
 from scenekin.artinfer import (
     InferenceConfig,
     JointModel,
@@ -44,6 +47,50 @@ def axis_angle_deg(u, v):
 
 def revolute_transform(axis, pivot, angle):
     return RigidTransform.from_rotation_about_line(axis, angle, pivot)
+
+
+def _bfs_labels(points, radius):
+    """Brute-force components of the graph linking points within `radius`,
+    numbered in order of their lowest index."""
+    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    adj = d2 <= radius * radius
+    labels = np.full(len(points), -1)
+    n_found = 0
+    for s in range(len(points)):
+        if labels[s] >= 0:
+            continue
+        labels[s] = n_found
+        queue = [s]
+        while queue:
+            k = queue.pop(0)
+            for m in np.flatnonzero(adj[k] & (labels < 0)):
+                labels[m] = n_found
+                queue.append(m)
+        n_found += 1
+    return labels
+
+
+class TestComponents:
+    # integer coordinates and half-integer radii: no pair sits on the link
+    # boundary, so rounding cannot decide an edge
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 6)] * 3), min_size=1,
+                    max_size=40),
+           st.sampled_from([0.5, 1.5, 2.5]))
+    def test_matches_brute_force_bfs(self, coords, radius):
+        points = np.array(coords, dtype=np.float64)
+        labels = artinfer._connected_components(points, radius)
+        np.testing.assert_array_equal(labels, _bfs_labels(points, radius))
+
+    def test_size_tie_goes_to_lowest_index(self):
+        # two 2-point components, {0, 3} and {1, 2}, plus a non-candidate
+        positions = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0],
+                              [5.0, 0.01, 0.0], [0.0, 0.01, 0.0],
+                              [9.0, 0.0, 0.0]])
+        candidates = np.array([True, True, True, True, False])
+        mask = artinfer._select_component(positions, candidates,
+                                          np.zeros(5), 0.1, use_heat=False)
+        np.testing.assert_array_equal(mask, [True, False, False, True, False])
 
 
 class TestContactHeatmap:
@@ -317,6 +364,30 @@ class TestInferArticulation:
         assert line_to_line_distance(joint.pivot, joint.axis,
                                      gt.pivot, gt.axis) < 0.01
         assert joint.state == pytest.approx(opened, abs=math.radians(1.0))
+
+    def test_configured_far_cap_reaches_every_stage(self, monkeypatch):
+        calls = []
+        real = artinfer.change_candidates
+
+        def spy(obs, epsilon, far_cap=0.05):
+            calls.append(far_cap)
+            return real(obs, epsilon, far_cap)
+
+        monkeypatch.setattr(artinfer, "change_candidates", spy)
+        xs = np.linspace(-0.25, 0.25, 26)
+        zs = np.linspace(0.0, 0.8, 41)
+        gx, gz = np.meshgrid(xs, zs)
+        pts = np.column_stack([gx.ravel(), np.zeros(gx.size), gz.ravel()])
+        ids = np.arange(len(pts))
+        T = revolute_transform([0, 0, 1], [0.4, 0.1, 0.0], math.radians(35.0))
+        contact = pts[len(pts) // 2]
+        obs = make_observation_pair(PointCloud(pts, point_ids=ids),
+                                    PointCloud(T.apply(pts), point_ids=ids),
+                                    contact, T.apply(contact), 0.05)
+        infer_articulation(obs, InferenceConfig(mode="oracle",
+                                                fit_far_cap=0.08))
+        # change detection and re-segmentation both use the configured cap
+        assert calls == [0.08, 0.08]
 
     def test_no_motion_is_inference_error(self):
         scene = generate_scene(23, GenerationConfig(0, 0, 2))

@@ -69,6 +69,18 @@ class TestPointCloud:
         assert len(sub) == 2
         np.testing.assert_array_equal(sub.part_ids, [0, 2])
 
+    def test_tree_and_normals_built_once(self):
+        pts = np.random.default_rng(5).normal(size=(40, 3))
+        cloud = PointCloud(pts)
+        assert cloud.tree is cloud.tree
+        np.testing.assert_array_equal(cloud.tree.data, pts)
+        assert cloud.normals(8) is cloud.normals(8)
+        for got, expect in zip(cloud.normals(8),
+                               estimate_normals(PointCloud(pts), 8)):
+            np.testing.assert_array_equal(got, expect)
+        assert cloud.normals(5) is not cloud.normals(8)
+        assert cloud.subset(np.arange(10)).tree is not cloud.tree
+
 
 class TestEstimateNormals:
     def test_planar_patch(self):
@@ -94,14 +106,6 @@ class TestEstimateNormals:
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         _, valid = estimate_normals(PointCloud(pts), k=3)
         assert not valid.any()
-
-    def test_viewpoint_orientation(self):
-        rng = np.random.default_rng(3)
-        xy = rng.uniform(-1, 1, size=(100, 2))
-        pts = np.column_stack([xy, np.zeros(100)])
-        normals, _ = estimate_normals(PointCloud(pts), k=8,
-                                      viewpoint=[0.0, 0.0, -5.0])
-        assert np.all(normals[:, 2] < 0)
 
 
 class TestAngleAxis:
