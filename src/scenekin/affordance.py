@@ -74,6 +74,19 @@ class AffordanceLabelSet:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
+def _neighborhoods(cloud: PointCloud, radius: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(center, neighbor) index pairs within `radius`, each point its own
+    neighbor, sorted by center and then neighbor: the sequence a sorted
+    ball query concatenates to."""
+    pairs = cloud.tree.query_pairs(radius, output_type="ndarray")
+    own = np.arange(len(cloud))
+    centers = np.concatenate([pairs[:, 0], pairs[:, 1], own])
+    neighbors = np.concatenate([pairs[:, 1], pairs[:, 0], own])
+    order = np.lexsort((neighbors, centers))
+    return centers[order], neighbors[order]
+
+
 def extract_features(cloud: PointCloud, radius: float = 0.05,
                      k_normals: int = 12, voxel: float = 0.02,
                      variation_threshold: float = 0.02,
@@ -90,10 +103,8 @@ def extract_features(cloud: PointCloud, radius: float = 0.05,
     if n == 0:
         raise ValidationError("cannot extract features from an empty cloud")
     pos = cloud.positions
-    neighbor_lists = cloud.tree.query_ball_point(pos, r=radius)
-    counts = np.array([len(l) for l in neighbor_lists], dtype=np.int64)
-    centers = np.repeat(np.arange(n), counts)
-    neighbors = np.concatenate(neighbor_lists) if n else np.zeros(0, np.int64)
+    centers, neighbors = _neighborhoods(cloud, radius)
+    counts = np.bincount(centers, minlength=n)
 
     npos = pos[neighbors]
     sums = np.zeros((n, 3))

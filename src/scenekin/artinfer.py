@@ -209,18 +209,23 @@ def change_candidates(obs: ObservationPair, epsilon: float,
 def detect_change(obs: ObservationPair, epsilon: float = 0.01,
                   component_radius: float = 0.04,
                   use_contact_heat: bool = True,
-                  far_cap: float = 0.05) -> PartSegmentation:
+                  far_cap: float = 0.05,
+                  candidates: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> PartSegmentation:
     """Split both clouds into static and moved points.
 
     A point is a moved candidate when the other cloud shows no surface at its
     position (`change_candidates`): no sample within `epsilon`, and no sample
     within `far_cap` whose local plane passes within `epsilon` of it.
+    `candidates` passes those masks in when they are already computed.
     Candidates are grouped into connected components (link radius
     `component_radius`) and the component with the largest contact heat mass
     is kept (largest component when `use_contact_heat` is off). Raises
     NoMotionError when either cloud has no candidates.
     """
-    cand_b, cand_a = change_candidates(obs, epsilon, far_cap)
+    if candidates is None:
+        candidates = change_candidates(obs, epsilon, far_cap)
+    cand_b, cand_a = candidates
     if not cand_b.any() or not cand_a.any():
         raise NoMotionError("no points moved beyond epsilon")
     mask_b = _select_component(obs.before.positions, cand_b, obs.heat_before,
@@ -435,19 +440,21 @@ def _explained_by(points: np.ndarray, target: PointCloud, fit_epsilon: float,
 
 
 def _consistency_reseg(obs: ObservationPair, T: RigidTransform,
-                       anchor: PartSegmentation, epsilon: float,
+                       anchor: PartSegmentation,
+                       moved: tuple[np.ndarray, np.ndarray],
                        fit_epsilon: float, ambiguity_radius: float,
                        far_cap: float, attach_radius: float
                        ) -> PartSegmentation:
     """Re-segment both clouds by consistency with the estimated motion.
 
-    A point is mobile when it moved, is explained by T (or resolves to the
-    mobile side competitively, for revealed surfaces without a rigid
-    preimage), and lies near the changed component selected by detect_change.
-    The last condition drops occlusion shadows on far surfaces parallel to
-    the motion, which T cannot reject on its own.
+    A point is mobile when it moved (`moved`: the `change_candidates`
+    masks), is explained by T (or resolves to the mobile side
+    competitively, for revealed surfaces without a rigid preimage), and lies
+    near the changed component selected by detect_change. The last
+    condition drops occlusion shadows on far surfaces parallel to the
+    motion, which T cannot reject on its own.
     """
-    moved_b, moved_a = change_candidates(obs, epsilon, far_cap)
+    moved_b, moved_a = moved
     fit_b = _explained_by(T.apply(obs.before.positions), obs.after,
                           fit_epsilon, far_cap)
     # before side grows only along the seed surface: unexplained moved points
@@ -520,8 +527,10 @@ def infer_articulation(obs: ObservationPair, config: InferenceConfig | None = No
     """
     config = config or InferenceConfig()
     try:
+        moved = change_candidates(obs, config.epsilon, config.fit_far_cap)
         seg = detect_change(obs, config.epsilon, config.component_radius,
-                            config.use_contact_heat, config.fit_far_cap)
+                            config.use_contact_heat, config.fit_far_cap,
+                            candidates=moved)
     except (NoMotionError, ValidationError) as e:
         raise InferenceError(f"change_detection: {e}") from e
     anchor = seg
@@ -529,7 +538,7 @@ def infer_articulation(obs: ObservationPair, config: InferenceConfig | None = No
         T = estimate_motion(obs, seg, config.mode, config.icp_max_iter,
                             config.icp_tol, config.anchor_weight)
         for _ in range(config.reseg_rounds):
-            refined = _consistency_reseg(obs, T, anchor, config.epsilon,
+            refined = _consistency_reseg(obs, T, anchor, moved,
                                          config.fit_epsilon,
                                          config.ambiguity_radius,
                                          config.fit_far_cap,

@@ -49,27 +49,43 @@ def _read_json(path) -> dict:
         return json.load(fh)
 
 
-def observe_interaction(scene: SceneSpec, contact, direction,
-                        config: PipelineConfig,
+def observe_interaction(scene: SceneSpec, contact,
+                        outcome: simworld.InteractionOutcome,
+                        scene_after: SceneSpec, config: PipelineConfig,
                         rng: np.random.Generator | None = None,
                         poses=None):
-    """Capture-before, pull, capture-after around one contact.
+    """Observation pair of a known pull at `contact`.
 
-    Returns (obs, outcome, scene_after)."""
+    `outcome` and `scene_after` are what `simworld.interact` returned for
+    the pull on `scene`. The before views use `poses` (placed around the
+    contact when None); the after views reuse them plus fresh cameras aimed
+    at the advected contact."""
     cap = config.capture
-    if poses is None:
-        poses = sensing.object_view_poses(scene, contact, cap)
     before, poses = sensing.capture_object_views(scene, contact, cap,
                                                  poses=poses, rng=rng)
-    outcome, scene_after = simworld.interact(
-        scene, contact, direction, config.interaction.pull,
-        config.interaction.motion_epsilon)
     after = sensing.capture_interaction_after(
         scene_after, contact, poses, outcome.final_contact, cap, rng)
-    obs = make_observation_pair(before, after, contact, outcome.final_contact,
-                                config.inference.heat_sigma,
-                                capture_poses=tuple(poses))
-    return obs, outcome, scene_after
+    return make_observation_pair(before, after, contact, outcome.final_contact,
+                                 config.inference.heat_sigma,
+                                 capture_poses=tuple(poses))
+
+
+def skip_observation(outcome: simworld.InteractionOutcome,
+                     scene_after: SceneSpec, config: PipelineConfig,
+                     rng: np.random.Generator | None, poses) -> None:
+    """Advance `rng` as `observe_interaction` would for this pull, without
+    capturing: one capture sub-seed per before pose, per reused after pose
+    and per fresh after pose (none when no fresh placement survives).
+    Placing the fresh cameras casts no rays."""
+    cap = config.capture
+    if cap.noise_sigma == 0.0 or rng is None:
+        return
+    try:
+        fresh = len(sensing.object_view_poses(scene_after,
+                                              outcome.final_contact, cap))
+    except CaptureError:
+        fresh = 0
+    sensing.skip_capture_seeds(cap, 2 * len(poses) + fresh, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +246,12 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
     """Full interactive loop on one scene; returns the run record.
 
     Probes the NMS hotspots in score order: clearance check, canonical pulls
-    (first engaging direction wins), before/after capture, articulation
-    inference, optional refinement. The scene carries accumulated state
-    between hotspots (opened parts stay open). An ablation argument left at
+    (first engaging direction wins), before/after capture of the pull that
+    moved a part, articulation inference, optional refinement. A pull that
+    moves nothing is not captured; it draws the capture sub-seeds its
+    captures would have drawn (`skip_observation`), so the noise of later
+    captures does not depend on which pulls moved. The scene carries
+    accumulated state between hotspots (opened parts stay open). An ablation argument left at
     None takes its value from the config (`run.refine`,
     `inference.use_contact_heat`, `inference.mode`).
     """
@@ -287,11 +306,26 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
         obs = outcome = after_scene = None
         for direction in simworld.canonical_pull_directions(normal):
             try:
-                obs, outcome, after_scene = observe_interaction(
-                    current, contact, direction, config, rng, poses=poses)
-            except (PreconditionError, ValidationError, CaptureError) as e:
+                pulled, pulled_scene = simworld.interact(
+                    current, contact, direction, config.interaction.pull,
+                    config.interaction.motion_epsilon)
+            except (PreconditionError, ValidationError) as e:
+                # every attempted pull owns the sub-seeds of its before
+                # views, a failed one included
+                sensing.skip_capture_seeds(config.capture, len(poses), rng)
                 record["status"] = f"interaction error: {e}"
                 break
+            if not pulled.success:
+                skip_observation(pulled, pulled_scene, config, rng, poses)
+            else:
+                try:
+                    obs = observe_interaction(current, contact, pulled,
+                                              pulled_scene, config, rng,
+                                              poses=poses)
+                except ValidationError as e:
+                    record["status"] = f"interaction error: {e}"
+                    break
+            outcome, after_scene = pulled, pulled_scene
             if outcome.engaged:
                 break
         if outcome is None:

@@ -198,7 +198,7 @@ def raycast_capture(scene: SceneSpec, camera: CameraPose,
             rng = np.random.default_rng(0)
         pts = pts + dirs[keep] * rng.normal(0.0, noise_sigma,
                                             size=(len(keep), 1))
-    colors = np.stack([world[p].color for p in best_part[keep]])
+    colors = np.array([b.color for b in world])[best_part[keep]]
     order = np.argsort(ids, kind="stable")
     return PointCloud(pts[order], colors=colors[order],
                       part_ids=best_part[keep][order], point_ids=ids[order])
@@ -299,6 +299,19 @@ def ring_poses(scene: SceneSpec, config: CaptureConfig) -> list[CameraPose]:
     return poses
 
 
+def _capture_seed(rng: np.random.Generator) -> int:
+    return rng.integers(0, 2 ** 63 - 1)
+
+
+def skip_capture_seeds(config: CaptureConfig, n_captures: int,
+                       rng: np.random.Generator | None) -> None:
+    """Advance `rng` past the sub-seeds `n_captures` captures under `config`
+    would draw (none without noise), without capturing."""
+    if config.noise_sigma > 0.0 and rng is not None:
+        for _ in range(n_captures):
+            _capture_seed(rng)
+
+
 def _fused_captures(scene: SceneSpec, poses, config: CaptureConfig,
                    rng: np.random.Generator | None) -> PointCloud:
     """Fused captures from `poses`; under noise each capture draws its own
@@ -308,7 +321,7 @@ def _fused_captures(scene: SceneSpec, poses, config: CaptureConfig,
         sub = None
         if config.noise_sigma > 0.0:
             base = rng if rng is not None else np.random.default_rng(0)
-            sub = np.random.default_rng(base.integers(0, 2 ** 63 - 1))
+            sub = np.random.default_rng(_capture_seed(base))
         captures.append(raycast_capture(scene, pose, config.max_range,
                                         config.noise_sigma, sub))
     return fuse_clouds(captures)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -188,8 +189,13 @@ class SceneSpec:
         _, joint = found
         return part.transformed(joint.motion())
 
-    def world_parts(self) -> list[PartGeometry]:
-        return [self.part_world(i) for i in range(len(self.parts))]
+    def world_parts(self) -> tuple[PartGeometry, ...]:
+        """Every part at its current pose, computed once per scene."""
+        return self._world_parts
+
+    @cached_property
+    def _world_parts(self) -> tuple[PartGeometry, ...]:
+        return tuple(self.part_world(i) for i in range(len(self.parts)))
 
     def with_joint_state(self, joint_index: int, state: float) -> "SceneSpec":
         joints = list(self.joints)

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scenekin import affordance
 from scenekin.affordance import (
     FEATURE_DIM,
     IGNORE,
@@ -77,6 +81,35 @@ class TestFeatures:
     def test_feature_dim(self):
         feats = extract_features(flat_patch_cloud(60, seed=2), radius=0.2)
         assert feats.values.shape == (60, FEATURE_DIM)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300),
+           st.sampled_from([0.03, 0.05, 0.1]), st.booleans())
+    def test_matches_ball_query_reference(self, seed, n, radius, flat):
+        # a thin slab or a box of points, with colors, as ray-cast clouds are
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-0.2, 0.2, size=(n, 3))
+        if flat:
+            pts[:, 2] *= 0.01
+        cloud = PointCloud(pts, colors=rng.uniform(0.0, 1.0, size=(n, 3)))
+
+        def ball_query(cloud, radius):
+            lists = cloud.tree.query_ball_point(cloud.positions, r=radius,
+                                                return_sorted=True)
+            counts = [len(l) for l in lists]
+            return (np.repeat(np.arange(len(cloud)), counts),
+                    np.concatenate(lists).astype(np.int64))
+
+        centers, neighbors = affordance._neighborhoods(cloud, radius)
+        ref_centers, ref_neighbors = ball_query(cloud, radius)
+        np.testing.assert_array_equal(centers, ref_centers)
+        np.testing.assert_array_equal(neighbors, ref_neighbors)
+
+        feats = extract_features(cloud, radius=radius)
+        with mock.patch.object(affordance, "_neighborhoods", ball_query):
+            ref = extract_features(cloud, radius=radius)
+        assert feats.values.tobytes() == ref.values.tobytes()
+        np.testing.assert_array_equal(feats.valid, ref.valid)
 
 
 class TestCollectLabels:

@@ -366,14 +366,20 @@ class TestInferArticulation:
         assert joint.state == pytest.approx(opened, abs=math.radians(1.0))
 
     def test_configured_far_cap_reaches_every_stage(self, monkeypatch):
-        calls = []
+        calls, caps = [], []
         real = artinfer.change_candidates
+        real_explained = artinfer._explained_by
 
         def spy(obs, epsilon, far_cap=0.05):
             calls.append(far_cap)
             return real(obs, epsilon, far_cap)
 
+        def spy_explained(points, target, fit_epsilon, far_cap):
+            caps.append(far_cap)
+            return real_explained(points, target, fit_epsilon, far_cap)
+
         monkeypatch.setattr(artinfer, "change_candidates", spy)
+        monkeypatch.setattr(artinfer, "_explained_by", spy_explained)
         xs = np.linspace(-0.25, 0.25, 26)
         zs = np.linspace(0.0, 0.8, 41)
         gx, gz = np.meshgrid(xs, zs)
@@ -386,8 +392,10 @@ class TestInferArticulation:
                                     contact, T.apply(contact), 0.05)
         infer_articulation(obs, InferenceConfig(mode="oracle",
                                                 fit_far_cap=0.08))
-        # change detection and re-segmentation both use the configured cap
-        assert calls == [0.08, 0.08]
+        # the candidates are computed once and shared by change detection
+        # and re-segmentation; every surface test of both uses the cap
+        assert calls == [0.08]
+        assert caps == [0.08] * 4
 
     def test_no_motion_is_inference_error(self):
         scene = generate_scene(23, GenerationConfig(0, 0, 2))

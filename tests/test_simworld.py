@@ -257,6 +257,32 @@ class TestInteract:
         assert s1.joints[0][1].state == s2.joints[0][1].state
 
 
+class TestWorldParts:
+    def test_built_once_per_scene(self):
+        scene = make_door_scene()
+        assert scene.world_parts() is scene.world_parts()
+
+    def test_new_joint_state_moves_parts(self):
+        scene = make_drawer_scene(travel=0.3)
+        closed = scene.world_parts()
+        outcome, pulled = interact(scene, [0.28, 0.0, 0.5], [1.0, 0.0, 0.0],
+                                   PullBudget(total=0.4))
+        assert outcome.success
+        np.testing.assert_allclose(pulled.world_parts()[1].center,
+                                   closed[1].center + [0.3, 0.0, 0.0],
+                                   atol=1e-12)
+        half = scene.with_joint_state(0, 0.15)
+        np.testing.assert_allclose(half.world_parts()[1].center,
+                                   closed[1].center + [0.15, 0.0, 0.0],
+                                   atol=1e-12)
+        # the static body and the original scene stay where they were
+        for moved in (pulled, half):
+            np.testing.assert_array_equal(moved.world_parts()[0].center,
+                                          closed[0].center)
+        assert scene.world_parts() is closed
+        np.testing.assert_array_equal(closed[1].center, [0.27, 0.0, 0.5])
+
+
 class TestSceneSerialization:
     def test_round_trip(self):
         scene = generate_scene(21, GenerationConfig(1, 1, 1))
