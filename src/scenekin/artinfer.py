@@ -69,9 +69,6 @@ class JointModel:
         elif self.pivot is not None:
             raise ValidationError("prismatic joint carries no pivot")
 
-    def axis_point(self) -> np.ndarray:
-        return np.zeros(3) if self.pivot is None else self.pivot
-
 
 @dataclass(frozen=True)
 class PartSegmentation:
@@ -156,6 +153,12 @@ class InferenceConfig:
     icp_tol: float = 1e-6
     anchor_weight: float = 0.25    # contact-pair share of the alignment weight
     heat_sigma: float = 0.05
+
+    def __post_init__(self):
+        if self.heat_sigma <= 0:
+            raise ValidationError("heat sigma must be > 0")
+        if self.mode not in ("icp", "oracle"):
+            raise ValidationError(f"unknown inference mode {self.mode!r}")
 
 
 def _connected_components(points: np.ndarray, radius: float) -> np.ndarray:

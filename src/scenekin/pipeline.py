@@ -70,24 +70,6 @@ def observe_interaction(scene: SceneSpec, contact,
                                  capture_poses=tuple(poses))
 
 
-def skip_observation(outcome: simworld.InteractionOutcome,
-                     scene_after: SceneSpec, config: PipelineConfig,
-                     rng: np.random.Generator | None, poses) -> None:
-    """Advance `rng` as `observe_interaction` would for this pull, without
-    capturing: one capture sub-seed per before pose, per reused after pose
-    and per fresh after pose (none when no fresh placement survives).
-    Placing the fresh cameras casts no rays."""
-    cap = config.capture
-    if cap.noise_sigma == 0.0 or rng is None:
-        return
-    try:
-        fresh = len(sensing.object_view_poses(scene_after,
-                                              outcome.final_contact, cap))
-    except CaptureError:
-        fresh = 0
-    sensing.skip_capture_seeds(cap, 2 * len(poses) + fresh, rng)
-
-
 # ---------------------------------------------------------------------------
 # gen-scenes
 # ---------------------------------------------------------------------------
@@ -248,19 +230,21 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
     Probes the NMS hotspots in score order: clearance check, canonical pulls
     (first engaging direction wins), before/after capture of the pull that
     moved a part, articulation inference, optional refinement. A pull that
-    moves nothing is not captured; it draws the capture sub-seeds its
-    captures would have drawn (`skip_observation`), so the noise of later
-    captures does not depend on which pulls moved. The scene carries
-    accumulated state between hotspots (opened parts stay open). An ablation argument left at
-    None takes its value from the config (`run.refine`,
-    `inference.use_contact_heat`, `inference.mode`).
+    moves nothing is not captured. Capture noise of the scene ring and of
+    each probed hotspot comes from its own generator, seeded from (root
+    seed, scene seed) and (root seed, scene seed, hotspot id), so no
+    hotspot's noise depends on what earlier hotspots captured. The scene
+    carries accumulated state between hotspots (opened parts stay open).
+    An ablation argument left at None takes its value from the config
+    (`run.refine`, `inference.use_contact_heat`, `inference.mode`).
     """
     flags = _flags(config, refine_enabled, use_contact_heat, mode)
     infer_cfg: InferenceConfig = replace(
         config.inference, use_contact_heat=flags["regularity"],
         mode=flags["mode"])
-    rng = np.random.default_rng(derive_seed(config.seed, "run", scene.seed))
-    cloud = sensing.capture_scene_cloud(scene, config.capture, rng)
+    ring_rng = np.random.default_rng(
+        derive_seed(config.seed, "run", scene.seed))
+    cloud = sensing.capture_scene_cloud(scene, config.capture, ring_rng)
     feats = affordance.extract_features(cloud, **_feature_config_kwargs(config))
     scores = affordance.predict(model, feats)
     spots = hotspot.nms(cloud, scores, config.hotspot.radius,
@@ -303,6 +287,8 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
             continue
 
         probes += 1
+        probe_rng = np.random.default_rng(
+            derive_seed(config.seed, "probe", scene.seed, hid))
         obs = outcome = after_scene = None
         for direction in simworld.canonical_pull_directions(normal):
             try:
@@ -310,18 +296,13 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
                     current, contact, direction, config.interaction.pull,
                     config.interaction.motion_epsilon)
             except (PreconditionError, ValidationError) as e:
-                # every attempted pull owns the sub-seeds of its before
-                # views, a failed one included
-                sensing.skip_capture_seeds(config.capture, len(poses), rng)
                 record["status"] = f"interaction error: {e}"
                 break
-            if not pulled.success:
-                skip_observation(pulled, pulled_scene, config, rng, poses)
-            else:
+            if pulled.success:
                 try:
                     obs = observe_interaction(current, contact, pulled,
-                                              pulled_scene, config, rng,
-                                              poses=poses)
+                                              pulled_scene, config,
+                                              probe_rng, poses=poses)
                 except ValidationError as e:
                     record["status"] = f"interaction error: {e}"
                     break
@@ -350,7 +331,7 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
         if flags["refine"] and joint.kind == REVOLUTE:
             result = refine_loop(current, obs, joint, seg, config.refine,
                                  infer_cfg, config.capture,
-                                 config.interaction, rng)
+                                 config.interaction, probe_rng)
             for entry in result.log:
                 if "delta_state" in entry:
                     interactions.append({

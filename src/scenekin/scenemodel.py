@@ -214,31 +214,3 @@ def load_model(path) -> SceneArticulationModel:
     return SceneArticulationModel(tuple(entries),
                                   scene_seed=doc.get("scene_seed"),
                                   config_hash=doc.get("config_hash"))
-
-
-def models_equivalent(a: SceneArticulationModel, b: SceneArticulationModel,
-                      atol: float = 1e-12) -> bool:
-    """Field-wise equality of two models within `atol` (used by round-trip tests)."""
-    if len(a.entries) != len(b.entries):
-        return False
-    for ea, eb in zip(a.entries, b.entries):
-        if (ea.entry_id != eb.entry_id or ea.joint.kind != eb.joint.kind
-                or ea.hotspot_ids != eb.hotspot_ids):
-            return False
-        if abs(ea.confidence - eb.confidence) > atol:
-            return False
-        if not np.allclose(ea.joint.axis, eb.joint.axis, atol=atol):
-            return False
-        if abs(ea.joint.state - eb.joint.state) > atol:
-            return False
-        if (ea.joint.pivot is None) != (eb.joint.pivot is None):
-            return False
-        if ea.joint.pivot is not None and not np.allclose(
-                ea.joint.pivot, eb.joint.pivot, atol=atol):
-            return False
-        if (ea.mobile_points is None) != (eb.mobile_points is None):
-            return False
-        if ea.mobile_points is not None and not np.allclose(
-                ea.mobile_points, eb.mobile_points, atol=atol):
-            return False
-    return True

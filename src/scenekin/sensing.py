@@ -220,19 +220,6 @@ def range_image(cloud: PointCloud, camera: CameraPose) -> np.ndarray:
     return image.reshape(h, w)
 
 
-def raycast_single(scene: SceneSpec, origin, direction,
-                   max_range: float = 50.0) -> tuple[int, float] | None:
-    """Nearest (part index, distance) hit by one ray, or None."""
-    d = normalize(direction)[None, :]
-    best = None
-    for pi, box in enumerate(scene.world_parts()):
-        t, hit, _ = _ray_box_hits(as_vec3(origin), d, box)
-        if hit[0] and t[0] <= max_range:
-            if best is None or t[0] < best[1]:
-                best = (pi, float(t[0]))
-    return best
-
-
 def fuse_clouds(captures: list[PointCloud]) -> PointCloud:
     """Concatenate captures and deduplicate by point id.
 
@@ -299,19 +286,6 @@ def ring_poses(scene: SceneSpec, config: CaptureConfig) -> list[CameraPose]:
     return poses
 
 
-def _capture_seed(rng: np.random.Generator) -> int:
-    return rng.integers(0, 2 ** 63 - 1)
-
-
-def skip_capture_seeds(config: CaptureConfig, n_captures: int,
-                       rng: np.random.Generator | None) -> None:
-    """Advance `rng` past the sub-seeds `n_captures` captures under `config`
-    would draw (none without noise), without capturing."""
-    if config.noise_sigma > 0.0 and rng is not None:
-        for _ in range(n_captures):
-            _capture_seed(rng)
-
-
 def _fused_captures(scene: SceneSpec, poses, config: CaptureConfig,
                    rng: np.random.Generator | None) -> PointCloud:
     """Fused captures from `poses`; under noise each capture draws its own
@@ -321,7 +295,7 @@ def _fused_captures(scene: SceneSpec, poses, config: CaptureConfig,
         sub = None
         if config.noise_sigma > 0.0:
             base = rng if rng is not None else np.random.default_rng(0)
-            sub = np.random.default_rng(_capture_seed(base))
+            sub = np.random.default_rng(base.integers(0, 2 ** 63 - 1))
         captures.append(raycast_capture(scene, pose, config.max_range,
                                         config.noise_sigma, sub))
     return fuse_clouds(captures)

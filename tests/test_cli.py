@@ -12,7 +12,7 @@ from scenekin.config import (
     config_to_dict,
     derive_seed,
 )
-from scenekin.errors import ConfigError
+from scenekin.errors import ConfigError, ValidationError
 from scenekin.pipeline import load_scene_dir
 from scenekin.simworld import load_scene
 
@@ -80,6 +80,18 @@ class TestConfig:
             config_from_dict({"generation": {"room_width": [4.0]}})
         with pytest.raises(ConfigError, match="capture.resolution"):
             config_from_dict({"capture": {"resolution": [64, 48, 1]}})
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.05])
+    def test_non_positive_heat_sigma_rejected(self, sigma):
+        with pytest.raises(ValidationError, match="heat sigma"):
+            config_from_dict({"inference": {"heat_sigma": sigma}})
+
+    def test_unknown_inference_mode_rejected(self):
+        with pytest.raises(ValidationError, match="bogus"):
+            config_from_dict({"inference": {"mode": "bogus"}})
+        for mode in ("icp", "oracle"):
+            assert config_from_dict(
+                {"inference": {"mode": mode}}).inference.mode == mode
 
     def test_hash_changes_with_values(self):
         a = config_from_dict({"seed": 1})

@@ -1,13 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from scenekin import pipeline
-from scenekin.config import config_from_dict
-from scenekin.errors import CaptureError
+from scenekin.config import config_from_dict, derive_seed
 from scenekin.sensing import object_view_poses
 from scenekin.simworld import (
     GroundTruthJoint,
-    InteractionOutcome,
     PartGeometry,
     SceneSpec,
     interact,
@@ -23,8 +23,7 @@ def narrow_drawer_scene():
     """Drawer front facing +x in a room 1 m deep along y.
 
     The side cameras of an object view leave the room, so only the front
-    camera survives at the drawer, and none survives 1 m short of the +x
-    wall."""
+    camera survives at the drawer."""
     parts = (
         PartGeometry([0.0, 0.0, 0.5], [0.25, 0.3, 0.5], np.eye(3),
                      [0.5, 0.5, 0.5], "static_body"),
@@ -42,42 +41,7 @@ def _pull(scene, direction):
     return interact(scene, CONTACT, direction)
 
 
-def _fresh_cameras_leave_room(scene):
-    # as if the pull had carried the contact 1 m short of the +x wall
-    outcome = InteractionOutcome(True, 0, 0.3, np.array([4.5, 0.0, 0.5]), 30,
-                                 True)
-    return outcome, scene.with_joint_state(0, 0.3)
-
-
 class TestRngContract:
-    @pytest.mark.parametrize("case", ["moved", "not moved", "no fresh views"])
-    def test_skip_draws_what_the_captures_draw(self, case):
-        scene = narrow_drawer_scene()
-        config = config_from_dict({"capture": {"resolution": [24, 18],
-                                               "noise_sigma": 0.004}})
-        if case == "moved":
-            outcome, after = _pull(scene, [1.0, 0.0, 0.0])
-            assert outcome.success
-        elif case == "not moved":
-            outcome, after = _pull(scene, [0.0, 1.0, 0.0])
-            assert not outcome.success
-        else:
-            outcome, after = _fresh_cameras_leave_room(scene)
-            with pytest.raises(CaptureError):
-                object_view_poses(after, outcome.final_contact,
-                                  config.capture)
-        poses = object_view_poses(scene, CONTACT, config.capture)
-        assert len(poses) == 1
-        captured, skipped = (np.random.default_rng(7) for _ in range(2))
-        obs = pipeline.observe_interaction(scene, CONTACT, outcome, after,
-                                           config, captured, poses=poses)
-        pipeline.skip_observation(outcome, after, config, skipped, poses)
-        assert len(obs.before) > 0 and len(obs.after) > 0
-        assert (skipped.bit_generator.state
-                == captured.bit_generator.state)
-        assert (skipped.bit_generator.state
-                != np.random.default_rng(7).bit_generator.state)
-
     def test_no_draws_without_noise(self):
         scene = narrow_drawer_scene()
         outcome, after = _pull(scene, [0.0, 1.0, 0.0])
@@ -86,7 +50,6 @@ class TestRngContract:
         poses = object_view_poses(scene, CONTACT, config.capture)
         pipeline.observe_interaction(scene, CONTACT, outcome, after, config,
                                      rng, poses=poses)
-        pipeline.skip_observation(outcome, after, config, rng, poses)
         assert (rng.bit_generator.state
                 == np.random.default_rng(7).bit_generator.state)
 
@@ -122,3 +85,30 @@ def test_run_scene_captures_only_moving_pulls(moving_run, monkeypatch):
                      for r in record["interactions"])
     assert moved >= 1
     assert calls == [True] * moved
+
+
+def test_each_probe_captures_from_its_own_stream(moving_run, monkeypatch):
+    """Under noise, every observed pull starts from the fresh generator of
+    its hotspot, whatever earlier hotspots and the scene ring drew."""
+    config, scenes, model = moving_run
+    config = replace(config, capture=replace(config.capture,
+                                             noise_sigma=0.004))
+    states = []
+    real = pipeline.observe_interaction
+
+    def spy(scene, contact, outcome, scene_after, cfg, rng, **kwargs):
+        states.append(rng.bit_generator.state)
+        return real(scene, contact, outcome, scene_after, cfg, rng, **kwargs)
+
+    monkeypatch.setattr(pipeline, "observe_interaction", spy)
+    expected = []
+    for scene in scenes:
+        record = pipeline.run_scene(scene, model, config)
+        expected += [
+            np.random.default_rng(derive_seed(
+                config.seed, "probe", scene.seed, r["hotspot_id"]
+            )).bit_generator.state
+            for r in record["interactions"]
+            if r["stage"] == "initial" and r["success"]]
+    assert len(expected) >= 2
+    assert states == expected

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scenekin.errors import CaptureError, ValidationError
-from scenekin.geom import PointCloud
+from scenekin.geom import PointCloud, as_vec3, normalize
 from scenekin.sensing import (
     CameraPose,
     CaptureConfig,
@@ -11,9 +11,9 @@ from scenekin.sensing import (
     object_view_poses,
     range_image,
     raycast_capture,
-    raycast_single,
     ring_poses,
     fuse_clouds,
+    _ray_box_hits,
     _voxel_downsample,
 )
 from scenekin.simworld import (
@@ -30,6 +30,19 @@ BIG_BOUNDS = (np.array([-10.0, -10.0, -10.0]), np.array([10.0, 10.0, 10.0]))
 def single_box_scene(center, half, kind="static_body"):
     part = PartGeometry(center, half, np.eye(3), [0.3, 0.6, 0.9], kind)
     return SceneSpec((part,), (), BIG_BOUNDS, 0)
+
+
+def raycast_single(scene: SceneSpec, origin, direction,
+                   max_range: float = 50.0) -> tuple[int, float] | None:
+    """Nearest (part index, distance) hit by one ray, or None."""
+    d = normalize(direction)[None, :]
+    best = None
+    for pi, box in enumerate(scene.world_parts()):
+        t, hit, _ = _ray_box_hits(as_vec3(origin), d, box)
+        if hit[0] and t[0] <= max_range:
+            if best is None or t[0] < best[1]:
+                best = (pi, float(t[0]))
+    return best
 
 
 class TestRaycast:
