@@ -16,16 +16,16 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import PreconditionError, TrainingError, ValidationError
 from .geom import PointCloud
 from .simworld import (
-    PullBudget,
+    InteractionConfig,
     SceneSpec,
-    canonical_pull_directions,
     gripper_clearance,
-    interact,
+    probe,
     surface_normal,
 )
 
@@ -106,17 +106,19 @@ def extract_features(cloud: PointCloud, radius: float = 0.05,
     centers, neighbors = _neighborhoods(cloud, radius)
     counts = np.bincount(centers, minlength=n)
 
-    npos = pos[neighbors]
-    sums = np.zeros((n, 3))
-    for k in range(3):
-        sums[:, k] = np.bincount(centers, weights=npos[:, k], minlength=n)
-    mean = sums / counts[:, None]
+    # one sparse product sums positions, their pairwise products and colours
+    # over every neighbourhood, adding in the neighbour order of each centre
+    adjacency = csr_matrix(
+        (np.ones(len(neighbors)), neighbors,
+         np.concatenate([[0], np.cumsum(counts)])), shape=(n, n))
+    ia, ib = np.triu_indices(3)
+    columns = [pos, pos[:, ia] * pos[:, ib]]
+    if cloud.colors is not None:
+        columns.append(cloud.colors)
+    sums = adjacency @ np.column_stack(columns)
+    mean = sums[:, :3] / counts[:, None]
     sq = np.zeros((n, 3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            m = np.bincount(centers, weights=npos[:, a] * npos[:, b],
-                            minlength=n) / counts
-            sq[:, a, b] = sq[:, b, a] = m
+    sq[:, ia, ib] = sq[:, ib, ia] = sums[:, 3:9] / counts[:, None]
     cov = sq - np.einsum("ni,nj->nij", mean, mean)
     w = np.linalg.eigvalsh(cov)            # ascending
     lam3, lam2, lam1 = w[:, 0], w[:, 1], w[:, 2]
@@ -140,11 +142,7 @@ def extract_features(cloud: PointCloud, radius: float = 0.05,
     density = np.minimum(counts / n_ref, 2.0) / 2.0
 
     if cloud.colors is not None:
-        csum = np.zeros((n, 3))
-        ncol = cloud.colors[neighbors]
-        for k in range(3):
-            csum[:, k] = np.bincount(centers, weights=ncol[:, k], minlength=n)
-        mean_color = csum / counts[:, None]
+        mean_color = sums[:, 9:] / counts[:, None]
     else:
         mean_color = np.zeros((n, 3))
 
@@ -164,40 +162,34 @@ def extract_features(cloud: PointCloud, radius: float = 0.05,
 
 
 def collect_labels(scene: SceneSpec, cloud: PointCloud, n_samples: int,
-                   seed: int, gripper_radius: float = 0.04,
-                   budget: PullBudget | None = None,
-                   motion_epsilon: float = 1e-3) -> AffordanceLabelSet:
+                   seed: int, interaction: InteractionConfig | None = None
+                   ) -> AffordanceLabelSet:
     """Probe uniformly sampled cloud points and record the outcomes.
 
-    Points without gripper clearance are labeled ignore; the rest get the
-    three canonical pulls against a pristine copy of the scene (state resets
-    between attempts) and are positive iff any pull moves a part.
+    Points without gripper clearance are labeled ignore; the rest are probed
+    with `simworld.probe` against a pristine copy of the scene (state resets
+    between attempts) and are positive iff a canonical pull moves a part.
     """
     if n_samples < 1:
         raise ValidationError("need at least one sample")
     rng = np.random.default_rng(seed)
     take = min(n_samples, len(cloud))
     indices = rng.choice(len(cloud), size=take, replace=False)
-    budget = budget or PullBudget()
+    interaction = interaction or InteractionConfig()
     labels = []
     for i in indices:
         point = cloud.positions[i]
         normal = surface_normal(scene, point)
-        if not gripper_clearance(scene, point, normal, gripper_radius):
+        if not gripper_clearance(scene, point, normal,
+                                 interaction.gripper_radius):
             labels.append(IGNORE)
             continue
-        outcome_label = NEGATIVE
-        for direction in canonical_pull_directions(normal):
-            try:
-                outcome, _ = interact(scene, point, direction, budget,
-                                      motion_epsilon)
-            except PreconditionError:
-                outcome_label = IGNORE
-                break
-            if outcome.success:
-                outcome_label = POSITIVE
-                break
-        labels.append(outcome_label)
+        try:
+            outcome, _ = probe(scene, point, normal, interaction)
+        except PreconditionError:
+            labels.append(IGNORE)
+            continue
+        labels.append(POSITIVE if outcome.success else NEGATIVE)
     return AffordanceLabelSet(indices, tuple(labels))
 
 

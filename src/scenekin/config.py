@@ -19,7 +19,7 @@ import numpy as np
 
 from .affordance import TrainConfig
 from .artinfer import InferenceConfig
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .refine import RefineConfig
 from .sensing import CaptureConfig
 from .simworld import GenerationConfig, InteractionConfig
@@ -39,6 +39,10 @@ class AffordanceConfig:
 class HotspotConfig:
     radius: float = 0.25
     score_threshold: float = 0.5
+
+    def __post_init__(self):
+        if self.radius <= 0:
+            raise ValidationError("hotspot radius must be > 0")
 
 
 @dataclass(frozen=True)
@@ -137,12 +141,6 @@ def config_to_dict(config: PipelineConfig) -> dict:
 def load_config(path) -> PipelineConfig:
     with open(path) as fh:
         return config_from_dict(json.load(fh))
-
-
-def save_config(config: PipelineConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def config_hash(config: PipelineConfig) -> str:

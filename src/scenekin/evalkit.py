@@ -127,20 +127,14 @@ def _scene_metrics(scene: dict) -> dict:
     records = scene["interactions"]
     inferences = scene["inferences"]
     gt_joints = scene["gt_joints"]
+    rows = per_joint_csv_rows([scene])
     angle_errors = {"prismatic": [], "revolute": []}
-    pos_errors = []
-    ious = []
-    for inf in inferences:
-        gt = inf.get("gt_joint")
-        if gt is None:
-            continue
-        err = angle_error(inf["axis"], gt["axis"])
-        angle_errors.setdefault(inf["kind"], []).append(err)
-        if inf["kind"] == "revolute" and gt["type"] == "revolute":
-            pos_errors.append(axis_position_error(
-                inf["axis"], inf["pivot"], gt["axis"], gt["pivot"]))
-        if inf.get("iou") is not None:
-            ious.append(float(inf["iou"]))
+    for row in rows:
+        angle_errors.setdefault(row["joint_type"], []).append(
+            row["angle_error_deg"])
+    pos_errors = [r["position_error_m"] for r in rows
+                  if r["position_error_m"] != ""]
+    ious = [float(r["iou"]) for r in rows if r["iou"] != ""]
     cov = coverage(records, gt_joints) if gt_joints else None
     mean_pris, med_pris = _mean_median(angle_errors["prismatic"])
     mean_rev, med_rev = _mean_median(angle_errors["revolute"])

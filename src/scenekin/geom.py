@@ -90,13 +90,6 @@ class RigidTransform:
             return self.rotation @ pts + self.translation
         return pts @ self.rotation.T + self.translation
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Return self applied after other: (self ∘ other)(p) = self(other(p))."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
     def inverse(self) -> "RigidTransform":
         Rt = self.rotation.T
         return RigidTransform(Rt, -Rt @ self.translation)

@@ -18,12 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import affordance, evalkit, hotspot, scenemodel, sensing, simworld
-from .artinfer import (
-    REVOLUTE,
-    InferenceConfig,
-    make_observation_pair,
-    infer_articulation,
-)
+from .artinfer import REVOLUTE, infer_articulation, make_observation_pair
 from .config import PipelineConfig, config_hash, derive_seed
 from .errors import (
     ArtifactError,
@@ -123,8 +118,7 @@ def collect(config: PipelineConfig, scenes_dir, out_dir) -> dict:
             labels = affordance.collect_labels(
                 scene, cloud, config.affordance.samples_per_scene,
                 derive_seed(config.seed, "collect-labels", scene.seed),
-                config.interaction.gripper_radius, config.interaction.pull,
-                config.interaction.motion_epsilon)
+                config.interaction)
         except SceneKinError as e:
             entries.append({"seed": scene.seed, "status": f"failed: {e}"})
             continue
@@ -210,38 +204,40 @@ def _segmentation_iou_vs_oracle(obs, seg, part_index: int) -> float | None:
     return float(np.mean(vals))
 
 
-def _flags(config: PipelineConfig, refine_enabled: bool | None,
-           use_contact_heat: bool | None, mode: str | None) -> dict:
-    """Ablation switches of a run; None means "as the config says"."""
-    return {
-        "refine": config.run.refine if refine_enabled is None else refine_enabled,
-        "regularity": (config.inference.use_contact_heat
-                       if use_contact_heat is None else use_contact_heat),
-        "mode": mode or config.inference.mode,
-    }
+def _approach(scene: SceneSpec, position, config: PipelineConfig
+              ) -> str | tuple:
+    """(contact, normal, camera poses) of a hotspot, or why it is skipped."""
+    try:
+        contact = project_to_surface(scene, position,
+                                     config.interaction.snap_tolerance)
+    except PreconditionError:
+        return "off surface"
+    normal = simworld.surface_normal(scene, contact)
+    if not simworld.gripper_clearance(scene, contact, normal,
+                                      config.interaction.gripper_radius):
+        return "no gripper clearance"
+    try:
+        poses = sensing.object_view_poses(scene, contact, config.capture)
+    except CaptureError as e:
+        return f"capture error: {e}"
+    return contact, normal, poses
 
 
 def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
-              config: PipelineConfig, refine_enabled: bool | None = None,
-              use_contact_heat: bool | None = None,
-              mode: str | None = None) -> dict:
+              config: PipelineConfig) -> dict:
     """Full interactive loop on one scene; returns the run record.
 
     Probes the NMS hotspots in score order: clearance check, canonical pulls
-    (first engaging direction wins), before/after capture of the pull that
-    moved a part, articulation inference, optional refinement. A pull that
-    moves nothing is not captured. Capture noise of the scene ring and of
-    each probed hotspot comes from its own generator, seeded from (root
-    seed, scene seed) and (root seed, scene seed, hotspot id), so no
-    hotspot's noise depends on what earlier hotspots captured. The scene
-    carries accumulated state between hotspots (opened parts stay open).
-    An ablation argument left at None takes its value from the config
-    (`run.refine`, `inference.use_contact_heat`, `inference.mode`).
+    until one moves a part (`simworld.probe`, the rule that labels the
+    training data), before/after capture of that pull, articulation
+    inference, optional refinement. A probe that moves nothing is not
+    captured. Capture noise of the scene ring and of each probed hotspot
+    comes from its own generator, seeded from (root seed, scene seed) and
+    (root seed, scene seed, hotspot id), so no hotspot's noise depends on
+    what earlier hotspots captured. The scene carries accumulated state
+    between hotspots (opened parts stay open). The ablations are read from
+    `run.refine`, `inference.use_contact_heat` and `inference.mode`.
     """
-    flags = _flags(config, refine_enabled, use_contact_heat, mode)
-    infer_cfg: InferenceConfig = replace(
-        config.inference, use_contact_heat=flags["regularity"],
-        mode=flags["mode"])
     ring_rng = np.random.default_rng(
         derive_seed(config.seed, "run", scene.seed))
     cloud = sensing.capture_scene_cloud(scene, config.capture, ring_rng)
@@ -263,54 +259,25 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
         picked.append(spot)
         record = {"hotspot_id": hid, "stage": "initial", "success": False,
                   "moved_joint": None, "delta_state": 0.0}
-        try:
-            contact = project_to_surface(current, spot.position,
-                                         config.interaction.snap_tolerance)
-        except PreconditionError:
-            record["status"] = "off surface"
-            record["stage"] = "skipped"
-            interactions.append(record)
+        site = _approach(current, spot.position, config)
+        if isinstance(site, str):
+            interactions.append({**record, "stage": "skipped",
+                                 "status": site})
             continue
-        normal = simworld.surface_normal(current, contact)
-        if not simworld.gripper_clearance(current, contact, normal,
-                                          config.interaction.gripper_radius):
-            record["status"] = "no gripper clearance"
-            record["stage"] = "skipped"
-            interactions.append(record)
-            continue
-        try:
-            poses = sensing.object_view_poses(current, contact, config.capture)
-        except CaptureError as e:
-            record["status"] = f"capture error: {e}"
-            record["stage"] = "skipped"
-            interactions.append(record)
-            continue
+        contact, normal, poses = site
 
         probes += 1
         probe_rng = np.random.default_rng(
             derive_seed(config.seed, "probe", scene.seed, hid))
-        obs = outcome = after_scene = None
-        for direction in simworld.canonical_pull_directions(normal):
-            try:
-                pulled, pulled_scene = simworld.interact(
-                    current, contact, direction, config.interaction.pull,
-                    config.interaction.motion_epsilon)
-            except (PreconditionError, ValidationError) as e:
-                record["status"] = f"interaction error: {e}"
-                break
-            if pulled.success:
-                try:
-                    obs = observe_interaction(current, contact, pulled,
-                                              pulled_scene, config,
-                                              probe_rng, poses=poses)
-                except ValidationError as e:
-                    record["status"] = f"interaction error: {e}"
-                    break
-            outcome, after_scene = pulled, pulled_scene
-            if outcome.engaged:
-                break
-        if outcome is None:
-            interactions.append(record)
+        try:
+            outcome, after_scene = simworld.probe(current, contact, normal,
+                                                  config.interaction)
+            obs = (observe_interaction(current, contact, outcome, after_scene,
+                                       config, probe_rng, poses=poses)
+                   if outcome.success else None)
+        except (PreconditionError, ValidationError) as e:
+            interactions.append({**record,
+                                 "status": f"interaction error: {e}"})
             continue
         record["success"] = bool(outcome.success)
         record["moved_joint"] = outcome.moved_joint
@@ -321,27 +288,19 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
         current = after_scene
 
         try:
-            joint, seg = infer_articulation(obs, infer_cfg)
+            joint, seg = infer_articulation(obs, config.inference)
         except InferenceError as e:
             inferences.append({"hotspot_id": hid, "status": f"failed: {e}",
                                "gt_joint": _gt_joint_dict(scene,
                                                           outcome.moved_joint)})
             continue
 
-        if flags["refine"] and joint.kind == REVOLUTE:
+        if config.run.refine and joint.kind == REVOLUTE:
             result = refine_loop(current, obs, joint, seg, config.refine,
-                                 infer_cfg, config.capture,
+                                 config.inference, config.capture,
                                  config.interaction, probe_rng)
-            for entry in result.log:
-                if "delta_state" in entry:
-                    interactions.append({
-                        "hotspot_id": hid, "stage": "refine",
-                        "success": entry.get("status") not in
-                        ("pull did not move the part",),
-                        "moved_joint": outcome.moved_joint
-                        if entry.get("delta_state") else None,
-                        "delta_state": float(entry.get("delta_state", 0.0)),
-                    })
+            interactions += [{"hotspot_id": hid, "stage": "refine", **pull}
+                             for pull in result.pulls]
             refinement_logs.append({"hotspot_id": hid,
                                     "log": list(result.log)})
             joint, seg, current, obs = (result.joint, result.segmentation,
@@ -366,8 +325,6 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
     model_out = scenemodel.aggregate(
         estimates, agg.merge_angle_deg, agg.merge_line_dist, agg.merge_iou,
         agg.iou_voxel)
-    model_out = replace(model_out, scene_seed=scene.seed,
-                        config_hash=config_hash(config))
     return {
         "scene_seed": scene.seed,
         "hotspots": hotspot.hotspots_to_dict(
@@ -375,22 +332,16 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
         "interactions": interactions,
         "inferences": inferences,
         "refinements": refinement_logs,
-        "model": model_out,
+        "model": replace(model_out, scene_seed=scene.seed),
         "gt_joints": [_gt_joint_dict(scene, j)
                       for j in range(len(scene.joints))],
-        "final_scene": current,
     }
 
 
 def _run_scene_job(args):
-    scene_path, model_path, config, flags = args
-    scene = simworld.load_scene(scene_path)
-    model = affordance.load_model(model_path)
-    record = run_scene(scene, model, config,
-                       refine_enabled=flags["refine"],
-                       use_contact_heat=flags["regularity"],
-                       mode=flags["mode"])
-    return record
+    scene_path, model_path, config = args
+    return run_scene(simworld.load_scene(scene_path),
+                     affordance.load_model(model_path), config)
 
 
 def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
@@ -400,16 +351,31 @@ def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
     """Run the full loop over every scene in `scenes_dir`; write artifacts.
 
     Per scene: inference.v1 JSON (hotspots, interactions, inferences,
-    refinement logs) and a scene_model.v1 export. A scene only counts as
-    failed when its initial scene capture fails. The ablation arguments
-    follow `run_scene`. `workers` > 1 runs scenes in that many processes;
-    the artifacts are the same as in a serial run.
+    refinement logs) and a scene_model.v1 export. An ablation argument that
+    is not None overrides its config key (`run.refine`,
+    `inference.use_contact_heat`, `inference.mode`) for every scene; the
+    artifacts carry the hash of `config` as given. Skipped hotspots and
+    failed probes or inferences are recorded, but any other error of a
+    scene (such as a scene capture that yields no points) aborts the whole
+    run before an artifact is written. `workers` > 1 runs scenes in that
+    many processes; the artifacts are the same as in a serial run.
     """
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(config)
     manifest = _read_json(os.path.join(scenes_dir, "manifest.json"))
-    flags = _flags(config, refine_enabled, use_contact_heat, mode)
-    jobs = [(os.path.join(scenes_dir, e["file"]), model_path, config, flags)
+    if refine_enabled is not None:
+        config = replace(config, run=replace(config.run,
+                                             refine=refine_enabled))
+    if use_contact_heat is not None:
+        config = replace(config, inference=replace(
+            config.inference, use_contact_heat=use_contact_heat))
+    if mode is not None:
+        config = replace(config, inference=replace(config.inference,
+                                                   mode=mode))
+    flags = {"refine": config.run.refine,
+             "regularity": config.inference.use_contact_heat,
+             "mode": config.inference.mode}
+    jobs = [(os.path.join(scenes_dir, e["file"]), model_path, config)
             for e in manifest["scenes"]]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -434,7 +400,7 @@ def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
             "gt_joints": record["gt_joints"],
         }
         _write_json(doc, os.path.join(out_dir, inf_file))
-        scenemodel.export_model(record["model"],
+        scenemodel.export_model(replace(record["model"], config_hash=chash),
                                 os.path.join(out_dir, model_file))
         entries.append({"seed": seed, "inference": inf_file,
                         "model": model_file,

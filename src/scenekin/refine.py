@@ -88,11 +88,15 @@ _ANGLE_SCAN = np.radians(np.arange(-6.0, 6.0 + 1e-9, 0.25))
 
 @dataclass(frozen=True)
 class RefineResult:
+    """Refined estimate, the loop's log, and one interaction record
+    {"success", "moved_joint", "delta_state"} per pull it made."""
+
     joint: JointModel
     segmentation: PartSegmentation
     log: tuple[dict, ...]
     scene: SceneSpec
     observation: ObservationPair
+    pulls: tuple[dict, ...]
 
 
 def part_affordance(joint: JointModel, seg: PartSegmentation,
@@ -235,6 +239,7 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
     capture_config = capture_config or CaptureConfig()
     interaction = interaction or InteractionConfig()
     log: list[dict] = []
+    pulls: list[dict] = []
     iters = 0
     while (joint.kind == REVOLUTE
            and abs(joint.state) < refine_config.target_state
@@ -261,6 +266,9 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
             log.append(entry)
             break
         entry["delta_state"] = outcome.delta_state
+        pulls.append({"success": bool(outcome.success),
+                      "moved_joint": outcome.moved_joint,
+                      "delta_state": float(outcome.delta_state)})
         if not outcome.success:
             entry["status"] = "pull did not move the part"
             log.append(entry)
@@ -323,4 +331,4 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
                                              "current axis": current_score}
             entry["state"] = joint.state
         log.append(entry)
-    return RefineResult(joint, seg, tuple(log), scene, obs)
+    return RefineResult(joint, seg, tuple(log), scene, obs, tuple(pulls))

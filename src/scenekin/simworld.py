@@ -660,6 +660,21 @@ def interact(scene: SceneSpec, contact, pull_direction, budget: PullBudget | Non
             new_scene)
 
 
+def probe(scene: SceneSpec, contact, normal, interaction: InteractionConfig
+          ) -> tuple[InteractionOutcome, SceneSpec]:
+    """Canonical pulls at `contact` until one moves a part.
+
+    Returns that pull's (outcome, new scene), or the last pull's when none
+    moves. Errors of `interact` propagate.
+    """
+    for direction in canonical_pull_directions(normal):
+        outcome, after = interact(scene, contact, direction, interaction.pull,
+                                  interaction.motion_epsilon)
+        if outcome.success:
+            break
+    return outcome, after
+
+
 # ---------------------------------------------------------------------------
 # Scene serialization (scene_spec.v1)
 # ---------------------------------------------------------------------------

@@ -38,6 +38,12 @@ from scenekin.simworld import GenerationConfig, generate_scene, surface_normal
 from conftest import observe_interaction
 
 
+def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
+    """`a` applied after `b`: compose(a, b).apply(p) == a.apply(b.apply(p))."""
+    return RigidTransform(a.rotation @ b.rotation,
+                          a.rotation @ b.translation + a.translation)
+
+
 def axis_angle_deg(u, v):
     # atan2 form: well conditioned near 0, unlike acos of the dot product
     cross = np.linalg.norm(np.cross(u, v))
@@ -238,7 +244,7 @@ class TestEstimateMotion:
             obs = make_observation_pair(before, after, c, T.apply(c), 0.05)
             seg = PartSegmentation(np.ones(len(pts), bool), np.ones(len(pts), bool))
             est = estimate_motion(obs, seg, mode="icp")
-            err = est.compose(T.inverse())
+            err = compose(est, T.inverse())
             _, rot_err = __import__("scenekin.geom", fromlist=["rotation_to_angle_axis"]
                                     ).rotation_to_angle_axis(err.rotation)
             if math.degrees(rot_err) < 2.0:
@@ -323,7 +329,7 @@ class TestScrewDecompose:
                 rotation_from_angle_axis(normalize(rng.normal(size=3)),
                                          rng.uniform(0, math.pi)),
                 rng.uniform(-1, 1, size=3))
-            conj = G.compose(T).compose(G.inverse())
+            conj = compose(compose(G, T), G.inverse())
             a = screw_decompose(T)
             b = screw_decompose(conj)
             assert abs(a.state - b.state) < 1e-6

@@ -86,6 +86,11 @@ class TestConfig:
         with pytest.raises(ValidationError, match="heat sigma"):
             config_from_dict({"inference": {"heat_sigma": sigma}})
 
+    @pytest.mark.parametrize("radius", [0.0, -0.25])
+    def test_non_positive_hotspot_radius_rejected(self, radius):
+        with pytest.raises(ValidationError, match="hotspot radius"):
+            config_from_dict({"hotspot": {"radius": radius}})
+
     def test_unknown_inference_mode_rejected(self):
         with pytest.raises(ValidationError, match="bogus"):
             config_from_dict({"inference": {"mode": "bogus"}})
@@ -163,6 +168,10 @@ class TestPipelineArtifacts:
             assert doc["version"] == "inference.v1"
             model = json.loads((base / "run" / entry["model"]).read_text())
             assert model["version"] == "scene_model.v1"
+            # the run is ablated (--oracle-correspondence); every artifact
+            # still carries the hash of the config file as given
+            assert model["config_hash"] == manifest["config_hash"]
+        assert manifest["config_hash"] == config_hash(config_from_dict(TINY))
 
     def test_eval_outputs(self, workspace):
         base, _ = workspace

@@ -8,10 +8,13 @@ from scenekin.config import config_from_dict, derive_seed
 from scenekin.sensing import object_view_poses
 from scenekin.simworld import (
     GroundTruthJoint,
+    InteractionConfig,
     PartGeometry,
     SceneSpec,
+    canonical_pull_directions,
     interact,
     load_scene,
+    probe,
 )
 
 from conftest import TINY
@@ -39,6 +42,24 @@ def narrow_drawer_scene():
 
 def _pull(scene, direction):
     return interact(scene, CONTACT, direction)
+
+
+def test_probe_returns_the_pull_that_moved():
+    """Of the three canonical pulls on the drawer's side face, backward has
+    no leverage, left engages against the closed limit and moves nothing,
+    and right opens the drawer: `probe` returns the right pull."""
+    scene = narrow_drawer_scene()
+    contact = np.array([0.27, -0.28, 0.5])
+    normal = np.array([0.0, -1.0, 0.0])
+    backward, left, right = canonical_pull_directions(normal)
+    assert not interact(scene, contact, backward)[0].engaged
+    stuck, _ = interact(scene, contact, left)
+    assert stuck.engaged and not stuck.success and stuck.delta_state == 0.0
+
+    outcome, after = probe(scene, contact, normal, InteractionConfig())
+    assert outcome.success and outcome.moved_joint == 0
+    assert outcome.delta_state == pytest.approx(0.3)
+    assert after.joints[0][1].state == pytest.approx(0.3)
 
 
 class TestRngContract:
@@ -78,9 +99,10 @@ def test_run_scene_captures_only_moving_pulls(moving_run, monkeypatch):
         return real(scene, contact, outcome, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "observe_interaction", spy)
+    config = replace(config, run=replace(config.run, refine=False))
     moved = 0
     for scene in scenes:
-        record = pipeline.run_scene(scene, model, config, refine_enabled=False)
+        record = pipeline.run_scene(scene, model, config)
         moved += sum(r["stage"] == "initial" and r["success"]
                      for r in record["interactions"])
     assert moved >= 1

@@ -222,6 +222,13 @@ class TestRefineLoop:
         assert err_after <= err_before + 1e-9
         # monotone acceptance
         assert abs(result.joint.state) >= abs(joint.state)
+        # one interaction record per pull, adding up to the door's opening
+        j = outcome.moved_joint
+        assert len(result.pulls) == sum("delta_state" in e for e in result.log)
+        assert any(p["success"] for p in result.pulls)
+        assert all(p["moved_joint"] in (None, j) for p in result.pulls)
+        assert sum(p["delta_state"] for p in result.pulls) == pytest.approx(
+            result.scene.joints[j][1].state - scene2.joints[j][1].state)
 
     def test_step_tracking_failure_ends_loop(self):
         # at 4 mm noise the ICP tracking this seed's refinement pull gives
