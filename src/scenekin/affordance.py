@@ -78,13 +78,18 @@ def _neighborhoods(cloud: PointCloud, radius: float
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(center, neighbor) index pairs within `radius`, each point its own
     neighbor, sorted by center and then neighbor: the sequence a sorted
-    ball query concatenates to."""
+    ball query concatenates to.
+
+    Each pair is sorted as the one key `center * n + neighbor`; the keys are
+    unique, so this is the (center, neighbor) order.
+    """
+    n = len(cloud)
     pairs = cloud.tree.query_pairs(radius, output_type="ndarray")
-    own = np.arange(len(cloud))
-    centers = np.concatenate([pairs[:, 0], pairs[:, 1], own])
-    neighbors = np.concatenate([pairs[:, 1], pairs[:, 0], own])
-    order = np.lexsort((neighbors, centers))
-    return centers[order], neighbors[order]
+    own = np.arange(n)
+    keys = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1],
+                                   pairs[:, 1] * n + pairs[:, 0],
+                                   own * n + own]))
+    return keys // n, keys % n
 
 
 def extract_features(cloud: PointCloud, radius: float = 0.05,

@@ -374,6 +374,18 @@ def screw_decompose(T: RigidTransform, theta_min: float = math.radians(2.0),
     return JointModel(PRISMATIC, t / norm_t, None, norm_t)
 
 
+def _query_within(tree: cKDTree, points: np.ndarray, radius: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest neighbour of each point, searched only out to `radius`.
+
+    Every neighbour at distance <= `radius` is found, with the distance and
+    index an unbounded query returns; farther ones read as distance inf and
+    index `tree.n`. SciPy's bound is strict, hence the next float up.
+    """
+    return tree.query(points,
+                      distance_upper_bound=np.nextafter(radius, np.inf))
+
+
 def _competitive_labels(positions: np.ndarray, moved: np.ndarray,
                         explained: np.ndarray, ambiguity_radius: float,
                         normals: np.ndarray | None = None,
@@ -400,18 +412,19 @@ def _competitive_labels(positions: np.ndarray, moved: np.ndarray,
         return mask
     amb_pts = positions[ambiguous]
     seed_idx = np.flatnonzero(mobile_seeds)
-    d_mob, nn = cKDTree(positions[mobile_seeds]).query(amb_pts)
+    d_mob, nn = _query_within(cKDTree(positions[mobile_seeds]), amb_pts,
+                              ambiguity_radius)
     if static_seeds.any():
-        d_sta, _ = cKDTree(positions[static_seeds]).query(amb_pts)
+        d_sta, _ = _query_within(cKDTree(positions[static_seeds]), amb_pts,
+                                 ambiguity_radius)
     else:
         d_sta = np.full(len(amb_pts), np.inf)
     take = (d_mob < d_sta) & (d_mob <= ambiguity_radius)
     if in_plane_tol > 0.0 and normals is not None:
-        seeds = seed_idx[nn]
-        offset = amb_pts - positions[seeds]
+        seeds = seed_idx[nn[take]]
+        offset = amb_pts[take] - positions[seeds]
         along = np.abs(np.einsum("ni,ni->n", offset, normals[seeds]))
-        coplanar = (along <= in_plane_tol) & normals_valid[seeds]
-        take &= coplanar
+        take[take] = (along <= in_plane_tol) & normals_valid[seeds]
     idx = np.flatnonzero(ambiguous)
     mask[idx[take]] = True
     return mask
@@ -435,11 +448,14 @@ def _explained_by(points: np.ndarray, target: PointCloud, fit_epsilon: float,
     normal fall back to the point distance.
     """
     normals, valid = _cloud_normals(target)
-    d, idx = target.tree.query(points)
-    offset = points - target.positions[idx]
+    d, idx = _query_within(target.tree, points, max(far_cap, fit_epsilon))
+    explained = d <= fit_epsilon
+    near = d <= far_cap
+    idx = idx[near]
+    offset = points[near] - target.positions[idx]
     plane = np.abs(np.einsum("ni,ni->n", offset, normals[idx]))
-    by_plane = (d <= far_cap) & (plane <= fit_epsilon) & valid[idx]
-    return (d <= fit_epsilon) | by_plane
+    explained[near] |= (plane <= fit_epsilon) & valid[idx]
+    return explained
 
 
 def _consistency_reseg(obs: ObservationPair, T: RigidTransform,
@@ -474,14 +490,20 @@ def _consistency_reseg(obs: ObservationPair, T: RigidTransform,
                                  fit_a, ambiguity_radius)
 
     if anchor.mobile_mask_before.any():
-        near, _ = cKDTree(obs.before.positions[anchor.mobile_mask_before]
-                          ).query(obs.before.positions)
-        mask_b &= near <= attach_radius
+        mask_b &= _attached(obs.before.positions, anchor.mobile_mask_before,
+                            attach_radius)
     if anchor.mobile_mask_after.any():
-        near, _ = cKDTree(obs.after.positions[anchor.mobile_mask_after]
-                          ).query(obs.after.positions)
-        mask_a &= near <= attach_radius
+        mask_a &= _attached(obs.after.positions, anchor.mobile_mask_after,
+                            attach_radius)
     return PartSegmentation(mask_b, mask_a)
+
+
+def _attached(positions: np.ndarray, seeds: np.ndarray,
+              attach_radius: float) -> np.ndarray:
+    """Points within `attach_radius` of a `seeds` point."""
+    near, _ = _query_within(cKDTree(positions[seeds]), positions,
+                            attach_radius)
+    return near <= attach_radius
 
 
 def _fit_slab(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

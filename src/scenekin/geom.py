@@ -10,6 +10,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,10 +69,6 @@ class RigidTransform:
         object.__setattr__(self, "translation", as_vec3(self.translation))
 
     @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
-    @staticmethod
     def from_rotation_about_line(axis, angle: float, pivot=None) -> "RigidTransform":
         """Rotation by `angle` about the line through `pivot` along `axis`."""
         R = rotation_from_angle_axis(axis, angle)
@@ -128,7 +125,8 @@ class PointCloud:
             ids = np.asarray(self.point_ids, dtype=np.int64)
             if ids.shape != (n,):
                 raise ValidationError("point_ids must align with positions")
-            if len(np.unique(ids)) != n:
+            # captures hand over ids sorted, which makes them unique
+            if not (ids[1:] > ids[:-1]).all() and len(np.unique(ids)) != n:
                 raise ValidationError("point_ids must be unique within a cloud")
             object.__setattr__(self, "point_ids", ids)
 
@@ -306,21 +304,39 @@ def save_cloud_binary(cloud: PointCloud, path) -> None:
 
 
 def load_cloud_binary(path) -> PointCloud:
+    """Read a cloud written by `save_cloud_binary`.
+
+    Raises ValidationError when the magic, version or flags are unknown or
+    the file length differs from the one its header implies.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BIN_MAGIC:
-            raise ValidationError(f"bad cloud file magic {magic!r}")
-        version, flags, n = struct.unpack("<HHQ", fh.read(12))
-        if version != 1:
-            raise ValidationError(f"unsupported cloud file version {version}")
-        pos = np.frombuffer(fh.read(24 * n), dtype="<f8").reshape(n, 3)
-        colors = part_ids = point_ids = None
-        if flags & _FLAG_COLORS:
-            colors = np.frombuffer(fh.read(24 * n), dtype="<f8").reshape(n, 3)
-        if flags & _FLAG_PARTS:
-            part_ids = np.frombuffer(fh.read(8 * n), dtype="<i8")
-        if flags & _FLAG_IDS:
-            point_ids = np.frombuffer(fh.read(8 * n), dtype="<i8")
-    return PointCloud(pos.copy(), colors=None if colors is None else colors.copy(),
-                      part_ids=None if part_ids is None else part_ids.copy(),
-                      point_ids=None if point_ids is None else point_ids.copy())
+        data = fh.read()
+    magic = data[:4]
+    if magic != _BIN_MAGIC:
+        raise ValidationError(f"bad cloud file magic {magic!r}")
+    if len(data) < 16:
+        raise ValidationError(
+            f"cloud file header truncated at {len(data)} bytes")
+    version, flags, n = struct.unpack_from("<HHQ", data, 4)
+    if version != 1:
+        raise ValidationError(f"unsupported cloud file version {version}")
+    if flags & ~(_FLAG_COLORS | _FLAG_PARTS | _FLAG_IDS):
+        raise ValidationError(f"unknown cloud file flags {flags:#x}")
+    fields = [("positions", "<f8", (n, 3))]
+    if flags & _FLAG_COLORS:
+        fields.append(("colors", "<f8", (n, 3)))
+    if flags & _FLAG_PARTS:
+        fields.append(("part_ids", "<i8", (n,)))
+    if flags & _FLAG_IDS:
+        fields.append(("point_ids", "<i8", (n,)))
+    expected = 16 + sum(8 * math.prod(shape) for _, _, shape in fields)
+    if len(data) != expected:
+        raise ValidationError(f"cloud file holds {len(data)} bytes, its "
+                              f"header implies {expected}")
+    arrays, offset = {}, 16
+    for name, dtype, shape in fields:
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(data, dtype, count, offset
+                                     ).reshape(shape).copy()
+        offset += 8 * count
+    return PointCloud(**arrays)

@@ -7,6 +7,11 @@ a stable point id derived from the quantized surface coordinate in the part's
 local frame. Because the id is local to the part, the same physical surface
 patch keeps its identity when the part moves, which gives downstream code an
 oracle correspondence channel that survives articulation.
+
+A capture tests every pixel ray against every box of the room in one batched
+slab test (Kay & Kajiya, "Ray Tracing Complex Scenes", SIGGRAPH 1986). Each
+ray keeps its nearest entry and, on a tie, the lowest-index box: bit for bit
+what a box-by-box scan that replaces a hit only when strictly closer keeps.
 """
 
 from __future__ import annotations
@@ -111,33 +116,47 @@ class CaptureConfig:
             raise ValidationError("noise sigma must be >= 0")
 
 
-def _ray_box_hits(origins, dirs, box):
-    """Slab test of rays against one oriented box.
+def _nearest_hits(world, origin: np.ndarray, dirs: np.ndarray,
+                  max_range: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest box entry of each ray from `origin` along `dirs` (N, 3).
 
-    origins: (3,) shared origin; dirs: (N, 3). Returns (t (N,), hit (N,) bool,
-    local points (N, 3)) where t is the entry distance.
+    One slab test (Kay & Kajiya 1986) of every ray against every box. Returns
+    (ray, part, t, local) for the rays that enter a box at 1e-9 < t <=
+    `max_range`: the entry distance, the box (on a tie, the lowest index) and
+    the entry point in that box's frame.
     """
-    R = box.rotation
-    o = (origins - box.center) @ R
-    d = dirs @ R
-    h = box.half_extents
+    if not world:
+        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                np.zeros(0), np.zeros((0, 3)))
+    o = np.array([(origin - box.center) @ box.rotation for box in world])
+    d = np.empty((len(world), len(dirs), 3))
+    for pi, box in enumerate(world):
+        d[pi] = dirs @ box.rotation
+    o, h = o[:, None, :], np.array([b.half_extents for b in world])[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / d
         t1 = (-h - o) * inv
-        t2 = (h - o) * inv
+        t2 = np.multiply(h - o, inv, out=inv)
     near = np.minimum(t1, t2)
-    far = np.maximum(t1, t2)
+    far = np.maximum(t1, t2, out=t1)
     # rays parallel to a slab: inside it -> no constraint, outside -> miss
     par = np.abs(d) < 1e-12
-    inside = np.abs(o) <= h
-    near = np.where(par, np.where(inside, -np.inf, np.inf), near)
-    far = np.where(par, np.where(inside, np.inf, -np.inf), far)
-    t_enter = near.max(axis=1)
-    t_exit = far.min(axis=1)
-    hit = (t_enter <= t_exit) & (t_enter > 1e-9)
+    if par.any():
+        inside = np.abs(o) <= h
+        near = np.where(par, np.where(inside, -np.inf, np.inf), near)
+        far = np.where(par, np.where(inside, np.inf, -np.inf), far)
+    # chained over the three slabs: much faster than a 3-wide max/min
+    t_enter = np.maximum(np.maximum(near[..., 0], near[..., 1]), near[..., 2])
+    t_exit = np.minimum(np.minimum(far[..., 0], far[..., 1]), far[..., 2])
+    hit = (t_enter <= t_exit) & (t_enter > 1e-9) & (t_enter <= max_range)
     t_enter = np.where(hit, t_enter, np.inf)
-    local_pts = o + np.where(np.isfinite(t_enter), t_enter, 0.0)[:, None] * d
-    return t_enter, hit, local_pts
+    part = np.argmin(t_enter, axis=0)  # the first of tied minima
+    ray = np.flatnonzero(hit.any(axis=0))
+    part = part[ray]
+    t = t_enter[part, ray]
+    local = o[part, 0] + t[:, None] * d[part, ray]
+    return ray, part, t, local
 
 
 def _point_ids(part_index: int, local_pts: np.ndarray, half: np.ndarray
@@ -165,43 +184,30 @@ def raycast_capture(scene: SceneSpec, camera: CameraPose,
     cloud is sorted by point id.
     """
     dirs = camera.ray_directions()
-    n = len(dirs)
-    best_t = np.full(n, np.inf)
-    best_part = np.full(n, -1, dtype=np.int64)
-    best_local = np.zeros((n, 3))
     world = scene.world_parts()
-    for pi, box in enumerate(world):
-        t, hit, local = _ray_box_hits(camera.position, dirs, box)
-        closer = hit & (t < best_t) & (t <= max_range)
-        best_t[closer] = t[closer]
-        best_part[closer] = pi
-        best_local[closer] = local[closer]
-
-    valid = best_part >= 0
-    if not valid.any():
+    ray, part, t, local = _nearest_hits(world, camera.position, dirs,
+                                        max_range)
+    if len(ray) == 0:
         return PointCloud(np.zeros((0, 3)))
-    idx = np.flatnonzero(valid)
-    parts = best_part[idx]
-    ids = np.empty(len(idx), dtype=np.int64)
-    for pi in np.unique(parts):
-        sel = parts == pi
-        ids[sel] = _point_ids(int(pi), best_local[idx[sel]],
-                              world[pi].half_extents)
+    ids = np.empty(len(ray), dtype=np.int64)
+    for pi in np.unique(part):
+        sel = part == pi
+        ids[sel] = _point_ids(int(pi), local[sel], world[pi].half_extents)
     # one point per surface patch: keep the first pixel that saw each id
     _, first = np.unique(ids, return_index=True)
-    keep = idx[np.sort(first)]
-    ids = ids[np.sort(first)]
+    first = np.sort(first)
+    keep, part, ids = ray[first], part[first], ids[first]
 
-    pts = camera.position[None, :] + best_t[keep, None] * dirs[keep]
+    pts = camera.position[None, :] + t[first, None] * dirs[keep]
     if noise_sigma > 0.0:
         if rng is None:
             rng = np.random.default_rng(0)
         pts = pts + dirs[keep] * rng.normal(0.0, noise_sigma,
                                             size=(len(keep), 1))
-    colors = np.array([b.color for b in world])[best_part[keep]]
+    colors = np.array([b.color for b in world])[part]
     order = np.argsort(ids, kind="stable")
     return PointCloud(pts[order], colors=colors[order],
-                      part_ids=best_part[keep][order], point_ids=ids[order])
+                      part_ids=part[order], point_ids=ids[order])
 
 
 def range_image(cloud: PointCloud, camera: CameraPose) -> np.ndarray:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from scenekin.artinfer import make_observation_pair
+from scenekin.geom import RigidTransform
 from scenekin.sensing import (
     CaptureConfig,
     capture_interaction_after,
@@ -9,6 +11,11 @@ from scenekin.sensing import (
     object_view_poses,
 )
 from scenekin.simworld import PullBudget, interact
+
+# Every run draws the same examples, and a failing one replays without a
+# local example database.
+settings.register_profile("scenekin", derandomize=True, database=None)
+settings.load_profile("scenekin")
 
 # A two-room pipeline config small enough to run every CLI stage in seconds.
 TINY = {
@@ -19,6 +26,10 @@ TINY = {
     "affordance": {"samples_per_scene": 60,
                    "train": {"epochs": 40, "hidden": 0}},
 }
+
+
+def identity() -> RigidTransform:
+    return RigidTransform(np.eye(3), np.zeros(3))
 
 
 def observe_interaction(scene, contact, direction, capture_config=None,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from scenekin import artinfer
 from scenekin.artinfer import (
@@ -35,7 +36,7 @@ from scenekin.geom import (
 )
 from scenekin.simworld import GenerationConfig, generate_scene, surface_normal
 
-from conftest import observe_interaction
+from conftest import identity, observe_interaction
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
@@ -97,6 +98,113 @@ class TestComponents:
         mask = artinfer._select_component(positions, candidates,
                                           np.zeros(5), 0.1, use_heat=False)
         np.testing.assert_array_equal(mask, [True, False, False, True, False])
+
+
+# Unbounded references for the bounded neighbour queries of the
+# re-segmentation: every point is searched to its nearest neighbour.
+def _explained_by_ref(points, target, fit_epsilon, far_cap):
+    normals, valid = artinfer._cloud_normals(target)
+    d, idx = target.tree.query(points)
+    offset = points - target.positions[idx]
+    plane = np.abs(np.einsum("ni,ni->n", offset, normals[idx]))
+    by_plane = (d <= far_cap) & (plane <= fit_epsilon) & valid[idx]
+    return (d <= fit_epsilon) | by_plane
+
+
+def _competitive_labels_ref(positions, moved, explained, ambiguity_radius,
+                            normals=None, normals_valid=None,
+                            in_plane_tol=0.0):
+    mobile_seeds = moved & explained
+    static_seeds = ~moved
+    ambiguous = moved & ~explained
+    mask = mobile_seeds.copy()
+    if not ambiguous.any() or not mobile_seeds.any():
+        return mask
+    amb_pts = positions[ambiguous]
+    seed_idx = np.flatnonzero(mobile_seeds)
+    d_mob, nn = cKDTree(positions[mobile_seeds]).query(amb_pts)
+    if static_seeds.any():
+        d_sta, _ = cKDTree(positions[static_seeds]).query(amb_pts)
+    else:
+        d_sta = np.full(len(amb_pts), np.inf)
+    take = (d_mob < d_sta) & (d_mob <= ambiguity_radius)
+    if in_plane_tol > 0.0 and normals is not None:
+        seeds = seed_idx[nn]
+        offset = amb_pts - positions[seeds]
+        along = np.abs(np.einsum("ni,ni->n", offset, normals[seeds]))
+        take &= (along <= in_plane_tol) & normals_valid[seeds]
+    mask[np.flatnonzero(ambiguous)[take]] = True
+    return mask
+
+
+def _attached_ref(positions, seeds, attach_radius):
+    near, _ = cKDTree(positions[seeds]).query(positions)
+    return near <= attach_radius
+
+
+# Integer coordinates and radii put points at exactly a radius from each
+# other, on the boundary of every bounded query.
+_CELLS = st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1,
+                  max_size=30)
+_RADIUS = st.sampled_from([1.0, 2.0, 3.0])
+_AXES = np.vstack([np.eye(3), -np.eye(3)])
+
+
+class TestBoundedQueries:
+    @settings(max_examples=200, deadline=None)
+    @given(_CELLS, st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5),
+                                      st.integers(0, 3)), max_size=30),
+           _RADIUS, _RADIUS)
+    def test_explained_by(self, cells, shifts, fit_epsilon, far_cap):
+        # queries sit on target points moved by 0..3 along an axis, so some
+        # lie exactly at far_cap and at fit_epsilon
+        target = PointCloud(np.array(cells, dtype=np.float64))
+        points = np.array([target.positions[i % len(target)] + k * _AXES[a]
+                           for i, a, k in shifts]).reshape(-1, 3)
+        got = artinfer._explained_by(points, target, fit_epsilon, far_cap)
+        want = _explained_by_ref(points, target, fit_epsilon, far_cap)
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CELLS.flatmap(lambda cells: st.tuples(
+               st.just(cells),
+               st.lists(st.sampled_from("msa"), min_size=len(cells),
+                        max_size=len(cells)),
+               st.lists(st.integers(0, 6), min_size=len(cells),
+                        max_size=len(cells)))),
+           _RADIUS, st.sampled_from([0.0, 0.5, 1.0]))
+    def test_competitive_labels(self, drawn, ambiguity_radius, in_plane_tol):
+        # each point is a mobile seed (m), static (s) or ambiguous (a); the
+        # normal index 6 marks an invalid normal
+        cells, roles, normal_idx = drawn
+        positions = np.array(cells, dtype=np.float64)
+        roles = np.array(roles)
+        moved, explained = roles != "s", roles == "m"
+        normal_idx = np.array(normal_idx)
+        normals = np.vstack([_AXES, np.zeros(3)])[normal_idx]
+        valid = normal_idx < 6
+        kwargs = dict(normals=normals, normals_valid=valid,
+                      in_plane_tol=in_plane_tol)
+        for kw in ({}, kwargs):
+            got = artinfer._competitive_labels(positions, moved, explained,
+                                               ambiguity_radius, **kw)
+            want = _competitive_labels_ref(positions, moved, explained,
+                                           ambiguity_radius, **kw)
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CELLS.flatmap(lambda cells: st.tuples(
+               st.just(cells),
+               st.lists(st.booleans(), min_size=len(cells),
+                        max_size=len(cells)).filter(any))),
+           _RADIUS)
+    def test_attached(self, drawn, attach_radius):
+        cells, seeds = drawn
+        positions = np.array(cells, dtype=np.float64)
+        seeds = np.array(seeds)
+        np.testing.assert_array_equal(
+            artinfer._attached(positions, seeds, attach_radius),
+            _attached_ref(positions, seeds, attach_radius))
 
 
 class TestContactHeatmap:
@@ -202,13 +310,13 @@ class TestEstimateMotion:
         assert np.abs(est.translation - T.translation).max() < 1e-9
 
     def test_identity_motion(self):
-        obs, seg = self._synthetic_pair(RigidTransform.identity())
+        obs, seg = self._synthetic_pair(identity())
         est = estimate_motion(obs, seg, mode="oracle")
         assert np.abs(est.rotation - np.eye(3)).max() < 1e-9
         assert np.abs(est.translation).max() < 1e-9
 
     def test_too_few_correspondences(self):
-        obs, seg = self._synthetic_pair(RigidTransform.identity(), n=5)
+        obs, seg = self._synthetic_pair(identity(), n=5)
         seg = PartSegmentation(np.array([True, True, False, False, False]),
                                np.array([False, False, False, True, True]))
         with pytest.raises(MotionEstimationError):
@@ -273,7 +381,7 @@ class TestScrewDecompose:
 
     def test_identity_degenerate(self):
         with pytest.raises(DegenerateMotionError):
-            screw_decompose(RigidTransform.identity())
+            screw_decompose(identity())
 
     def test_pivot_defining_equation(self):
         rng = np.random.default_rng(8)

@@ -1,5 +1,12 @@
+import itertools
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from scenekin.errors import ValidationError
@@ -15,6 +22,8 @@ from scenekin.geom import (
     save_cloud_binary,
 )
 
+from conftest import identity
+
 
 def random_rotation(rng):
     return ScipyRotation.random(random_state=np.random.RandomState(
@@ -24,7 +33,7 @@ def random_rotation(rng):
 class TestRigidTransform:
     def test_identity_keeps_cloud(self):
         pts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(RigidTransform.identity().apply(pts), pts)
+        np.testing.assert_array_equal(identity().apply(pts), pts)
 
     def test_pure_translation(self):
         T = RigidTransform.from_translation([1.0, 0.0, 0.0])
@@ -192,6 +201,52 @@ class TestCloudSerialization:
         np.testing.assert_array_equal(back.colors, cloud.colors)
         np.testing.assert_array_equal(back.part_ids, cloud.part_ids)
         np.testing.assert_array_equal(back.point_ids, cloud.point_ids)
+
+    @pytest.mark.parametrize("fields",
+                             itertools.product([False, True], repeat=3))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_binary_round_trip_is_exact(self, fields, data):
+        n = data.draw(st.integers(0, 12))
+        with_colors, with_parts, with_ids = fields
+        cloud = PointCloud(
+            data.draw(hnp.arrays(np.float64, (n, 3))),
+            colors=data.draw(hnp.arrays(np.float64, (n, 3)))
+            if with_colors else None,
+            part_ids=data.draw(hnp.arrays(np.int64, n))
+            if with_parts else None,
+            point_ids=data.draw(hnp.arrays(np.int64, n, unique=True))
+            if with_ids else None)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cloud.xyzb")
+            save_cloud_binary(cloud, path)
+            back = load_cloud_binary(path)
+        for name in ("positions", "colors", "part_ids", "point_ids"):
+            a, b = getattr(cloud, name), getattr(back, name)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("size", [0, 3, 10, 20, 653, 657, 700])
+    def test_binary_length_must_match_header(self, tmp_path, size):
+        # 10 points with every field take 16 + 10 * 64 = 656 bytes
+        p = tmp_path / "cloud.xyzb"
+        save_cloud_binary(self._cloud().subset(np.arange(10)), p)
+        data = p.read_bytes()
+        assert len(data) == 656
+        p.write_bytes((data + bytes(100))[:size])
+        with pytest.raises(ValidationError):
+            load_cloud_binary(p)
+
+    def test_binary_rejects_unknown_flags(self, tmp_path):
+        p = tmp_path / "cloud.xyzb"
+        save_cloud_binary(PointCloud(np.eye(3)), p)
+        data = bytearray(p.read_bytes())
+        data[6] |= 8
+        p.write_bytes(bytes(data))
+        with pytest.raises(ValidationError):
+            load_cloud_binary(p)
 
     def test_binary_without_aux(self, tmp_path):
         cloud = PointCloud(np.eye(3))

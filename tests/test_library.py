@@ -2,8 +2,6 @@
 
 import ast
 import pathlib
-import re
-from collections import Counter
 
 import scenekin
 
@@ -11,15 +9,18 @@ SRC = pathlib.Path(scenekin.__file__).parent
 
 
 def test_every_library_name_has_a_caller():
-    """Each function, class and method is named somewhere in the package
-    besides its own definition; code only tests use belongs in the tests."""
-    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
-    text = "\n".join(sources)
-    defined = Counter(
-        node.name for source in sources for node in ast.walk(ast.parse(source))
+    """Each function, class and method is used somewhere in the package, as
+    a name, an attribute or an import; code only tests use belongs in the
+    tests."""
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    defined = {
+        node.name for node in nodes
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__")))
-    unused = sorted(name for name, n_defs in defined.items()
-                    if len(re.findall(rf"\b{name}\b", text)) <= n_defs)
-    assert unused == []
+        and not (node.name.startswith("__") and node.name.endswith("__"))}
+    used = {node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else node.name
+            for node in nodes
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert sorted(defined - used) == []

@@ -25,7 +25,7 @@ from scenekin.simworld import (
     surface_normal,
 )
 
-from conftest import observe_interaction
+from conftest import identity, observe_interaction
 
 BIG_BOUNDS = (np.array([-5.0, -5.0, 0.0]), np.array([5.0, 5.0, 3.0]))
 
@@ -134,7 +134,7 @@ class TestFreeSpaceEvidence:
     def test_motion_into_seen_through_space_conflicts(self):
         obs, seg = self.panel_pair()
         conflicts = _free_space_conflicts(obs, seg, 0.01)
-        assert conflicts(RigidTransform.identity()) == 0.0
+        assert conflicts(identity()) == 0.0
         # toward the camera the before points land where the after capture
         # saw through; away from it the after points, mapped back, land where
         # the before capture saw through
@@ -145,7 +145,7 @@ class TestFreeSpaceEvidence:
     def test_revealed_surface_costs_nothing(self):
         obs, seg = self.panel_pair(revealed=True)
         conflicts = _free_space_conflicts(obs, seg, 0.01)
-        assert conflicts(RigidTransform.identity()) == 0.0
+        assert conflicts(identity()) == 0.0
 
     def test_no_cameras_no_evidence(self):
         from dataclasses import replace

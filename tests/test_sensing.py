@@ -1,8 +1,19 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from scenekin import sensing
 from scenekin.errors import CaptureError, ValidationError
-from scenekin.geom import PointCloud, as_vec3, normalize
+from scenekin.geom import (
+    PointCloud,
+    as_vec3,
+    normalize,
+    rotation_from_angle_axis,
+)
 from scenekin.sensing import (
     CameraPose,
     CaptureConfig,
@@ -13,7 +24,7 @@ from scenekin.sensing import (
     raycast_capture,
     ring_poses,
     fuse_clouds,
-    _ray_box_hits,
+    _nearest_hits,
     _voxel_downsample,
 )
 from scenekin.simworld import (
@@ -30,6 +41,52 @@ BIG_BOUNDS = (np.array([-10.0, -10.0, -10.0]), np.array([10.0, 10.0, 10.0]))
 def single_box_scene(center, half, kind="static_body"):
     part = PartGeometry(center, half, np.eye(3), [0.3, 0.6, 0.9], kind)
     return SceneSpec((part,), (), BIG_BOUNDS, 0)
+
+
+def _ray_box_hits(origins, dirs, box):
+    """Slab test of rays against one oriented box.
+
+    origins: (3,) shared origin; dirs: (N, 3). Returns (t (N,), hit (N,) bool,
+    local points (N, 3)) where t is the entry distance.
+    """
+    R = box.rotation
+    o = (origins - box.center) @ R
+    d = dirs @ R
+    h = box.half_extents
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / d
+        t1 = (-h - o) * inv
+        t2 = (h - o) * inv
+    near = np.minimum(t1, t2)
+    far = np.maximum(t1, t2)
+    # rays parallel to a slab: inside it -> no constraint, outside -> miss
+    par = np.abs(d) < 1e-12
+    inside = np.abs(o) <= h
+    near = np.where(par, np.where(inside, -np.inf, np.inf), near)
+    far = np.where(par, np.where(inside, np.inf, -np.inf), far)
+    t_enter = near.max(axis=1)
+    t_exit = far.min(axis=1)
+    hit = (t_enter <= t_exit) & (t_enter > 1e-9)
+    t_enter = np.where(hit, t_enter, np.inf)
+    local_pts = o + np.where(np.isfinite(t_enter), t_enter, 0.0)[:, None] * d
+    return t_enter, hit, local_pts
+
+
+def sequential_hits(world, origin, dirs, max_range):
+    """Reference for `_nearest_hits`: one box at a time, a later box taking a
+    ray only when it is strictly closer."""
+    n = len(dirs)
+    best_t = np.full(n, np.inf)
+    best_part = np.full(n, -1, dtype=np.int64)
+    best_local = np.zeros((n, 3))
+    for pi, box in enumerate(world):
+        t, hit, local = _ray_box_hits(origin, dirs, box)
+        closer = hit & (t < best_t) & (t <= max_range)
+        best_t[closer] = t[closer]
+        best_part[closer] = pi
+        best_local[closer] = local[closer]
+    ray = np.flatnonzero(best_part >= 0)
+    return ray, best_part[ray], best_t[ray], best_local[ray]
 
 
 def raycast_single(scene: SceneSpec, origin, direction,
@@ -99,6 +156,71 @@ class TestRaycast:
             CameraPose([0, 0, 0], [0, 0, 0])
         with pytest.raises(ValidationError):
             CameraPose([0, 0, 0], [1, 0, 0], vfov_deg=0.5)
+
+
+# Boxes on a 0.25 m grid with axis-aligned or right-angle frames share face
+# planes and slab directions with each other and with axis-aligned cameras
+# (odd resolutions put a pixel center on the optical axis), so entry
+# distances tie and rays run parallel to slabs.
+_GRID = st.integers(-8, 8).map(lambda k: 0.25 * k)
+_BOX = st.tuples(st.tuples(_GRID, _GRID, _GRID),
+                 st.tuples(*[st.sampled_from([0.25, 0.5, 1.0])] * 3),
+                 st.sampled_from([(0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
+                                  (1.0, 2.0, 3.0)]),
+                 st.sampled_from([0.0, math.pi / 2, 0.4]))
+_VIEW = st.sampled_from([(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0),
+                         (1.0, 0.3, -0.2)])
+
+
+def _box_scene(boxes, duplicate_first):
+    parts = [PartGeometry(c, h,
+                          rotation_from_angle_axis(normalize(axis), ang),
+                          [0.3, 0.6, 0.9], "static_body")
+             for c, h, axis, ang in boxes]
+    if duplicate_first:
+        parts.append(parts[0])
+    return SceneSpec(tuple(parts), (), BIG_BOUNDS, 0)
+
+
+class TestBatchedRaycast:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_BOX, min_size=1, max_size=5), st.booleans(),
+           st.tuples(_GRID, _GRID, _GRID), _VIEW,
+           st.sampled_from([(5, 3), (7, 5), (8, 6)]),
+           st.sampled_from([0.6, 0.75, 1.3, 1.5, 2.5, 10.0]))
+    # a doubled box whose near face lies exactly at max_range on the axis
+    @example(boxes=[((1.0, 0.0, 0.0), (0.25, 0.25, 0.25), (0.0, 0.0, 1.0),
+                     0.0)],
+             duplicate_first=True, position=(0.0, 0.0, 0.0),
+             view=(1.0, 0.0, 0.0), resolution=(5, 3), max_range=0.75)
+    def test_matches_sequential_scan_bit_for_bit(self, boxes, duplicate_first,
+                                                 position, view, resolution,
+                                                 max_range):
+        # max_range cuts through boxes, or (on the grid) ends exactly on a
+        # face an axis-aligned ray enters
+        scene = _box_scene(boxes, duplicate_first)
+        cam = CameraPose(position, np.add(position, view), vfov_deg=70.0,
+                         resolution=resolution)
+        world, dirs = scene.world_parts(), cam.ray_directions()
+        got = _nearest_hits(world, cam.position, dirs, max_range)
+        want = sequential_hits(world, cam.position, dirs, max_range)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+        cloud = raycast_capture(scene, cam, max_range)
+        with mock.patch.object(sensing, "_nearest_hits", sequential_hits):
+            ref = raycast_capture(scene, cam, max_range)
+        for field in ("positions", "colors", "part_ids", "point_ids"):
+            a, b = getattr(cloud, field), getattr(ref, field)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.tobytes() == b.tobytes()
+
+    def test_empty_scene_gives_empty_cloud(self):
+        scene = SceneSpec((), (), BIG_BOUNDS, 0)
+        cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], resolution=(4, 4))
+        assert len(raycast_capture(scene, cam)) == 0
 
 
 class TestProjection:
