@@ -20,7 +20,7 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import PreconditionError, TrainingError, ValidationError
-from .geom import PointCloud
+from .geom import PointCloud, map_blocks
 from .simworld import (
     InteractionConfig,
     SceneSpec,
@@ -121,11 +121,17 @@ def extract_features(cloud: PointCloud, radius: float = 0.05,
     if cloud.colors is not None:
         columns.append(cloud.colors)
     sums = adjacency @ np.column_stack(columns)
-    mean = sums[:, :3] / counts[:, None]
-    sq = np.zeros((n, 3, 3))
-    sq[:, ia, ib] = sq[:, ib, ia] = sums[:, 3:9] / counts[:, None]
-    cov = sq - np.einsum("ni,nj->nij", mean, mean)
-    w = np.linalg.eigvalsh(cov)            # ascending
+    w = np.empty((n, 3))
+
+    def block(rows):
+        c = counts[rows, None]
+        mean = sums[rows, :3] / c
+        sq = np.empty((len(c), 3, 3))
+        sq[:, ia, ib] = sq[:, ib, ia] = sums[rows, 3:9] / c
+        cov = sq - np.einsum("ni,nj->nij", mean, mean)
+        w[rows] = np.linalg.eigvalsh(cov)  # ascending
+
+    map_blocks(block, n)
     lam3, lam2, lam1 = w[:, 0], w[:, 1], w[:, 2]
     lam3 = np.maximum(lam3, 0.0)
     safe1 = np.maximum(lam1, 1e-18)
@@ -153,7 +159,7 @@ def extract_features(cloud: PointCloud, radius: float = 0.05,
 
     disc = variation > variation_threshold
     if disc.any():
-        ddist, _ = cKDTree(pos[disc]).query(pos)
+        ddist, _ = cKDTree(pos[disc]).query(pos, workers=-1)
         ddist = np.minimum(ddist, discontinuity_cap)
     else:
         ddist = np.full(n, discontinuity_cap)

@@ -6,12 +6,18 @@ Conventions used across the package:
   ``(N, 3)`` arrays. Coordinates are in meters.
 * Rotations are ``(3, 3)`` orthonormal matrices with determinant +1.
 * Direction vectors used as joint axes are unit norm (tolerance 1e-9).
+
+Per-point work over whole clouds and ray sets runs in fixed blocks of rows
+on one thread pool per process (`map_blocks`).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,6 +28,47 @@ from .errors import ValidationError
 
 UNIT_TOL = 1e-9
 ORTHO_TOL = 1e-9
+
+# Rows per `map_blocks` block. It is fixed, so each block holds the same rows
+# whatever the thread count, and row-independent work gives the same bytes.
+BLOCK_ROWS = 1024
+
+_pool_lock = threading.Lock()
+_pool_executor: ThreadPoolExecutor | None = None
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The process's block pool, one thread per CPU the process may use,
+    created on first use."""
+    global _pool_executor
+    with _pool_lock:
+        if _pool_executor is None:
+            _pool_executor = ThreadPoolExecutor(
+                len(os.sched_getaffinity(0)), thread_name_prefix="scenekin")
+        return _pool_executor
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _pool_lock, _pool_executor
+    _pool_lock, _pool_executor = threading.Lock(), None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def map_blocks(fn, n: int) -> list:
+    """`fn(rows)` for each consecutive `BLOCK_ROWS`-row slice `rows` of
+    range(n), in block order; blocks run on the process's thread pool.
+
+    `fn` runs on pool threads, so it may only do numpy/SciPy work, writing
+    a shared output only at its own rows. It must call no function that
+    `bench/tracing.py` wraps in a span: the tracer keeps one span stack.
+    """
+    blocks = [slice(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
+    if len(blocks) < 2:
+        return [fn(rows) for rows in blocks]
+    return list(_pool().map(fn, blocks))
 
 
 def as_vec3(v) -> np.ndarray:
@@ -171,17 +218,24 @@ def estimate_normals(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]
     n = len(cloud)
     if k < 3 or n < k:
         raise ValidationError(f"need at least k={k} >= 3 points, have {n}")
-    _, idx = cloud.tree.query(cloud.positions, k=k)
-    neigh = cloud.positions[idx]                      # (N, k, 3)
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k
-    w, v = np.linalg.eigh(cov)                        # ascending eigenvalues
-    normals = v[:, :, 0].copy()
-    scale = w[:, 2]
-    # rank < 2: second eigenvalue vanishes relative to the largest
-    valid = (scale > 1e-18) & (w[:, 1] > 1e-9 * np.maximum(scale, 1e-18))
-    normals[normals[:, 2] < 0.0] *= -1.0
-    normals[~valid] = 0.0
+    _, idx = cloud.tree.query(cloud.positions, k=k, workers=-1)
+    normals = np.empty((n, 3))
+    valid = np.empty(n, dtype=bool)
+
+    def block(rows):
+        neigh = cloud.positions[idx[rows]]            # (B, k, 3)
+        centered = neigh - neigh.mean(axis=1, keepdims=True)
+        cov = np.einsum("nki,nkj->nij", centered, centered) / k
+        w, v = np.linalg.eigh(cov)                    # ascending eigenvalues
+        nrm = v[:, :, 0].copy()
+        scale = w[:, 2]
+        # rank < 2: second eigenvalue vanishes relative to the largest
+        ok = (scale > 1e-18) & (w[:, 1] > 1e-9 * np.maximum(scale, 1e-18))
+        nrm[nrm[:, 2] < 0.0] *= -1.0
+        nrm[~ok] = 0.0
+        normals[rows], valid[rows] = nrm, ok
+
+    map_blocks(block, n)
     return normals, valid
 
 

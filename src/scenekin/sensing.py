@@ -8,10 +8,11 @@ local frame. Because the id is local to the part, the same physical surface
 patch keeps its identity when the part moves, which gives downstream code an
 oracle correspondence channel that survives articulation.
 
-A capture tests every pixel ray against every box of the room in one batched
-slab test (Kay & Kajiya, "Ray Tracing Complex Scenes", SIGGRAPH 1986). Each
-ray keeps its nearest entry and, on a tie, the lowest-index box: bit for bit
-what a box-by-box scan that replaces a hit only when strictly closer keeps.
+A capture tests every pixel ray against every box of the room in batched
+slab tests (Kay & Kajiya, "Ray Tracing Complex Scenes", SIGGRAPH 1986), one
+per fixed block of rays (`geom.map_blocks`). Each ray keeps its nearest entry
+and, on a tie, the lowest-index box: bit for bit what a box-by-box scan that
+replaces a hit only when strictly closer keeps.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CaptureError, ValidationError
-from .geom import PointCloud, as_vec3, normalize, rotation_from_angle_axis
+from .geom import (
+    PointCloud,
+    as_vec3,
+    map_blocks,
+    normalize,
+    rotation_from_angle_axis,
+)
 from .simworld import WORLD_UP, SceneSpec, surface_normal
 
 # point_id packing: ((part * 6 + face) * ID_RANGE + iu) * ID_RANGE + iv
@@ -121,42 +128,48 @@ def _nearest_hits(world, origin: np.ndarray, dirs: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nearest box entry of each ray from `origin` along `dirs` (N, 3).
 
-    One slab test (Kay & Kajiya 1986) of every ray against every box. Returns
-    (ray, part, t, local) for the rays that enter a box at 1e-9 < t <=
-    `max_range`: the entry distance, the box (on a tie, the lowest index) and
-    the entry point in that box's frame.
+    One slab test (Kay & Kajiya 1986) of every ray of a block against every
+    box, per `geom.map_blocks` block of rays. Returns (ray, part, t, local)
+    for the rays that enter a box at 1e-9 < t <= `max_range`, in ray order:
+    the entry distance, the box (on a tie, the lowest index) and the entry
+    point in that box's frame.
     """
     if not world:
         return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                 np.zeros(0), np.zeros((0, 3)))
     o = np.array([(origin - box.center) @ box.rotation for box in world])
-    d = np.empty((len(world), len(dirs), 3))
-    for pi, box in enumerate(world):
-        d[pi] = dirs @ box.rotation
     o, h = o[:, None, :], np.array([b.half_extents for b in world])[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / d
-        t1 = (-h - o) * inv
-        t2 = np.multiply(h - o, inv, out=inv)
-    near = np.minimum(t1, t2)
-    far = np.maximum(t1, t2, out=t1)
-    # rays parallel to a slab: inside it -> no constraint, outside -> miss
-    par = np.abs(d) < 1e-12
-    if par.any():
-        inside = np.abs(o) <= h
-        near = np.where(par, np.where(inside, -np.inf, np.inf), near)
-        far = np.where(par, np.where(inside, np.inf, -np.inf), far)
-    # chained over the three slabs: much faster than a 3-wide max/min
-    t_enter = np.maximum(np.maximum(near[..., 0], near[..., 1]), near[..., 2])
-    t_exit = np.minimum(np.minimum(far[..., 0], far[..., 1]), far[..., 2])
-    hit = (t_enter <= t_exit) & (t_enter > 1e-9) & (t_enter <= max_range)
-    t_enter = np.where(hit, t_enter, np.inf)
-    part = np.argmin(t_enter, axis=0)  # the first of tied minima
-    ray = np.flatnonzero(hit.any(axis=0))
-    part = part[ray]
-    t = t_enter[part, ray]
-    local = o[part, 0] + t[:, None] * d[part, ray]
-    return ray, part, t, local
+
+    def block(rows):
+        d = np.empty((len(world), rows.stop - rows.start, 3))
+        for pi, box in enumerate(world):
+            d[pi] = dirs[rows] @ box.rotation
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / d
+            t1 = (-h - o) * inv
+            t2 = np.multiply(h - o, inv, out=inv)
+        near = np.minimum(t1, t2)
+        far = np.maximum(t1, t2, out=t1)
+        # rays parallel to a slab: inside it -> no constraint, outside -> miss
+        par = np.abs(d) < 1e-12
+        if par.any():
+            inside = np.abs(o) <= h
+            near = np.where(par, np.where(inside, -np.inf, np.inf), near)
+            far = np.where(par, np.where(inside, np.inf, -np.inf), far)
+        # chained over the three slabs: much faster than a 3-wide max/min
+        t_enter = np.maximum(np.maximum(near[..., 0], near[..., 1]),
+                             near[..., 2])
+        t_exit = np.minimum(np.minimum(far[..., 0], far[..., 1]), far[..., 2])
+        hit = (t_enter <= t_exit) & (t_enter > 1e-9) & (t_enter <= max_range)
+        t_enter = np.where(hit, t_enter, np.inf)
+        part = np.argmin(t_enter, axis=0)  # the first of tied minima
+        ray = np.flatnonzero(hit.any(axis=0))
+        part = part[ray]
+        t = t_enter[part, ray]
+        local = o[part, 0] + t[:, None] * d[part, ray]
+        return ray + rows.start, part, t, local
+
+    return tuple(map(np.concatenate, zip(*map_blocks(block, len(dirs)))))
 
 
 def _point_ids(part_index: int, local_pts: np.ndarray, half: np.ndarray

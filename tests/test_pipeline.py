@@ -1,9 +1,11 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from scenekin import pipeline
+from scenekin import affordance, geom, pipeline, sensing
 from scenekin.config import config_from_dict, derive_seed
 from scenekin.sensing import object_view_poses
 from scenekin.simworld import (
@@ -134,3 +136,30 @@ def test_each_probe_captures_from_its_own_stream(moving_run, monkeypatch):
             if r["stage"] == "initial" and r["success"]]
     assert len(expected) >= 2
     assert states == expected
+
+
+def test_traced_layers_run_on_the_main_thread(moving_run, monkeypatch):
+    """Block pools run only numpy/SciPy leaf work: every function here that
+    the benchmark tracer wraps in a span still runs on the main thread, where
+    its single span stack lives."""
+    config, scenes, model = moving_run
+    threads = {}
+    for module, name in ((sensing, "raycast_capture"),
+                         (geom, "estimate_normals"),
+                         (affordance, "extract_features")):
+        real = getattr(module, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            threads.setdefault(_name, set()).add(threading.current_thread())
+            return _real(*args, **kwargs)
+
+        # every binding, as the tracer replaces them
+        for loaded in list(sys.modules.values()):
+            if (getattr(loaded, "__name__", "").startswith("scenekin")
+                    and getattr(loaded, name, None) is real):
+                monkeypatch.setattr(loaded, name, spy)
+    for scene in scenes:
+        pipeline.run_scene(scene, model, config)
+    assert threads == {name: {threading.main_thread()} for name in
+                       ("raycast_capture", "estimate_normals",
+                        "extract_features")}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scenekin import sensing
+from scenekin import geom, sensing
 from scenekin.errors import CaptureError, ValidationError
 from scenekin.geom import (
     PointCloud,
@@ -197,18 +197,19 @@ class TestBatchedRaycast:
                                                  position, view, resolution,
                                                  max_range):
         # max_range cuts through boxes, or (on the grid) ends exactly on a
-        # face an axis-aligned ray enters
+        # face an axis-aligned ray enters; 7-ray blocks split every camera
         scene = _box_scene(boxes, duplicate_first)
         cam = CameraPose(position, np.add(position, view), vfov_deg=70.0,
                          resolution=resolution)
         world, dirs = scene.world_parts(), cam.ray_directions()
-        got = _nearest_hits(world, cam.position, dirs, max_range)
+        with mock.patch.object(geom, "BLOCK_ROWS", 7):
+            got = _nearest_hits(world, cam.position, dirs, max_range)
+            cloud = raycast_capture(scene, cam, max_range)
         want = sequential_hits(world, cam.position, dirs, max_range)
-        for a, b in zip(got, want):
+        for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
-        cloud = raycast_capture(scene, cam, max_range)
         with mock.patch.object(sensing, "_nearest_hits", sequential_hits):
             ref = raycast_capture(scene, cam, max_range)
         for field in ("positions", "colors", "part_ids", "point_ids"):
