@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -92,18 +92,17 @@ def _neighborhoods(cloud: PointCloud, radius: float
     return keys // n, keys % n
 
 
-def extract_features(cloud: PointCloud, radius: float = 0.05,
-                     k_normals: int = 12, voxel: float = 0.02,
-                     variation_threshold: float = 0.02,
-                     discontinuity_cap: float = 0.5) -> FeatureSet:
+def extract_features(cloud: PointCloud, config: AffordanceConfig,
+                     voxel: float) -> FeatureSet:
     """Deterministic geometric features for every cloud point.
 
     Covariance shape ratios (planarity, linearity, sphericity) come from the
-    `radius` neighborhood; density is the neighbor count normalized by the
-    expected flat-surface count at the capture voxel size. Points whose
-    neighborhood is degenerate (fewer than 3 neighbors or a rank-deficient
-    normal) are flagged invalid and zeroed.
+    `config.feature_radius` neighborhood; density is the neighbor count
+    normalized by the expected flat-surface count at the capture `voxel`
+    size. Points whose neighborhood is degenerate (fewer than 3 neighbors or
+    a rank-deficient normal) are flagged invalid and zeroed.
     """
+    radius = config.feature_radius
     n = len(cloud)
     if n == 0:
         raise ValidationError("cannot extract features from an empty cloud")
@@ -140,7 +139,7 @@ def extract_features(cloud: PointCloud, radius: float = 0.05,
     sphericity = lam3 / safe1
     variation = lam3 / np.maximum(lam1 + lam2 + lam3, 1e-18)
 
-    k_eff = min(k_normals, n)
+    k_eff = min(config.k_normals, n)
     if k_eff >= 3:
         normals, normals_valid = cloud.normals(k_eff)
     else:
@@ -157,12 +156,12 @@ def extract_features(cloud: PointCloud, radius: float = 0.05,
     else:
         mean_color = np.zeros((n, 3))
 
-    disc = variation > variation_threshold
+    disc = variation > config.variation_threshold
     if disc.any():
         ddist, _ = cKDTree(pos[disc]).query(pos, workers=-1)
-        ddist = np.minimum(ddist, discontinuity_cap)
+        ddist = np.minimum(ddist, config.discontinuity_cap)
     else:
-        ddist = np.full(n, discontinuity_cap)
+        ddist = np.full(n, config.discontinuity_cap)
 
     feats = np.column_stack([
         pos[:, 2], normals[:, 2], planarity, linearity, sphericity,
@@ -173,7 +172,7 @@ def extract_features(cloud: PointCloud, radius: float = 0.05,
 
 
 def collect_labels(scene: SceneSpec, cloud: PointCloud, n_samples: int,
-                   seed: int, interaction: InteractionConfig | None = None
+                   seed: int, interaction: InteractionConfig
                    ) -> AffordanceLabelSet:
     """Probe uniformly sampled cloud points and record the outcomes.
 
@@ -186,7 +185,6 @@ def collect_labels(scene: SceneSpec, cloud: PointCloud, n_samples: int,
     rng = np.random.default_rng(seed)
     take = min(n_samples, len(cloud))
     indices = rng.choice(len(cloud), size=take, replace=False)
-    interaction = interaction or InteractionConfig()
     labels = []
     for i in indices:
         point = cloud.positions[i]
@@ -319,6 +317,18 @@ class TrainConfig:
     val_fraction: float = 0.25
 
 
+@dataclass(frozen=True)
+class AffordanceConfig:
+    """Feature geometry, label sampling and classifier training."""
+
+    feature_radius: float = 0.05
+    k_normals: int = 12
+    variation_threshold: float = 0.02
+    discontinuity_cap: float = 0.5
+    samples_per_scene: int = 600
+    train: TrainConfig = field(default_factory=TrainConfig)
+
+
 def _design_matrix(entries, drop_invalid=True):
     """Stack (features, labels) pairs into X (raw), y arrays."""
     xs, ys = [], []
@@ -336,7 +346,7 @@ def _design_matrix(entries, drop_invalid=True):
     return np.vstack(xs), np.concatenate(ys)
 
 
-def train(dataset: list, config: TrainConfig | None = None, seed: int = 0
+def train(dataset: list, config: TrainConfig, seed: int = 0
           ) -> tuple[AffordanceModel, list[dict]]:
     """Full-batch gradient descent with momentum; returns (best model, log).
 
@@ -348,7 +358,6 @@ def train(dataset: list, config: TrainConfig | None = None, seed: int = 0
     """
     if not dataset:
         raise TrainingError("dataset is empty")
-    config = config or TrainConfig()
     n_scenes = len(dataset)
     n_val = min(n_scenes - 1, max(1, round(config.val_fraction * n_scenes))) \
         if n_scenes > 1 else 0

@@ -192,49 +192,45 @@ def _select_component(positions: np.ndarray, candidates: np.ndarray,
     return mask
 
 
-def change_candidates(obs: ObservationPair, epsilon: float,
-                      far_cap: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
+def change_candidates(obs: ObservationPair, config: InferenceConfig
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Moved-point candidate masks.
 
     A point is a moved candidate when the other cloud shows no surface at its
-    position: no sample within `epsilon`, and no coplanar sample (local-plane
-    residual above `epsilon`) within `far_cap`. The plane term makes the test
-    robust to the two captures sampling the same surface on different pixel
-    grids; shrinking epsilon never shrinks the candidate set.
+    position: no sample within `config.epsilon`, and no coplanar sample
+    (local-plane residual above epsilon) within `config.fit_far_cap`. The
+    plane term makes the test robust to the two captures sampling the same
+    surface on different pixel grids; shrinking epsilon never shrinks the
+    candidate set.
     """
     if len(obs.before) == 0 or len(obs.after) == 0:
         raise ValidationError("both clouds must be non-empty")
-    still_b = _explained_by(obs.before.positions, obs.after, epsilon, far_cap)
-    still_a = _explained_by(obs.after.positions, obs.before, epsilon, far_cap)
+    eps, far_cap = config.epsilon, config.fit_far_cap
+    still_b = _explained_by(obs.before.positions, obs.after, eps, far_cap)
+    still_a = _explained_by(obs.after.positions, obs.before, eps, far_cap)
     return ~still_b, ~still_a
 
 
-def detect_change(obs: ObservationPair, epsilon: float = 0.01,
-                  component_radius: float = 0.04,
-                  use_contact_heat: bool = True,
-                  far_cap: float = 0.05,
-                  candidates: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> PartSegmentation:
+def detect_change(obs: ObservationPair,
+                  candidates: tuple[np.ndarray, np.ndarray],
+                  config: InferenceConfig) -> PartSegmentation:
     """Split both clouds into static and moved points.
 
-    A point is a moved candidate when the other cloud shows no surface at its
-    position (`change_candidates`): no sample within `epsilon`, and no sample
-    within `far_cap` whose local plane passes within `epsilon` of it.
-    `candidates` passes those masks in when they are already computed.
-    Candidates are grouped into connected components (link radius
-    `component_radius`) and the component with the largest contact heat mass
-    is kept (largest component when `use_contact_heat` is off). Raises
-    NoMotionError when either cloud has no candidates.
+    `candidates` are the `change_candidates` masks of `obs`. They are
+    grouped into connected components (link radius
+    `config.component_radius`) and the component with the largest contact
+    heat mass is kept (largest component when `config.use_contact_heat` is
+    off). Raises NoMotionError when either cloud has no candidates.
     """
-    if candidates is None:
-        candidates = change_candidates(obs, epsilon, far_cap)
     cand_b, cand_a = candidates
     if not cand_b.any() or not cand_a.any():
         raise NoMotionError("no points moved beyond epsilon")
     mask_b = _select_component(obs.before.positions, cand_b, obs.heat_before,
-                               component_radius, use_contact_heat)
+                               config.component_radius,
+                               config.use_contact_heat)
     mask_a = _select_component(obs.after.positions, cand_a, obs.heat_after,
-                               component_radius, use_contact_heat)
+                               config.component_radius,
+                               config.use_contact_heat)
     return PartSegmentation(mask_b, mask_a)
 
 
@@ -279,15 +275,13 @@ def _icp_init(src: np.ndarray, dst: np.ndarray, contact_before: np.ndarray,
 
 
 def estimate_motion(obs: ObservationPair, seg: PartSegmentation,
-                    mode: str = "icp", max_iter: int = 50,
-                    tol: float = 1e-6,
-                    anchor_weight: float = 0.25) -> RigidTransform:
+                    config: InferenceConfig) -> RigidTransform:
     """Rigid motion carrying the mobile part of the before cloud onto the after cloud.
 
-    "oracle" matches points by their stable ids and solves the alignment in
-    closed form; "icp" starts from the contact translation and iterates
-    point-to-point ICP on the mobile subsets, dropping correspondence pairs
-    beyond 3x the median distance each iteration.
+    `config.mode` "oracle" matches points by their stable ids and solves the
+    alignment in closed form; "icp" starts from the contact translation and
+    iterates point-to-point ICP on the mobile subsets, dropping
+    correspondence pairs beyond 3x the median distance each iteration.
     """
     mb, ma = seg.mobile_mask_before, seg.mobile_mask_after
     if not mb.any() or not ma.any():
@@ -295,7 +289,7 @@ def estimate_motion(obs: ObservationPair, seg: PartSegmentation,
     src = obs.before.positions[mb]
     dst = obs.after.positions[ma]
 
-    if mode == "oracle":
+    if config.mode == "oracle":
         if obs.before.point_ids is None or obs.after.point_ids is None:
             raise MotionEstimationError("oracle mode requires point ids")
         ids_b = obs.before.point_ids[mb]
@@ -306,14 +300,11 @@ def estimate_motion(obs: ObservationPair, seg: PartSegmentation,
                 f"only {len(common)} id correspondences (need >= 3)")
         return kabsch(src[bi], dst[ai])
 
-    if mode != "icp":
-        raise ValidationError(f"unknown motion estimation mode {mode!r}")
-
     T = _icp_init(src, dst, obs.contact_before, obs.contact_after)
     tree = cKDTree(dst)
     prev_rms = np.inf
     rising = 0
-    for _ in range(max_iter):
+    for _ in range(config.icp_max_iter):
         moved = T.apply(src)
         dists, nn = tree.query(moved)
         med = float(np.median(dists))
@@ -324,11 +315,11 @@ def estimate_motion(obs: ObservationPair, seg: PartSegmentation,
         # the pseudo-link guarantees the grasp point moved with the part,
         # which pins the in-plane translation that slab faces leave free
         n_kept = int(keep.sum())
-        if anchor_weight > 0.0:
+        if config.anchor_weight > 0.0:
             p_src = np.vstack([src[keep], obs.contact_before[None, :]])
             p_dst = np.vstack([dst[nn[keep]], obs.contact_after[None, :]])
             w = np.ones(n_kept + 1)
-            w[-1] = max(1.0, anchor_weight * n_kept)
+            w[-1] = max(1.0, config.anchor_weight * n_kept)
         else:
             p_src, p_dst = src[keep], dst[nn[keep]]
             w = np.ones(n_kept)
@@ -343,31 +334,31 @@ def estimate_motion(obs: ObservationPair, seg: PartSegmentation,
                 raise MotionEstimationError("ICP diverged (RMS rose 5 iterations)")
         else:
             rising = 0
-        if abs(prev_rms - rms) < tol:
+        if abs(prev_rms - rms) < config.icp_tol:
             break
         prev_rms = rms
     return T
 
 
-def screw_decompose(T: RigidTransform, theta_min: float = math.radians(2.0),
-                    motion_epsilon: float = 1e-3) -> JointModel:
+def screw_decompose(T: RigidTransform, config: InferenceConfig) -> JointModel:
     """Factor a rigid transform into a joint model.
 
-    Rotation angle >= theta_min yields a revolute joint: the pivot is the
+    Rotation angle >= `config.theta_min` yields a revolute joint: the pivot is the
     minimal-norm solution of (I - R) q = t - (u . t) u, i.e. the axis point
     closest to the origin, and the axis translation component is kept as the
-    pitch diagnostic. Otherwise the transform is treated as a pure slide.
+    pitch diagnostic. Otherwise the transform is treated as a pure slide,
+    which must translate by at least `config.motion_epsilon`.
     """
     axis, theta = rotation_to_angle_axis(T.rotation)
     t = T.translation
-    if theta >= theta_min:
+    if theta >= config.theta_min:
         pitch = float(np.dot(axis, t))
         t_perp = t - pitch * axis
         A = np.eye(3) - T.rotation
         q, *_ = np.linalg.lstsq(A, t_perp, rcond=1e-9)
         return JointModel(REVOLUTE, axis, q, theta, pitch=pitch)
     norm_t = float(np.linalg.norm(t))
-    if norm_t < motion_epsilon:
+    if norm_t < config.motion_epsilon:
         raise DegenerateMotionError(
             f"rotation {math.degrees(theta):.3f} deg and translation "
             f"{norm_t:.4f} m are both below thresholds")
@@ -541,7 +532,7 @@ def _box_closure(positions: np.ndarray, mask: np.ndarray, slab,
     return mask | inside
 
 
-def infer_articulation(obs: ObservationPair, config: InferenceConfig | None = None
+def infer_articulation(obs: ObservationPair, config: InferenceConfig
                        ) -> tuple[JointModel, PartSegmentation]:
     """Full chain: detect change, estimate motion, decompose into a joint.
 
@@ -550,18 +541,14 @@ def infer_articulation(obs: ObservationPair, config: InferenceConfig | None = No
     observed translation. Sub-stage failures propagate as InferenceError
     naming the stage.
     """
-    config = config or InferenceConfig()
     try:
-        moved = change_candidates(obs, config.epsilon, config.fit_far_cap)
-        seg = detect_change(obs, config.epsilon, config.component_radius,
-                            config.use_contact_heat, config.fit_far_cap,
-                            candidates=moved)
+        moved = change_candidates(obs, config)
+        seg = detect_change(obs, moved, config)
     except (NoMotionError, ValidationError) as e:
         raise InferenceError(f"change_detection: {e}") from e
     anchor = seg
     try:
-        T = estimate_motion(obs, seg, config.mode, config.icp_max_iter,
-                            config.icp_tol, config.anchor_weight)
+        T = estimate_motion(obs, seg, config)
         for _ in range(config.reseg_rounds):
             refined = _consistency_reseg(obs, T, anchor, moved,
                                          config.fit_epsilon,
@@ -572,8 +559,7 @@ def infer_articulation(obs: ObservationPair, config: InferenceConfig | None = No
                     and refined.mobile_mask_after.any()):
                 break
             seg = refined
-            T = estimate_motion(obs, seg, config.mode, config.icp_max_iter,
-                                config.icp_tol, config.anchor_weight)
+            T = estimate_motion(obs, seg, config)
         if config.close_slab_margin > 0.0 and seg.mobile_mask_before.sum() >= 8:
             slab = _fit_slab(obs.before.positions[seg.mobile_mask_before])
             seg = PartSegmentation(
@@ -586,7 +572,7 @@ def infer_articulation(obs: ObservationPair, config: InferenceConfig | None = No
     except MotionEstimationError as e:
         raise InferenceError(f"motion_estimation: {e}") from e
     try:
-        joint = screw_decompose(T, config.theta_min, config.motion_epsilon)
+        joint = screw_decompose(T, config)
     except DegenerateMotionError as e:
         raise InferenceError(f"screw_decomposition: {e}") from e
     return joint, seg

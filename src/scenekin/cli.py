@@ -8,8 +8,11 @@ Subcommands mirror the pipeline stages::
     scenekin run        --config cfg.json --scenes scenes/ --model model/model.json --out run/
     scenekin eval       --config cfg.json --run run/ --scenes scenes/ --out eval/
 
-Pass --json to print a machine-readable summary on stdout. Exit code is 0
-only when every requested scene completed.
+Every setting, the ablations included, is a key of the config file; the
+only options besides input and output paths are --workers and --force,
+which change no artifact. Pass --json to print a machine-readable summary on
+stdout. Exit code is 0 only when every requested scene completed, and 2 on a
+named error such as a missing input directory.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import pipeline
 from .config import PipelineConfig, load_config
@@ -25,11 +27,7 @@ from .errors import SceneKinError
 
 
 def _load(args) -> PipelineConfig:
-    config = load_config(args.config) if args.config else PipelineConfig()
-    if getattr(args, "n_scenes", None):
-        config = replace(config, run=replace(config.run,
-                                             n_scenes=args.n_scenes))
-    return config
+    return load_config(args.config) if args.config else PipelineConfig()
 
 
 def _emit(args, summary: dict) -> None:
@@ -67,13 +65,8 @@ def cmd_train(args) -> int:
 
 def cmd_run(args) -> int:
     config = _load(args)
-    manifest = pipeline.run(
-        config, args.scenes, args.model, args.out,
-        # an ablation flag that is not given leaves the config value in force
-        refine_enabled=False if args.no_refine else None,
-        use_contact_heat=False if args.no_regularity else None,
-        mode="oracle" if args.oracle_correspondence else None,
-        workers=args.workers)
+    manifest = pipeline.run(config, args.scenes, args.model, args.out,
+                            workers=args.workers)
     _emit(args, {"scenes": len(manifest["scenes"]),
                  "config_hash": manifest["config_hash"],
                  "flags": manifest["flags"], "out": args.out})
@@ -107,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-scenes", help="generate seeded scenes")
     common(p)
-    p.add_argument("--n-scenes", type=int, help="override run.n_scenes")
     p.set_defaults(func=cmd_gen_scenes)
 
     p = sub.add_parser("collect", help="collect affordance labels")
@@ -126,12 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="parallel scene workers; not a config key, so the "
                         "config hash and the artifacts do not depend on it")
-    p.add_argument("--no-refine", action="store_true",
-                   help="skip iterative refinement")
-    p.add_argument("--no-regularity", action="store_true",
-                   help="drop the contact-heat prior in change detection")
-    p.add_argument("--oracle-correspondence", action="store_true",
-                   help="use simulator point identities for alignment")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="score a run against ground truth")

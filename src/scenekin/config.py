@@ -1,10 +1,17 @@
-"""Pipeline configuration: one nested document covering every tunable default.
+"""Pipeline configuration: one nested document covering every setting.
+
+Each section is the config dataclass of one layer and lives in that layer's
+module (`capture` in sensing, `hotspot` in hotspot, ...); the stage functions
+of a layer take their section whole. This module holds the top-level
+`PipelineConfig`, the `run` section and the load, hash and seed helpers.
 
 The on-disk format is JSON. Loading is strict: unknown keys are rejected, and
 every value must match its field's annotation, down to the type and number
 of tuple items. All lengths are meters and angles are radians unless a field
-name says ``_deg``. Every key can change what a run writes; settings that
-cannot (such as the number of worker processes) are arguments, not keys.
+name says ``_deg``. Every key can change what a run writes, and no command
+option overrides one, so the config hash identifies a run's settings;
+settings that change no artifact (such as the number of worker processes)
+are arguments, not keys.
 """
 
 from __future__ import annotations
@@ -17,40 +24,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .affordance import TrainConfig
+from .affordance import AffordanceConfig
 from .artinfer import InferenceConfig
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
+from .hotspot import HotspotConfig
 from .refine import RefineConfig
+from .scenemodel import AggregateConfig
 from .sensing import CaptureConfig
 from .simworld import GenerationConfig, InteractionConfig
-
-
-@dataclass(frozen=True)
-class AffordanceConfig:
-    feature_radius: float = 0.05
-    k_normals: int = 12
-    variation_threshold: float = 0.02
-    discontinuity_cap: float = 0.5
-    samples_per_scene: int = 600
-    train: TrainConfig = field(default_factory=TrainConfig)
-
-
-@dataclass(frozen=True)
-class HotspotConfig:
-    radius: float = 0.25
-    score_threshold: float = 0.5
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValidationError("hotspot radius must be > 0")
-
-
-@dataclass(frozen=True)
-class AggregateConfig:
-    merge_angle_deg: float = 10.0
-    merge_line_dist: float = 0.05
-    merge_iou: float = 0.3
-    iou_voxel: float = 0.05
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,16 @@ from .geom import PointCloud
 
 
 @dataclass(frozen=True)
+class HotspotConfig:
+    radius: float = 0.25
+    score_threshold: float = 0.5
+
+    def __post_init__(self):
+        if self.radius <= 0:
+            raise ValidationError("hotspot radius must be > 0")
+
+
+@dataclass(frozen=True)
 class Hotspot:
     index: int
     position: np.ndarray
@@ -28,20 +38,20 @@ class HotspotSet:
         return len(self.items)
 
 
-def nms(cloud: PointCloud, scores: np.ndarray, radius: float = 0.25,
-        score_threshold: float = 0.5) -> HotspotSet:
+def nms(cloud: PointCloud, scores: np.ndarray, config: HotspotConfig
+        ) -> HotspotSet:
     """Greedy peak extraction.
 
-    Repeatedly take the highest-scoring unsuppressed point at or above the
-    threshold (ties break to the lowest point index) and suppress everything
-    within `radius` of it. The empty result is allowed.
+    Repeatedly take the highest-scoring unsuppressed point at or above
+    `config.score_threshold` (ties break to the lowest point index) and
+    suppress everything within `config.radius` of it. The empty result is
+    allowed.
     """
-    if radius <= 0:
-        raise ValidationError("suppression radius must be positive")
+    radius = config.radius
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (len(cloud),):
         raise ValidationError("scores must align with the cloud")
-    eligible = np.flatnonzero(scores >= score_threshold)
+    eligible = np.flatnonzero(scores >= config.score_threshold)
     if len(eligible) == 0:
         return HotspotSet((), radius)
     # sorting by (-score, index) makes a single pass equivalent to the greedy loop

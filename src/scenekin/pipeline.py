@@ -44,6 +44,14 @@ def _read_json(path) -> dict:
         return json.load(fh)
 
 
+def _read_manifest(directory) -> dict:
+    """The manifest.json of a stage's output directory."""
+    path = os.path.join(directory, "manifest.json")
+    if not os.path.isfile(path):
+        raise ArtifactError(f"no manifest.json in {directory}")
+    return _read_json(path)
+
+
 def observe_interaction(scene: SceneSpec, contact,
                         outcome: simworld.InteractionOutcome,
                         scene_after: SceneSpec, config: PipelineConfig,
@@ -92,10 +100,7 @@ def gen_scenes(config: PipelineConfig, out_dir) -> dict:
 
 
 def load_scene_dir(scenes_dir) -> list[SceneSpec]:
-    manifest_path = os.path.join(scenes_dir, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise ArtifactError(f"no manifest.json in {scenes_dir}")
-    manifest = _read_json(manifest_path)
+    manifest = _read_manifest(scenes_dir)
     return [simworld.load_scene(os.path.join(scenes_dir, e["file"]))
             for e in manifest["scenes"]]
 
@@ -106,9 +111,9 @@ def load_scene_dir(scenes_dir) -> list[SceneSpec]:
 
 def collect(config: PipelineConfig, scenes_dir, out_dir) -> dict:
     """Scene clouds plus interaction-probe label sets for every scene."""
+    scenes = load_scene_dir(scenes_dir)
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(config)
-    scenes = load_scene_dir(scenes_dir)
     entries = []
     for scene in scenes:
         try:
@@ -143,18 +148,10 @@ def collect(config: PipelineConfig, scenes_dir, out_dir) -> dict:
 # train
 # ---------------------------------------------------------------------------
 
-def _feature_config_kwargs(config: PipelineConfig) -> dict:
-    aff = config.affordance
-    return dict(radius=aff.feature_radius, k_normals=aff.k_normals,
-                voxel=config.capture.voxel,
-                variation_threshold=aff.variation_threshold,
-                discontinuity_cap=aff.discontinuity_cap)
-
-
 def train_model(config: PipelineConfig, dataset_dir, out_dir) -> dict:
     """Train the affordance classifier from a collect output directory."""
+    manifest = _read_manifest(dataset_dir)
     os.makedirs(out_dir, exist_ok=True)
-    manifest = _read_json(os.path.join(dataset_dir, "manifest.json"))
     dataset = []
     for entry in manifest["scenes"]:
         if entry.get("status") != "ok":
@@ -162,8 +159,8 @@ def train_model(config: PipelineConfig, dataset_dir, out_dir) -> dict:
         cloud = load_cloud_binary(os.path.join(dataset_dir, entry["cloud"]))
         labels = affordance.labels_from_dict(
             _read_json(os.path.join(dataset_dir, entry["labels"])))
-        feats = affordance.extract_features(cloud,
-                                            **_feature_config_kwargs(config))
+        feats = affordance.extract_features(cloud, config.affordance,
+                                            config.capture.voxel)
         dataset.append((feats, labels))
     model, log = affordance.train(dataset, config.affordance.train,
                                   derive_seed(config.seed, "train"))
@@ -235,16 +232,17 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
     comes from its own generator, seeded from (root seed, scene seed) and
     (root seed, scene seed, hotspot id), so no hotspot's noise depends on
     what earlier hotspots captured. The scene carries accumulated state
-    between hotspots (opened parts stay open). The ablations are read from
-    `run.refine`, `inference.use_contact_heat` and `inference.mode`.
+    between hotspots (opened parts stay open). Every setting, the ablations
+    `run.refine`, `inference.use_contact_heat` and `inference.mode`
+    included, comes from `config`; each stage gets its own layer's section.
     """
     ring_rng = np.random.default_rng(
         derive_seed(config.seed, "run", scene.seed))
     cloud = sensing.capture_scene_cloud(scene, config.capture, ring_rng)
-    feats = affordance.extract_features(cloud, **_feature_config_kwargs(config))
+    feats = affordance.extract_features(cloud, config.affordance,
+                                        config.capture.voxel)
     scores = affordance.predict(model, feats)
-    spots = hotspot.nms(cloud, scores, config.hotspot.radius,
-                        config.hotspot.score_threshold)
+    spots = hotspot.nms(cloud, scores, config.hotspot)
 
     interactions: list[dict] = []
     inferences: list[dict] = []
@@ -321,10 +319,7 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
         mobile_pts = obs.after.positions[seg.mobile_mask_after]
         estimates.append((joint, mobile_pts, hid))
 
-    agg = config.aggregate
-    model_out = scenemodel.aggregate(
-        estimates, agg.merge_angle_deg, agg.merge_line_dist, agg.merge_iou,
-        agg.iou_voxel)
+    model_out = scenemodel.aggregate(estimates, config.aggregate)
     return {
         "scene_seed": scene.seed,
         "hotspots": hotspot.hotspots_to_dict(
@@ -345,33 +340,24 @@ def _run_scene_job(args):
 
 
 def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
-        refine_enabled: bool | None = None,
-        use_contact_heat: bool | None = None, mode: str | None = None,
         workers: int = 1) -> dict:
     """Run the full loop over every scene in `scenes_dir`; write artifacts.
 
     Per scene: inference.v1 JSON (hotspots, interactions, inferences,
-    refinement logs) and a scene_model.v1 export. An ablation argument that
-    is not None overrides its config key (`run.refine`,
-    `inference.use_contact_heat`, `inference.mode`) for every scene; the
-    artifacts carry the hash of `config` as given. Skipped hotspots and
-    failed probes or inferences are recorded, but any other error of a
-    scene (such as a scene capture that yields no points) aborts the whole
-    run before an artifact is written. `workers` > 1 runs scenes in that
-    many processes; the artifacts are the same as in a serial run.
+    refinement logs) and a scene_model.v1 export, each carrying the config
+    hash. The ablations are config keys (`run.refine`,
+    `inference.use_contact_heat`, `inference.mode`), so the hash tells every
+    run apart; `flags` repeats those three values in the artifacts. Skipped
+    hotspots and failed probes or inferences are recorded, but any other
+    error of a scene (such as a scene capture that yields no points) aborts
+    the whole run before an artifact is written. `workers` > 1 runs scenes
+    in that many processes; the artifacts are the same as in a serial run.
     """
+    manifest = _read_manifest(scenes_dir)
+    if not os.path.isfile(model_path):
+        raise ArtifactError(f"no model file {model_path}")
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(config)
-    manifest = _read_json(os.path.join(scenes_dir, "manifest.json"))
-    if refine_enabled is not None:
-        config = replace(config, run=replace(config.run,
-                                             refine=refine_enabled))
-    if use_contact_heat is not None:
-        config = replace(config, inference=replace(
-            config.inference, use_contact_heat=use_contact_heat))
-    if mode is not None:
-        config = replace(config, inference=replace(config.inference,
-                                                   mode=mode))
     flags = {"refine": config.run.refine,
              "regularity": config.inference.use_contact_heat,
              "mode": config.inference.mode}
@@ -419,9 +405,9 @@ def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
 def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
              force: bool = False) -> evalkit.EvalReport:
     """Score a run against the generator's ground truth; write report files."""
+    run_manifest = _read_manifest(run_dir)
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(config)
-    run_manifest = _read_json(os.path.join(run_dir, "manifest.json"))
     if run_manifest.get("config_hash") != chash and not force:
         raise ArtifactError(
             "run artifacts were produced under a different config "

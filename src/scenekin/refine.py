@@ -101,7 +101,7 @@ class RefineResult:
 
 def part_affordance(joint: JointModel, seg: PartSegmentation,
                     cloud, scene: SceneSpec,
-                    gripper_radius: float = 0.04) -> RefinementPlan:
+                    gripper_radius: float) -> RefinementPlan:
     """Plan the next pull from a hinge estimate and its mobile segmentation.
 
     `cloud` is the post-interaction observation; the mobile point farthest
@@ -216,10 +216,9 @@ def _better_supported(current: JointModel, new: JointModel,
 
 
 def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
-                seg: PartSegmentation, refine_config: RefineConfig | None = None,
-                infer_config: InferenceConfig | None = None,
-                capture_config: CaptureConfig | None = None,
-                interaction: InteractionConfig | None = None,
+                seg: PartSegmentation, refine_config: RefineConfig,
+                infer_config: InferenceConfig, capture_config: CaptureConfig,
+                interaction: InteractionConfig,
                 rng: np.random.Generator | None = None) -> RefineResult:
     """Open a partially moved hinge further and re-estimate it.
 
@@ -234,10 +233,6 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
     capture, tracking or inference failures end the loop with the best
     estimate so far; prismatic inputs pass through unchanged.
     """
-    refine_config = refine_config or RefineConfig()
-    infer_config = infer_config or InferenceConfig()
-    capture_config = capture_config or CaptureConfig()
-    interaction = interaction or InteractionConfig()
     log: list[dict] = []
     pulls: list[dict] = []
     iters = 0
@@ -289,10 +284,7 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
                 obs.after, after, plan.hotspot, outcome.final_contact,
                 infer_config.heat_sigma)
             _, step_seg = infer_articulation(step_obs, infer_config)
-            step_T = estimate_motion(step_obs, step_seg, infer_config.mode,
-                                     infer_config.icp_max_iter,
-                                     infer_config.icp_tol,
-                                     infer_config.anchor_weight)
+            step_T = estimate_motion(step_obs, step_seg, infer_config)
             contact_now = step_T.apply(obs.contact_after)
         except (InferenceError, MotionEstimationError, ValidationError) as e:
             entry["status"] = f"step tracking error: {e}"

@@ -27,6 +27,14 @@ from .geom import (
 
 
 @dataclass(frozen=True)
+class AggregateConfig:
+    merge_angle_deg: float = 10.0
+    merge_line_dist: float = 0.05
+    merge_iou: float = 0.3
+    iou_voxel: float = 0.05
+
+
+@dataclass(frozen=True)
 class ModelEntry:
     """One articulated part: joint, mobile geometry, provenance, agreement."""
 
@@ -93,29 +101,30 @@ def _joints_compatible(a: JointModel, b: JointModel, angle_deg: float,
 
 
 def aggregate(estimates: list[tuple[JointModel, np.ndarray, int]],
-              merge_angle_deg: float = 10.0, merge_line_dist: float = 0.05,
-              merge_iou: float = 0.3, iou_voxel: float = 0.05,
-              ) -> SceneArticulationModel:
+              config: AggregateConfig) -> SceneArticulationModel:
     """Merge per-interaction estimates into one entry per articulated part.
 
     `estimates` holds (joint, mobile point set, source hotspot id) triples.
-    Estimates whose mobile clouds overlap (voxelized IoU > `merge_iou`) touch
-    the same part; among those, joint-compatible ones merge into one entry
-    keeping the largest-|state| observation. Confidence is the fraction of
-    same-part estimates that agree with the entry.
+    Estimates whose mobile clouds overlap (voxelized IoU >
+    `config.merge_iou`) touch the same part; among those, joint-compatible
+    ones (axes within `merge_angle_deg`, hinge lines within
+    `merge_line_dist`) merge into one entry keeping the largest-|state|
+    observation. Confidence is the fraction of same-part estimates that
+    agree with the entry.
     """
     n = len(estimates)
     if n == 0:
         return SceneArticulationModel(())
-    keys = [_voxel_keys(pts, iou_voxel) for _, pts, _ in estimates]
+    keys = [_voxel_keys(pts, config.iou_voxel) for _, pts, _ in estimates]
     overlap = np.zeros((n, n), dtype=bool)
     mergeable = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(i + 1, n):
-            if _cloud_iou(keys[i], keys[j]) > merge_iou:
+            if _cloud_iou(keys[i], keys[j]) > config.merge_iou:
                 overlap[i, j] = overlap[j, i] = True
                 if _joints_compatible(estimates[i][0], estimates[j][0],
-                                      merge_angle_deg, merge_line_dist):
+                                      config.merge_angle_deg,
+                                      config.merge_line_dist):
                     mergeable[i, j] = mergeable[j, i] = True
 
     # components are numbered in order of their lowest estimate index

@@ -121,6 +121,8 @@ class CaptureConfig:
     def __post_init__(self):
         if self.noise_sigma < 0:
             raise ValidationError("noise sigma must be >= 0")
+        if self.voxel <= 0:
+            raise ValidationError("capture voxel must be > 0")
 
 
 def _nearest_hits(world, origin: np.ndarray, dirs: np.ndarray,
@@ -186,8 +188,8 @@ def _point_ids(part_index: int, local_pts: np.ndarray, half: np.ndarray
     return ((part_index * 6 + face) * _ID_RANGE + iu) * _ID_RANGE + iv
 
 
-def raycast_capture(scene: SceneSpec, camera: CameraPose,
-                    max_range: float = 10.0, noise_sigma: float = 0.0,
+def raycast_capture(scene: SceneSpec, camera: CameraPose, max_range: float,
+                    noise_sigma: float,
                     rng: np.random.Generator | None = None) -> PointCloud:
     """One depth capture: nearest box hit per pixel within range.
 
@@ -320,10 +322,9 @@ def _fused_captures(scene: SceneSpec, poses, config: CaptureConfig,
     return fuse_clouds(captures)
 
 
-def capture_scene_cloud(scene: SceneSpec, config: CaptureConfig | None = None,
+def capture_scene_cloud(scene: SceneSpec, config: CaptureConfig,
                         rng: np.random.Generator | None = None) -> PointCloud:
     """Fused, voxel-downsampled scene cloud from the viewpoint ring."""
-    config = config or CaptureConfig()
     fused = _fused_captures(scene, ring_poses(scene, config), config, rng)
     return _voxel_downsample(fused, config.voxel)
 
@@ -359,7 +360,7 @@ def object_view_poses(scene: SceneSpec, focus, config: CaptureConfig
     return poses
 
 
-def capture_object_views(scene: SceneSpec, focus, config: CaptureConfig | None = None,
+def capture_object_views(scene: SceneSpec, focus, config: CaptureConfig,
                          poses: list[CameraPose] | None = None,
                          rng: np.random.Generator | None = None,
                          ) -> tuple[PointCloud, list[CameraPose]]:
@@ -368,7 +369,6 @@ def capture_object_views(scene: SceneSpec, focus, config: CaptureConfig | None =
     Pass `poses` to reuse a previous placement (e.g. the before-interaction
     cameras for the after capture). Returns (cloud, poses used).
     """
-    config = config or CaptureConfig()
     focus = as_vec3(focus)
     if poses is None:
         poses = object_view_poses(scene, focus, config)

@@ -518,7 +518,7 @@ def surface_normal(scene: SceneSpec, point) -> np.ndarray:
     return scene.part_world(i).face_normal_at(point)
 
 
-def project_to_surface(scene: SceneSpec, point, max_snap: float = 0.03
+def project_to_surface(scene: SceneSpec, point, max_snap: float
                        ) -> np.ndarray:
     """Snap a commanded contact onto the nearest part surface.
 
@@ -541,7 +541,7 @@ def project_to_surface(scene: SceneSpec, point, max_snap: float = 0.03
     return box.to_world(clamped)
 
 
-def gripper_clearance(scene: SceneSpec, point, normal, radius: float = 0.04) -> bool:
+def gripper_clearance(scene: SceneSpec, point, normal, radius: float) -> bool:
     """True iff a gripper sphere resting on the surface at `point` fits.
 
     The sphere of radius `radius` is centered at point + radius * normal; the
@@ -573,8 +573,8 @@ def _rotate_about_line(point, axis, pivot, angle) -> np.ndarray:
     return RigidTransform.from_rotation_about_line(axis, angle, pivot).apply(point)
 
 
-def interact(scene: SceneSpec, contact, pull_direction, budget: PullBudget | None = None,
-             motion_epsilon: float = 1e-3, surface_tol: float = 5e-3,
+def interact(scene: SceneSpec, contact, pull_direction, budget: PullBudget,
+             motion_epsilon: float, surface_tol: float = 5e-3,
              ) -> tuple[InteractionOutcome, SceneSpec]:
     """Pull at `contact` along `pull_direction`; returns (outcome, new scene).
 
@@ -583,7 +583,6 @@ def interact(scene: SceneSpec, contact, pull_direction, budget: PullBudget | Non
     scene carries the updated joint state and the outcome's final contact is
     the contact point advected by the joint motion.
     """
-    budget = budget or PullBudget()
     contact = as_vec3(contact)
     d = np.asarray(pull_direction, dtype=np.float64)
     if np.linalg.norm(d) < 1e-12:

@@ -10,7 +10,7 @@ from scenekin.sensing import (
     capture_object_views,
     object_view_poses,
 )
-from scenekin.simworld import PullBudget, interact
+from scenekin.simworld import InteractionConfig, PullBudget, interact
 
 # Every run draws the same examples, and a failing one replays without a
 # local example database.
@@ -43,7 +43,8 @@ def observe_interaction(scene, contact, direction, capture_config=None,
     before, poses = capture_object_views(scene, contact, capture_config,
                                          poses=poses, rng=rng)
     outcome, scene_after = interact(scene, contact, direction,
-                                    budget or PullBudget())
+                                    budget or PullBudget(),
+                                    InteractionConfig().motion_epsilon)
     after = capture_interaction_after(scene_after, contact, poses,
                                       outcome.final_contact, capture_config,
                                       rng)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from scenekin import affordance, evalkit, hotspot
-from scenekin.artinfer import screw_decompose
+from scenekin.artinfer import InferenceConfig, screw_decompose
 from scenekin.cli import main
 from scenekin.geom import (
     PointCloud,
@@ -50,7 +50,7 @@ def test_criterion_1_screw_round_trip():
             pivot = rng.uniform(-2.0, 2.0, size=3)
             theta = rng.uniform(math.radians(2.0), math.radians(170.0))
             T = RigidTransform.from_rotation_about_line(axis, theta, pivot)
-            joint = screw_decompose(T)
+            joint = screw_decompose(T, InferenceConfig())
             assert joint.kind == "revolute"
             worst_axis = max(worst_axis, axis_angle_deg(joint.axis, axis))
             worst_line = max(worst_line, line_to_line_distance(
@@ -60,7 +60,7 @@ def test_criterion_1_screw_round_trip():
             axis = normalize(rng.normal(size=3))
             dist = rng.uniform(1e-3, 0.5)
             joint = screw_decompose(RigidTransform.from_translation(axis * dist),
-                                    motion_epsilon=0.5e-3)
+                                    InferenceConfig(motion_epsilon=0.5e-3))
             assert joint.kind == "prismatic"
             worst_axis = max(worst_axis, axis_angle_deg(joint.axis, axis))
             worst_state = max(worst_state, abs(joint.state - dist))
@@ -140,8 +140,9 @@ def test_criterion_3_nms_oracle():
         scores = np.round(rng.uniform(0.0, 1.0, size=n), 1)
         radius = float(rng.uniform(0.05, 0.5))
         threshold = float(rng.choice([0.0, 0.3, 0.5]))
+        config = hotspot.HotspotConfig(radius, threshold)
         got = [h.index for h in hotspot.nms(PointCloud(pts), scores,
-                                            radius, threshold).items]
+                                            config).items]
         expect = _brute_nms(pts, scores, radius, threshold)
         assert got == expect, f"trial {trial}"
     elapsed = time.time() - t0

@@ -12,6 +12,7 @@ from scenekin.affordance import (
     IGNORE,
     NEGATIVE,
     POSITIVE,
+    AffordanceConfig,
     AffordanceLabelSet,
     TrainConfig,
     collect_labels,
@@ -29,6 +30,7 @@ from scenekin.errors import TrainingError
 from scenekin.geom import PointCloud
 from scenekin.simworld import (
     GenerationConfig,
+    InteractionConfig,
     canonical_pull_directions,
     generate_scene,
     gripper_clearance,
@@ -36,6 +38,8 @@ from scenekin.simworld import (
     surface_normal,
 )
 from scenekin.sensing import CaptureConfig, capture_scene_cloud
+
+VOXEL = CaptureConfig().voxel
 
 
 def flat_patch_cloud(n=400, seed=0):
@@ -53,7 +57,8 @@ class TestFeatures:
         gx, gy = np.meshgrid(xs, xs)
         pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
         cloud = PointCloud(pts, colors=np.full((len(pts), 3), 0.4))
-        feats = extract_features(cloud, radius=0.12)
+        feats = extract_features(cloud, AffordanceConfig(feature_radius=0.12),
+                                 VOXEL)
         interior = feats.valid
         assert interior.sum() > 300
         planarity = feats.values[interior, 2]
@@ -67,19 +72,23 @@ class TestFeatures:
         x = rng.uniform(-0.5, 0.5, size=300)
         y = rng.uniform(-0.005, 0.005, size=300)
         cloud = PointCloud(np.column_stack([x, y, np.zeros(300)]))
-        feats = extract_features(cloud, radius=0.08)
+        feats = extract_features(cloud, AffordanceConfig(feature_radius=0.08),
+                                 VOXEL)
         lin = feats.values[feats.valid, 3]
         assert np.median(lin) > 0.8
 
     def test_deterministic(self):
         cloud = flat_patch_cloud(seed=3)
-        a = extract_features(cloud, radius=0.07)
-        b = extract_features(cloud, radius=0.07)
+        a = extract_features(cloud, AffordanceConfig(feature_radius=0.07),
+                             VOXEL)
+        b = extract_features(cloud, AffordanceConfig(feature_radius=0.07),
+                             VOXEL)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.valid, b.valid)
 
     def test_feature_dim(self):
-        feats = extract_features(flat_patch_cloud(60, seed=2), radius=0.2)
+        feats = extract_features(flat_patch_cloud(60, seed=2),
+                                 AffordanceConfig(feature_radius=0.2), VOXEL)
         assert feats.values.shape == (60, FEATURE_DIM)
 
     @settings(max_examples=60, deadline=None)
@@ -105,9 +114,13 @@ class TestFeatures:
         np.testing.assert_array_equal(centers, ref_centers)
         np.testing.assert_array_equal(neighbors, ref_neighbors)
 
-        feats = extract_features(cloud, radius=radius)
+        feats = extract_features(cloud,
+                                 AffordanceConfig(feature_radius=radius),
+                                 VOXEL)
         with mock.patch.object(affordance, "_neighborhoods", ball_query):
-            ref = extract_features(cloud, radius=radius)
+            ref = extract_features(cloud,
+                                   AffordanceConfig(feature_radius=radius),
+                                   VOXEL)
         assert feats.values.tobytes() == ref.values.tobytes()
         np.testing.assert_array_equal(feats.valid, ref.valid)
 
@@ -116,7 +129,7 @@ class TestCollectLabels:
     def test_jointless_scene_all_negative_or_ignore(self):
         scene = generate_scene(3, GenerationConfig(0, 0, 2))
         cloud = capture_scene_cloud(scene, CaptureConfig(resolution=(60, 45)))
-        labels = collect_labels(scene, cloud, 60, seed=5)
+        labels = collect_labels(scene, cloud, 60, 5, InteractionConfig())
         assert POSITIVE not in labels.labels
         assert NEGATIVE in labels.labels
 
@@ -124,7 +137,7 @@ class TestCollectLabels:
         scene = generate_scene(13, GenerationConfig(0, 1, 0))
         part_idx, _ = scene.joints[0]
         cloud = capture_scene_cloud(scene, CaptureConfig(resolution=(100, 75)))
-        labels = collect_labels(scene, cloud, 400, seed=7)
+        labels = collect_labels(scene, cloud, 400, 7, InteractionConfig())
         on_panel = cloud.part_ids[labels.indices] == part_idx
         got = [l for l, m in zip(labels.labels, on_panel) if m]
         assert got.count(POSITIVE) >= max(1, int(0.8 * len(got)))
@@ -132,8 +145,8 @@ class TestCollectLabels:
     def test_deterministic(self):
         scene = generate_scene(4, GenerationConfig(1, 1, 1))
         cloud = capture_scene_cloud(scene, CaptureConfig(resolution=(60, 45)))
-        a = collect_labels(scene, cloud, 80, seed=11)
-        b = collect_labels(scene, cloud, 80, seed=11)
+        a = collect_labels(scene, cloud, 80, 11, InteractionConfig())
+        b = collect_labels(scene, cloud, 80, 11, InteractionConfig())
         np.testing.assert_array_equal(a.indices, b.indices)
         assert a.labels == b.labels
 
@@ -141,16 +154,19 @@ class TestCollectLabels:
         # every positive replays to a success, every negative to three failures
         scene = generate_scene(6, GenerationConfig(1, 1, 1))
         cloud = capture_scene_cloud(scene, CaptureConfig(resolution=(80, 60)))
-        labels = collect_labels(scene, cloud, 120, seed=13)
+        interaction = InteractionConfig()
+        labels = collect_labels(scene, cloud, 120, 13, interaction)
         for i, label in zip(labels.indices, labels.labels):
             if label == IGNORE:
                 continue
             point = cloud.positions[i]
             normal = surface_normal(scene, point)
-            assert gripper_clearance(scene, point, normal, 0.04)
+            assert gripper_clearance(scene, point, normal,
+                                     interaction.gripper_radius)
             results = []
             for d in canonical_pull_directions(normal):
-                outcome, _ = interact(scene, point, d)
+                outcome, _ = interact(scene, point, d, interaction.pull,
+                                      interaction.motion_epsilon)
                 results.append(outcome.success)
             if label == POSITIVE:
                 assert any(results)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -237,8 +238,9 @@ class TestDetectChange:
     def test_identical_clouds_raise(self):
         pts = np.random.default_rng(0).normal(size=(50, 3))
         obs = self._pair(pts, pts.copy(), pts[0], pts[0])
+        config = InferenceConfig()
         with pytest.raises(NoMotionError):
-            detect_change(obs)
+            detect_change(obs, change_candidates(obs, config), config)
 
     def test_heat_selects_touched_component(self):
         rng = np.random.default_rng(1)
@@ -250,12 +252,13 @@ class TestDetectChange:
                            big + [0.0, -0.5, 0.0]])
         contact = small[0]
         obs = self._pair(before, after, contact, contact + [0.0, 0.5, 0.0])
-        seg = detect_change(obs, epsilon=0.01, component_radius=0.3)
+        config = InferenceConfig(epsilon=0.01, component_radius=0.3)
+        seg = detect_change(obs, change_candidates(obs, config), config)
         picked = np.flatnonzero(seg.mobile_mask_before)
         assert set(picked) == set(range(80, 120))
         # without the contact prior the larger moved blob wins instead
-        seg2 = detect_change(obs, epsilon=0.01, component_radius=0.3,
-                             use_contact_heat=False)
+        no_heat = replace(config, use_contact_heat=False)
+        seg2 = detect_change(obs, change_candidates(obs, no_heat), no_heat)
         assert set(np.flatnonzero(seg2.mobile_mask_before)) == set(range(120, 240))
 
     def test_candidates_monotone_in_epsilon(self):
@@ -265,7 +268,7 @@ class TestDetectChange:
         obs = self._pair(before, after, before[0], after[0])
         prev_b = prev_a = None
         for eps in (0.2, 0.1, 0.05, 0.02, 0.01):
-            cb, ca = change_candidates(obs, eps)
+            cb, ca = change_candidates(obs, InferenceConfig(epsilon=eps))
             if prev_b is not None:
                 assert np.all(cb | ~prev_b)   # prev_b implies cb
                 assert np.all(ca | ~prev_a)
@@ -305,13 +308,13 @@ class TestEstimateMotion:
         T = revolute_transform([0.0, 0.0, 1.0], [0.5, -0.2, 0.0],
                                math.radians(37.0))
         obs, seg = self._synthetic_pair(T)
-        est = estimate_motion(obs, seg, mode="oracle")
+        est = estimate_motion(obs, seg, InferenceConfig(mode="oracle"))
         assert np.abs(est.rotation - T.rotation).max() < 1e-9
         assert np.abs(est.translation - T.translation).max() < 1e-9
 
     def test_identity_motion(self):
         obs, seg = self._synthetic_pair(identity())
-        est = estimate_motion(obs, seg, mode="oracle")
+        est = estimate_motion(obs, seg, InferenceConfig(mode="oracle"))
         assert np.abs(est.rotation - np.eye(3)).max() < 1e-9
         assert np.abs(est.translation).max() < 1e-9
 
@@ -320,7 +323,7 @@ class TestEstimateMotion:
         seg = PartSegmentation(np.array([True, True, False, False, False]),
                                np.array([False, False, False, True, True]))
         with pytest.raises(MotionEstimationError):
-            estimate_motion(obs, seg, mode="oracle")
+            estimate_motion(obs, seg, InferenceConfig(mode="oracle"))
 
     def test_kabsch_reflection_guard(self):
         rng = np.random.default_rng(6)
@@ -351,7 +354,7 @@ class TestEstimateMotion:
             c = pts[len(pts) // 2]
             obs = make_observation_pair(before, after, c, T.apply(c), 0.05)
             seg = PartSegmentation(np.ones(len(pts), bool), np.ones(len(pts), bool))
-            est = estimate_motion(obs, seg, mode="icp")
+            est = estimate_motion(obs, seg, InferenceConfig(mode="icp"))
             err = compose(est, T.inverse())
             _, rot_err = __import__("scenekin.geom", fromlist=["rotation_to_angle_axis"]
                                     ).rotation_to_angle_axis(err.rotation)
@@ -363,7 +366,7 @@ class TestEstimateMotion:
 class TestScrewDecompose:
     def test_pure_translation(self):
         T = RigidTransform.from_translation([0.3, 0.0, 0.0])
-        joint = screw_decompose(T)
+        joint = screw_decompose(T, InferenceConfig())
         assert joint.kind == "prismatic"
         np.testing.assert_allclose(joint.axis, [1.0, 0.0, 0.0], atol=1e-12)
         assert joint.state == pytest.approx(0.3, abs=1e-12)
@@ -371,7 +374,7 @@ class TestScrewDecompose:
     def test_rotation_about_offset_pivot(self):
         T = revolute_transform([0.0, 0.0, 1.0], [1.0, 1.0, 0.0],
                                math.radians(40.0))
-        joint = screw_decompose(T)
+        joint = screw_decompose(T, InferenceConfig())
         assert joint.kind == "revolute"
         assert math.degrees(joint.state) == pytest.approx(40.0, abs=1e-9)
         # recovered pivot must lie on the line {(1, 1, z)}
@@ -381,7 +384,7 @@ class TestScrewDecompose:
 
     def test_identity_degenerate(self):
         with pytest.raises(DegenerateMotionError):
-            screw_decompose(identity())
+            screw_decompose(identity(), InferenceConfig())
 
     def test_pivot_defining_equation(self):
         rng = np.random.default_rng(8)
@@ -390,7 +393,7 @@ class TestScrewDecompose:
             q = rng.uniform(-2, 2, size=3)
             theta = rng.uniform(math.radians(2.0), math.radians(170.0))
             T = revolute_transform(u, q, theta)
-            joint = screw_decompose(T)
+            joint = screw_decompose(T, InferenceConfig())
             t_perp = T.translation - np.dot(joint.axis, T.translation) * joint.axis
             resid = (np.eye(3) - T.rotation) @ joint.pivot - t_perp
             assert np.linalg.norm(resid) < 1e-9
@@ -403,7 +406,7 @@ class TestScrewDecompose:
                 q = rng.uniform(-2, 2, size=3)
                 theta = rng.uniform(math.radians(2.0), math.radians(170.0))
                 T = revolute_transform(u, q, theta)
-                joint = screw_decompose(T)
+                joint = screw_decompose(T, InferenceConfig())
                 assert joint.kind == "revolute"
                 assert axis_angle_deg(joint.axis, u) < 1e-7
                 assert line_to_line_distance(joint.pivot, joint.axis, q, u) < 1e-9
@@ -413,7 +416,7 @@ class TestScrewDecompose:
                 u = normalize(rng.normal(size=3))
                 s = rng.uniform(1e-3, 0.5)
                 joint = screw_decompose(RigidTransform.from_translation(u * s),
-                                        motion_epsilon=0.5e-3)
+                                        InferenceConfig(motion_epsilon=0.5e-3))
                 assert joint.kind == "prismatic"
                 assert axis_angle_deg(joint.axis, u) < 1e-7
                 assert abs(joint.state - s) < 1e-9
@@ -422,7 +425,7 @@ class TestScrewDecompose:
         u = np.array([0.0, 0.0, 1.0])
         R = rotation_from_angle_axis(u, math.radians(30.0))
         T = RigidTransform(R, np.array([0.0, 0.0, 0.05]))
-        joint = screw_decompose(T)
+        joint = screw_decompose(T, InferenceConfig())
         assert joint.kind == "revolute"
         assert joint.pitch == pytest.approx(0.05, abs=1e-12)
 
@@ -438,8 +441,8 @@ class TestScrewDecompose:
                                          rng.uniform(0, math.pi)),
                 rng.uniform(-1, 1, size=3))
             conj = compose(compose(G, T), G.inverse())
-            a = screw_decompose(T)
-            b = screw_decompose(conj)
+            a = screw_decompose(T, InferenceConfig())
+            b = screw_decompose(conj, InferenceConfig())
             assert abs(a.state - b.state) < 1e-6
             assert axis_angle_deg(b.axis, G.rotation @ a.axis) < 1e-6
             assert line_to_line_distance(b.pivot, b.axis,
@@ -484,9 +487,9 @@ class TestInferArticulation:
         real = artinfer.change_candidates
         real_explained = artinfer._explained_by
 
-        def spy(obs, epsilon, far_cap=0.05):
-            calls.append(far_cap)
-            return real(obs, epsilon, far_cap)
+        def spy(obs, config):
+            calls.append(config.fit_far_cap)
+            return real(obs, config)
 
         def spy_explained(points, target, fit_epsilon, far_cap):
             caps.append(far_cap)

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from scenekin import affordance, geom
-from scenekin.affordance import extract_features
+from scenekin.affordance import AffordanceConfig, extract_features
 from scenekin.geom import BLOCK_ROWS, PointCloud, estimate_normals
-from scenekin.sensing import CameraPose, _nearest_hits
+from scenekin.sensing import CameraPose, CaptureConfig, _nearest_hits
 from scenekin.simworld import GenerationConfig, generate_scene
 
 SIZES = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7)
+FEATURES = (AffordanceConfig(), CaptureConfig().voxel)
 
 
 def tied_cloud(n, seed=0):
@@ -68,10 +69,11 @@ def test_normals_match_whole_cloud(n, k):
 @pytest.mark.parametrize("n", SIZES)
 def test_features_match_whole_cloud(n):
     cloud = tied_cloud(n, seed=1)
-    got = extract_features(cloud)
+    got = extract_features(cloud, *FEATURES)
     with mock.patch.object(affordance, "map_blocks", one_block), \
             mock.patch.object(geom, "map_blocks", one_block):
-        want = extract_features(PointCloud(cloud.positions, cloud.colors))
+        want = extract_features(PointCloud(cloud.positions, cloud.colors),
+                                *FEATURES)
     assert_same_bytes((got.values, got.valid), (want.values, want.valid))
 
 
@@ -83,7 +85,7 @@ def _ring_rays():
 
 def _outputs():
     cloud = tied_cloud(2 * BLOCK_ROWS + 7, seed=2)
-    feats = extract_features(cloud)
+    feats = extract_features(cloud, *FEATURES)
     world, origin, dirs = _ring_rays()
     return (*cloud.normals(12), feats.values, feats.valid,
             *_nearest_hits(world, origin, dirs, 10.0))

@@ -3,6 +3,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scenekin.cli import main
 from scenekin.config import (
@@ -17,6 +19,42 @@ from scenekin.pipeline import load_scene_dir
 from scenekin.simworld import load_scene
 
 from conftest import TINY
+
+
+def _leaves(doc: dict, path=()):
+    """(key path, default value) of every scalar or list in a config dict."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def _valid_value(default):
+    """A value of the default's type that every config check accepts."""
+    if isinstance(default, list):
+        return st.tuples(*map(_valid_value, default)).map(list)
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(0, 10 ** 6)
+    if isinstance(default, float):
+        return st.floats(1e-3, 1e3)
+    return st.sampled_from(["icp", "oracle"])  # inference.mode
+
+
+@st.composite
+def override_dicts(draw):
+    leaves = sorted(_leaves(config_to_dict(PipelineConfig())))
+    chosen = draw(st.lists(st.sampled_from(leaves), max_size=8,
+                           unique_by=lambda leaf: leaf[0]))
+    doc: dict = {}
+    for path, default in chosen:
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = draw(_valid_value(default))
+    return doc
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +73,7 @@ def workspace(tmp_path_factory):
     assert main(["run", "--config", str(cfg),
                  "--scenes", str(base / "scenes"),
                  "--model", str(base / "model" / "model.json"),
-                 "--out", str(base / "run"),
-                 "--oracle-correspondence"]) == 0
+                 "--out", str(base / "run")]) == 0
     assert main(["eval", "--config", str(cfg),
                  "--run", str(base / "run"),
                  "--scenes", str(base / "scenes"),
@@ -97,6 +134,23 @@ class TestConfig:
         for mode in ("icp", "oracle"):
             assert config_from_dict(
                 {"inference": {"mode": mode}}).inference.mode == mode
+
+    def test_default_hash_is_pinned(self):
+        # the value every default-config artifact carries; moving a config
+        # class between modules must not change it
+        assert config_hash(PipelineConfig()) == "b5cbfcc54f48b05f"
+
+    @given(override_dicts())
+    def test_overrides_round_trip(self, overrides):
+        config = config_from_dict(overrides)
+        back = config_from_dict(config_to_dict(config))
+        assert back == config
+        assert config_hash(back) == config_hash(config)
+
+    @pytest.mark.parametrize("voxel", [0.0, -0.02])
+    def test_non_positive_voxel_rejected(self, voxel):
+        with pytest.raises(ValidationError, match="capture voxel"):
+            config_from_dict({"capture": {"voxel": voxel}})
 
     def test_hash_changes_with_values(self):
         a = config_from_dict({"seed": 1})
@@ -168,8 +222,7 @@ class TestPipelineArtifacts:
             assert doc["version"] == "inference.v1"
             model = json.loads((base / "run" / entry["model"]).read_text())
             assert model["version"] == "scene_model.v1"
-            # the run is ablated (--oracle-correspondence); every artifact
-            # still carries the hash of the config file as given
+            # every artifact carries the hash of the config file
             assert model["config_hash"] == manifest["config_hash"]
         assert manifest["config_hash"] == config_hash(config_from_dict(TINY))
 
@@ -204,29 +257,67 @@ class TestPipelineArtifacts:
         doc = json.loads(out)
         assert "aggregate" in doc
 
-    def test_run_flags_default_to_config(self, workspace, tmp_path):
-        base, _ = workspace
-        ablated = tmp_path / "ablated.json"
-        ablated.write_text(json.dumps({
-            **TINY, "run": {"n_scenes": 2, "max_hotspots": 0, "refine": False},
-            "inference": {"use_contact_heat": False}}))
-        defaults = tmp_path / "defaults.json"
-        defaults.write_text(json.dumps(
-            {**TINY, "run": {"n_scenes": 2, "max_hotspots": 0}}))
+    @pytest.mark.parametrize("ablation, flag", [
+        ({"run": {**TINY["run"], "refine": False}}, "refine"),
+        ({"inference": {"use_contact_heat": False}}, "regularity")],
+        ids=["refine", "regularity"])
+    def test_ablation_is_a_config_key(self, workspace, tmp_path, ablation,
+                                      flag):
+        """A run whose config differs from the workspace run's in one
+        ablation key differs from it in config hash and flags, and eval
+        refuses either run under the other's config unless --force is
+        given."""
+        base, full_cfg = workspace
+        ablated_cfg = tmp_path / "ablated.json"
+        ablated_cfg.write_text(json.dumps({**TINY, **ablation}))
+        assert main(["run", "--config", str(ablated_cfg),
+                     "--scenes", str(base / "scenes"),
+                     "--model", str(base / "model" / "model.json"),
+                     "--out", str(tmp_path / "ablated")]) == 0
+        full, ablated = (json.loads((run / "manifest.json").read_text())
+                         for run in (base / "run", tmp_path / "ablated"))
+        assert full["config_hash"] != ablated["config_hash"]
+        assert full["flags"] == {"refine": True, "regularity": True,
+                                 "mode": "icp"}
+        assert ablated["flags"] == {**full["flags"], flag: False}
 
-        def flags(cfg, *extra):
-            out = tmp_path / f"run{len(os.listdir(tmp_path))}"
-            assert main(["run", "--config", str(cfg),
+        def evaluate(run, cfg, *extra):
+            return main(["eval", "--config", str(cfg), "--run", str(run),
                          "--scenes", str(base / "scenes"),
-                         "--model", str(base / "model" / "model.json"),
-                         "--out", str(out), *extra]) == 0
-            return json.loads((out / "manifest.json").read_text())["flags"]
+                         "--out", str(tmp_path / "eval"), *extra])
 
-        off = {"refine": False, "regularity": False, "mode": "icp"}
-        assert flags(ablated) == off
-        assert flags(defaults) == {"refine": True, "regularity": True,
-                                   "mode": "icp"}
-        assert flags(defaults, "--no-refine", "--no-regularity") == off
+        assert evaluate(tmp_path / "ablated", full_cfg) == 2
+        assert evaluate(base / "run", ablated_cfg) == 2
+        assert evaluate(tmp_path / "ablated", full_cfg, "--force") == 0
+        assert evaluate(tmp_path / "ablated", ablated_cfg) == 0
+
+    @pytest.mark.parametrize("command", ["collect", "train", "run", "eval"])
+    def test_missing_input_directory_is_a_named_error(self, workspace,
+                                                      tmp_path, capsys,
+                                                      command):
+        base, cfg = workspace
+        missing = str(tmp_path / "missing")
+        inputs = {
+            "collect": ["--scenes", missing],
+            "train": ["--dataset", missing],
+            "run": ["--scenes", missing,
+                    "--model", str(base / "model" / "model.json")],
+            "eval": ["--run", missing, "--scenes", str(base / "scenes")],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), *inputs,
+                     "--out", str(out)]) == 2
+        assert f"no manifest.json in {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_model_file_is_a_named_error(self, workspace, tmp_path,
+                                                 capsys):
+        base, cfg = workspace
+        model = str(tmp_path / "model.json")
+        assert main(["run", "--config", str(cfg),
+                     "--scenes", str(base / "scenes"), "--model", model,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"no model file {model}" in capsys.readouterr().err
 
     def test_scene_dir_loader(self, workspace):
         base, _ = workspace

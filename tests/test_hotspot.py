@@ -5,7 +5,7 @@ import pytest
 
 from scenekin.errors import ValidationError
 from scenekin.geom import PointCloud
-from scenekin.hotspot import hotspots_to_dict, nms
+from scenekin.hotspot import HotspotConfig, hotspots_to_dict, nms
 
 
 def brute_force_nms(positions, scores, radius, threshold):
@@ -32,23 +32,23 @@ def brute_force_nms(positions, scores, radius, threshold):
 class TestNms:
     def test_single_point(self):
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0]]))
-        hs = nms(cloud, np.array([0.9]), radius=0.25, score_threshold=0.5)
+        hs = nms(cloud, np.array([0.9]), HotspotConfig(0.25, 0.5))
         assert len(hs) == 1
         assert hs.items[0].index == 0
 
     def test_close_pair_keeps_stronger(self):
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]))
-        hs = nms(cloud, np.array([0.8, 0.9]), radius=0.25, score_threshold=0.5)
+        hs = nms(cloud, np.array([0.8, 0.9]), HotspotConfig(0.25, 0.5))
         assert [h.index for h in hs.items] == [1]
 
     def test_threshold_filters(self):
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-        hs = nms(cloud, np.array([0.4, 0.9]), radius=0.25, score_threshold=0.5)
+        hs = nms(cloud, np.array([0.4, 0.9]), HotspotConfig(0.25, 0.5))
         assert [h.index for h in hs.items] == [1]
 
     def test_empty_result_allowed(self):
         cloud = PointCloud(np.zeros((3, 3)))
-        hs = nms(cloud, np.array([0.1, 0.2, 0.3]), radius=0.5)
+        hs = nms(cloud, np.array([0.1, 0.2, 0.3]), HotspotConfig(0.5))
         assert len(hs) == 0
 
     def test_matches_brute_force_with_ties(self):
@@ -58,8 +58,7 @@ class TestNms:
             pts = rng.uniform(0, 1, size=(n, 3))
             scores = np.round(rng.uniform(0, 1, size=n), 1)  # force ties
             radius = float(rng.uniform(0.05, 0.4))
-            hs = nms(PointCloud(pts), scores, radius=radius,
-                     score_threshold=0.3)
+            hs = nms(PointCloud(pts), scores, HotspotConfig(radius, 0.3))
             expect = brute_force_nms(pts, scores, radius, 0.3)
             assert [h.index for h in hs.items] == expect, trial
 
@@ -67,7 +66,7 @@ class TestNms:
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 1, size=(200, 3))
         scores = rng.uniform(0.5, 1.0, size=200)
-        hs = nms(PointCloud(pts), scores, radius=0.3, score_threshold=0.5)
+        hs = nms(PointCloud(pts), scores, HotspotConfig(0.3, 0.5))
         sel = np.array([h.position for h in hs.items])
         for i in range(len(sel)):
             for j in range(i + 1, len(sel)):
@@ -77,7 +76,7 @@ class TestNms:
         rng = np.random.default_rng(4)
         pts = rng.uniform(0, 1, size=(150, 3))
         scores = rng.uniform(0, 1, size=150)
-        hs = nms(PointCloud(pts), scores, radius=0.15, score_threshold=0.2)
+        hs = nms(PointCloud(pts), scores, HotspotConfig(0.15, 0.2))
         vals = [h.score for h in hs.items]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
@@ -87,7 +86,7 @@ class TestNms:
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 1, size=(300, 3))
         scores = rng.uniform(0, 1, size=300)
-        hs = nms(PointCloud(pts), scores, radius=0.2, score_threshold=0.4)
+        hs = nms(PointCloud(pts), scores, HotspotConfig(0.2, 0.4))
         chosen = {h.index for h in hs.items}
         sel_pos = np.array([h.position for h in hs.items])
         sel_scores = np.array([h.score for h in hs.items])
@@ -101,21 +100,22 @@ class TestNms:
         rng = np.random.default_rng(6)
         pts = rng.uniform(0, 1, size=(100, 3))
         scores = rng.uniform(0, 1, size=100)
-        hs1 = nms(PointCloud(pts), scores, radius=0.2, score_threshold=0.3)
+        hs1 = nms(PointCloud(pts), scores, HotspotConfig(0.2, 0.3))
         perm = rng.permutation(100)
-        hs2 = nms(PointCloud(pts[perm]), scores[perm], radius=0.2,
-                  score_threshold=0.3)
+        hs2 = nms(PointCloud(pts[perm]), scores[perm],
+                  HotspotConfig(0.2, 0.3))
         set1 = {tuple(np.round(h.position, 12)) for h in hs1.items}
         set2 = {tuple(np.round(h.position, 12)) for h in hs2.items}
         assert set1 == set2
 
     def test_bad_radius_rejected(self):
         with pytest.raises(ValidationError):
-            nms(PointCloud(np.zeros((1, 3))), np.array([1.0]), radius=0.0)
+            nms(PointCloud(np.zeros((1, 3))), np.array([1.0]),
+                HotspotConfig(0.0))
 
     def test_round_trip(self):
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
-        hs = nms(cloud, np.array([0.9, 0.8]), radius=0.25)
+        hs = nms(cloud, np.array([0.9, 0.8]), HotspotConfig(0.25))
         back = json.loads(json.dumps(hotspots_to_dict(hs)))
         assert back["version"] == "hotspots.v1"
         assert back["radius"] == hs.radius

@@ -22,6 +22,8 @@ from scenekin.simworld import (
 from conftest import TINY
 
 CONTACT = np.array([0.28, 0.0, 0.5])
+PULL = InteractionConfig().pull
+MOTION_EPS = InteractionConfig().motion_epsilon
 
 
 def narrow_drawer_scene():
@@ -43,7 +45,7 @@ def narrow_drawer_scene():
 
 
 def _pull(scene, direction):
-    return interact(scene, CONTACT, direction)
+    return interact(scene, CONTACT, direction, PULL, MOTION_EPS)
 
 
 def test_probe_returns_the_pull_that_moved():
@@ -54,8 +56,8 @@ def test_probe_returns_the_pull_that_moved():
     contact = np.array([0.27, -0.28, 0.5])
     normal = np.array([0.0, -1.0, 0.0])
     backward, left, right = canonical_pull_directions(normal)
-    assert not interact(scene, contact, backward)[0].engaged
-    stuck, _ = interact(scene, contact, left)
+    assert not interact(scene, contact, backward, PULL, MOTION_EPS)[0].engaged
+    stuck, _ = interact(scene, contact, left, PULL, MOTION_EPS)
     assert stuck.engaged and not stuck.success and stuck.delta_state == 0.0
 
     outcome, after = probe(scene, contact, normal, InteractionConfig())

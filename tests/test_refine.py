@@ -20,6 +20,7 @@ from scenekin.refine import (
 from scenekin.sensing import CameraPose, CaptureConfig, raycast_capture
 from scenekin.simworld import (
     GenerationConfig,
+    InteractionConfig,
     PullBudget,
     generate_scene,
     surface_normal,
@@ -28,6 +29,8 @@ from scenekin.simworld import (
 from conftest import identity, observe_interaction
 
 BIG_BOUNDS = (np.array([-5.0, -5.0, 0.0]), np.array([5.0, 5.0, 3.0]))
+INTERACTION = InteractionConfig()
+CAPTURE = CaptureConfig()
 
 
 def free_space_scene():
@@ -51,7 +54,8 @@ class TestPartAffordance:
                                rng.uniform(0.6, 1.4, 60)])
         cloud = PointCloud(pts)
         seg = PartSegmentation(np.ones(60, bool), np.ones(60, bool))
-        plan = part_affordance(joint, seg, cloud, scene)
+        plan = part_affordance(joint, seg, cloud, scene,
+                               INTERACTION.gripper_radius)
         dists = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
         assert np.allclose(plan.hotspot, pts[np.argmax(dists)])
 
@@ -62,7 +66,8 @@ class TestPartAffordance:
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         # place a panel surface near the point so clearance sees a normal
         seg = PartSegmentation(np.array([True]), np.array([True]))
-        plan = part_affordance(joint, seg, cloud, scene)
+        plan = part_affordance(joint, seg, cloud, scene,
+                               INTERACTION.gripper_radius)
         lever = plan.hotspot - np.array([0.0, 0.0, plan.hotspot[2]])
         d = plan.force_direction
         np.testing.assert_allclose(d, [0.0, 1.0, 0.0], atol=1e-9)
@@ -72,7 +77,8 @@ class TestPartAffordance:
         joint = JointModel("revolute", [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], -0.4)
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         seg = PartSegmentation(np.array([True]), np.array([True]))
-        plan = part_affordance(joint, seg, cloud, scene)
+        plan = part_affordance(joint, seg, cloud, scene,
+                               INTERACTION.gripper_radius)
         np.testing.assert_allclose(plan.force_direction, [0.0, -1.0, 0.0],
                                    atol=1e-9)
 
@@ -88,7 +94,8 @@ class TestPartAffordance:
             pts = rng.uniform(-1, 1, size=(20, 3)) + np.array([2.0, 0.0, 1.0])
             cloud = PointCloud(pts)
             seg = PartSegmentation(np.ones(20, bool), np.ones(20, bool))
-            plan = part_affordance(joint, seg, cloud, scene)
+            plan = part_affordance(joint, seg, cloud, scene,
+                                   INTERACTION.gripper_radius)
             r = plan.hotspot - (joint.pivot + np.dot(plan.hotspot - joint.pivot,
                                                      joint.axis) * joint.axis)
             assert abs(np.dot(plan.force_direction, joint.axis)) < 1e-9
@@ -101,7 +108,8 @@ class TestPartAffordance:
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         seg = PartSegmentation(np.array([True]), np.array([True]))
         with pytest.raises(ValidationError):
-            part_affordance(joint, seg, cloud, scene)
+            part_affordance(joint, seg, cloud, scene,
+                            INTERACTION.gripper_radius)
 
     def test_no_mobile_point_raises(self):
         scene = free_space_scene()
@@ -109,7 +117,8 @@ class TestPartAffordance:
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         seg = PartSegmentation(np.array([False]), np.array([False]))
         with pytest.raises(RefinementUnavailable):
-            part_affordance(joint, seg, cloud, scene)
+            part_affordance(joint, seg, cloud, scene,
+                            INTERACTION.gripper_radius)
 
 
 class TestFreeSpaceEvidence:
@@ -119,7 +128,8 @@ class TestFreeSpaceEvidence:
         # shows the back of a part would
         from scenekin.artinfer import make_observation_pair
         cam = CameraPose([0.3, 1.0, 1.0], [0.3, 0.0, 1.0], resolution=(40, 30))
-        before = raycast_capture(free_space_scene(), cam)
+        before = raycast_capture(free_space_scene(), cam, CAPTURE.max_range,
+                                 CAPTURE.noise_sigma)
         after = before
         if revealed:
             after = PointCloud(np.vstack([before.positions,
@@ -190,7 +200,8 @@ class TestRefineLoop:
         from scenekin.artinfer import make_observation_pair
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         obs = make_observation_pair(cloud, cloud, [1, 0, 1], [1, 0, 1], 0.05)
-        result = refine_loop(scene, obs, joint, seg)
+        result = refine_loop(scene, obs, joint, seg, RefineConfig(),
+                             InferenceConfig(), CAPTURE, INTERACTION)
         assert result.joint is joint
         assert result.log == ()
 
@@ -201,7 +212,8 @@ class TestRefineLoop:
         from scenekin.artinfer import make_observation_pair
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         obs = make_observation_pair(cloud, cloud, [1, 0, 1], [1, 0, 1], 0.05)
-        result = refine_loop(scene, obs, joint, seg)
+        result = refine_loop(scene, obs, joint, seg, RefineConfig(),
+                             InferenceConfig(), CAPTURE, INTERACTION)
         assert result.joint is joint
 
     def test_ajar_door_reopened_past_target(self):
@@ -216,7 +228,8 @@ class TestRefineLoop:
         assert joint.kind == "revolute"
         err_before = axis_err_deg(joint.axis, gt.axis)
         result = refine_loop(scene2, obs, joint, seg,
-                             RefineConfig(), infer_cfg, cap, rng=rng)
+                             RefineConfig(), infer_cfg, cap, INTERACTION,
+                             rng=rng)
         assert abs(result.joint.state) >= math.radians(30.0)
         err_after = axis_err_deg(result.joint.axis, gt.axis)
         assert err_after <= err_before + 1e-9
@@ -238,7 +251,7 @@ class TestRefineLoop:
         infer_cfg = InferenceConfig(mode="icp", epsilon=0.015)
         joint, seg = infer_articulation(obs, infer_cfg)
         result = refine_loop(scene2, obs, joint, seg, RefineConfig(),
-                             infer_cfg, cap, rng=rng)
+                             infer_cfg, cap, INTERACTION, rng=rng)
         assert result.log[-1]["status"].startswith("step tracking error: ")
         assert result.joint is joint
         assert result.observation is obs
@@ -249,7 +262,7 @@ class TestRefineLoop:
         infer_cfg = InferenceConfig(mode="oracle")
         joint, seg = infer_articulation(obs, infer_cfg)
         result = refine_loop(scene2, obs, joint, seg, RefineConfig(),
-                             infer_cfg, cap, rng=rng)
+                             infer_cfg, cap, INTERACTION, rng=rng)
         assert len(result.log) >= 1
         assert result.log[0]["iteration"] == 1
         assert "hotspot" in result.log[0]

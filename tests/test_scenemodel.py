@@ -4,12 +4,15 @@ import pytest
 from scenekin.artinfer import JointModel
 from scenekin.geom import normalize
 from scenekin.scenemodel import (
+    AggregateConfig,
     SceneArticulationModel,
     aggregate,
     export_model,
     fit_oriented_box,
     load_model,
 )
+
+AGGREGATE = AggregateConfig()
 
 
 def models_equivalent(a: SceneArticulationModel, b: SceneArticulationModel,
@@ -55,7 +58,7 @@ class TestAggregate:
         pts = slab_points([1.0, 0.5, 0.8])
         j1 = JointModel("revolute", [0, 0, 1], [0.8, 0.5, 0.0], 0.4)
         j2 = JointModel("revolute", [0, 0, 1.0001], [0.81, 0.5, 0.0], 0.6)
-        model = aggregate([(j1, pts, 0), (j2, pts + 0.001, 1)])
+        model = aggregate([(j1, pts, 0), (j2, pts + 0.001, 1)], AGGREGATE)
         assert len(model.entries) == 1
         entry = model.entries[0]
         assert entry.confidence == pytest.approx(1.0)
@@ -67,18 +70,18 @@ class TestAggregate:
         pts_b = slab_points([3.0, 2.0, 0.8], seed=2)
         j1 = JointModel("revolute", [0, 0, 1], [0.8, 0.5, 0.0], 0.4)
         j2 = JointModel("revolute", [0, 0, 1], [2.8, 2.0, 0.0], 0.5)
-        model = aggregate([(j1, pts_a, 0), (j2, pts_b, 1)])
+        model = aggregate([(j1, pts_a, 0), (j2, pts_b, 1)], AGGREGATE)
         assert len(model.entries) == 2
 
     def test_empty_input(self):
-        model = aggregate([])
+        model = aggregate([], AGGREGATE)
         assert model.entries == ()
 
     def test_same_part_incompatible_joints_split_confidence(self):
         pts = slab_points([1.0, 0.5, 0.8])
         j1 = JointModel("revolute", [0, 0, 1], [0.8, 0.5, 0.0], 0.4)
         j2 = JointModel("prismatic", [0, 1, 0], None, 0.3)
-        model = aggregate([(j1, pts, 0), (j2, pts + 0.001, 1)])
+        model = aggregate([(j1, pts, 0), (j2, pts + 0.001, 1)], AGGREGATE)
         assert len(model.entries) == 2
         for e in model.entries:
             assert e.confidence == pytest.approx(0.5)
@@ -92,10 +95,10 @@ class TestAggregate:
             (JointModel("prismatic", [0, 1, 0], None, 0.3),
              slab_points([3.0, 2.0, 0.8], seed=9), 2),
         ]
-        base = aggregate(ests)
+        base = aggregate(ests, AGGREGATE)
         for _ in range(5):
             perm = list(rng.permutation(3))
-            model = aggregate([ests[i] for i in perm])
+            model = aggregate([ests[i] for i in perm], AGGREGATE)
             assert len(model.entries) == len(base.entries)
             states = sorted(abs(e.joint.state) for e in model.entries)
             base_states = sorted(abs(e.joint.state) for e in base.entries)
@@ -108,9 +111,9 @@ class TestAggregate:
             (JointModel("revolute", [0, 0, 1], [0.8, 0.5, 0.0], 0.6),
              pts + 0.002, 1),
         ]
-        once = aggregate(ests)
+        once = aggregate(ests, AGGREGATE)
         again = aggregate([(e.joint, e.mobile_points, e.hotspot_ids[0])
-                           for e in once.entries])
+                           for e in once.entries], AGGREGATE)
         assert len(again.entries) == len(once.entries)
         for a, b in zip(again.entries, once.entries):
             np.testing.assert_allclose(a.joint.axis, b.joint.axis)
@@ -138,7 +141,7 @@ class TestExport:
             (JointModel("prismatic", [0, 1, 0], None, 0.3),
              slab_points([3.0, 2.0, 0.8], seed=7), 2),
         ]
-        model = aggregate(ests)
+        model = aggregate(ests, AGGREGATE)
         path = tmp_path / "model.json"
         export_model(model, path)
         back = load_model(path)
@@ -146,7 +149,7 @@ class TestExport:
 
     def test_empty_model(self, tmp_path):
         path = tmp_path / "empty.json"
-        export_model(aggregate([]), path)
+        export_model(aggregate([], AGGREGATE), path)
         back = load_model(path)
         assert back.entries == ()
 
@@ -159,7 +162,7 @@ class TestExport:
                                     rng.uniform(-1, 1, 3),
                                     float(rng.uniform(0.1, 1.0))),
                          slab_points(rng.uniform(0, 5, 3), seed=k), k))
-        model = aggregate(ests)
+        model = aggregate(ests, AGGREGATE)
         path = tmp_path / "m.json"
         export_model(model, path)
         back = load_model(path)

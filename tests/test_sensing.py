@@ -36,6 +36,7 @@ from scenekin.simworld import (
 )
 
 BIG_BOUNDS = (np.array([-10.0, -10.0, -10.0]), np.array([10.0, 10.0, 10.0]))
+MAX_RANGE, NOISE = CaptureConfig().max_range, CaptureConfig().noise_sigma
 
 
 def single_box_scene(center, half, kind="static_body"):
@@ -106,20 +107,20 @@ class TestRaycast:
     def test_full_frustum_yields_all_pixels(self):
         scene = single_box_scene([2.1, 0.0, 0.0], [0.1, 8.0, 8.0])
         cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], resolution=(10, 10))
-        cloud = raycast_capture(scene, cam)
+        cloud = raycast_capture(scene, cam, MAX_RANGE, NOISE)
         assert len(cloud) == 100
 
     def test_facing_away_gives_empty_cloud(self):
         scene = single_box_scene([-5.0, 0.0, 0.0], [0.5, 0.5, 0.5])
         cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], resolution=(8, 8))
-        cloud = raycast_capture(scene, cam)
+        cloud = raycast_capture(scene, cam, MAX_RANGE, NOISE)
         assert len(cloud) == 0
 
     def test_known_depth_exact(self):
         d = 2.5
         scene = single_box_scene([d + 0.5, 0.0, 0.0], [0.5, 9.0, 9.0])
         cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], resolution=(12, 12))
-        cloud = raycast_capture(scene, cam)
+        cloud = raycast_capture(scene, cam, MAX_RANGE, NOISE)
         assert len(cloud) == 144
         np.testing.assert_allclose(cloud.positions[:, 0], d, atol=1e-9)
 
@@ -136,8 +137,8 @@ class TestRaycast:
     def test_noise_moves_points_along_ray(self):
         scene = single_box_scene([3.0, 0.0, 0.0], [0.5, 9.0, 9.0])
         cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], resolution=(10, 10))
-        clean = raycast_capture(scene, cam)
-        noisy = raycast_capture(scene, cam, noise_sigma=0.002,
+        clean = raycast_capture(scene, cam, MAX_RANGE, NOISE)
+        noisy = raycast_capture(scene, cam, MAX_RANGE, 0.002,
                                 rng=np.random.default_rng(1))
         assert len(clean) == len(noisy)
         offsets = np.linalg.norm(noisy.positions - clean.positions, axis=1)
@@ -204,14 +205,14 @@ class TestBatchedRaycast:
         world, dirs = scene.world_parts(), cam.ray_directions()
         with mock.patch.object(geom, "BLOCK_ROWS", 7):
             got = _nearest_hits(world, cam.position, dirs, max_range)
-            cloud = raycast_capture(scene, cam, max_range)
+            cloud = raycast_capture(scene, cam, max_range, NOISE)
         want = sequential_hits(world, cam.position, dirs, max_range)
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
         with mock.patch.object(sensing, "_nearest_hits", sequential_hits):
-            ref = raycast_capture(scene, cam, max_range)
+            ref = raycast_capture(scene, cam, max_range, NOISE)
         for field in ("positions", "colors", "part_ids", "point_ids"):
             a, b = getattr(cloud, field), getattr(ref, field)
             assert (a is None) == (b is None)
@@ -221,7 +222,7 @@ class TestBatchedRaycast:
     def test_empty_scene_gives_empty_cloud(self):
         scene = SceneSpec((), (), BIG_BOUNDS, 0)
         cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], resolution=(4, 4))
-        assert len(raycast_capture(scene, cam)) == 0
+        assert len(raycast_capture(scene, cam, MAX_RANGE, NOISE)) == 0
 
 
 class TestProjection:
@@ -245,7 +246,7 @@ class TestProjection:
         # a surface behind it, fused in, changes nothing
         scene = single_box_scene([2.5, 0.0, 0.0], [0.5, 9.0, 9.0])
         cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], resolution=(12, 12))
-        cloud = raycast_capture(scene, cam)
+        cloud = raycast_capture(scene, cam, MAX_RANGE, NOISE)
         image = range_image(cloud, cam)
         dirs = cam.ray_directions()
         np.testing.assert_allclose(image.ravel(), 2.0 / dirs[:, 0], atol=1e-9)
@@ -273,7 +274,7 @@ class TestSceneCloud:
         scene = generate_scene(6, GenerationConfig(1, 0, 1))
         config = CaptureConfig(resolution=(60, 45))
         poses = ring_poses(scene, config)
-        captures = [raycast_capture(scene, p) for p in poses]
+        captures = [raycast_capture(scene, p, MAX_RANGE, NOISE) for p in poses]
         a = _voxel_downsample(fuse_clouds(captures), config.voxel)
         b = _voxel_downsample(fuse_clouds(captures[::-1]), config.voxel)
         np.testing.assert_array_equal(a.point_ids, b.point_ids)

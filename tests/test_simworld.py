@@ -6,6 +6,7 @@ from scenekin.geom import normalize
 from scenekin.simworld import (
     GenerationConfig,
     GroundTruthJoint,
+    InteractionConfig,
     PartGeometry,
     PullBudget,
     SceneSpec,
@@ -22,6 +23,9 @@ from scenekin.simworld import (
     scene_to_dict,
     surface_normal,
 )
+
+PULL = InteractionConfig().pull
+MOTION_EPS = InteractionConfig().motion_epsilon
 
 
 def make_drawer_scene(travel=0.3, a_min=0.5):
@@ -152,7 +156,7 @@ class TestInteract:
         scene = make_drawer_scene(travel=0.3)
         contact = np.array([0.28, 0.0, 0.5])
         outcome, new_scene = interact(scene, contact, [1.0, 0.0, 0.0],
-                                      PullBudget(total=0.4))
+                                      PullBudget(total=0.4), MOTION_EPS)
         assert outcome.success
         assert outcome.delta_state == pytest.approx(0.3, abs=1e-12)
         assert new_scene.joints[0][1].state == pytest.approx(0.3, abs=1e-12)
@@ -162,7 +166,8 @@ class TestInteract:
     def test_near_hinge_engagement_failure(self):
         scene = make_door_scene(rho_min=0.05)
         contact = np.array([-0.59, 0.01, 1.0])  # 0.01 m from the hinge line
-        outcome, same = interact(scene, contact, [0.0, 1.0, 0.0])
+        outcome, same = interact(scene, contact, [0.0, 1.0, 0.0], PULL,
+                                 MOTION_EPS)
         assert not outcome.success
         assert outcome.delta_state == 0.0
         assert same is scene
@@ -173,7 +178,8 @@ class TestInteract:
         scene = make_door_scene(width=1.2, max_angle=3.0)
         contact = np.array([0.5, 0.011, 1.0])  # r ~ 1.1 m from hinge at x=-0.6
         outcome, _ = interact(scene, contact, [0.0, 1.0, 0.0],
-                              PullBudget(step=0.01, total=3.0, align_min=0.5))
+                              PullBudget(step=0.01, total=3.0, align_min=0.5),
+                              MOTION_EPS)
         assert outcome.success
         assert np.degrees(outcome.delta_state) == pytest.approx(60.0, abs=2.0)
 
@@ -181,29 +187,32 @@ class TestInteract:
         scene = make_door_scene(hinge_left=False)
         contact = np.array([-0.5, 0.011, 1.0])
         outcome, _ = interact(scene, contact, [0.0, 1.0, 0.0],
-                              PullBudget(total=0.5))
+                              PullBudget(total=0.5), MOTION_EPS)
         assert outcome.success
         assert outcome.delta_state < -0.1
 
     def test_static_part_fails(self):
         scene = make_drawer_scene()
-        outcome, _ = interact(scene, [ -0.25, 0.0, 0.5], [-1.0, 0.0, 0.0])
+        outcome, _ = interact(scene, [ -0.25, 0.0, 0.5], [-1.0, 0.0, 0.0],
+                              PULL, MOTION_EPS)
         assert not outcome.success
         assert outcome.moved_joint is None
 
     def test_off_surface_rejected(self):
         scene = make_drawer_scene()
         with pytest.raises(PreconditionError):
-            interact(scene, [2.0, 2.0, 2.0], [1.0, 0.0, 0.0])
+            interact(scene, [2.0, 2.0, 2.0], [1.0, 0.0, 0.0], PULL, MOTION_EPS)
 
     def test_zero_direction_rejected(self):
         scene = make_drawer_scene()
         with pytest.raises(ValidationError):
-            interact(scene, [0.28, 0.0, 0.5], [0.0, 0.0, 0.0])
+            interact(scene, [0.28, 0.0, 0.5], [0.0, 0.0, 0.0], PULL,
+                     MOTION_EPS)
 
     def test_lateral_pull_on_drawer_fails(self):
         scene = make_drawer_scene()
-        outcome, _ = interact(scene, [0.28, 0.0, 0.5], [0.0, 1.0, 0.0])
+        outcome, _ = interact(scene, [0.28, 0.0, 0.5], [0.0, 1.0, 0.0], PULL,
+                              MOTION_EPS)
         assert not outcome.success
 
     def test_only_touched_joint_moves(self):
@@ -216,7 +225,7 @@ class TestInteract:
         contact = panel.center + panel.face_normal_at(
             panel.center + panel.rotation[:, 1]) * panel.half_extents[1]
         normal = surface_normal(scene, contact)
-        outcome, new_scene = interact(scene, contact, normal)
+        outcome, new_scene = interact(scene, contact, normal, PULL, MOTION_EPS)
         assert outcome.success and outcome.moved_joint == drawer_joint
         for j, (_, gt) in enumerate(new_scene.joints):
             if j != drawer_joint:
@@ -228,7 +237,7 @@ class TestInteract:
         prev = 0.0
         for total in (0.1, 0.2, 0.4, 0.8, 1.6):
             outcome, _ = interact(scene, contact, [0.0, 1.0, 0.0],
-                                  PullBudget(total=total))
+                                  PullBudget(total=total), MOTION_EPS)
             assert abs(outcome.delta_state) >= prev - 1e-12
             prev = abs(outcome.delta_state)
 
@@ -236,7 +245,7 @@ class TestInteract:
         scene = make_door_scene()
         contact = np.array([0.4, 0.011, 1.3])
         outcome, _ = interact(scene, contact, [0.0, 1.0, 0.0],
-                              PullBudget(total=0.6))
+                              PullBudget(total=0.6), MOTION_EPS)
         assert outcome.success
         hinge = np.array([-0.6, 0.0, 0.0])
         axis = np.array([0.0, 0.0, 1.0])
@@ -249,8 +258,8 @@ class TestInteract:
     def test_deterministic(self):
         scene = make_door_scene()
         contact = np.array([0.4, 0.011, 1.0])
-        o1, s1 = interact(scene, contact, [0.0, 1.0, 0.0])
-        o2, s2 = interact(scene, contact, [0.0, 1.0, 0.0])
+        o1, s1 = interact(scene, contact, [0.0, 1.0, 0.0], PULL, MOTION_EPS)
+        o2, s2 = interact(scene, contact, [0.0, 1.0, 0.0], PULL, MOTION_EPS)
         assert o1.success == o2.success
         assert o1.delta_state == o2.delta_state
         assert np.array_equal(o1.final_contact, o2.final_contact)
@@ -266,7 +275,7 @@ class TestWorldParts:
         scene = make_drawer_scene(travel=0.3)
         closed = scene.world_parts()
         outcome, pulled = interact(scene, [0.28, 0.0, 0.5], [1.0, 0.0, 0.0],
-                                   PullBudget(total=0.4))
+                                   PullBudget(total=0.4), MOTION_EPS)
         assert outcome.success
         np.testing.assert_allclose(pulled.world_parts()[1].center,
                                    closed[1].center + [0.3, 0.0, 0.0],
