@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import PreconditionError, TrainingError, ValidationError
-from .geom import PointCloud, map_blocks
+from .geom import PointCloud, map_blocks, submit_leaf
 from .simworld import (
     InteractionConfig,
     SceneSpec,
@@ -92,6 +93,28 @@ def _neighborhoods(cloud: PointCloud, radius: float
     return keys // n, keys % n
 
 
+_IA, _IB = np.triu_indices(3)
+
+
+def _neighborhood_sums(cloud: PointCloud, radius: float
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(neighbour count, neighbourhood sums) of every point within `radius`.
+
+    One sparse product sums positions, their pairwise products and colours
+    over every neighbourhood, adding in the neighbour order of each centre.
+    """
+    n, pos = len(cloud), cloud.positions
+    centers, neighbors = _neighborhoods(cloud, radius)
+    counts = np.bincount(centers, minlength=n)
+    adjacency = csr_matrix(
+        (np.ones(len(neighbors)), neighbors,
+         np.concatenate([[0], np.cumsum(counts)])), shape=(n, n))
+    columns = [pos, pos[:, _IA] * pos[:, _IB]]
+    if cloud.colors is not None:
+        columns.append(cloud.colors)
+    return counts, adjacency @ np.column_stack(columns)
+
+
 def extract_features(cloud: PointCloud, config: AffordanceConfig,
                      voxel: float) -> FeatureSet:
     """Deterministic geometric features for every cloud point.
@@ -101,32 +124,34 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig,
     normalized by the expected flat-surface count at the capture `voxel`
     size. Points whose neighborhood is degenerate (fewer than 3 neighbors or
     a rank-deficient normal) are flagged invalid and zeroed.
+
+    The neighbourhood sums run on a pool thread (`geom.submit_leaf`) while
+    this thread estimates the normals.
     """
     radius = config.feature_radius
     n = len(cloud)
     if n == 0:
         raise ValidationError("cannot extract features from an empty cloud")
     pos = cloud.positions
-    centers, neighbors = _neighborhoods(cloud, radius)
-    counts = np.bincount(centers, minlength=n)
-
-    # one sparse product sums positions, their pairwise products and colours
-    # over every neighbourhood, adding in the neighbour order of each centre
-    adjacency = csr_matrix(
-        (np.ones(len(neighbors)), neighbors,
-         np.concatenate([[0], np.cumsum(counts)])), shape=(n, n))
-    ia, ib = np.triu_indices(3)
-    columns = [pos, pos[:, ia] * pos[:, ib]]
-    if cloud.colors is not None:
-        columns.append(cloud.colors)
-    sums = adjacency @ np.column_stack(columns)
+    cloud.tree  # built here, before the neighbourhood task shares it
+    task = submit_leaf(_neighborhood_sums, cloud, radius)
+    try:
+        k_eff = min(config.k_normals, n)
+        if k_eff >= 3:
+            normals, normals_valid = cloud.normals(k_eff)
+        else:
+            normals = np.zeros((n, 3))
+            normals_valid = np.zeros(n, dtype=bool)
+    finally:
+        wait([task])
+    counts, sums = task.result()
     w = np.empty((n, 3))
 
     def block(rows):
         c = counts[rows, None]
         mean = sums[rows, :3] / c
         sq = np.empty((len(c), 3, 3))
-        sq[:, ia, ib] = sq[:, ib, ia] = sums[rows, 3:9] / c
+        sq[:, _IA, _IB] = sq[:, _IB, _IA] = sums[rows, 3:9] / c
         cov = sq - np.einsum("ni,nj->nij", mean, mean)
         w[rows] = np.linalg.eigvalsh(cov)  # ascending
 
@@ -139,13 +164,6 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig,
     sphericity = lam3 / safe1
     variation = lam3 / np.maximum(lam1 + lam2 + lam3, 1e-18)
 
-    k_eff = min(config.k_normals, n)
-    if k_eff >= 3:
-        normals, normals_valid = cloud.normals(k_eff)
-    else:
-        normals = np.zeros((n, 3))
-        normals_valid = np.zeros(n, dtype=bool)
-
     valid = normals_valid & (counts >= 3) & (lam1 > 1e-18)
 
     n_ref = math.pi * radius * radius / (voxel * voxel)
@@ -156,12 +174,15 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig,
     else:
         mean_color = np.zeros((n, 3))
 
+    cap = config.discontinuity_cap
     disc = variation > config.variation_threshold
     if disc.any():
-        ddist, _ = cKDTree(pos[disc]).query(pos, workers=-1)
-        ddist = np.minimum(ddist, config.discontinuity_cap)
+        # points farther than the cap from every discontinuity read inf
+        ddist, _ = cKDTree(pos[disc]).query(
+            pos, distance_upper_bound=np.nextafter(cap, np.inf), workers=-1)
+        ddist = np.minimum(ddist, cap)
     else:
-        ddist = np.full(n, config.discontinuity_cap)
+        ddist = np.full(n, cap)
 
     feats = np.column_stack([
         pos[:, 2], normals[:, 2], planarity, linearity, sphericity,

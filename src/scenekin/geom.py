@@ -7,17 +7,20 @@ Conventions used across the package:
 * Rotations are ``(3, 3)`` orthonormal matrices with determinant +1.
 * Direction vectors used as joint axes are unit norm (tolerance 1e-9).
 
-Per-point work over whole clouds and ray sets runs in fixed blocks of rows
-on one thread pool per process (`map_blocks`).
+Per-point work over whole clouds and ray sets runs in fixed blocks of rows,
+shared between the calling thread and one thread pool per process
+(`map_blocks`). One leaf task at a time may run on that pool beside the
+calling thread (`submit_leaf`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,6 +40,11 @@ _pool_lock = threading.Lock()
 _pool_executor: ThreadPoolExecutor | None = None
 
 
+def _threads() -> int:
+    """CPUs the process may use."""
+    return len(os.sched_getaffinity(0))
+
+
 def _pool() -> ThreadPoolExecutor:
     """The process's block pool, one thread per CPU the process may use,
     created on first use."""
@@ -44,7 +52,7 @@ def _pool() -> ThreadPoolExecutor:
     with _pool_lock:
         if _pool_executor is None:
             _pool_executor = ThreadPoolExecutor(
-                len(os.sched_getaffinity(0)), thread_name_prefix="scenekin")
+                _threads(), thread_name_prefix="scenekin")
         return _pool_executor
 
 
@@ -59,16 +67,48 @@ os.register_at_fork(after_in_child=_forget_pool)
 
 def map_blocks(fn, n: int) -> list:
     """`fn(rows)` for each consecutive `BLOCK_ROWS`-row slice `rows` of
-    range(n), in block order; blocks run on the process's thread pool.
+    range(n), returned in block order.
 
-    `fn` runs on pool threads, so it may only do numpy/SciPy work, writing
-    a shared output only at its own rows. It must call no function that
-    `bench/tracing.py` wraps in a span: the tracer keeps one span stack.
+    The calling thread and up to one pool thread per further CPU claim
+    blocks in turn from a shared counter. Pool threads that have not started
+    when the blocks run out are cancelled, so no block waits behind a
+    `submit_leaf` task, and a process on one CPU runs every block inline.
+
+    `fn` may run on pool threads, so it may only do numpy/SciPy work,
+    writing a shared output only at its own rows. It must call no function
+    that `bench/tracing.py` wraps in a span (the tracer keeps one span
+    stack), nor `map_blocks` or `submit_leaf`.
     """
     blocks = [slice(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
-    if len(blocks) < 2:
-        return [fn(rows) for rows in blocks]
-    return list(_pool().map(fn, blocks))
+    results = [None] * len(blocks)
+    claim = itertools.count()
+
+    def drain():
+        while (i := next(claim)) < len(blocks):
+            results[i] = fn(blocks[i])
+
+    helpers = [_pool().submit(drain)
+               for _ in range(min(_threads(), len(blocks)) - 1)]
+    try:
+        drain()
+    finally:
+        # a cancelled helper counts as done only once a pool thread takes it
+        started = [helper for helper in helpers if not helper.cancel()]
+        wait(started)
+    for helper in started:
+        helper.result()
+    return results
+
+
+def submit_leaf(fn, *args) -> Future:
+    """Start `fn(*args)` on a pool thread, beside the caller; its future.
+
+    `map_blocks`'s rule holds for `fn`: numpy/SciPy work only, and no
+    function that `bench/tracing.py` wraps in a span, nor `map_blocks` or
+    `submit_leaf`. The caller must wait for the future before it returns,
+    also when it raises.
+    """
+    return _pool().submit(fn, *args)
 
 
 def as_vec3(v) -> np.ndarray:

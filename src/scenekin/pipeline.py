@@ -404,9 +404,16 @@ def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
 
 def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
              force: bool = False) -> evalkit.EvalReport:
-    """Score a run against the generator's ground truth; write report files."""
+    """Score a run against the generator's ground truth; write report files.
+
+    The ground truth is the `gt_joints` each inference.v1 file carries. It
+    must equal the joints of the scene of the same seed in `scenes_dir`;
+    a run scene missing from there, or one whose joints differ, raises
+    ArtifactError.
+    """
     run_manifest = _read_manifest(run_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    scene_files = {e["seed"]: e["file"]
+                   for e in _read_manifest(scenes_dir)["scenes"]}
     chash = config_hash(config)
     if run_manifest.get("config_hash") != chash and not force:
         raise ArtifactError(
@@ -416,6 +423,16 @@ def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
     scenes = []
     for entry in run_manifest["scenes"]:
         doc = _read_json(os.path.join(run_dir, entry["inference"]))
+        seed = doc["scene_seed"]
+        if seed not in scene_files:
+            raise ArtifactError(f"run scene {seed} is not in {scenes_dir}")
+        scene = simworld.load_scene(os.path.join(scenes_dir,
+                                                 scene_files[seed]))
+        if doc["gt_joints"] != [_gt_joint_dict(scene, j)
+                                for j in range(len(scene.joints))]:
+            raise ArtifactError(
+                f"joints of run scene {seed} differ from "
+                f"{scene_files[seed]} in {scenes_dir}")
         scenes.append({
             "scene_seed": doc["scene_seed"],
             "interactions": doc["interactions"],
@@ -424,6 +441,7 @@ def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
             "gt_joints": doc["gt_joints"],
         })
     report = evalkit.build_report(scenes)
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         fh.write(evalkit.report_to_json(report, chash, config.seed))
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:

@@ -8,11 +8,14 @@ local frame. Because the id is local to the part, the same physical surface
 patch keeps its identity when the part moves, which gives downstream code an
 oracle correspondence channel that survives articulation.
 
-A capture tests every pixel ray against every box of the room in batched
-slab tests (Kay & Kajiya, "Ray Tracing Complex Scenes", SIGGRAPH 1986), one
-per fixed block of rays (`geom.map_blocks`). Each ray keeps its nearest entry
-and, on a tie, the lowest-index box: bit for bit what a box-by-box scan that
-replaces a hit only when strictly closer keeps.
+A capture first drops every box that lies wholly outside one side plane of
+the camera's view pyramid (Assarsson & Möller, "Optimized View Frustum
+Culling Algorithms for Bounding Boxes", JGT 2000); no pixel ray can reach
+it. It then tests every pixel ray against each remaining box in batched slab
+tests (Kay & Kajiya, "Ray Tracing Complex Scenes", SIGGRAPH 1986), one per
+fixed block of rays (`geom.map_blocks`). Each ray keeps its nearest entry
+and, on a tie, the lowest-index box: bit for bit what a box-by-box scan over
+every box of the room that replaces a hit only when strictly closer keeps.
 """
 
 from __future__ import annotations
@@ -174,18 +177,47 @@ def _nearest_hits(world, origin: np.ndarray, dirs: np.ndarray,
     return tuple(map(np.concatenate, zip(*map_blocks(block, len(dirs)))))
 
 
-def _point_ids(part_index: int, local_pts: np.ndarray, half: np.ndarray
+def _point_ids(part: np.ndarray, local_pts: np.ndarray, half: np.ndarray
                ) -> np.ndarray:
+    """Point ids of hits on boxes `part` (N,) with half extents `half` (N, 3)
+    at box-frame points `local_pts` (N, 3)."""
     rel = np.abs(local_pts) / np.maximum(half, 1e-12)
     axis = np.argmax(rel, axis=1)
     rows = np.arange(len(local_pts))
     face = axis * 2 + (local_pts[rows, axis] > 0).astype(np.int64)
-    uv_axes = np.array([[1, 2], [0, 2], [0, 1]])[axis]
-    u = local_pts[rows, uv_axes[:, 0]] + half[uv_axes[:, 0]]
-    v = local_pts[rows, uv_axes[:, 1]] + half[uv_axes[:, 1]]
+    ua, va = np.array([[1, 2], [0, 2], [0, 1]])[axis].T
+    u = local_pts[rows, ua] + half[rows, ua]
+    v = local_pts[rows, va] + half[rows, va]
     iu = np.clip(np.floor(u / _ID_CELL).astype(np.int64), 0, _ID_RANGE - 1)
     iv = np.clip(np.floor(v / _ID_CELL).astype(np.int64), 0, _ID_RANGE - 1)
-    return ((part_index * 6 + face) * _ID_RANGE + iu) * _ID_RANGE + iv
+    return ((part * 6 + face) * _ID_RANGE + iu) * _ID_RANGE + iv
+
+
+def _visible_parts(world, camera: CameraPose) -> np.ndarray:
+    """Indices, ascending, of the boxes of `world` that do not lie wholly
+    outside any one side plane of `camera`'s view pyramid.
+
+    Every pixel ray lies strictly inside the pyramid (pixel centres sit half
+    a pixel in from its edges), so no ray enters a dropped box.
+    """
+    if not world:
+        return np.zeros(0, dtype=np.int64)
+    w, h = camera.resolution
+    forward, right, cam_up = camera.basis()
+    tan_v = math.tan(math.radians(camera.vfov_deg) / 2.0)
+    tan_h = tan_v * w / h
+    # outward normals of the right, left, top and bottom planes
+    planes = np.array([right - tan_h * forward, -right - tan_h * forward,
+                       cam_up - tan_v * forward, -cam_up - tan_v * forward])
+    signs = np.array([[sx, sy, sz] for sx in (-1.0, 1.0)
+                      for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)])
+    center = np.array([b.center for b in world])
+    half = np.array([b.half_extents for b in world])
+    rotation = np.array([b.rotation for b in world])
+    corners = center[:, None, :] + np.einsum(
+        "pij,pcj->pci", rotation, signs[None] * half[:, None, :])
+    outside = (corners - camera.position) @ planes.T > 0.0   # (P, 8, 4)
+    return np.flatnonzero(~outside.all(axis=1).any(axis=1))
 
 
 def raycast_capture(scene: SceneSpec, camera: CameraPose, max_range: float,
@@ -200,14 +232,14 @@ def raycast_capture(scene: SceneSpec, camera: CameraPose, max_range: float,
     """
     dirs = camera.ray_directions()
     world = scene.world_parts()
-    ray, part, t, local = _nearest_hits(world, camera.position, dirs,
-                                        max_range)
+    visible = _visible_parts(world, camera)
+    ray, part, t, local = _nearest_hits([world[i] for i in visible],
+                                        camera.position, dirs, max_range)
     if len(ray) == 0:
         return PointCloud(np.zeros((0, 3)))
-    ids = np.empty(len(ray), dtype=np.int64)
-    for pi in np.unique(part):
-        sel = part == pi
-        ids[sel] = _point_ids(int(pi), local[sel], world[pi].half_extents)
+    part = visible[part]
+    half = np.array([b.half_extents for b in world])
+    ids = _point_ids(part, local, half[part])
     # one point per surface patch: keep the first pixel that saw each id
     _, first = np.unique(ids, return_index=True)
     first = np.sort(first)
@@ -245,7 +277,9 @@ def fuse_clouds(captures: list[PointCloud]) -> PointCloud:
     """Concatenate captures and deduplicate by point id.
 
     For duplicate ids the lexicographically smallest position wins, which
-    makes the result independent of capture order.
+    makes the result independent of capture order; of equal positions the
+    first in concatenation order wins. Only the rows whose id repeats are
+    sorted by position.
     """
     captures = [c for c in captures if len(c) > 0]
     if not captures:
@@ -254,12 +288,21 @@ def fuse_clouds(captures: list[PointCloud]) -> PointCloud:
     col = np.vstack([c.colors for c in captures])
     part = np.concatenate([c.part_ids for c in captures])
     ids = np.concatenate([c.point_ids for c in captures])
-    order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], ids))
+    order = np.argsort(ids, kind="stable")
     ids_sorted = ids[order]
-    _, first = np.unique(ids_sorted, return_index=True)
-    keep = order[first]
+    start = np.flatnonzero(np.r_[True, ids_sorted[1:] != ids_sorted[:-1]])
+    keep = order[start]
+    sizes = np.diff(np.r_[start, len(ids)])
+    repeated = sizes > 1
+    if repeated.any():
+        # `order` keeps concatenation order within an id, and so does lexsort
+        rep = order[np.repeat(repeated, sizes)]
+        rep = rep[np.lexsort((pos[rep, 2], pos[rep, 1], pos[rep, 0],
+                              ids[rep]))]
+        rep_ids = ids[rep]
+        keep[repeated] = rep[np.r_[True, rep_ids[1:] != rep_ids[:-1]]]
     return PointCloud(pos[keep], colors=col[keep], part_ids=part[keep],
-                      point_ids=ids_sorted[first])
+                      point_ids=ids_sorted[start])
 
 
 def _voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 from hypothesis import given
@@ -246,6 +247,33 @@ class TestPipelineArtifacts:
                      "--run", str(base / "run"),
                      "--scenes", str(base / "scenes"),
                      "--out", str(tmp_path / "eval2"), "--force"]) == 0
+
+    @pytest.mark.parametrize("mismatch", ["other_seeds", "other_joints"])
+    def test_eval_checks_the_scenes_directory(self, workspace, tmp_path,
+                                              capsys, mismatch):
+        """eval scores only against the scenes the run saw: a --scenes
+        directory that lacks a run scene's seed, or holds other joints for
+        it, is a named error and no report is written."""
+        base, cfg = workspace
+        scenes = tmp_path / "scenes"
+        if mismatch == "other_seeds":
+            other_cfg = tmp_path / "other.json"
+            other_cfg.write_text(json.dumps({**TINY, "seed": 6}))
+            assert main(["gen-scenes", "--config", str(other_cfg),
+                         "--out", str(scenes)]) == 0
+            message = "is not in"
+        else:
+            shutil.copytree(base / "scenes", scenes)
+            path = scenes / "scene_0000.json"
+            doc = json.loads(path.read_text())
+            doc["joints"][0]["axis"] = [-a for a in doc["joints"][0]["axis"]]
+            path.write_text(json.dumps(doc))
+            message = "differ from scene_0000.json"
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(cfg), "--run", str(base / "run"),
+                     "--scenes", str(scenes), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_json_summary(self, workspace, capsys):
         base, cfg = workspace

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 from dataclasses import replace
@@ -9,11 +10,13 @@ from scenekin import affordance, geom, pipeline, sensing
 from scenekin.config import config_from_dict, derive_seed
 from scenekin.sensing import object_view_poses
 from scenekin.simworld import (
+    GenerationConfig,
     GroundTruthJoint,
     InteractionConfig,
     PartGeometry,
     SceneSpec,
     canonical_pull_directions,
+    generate_scene,
     interact,
     load_scene,
     probe,
@@ -165,3 +168,29 @@ def test_traced_layers_run_on_the_main_thread(moving_run, monkeypatch):
     assert threads == {name: {threading.main_thread()} for name in
                        ("raycast_capture", "estimate_normals",
                         "extract_features")}
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_survey_bytes_are_pinned():
+    """The room survey (ring capture, then features over the whole cloud)
+    gives the bytes it gave before its byte-identical speedups: view-pyramid
+    culling, the overlapped neighbourhood task and the bounded discontinuity
+    query. Recorded with numpy 2.4 and SciPy 1.17; another LAPACK build may
+    round the eigenvalues differently."""
+    config = sensing.CaptureConfig(resolution=(64, 48))
+    cloud = sensing.capture_scene_cloud(
+        generate_scene(1, GenerationConfig()), config)
+    feats = affordance.extract_features(cloud, affordance.AffordanceConfig(),
+                                        config.voxel)
+    assert len(cloud) == 43901
+    assert _sha256(cloud.positions, cloud.colors, cloud.part_ids,
+                   cloud.point_ids) == (
+        "19c03ad5ce8eab2272b0791815ab1de02d0e5829b8061513b270506e79b997af")
+    assert _sha256(feats.values, feats.valid) == (
+        "cf6efdf34f9b6ba9afeb5b879805bcd01d54f44e052f33c9bebcc5774fa36c2c")

@@ -173,6 +173,13 @@ _VIEW = st.sampled_from([(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0),
                          (1.0, 0.3, -0.2)])
 
 
+# the top plane of a 70-degree camera at the origin looking along +x, and
+# its upward normal
+_TOP_DIR = np.array([math.cos(math.radians(35.0)), 0.0,
+                     math.sin(math.radians(35.0))])
+_TOP_NORMAL = np.array([-_TOP_DIR[2], 0.0, _TOP_DIR[0]])
+
+
 def _box_scene(boxes, duplicate_first):
     parts = [PartGeometry(c, h,
                           rotation_from_angle_axis(normalize(axis), ang),
@@ -194,11 +201,39 @@ class TestBatchedRaycast:
                      0.0)],
              duplicate_first=True, position=(0.0, 0.0, 0.0),
              view=(1.0, 0.0, 0.0), resolution=(5, 3), max_range=0.75)
+    # the camera inside a box, with a box ahead of it
+    @example(boxes=[((0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (0.0, 0.0, 1.0), 0.0),
+                    ((2.0, 0.0, 0.0), (0.25, 1.0, 1.0), (0.0, 0.0, 1.0),
+                     0.0)],
+             duplicate_first=False, position=(0.0, 0.0, 0.25),
+             view=(1.0, 0.0, 0.0), resolution=(7, 5), max_range=10.0)
+    # boxes through the image plane, one in view and one beside it
+    @example(boxes=[((0.0, 0.5, 0.0), (1.0, 0.25, 0.25), (0.0, 0.0, 1.0),
+                     0.0),
+                    ((0.0, 1.5, 0.0), (1.0, 0.25, 0.25), (0.0, 0.0, 1.0),
+                     0.0)],
+             duplicate_first=False, position=(0.0, 0.0, 0.0),
+             view=(1.0, 0.0, 0.0), resolution=(5, 3), max_range=10.0)
+    # a box only the outermost pixel column sees
+    @example(boxes=[((2.0, -2.0, 0.0), (0.25, 0.25, 1.0), (0.0, 0.0, 1.0),
+                     0.0)],
+             duplicate_first=False, position=(0.0, 0.0, 0.0),
+             view=(1.0, 0.0, 0.0), resolution=(5, 3), max_range=10.0)
+    # a box whose bottom face lies in the top plane of the view pyramid,
+    # z = tan(35 deg) x, doubled, beside a box in view
+    @example(boxes=[(tuple(2.0 * _TOP_DIR + 0.25 * _TOP_NORMAL),
+                     (0.5, 0.5, 0.25), (0.0, 1.0, 0.0),
+                     -math.radians(35.0)),
+                    ((2.0, 0.0, 0.0), (0.5, 0.5, 0.25), (0.0, 0.0, 1.0),
+                     0.0)],
+             duplicate_first=True, position=(0.0, 0.0, 0.0),
+             view=(1.0, 0.0, 0.0), resolution=(5, 3), max_range=10.0)
     def test_matches_sequential_scan_bit_for_bit(self, boxes, duplicate_first,
                                                  position, view, resolution,
                                                  max_range):
         # max_range cuts through boxes, or (on the grid) ends exactly on a
-        # face an axis-aligned ray enters; 7-ray blocks split every camera
+        # face an axis-aligned ray enters; 7-ray blocks split every camera.
+        # The reference scans every box of the room, so it checks the cull.
         scene = _box_scene(boxes, duplicate_first)
         cam = CameraPose(position, np.add(position, view), vfov_deg=70.0,
                          resolution=resolution)
@@ -211,7 +246,9 @@ class TestBatchedRaycast:
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
-        with mock.patch.object(sensing, "_nearest_hits", sequential_hits):
+        with mock.patch.object(sensing, "_nearest_hits", sequential_hits), \
+                mock.patch.object(sensing, "_visible_parts",
+                                  lambda world, camera: np.arange(len(world))):
             ref = raycast_capture(scene, cam, max_range, NOISE)
         for field in ("positions", "colors", "part_ids", "point_ids"):
             a, b = getattr(cloud, field), getattr(ref, field)
@@ -255,7 +292,53 @@ class TestProjection:
         np.testing.assert_array_equal(range_image(behind, cam), image)
 
 
+def lexsort_fusion(captures):
+    """Reference for `fuse_clouds`: sort every row by (id, x, y, z), equal
+    rows in concatenation order, and keep the first row of each id."""
+    captures = [c for c in captures if len(c) > 0]
+    pos = np.vstack([c.positions for c in captures])
+    ids = np.concatenate([c.point_ids for c in captures])
+    order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], ids))
+    _, first = np.unique(ids[order], return_index=True)
+    keep = order[first]
+    return PointCloud(pos[keep],
+                      colors=np.vstack([c.colors for c in captures])[keep],
+                      part_ids=np.concatenate([c.part_ids
+                                               for c in captures])[keep],
+                      point_ids=ids[keep])
+
+
+# captures over 12 ids and 8 positions, so ids repeat across captures, often
+# at exactly equal positions
+_CAPTURE = st.dictionaries(st.integers(0, 11),
+                           st.tuples(*[st.sampled_from([0.0, 0.5])] * 3),
+                           max_size=12)
+
+
 class TestSceneCloud:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_CAPTURE, min_size=1, max_size=4))
+    def test_fusion_matches_full_lexsort(self, rows_by_capture):
+        # every row has its own part id and colour, so the winner shows
+        captures, row = [], 0
+        for rows in rows_by_capture:
+            ids = np.array(list(rows), dtype=np.int64)
+            n = len(ids)
+            captures.append(PointCloud(
+                np.array(list(rows.values())).reshape(n, 3),
+                colors=np.repeat(np.arange(row, row + n, dtype=float)[:, None],
+                                 3, axis=1),
+                part_ids=np.arange(row, row + n), point_ids=ids))
+            row += n
+        if row == 0:
+            assert len(fuse_clouds(captures)) == 0
+            return
+        for ordered in (captures, captures[::-1]):
+            got, want = fuse_clouds(ordered), lexsort_fusion(ordered)
+            for field in ("positions", "colors", "part_ids", "point_ids"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_empty_room_only_shell_points(self):
         scene = generate_scene(3, GenerationConfig(0, 0, 0))
         cloud = capture_scene_cloud(scene, CaptureConfig(resolution=(60, 45)))
