@@ -136,12 +136,7 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig,
     cloud.tree  # built here, before the neighbourhood task shares it
     task = submit_leaf(_neighborhood_sums, cloud, radius)
     try:
-        k_eff = min(config.k_normals, n)
-        if k_eff >= 3:
-            normals, normals_valid = cloud.normals(k_eff)
-        else:
-            normals = np.zeros((n, 3))
-            normals_valid = np.zeros(n, dtype=bool)
+        normals, normals_valid = cloud.normals(config.k_normals)
     finally:
         wait([task])
     counts, sums = task.result()
@@ -259,7 +254,7 @@ class AffordanceModel:
         return replace(self, w2=flat[:f], b2=float(flat[-1]))
 
 
-def init_model(hidden: int = 0, seed: int = 0) -> AffordanceModel:
+def init_model(hidden: int, seed: int) -> AffordanceModel:
     rng = np.random.default_rng(seed)
     f = FEATURE_DIM
     mean = np.zeros(f)
@@ -291,9 +286,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(model: AffordanceModel, x: np.ndarray, y: np.ndarray,
-                  lambda_dice: float = 1.0, dice_eps: float = 1e-7
-                  ) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy plus dice loss and its exact gradient.
+                  lambda_dice: float) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy plus `lambda_dice` times the dice loss, and
+    its exact gradient.
 
     `x` holds standardized features of the non-ignored points, `y` their 0/1
     labels. The gradient is flattened in the order of ``model.params()``.
@@ -307,7 +302,7 @@ def loss_and_grad(model: AffordanceModel, x: np.ndarray, y: np.ndarray,
     # stable log-sigmoid: log(1 + exp(-|z|)) + max(z, 0) - z*y
     ce_terms = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0) - z * y
     ce = float(np.mean(ce_terms))
-    s = float(p.sum() + y.sum() + dice_eps)
+    s = float(p.sum() + y.sum() + 1e-7)  # smoothing: s > 0 with no positives
     q = float((p * y).sum())
     dice = 1.0 - 2.0 * q / s
     loss = ce + lambda_dice * dice
@@ -350,16 +345,14 @@ class AffordanceConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
 
-def _design_matrix(entries, drop_invalid=True):
-    """Stack (features, labels) pairs into X (raw), y arrays."""
+def _design_matrix(entries):
+    """Stack (features, labels) pairs into X (raw), y arrays of the labeled,
+    valid points."""
     xs, ys = [], []
     for feats, labelset in entries:
         vals = feats.values[labelset.indices]
-        valid = feats.valid[labelset.indices]
         lab = np.array(labelset.labels)
-        keep = lab != IGNORE
-        if drop_invalid:
-            keep &= valid
+        keep = (lab != IGNORE) & feats.valid[labelset.indices]
         xs.append(vals[keep])
         ys.append((lab[keep] == POSITIVE).astype(np.float64))
     if not xs:
@@ -367,7 +360,7 @@ def _design_matrix(entries, drop_invalid=True):
     return np.vstack(xs), np.concatenate(ys)
 
 
-def train(dataset: list, config: TrainConfig, seed: int = 0
+def train(dataset: list, config: TrainConfig, seed: int
           ) -> tuple[AffordanceModel, list[dict]]:
     """Full-batch gradient descent with momentum; returns (best model, log).
 
@@ -435,8 +428,7 @@ def predict(model: AffordanceModel, features: FeatureSet) -> np.ndarray:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def labels_to_dict(labelset: AffordanceLabelSet, scene_seed: int | None = None
-                   ) -> dict:
+def labels_to_dict(labelset: AffordanceLabelSet, scene_seed: int) -> dict:
     return {
         "version": "afford_labels.v1",
         "scene_seed": scene_seed,
@@ -452,8 +444,8 @@ def labels_from_dict(doc: dict) -> AffordanceLabelSet:
                               tuple(doc["labels"]))
 
 
-def save_model(model: AffordanceModel, path, config_hash: str | None = None,
-               seed: int | None = None) -> None:
+def save_model(model: AffordanceModel, path, config_hash: str,
+               seed: int) -> None:
     doc = {
         "version": "afford_model.v1",
         "hidden": model.hidden,

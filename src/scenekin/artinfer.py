@@ -38,6 +38,9 @@ from .geom import (
 PRISMATIC = "prismatic"
 REVOLUTE = "revolute"
 
+# neighbours per normal of an observation cloud
+_NORMAL_K = 10
+
 
 @dataclass(frozen=True)
 class JointModel:
@@ -421,13 +424,6 @@ def _competitive_labels(positions: np.ndarray, moved: np.ndarray,
     return mask
 
 
-def _cloud_normals(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    k = min(10, len(cloud))
-    if k < 3:
-        return np.zeros((len(cloud), 3)), np.zeros(len(cloud), dtype=bool)
-    return cloud.normals(k)
-
-
 def _explained_by(points: np.ndarray, target: PointCloud, fit_epsilon: float,
                   far_cap: float) -> np.ndarray:
     """Points consistent with the target surface.
@@ -438,7 +434,7 @@ def _explained_by(points: np.ndarray, target: PointCloud, fit_epsilon: float,
     far-away points from matching an extended plane. Samples without a valid
     normal fall back to the point distance.
     """
-    normals, valid = _cloud_normals(target)
+    normals, valid = target.normals(_NORMAL_K)
     d, idx = _query_within(target.tree, points, max(far_cap, fit_epsilon))
     explained = d <= fit_epsilon
     near = d <= far_cap
@@ -470,7 +466,7 @@ def _consistency_reseg(obs: ObservationPair, T: RigidTransform,
     # before side grows only along the seed surface: unexplained moved points
     # here are either sampling gaps of the part's image (coplanar) or
     # occlusion shadows of its new pose (offset behind the part)
-    nrm_b, val_b = _cloud_normals(obs.before)
+    nrm_b, val_b = obs.before.normals(_NORMAL_K)
     mask_b = _competitive_labels(obs.before.positions, moved_b,
                                  fit_b, ambiguity_radius, normals=nrm_b,
                                  normals_valid=val_b,

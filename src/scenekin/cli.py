@@ -12,7 +12,8 @@ Every setting, the ablations included, is a key of the config file; the
 only options besides input and output paths are --workers and --force,
 which change no artifact. Pass --json to print a machine-readable summary on
 stdout. Exit code is 0 only when every requested scene completed, and 2 on a
-named error such as a missing input directory.
+named error such as a missing input directory or another stage's output
+directory given as an input.
 """
 
 from __future__ import annotations

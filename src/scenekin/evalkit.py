@@ -50,15 +50,13 @@ def achieved_motion(records: list[dict]) -> dict[int, float]:
     return {j: abs(v) for j, v in totals.items()}
 
 
-def coverage(records: list[dict], gt_joints: list[dict],
-             revolute_thresholds_deg=REVOLUTE_THRESHOLDS_DEG,
-             prismatic_min_travel: float = PRISMATIC_MIN_TRAVEL) -> dict:
+def coverage(records: list[dict], gt_joints: list[dict]) -> dict:
     """Per-type fraction of ground-truth parts opened far enough.
 
     A prismatic part counts when its total travel exceeds
-    `prismatic_min_travel` meters; a revolute part counts at threshold tau
-    when its total opening exceeds tau degrees. Parts never attempted stay in
-    the denominator.
+    `PRISMATIC_MIN_TRAVEL` meters; a revolute part counts at threshold tau
+    of `REVOLUTE_THRESHOLDS_DEG` when its total opening exceeds tau degrees.
+    Parts never attempted stay in the denominator.
     """
     if not gt_joints:
         raise ValidationError("coverage needs at least one ground-truth part")
@@ -66,18 +64,18 @@ def coverage(records: list[dict], gt_joints: list[dict],
     n_pris = sum(1 for g in gt_joints if g["type"] == "prismatic")
     n_rev = len(gt_joints) - n_pris
     pris_hit = 0
-    rev_hits = {tau: 0 for tau in revolute_thresholds_deg}
+    rev_hits = {tau: 0 for tau in REVOLUTE_THRESHOLDS_DEG}
     for g in gt_joints:
         total = motion.get(g["index"], 0.0)
         if g["type"] == "prismatic":
-            pris_hit += total > prismatic_min_travel
+            pris_hit += total > PRISMATIC_MIN_TRAVEL
         else:
-            for tau in revolute_thresholds_deg:
+            for tau in REVOLUTE_THRESHOLDS_DEG:
                 rev_hits[tau] += math.degrees(total) > tau
     return {
         "prismatic": None if n_pris == 0 else pris_hit / n_pris,
         "revolute": {f"{tau:g}": (None if n_rev == 0 else rev_hits[tau] / n_rev)
-                     for tau in revolute_thresholds_deg},
+                     for tau in REVOLUTE_THRESHOLDS_DEG},
         "counts": {"prismatic": n_pris, "revolute": n_rev},
     }
 
@@ -189,10 +187,8 @@ def build_report(scenes: list[dict]) -> EvalReport:
     return EvalReport(per_scene, aggregate)
 
 
-def _fmt(value, digits=3):
-    if value is None:
-        return "-"
-    return f"{value:.{digits}f}"
+def _fmt(value):
+    return "-" if value is None else f"{value:.3f}"
 
 
 def render_table(report: EvalReport) -> str:
@@ -252,8 +248,7 @@ def per_joint_csv_rows(scenes: list[dict]) -> list[dict]:
     return rows
 
 
-def report_to_json(report: EvalReport, config_hash: str | None = None,
-                   seed: int | None = None) -> str:
+def report_to_json(report: EvalReport, config_hash: str, seed: int) -> str:
     doc = report.to_dict()
     doc["config_hash"] = config_hash
     doc["seed"] = seed

@@ -128,16 +128,17 @@ def normalize(v) -> np.ndarray:
     return a / n
 
 
-def is_unit(v, tol: float = UNIT_TOL) -> bool:
-    return abs(float(np.linalg.norm(np.asarray(v, dtype=np.float64))) - 1.0) <= tol
+def is_unit(v) -> bool:
+    norm = float(np.linalg.norm(np.asarray(v, dtype=np.float64)))
+    return abs(norm - 1.0) <= UNIT_TOL
 
 
-def check_rotation(R, tol: float = ORTHO_TOL) -> np.ndarray:
+def check_rotation(R) -> np.ndarray:
     """Validate that R is orthonormal with determinant +1."""
     R = np.asarray(R, dtype=np.float64)
     if R.shape != (3, 3):
         raise ValidationError(f"rotation must be 3x3, got {R.shape}")
-    if not np.allclose(R @ R.T, np.eye(3), atol=max(tol, 1e-9)):
+    if not np.allclose(R @ R.T, np.eye(3), atol=ORTHO_TOL):
         raise ValidationError("rotation is not orthonormal")
     if np.linalg.det(R) < 0.0:
         raise ValidationError("rotation has negative determinant")
@@ -156,11 +157,9 @@ class RigidTransform:
         object.__setattr__(self, "translation", as_vec3(self.translation))
 
     @staticmethod
-    def from_rotation_about_line(axis, angle: float, pivot=None) -> "RigidTransform":
+    def from_rotation_about_line(axis, angle: float, pivot) -> "RigidTransform":
         """Rotation by `angle` about the line through `pivot` along `axis`."""
         R = rotation_from_angle_axis(axis, angle)
-        if pivot is None:
-            return RigidTransform(R, np.zeros(3))
         q = as_vec3(pivot)
         return RigidTransform(R, q - R @ q)
 
@@ -230,9 +229,14 @@ class PointCloud:
         return {}
 
     def normals(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """`estimate_normals(self, k)`, computed once per k; do not modify."""
+        """`estimate_normals` with k clamped to the cloud size, computed once
+        per k; below 3 points every normal is zero and invalid. Do not
+        modify the arrays."""
+        k = min(k, len(self))
         if k not in self._normals_by_k:
-            self._normals_by_k[k] = estimate_normals(self, k)
+            self._normals_by_k[k] = (
+                estimate_normals(self, k) if k >= 3 else
+                (np.zeros((len(self), 3)), np.zeros(len(self), dtype=bool)))
         return self._normals_by_k[k]
 
     def subset(self, index) -> "PointCloud":
@@ -282,7 +286,7 @@ def estimate_normals(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]
 def rotation_from_angle_axis(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix for `angle` radians about unit `axis`."""
     u = as_vec3(axis)
-    if not is_unit(u, tol=1e-9):
+    if not is_unit(u):
         raise ValidationError("rotation axis must be unit norm")
     ux, uy, uz = u
     K = np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])

@@ -44,28 +44,32 @@ def _read_json(path) -> dict:
         return json.load(fh)
 
 
-def _read_manifest(directory) -> dict:
-    """The manifest.json of a stage's output directory."""
+def _read_manifest(directory, version: str) -> dict:
+    """The manifest.json of a stage's output directory, which must be of
+    `version`: another stage's directory is an ArtifactError."""
     path = os.path.join(directory, "manifest.json")
     if not os.path.isfile(path):
         raise ArtifactError(f"no manifest.json in {directory}")
-    return _read_json(path)
+    manifest = _read_json(path)
+    if manifest.get("version") != version:
+        raise ArtifactError(f"manifest.json in {directory} is "
+                            f"{manifest.get('version')}, not {version}")
+    return manifest
 
 
 def observe_interaction(scene: SceneSpec, contact,
                         outcome: simworld.InteractionOutcome,
                         scene_after: SceneSpec, config: PipelineConfig,
-                        rng: np.random.Generator | None = None,
-                        poses=None):
+                        rng: np.random.Generator, poses):
     """Observation pair of a known pull at `contact`.
 
     `outcome` and `scene_after` are what `simworld.interact` returned for
-    the pull on `scene`. The before views use `poses` (placed around the
-    contact when None); the after views reuse them plus fresh cameras aimed
-    at the advected contact."""
+    the pull on `scene`. The before views use the cameras `poses`; the
+    after views reuse them plus fresh cameras aimed at the advected
+    contact. `rng` draws the capture noise."""
     cap = config.capture
-    before, poses = sensing.capture_object_views(scene, contact, cap,
-                                                 poses=poses, rng=rng)
+    before = sensing.capture_object_views(scene, contact, cap, rng,
+                                          poses=poses)
     after = sensing.capture_interaction_after(
         scene_after, contact, poses, outcome.final_contact, cap, rng)
     return make_observation_pair(before, after, contact, outcome.final_contact,
@@ -100,7 +104,7 @@ def gen_scenes(config: PipelineConfig, out_dir) -> dict:
 
 
 def load_scene_dir(scenes_dir) -> list[SceneSpec]:
-    manifest = _read_manifest(scenes_dir)
+    manifest = _read_manifest(scenes_dir, "scene_manifest.v1")
     return [simworld.load_scene(os.path.join(scenes_dir, e["file"]))
             for e in manifest["scenes"]]
 
@@ -150,7 +154,7 @@ def collect(config: PipelineConfig, scenes_dir, out_dir) -> dict:
 
 def train_model(config: PipelineConfig, dataset_dir, out_dir) -> dict:
     """Train the affordance classifier from a collect output directory."""
-    manifest = _read_manifest(dataset_dir)
+    manifest = _read_manifest(dataset_dir, "collect_manifest.v1")
     os.makedirs(out_dir, exist_ok=True)
     dataset = []
     for entry in manifest["scenes"]:
@@ -353,7 +357,7 @@ def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
     the whole run before an artifact is written. `workers` > 1 runs scenes
     in that many processes; the artifacts are the same as in a serial run.
     """
-    manifest = _read_manifest(scenes_dir)
+    manifest = _read_manifest(scenes_dir, "scene_manifest.v1")
     if not os.path.isfile(model_path):
         raise ArtifactError(f"no model file {model_path}")
     os.makedirs(out_dir, exist_ok=True)
@@ -411,9 +415,9 @@ def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
     a run scene missing from there, or one whose joints differ, raises
     ArtifactError.
     """
-    run_manifest = _read_manifest(run_dir)
-    scene_files = {e["seed"]: e["file"]
-                   for e in _read_manifest(scenes_dir)["scenes"]}
+    run_manifest = _read_manifest(run_dir, "run_manifest.v1")
+    scene_files = {e["seed"]: e["file"] for e in
+                   _read_manifest(scenes_dir, "scene_manifest.v1")["scenes"]}
     chash = config_hash(config)
     if run_manifest.get("config_hash") != chash and not force:
         raise ArtifactError(

@@ -219,11 +219,12 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
                 seg: PartSegmentation, refine_config: RefineConfig,
                 infer_config: InferenceConfig, capture_config: CaptureConfig,
                 interaction: InteractionConfig,
-                rng: np.random.Generator | None = None) -> RefineResult:
+                rng: np.random.Generator | None) -> RefineResult:
     """Open a partially moved hinge further and re-estimate it.
 
     Each iteration plans with part_affordance, pulls with the `interaction`
-    settings of the initial probes, recaptures the after cloud, and re-infers
+    settings of the initial probes, recaptures the after cloud (noise drawn
+    from `rng`), and re-infers
     against the ORIGINAL before cloud so the state tracks total opening. A
     re-estimate is rejected when it is not revolute, its |state| did not
     increase, or its axis swings more than `axis_consistency_deg`. Otherwise

@@ -18,12 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .artinfer import REVOLUTE, JointModel
 from .errors import ValidationError
-from .geom import (
-    PointCloud,
-    line_to_line_distance,
-    load_cloud_binary,
-    save_cloud_binary,
-)
+from .geom import PointCloud, line_to_line_distance, save_cloud_binary
 
 
 @dataclass(frozen=True)
@@ -197,29 +192,3 @@ def export_model(model: SceneArticulationModel, path) -> None:
     with open(path, "w") as fh:
         json.dump(model_to_dict(model, points_files), fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def load_model(path) -> SceneArticulationModel:
-    path = str(path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != "scene_model.v1":
-        raise ValidationError(f"unsupported model version {doc.get('version')!r}")
-    out_dir = os.path.dirname(path) or "."
-    entries = []
-    for d in doc["entries"]:
-        joint = JointModel(d["type"], d["axis"], d["pivot"], d["state"])
-        box = None
-        if d["mobile_box"] is not None:
-            b = d["mobile_box"]
-            box = (np.array(b["center"]), np.array(b["half_extents"]),
-                   np.array(b["rotation_3x3"]).reshape(3, 3))
-        pts = None
-        if d.get("mobile_points_file"):
-            pts = load_cloud_binary(os.path.join(out_dir, d["mobile_points_file"])
-                                    ).positions
-        entries.append(ModelEntry(int(d["id"]), joint, pts, box,
-                                  tuple(d["hotspots"]), float(d["confidence"])))
-    return SceneArticulationModel(tuple(entries),
-                                  scene_seed=doc.get("scene_seed"),
-                                  config_hash=doc.get("config_hash"))

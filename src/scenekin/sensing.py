@@ -46,9 +46,9 @@ class CameraPose:
 
     position: np.ndarray
     look_at: np.ndarray
+    vfov_deg: float
+    resolution: tuple[int, int]
     up: np.ndarray = (0.0, 0.0, 1.0)
-    vfov_deg: float = 60.0
-    resolution: tuple[int, int] = (160, 120)
 
     def __post_init__(self):
         object.__setattr__(self, "position", as_vec3(self.position))
@@ -222,13 +222,14 @@ def _visible_parts(world, camera: CameraPose) -> np.ndarray:
 
 def raycast_capture(scene: SceneSpec, camera: CameraPose, max_range: float,
                     noise_sigma: float,
-                    rng: np.random.Generator | None = None) -> PointCloud:
+                    rng: np.random.Generator | None) -> PointCloud:
     """One depth capture: nearest box hit per pixel within range.
 
     Points carry part color, part index, and quantized-surface point ids;
     pixels hitting the same 5 mm surface patch are deduplicated. Gaussian
-    noise (if any) is added along the ray after identification. The returned
-    cloud is sorted by point id.
+    noise (if any) is drawn from `rng` and added along the ray after
+    identification; `rng` may be None only when `noise_sigma` is 0. The
+    returned cloud is sorted by point id.
     """
     dirs = camera.ray_directions()
     world = scene.world_parts()
@@ -247,8 +248,6 @@ def raycast_capture(scene: SceneSpec, camera: CameraPose, max_range: float,
 
     pts = camera.position[None, :] + t[first, None] * dirs[keep]
     if noise_sigma > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(0)
         pts = pts + dirs[keep] * rng.normal(0.0, noise_sigma,
                                             size=(len(keep), 1))
     colors = np.array([b.color for b in world])[part]
@@ -353,20 +352,19 @@ def ring_poses(scene: SceneSpec, config: CaptureConfig) -> list[CameraPose]:
 def _fused_captures(scene: SceneSpec, poses, config: CaptureConfig,
                    rng: np.random.Generator | None) -> PointCloud:
     """Fused captures from `poses`; under noise each capture draws its own
-    generator from `rng` (from a fresh seed-0 generator when `rng` is None)."""
+    generator from `rng`, which may be None only without noise."""
     captures = []
     for pose in poses:
         sub = None
         if config.noise_sigma > 0.0:
-            base = rng if rng is not None else np.random.default_rng(0)
-            sub = np.random.default_rng(base.integers(0, 2 ** 63 - 1))
+            sub = np.random.default_rng(rng.integers(0, 2 ** 63 - 1))
         captures.append(raycast_capture(scene, pose, config.max_range,
                                         config.noise_sigma, sub))
     return fuse_clouds(captures)
 
 
 def capture_scene_cloud(scene: SceneSpec, config: CaptureConfig,
-                        rng: np.random.Generator | None = None) -> PointCloud:
+                        rng: np.random.Generator | None) -> PointCloud:
     """Fused, voxel-downsampled scene cloud from the viewpoint ring."""
     fused = _fused_captures(scene, ring_poses(scene, config), config, rng)
     return _voxel_downsample(fused, config.voxel)
@@ -404,28 +402,27 @@ def object_view_poses(scene: SceneSpec, focus, config: CaptureConfig
 
 
 def capture_object_views(scene: SceneSpec, focus, config: CaptureConfig,
-                         poses: list[CameraPose] | None = None,
-                         rng: np.random.Generator | None = None,
-                         ) -> tuple[PointCloud, list[CameraPose]]:
+                         rng: np.random.Generator | None,
+                         poses: list[CameraPose] | None = None) -> PointCloud:
     """Egocentric object cloud: fused captures cropped around `focus`.
 
     Pass `poses` to reuse a previous placement (e.g. the before-interaction
-    cameras for the after capture). Returns (cloud, poses used).
+    cameras for the after capture); without them cameras are placed around
+    `focus` (`object_view_poses`).
     """
     focus = as_vec3(focus)
     if poses is None:
         poses = object_view_poses(scene, focus, config)
     fused = _fused_captures(scene, poses, config, rng)
     if len(fused) == 0:
-        return fused, poses
+        return fused
     keep = np.linalg.norm(fused.positions - focus, axis=1) <= config.crop_radius
-    return fused.subset(keep), poses
+    return fused.subset(keep)
 
 
 def capture_interaction_after(scene: SceneSpec, crop_center, poses,
                               focus_new, config: CaptureConfig,
-                              rng: np.random.Generator | None = None
-                              ) -> PointCloud:
+                              rng: np.random.Generator | None) -> PointCloud:
     """After-interaction capture for one observation pair.
 
     Fuses the reused before-capture cameras (static surfaces keep identical
@@ -435,10 +432,9 @@ def capture_interaction_after(scene: SceneSpec, crop_center, poses,
     no fresh placement is collision-free.
     """
     crop_center = as_vec3(crop_center)
-    after, _ = capture_object_views(scene, crop_center, config, poses=poses,
-                                    rng=rng)
+    after = capture_object_views(scene, crop_center, config, rng, poses=poses)
     try:
-        fresh, _ = capture_object_views(scene, focus_new, config, rng=rng)
+        fresh = capture_object_views(scene, focus_new, config, rng)
         after = fuse_clouds([after, fresh])
         keep = np.linalg.norm(after.positions - crop_center,
                               axis=1) <= config.crop_radius

@@ -34,6 +34,9 @@ PART_KINDS = ("static_body", "mobile_part", "distractor", "wall", "floor")
 
 WORLD_UP = np.array([0.0, 0.0, 1.0])
 
+# farthest a pulled contact may lie off the nearest part surface, meters
+CONTACT_TOL = 5e-3
+
 
 @dataclass(frozen=True)
 class PartGeometry:
@@ -94,7 +97,7 @@ class PartGeometry:
                        rotation=T.rotation @ self.rotation)
 
 
-def boxes_interpenetrate(a: PartGeometry, b: PartGeometry, tol: float = 1e-9) -> bool:
+def boxes_interpenetrate(a: PartGeometry, b: PartGeometry) -> bool:
     """Separating-axis test for two oriented boxes; touching is not overlap."""
     ra, rb = a.rotation, b.rotation
     t = b.center - a.center
@@ -108,7 +111,7 @@ def boxes_interpenetrate(a: PartGeometry, b: PartGeometry, tol: float = 1e-9) ->
     for axis in axes:
         pa = float(np.abs(ra.T @ axis) @ a.half_extents)
         pb = float(np.abs(rb.T @ axis) @ b.half_extents)
-        if abs(float(np.dot(t, axis))) >= pa + pb - tol:
+        if abs(float(np.dot(t, axis))) >= pa + pb - 1e-9:
             return False
     return True
 
@@ -144,12 +147,12 @@ class GroundTruthJoint:
         if not (lo - 1e-12 <= self.state <= hi + 1e-12):
             raise ValidationError("joint state outside limits")
 
-    def motion(self, state: float | None = None) -> RigidTransform:
-        """Rigid motion from the closed pose to the given (default current) state."""
-        s = self.state if state is None else float(state)
+    def motion(self) -> RigidTransform:
+        """Rigid motion from the closed pose to the current state."""
         if self.joint_type == PRISMATIC:
-            return RigidTransform.from_translation(self.axis * s)
-        return RigidTransform.from_rotation_about_line(self.axis, s, self.pivot)
+            return RigidTransform.from_translation(self.axis * self.state)
+        return RigidTransform.from_rotation_about_line(self.axis, self.state,
+                                                       self.pivot)
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,7 @@ class InteractionOutcome:
     delta_state: float
     final_contact: np.ndarray
     trajectory_steps: int
-    engaged: bool = False  # leverage test passed, whether or not motion followed
+    engaged: bool  # leverage test passed, whether or not motion followed
 
 
 @dataclass(frozen=True)
@@ -339,15 +342,16 @@ def _try_offset(bounds, wall, offset, footprint_w, footprint_d, existing_aabbs,
 
 
 def _place_against_wall(rng, bounds, footprint_w, footprint_d, existing_aabbs,
-                        gap, max_retries, what, runs=None, pack_prob=0.0,
-                        pack_gap=0.015):
+                        config: GenerationConfig, what, runs=None):
     """Place an object flush to a wall, local +y pointing into the room.
 
-    Cabinets prefer to extend an existing run (flush against a previously
-    placed cabinet on the same wall, narrow side gap) so exposed side faces
-    stay rare, like fitted furniture. Returns (center_xy, yaw, normal).
+    Cabinets pass their `runs` and prefer to extend one (flush against a
+    previously placed cabinet on the same wall, narrow side gap) so exposed
+    side faces stay rare, like fitted furniture. Returns (center_xy, yaw,
+    normal).
     """
-    if runs and rng.uniform() < pack_prob:
+    pack_gap = config.pack_gap
+    if runs and rng.uniform() < config.pack_probability:
         order = rng.permutation(len(runs))
         for k in order:
             wall, lo_off, hi_off = runs[int(k)]
@@ -365,7 +369,7 @@ def _place_against_wall(rng, bounds, footprint_w, footprint_d, existing_aabbs,
                                     max(hi_off, offset + footprint_w / 2))
                     return center, yaw, normal
     lo, hi = bounds
-    for _ in range(max_retries):
+    for _ in range(config.max_retries):
         wall = int(rng.integers(0, 4))
         normal, _ = _WALL_FRAMES[wall]
         wall_len = hi[0] - lo[0] if abs(normal[0]) < 0.5 else hi[1] - lo[1]
@@ -373,7 +377,7 @@ def _place_against_wall(rng, bounds, footprint_w, footprint_d, existing_aabbs,
             continue
         offset = rng.uniform(footprint_w / 2, wall_len - footprint_w / 2)
         got = _try_offset(bounds, wall, offset, footprint_w, footprint_d,
-                          existing_aabbs, gap)
+                          existing_aabbs, config.placement_gap)
         if got is not None:
             center, yaw, normal, aabb = got
             existing_aabbs.append(aabb)
@@ -382,7 +386,7 @@ def _place_against_wall(rng, bounds, footprint_w, footprint_d, existing_aabbs,
                              offset + footprint_w / 2))
             return center, yaw, normal
     raise SceneGenerationError(
-        f"could not place {what} after {max_retries} retries")
+        f"could not place {what} after {config.max_retries} retries")
 
 
 def generate_scene(seed: int, config: GenerationConfig | None = None) -> SceneSpec:
@@ -405,9 +409,8 @@ def generate_scene(seed: int, config: GenerationConfig | None = None) -> SceneSp
             else rng.uniform(*config.drawer_cabinet_height)
         depth_total = cd + config.panel_proud + config.panel_thickness
         cxy, yaw, normal = _place_against_wall(
-            rng, bounds, cw, depth_total, aabbs, config.placement_gap,
-            config.max_retries, f"{mobile_kind} cabinet", runs=runs,
-            pack_prob=config.pack_probability, pack_gap=config.pack_gap)
+            rng, bounds, cw, depth_total, aabbs, config,
+            f"{mobile_kind} cabinet", runs=runs)
         R = _yaw_matrix(yaw)
         # local frame: +x along wall, +y into the room, +z up
         body_center = np.array([cxy[0], cxy[1], ch / 2]) \
@@ -466,9 +469,8 @@ def generate_scene(seed: int, config: GenerationConfig | None = None) -> SceneSp
             h = rng.uniform(*config.distractor_slab_height)
             w = rng.uniform(0.9, 1.3)
         d = rng.uniform(0.3, 0.5)
-        cxy, yaw, _ = _place_against_wall(
-            rng, bounds, w, d, aabbs, config.placement_gap,
-            config.max_retries, "distractor")
+        cxy, yaw, _ = _place_against_wall(rng, bounds, w, d, aabbs, config,
+                                          "distractor")
         parts.append(PartGeometry([cxy[0], cxy[1], h / 2],
                                   [w / 2, d / 2, h / 2],
                                   _yaw_matrix(yaw), color(), "distractor"))
@@ -574,11 +576,10 @@ def _rotate_about_line(point, axis, pivot, angle) -> np.ndarray:
 
 
 def interact(scene: SceneSpec, contact, pull_direction, budget: PullBudget,
-             motion_epsilon: float, surface_tol: float = 5e-3,
-             ) -> tuple[InteractionOutcome, SceneSpec]:
+             motion_epsilon: float) -> tuple[InteractionOutcome, SceneSpec]:
     """Pull at `contact` along `pull_direction`; returns (outcome, new scene).
 
-    The contact must lie on a part surface (within `surface_tol`). Success
+    The contact must lie on a part surface (within `CONTACT_TOL`). Success
     means the touched joint moved by more than `motion_epsilon`; the returned
     scene carries the updated joint state and the outcome's final contact is
     the contact point advected by the joint motion.
@@ -590,9 +591,9 @@ def interact(scene: SceneSpec, contact, pull_direction, budget: PullBudget,
     d = d / np.linalg.norm(d)
 
     part_idx, dist = nearest_part(scene, contact)
-    if dist > surface_tol:
-        raise PreconditionError(
-            f"contact is {dist:.4f} m off the nearest surface (> {surface_tol})")
+    if dist > CONTACT_TOL:
+        raise PreconditionError(f"contact is {dist:.4f} m off the nearest "
+                                f"surface (> {CONTACT_TOL})")
 
     found = scene.joint_for_part(part_idx)
     fail = InteractionOutcome(False, None, 0.0, contact.copy(), 0, False)
@@ -678,9 +679,10 @@ def probe(scene: SceneSpec, contact, normal, interaction: InteractionConfig
 # Scene serialization (scene_spec.v1)
 # ---------------------------------------------------------------------------
 
-def scene_to_dict(scene: SceneSpec, config_hash: str | None = None) -> dict:
-    doc = {
+def scene_to_dict(scene: SceneSpec, config_hash: str) -> dict:
+    return {
         "version": "scene_spec.v1",
+        "config_hash": config_hash,
         "seed": int(scene.seed),
         "bounds": {"min": scene.bounds[0].tolist(),
                    "max": scene.bounds[1].tolist()},
@@ -707,9 +709,6 @@ def scene_to_dict(scene: SceneSpec, config_hash: str | None = None) -> dict:
             for idx, j in scene.joints
         ],
     }
-    if config_hash is not None:
-        doc["config_hash"] = config_hash
-    return doc
 
 
 def scene_from_dict(doc: dict) -> SceneSpec:
@@ -733,7 +732,7 @@ def scene_from_dict(doc: dict) -> SceneSpec:
                      int(doc["seed"]))
 
 
-def save_scene(scene: SceneSpec, path, config_hash: str | None = None) -> None:
+def save_scene(scene: SceneSpec, path, config_hash: str) -> None:
     with open(path, "w") as fh:
         json.dump(scene_to_dict(scene, config_hash), fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -40,8 +40,8 @@ def observe_interaction(scene, contact, direction, capture_config=None,
     """
     capture_config = capture_config or CaptureConfig(resolution=(100, 75))
     poses = object_view_poses(scene, contact, capture_config)
-    before, poses = capture_object_views(scene, contact, capture_config,
-                                         poses=poses, rng=rng)
+    before = capture_object_views(scene, contact, capture_config, rng,
+                                  poses=poses)
     outcome, scene_after = interact(scene, contact, direction,
                                     budget or PullBudget(),
                                     InteractionConfig().motion_epsilon)

@@ -91,13 +91,15 @@ def test_criterion_2_gradient_oracle():
         y = (rng.uniform(size=10) < 0.4).astype(float)
         if y.sum() == 0:
             y[0] = 1.0
-        _, grad = affordance.loss_and_grad(model, x, y)
+        _, grad = affordance.loss_and_grad(model, x, y, lambda_dice=1.0)
         eps = 1e-6
         for k in range(len(params)):
             up = params.copy(); up[k] += eps
             dn = params.copy(); dn[k] -= eps
-            lu, _ = affordance.loss_and_grad(model.with_params(up), x, y)
-            ld, _ = affordance.loss_and_grad(model.with_params(dn), x, y)
+            lu, _ = affordance.loss_and_grad(model.with_params(up), x, y,
+                                             lambda_dice=1.0)
+            ld, _ = affordance.loss_and_grad(model.with_params(dn), x, y,
+                                             lambda_dice=1.0)
             fd = (lu - ld) / (2.0 * eps)
             denom = max(abs(fd), abs(grad[k]), 1e-8)
             worst = max(worst, abs(grad[k] - fd) / denom)

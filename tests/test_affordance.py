@@ -128,7 +128,8 @@ class TestFeatures:
 class TestCollectLabels:
     def test_jointless_scene_all_negative_or_ignore(self):
         scene = generate_scene(3, GenerationConfig(0, 0, 2))
-        cloud = capture_scene_cloud(scene, CaptureConfig(resolution=(60, 45)))
+        cloud = capture_scene_cloud(
+            scene, CaptureConfig(resolution=(60, 45)), None)
         labels = collect_labels(scene, cloud, 60, 5, InteractionConfig())
         assert POSITIVE not in labels.labels
         assert NEGATIVE in labels.labels
@@ -136,7 +137,8 @@ class TestCollectLabels:
     def test_drawer_face_positive(self):
         scene = generate_scene(13, GenerationConfig(0, 1, 0))
         part_idx, _ = scene.joints[0]
-        cloud = capture_scene_cloud(scene, CaptureConfig(resolution=(100, 75)))
+        cloud = capture_scene_cloud(
+            scene, CaptureConfig(resolution=(100, 75)), None)
         labels = collect_labels(scene, cloud, 400, 7, InteractionConfig())
         on_panel = cloud.part_ids[labels.indices] == part_idx
         got = [l for l, m in zip(labels.labels, on_panel) if m]
@@ -144,7 +146,8 @@ class TestCollectLabels:
 
     def test_deterministic(self):
         scene = generate_scene(4, GenerationConfig(1, 1, 1))
-        cloud = capture_scene_cloud(scene, CaptureConfig(resolution=(60, 45)))
+        cloud = capture_scene_cloud(
+            scene, CaptureConfig(resolution=(60, 45)), None)
         a = collect_labels(scene, cloud, 80, 11, InteractionConfig())
         b = collect_labels(scene, cloud, 80, 11, InteractionConfig())
         np.testing.assert_array_equal(a.indices, b.indices)
@@ -153,7 +156,8 @@ class TestCollectLabels:
     def test_replay_oracle(self):
         # every positive replays to a success, every negative to three failures
         scene = generate_scene(6, GenerationConfig(1, 1, 1))
-        cloud = capture_scene_cloud(scene, CaptureConfig(resolution=(80, 60)))
+        cloud = capture_scene_cloud(
+            scene, CaptureConfig(resolution=(80, 60)), None)
         interaction = InteractionConfig()
         labels = collect_labels(scene, cloud, 120, 13, interaction)
         for i, label in zip(labels.indices, labels.labels):
@@ -207,13 +211,15 @@ class TestLossAndGrad:
             y = (rng.uniform(size=12) < 0.4).astype(float)
             if y.sum() == 0:
                 y[0] = 1.0
-            _, grad = loss_and_grad(model, x, y)
+            _, grad = loss_and_grad(model, x, y, lambda_dice=1.0)
             eps = 1e-6
             for k in rng.choice(len(params), size=6, replace=False):
                 up = params.copy(); up[k] += eps
                 dn = params.copy(); dn[k] -= eps
-                lu, _ = loss_and_grad(model.with_params(up), x, y)
-                ld, _ = loss_and_grad(model.with_params(dn), x, y)
+                lu, _ = loss_and_grad(model.with_params(up), x, y,
+                                      lambda_dice=1.0)
+                ld, _ = loss_and_grad(model.with_params(dn), x, y,
+                                      lambda_dice=1.0)
                 fd = (lu - ld) / (2 * eps)
                 denom = max(abs(fd), abs(grad[k]), 1e-8)
                 assert abs(grad[k] - fd) / denom < 1e-4
@@ -225,14 +231,15 @@ class TestLossAndGrad:
         y = (rng.uniform(size=30) < 0.5).astype(float)
         y[0] = 1.0
         perm = rng.permutation(30)
-        l1, _ = loss_and_grad(model, x, y)
-        l2, _ = loss_and_grad(model, x[perm], y[perm])
+        l1, _ = loss_and_grad(model, x, y, lambda_dice=1.0)
+        l2, _ = loss_and_grad(model, x[perm], y[perm], lambda_dice=1.0)
         assert l1 == pytest.approx(l2, abs=1e-12)
 
     def test_all_ignored_rejected(self):
-        model = init_model(hidden=0)
+        model = init_model(hidden=0, seed=0)
         with pytest.raises(TrainingError):
-            loss_and_grad(model, np.zeros((0, FEATURE_DIM)), np.zeros(0))
+            loss_and_grad(model, np.zeros((0, FEATURE_DIM)), np.zeros(0),
+                          lambda_dice=1.0)
 
 
 def separable_dataset(n_scenes=4, n=200, seed=0):
@@ -255,7 +262,7 @@ class TestTrainPredict:
     def test_separable_data_high_accuracy(self):
         dataset = separable_dataset()
         model, log = train(dataset, TrainConfig(epochs=300, hidden=0,
-                                                learning_rate=1.0))
+                                                learning_rate=1.0), seed=0)
         feats, labelset = dataset[-1]
         scores = predict(model, feats)
         pred = scores[labelset.indices] >= 0.5
@@ -277,7 +284,8 @@ class TestTrainPredict:
         np.testing.assert_array_equal(m1.params(), m2.params())
 
     def test_predict_zero_model_is_half(self):
-        model = init_model(hidden=0).with_params(np.zeros(FEATURE_DIM + 1))
+        model = init_model(hidden=0, seed=0).with_params(
+            np.zeros(FEATURE_DIM + 1))
         from scenekin.affordance import FeatureSet
         feats = FeatureSet(np.random.default_rng(0).normal(size=(10, FEATURE_DIM)),
                            np.array([True] * 9 + [False]))
@@ -286,7 +294,7 @@ class TestTrainPredict:
         assert scores[9] == 0.0
 
     def test_large_bias_saturates(self):
-        model = init_model(hidden=0).with_params(
+        model = init_model(hidden=0, seed=0).with_params(
             np.concatenate([np.zeros(FEATURE_DIM), [50.0]]))
         from scenekin.affordance import FeatureSet
         feats = FeatureSet(np.zeros((5, FEATURE_DIM)), np.ones(5, dtype=bool))
@@ -297,7 +305,8 @@ class TestTrainPredict:
         rng = np.random.default_rng(11)
         vals = rng.normal(size=(40, FEATURE_DIM))
         feats = FeatureSet(vals, np.ones(40, dtype=bool))
-        model, _ = train(separable_dataset(2), TrainConfig(epochs=40, hidden=0))
+        model, _ = train(separable_dataset(2),
+                         TrainConfig(epochs=40, hidden=0), seed=0)
         scores = predict(model, feats)
         perm = rng.permutation(40)
         scores_p = predict(model, FeatureSet(vals[perm], np.ones(40, bool)))
@@ -313,9 +322,10 @@ class TestSerialization:
         assert back.labels == ls.labels
 
     def test_model_round_trip(self, tmp_path):
-        model, _ = train(separable_dataset(2), TrainConfig(epochs=20, hidden=8))
+        model, _ = train(separable_dataset(2),
+                         TrainConfig(epochs=20, hidden=8), seed=0)
         p = tmp_path / "model.json"
-        save_model(model, p)
+        save_model(model, p, "0" * 16, 0)
         back = load_model(p)
         np.testing.assert_array_equal(back.params(), model.params())
         np.testing.assert_array_equal(back.scaler_mean, model.scaler_mean)

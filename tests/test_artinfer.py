@@ -104,7 +104,7 @@ class TestComponents:
 # Unbounded references for the bounded neighbour queries of the
 # re-segmentation: every point is searched to its nearest neighbour.
 def _explained_by_ref(points, target, fit_epsilon, far_cap):
-    normals, valid = artinfer._cloud_normals(target)
+    normals, valid = target.normals(artinfer._NORMAL_K)
     d, idx = target.tree.query(points)
     offset = points - target.positions[idx]
     plane = np.abs(np.einsum("ni,ni->n", offset, normals[idx]))

@@ -196,7 +196,8 @@ def test_every_block_runs_once_under_contention():
 
 def _ring_rays():
     scene = generate_scene(2, GenerationConfig())
-    cam = CameraPose([2.0, 1.5, 1.3], [3.0, 2.0, 1.0], resolution=(64, 48))
+    cam = CameraPose([2.0, 1.5, 1.3], [3.0, 2.0, 1.0], vfov_deg=60.0,
+                     resolution=(64, 48))
     return scene.world_parts(), cam.position, cam.ray_directions()
 
 

@@ -58,6 +58,25 @@ def override_dicts(draw):
     return doc
 
 
+# sha256 of each directory the workspace fixture writes (`_tree_sha256`)
+WORKSPACE_SHA256 = {
+    "scenes": "8a90176add38e07560633356ed90573e4aaecbd28025bc571bde76f7f6897917",
+    "data": "f044cf6bbec56c9ab82af3995babb86b773f8b45a0383ef55eecf90ff10ed612",
+    "model": "7bfb2e1922fcaeed55a2a38dc0cf4185900c9d0267db688be232ab7a640a37ee",
+    "run": "786eb9acac8598922d4a144341f020db93ef46bc796f2524535646d29b046956",
+    "eval": "cc93fe8ec42a416d4677c32c1697fb20e4126ed33f127effacf479af6ccc6044",
+}
+
+
+def _tree_sha256(top) -> str:
+    """sha256 over the relative path and bytes of every file under `top`."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in top.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(top)).encode() + b"\0")
+        h.update(hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli")
@@ -323,20 +342,44 @@ class TestPipelineArtifacts:
     def test_missing_input_directory_is_a_named_error(self, workspace,
                                                       tmp_path, capsys,
                                                       command):
+        """An input directory without a manifest, or another stage's output
+        directory, is a named error and no output directory is made."""
         base, cfg = workspace
         missing = str(tmp_path / "missing")
-        inputs = {
-            "collect": ["--scenes", missing],
-            "train": ["--dataset", missing],
-            "run": ["--scenes", missing,
-                    "--model", str(base / "model" / "model.json")],
-            "eval": ["--run", missing, "--scenes", str(base / "scenes")],
+        scenes, data, run = (str(base / d) for d in ("scenes", "data", "run"))
+        model = str(base / "model" / "model.json")
+        # (inputs, error message) per wrong input directory
+        cases = {
+            "collect": [
+                (["--scenes", missing], f"no manifest.json in {missing}"),
+                (["--scenes", run], f"manifest.json in {run} is "
+                 "run_manifest.v1, not scene_manifest.v1")],
+            "train": [
+                (["--dataset", missing], f"no manifest.json in {missing}"),
+                (["--dataset", scenes], f"manifest.json in {scenes} is "
+                 "scene_manifest.v1, not collect_manifest.v1")],
+            "run": [
+                (["--scenes", missing, "--model", model],
+                 f"no manifest.json in {missing}"),
+                (["--scenes", data, "--model", model],
+                 f"manifest.json in {data} is collect_manifest.v1, not "
+                 "scene_manifest.v1")],
+            "eval": [
+                (["--run", missing, "--scenes", scenes],
+                 f"no manifest.json in {missing}"),
+                (["--run", data, "--scenes", scenes],
+                 f"manifest.json in {data} is collect_manifest.v1, not "
+                 "run_manifest.v1"),
+                (["--run", run, "--scenes", run],
+                 f"manifest.json in {run} is run_manifest.v1, not "
+                 "scene_manifest.v1")],
         }[command]
         out = tmp_path / "out"
-        assert main([command, "--config", str(cfg), *inputs,
-                     "--out", str(out)]) == 2
-        assert f"no manifest.json in {missing}" in capsys.readouterr().err
-        assert not out.exists()
+        for inputs, message in cases:
+            assert main([command, "--config", str(cfg), *inputs,
+                         "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_model_file_is_a_named_error(self, workspace, tmp_path,
                                                  capsys):
@@ -346,6 +389,15 @@ class TestPipelineArtifacts:
                      "--scenes", str(base / "scenes"), "--model", model,
                      "--out", str(tmp_path / "out")]) == 2
         assert f"no model file {model}" in capsys.readouterr().err
+
+    def test_workspace_bytes_are_pinned(self, workspace):
+        """Every file the workspace commands write keeps the bytes it had
+        before the writers lost their test-only defaults. Recorded with
+        numpy 2.4 and SciPy 1.17; another LAPACK build may round the
+        eigenvalues, and so the model and the run, differently."""
+        base, _ = workspace
+        assert {name: _tree_sha256(base / name)
+                for name in WORKSPACE_SHA256} == WORKSPACE_SHA256
 
     def test_scene_dir_loader(self, workspace):
         base, _ = workspace

@@ -90,6 +90,15 @@ class TestPointCloud:
         assert cloud.normals(5) is not cloud.normals(8)
         assert cloud.subset(np.arange(10)).tree is not cloud.tree
 
+    def test_normals_clamp_k_to_the_cloud_size(self):
+        pts = np.random.default_rng(6).normal(size=(6, 3))
+        for got, expect in zip(PointCloud(pts).normals(10),
+                               estimate_normals(PointCloud(pts), 6)):
+            np.testing.assert_array_equal(got, expect)
+        normals, valid = PointCloud(pts[:2]).normals(10)
+        assert normals.shape == (2, 3) and not normals.any()
+        assert valid.shape == (2,) and not valid.any()
+
 
 class TestEstimateNormals:
     def test_planar_patch(self):

@@ -185,7 +185,7 @@ def test_survey_bytes_are_pinned():
     round the eigenvalues differently."""
     config = sensing.CaptureConfig(resolution=(64, 48))
     cloud = sensing.capture_scene_cloud(
-        generate_scene(1, GenerationConfig()), config)
+        generate_scene(1, GenerationConfig()), config, None)
     feats = affordance.extract_features(cloud, affordance.AffordanceConfig(),
                                         config.voxel)
     assert len(cloud) == 43901

@@ -127,9 +127,10 @@ class TestFreeSpaceEvidence:
         # adds to the after cloud a surface 2 cm behind it, as a pull that
         # shows the back of a part would
         from scenekin.artinfer import make_observation_pair
-        cam = CameraPose([0.3, 1.0, 1.0], [0.3, 0.0, 1.0], resolution=(40, 30))
+        cam = CameraPose([0.3, 1.0, 1.0], [0.3, 0.0, 1.0], vfov_deg=60.0,
+                         resolution=(40, 30))
         before = raycast_capture(free_space_scene(), cam, CAPTURE.max_range,
-                                 CAPTURE.noise_sigma)
+                                 CAPTURE.noise_sigma, None)
         after = before
         if revealed:
             after = PointCloud(np.vstack([before.positions,
@@ -201,7 +202,7 @@ class TestRefineLoop:
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         obs = make_observation_pair(cloud, cloud, [1, 0, 1], [1, 0, 1], 0.05)
         result = refine_loop(scene, obs, joint, seg, RefineConfig(),
-                             InferenceConfig(), CAPTURE, INTERACTION)
+                             InferenceConfig(), CAPTURE, INTERACTION, None)
         assert result.joint is joint
         assert result.log == ()
 
@@ -213,7 +214,7 @@ class TestRefineLoop:
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         obs = make_observation_pair(cloud, cloud, [1, 0, 1], [1, 0, 1], 0.05)
         result = refine_loop(scene, obs, joint, seg, RefineConfig(),
-                             InferenceConfig(), CAPTURE, INTERACTION)
+                             InferenceConfig(), CAPTURE, INTERACTION, None)
         assert result.joint is joint
 
     def test_ajar_door_reopened_past_target(self):

@@ -1,18 +1,48 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 from scenekin.artinfer import JointModel
-from scenekin.geom import normalize
+from scenekin.geom import load_cloud_binary, normalize
 from scenekin.scenemodel import (
     AggregateConfig,
+    ModelEntry,
     SceneArticulationModel,
     aggregate,
     export_model,
     fit_oriented_box,
-    load_model,
 )
 
 AGGREGATE = AggregateConfig()
+
+
+def load_model(path) -> SceneArticulationModel:
+    """Read a scene_model.v1 file written by `export_model`, sidecar clouds
+    included."""
+    path = str(path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert doc["version"] == "scene_model.v1"
+    out_dir = os.path.dirname(path) or "."
+    entries = []
+    for d in doc["entries"]:
+        joint = JointModel(d["type"], d["axis"], d["pivot"], d["state"])
+        box = None
+        if d["mobile_box"] is not None:
+            b = d["mobile_box"]
+            box = (np.array(b["center"]), np.array(b["half_extents"]),
+                   np.array(b["rotation_3x3"]).reshape(3, 3))
+        pts = None
+        if d.get("mobile_points_file"):
+            pts = load_cloud_binary(os.path.join(
+                out_dir, d["mobile_points_file"])).positions
+        entries.append(ModelEntry(int(d["id"]), joint, pts, box,
+                                  tuple(d["hotspots"]), float(d["confidence"])))
+    return SceneArticulationModel(tuple(entries),
+                                  scene_seed=doc.get("scene_seed"),
+                                  config_hash=doc.get("config_hash"))
 
 
 def models_equivalent(a: SceneArticulationModel, b: SceneArticulationModel,

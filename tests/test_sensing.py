@@ -106,28 +106,31 @@ def raycast_single(scene: SceneSpec, origin, direction,
 class TestRaycast:
     def test_full_frustum_yields_all_pixels(self):
         scene = single_box_scene([2.1, 0.0, 0.0], [0.1, 8.0, 8.0])
-        cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], resolution=(10, 10))
-        cloud = raycast_capture(scene, cam, MAX_RANGE, NOISE)
+        cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], vfov_deg=60.0,
+                         resolution=(10, 10))
+        cloud = raycast_capture(scene, cam, MAX_RANGE, NOISE, None)
         assert len(cloud) == 100
 
     def test_facing_away_gives_empty_cloud(self):
         scene = single_box_scene([-5.0, 0.0, 0.0], [0.5, 0.5, 0.5])
-        cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], resolution=(8, 8))
-        cloud = raycast_capture(scene, cam, MAX_RANGE, NOISE)
+        cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], vfov_deg=60.0,
+                         resolution=(8, 8))
+        cloud = raycast_capture(scene, cam, MAX_RANGE, NOISE, None)
         assert len(cloud) == 0
 
     def test_known_depth_exact(self):
         d = 2.5
         scene = single_box_scene([d + 0.5, 0.0, 0.0], [0.5, 9.0, 9.0])
-        cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], resolution=(12, 12))
-        cloud = raycast_capture(scene, cam, MAX_RANGE, NOISE)
+        cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], vfov_deg=60.0,
+                         resolution=(12, 12))
+        cloud = raycast_capture(scene, cam, MAX_RANGE, NOISE, None)
         assert len(cloud) == 144
         np.testing.assert_allclose(cloud.positions[:, 0], d, atol=1e-9)
 
     def test_points_lie_on_surfaces_and_labels_match(self):
         scene = generate_scene(5, GenerationConfig(1, 1, 1))
         config = CaptureConfig(resolution=(80, 60))
-        cloud = capture_scene_cloud(scene, config)
+        cloud = capture_scene_cloud(scene, config, None)
         assert len(cloud) > 500
         world = scene.world_parts()
         dists = np.array([world[p].surface_distance(q)
@@ -136,8 +139,9 @@ class TestRaycast:
 
     def test_noise_moves_points_along_ray(self):
         scene = single_box_scene([3.0, 0.0, 0.0], [0.5, 9.0, 9.0])
-        cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], resolution=(10, 10))
-        clean = raycast_capture(scene, cam, MAX_RANGE, NOISE)
+        cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], vfov_deg=60.0,
+                         resolution=(10, 10))
+        clean = raycast_capture(scene, cam, MAX_RANGE, NOISE, None)
         noisy = raycast_capture(scene, cam, MAX_RANGE, 0.002,
                                 rng=np.random.default_rng(1))
         assert len(clean) == len(noisy)
@@ -154,9 +158,10 @@ class TestRaycast:
 
     def test_rejects_bad_camera(self):
         with pytest.raises(ValidationError):
-            CameraPose([0, 0, 0], [0, 0, 0])
+            CameraPose([0, 0, 0], [0, 0, 0], 60.0, (160, 120))
         with pytest.raises(ValidationError):
-            CameraPose([0, 0, 0], [1, 0, 0], vfov_deg=0.5)
+            CameraPose([0, 0, 0], [1, 0, 0], vfov_deg=0.5,
+                       resolution=(160, 120))
 
 
 # Boxes on a 0.25 m grid with axis-aligned or right-angle frames share face
@@ -240,7 +245,7 @@ class TestBatchedRaycast:
         world, dirs = scene.world_parts(), cam.ray_directions()
         with mock.patch.object(geom, "BLOCK_ROWS", 7):
             got = _nearest_hits(world, cam.position, dirs, max_range)
-            cloud = raycast_capture(scene, cam, max_range, NOISE)
+            cloud = raycast_capture(scene, cam, max_range, NOISE, None)
         want = sequential_hits(world, cam.position, dirs, max_range)
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape
@@ -249,7 +254,7 @@ class TestBatchedRaycast:
         with mock.patch.object(sensing, "_nearest_hits", sequential_hits), \
                 mock.patch.object(sensing, "_visible_parts",
                                   lambda world, camera: np.arange(len(world))):
-            ref = raycast_capture(scene, cam, max_range, NOISE)
+            ref = raycast_capture(scene, cam, max_range, NOISE, None)
         for field in ("positions", "colors", "part_ids", "point_ids"):
             a, b = getattr(cloud, field), getattr(ref, field)
             assert (a is None) == (b is None)
@@ -258,8 +263,9 @@ class TestBatchedRaycast:
 
     def test_empty_scene_gives_empty_cloud(self):
         scene = SceneSpec((), (), BIG_BOUNDS, 0)
-        cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], resolution=(4, 4))
-        assert len(raycast_capture(scene, cam, MAX_RANGE, NOISE)) == 0
+        cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], vfov_deg=60.0,
+                         resolution=(4, 4))
+        assert len(raycast_capture(scene, cam, MAX_RANGE, NOISE, None)) == 0
 
 
 class TestProjection:
@@ -274,7 +280,8 @@ class TestProjection:
         np.testing.assert_allclose(rng, 2.0, atol=1e-12)
 
     def test_points_behind_camera_do_not_project(self):
-        cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], resolution=(8, 8))
+        cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], vfov_deg=60.0,
+                         resolution=(8, 8))
         col, row, _ = cam.project(np.array([[-1.0, 0.0, 0.0]]))
         assert np.isnan(col[0]) and np.isnan(row[0])
 
@@ -282,8 +289,9 @@ class TestProjection:
         # the camera's own capture fills every pixel with its hit range;
         # a surface behind it, fused in, changes nothing
         scene = single_box_scene([2.5, 0.0, 0.0], [0.5, 9.0, 9.0])
-        cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], resolution=(12, 12))
-        cloud = raycast_capture(scene, cam, MAX_RANGE, NOISE)
+        cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], vfov_deg=60.0,
+                         resolution=(12, 12))
+        cloud = raycast_capture(scene, cam, MAX_RANGE, NOISE, None)
         image = range_image(cloud, cam)
         dirs = cam.ray_directions()
         np.testing.assert_allclose(image.ravel(), 2.0 / dirs[:, 0], atol=1e-9)
@@ -341,7 +349,8 @@ class TestSceneCloud:
 
     def test_empty_room_only_shell_points(self):
         scene = generate_scene(3, GenerationConfig(0, 0, 0))
-        cloud = capture_scene_cloud(scene, CaptureConfig(resolution=(60, 45)))
+        cloud = capture_scene_cloud(
+            scene, CaptureConfig(resolution=(60, 45)), None)
         kinds = {scene.parts[p].kind for p in np.unique(cloud.part_ids)}
         assert kinds <= {"wall", "floor"}
         assert len(cloud) > 200
@@ -349,7 +358,7 @@ class TestSceneCloud:
     def test_voxel_uniqueness(self):
         scene = generate_scene(4, GenerationConfig(1, 1, 1))
         config = CaptureConfig(resolution=(80, 60), voxel=0.02)
-        cloud = capture_scene_cloud(scene, config)
+        cloud = capture_scene_cloud(scene, config, None)
         keys = np.floor(cloud.positions / config.voxel).astype(np.int64)
         assert len(np.unique(keys, axis=0)) == len(cloud)
 
@@ -357,7 +366,8 @@ class TestSceneCloud:
         scene = generate_scene(6, GenerationConfig(1, 0, 1))
         config = CaptureConfig(resolution=(60, 45))
         poses = ring_poses(scene, config)
-        captures = [raycast_capture(scene, p, MAX_RANGE, NOISE) for p in poses]
+        captures = [raycast_capture(scene, p, MAX_RANGE, NOISE, None)
+                    for p in poses]
         a = _voxel_downsample(fuse_clouds(captures), config.voxel)
         b = _voxel_downsample(fuse_clouds(captures[::-1]), config.voxel)
         np.testing.assert_array_equal(a.point_ids, b.point_ids)
@@ -369,7 +379,7 @@ class TestSceneCloud:
         config = CaptureConfig(resolution=(120, 90))
         for seed in range(20):
             scene = generate_scene(seed, GenerationConfig(2, 2, 2))
-            cloud = capture_scene_cloud(scene, config)
+            cloud = capture_scene_cloud(scene, config, None)
             seen = set(np.unique(cloud.part_ids))
             for part_idx, _ in scene.joints:
                 box = scene.part_world(part_idx)
@@ -426,7 +436,7 @@ class TestObjectViews:
         scene = self._cabinet_scene()
         focus = np.array([0.0, 0.28, 0.8])
         config = CaptureConfig(resolution=(80, 60), crop_radius=1.2)
-        cloud, poses = capture_object_views(scene, focus, config)
+        cloud = capture_object_views(scene, focus, config, None)
         assert len(cloud) > 100
         assert np.linalg.norm(cloud.positions - focus, axis=1).max() <= 1.2
 
@@ -434,7 +444,8 @@ class TestObjectViews:
         scene = self._cabinet_scene()
         focus = np.array([0.0, 0.28, 0.8])
         config = CaptureConfig(resolution=(60, 45))
-        cloud1, poses = capture_object_views(scene, focus, config)
-        cloud2, _ = capture_object_views(scene, focus, config, poses=poses)
+        poses = object_view_poses(scene, focus, config)
+        cloud1 = capture_object_views(scene, focus, config, None)
+        cloud2 = capture_object_views(scene, focus, config, None, poses=poses)
         np.testing.assert_array_equal(cloud1.positions, cloud2.positions)
         np.testing.assert_array_equal(cloud1.point_ids, cloud2.point_ids)

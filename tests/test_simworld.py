@@ -60,7 +60,7 @@ class TestGeneration:
         a = generate_scene(7, config)
         b = generate_scene(7, config)
         assert len(a.joints) == 4
-        assert scene_to_dict(a) == scene_to_dict(b)
+        assert scene_to_dict(a, "x") == scene_to_dict(b, "x")
 
     def test_empty_config(self):
         scene = generate_scene(3, GenerationConfig(0, 0, 0))
@@ -295,16 +295,16 @@ class TestWorldParts:
 class TestSceneSerialization:
     def test_round_trip(self):
         scene = generate_scene(21, GenerationConfig(1, 1, 1))
-        doc = scene_to_dict(scene)
+        doc = scene_to_dict(scene, "x")
         back = scene_from_dict(doc)
-        assert scene_to_dict(back) == doc
+        assert scene_to_dict(back, "x") == doc
 
     def test_file_round_trip(self, tmp_path):
         scene = generate_scene(22, GenerationConfig(1, 1, 0))
         p = tmp_path / "scene.json"
-        save_scene(scene, p)
+        save_scene(scene, p, "x")
         back = load_scene(p)
-        assert scene_to_dict(back) == scene_to_dict(scene)
+        assert scene_to_dict(back, "x") == scene_to_dict(scene, "x")
 
     def test_nearest_part_identifies_panel(self):
         scene = make_drawer_scene()
