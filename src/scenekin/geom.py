@@ -31,6 +31,7 @@ from .errors import ValidationError
 
 UNIT_TOL = 1e-9
 ORTHO_TOL = 1e-9
+_EYE = np.eye(3)
 
 # Rows per `map_blocks` block. It is fixed, so each block holds the same rows
 # whatever the thread count, and row-independent work gives the same bytes.
@@ -138,7 +139,8 @@ def check_rotation(R) -> np.ndarray:
     R = np.asarray(R, dtype=np.float64)
     if R.shape != (3, 3):
         raise ValidationError(f"rotation must be 3x3, got {R.shape}")
-    if not np.allclose(R @ R.T, np.eye(3), atol=ORTHO_TOL):
+    # np.allclose(R @ R.T, I, atol=ORTHO_TOL) written out; NaN and inf fail
+    if not (np.abs(R @ R.T - _EYE) <= ORTHO_TOL + 1e-05 * _EYE).all():
         raise ValidationError("rotation is not orthonormal")
     if np.linalg.det(R) < 0.0:
         raise ValidationError("rotation has negative determinant")

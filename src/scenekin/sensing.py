@@ -33,7 +33,7 @@ from .geom import (
     normalize,
     rotation_from_angle_axis,
 )
-from .simworld import WORLD_UP, SceneSpec, surface_normal
+from .simworld import WORLD_UP, BoxStack, SceneSpec, surface_normal
 
 # point_id packing: ((part * 6 + face) * ID_RANGE + iu) * ID_RANGE + iv
 _ID_RANGE = 100_000
@@ -128,7 +128,7 @@ class CaptureConfig:
             raise ValidationError("capture voxel must be > 0")
 
 
-def _nearest_hits(world, origin: np.ndarray, dirs: np.ndarray,
+def _nearest_hits(boxes: BoxStack, origin: np.ndarray, dirs: np.ndarray,
                   max_range: float
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nearest box entry of each ray from `origin` along `dirs` (N, 3).
@@ -139,16 +139,16 @@ def _nearest_hits(world, origin: np.ndarray, dirs: np.ndarray,
     the entry distance, the box (on a tie, the lowest index) and the entry
     point in that box's frame.
     """
-    if not world:
+    if len(boxes.centers) == 0:
         return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                 np.zeros(0), np.zeros((0, 3)))
-    o = np.array([(origin - box.center) @ box.rotation for box in world])
-    o, h = o[:, None, :], np.array([b.half_extents for b in world])[:, None, :]
+    o = (origin - boxes.centers)[:, None, :] @ boxes.rotations
+    h = boxes.half_extents[:, None, :]
 
     def block(rows):
-        d = np.empty((len(world), rows.stop - rows.start, 3))
-        for pi, box in enumerate(world):
-            d[pi] = dirs[rows] @ box.rotation
+        d = np.empty((len(o), rows.stop - rows.start, 3))
+        for pi, rotation in enumerate(boxes.rotations):
+            d[pi] = dirs[rows] @ rotation
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / d
             t1 = (-h - o) * inv
@@ -193,14 +193,14 @@ def _point_ids(part: np.ndarray, local_pts: np.ndarray, half: np.ndarray
     return ((part * 6 + face) * _ID_RANGE + iu) * _ID_RANGE + iv
 
 
-def _visible_parts(world, camera: CameraPose) -> np.ndarray:
-    """Indices, ascending, of the boxes of `world` that do not lie wholly
+def _visible_parts(boxes: BoxStack, camera: CameraPose) -> np.ndarray:
+    """Indices, ascending, of the boxes of `boxes` that do not lie wholly
     outside any one side plane of `camera`'s view pyramid.
 
     Every pixel ray lies strictly inside the pyramid (pixel centres sit half
     a pixel in from its edges), so no ray enters a dropped box.
     """
-    if not world:
+    if len(boxes.centers) == 0:
         return np.zeros(0, dtype=np.int64)
     w, h = camera.resolution
     forward, right, cam_up = camera.basis()
@@ -211,11 +211,9 @@ def _visible_parts(world, camera: CameraPose) -> np.ndarray:
                        cam_up - tan_v * forward, -cam_up - tan_v * forward])
     signs = np.array([[sx, sy, sz] for sx in (-1.0, 1.0)
                       for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)])
-    center = np.array([b.center for b in world])
-    half = np.array([b.half_extents for b in world])
-    rotation = np.array([b.rotation for b in world])
-    corners = center[:, None, :] + np.einsum(
-        "pij,pcj->pci", rotation, signs[None] * half[:, None, :])
+    corners = boxes.centers[:, None, :] + np.einsum(
+        "pij,pcj->pci", boxes.rotations,
+        signs[None] * boxes.half_extents[:, None, :])
     outside = (corners - camera.position) @ planes.T > 0.0   # (P, 8, 4)
     return np.flatnonzero(~outside.all(axis=1).any(axis=1))
 
@@ -232,28 +230,26 @@ def raycast_capture(scene: SceneSpec, camera: CameraPose, max_range: float,
     returned cloud is sorted by point id.
     """
     dirs = camera.ray_directions()
-    world = scene.world_parts()
-    visible = _visible_parts(world, camera)
-    ray, part, t, local = _nearest_hits([world[i] for i in visible],
-                                        camera.position, dirs, max_range)
+    boxes = scene.boxes
+    visible = _visible_parts(boxes, camera)
+    ray, part, t, local = _nearest_hits(boxes.take(visible), camera.position,
+                                        dirs, max_range)
     if len(ray) == 0:
         return PointCloud(np.zeros((0, 3)))
     part = visible[part]
-    half = np.array([b.half_extents for b in world])
-    ids = _point_ids(part, local, half[part])
-    # one point per surface patch: keep the first pixel that saw each id
-    _, first = np.unique(ids, return_index=True)
-    first = np.sort(first)
-    keep, part, ids = ray[first], part[first], ids[first]
+    ids = _point_ids(part, local, boxes.half_extents[part])
+    # one point per surface patch, in id order: the first pixel that saw it
+    ids, first = np.unique(ids, return_index=True)
+    keep, part = ray[first], part[first]
 
     pts = camera.position[None, :] + t[first, None] * dirs[keep]
     if noise_sigma > 0.0:
-        pts = pts + dirs[keep] * rng.normal(0.0, noise_sigma,
-                                            size=(len(keep), 1))
-    colors = np.array([b.color for b in world])[part]
-    order = np.argsort(ids, kind="stable")
-    return PointCloud(pts[order], colors=colors[order],
-                      part_ids=part[order], point_ids=ids[order])
+        # the noise is drawn in pixel order
+        noise = np.empty(len(keep))
+        noise[np.argsort(first)] = rng.normal(0.0, noise_sigma, len(keep))
+        pts = pts + dirs[keep] * noise[:, None]
+    return PointCloud(pts, colors=boxes.colors[part], part_ids=part,
+                      point_ids=ids)
 
 
 def range_image(cloud: PointCloud, camera: CameraPose) -> np.ndarray:
@@ -320,6 +316,11 @@ def _voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     return cloud.subset(keep)
 
 
+def _in_free_space(scene: SceneSpec, position: np.ndarray) -> bool:
+    """Whether a camera at `position` keeps 5 cm clear of every box."""
+    return not (scene.boxes.solid_distance(position) < 0.05).any()
+
+
 def ring_poses(scene: SceneSpec, config: CaptureConfig) -> list[CameraPose]:
     """Viewpoint ring inside the room.
 
@@ -332,7 +333,6 @@ def ring_poses(scene: SceneSpec, config: CaptureConfig) -> list[CameraPose]:
     center = (lo + hi) / 2.0
     radius = config.ring_radius_frac * float(min(hi[0] - lo[0], hi[1] - lo[1]))
     poses = []
-    world = scene.world_parts()
     rows = [(t, 1.0) for t in config.ring_tilts_deg] \
         + [(t, -1.0) for t in config.ring_inward_tilts_deg]
     for tilt, facing in rows:
@@ -341,7 +341,7 @@ def ring_poses(scene: SceneSpec, config: CaptureConfig) -> list[CameraPose]:
             ang = 2.0 * math.pi * k / config.ring_cameras
             out = np.array([math.cos(ang), math.sin(ang), 0.0])
             pos = np.array([center[0], center[1], config.ring_height]) + radius * out
-            if any(b.solid_distance(pos) < 0.05 for b in world):
+            if not _in_free_space(scene, pos):
                 continue
             look = pos + facing * out + np.array([0.0, 0.0, tt])
             poses.append(CameraPose(pos, look, vfov_deg=config.vfov_deg,
@@ -384,7 +384,6 @@ def object_view_poses(scene: SceneSpec, focus, config: CaptureConfig
     if np.linalg.norm(horiz) < 1e-6:
         horiz = np.array([1.0, 0.0, 0.0])
     front = horiz / np.linalg.norm(horiz)
-    world = scene.world_parts()
     lo, hi = scene.bounds
     poses = []
     for ang in (0.0, math.pi / 2, -math.pi / 2):
@@ -392,7 +391,7 @@ def object_view_poses(scene: SceneSpec, focus, config: CaptureConfig
         pos = focus + d * config.object_view_distance
         if np.any(pos[:2] < lo[:2]) or np.any(pos[:2] > hi[:2]):
             continue
-        if any(b.solid_distance(pos) < 0.05 for b in world):
+        if not _in_free_space(scene, pos):
             continue
         poses.append(CameraPose(pos, focus, vfov_deg=config.vfov_deg,
                                 resolution=config.resolution))

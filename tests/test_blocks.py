@@ -198,15 +198,15 @@ def _ring_rays():
     scene = generate_scene(2, GenerationConfig())
     cam = CameraPose([2.0, 1.5, 1.3], [3.0, 2.0, 1.0], vfov_deg=60.0,
                      resolution=(64, 48))
-    return scene.world_parts(), cam.position, cam.ray_directions()
+    return scene.boxes, cam.position, cam.ray_directions()
 
 
 def _outputs():
     cloud = tied_cloud(2 * BLOCK_ROWS + 7, seed=2)
     feats = extract_features(cloud, *FEATURES)
-    world, origin, dirs = _ring_rays()
+    boxes, origin, dirs = _ring_rays()
     return (*cloud.normals(12), feats.values, feats.valid,
-            *_nearest_hits(world, origin, dirs, 10.0))
+            *_nearest_hits(boxes, origin, dirs, 10.0))
 
 
 def test_thread_count_does_not_change_bytes():

@@ -11,8 +11,10 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 
 from scenekin.errors import ValidationError
 from scenekin.geom import (
+    ORTHO_TOL,
     PointCloud,
     RigidTransform,
+    check_rotation,
     estimate_normals,
     line_to_line_distance,
     load_cloud_binary,
@@ -170,6 +172,36 @@ class TestAngleAxis:
     def test_rejects_invalid(self):
         with pytest.raises(ValidationError):
             rotation_to_angle_axis(np.eye(3) * 2.0)
+
+
+def _fails_orthonormality(M) -> bool:
+    try:
+        check_rotation(M)
+    except ValidationError as err:
+        return "not orthonormal" in str(err)
+    return False
+
+
+class TestCheckRotation:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**31 - 1),
+           st.sampled_from(["perturb", "scale", "reflect", "random"]),
+           st.sampled_from([0.0, 1e-12, 4e-10, 5e-10, 6e-10, 1e-9, 4.9e-6,
+                            5e-6, 5.1e-6, 1e-3]),
+           st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    def test_orthonormality_is_allclose(self, seed, how, size, special):
+        # sizes straddle the off-diagonal (1e-9) and diagonal (~1e-5) bounds
+        rng = np.random.default_rng(seed)
+        R = random_rotation(rng)
+        M = {"perturb": R + size * rng.normal(size=(3, 3)),
+             "scale": R * (1.0 + size * rng.uniform(-1.0, 1.0)),
+             "reflect": -R,
+             "random": rng.normal(size=(3, 3))}[how]
+        if special is not None:
+            M[rng.integers(3), rng.integers(3)] = special
+        with np.errstate(invalid="ignore"):
+            want = not np.allclose(M @ M.T, np.eye(3), atol=ORTHO_TOL)
+            assert _fails_orthonormality(M) == want
 
 
 class TestLineDistances:

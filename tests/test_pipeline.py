@@ -194,3 +194,24 @@ def test_survey_bytes_are_pinned():
         "19c03ad5ce8eab2272b0791815ab1de02d0e5829b8061513b270506e79b997af")
     assert _sha256(feats.values, feats.valid) == (
         "cf6efdf34f9b6ba9afeb5b879805bcd01d54f44e052f33c9bebcc5774fa36c2c")
+
+
+def test_collect_bytes_are_pinned():
+    """Label collection on a `survey-dense` room (22 parts, 1200 samples)
+    and a noisy ring capture give the bytes they gave before the simulator
+    and the capture read the scene's stacked boxes."""
+    dense = GenerationConfig(n_revolute=3, n_prismatic=3, n_distractor=5)
+    scene = generate_scene(0, dense)
+    cloud = sensing.capture_scene_cloud(
+        scene, sensing.CaptureConfig(resolution=(64, 48)), None)
+    labels = affordance.collect_labels(scene, cloud, 1200, 0,
+                                       InteractionConfig())
+    assert _sha256(labels.indices, np.array(labels.labels)) == (
+        "5b05a79829bafc5efb0d1e71f8c4edba90630ac67e817aa2b5089705a768d802")
+    noisy = sensing.capture_scene_cloud(
+        generate_scene(1, GenerationConfig()),
+        sensing.CaptureConfig(resolution=(64, 48), noise_sigma=0.002),
+        np.random.default_rng(3))
+    assert _sha256(noisy.positions, noisy.colors, noisy.part_ids,
+                   noisy.point_ids) == (
+        "f22553c19023b9a7ae822ddaf6de8f194b9dc2600781fffec0ca8a7b2c753256")

@@ -132,8 +132,7 @@ class TestRaycast:
         config = CaptureConfig(resolution=(80, 60))
         cloud = capture_scene_cloud(scene, config, None)
         assert len(cloud) > 500
-        world = scene.world_parts()
-        dists = np.array([world[p].surface_distance(q)
+        dists = np.array([scene.boxes.surface_distance(q)[p]
                           for p, q in zip(cloud.part_ids, cloud.positions)])
         assert dists.max() < 1e-9
 
@@ -244,16 +243,18 @@ class TestBatchedRaycast:
                          resolution=resolution)
         world, dirs = scene.world_parts(), cam.ray_directions()
         with mock.patch.object(geom, "BLOCK_ROWS", 7):
-            got = _nearest_hits(world, cam.position, dirs, max_range)
+            got = _nearest_hits(scene.boxes, cam.position, dirs, max_range)
             cloud = raycast_capture(scene, cam, max_range, NOISE, None)
         want = sequential_hits(world, cam.position, dirs, max_range)
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
-        with mock.patch.object(sensing, "_nearest_hits", sequential_hits), \
+        # every box of the room, scanned one at a time
+        with mock.patch.object(sensing, "_nearest_hits",
+                               lambda _, *args: sequential_hits(world, *args)), \
                 mock.patch.object(sensing, "_visible_parts",
-                                  lambda world, camera: np.arange(len(world))):
+                                  lambda _, camera: np.arange(len(world))):
             ref = raycast_capture(scene, cam, max_range, NOISE, None)
         for field in ("positions", "colors", "part_ids", "point_ids"):
             a, b = getattr(cloud, field), getattr(ref, field)

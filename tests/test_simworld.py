@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from scenekin import sensing
 from scenekin.errors import PreconditionError, ValidationError
-from scenekin.geom import normalize
+from scenekin.geom import as_vec3, normalize, rotation_from_angle_axis
 from scenekin.simworld import (
+    BoxStack,
     GenerationConfig,
     GroundTruthJoint,
     InteractionConfig,
@@ -92,7 +98,8 @@ class TestGeneration:
             pts = u @ b.rotation.T + b.center
             local = (pts - a.center) @ a.rotation
             inside = np.all(np.abs(local) < a.half_extents - 1e-9, axis=1).any()
-            sat = boxes_interpenetrate(a, b)
+            sat = bool(boxes_interpenetrate(BoxStack.of([a]),
+                                            BoxStack.of([b]))[0])
             if sat == inside:
                 agree += 1
             elif inside and not sat:
@@ -311,3 +318,210 @@ class TestSceneSerialization:
         idx, dist = nearest_part(scene, [0.28, 0.0, 0.5])
         assert idx == 1
         assert dist < 1e-9
+
+
+# Scalar references: the box-by-box arithmetic that the stacked queries of
+# `BoxStack` replace, which they must match bit for bit.
+
+def surface_distance_ref(box, point):
+    d = np.abs(box.to_local(point)[0]) - box.half_extents
+    outside = np.linalg.norm(np.maximum(d, 0.0))
+    inside = abs(min(float(d.max()), 0.0))
+    return float(outside + inside)
+
+
+def solid_distance_ref(box, point):
+    d = np.abs(box.to_local(point)[0]) - box.half_extents
+    return float(np.linalg.norm(np.maximum(d, 0.0)))
+
+
+def nearest_part_ref(scene, point):
+    best_i, best_d = -1, math.inf
+    for i, box in enumerate(scene.world_parts()):
+        d = surface_distance_ref(box, as_vec3(point))
+        if d < best_d - 1e-15:
+            best_i, best_d = i, d
+    return best_i, best_d
+
+
+def gripper_clearance_ref(scene, point, normal, radius):
+    center = as_vec3(point) + radius * normalize(normal)
+    return not any(solid_distance_ref(box, center) < radius - 1e-9
+                   for box in scene.world_parts())
+
+
+def in_free_space_ref(scene, position):
+    return not any(solid_distance_ref(box, position) < 0.05
+                   for box in scene.world_parts())
+
+
+def sat_ref(a, b):
+    """Separating-axis test of two boxes, one axis at a time."""
+    ra, rb = a.rotation, b.rotation
+    t = b.center - a.center
+    axes = [ra[:, i] for i in range(3)] + [rb[:, j] for j in range(3)]
+    for i in range(3):
+        for j in range(3):
+            cr = np.cross(ra[:, i], rb[:, j])
+            n = np.linalg.norm(cr)
+            if n > 1e-12:
+                axes.append(cr / n)
+    for axis in axes:
+        pa = float(np.abs(ra.T @ axis) @ a.half_extents)
+        pb = float(np.abs(rb.T @ axis) @ b.half_extents)
+        if abs(float(np.dot(t, axis))) >= pa + pb - 1e-9:
+            return False
+    return True
+
+
+def interpenetrations_ref(scene):
+    world = scene.world_parts()
+    idxs = [i for i, p in enumerate(scene.parts)
+            if p.kind not in ("wall", "floor")]
+    return [(i, j) for k, i in enumerate(idxs) for j in idxs[k + 1:]
+            if sat_ref(world[i], world[j])]
+
+
+BIG_BOUNDS = (np.array([-10.0, -10.0, -10.0]), np.array([10.0, 10.0, 10.0]))
+_COORD = st.floats(-2.0, 2.0)
+_HALF = st.tuples(*[st.floats(0.05, 1.0)] * 3)
+_UNIT = st.tuples(_COORD, _COORD, _COORD).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(normalize)
+# axis-aligned, yawed (every pair shares the z edge direction) or general
+_ROTATION = st.one_of(
+    st.just(np.eye(3)),
+    st.floats(-math.pi, math.pi).map(
+        lambda a: rotation_from_angle_axis([0.0, 0.0, 1.0], a)),
+    st.tuples(_UNIT, st.floats(-math.pi, math.pi)).map(
+        lambda ua: rotation_from_angle_axis(*ua)))
+_PART = st.builds(
+    lambda c, h, R: PartGeometry(c, h, R, [0.5] * 3, "distractor"),
+    st.tuples(_COORD, _COORD, _COORD), _HALF, _ROTATION)
+
+
+@st.composite
+def _room(draw):
+    """Boxes where each new one is free, touches an earlier one face to
+    face, or is an earlier one turned by an angle from 0 to 1e-3 (edge
+    crosses of norm <= 1e-12 among them), moved a little or not at all."""
+    parts = [draw(_PART)]
+    for _ in range(draw(st.integers(0, 6))):
+        base = parts[draw(st.integers(0, len(parts) - 1))]
+        how = draw(st.sampled_from(["free", "touching", "turned"]))
+        if how == "free":
+            parts.append(draw(_PART))
+            continue
+        half = np.array(draw(_HALF))
+        rotation = base.rotation
+        if how == "touching":
+            axis = draw(st.integers(0, 2))
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            shift = (base.half_extents[axis] + half[axis]) * sign
+            center = base.center + shift * rotation[:, axis]
+        else:
+            angle = draw(st.sampled_from([0.0, 1e-14, 5e-13, 1e-12, 2e-12,
+                                          1e-9, 1e-3]))
+            rotation = rotation_from_angle_axis(draw(_UNIT), angle) @ rotation
+            center = base.center + draw(st.sampled_from([0.0, 0.5, 2.0])) \
+                * rotation[:, draw(st.integers(0, 2))]
+        parts.append(PartGeometry(center, half, rotation, [0.5] * 3,
+                                  "distractor"))
+    if draw(st.booleans()):
+        parts.append(parts[0])   # exact ties
+    return SceneSpec(tuple(parts), (), BIG_BOUNDS, 0)
+
+
+@st.composite
+def _probe_point(draw, scene):
+    """A free point, or one on a face of a box of `scene`."""
+    if draw(st.booleans()):
+        return np.array(draw(st.tuples(_COORD, _COORD, _COORD)))
+    box = scene.parts[draw(st.integers(0, len(scene.parts) - 1))]
+    local = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))) \
+        * box.half_extents
+    axis = draw(st.integers(0, 2))
+    local[axis] = draw(st.sampled_from([-1.0, 1.0])) * box.half_extents[axis]
+    return box.to_world(local)
+
+
+class TestStackedQueries:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_point_queries_match_box_by_box_bit_for_bit(self, data):
+        scene = data.draw(_room())
+        point = data.draw(_probe_point(scene))
+        normal = data.draw(_UNIT)
+        radius = data.draw(st.sampled_from([0.01, 0.04, 0.3]))
+        i, d = nearest_part(scene, point)
+        i_ref, d_ref = nearest_part_ref(scene, point)
+        assert i == i_ref and np.float64(d).tobytes() == \
+            np.float64(d_ref).tobytes()
+        assert gripper_clearance(scene, point, normal, radius) == \
+            gripper_clearance_ref(scene, point, normal, radius)
+        assert sensing._in_free_space(scene, point) == \
+            in_free_space_ref(scene, point)
+        world = scene.world_parts()
+        assert scene.boxes.surface_distance(point).tobytes() == np.array(
+            [surface_distance_ref(b, point) for b in world]).tobytes()
+        assert scene.boxes.solid_distance(point).tobytes() == np.array(
+            [solid_distance_ref(b, point) for b in world]).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_room())
+    # a box turned by 5e-13 rad: its three edge crosses with the near-parallel
+    # edges of the first are skipped, the other six separate nothing
+    @example(SceneSpec((
+        PartGeometry([0.0, 0.0, 0.0], [0.5, 0.5, 0.5], np.eye(3), [0.5] * 3,
+                     "distractor"),
+        PartGeometry([0.9, 0.0, 0.0], [0.5, 0.5, 0.5],
+                     rotation_from_angle_axis([0.0, 0.0, 1.0], 5e-13),
+                     [0.5] * 3, "distractor")), (), BIG_BOUNDS, 0))
+    def test_interpenetrations_match_pairwise_sat(self, scene):
+        assert find_interpenetrations(scene) == interpenetrations_ref(scene)
+
+    def test_no_parts(self):
+        scene = SceneSpec((), (), BIG_BOUNDS, 0)
+        assert nearest_part(scene, [0.0, 0.0, 0.0]) == (-1, math.inf)
+        assert gripper_clearance(scene, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.04)
+        assert find_interpenetrations(scene) == []
+
+    def test_part_world_is_the_cached_pose(self):
+        scene = make_drawer_scene().with_joint_state(0, 0.2)
+        world = scene.world_parts()
+        assert all(scene.part_world(i) is world[i] for i in range(2))
+        assert scene.boxes.centers.tobytes() == np.array(
+            [b.center for b in world]).tobytes()
+        np.testing.assert_allclose(world[1].center, [0.47, 0.0, 0.5])
+
+
+_DENSE = GenerationConfig(n_revolute=3, n_prismatic=3, n_distractor=5)
+
+
+def test_interpenetrations_are_pinned():
+    """`find_interpenetrations` gives the pairs it gave box pair by box pair:
+    none on 20 dense rooms, and the recorded ones on two built scenes."""
+    for seed in range(20):
+        assert find_interpenetrations(generate_scene(seed, _DENSE)) == []
+    room = generate_scene(0, _DENSE)
+    body = room.parts[5]   # the first door carcase; its door is part 6
+    crate = PartGeometry(body.center + [0.0, 0.0, 0.2], [0.3, 0.4, 0.25],
+                         rotation_from_angle_axis([0.0, 0.0, 1.0], 0.3),
+                         [0.5] * 3, "distractor")
+    crowded = SceneSpec(room.parts + (crate,), room.joints, room.bounds, 0)
+    assert find_interpenetrations(crowded) == [(5, 22), (6, 22), (7, 22),
+                                               (8, 22)]
+    # overlapping, touching face to face, yawed into a corner; the wall
+    # through the first box is not tested
+    unit = [0.5, 0.5, 0.5]
+    row = SceneSpec((
+        PartGeometry([0.0, 0.0, 0.5], unit, np.eye(3), unit, "static_body"),
+        PartGeometry([0.9, 0.0, 0.5], unit, np.eye(3), unit, "distractor"),
+        PartGeometry([1.9, 0.0, 0.5], unit, np.eye(3), unit, "distractor"),
+        PartGeometry([2.7, 0.6, 0.5], unit,
+                     rotation_from_angle_axis([0.0, 0.0, 1.0], 0.7), unit,
+                     "distractor"),
+        PartGeometry([0.0, 0.0, 1.5], unit, np.eye(3), unit, "distractor"),
+        PartGeometry([0.0, 0.0, 0.4], [1.0, 1.0, 0.05], np.eye(3), unit,
+                     "wall"),
+    ), (), BIG_BOUNDS, 0)
+    assert find_interpenetrations(row) == [(0, 1), (2, 3)]
