@@ -2,8 +2,9 @@
 
 The pipeline is explicit geometry end to end: change detection against the
 other cloud's local surface splits each cloud into static and moved points, a
-contact-centered Gaussian heatmap selects the moved component the interaction
-actually touched, rigid alignment (identity-matched correspondences or ICP)
+contact-centered Gaussian heatmap, computed in `detect_change` from the
+inference settings, selects the moved component the interaction actually
+touched, rigid alignment (identity-matched correspondences or ICP)
 recovers the motion of the mobile part, and a screw decomposition of that
 motion yields the joint model: a translation axis with a slide distance, or a
 rotation axis with a pivot and an opening angle.
@@ -89,50 +90,30 @@ class PartSegmentation:
 
 @dataclass(frozen=True)
 class ObservationPair:
-    """Egocentric clouds around one interaction plus contact bookkeeping.
+    """Egocentric clouds around one interaction and its contact points.
 
-    `heat_before`/`heat_after` are Gaussian contact-region weights over the
-    respective clouds; `capture_poses` optionally records the camera poses so
-    follow-up captures can reuse them.
+    The pair holds only what was captured: `detect_change` derives the
+    contact heat from the contacts and the inference settings.
+    `capture_poses` optionally records the camera poses so follow-up
+    captures can reuse them.
     """
 
     before: PointCloud
     after: PointCloud
     contact_before: np.ndarray
     contact_after: np.ndarray
-    heat_before: np.ndarray
-    heat_after: np.ndarray
     capture_poses: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "contact_before", as_vec3(self.contact_before))
         object.__setattr__(self, "contact_after", as_vec3(self.contact_after))
-        hb = np.asarray(self.heat_before, dtype=np.float64)
-        ha = np.asarray(self.heat_after, dtype=np.float64)
-        if hb.shape != (len(self.before),) or ha.shape != (len(self.after),):
-            raise ValidationError("heatmaps must align with their clouds")
-        object.__setattr__(self, "heat_before", hb)
-        object.__setattr__(self, "heat_after", ha)
 
 
 def contact_heatmap(cloud: PointCloud, contact, sigma: float) -> np.ndarray:
     """exp(-||p - contact||^2 / (2 sigma^2)) per point."""
-    if sigma <= 0:
-        raise ValidationError("heatmap sigma must be positive")
     c = as_vec3(contact)
     d2 = np.sum((cloud.positions - c) ** 2, axis=1)
     return np.exp(-d2 / (2.0 * sigma * sigma))
-
-
-def make_observation_pair(before: PointCloud, after: PointCloud, contact_before,
-                          contact_after, sigma: float,
-                          capture_poses: tuple = ()) -> ObservationPair:
-    return ObservationPair(
-        before, after, contact_before, contact_after,
-        contact_heatmap(before, contact_before, sigma),
-        contact_heatmap(after, contact_after, sigma),
-        capture_poses,
-    )
 
 
 @dataclass(frozen=True)
@@ -177,8 +158,8 @@ def _connected_components(points: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _select_component(positions: np.ndarray, candidates: np.ndarray,
-                      heat: np.ndarray, radius: float, use_heat: bool) -> np.ndarray:
-    """Mask of the best candidate component: max heat mass, or max size.
+                      weights: np.ndarray, radius: float) -> np.ndarray:
+    """Mask of the candidate component with the largest sum of `weights`.
 
     An exact tie goes to the component holding the lowest point index.
     """
@@ -187,7 +168,7 @@ def _select_component(positions: np.ndarray, candidates: np.ndarray,
     best_label, best_score = None, -np.inf
     for lab in np.unique(labels):
         members = idx[labels == lab]
-        score = float(heat[members].sum()) if use_heat else float(len(members))
+        score = float(weights[members].sum())
         if score > best_score + 1e-15:
             best_label, best_score = lab, score
     mask = np.zeros(len(positions), dtype=bool)
@@ -222,19 +203,22 @@ def detect_change(obs: ObservationPair,
     `candidates` are the `change_candidates` masks of `obs`. They are
     grouped into connected components (link radius
     `config.component_radius`) and the component with the largest contact
-    heat mass is kept (largest component when `config.use_contact_heat` is
-    off). Raises NoMotionError when either cloud has no candidates.
+    heat mass is kept: each point weighs `contact_heatmap` of its cloud's
+    contact at `config.heat_sigma`, or 1 when `config.use_contact_heat` is
+    off, which keeps the largest component. Raises NoMotionError when either
+    cloud has no candidates.
     """
     cand_b, cand_a = candidates
     if not cand_b.any() or not cand_a.any():
         raise NoMotionError("no points moved beyond epsilon")
-    mask_b = _select_component(obs.before.positions, cand_b, obs.heat_before,
-                               config.component_radius,
-                               config.use_contact_heat)
-    mask_a = _select_component(obs.after.positions, cand_a, obs.heat_after,
-                               config.component_radius,
-                               config.use_contact_heat)
-    return PartSegmentation(mask_b, mask_a)
+    masks = []
+    for cloud, contact, cand in ((obs.before, obs.contact_before, cand_b),
+                                 (obs.after, obs.contact_after, cand_a)):
+        weights = (contact_heatmap(cloud, contact, config.heat_sigma)
+                   if config.use_contact_heat else np.ones(len(cloud)))
+        masks.append(_select_component(cloud.positions, cand, weights,
+                                       config.component_radius))
+    return PartSegmentation(*masks)
 
 
 def kabsch(src: np.ndarray, dst: np.ndarray,
@@ -448,9 +432,7 @@ def _explained_by(points: np.ndarray, target: PointCloud, fit_epsilon: float,
 def _consistency_reseg(obs: ObservationPair, T: RigidTransform,
                        anchor: PartSegmentation,
                        moved: tuple[np.ndarray, np.ndarray],
-                       fit_epsilon: float, ambiguity_radius: float,
-                       far_cap: float, attach_radius: float
-                       ) -> PartSegmentation:
+                       config: InferenceConfig) -> PartSegmentation:
     """Re-segment both clouds by consistency with the estimated motion.
 
     A point is mobile when it moved (`moved`: the `change_candidates`
@@ -460,6 +442,7 @@ def _consistency_reseg(obs: ObservationPair, T: RigidTransform,
     condition drops occlusion shadows on far surfaces parallel to the
     motion, which T cannot reject on its own.
     """
+    fit_epsilon, far_cap = config.fit_epsilon, config.fit_far_cap
     moved_b, moved_a = moved
     fit_b = _explained_by(T.apply(obs.before.positions), obs.after,
                           fit_epsilon, far_cap)
@@ -468,20 +451,20 @@ def _consistency_reseg(obs: ObservationPair, T: RigidTransform,
     # occlusion shadows of its new pose (offset behind the part)
     nrm_b, val_b = obs.before.normals(_NORMAL_K)
     mask_b = _competitive_labels(obs.before.positions, moved_b,
-                                 fit_b, ambiguity_radius, normals=nrm_b,
+                                 fit_b, config.ambiguity_radius, normals=nrm_b,
                                  normals_valid=val_b,
                                  in_plane_tol=fit_epsilon)
     fit_a = _explained_by(T.inverse().apply(obs.after.positions), obs.before,
                           fit_epsilon, far_cap)
     mask_a = _competitive_labels(obs.after.positions, moved_a,
-                                 fit_a, ambiguity_radius)
+                                 fit_a, config.ambiguity_radius)
 
     if anchor.mobile_mask_before.any():
         mask_b &= _attached(obs.before.positions, anchor.mobile_mask_before,
-                            attach_radius)
+                            config.attach_radius)
     if anchor.mobile_mask_after.any():
         mask_a &= _attached(obs.after.positions, anchor.mobile_mask_after,
-                            attach_radius)
+                            config.attach_radius)
     return PartSegmentation(mask_b, mask_a)
 
 
@@ -508,21 +491,24 @@ def _fit_slab(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 
 def _box_closure(positions: np.ndarray, mask: np.ndarray, slab,
                  transform: RigidTransform | None,
-                 slab_margin: float, normal_margin: float) -> np.ndarray:
+                 config: InferenceConfig) -> np.ndarray:
     """Close a mobile mask over the slab the before mask outlines.
 
     Mobile parts are box panels, so points the motion tests cannot classify
     (the near-axis sliver, edge faces moving within their own planes) are
     reclaimed by taking in every point on the fitted slab: generous along the
     two slab axes, tight along the thin axis so surfaces one standoff behind
-    the panel stay out. `transform` maps the slab to this cloud's pose.
+    the panel stay out (margins `config.close_slab_margin` and
+    `config.close_normal_margin`). `transform` maps the slab to this cloud's
+    pose.
     """
     mean, axes, lows, highs = slab
     if transform is not None:
         mean = transform.apply(mean)
         axes = transform.rotation @ axes
     local = (positions - mean) @ axes
-    margin = np.array([normal_margin, slab_margin, slab_margin])
+    margin = np.array([config.close_normal_margin, config.close_slab_margin,
+                       config.close_slab_margin])
     inside = np.all((local >= lows - margin) & (local <= highs + margin),
                     axis=1)
     return mask | inside
@@ -546,11 +532,7 @@ def infer_articulation(obs: ObservationPair, config: InferenceConfig
     try:
         T = estimate_motion(obs, seg, config)
         for _ in range(config.reseg_rounds):
-            refined = _consistency_reseg(obs, T, anchor, moved,
-                                         config.fit_epsilon,
-                                         config.ambiguity_radius,
-                                         config.fit_far_cap,
-                                         config.attach_radius)
+            refined = _consistency_reseg(obs, T, anchor, moved, config)
             if not (refined.mobile_mask_before.any()
                     and refined.mobile_mask_after.any()):
                 break
@@ -560,11 +542,9 @@ def infer_articulation(obs: ObservationPair, config: InferenceConfig
             slab = _fit_slab(obs.before.positions[seg.mobile_mask_before])
             seg = PartSegmentation(
                 _box_closure(obs.before.positions, seg.mobile_mask_before,
-                             slab, None, config.close_slab_margin,
-                             config.close_normal_margin),
+                             slab, None, config),
                 _box_closure(obs.after.positions, seg.mobile_mask_after,
-                             slab, T, config.close_slab_margin,
-                             config.close_normal_margin))
+                             slab, T, config))
     except MotionEstimationError as e:
         raise InferenceError(f"motion_estimation: {e}") from e
     try:

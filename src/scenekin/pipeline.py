@@ -18,13 +18,14 @@ from dataclasses import replace
 import numpy as np
 
 from . import affordance, evalkit, hotspot, scenemodel, sensing, simworld
-from .artinfer import REVOLUTE, infer_articulation, make_observation_pair
+from .artinfer import REVOLUTE, ObservationPair, infer_articulation
 from .config import PipelineConfig, config_hash, derive_seed
 from .errors import (
     ArtifactError,
     CaptureError,
     InferenceError,
     PreconditionError,
+    SceneGenerationError,
     SceneKinError,
     ValidationError,
 )
@@ -59,7 +60,7 @@ def _read_manifest(directory, version: str) -> dict:
 
 def observe_interaction(scene: SceneSpec, contact,
                         outcome: simworld.InteractionOutcome,
-                        scene_after: SceneSpec, config: PipelineConfig,
+                        scene_after: SceneSpec, capture: sensing.CaptureConfig,
                         rng: np.random.Generator, poses):
     """Observation pair of a known pull at `contact`.
 
@@ -67,14 +68,12 @@ def observe_interaction(scene: SceneSpec, contact,
     the pull on `scene`. The before views use the cameras `poses`; the
     after views reuse them plus fresh cameras aimed at the advected
     contact. `rng` draws the capture noise."""
-    cap = config.capture
-    before = sensing.capture_object_views(scene, contact, cap, rng,
+    before = sensing.capture_object_views(scene, contact, capture, rng,
                                           poses=poses)
     after = sensing.capture_interaction_after(
-        scene_after, contact, poses, outcome.final_contact, cap, rng)
-    return make_observation_pair(before, after, contact, outcome.final_contact,
-                                 config.inference.heat_sigma,
-                                 capture_poses=tuple(poses))
+        scene_after, contact, poses, outcome.final_contact, capture, rng)
+    return ObservationPair(before, after, contact, outcome.final_contact,
+                           tuple(poses))
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +81,19 @@ def observe_interaction(scene: SceneSpec, contact,
 # ---------------------------------------------------------------------------
 
 def gen_scenes(config: PipelineConfig, out_dir) -> dict:
-    """Write n_scenes seeded scene_spec.v1 files plus an index manifest."""
+    """Write n_scenes seeded scene_spec.v1 files plus an index manifest.
+
+    A scene the generator cannot build raises SceneGenerationError naming
+    its index and seed."""
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(config)
     entries = []
     for k in range(config.run.n_scenes):
         seed = derive_seed(config.seed, "scene", k)
-        scene = simworld.generate_scene(seed, config.generation)
+        try:
+            scene = simworld.generate_scene(seed, config.generation)
+        except SceneGenerationError as e:
+            raise SceneGenerationError(f"scene {k} (seed {seed}): {e}") from e
         fname = f"scene_{k:04d}.json"
         simworld.save_scene(scene, os.path.join(out_dir, fname), chash)
         entries.append({
@@ -275,7 +280,7 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
             outcome, after_scene = simworld.probe(current, contact, normal,
                                                   config.interaction)
             obs = (observe_interaction(current, contact, outcome, after_scene,
-                                       config, probe_rng, poses=poses)
+                                       config.capture, probe_rng, poses=poses)
                    if outcome.success else None)
         except (PreconditionError, ValidationError) as e:
             interactions.append({**record,

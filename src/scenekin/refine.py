@@ -34,7 +34,6 @@ from .artinfer import (
     PartSegmentation,
     estimate_motion,
     infer_articulation,
-    make_observation_pair,
 )
 from .errors import (
     CaptureError,
@@ -67,7 +66,6 @@ class RefinementPlan:
 
     hotspot: np.ndarray
     force_direction: np.ndarray
-    joint: JointModel
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,7 @@ def part_affordance(joint: JointModel, seg: PartSegmentation,
         direction = sign * np.cross(joint.axis, r_vec / r)
         normal = surface_normal(scene, p)
         if gripper_clearance(scene, p, normal, gripper_radius):
-            return RefinementPlan(p.copy(), direction, joint)
+            return RefinementPlan(p.copy(), direction)
     raise RefinementUnavailable("no mobile point with gripper clearance")
 
 
@@ -281,9 +279,8 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
         # the accumulated pair can be inferred: estimate the incremental
         # motion (whose contact pair p* -> final IS valid) and advect with it
         try:
-            step_obs = make_observation_pair(
-                obs.after, after, plan.hotspot, outcome.final_contact,
-                infer_config.heat_sigma)
+            step_obs = ObservationPair(obs.after, after, plan.hotspot,
+                                       outcome.final_contact)
             _, step_seg = infer_articulation(step_obs, infer_config)
             step_T = estimate_motion(step_obs, step_seg, infer_config)
             contact_now = step_T.apply(obs.contact_after)
@@ -291,9 +288,7 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
             entry["status"] = f"step tracking error: {e}"
             log.append(entry)
             break
-        new_obs = make_observation_pair(
-            obs.before, after, obs.contact_before, contact_now,
-            infer_config.heat_sigma, capture_poses=obs.capture_poses)
+        new_obs = dc_replace(obs, after=after, contact_after=contact_now)
         # the dead-reckoned contact carries the step-estimation error, so it
         # serves as initialization only; the accumulated rotation is large
         # enough to pin the fit by itself

@@ -35,8 +35,7 @@ class ModelEntry:
 
     entry_id: int
     joint: JointModel
-    mobile_points: np.ndarray | None
-    mobile_box: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    mobile_points: np.ndarray
     hotspot_ids: tuple[int, ...]
     confidence: float
 
@@ -137,8 +136,7 @@ def aggregate(estimates: list[tuple[JointModel, np.ndarray, int]],
         denom = int(part_size[part_of[winner]])
         entries.append((hotspots[0], ModelEntry(
             entry_id=-1, joint=joint, mobile_points=np.asarray(pts, dtype=np.float64),
-            mobile_box=fit_oriented_box(pts), hotspot_ids=hotspots,
-            confidence=len(group) / denom)))
+            hotspot_ids=hotspots, confidence=len(group) / denom)))
     entries.sort(key=lambda t: t[0])
     final = tuple(replace(e, entry_id=i) for i, (_, e) in enumerate(entries))
     return SceneArticulationModel(final)
@@ -150,14 +148,13 @@ def aggregate(estimates: list[tuple[JointModel, np.ndarray, int]],
 
 def model_to_dict(model: SceneArticulationModel, points_files: dict[int, str]
                   ) -> dict:
+    """scene_model.v1 document; each entry's box is `fit_oriented_box` of its
+    mobile points."""
     entries = []
     for e in model.entries:
-        box = None
-        if e.mobile_box is not None:
-            c, h, r = e.mobile_box
-            box = {"center": np.asarray(c).tolist(),
-                   "half_extents": np.asarray(h).tolist(),
-                   "rotation_3x3": np.asarray(r).reshape(-1).tolist()}
+        c, h, r = fit_oriented_box(e.mobile_points)
+        box = {"center": c.tolist(), "half_extents": h.tolist(),
+               "rotation_3x3": r.reshape(-1).tolist()}
         entries.append({
             "id": int(e.entry_id),
             "type": e.joint.kind,
@@ -165,7 +162,7 @@ def model_to_dict(model: SceneArticulationModel, points_files: dict[int, str]
             "pivot": None if e.joint.pivot is None else e.joint.pivot.tolist(),
             "state": float(e.joint.state),
             "mobile_box": box,
-            "mobile_points_file": points_files.get(e.entry_id),
+            "mobile_points_file": points_files[e.entry_id],
             "hotspots": [int(h) for h in e.hotspot_ids],
             "confidence": float(e.confidence),
         })
@@ -178,17 +175,16 @@ def model_to_dict(model: SceneArticulationModel, points_files: dict[int, str]
 
 
 def export_model(model: SceneArticulationModel, path) -> None:
-    """Write the model JSON plus one sidecar cloud file per entry with points."""
+    """Write the model JSON plus one sidecar cloud file per entry."""
     path = str(path)
     stem = os.path.splitext(os.path.basename(path))[0]
     out_dir = os.path.dirname(path) or "."
     points_files = {}
     for e in model.entries:
-        if e.mobile_points is not None:
-            fname = f"{stem}_entry{e.entry_id}_points.xyzb"
-            save_cloud_binary(PointCloud(e.mobile_points),
-                              os.path.join(out_dir, fname))
-            points_files[e.entry_id] = fname
+        fname = f"{stem}_entry{e.entry_id}_points.xyzb"
+        save_cloud_binary(PointCloud(e.mobile_points),
+                          os.path.join(out_dir, fname))
+        points_files[e.entry_id] = fname
     with open(path, "w") as fh:
         json.dump(model_to_dict(model, points_files), fh, indent=1, sort_keys=True)
         fh.write("\n")

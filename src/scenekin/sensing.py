@@ -71,12 +71,18 @@ class CameraPose:
         cam_up = np.cross(right, forward)
         return forward, right, cam_up
 
+    def half_tangents(self) -> tuple[float, float]:
+        """(tan_v, tan_h): tangents of the half vertical and horizontal
+        fields of view."""
+        w, h = self.resolution
+        tan_v = math.tan(math.radians(self.vfov_deg) / 2.0)
+        return tan_v, tan_v * w / h
+
     def ray_directions(self) -> np.ndarray:
         """(W*H, 3) unit directions through all pixel centers, row-major."""
         w, h = self.resolution
         forward, right, cam_up = self.basis()
-        tan_v = math.tan(math.radians(self.vfov_deg) / 2.0)
-        tan_h = tan_v * w / h
+        tan_v, tan_h = self.half_tangents()
         xs = (2.0 * (np.arange(w) + 0.5) / w - 1.0) * tan_h
         ys = (1.0 - 2.0 * (np.arange(h) + 0.5) / h) * tan_v
         gx, gy = np.meshgrid(xs, ys)
@@ -94,8 +100,7 @@ class CameraPose:
         """
         w, h = self.resolution
         forward, right, cam_up = self.basis()
-        tan_v = math.tan(math.radians(self.vfov_deg) / 2.0)
-        tan_h = tan_v * w / h
+        tan_v, tan_h = self.half_tangents()
         rel = np.asarray(points, dtype=np.float64) - self.position
         depth = rel @ forward
         depth = np.where(depth > 1e-12, depth, np.nan)
@@ -202,10 +207,8 @@ def _visible_parts(boxes: BoxStack, camera: CameraPose) -> np.ndarray:
     """
     if len(boxes.centers) == 0:
         return np.zeros(0, dtype=np.int64)
-    w, h = camera.resolution
     forward, right, cam_up = camera.basis()
-    tan_v = math.tan(math.radians(camera.vfov_deg) / 2.0)
-    tan_h = tan_v * w / h
+    tan_v, tan_h = camera.half_tangents()
     # outward normals of the right, left, top and bottom planes
     planes = np.array([right - tan_h * forward, -right - tan_h * forward,
                        cam_up - tan_v * forward, -cam_up - tan_v * forward])

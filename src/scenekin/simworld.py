@@ -258,7 +258,6 @@ class InteractionOutcome:
     moved_joint: int | None
     delta_state: float
     final_contact: np.ndarray
-    trajectory_steps: int
     engaged: bool  # leverage test passed, whether or not motion followed
 
 
@@ -635,7 +634,7 @@ def interact(scene: SceneSpec, contact, pull_direction, budget: PullBudget,
                                 f"surface (> {CONTACT_TOL})")
 
     found = scene.joint_for_part(part_idx)
-    fail = InteractionOutcome(False, None, 0.0, contact.copy(), 0, False)
+    fail = InteractionOutcome(False, None, 0.0, contact.copy(), False)
     if found is None:
         return fail, scene
     joint_idx, joint = found
@@ -661,7 +660,6 @@ def interact(scene: SceneSpec, contact, pull_direction, budget: PullBudget,
 
     sigma = 1.0 if a0 > 0 else -1.0
     p_cur = contact.copy()
-    steps = 0
     n_steps = int(math.floor(budget.total / budget.step + 1e-9))
     for _ in range(n_steps):
         if joint.joint_type == REVOLUTE:
@@ -686,16 +684,15 @@ def interact(scene: SceneSpec, contact, pull_direction, budget: PullBudget,
         else:
             p_cur = p_cur + u * actual
         theta = new_theta
-        steps += 1
         if theta in (lo, hi):
             break
 
     delta = theta - joint.state
     if abs(delta) <= motion_epsilon:
-        return (InteractionOutcome(False, None, delta, contact.copy(), steps,
-                                   True), scene)
+        return (InteractionOutcome(False, None, delta, contact.copy(), True),
+                scene)
     new_scene = scene.with_joint_state(joint_idx, theta)
-    return (InteractionOutcome(True, joint_idx, delta, p_cur, steps, True),
+    return (InteractionOutcome(True, joint_idx, delta, p_cur, True),
             new_scene)
 
 

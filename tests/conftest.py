@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from scenekin.artinfer import make_observation_pair
+from scenekin.artinfer import ObservationPair
 from scenekin.geom import RigidTransform
 from scenekin.sensing import (
     CaptureConfig,
@@ -33,7 +33,7 @@ def identity() -> RigidTransform:
 
 
 def observe_interaction(scene, contact, direction, capture_config=None,
-                        budget=None, heat_sigma=0.05, rng=None):
+                        budget=None, rng=None):
     """Capture before views, pull, capture after views.
 
     Returns (obs, outcome, scene_after). Raises on capture failure.
@@ -48,8 +48,8 @@ def observe_interaction(scene, contact, direction, capture_config=None,
     after = capture_interaction_after(scene_after, contact, poses,
                                       outcome.final_contact, capture_config,
                                       rng)
-    obs = make_observation_pair(before, after, contact, outcome.final_contact,
-                                heat_sigma, capture_poses=tuple(poses))
+    obs = ObservationPair(before, after, contact, outcome.final_contact,
+                          tuple(poses))
     return obs, outcome, scene_after
 
 

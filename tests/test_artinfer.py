@@ -19,7 +19,6 @@ from scenekin.artinfer import (
     estimate_motion,
     infer_articulation,
     kabsch,
-    make_observation_pair,
     screw_decompose,
 )
 from scenekin.errors import (
@@ -97,7 +96,7 @@ class TestComponents:
                               [9.0, 0.0, 0.0]])
         candidates = np.array([True, True, True, True, False])
         mask = artinfer._select_component(positions, candidates,
-                                          np.zeros(5), 0.1, use_heat=False)
+                                          np.ones(5), 0.1)
         np.testing.assert_array_equal(mask, [True, False, False, True, False])
 
 
@@ -231,9 +230,9 @@ class TestContactHeatmap:
 
 
 class TestDetectChange:
-    def _pair(self, before, after, c, c_after, sigma=0.05):
-        return make_observation_pair(PointCloud(before), PointCloud(after),
-                                     c, c_after, sigma)
+    def _pair(self, before, after, c, c_after):
+        return ObservationPair(PointCloud(before), PointCloud(after), c,
+                               c_after)
 
     def test_identical_clouds_raise(self):
         pts = np.random.default_rng(0).normal(size=(50, 3))
@@ -260,6 +259,25 @@ class TestDetectChange:
         no_heat = replace(config, use_contact_heat=False)
         seg2 = detect_change(obs, change_candidates(obs, no_heat), no_heat)
         assert set(np.flatnonzero(seg2.mobile_mask_before)) == set(range(120, 240))
+
+    def test_heat_sigma_sets_the_reach_of_the_contact(self):
+        # a small moved blob 0.1 m from the contact and a large one 0.3 m
+        # away: a tight heat kernel keeps the near blob, a wide one weighs
+        # every moved point about alike and keeps the large blob
+        rng = np.random.default_rng(3)
+        near = rng.uniform(-0.02, 0.02, size=(10, 3)) + [0.1, 0.0, 0.0]
+        far = rng.uniform(-0.05, 0.05, size=(100, 3)) + [-0.3, 0.0, 0.0]
+        before = np.vstack([near, far])
+        lift = np.array([0.0, 0.0, 0.5])
+        obs = self._pair(before, before + lift, np.zeros(3), lift)
+        picked = {}
+        for sigma in (0.05, 1.0):
+            config = InferenceConfig(heat_sigma=sigma, component_radius=0.1)
+            seg = detect_change(obs, change_candidates(obs, config), config)
+            picked[sigma] = (set(np.flatnonzero(seg.mobile_mask_before)),
+                             set(np.flatnonzero(seg.mobile_mask_after)))
+        assert picked[0.05] == (set(range(10)), set(range(10)))
+        assert picked[1.0] == (set(range(10, 110)), set(range(10, 110)))
 
     def test_candidates_monotone_in_epsilon(self):
         rng = np.random.default_rng(2)
@@ -300,7 +318,7 @@ class TestEstimateMotion:
         if noise > 0:
             moved = moved + rng.normal(scale=noise, size=moved.shape)
         after = PointCloud(moved, point_ids=ids.copy())
-        obs = make_observation_pair(before, after, pts[0], T.apply(pts[0]), 0.05)
+        obs = ObservationPair(before, after, pts[0], T.apply(pts[0]))
         seg = PartSegmentation(np.ones(n, dtype=bool), np.ones(n, dtype=bool))
         return obs, seg
 
@@ -352,7 +370,7 @@ class TestEstimateMotion:
             before = PointCloud(noisy)
             after = PointCloud(moved)
             c = pts[len(pts) // 2]
-            obs = make_observation_pair(before, after, c, T.apply(c), 0.05)
+            obs = ObservationPair(before, after, c, T.apply(c))
             seg = PartSegmentation(np.ones(len(pts), bool), np.ones(len(pts), bool))
             est = estimate_motion(obs, seg, InferenceConfig(mode="icp"))
             err = compose(est, T.inverse())
@@ -504,9 +522,9 @@ class TestInferArticulation:
         ids = np.arange(len(pts))
         T = revolute_transform([0, 0, 1], [0.4, 0.1, 0.0], math.radians(35.0))
         contact = pts[len(pts) // 2]
-        obs = make_observation_pair(PointCloud(pts, point_ids=ids),
-                                    PointCloud(T.apply(pts), point_ids=ids),
-                                    contact, T.apply(contact), 0.05)
+        obs = ObservationPair(PointCloud(pts, point_ids=ids),
+                              PointCloud(T.apply(pts), point_ids=ids),
+                              contact, T.apply(contact))
         infer_articulation(obs, InferenceConfig(mode="oracle",
                                                 fit_far_cap=0.08))
         # the candidates are computed once and shared by change detection
@@ -535,15 +553,15 @@ class TestInferArticulation:
         before = PointCloud(pts, point_ids=ids)
         after = PointCloud(T.apply(pts), point_ids=ids.copy())
         contact = pts[len(pts) // 2]
-        obs = make_observation_pair(before, after, contact, T.apply(contact), 0.05)
+        obs = ObservationPair(before, after, contact, T.apply(contact))
         joint, _ = infer_articulation(obs, InferenceConfig(mode="oracle"))
 
         G = RigidTransform(rotation_from_angle_axis(normalize([1, 1, 0.3]), 1.1),
                            np.array([0.3, -0.2, 0.5]))
-        obs_g = make_observation_pair(
+        obs_g = ObservationPair(
             PointCloud(G.apply(pts), point_ids=ids.copy()),
             PointCloud(G.apply(T.apply(pts)), point_ids=ids.copy()),
-            G.apply(contact), G.apply(T.apply(contact)), 0.05)
+            G.apply(contact), G.apply(T.apply(contact)))
         joint_g, _ = infer_articulation(obs_g, InferenceConfig(mode="oracle"))
         assert abs(joint.state - joint_g.state) < 1e-6
         assert axis_angle_deg(joint_g.axis, G.rotation @ joint.axis) < 1e-6

@@ -208,6 +208,17 @@ class TestGenScenes:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["scenes"] == []
 
+    def test_unplaceable_scene_is_a_named_error(self, tmp_path, capsys):
+        """A room the generator cannot fill names the scene that failed."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY,
+                                   "generation": {"n_distractor": 40}}))
+        assert main(["gen-scenes", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        seed = derive_seed(TINY["seed"], "scene", 0)
+        assert (f"scene 0 (seed {seed}): could not place distractor"
+                in capsys.readouterr().err)
+
     def test_manifest_counts_match_files(self, workspace):
         base, _ = workspace
         manifest = json.loads((base / "scenes" / "manifest.json").read_text())

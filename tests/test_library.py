@@ -198,3 +198,39 @@ def test_every_config_key_is_read():
             and not (isinstance(node.value, ast.Name)
                      and node.value.id == "self")}
     assert sorted(_field_names(PipelineConfig) - read) == []
+
+
+def _is_dataclass(node) -> bool:
+    """Whether a class is decorated `@dataclass` or `@dataclass(...)`."""
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+        and d.func.id == "dataclass"
+        or isinstance(d, ast.Name) and d.id == "dataclass"
+        for d in node.decorator_list)
+
+
+def _dataclass_fields() -> set:
+    """{(module.Class, field)} of every dataclass the package defines."""
+    out = set()
+    for module, tree in LIBRARY.items():
+        for node in ast.walk(tree):
+            if _is_dataclass(node):
+                out |= {(f"{module}.{node.name}", item.target.id)
+                        for item in node.body
+                        if isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)}
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a library dataclass is read as an attribute of that
+    name somewhere in the package or the benchmark harness (its tests
+    aside): a field nothing reads is a record of something no one uses."""
+    trees = list(LIBRARY.values())
+    trees += [ast.parse(p.read_text()) for p in sorted(BENCH.glob("*.py"))
+              if p.name != "test_bench.py"]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    assert sorted(f"{owner}.{name}" for owner, name in _dataclass_fields()
+                  if name not in read) == []

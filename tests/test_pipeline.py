@@ -76,8 +76,8 @@ class TestRngContract:
         config = config_from_dict({"capture": {"resolution": [24, 18]}})
         rng = np.random.default_rng(7)
         poses = object_view_poses(scene, CONTACT, config.capture)
-        pipeline.observe_interaction(scene, CONTACT, outcome, after, config,
-                                     rng, poses=poses)
+        pipeline.observe_interaction(scene, CONTACT, outcome, after,
+                                     config.capture, rng, poses=poses)
         assert (rng.bit_generator.state
                 == np.random.default_rng(7).bit_generator.state)
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -126,7 +128,7 @@ class TestFreeSpaceEvidence:
         # one camera looks along -y at the panel's front face; `revealed`
         # adds to the after cloud a surface 2 cm behind it, as a pull that
         # shows the back of a part would
-        from scenekin.artinfer import make_observation_pair
+        from scenekin.artinfer import ObservationPair
         cam = CameraPose([0.3, 1.0, 1.0], [0.3, 0.0, 1.0], vfov_deg=60.0,
                          resolution=(40, 30))
         before = raycast_capture(free_space_scene(), cam, CAPTURE.max_range,
@@ -135,9 +137,8 @@ class TestFreeSpaceEvidence:
         if revealed:
             after = PointCloud(np.vstack([before.positions,
                                           before.positions - [0, 0.02, 0]]))
-        obs = make_observation_pair(before, after, [0.3, 0.01, 1.0],
-                                    [0.3, 0.01, 1.0], 0.05,
-                                    capture_poses=(cam,))
+        obs = ObservationPair(before, after, [0.3, 0.01, 1.0],
+                              [0.3, 0.01, 1.0], (cam,))
         seg = PartSegmentation(np.ones(len(before), bool),
                                np.ones(len(after), bool))
         return obs, seg
@@ -198,9 +199,9 @@ class TestRefineLoop:
         joint = JointModel("revolute", [0, 0, 1], [0, 0, 0],
                            math.radians(45.0))
         seg = PartSegmentation(np.array([True]), np.array([True]))
-        from scenekin.artinfer import make_observation_pair
+        from scenekin.artinfer import ObservationPair
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
-        obs = make_observation_pair(cloud, cloud, [1, 0, 1], [1, 0, 1], 0.05)
+        obs = ObservationPair(cloud, cloud, [1, 0, 1], [1, 0, 1])
         result = refine_loop(scene, obs, joint, seg, RefineConfig(),
                              InferenceConfig(), CAPTURE, INTERACTION, None)
         assert result.joint is joint
@@ -210,9 +211,9 @@ class TestRefineLoop:
         scene = free_space_scene()
         joint = JointModel("prismatic", [1.0, 0.0, 0.0], None, 0.05)
         seg = PartSegmentation(np.array([True]), np.array([True]))
-        from scenekin.artinfer import make_observation_pair
+        from scenekin.artinfer import ObservationPair
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
-        obs = make_observation_pair(cloud, cloud, [1, 0, 1], [1, 0, 1], 0.05)
+        obs = ObservationPair(cloud, cloud, [1, 0, 1], [1, 0, 1])
         result = refine_loop(scene, obs, joint, seg, RefineConfig(),
                              InferenceConfig(), CAPTURE, INTERACTION, None)
         assert result.joint is joint
@@ -243,6 +244,13 @@ class TestRefineLoop:
         assert all(p["moved_joint"] in (None, j) for p in result.pulls)
         assert sum(p["delta_state"] for p in result.pulls) == pytest.approx(
             result.scene.joints[j][1].state - scene2.joints[j][1].state)
+        # the bytes of both estimates and of the log, recorded while
+        # observation pairs still carried their own contact heat maps
+        assert (_estimate_digest(joint, seg),
+                _estimate_digest(result.joint, result.segmentation),
+                hashlib.sha256(json.dumps(result.log, sort_keys=True).encode()
+                               ).hexdigest()[:16]) == (
+            "c8967f309254f995", "a158dea6c6a2db71", "909ed38da3c96916")
 
     def test_step_tracking_failure_ends_loop(self):
         # at 4 mm noise the ICP tracking this seed's refinement pull gives
@@ -267,6 +275,15 @@ class TestRefineLoop:
         assert len(result.log) >= 1
         assert result.log[0]["iteration"] == 1
         assert "hotspot" in result.log[0]
+
+
+def _estimate_digest(joint, seg) -> str:
+    """sha256 of a joint estimate's masks, axis, pivot, state and pitch."""
+    h = hashlib.sha256()
+    for a in (seg.mobile_mask_before, seg.mobile_mask_after, joint.axis,
+              joint.pivot, [joint.state, joint.pitch]):
+        h.update(np.asarray(a).tobytes())
+    return h.hexdigest()[:16]
 
 
 def axis_err_deg(u, v):

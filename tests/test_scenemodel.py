@@ -18,9 +18,9 @@ from scenekin.scenemodel import (
 AGGREGATE = AggregateConfig()
 
 
-def load_model(path) -> SceneArticulationModel:
+def load_model(path) -> tuple[SceneArticulationModel, list[dict]]:
     """Read a scene_model.v1 file written by `export_model`, sidecar clouds
-    included."""
+    included; also returns each entry's `mobile_box` as written."""
     path = str(path)
     with open(path) as fh:
         doc = json.load(fh)
@@ -29,20 +29,14 @@ def load_model(path) -> SceneArticulationModel:
     entries = []
     for d in doc["entries"]:
         joint = JointModel(d["type"], d["axis"], d["pivot"], d["state"])
-        box = None
-        if d["mobile_box"] is not None:
-            b = d["mobile_box"]
-            box = (np.array(b["center"]), np.array(b["half_extents"]),
-                   np.array(b["rotation_3x3"]).reshape(3, 3))
-        pts = None
-        if d.get("mobile_points_file"):
-            pts = load_cloud_binary(os.path.join(
-                out_dir, d["mobile_points_file"])).positions
-        entries.append(ModelEntry(int(d["id"]), joint, pts, box,
+        pts = load_cloud_binary(os.path.join(
+            out_dir, d["mobile_points_file"])).positions
+        entries.append(ModelEntry(int(d["id"]), joint, pts,
                                   tuple(d["hotspots"]), float(d["confidence"])))
-    return SceneArticulationModel(tuple(entries),
-                                  scene_seed=doc.get("scene_seed"),
-                                  config_hash=doc.get("config_hash"))
+    model = SceneArticulationModel(tuple(entries),
+                                   scene_seed=doc.get("scene_seed"),
+                                   config_hash=doc.get("config_hash"))
+    return model, [d["mobile_box"] for d in doc["entries"]]
 
 
 def models_equivalent(a: SceneArticulationModel, b: SceneArticulationModel,
@@ -65,10 +59,7 @@ def models_equivalent(a: SceneArticulationModel, b: SceneArticulationModel,
         if ea.joint.pivot is not None and not np.allclose(
                 ea.joint.pivot, eb.joint.pivot, atol=atol):
             return False
-        if (ea.mobile_points is None) != (eb.mobile_points is None):
-            return False
-        if ea.mobile_points is not None and not np.allclose(
-                ea.mobile_points, eb.mobile_points, atol=atol):
+        if not np.allclose(ea.mobile_points, eb.mobile_points, atol=atol):
             return False
     return True
 
@@ -174,13 +165,18 @@ class TestExport:
         model = aggregate(ests, AGGREGATE)
         path = tmp_path / "model.json"
         export_model(model, path)
-        back = load_model(path)
+        back, boxes = load_model(path)
         assert models_equivalent(back, model, atol=1e-12)
+        # the file's box is the box fitted to the entry's mobile points
+        for e, box in zip(model.entries, boxes):
+            c, h, r = fit_oriented_box(e.mobile_points)
+            assert box == {"center": c.tolist(), "half_extents": h.tolist(),
+                           "rotation_3x3": r.reshape(-1).tolist()}
 
     def test_empty_model(self, tmp_path):
         path = tmp_path / "empty.json"
         export_model(aggregate([], AGGREGATE), path)
-        back = load_model(path)
+        back, _ = load_model(path)
         assert back.entries == ()
 
     def test_axes_reparse_unit_norm(self, tmp_path):
@@ -195,6 +191,6 @@ class TestExport:
         model = aggregate(ests, AGGREGATE)
         path = tmp_path / "m.json"
         export_model(model, path)
-        back = load_model(path)
+        back, _ = load_model(path)
         for e in back.entries:
             assert abs(np.linalg.norm(e.joint.axis) - 1.0) < 1e-9
