@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,7 +20,7 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import PreconditionError, TrainingError, ValidationError
-from .geom import PointCloud, map_blocks, submit_leaf
+from .geom import PointCloud, map_blocks
 from .simworld import (
     InteractionConfig,
     SceneSpec,
@@ -35,6 +34,8 @@ FEATURE_NAMES = (
     "height", "normal_up", "planarity", "linearity", "sphericity",
     "density", "color_r", "color_g", "color_b", "discontinuity_dist",
 )
+
+_NORMAL_UP = FEATURE_NAMES.index("normal_up")
 
 POSITIVE, NEGATIVE, IGNORE = "positive", "negative", "ignore"
 
@@ -117,29 +118,23 @@ def _neighborhood_sums(cloud: PointCloud, radius: float
 
 def extract_features(cloud: PointCloud, config: AffordanceConfig,
                      voxel: float) -> FeatureSet:
-    """Deterministic geometric features for every cloud point.
+    """Deterministic geometric features for every cloud point, all but
+    `normal_up`, which reads NaN until `with_normals` fills it.
 
     Covariance shape ratios (planarity, linearity, sphericity) come from the
     `config.feature_radius` neighborhood; density is the neighbor count
     normalized by the expected flat-surface count at the capture `voxel`
-    size. Points whose neighborhood is degenerate (fewer than 3 neighbors or
-    a rank-deficient normal) are flagged invalid and zeroed.
-
-    The neighbourhood sums run on a pool thread (`geom.submit_leaf`) while
-    this thread estimates the normals.
+    size. Points whose neighborhood is degenerate (fewer than 3 neighbors)
+    are flagged invalid and zeroed; `with_normals` also flags those whose
+    normal is rank-deficient. The discontinuity distance needs every row's
+    covariance, so these features are computed for the whole cloud.
     """
     radius = config.feature_radius
     n = len(cloud)
     if n == 0:
         raise ValidationError("cannot extract features from an empty cloud")
     pos = cloud.positions
-    cloud.tree  # built here, before the neighbourhood task shares it
-    task = submit_leaf(_neighborhood_sums, cloud, radius)
-    try:
-        normals, normals_valid = cloud.normals(config.k_normals)
-    finally:
-        wait([task])
-    counts, sums = task.result()
+    counts, sums = _neighborhood_sums(cloud, radius)
     w = np.empty((n, 3))
 
     def block(rows):
@@ -159,7 +154,7 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig,
     sphericity = lam3 / safe1
     variation = lam3 / np.maximum(lam1 + lam2 + lam3, 1e-18)
 
-    valid = normals_valid & (counts >= 3) & (lam1 > 1e-18)
+    valid = (counts >= 3) & (lam1 > 1e-18)
 
     n_ref = math.pi * radius * radius / (voxel * voxel)
     density = np.minimum(counts / n_ref, 2.0) / 2.0
@@ -180,11 +175,30 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig,
         ddist = np.full(n, cap)
 
     feats = np.column_stack([
-        pos[:, 2], normals[:, 2], planarity, linearity, sphericity,
+        pos[:, 2], np.full(n, np.nan), planarity, linearity, sphericity,
         density, mean_color[:, 0], mean_color[:, 1], mean_color[:, 2], ddist,
     ])
     feats[~valid] = 0.0
     return FeatureSet(feats, valid)
+
+
+def with_normals(features: FeatureSet, cloud: PointCloud,
+                 config: AffordanceConfig, rows) -> FeatureSet:
+    """`extract_features` output completed at the integer indices `rows`.
+
+    Each of those rows gets `normal_up`, the z component of its
+    `config.k_normals`-nearest-neighbor normal (`PointCloud.normals`), and
+    turns invalid when that normal is rank-deficient. Every other row is
+    invalid, so it reads as zeros and `predict` scores it 0.
+    """
+    normals, normals_valid = cloud.normals(config.k_normals, rows)
+    values = np.zeros_like(features.values)
+    valid = np.zeros(len(features), dtype=bool)
+    values[rows] = features.values[rows]
+    values[rows, _NORMAL_UP] = normals[:, 2]
+    valid[rows] = features.valid[rows] & normals_valid
+    values[~valid] = 0.0
+    return FeatureSet(values, valid)
 
 
 def collect_labels(scene: SceneSpec, cloud: PointCloud, n_samples: int,
@@ -422,6 +436,60 @@ def predict(model: AffordanceModel, features: FeatureSet) -> np.ndarray:
     scores = _sigmoid(z)
     scores[~features.valid] = 0.0
     return scores
+
+
+# Logit slack of `rows_reaching`: covers the rounding of summing the
+# network's terms in another order than `predict` does.
+_BOUND_MARGIN = 1e-9
+# normal_up values that split [0, 1] into the sub-intervals of the second pass
+_NORMAL_UP_KNOTS = np.linspace(0.0, 1.0, 5)
+
+
+def rows_reaching(model: AffordanceModel, features: FeatureSet,
+                  threshold: float) -> np.ndarray:
+    """Valid rows of `extract_features` output whose score can reach
+    `threshold` for some `normal_up` in [0, 1]; ascending indices.
+
+    Each tanh unit (or the logistic head) is monotone in `normal_up`, so
+    over an interval its term is largest at one end, the same end for every
+    row; the sum of those largest terms bounds the logit (interval bound
+    propagation, Gowal et al. 2018). Rows are bounded over [0, 1] first,
+    then the survivors over the quarters of [0, 1] in turn, until one
+    quarter's bound reaches, block by block. A row is kept when one of its
+    bounds, plus a 1e-9 logit margin, scores at or above `threshold`, so
+    every row whose `predict` score reaches `threshold` at its real
+    `normal_up` is kept.
+    """
+    hidden = model.hidden > 0
+    w_in = model.w1 if hidden else model.w2[:, None]
+    b_in = model.b1 if hidden else np.array([model.b2])
+    out = model.w2 if hidden else np.ones(1)
+    bias = model.b2 if hidden else 0.0
+    slope = w_in[_NORMAL_UP]
+    rising = out * slope >= 0.0  # units whose term grows with normal_up
+    knots = ((_NORMAL_UP_KNOTS - model.scaler_mean[_NORMAL_UP])
+             / model.scaler_std[_NORMAL_UP])
+
+    def reaches(pre, lo, hi):
+        # each unit at the end of [lo, hi] where its term is largest
+        a = pre + slope * np.where(rising, hi, lo)
+        z = (np.tanh(a) if hidden else a) @ out + bias
+        return _sigmoid(z + _BOUND_MARGIN) >= threshold
+
+    def block(rows):
+        x = (features.values[rows] - model.scaler_mean) / model.scaler_std
+        x[:, _NORMAL_UP] = 0.0
+        pre = x @ w_in + b_in
+        left = np.flatnonzero(features.valid[rows]
+                              & reaches(pre, knots[0], knots[-1]))
+        kept = []
+        for lo, hi in zip(knots, knots[1:]):
+            hit = reaches(pre[left], lo, hi)
+            kept.append(left[hit])
+            left = left[~hit]
+        return rows.start + np.sort(np.concatenate(kept))
+
+    return np.concatenate(map_blocks(block, len(features)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -366,9 +367,8 @@ def _query_within(tree: cKDTree, points: np.ndarray, radius: float
 
 def _competitive_labels(positions: np.ndarray, moved: np.ndarray,
                         explained: np.ndarray, ambiguity_radius: float,
-                        normals: np.ndarray | None = None,
-                        normals_valid: np.ndarray | None = None,
-                        in_plane_tol: float = 0.0) -> np.ndarray:
+                        normals=None, in_plane_tol: float = 0.0
+                        ) -> np.ndarray:
     """Final mobile mask for one cloud.
 
     Confident mobile points moved and are explained by the motion; confident
@@ -381,6 +381,7 @@ def _competitive_labels(positions: np.ndarray, moved: np.ndarray,
     coplanar with its nearest mobile seed (offset along the seed normal below
     the tolerance), which confines growth to sampling gaps in the seed
     surface and keeps out parallel surfaces one step behind it.
+    `normals(rows)` gives the (normals, valid) of those seeds.
     """
     mobile_seeds = moved & explained
     static_seeds = ~moved
@@ -400,9 +401,10 @@ def _competitive_labels(positions: np.ndarray, moved: np.ndarray,
     take = (d_mob < d_sta) & (d_mob <= ambiguity_radius)
     if in_plane_tol > 0.0 and normals is not None:
         seeds = seed_idx[nn[take]]
+        seed_normals, seed_valid = normals(seeds)
         offset = amb_pts[take] - positions[seeds]
-        along = np.abs(np.einsum("ni,ni->n", offset, normals[seeds]))
-        take[take] = (along <= in_plane_tol) & normals_valid[seeds]
+        along = np.abs(np.einsum("ni,ni->n", offset, seed_normals))
+        take[take] = (along <= in_plane_tol) & seed_valid
     idx = np.flatnonzero(ambiguous)
     mask[idx[take]] = True
     return mask
@@ -416,16 +418,17 @@ def _explained_by(points: np.ndarray, target: PointCloud, fit_epsilon: float,
     residual against that sample's local plane under `fit_epsilon`. The plane
     term makes the test robust to sparse grazing-angle sampling; the cap keeps
     far-away points from matching an extended plane. Samples without a valid
-    normal fall back to the point distance.
+    normal fall back to the point distance. Normals are estimated only at
+    the samples the plane test reads.
     """
-    normals, valid = target.normals(_NORMAL_K)
     d, idx = _query_within(target.tree, points, max(far_cap, fit_epsilon))
     explained = d <= fit_epsilon
-    near = d <= far_cap
+    near = ~explained & (d <= far_cap)
     idx = idx[near]
+    normals, valid = target.normals(_NORMAL_K, idx)
     offset = points[near] - target.positions[idx]
-    plane = np.abs(np.einsum("ni,ni->n", offset, normals[idx]))
-    explained[near] |= (plane <= fit_epsilon) & valid[idx]
+    plane = np.abs(np.einsum("ni,ni->n", offset, normals))
+    explained[near] = (plane <= fit_epsilon) & valid
     return explained
 
 
@@ -444,18 +447,24 @@ def _consistency_reseg(obs: ObservationPair, T: RigidTransform,
     """
     fit_epsilon, far_cap = config.fit_epsilon, config.fit_far_cap
     moved_b, moved_a = moved
-    fit_b = _explained_by(T.apply(obs.before.positions), obs.after,
-                          fit_epsilon, far_cap)
+
+    def explained(points, target, moved):
+        # `_competitive_labels` reads the fit only where a point moved
+        fit = np.zeros(len(points), dtype=bool)
+        fit[moved] = _explained_by(points[moved], target, fit_epsilon,
+                                   far_cap)
+        return fit
+
+    fit_b = explained(T.apply(obs.before.positions), obs.after, moved_b)
     # before side grows only along the seed surface: unexplained moved points
     # here are either sampling gaps of the part's image (coplanar) or
     # occlusion shadows of its new pose (offset behind the part)
-    nrm_b, val_b = obs.before.normals(_NORMAL_K)
-    mask_b = _competitive_labels(obs.before.positions, moved_b,
-                                 fit_b, config.ambiguity_radius, normals=nrm_b,
-                                 normals_valid=val_b,
-                                 in_plane_tol=fit_epsilon)
-    fit_a = _explained_by(T.inverse().apply(obs.after.positions), obs.before,
-                          fit_epsilon, far_cap)
+    mask_b = _competitive_labels(
+        obs.before.positions, moved_b, fit_b, config.ambiguity_radius,
+        normals=partial(obs.before.normals, _NORMAL_K),
+        in_plane_tol=fit_epsilon)
+    fit_a = explained(T.inverse().apply(obs.after.positions), obs.before,
+                      moved_a)
     mask_a = _competitive_labels(obs.after.positions, moved_a,
                                  fit_a, config.ambiguity_radius)
 

@@ -7,10 +7,10 @@ Conventions used across the package:
 * Rotations are ``(3, 3)`` orthonormal matrices with determinant +1.
 * Direction vectors used as joint axes are unit norm (tolerance 1e-9).
 
-Per-point work over whole clouds and ray sets runs in fixed blocks of rows,
-shared between the calling thread and one thread pool per process
-(`map_blocks`). One leaf task at a time may run on that pool beside the
-calling thread (`submit_leaf`).
+Per-point work over clouds and ray sets runs in fixed blocks of rows, shared
+between the calling thread and one thread pool per process (`map_blocks`).
+Normals are estimated per row on demand: `PointCloud.normals(k, rows)`
+estimates only the rows not yet cached for that k.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import os
 import struct
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,13 +72,14 @@ def map_blocks(fn, n: int) -> list:
 
     The calling thread and up to one pool thread per further CPU claim
     blocks in turn from a shared counter. Pool threads that have not started
-    when the blocks run out are cancelled, so no block waits behind a
-    `submit_leaf` task, and a process on one CPU runs every block inline.
+    when the blocks run out are cancelled, so a process on one CPU runs
+    every block inline. Temporaries made inside `fn` are per block, so
+    they stay small whatever n is.
 
     `fn` may run on pool threads, so it may only do numpy/SciPy work,
     writing a shared output only at its own rows. It must call no function
     that `bench/tracing.py` wraps in a span (the tracer keeps one span
-    stack), nor `map_blocks` or `submit_leaf`.
+    stack), nor `map_blocks`.
     """
     blocks = [slice(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
     results = [None] * len(blocks)
@@ -99,17 +100,6 @@ def map_blocks(fn, n: int) -> list:
     for helper in started:
         helper.result()
     return results
-
-
-def submit_leaf(fn, *args) -> Future:
-    """Start `fn(*args)` on a pool thread, beside the caller; its future.
-
-    `map_blocks`'s rule holds for `fn`: numpy/SciPy work only, and no
-    function that `bench/tracing.py` wraps in a span, nor `map_blocks` or
-    `submit_leaf`. The caller must wait for the future before it returns,
-    also when it raises.
-    """
-    return _pool().submit(fn, *args)
 
 
 def as_vec3(v) -> np.ndarray:
@@ -230,16 +220,27 @@ class PointCloud:
     def _normals_by_k(self) -> dict:
         return {}
 
-    def normals(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """`estimate_normals` with k clamped to the cloud size, computed once
-        per k; below 3 points every normal is zero and invalid. Do not
-        modify the arrays."""
-        k = min(k, len(self))
+    def normals(self, k: int, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(normals, valid) of the integer indices `rows`, by
+        `estimate_normals` with k clamped to the cloud size.
+
+        Each row is estimated once per k, when first asked for, so the
+        result equals that row of a whole-cloud estimate. Below 3 points
+        every normal is zero and invalid."""
+        rows = np.asarray(rows, dtype=np.intp)
+        n = len(self)
+        k = min(k, n)
         if k not in self._normals_by_k:
-            self._normals_by_k[k] = (
-                estimate_normals(self, k) if k >= 3 else
-                (np.zeros((len(self), 3)), np.zeros(len(self), dtype=bool)))
-        return self._normals_by_k[k]
+            # normals, valid, estimated
+            self._normals_by_k[k] = (np.zeros((n, 3)), np.zeros(n, dtype=bool),
+                                     np.full(n, k < 3))
+        normals, valid, done = self._normals_by_k[k]
+        missing = np.unique(rows[~done[rows]])
+        if len(missing):
+            normals[missing], valid[missing] = estimate_normals(self, k,
+                                                                missing)
+            done[missing] = True
+        return normals[rows], valid[rows]
 
     def subset(self, index) -> "PointCloud":
         """Select points by boolean mask or integer indices, carrying aux data."""
@@ -251,25 +252,29 @@ class PointCloud:
         )
 
 
-def estimate_normals(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point surface normals from k-nearest-neighbor covariance.
+def estimate_normals(cloud: PointCloud, k: int, rows
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Surface normals at the integer indices `rows` of `cloud`, from
+    k-nearest-neighbor covariance.
 
     Each normal is the eigenvector of the neighborhood covariance with the
     smallest eigenvalue, oriented into the +z hemisphere. Returns
-    (normals (N,3), valid (N,) bool); points whose neighborhood covariance
-    has rank < 2 are flagged invalid.
+    (normals (R,3), valid (R,) bool); points whose neighborhood covariance
+    has rank < 2 are flagged invalid. Each row is computed alone, so it
+    does not depend on which other rows are asked for.
 
     Requires len(cloud) >= k >= 3.
     """
     n = len(cloud)
     if k < 3 or n < k:
         raise ValidationError(f"need at least k={k} >= 3 points, have {n}")
-    _, idx = cloud.tree.query(cloud.positions, k=k, workers=-1)
-    normals = np.empty((n, 3))
-    valid = np.empty(n, dtype=bool)
+    rows = np.asarray(rows, dtype=np.intp)
+    _, idx = cloud.tree.query(cloud.positions[rows], k=k, workers=-1)
+    normals = np.empty((len(rows), 3))
+    valid = np.empty(len(rows), dtype=bool)
 
-    def block(rows):
-        neigh = cloud.positions[idx[rows]]            # (B, k, 3)
+    def block(part):
+        neigh = cloud.positions[idx[part]]            # (B, k, 3)
         centered = neigh - neigh.mean(axis=1, keepdims=True)
         cov = np.einsum("nki,nkj->nij", centered, centered) / k
         w, v = np.linalg.eigh(cov)                    # ascending eigenvalues
@@ -279,9 +284,9 @@ def estimate_normals(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]
         ok = (scale > 1e-18) & (w[:, 1] > 1e-9 * np.maximum(scale, 1e-18))
         nrm[nrm[:, 2] < 0.0] *= -1.0
         nrm[~ok] = 0.0
-        normals[rows], valid[rows] = nrm, ok
+        normals[part], valid[part] = nrm, ok
 
-    map_blocks(block, n)
+    map_blocks(block, len(rows))
     return normals, valid
 
 

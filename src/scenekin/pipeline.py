@@ -29,7 +29,7 @@ from .errors import (
     SceneKinError,
     ValidationError,
 )
-from .geom import load_cloud_binary, save_cloud_binary
+from .geom import PointCloud, load_cloud_binary, save_cloud_binary
 from .refine import refine_loop
 from .simworld import SceneSpec, project_to_surface
 
@@ -170,7 +170,11 @@ def train_model(config: PipelineConfig, dataset_dir, out_dir) -> dict:
             _read_json(os.path.join(dataset_dir, entry["labels"])))
         feats = affordance.extract_features(cloud, config.affordance,
                                             config.capture.voxel)
-        dataset.append((feats, labels))
+        # training reads only the labelled rows that are not ignored
+        read = labels.indices[np.array(labels.labels) != affordance.IGNORE]
+        dataset.append((affordance.with_normals(feats, cloud,
+                                                config.affordance, read),
+                        labels))
     model, log = affordance.train(dataset, config.affordance.train,
                                   derive_seed(config.seed, "train"))
     chash = config_hash(config)
@@ -229,6 +233,24 @@ def _approach(scene: SceneSpec, position, config: PipelineConfig
     return contact, normal, poses
 
 
+def find_hotspots(cloud: PointCloud, model: affordance.AffordanceModel,
+                  config: PipelineConfig) -> hotspot.HotspotSet:
+    """NMS hotspots of a scene cloud's affordance map.
+
+    NMS reads only scores at or above `hotspot.score_threshold`, so normals
+    are estimated only at rows where a bound on the score over every
+    `normal_up` reaches it (`affordance.rows_reaching`), and every other
+    row scores 0. The hotspots equal those of scoring every row.
+    """
+    feats = affordance.extract_features(cloud, config.affordance,
+                                        config.capture.voxel)
+    rows = affordance.rows_reaching(model, feats,
+                                    config.hotspot.score_threshold)
+    scores = affordance.predict(model, affordance.with_normals(
+        feats, cloud, config.affordance, rows))
+    return hotspot.nms(cloud, scores, config.hotspot)
+
+
 def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
               config: PipelineConfig) -> dict:
     """Full interactive loop on one scene; returns the run record.
@@ -248,10 +270,7 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
     ring_rng = np.random.default_rng(
         derive_seed(config.seed, "run", scene.seed))
     cloud = sensing.capture_scene_cloud(scene, config.capture, ring_rng)
-    feats = affordance.extract_features(cloud, config.affordance,
-                                        config.capture.voxel)
-    scores = affordance.predict(model, feats)
-    spots = hotspot.nms(cloud, scores, config.hotspot)
+    spots = find_hotspots(cloud, model, config)
 
     interactions: list[dict] = []
     inferences: list[dict] = []

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenekin import affordance
+from scenekin import affordance, hotspot, pipeline
 from scenekin.affordance import (
     FEATURE_DIM,
     IGNORE,
@@ -14,6 +16,7 @@ from scenekin.affordance import (
     POSITIVE,
     AffordanceConfig,
     AffordanceLabelSet,
+    FeatureSet,
     TrainConfig,
     collect_labels,
     extract_features,
@@ -23,9 +26,12 @@ from scenekin.affordance import (
     load_model,
     loss_and_grad,
     predict,
+    rows_reaching,
     save_model,
     train,
+    with_normals,
 )
+from scenekin.config import config_from_dict, derive_seed
 from scenekin.errors import TrainingError
 from scenekin.geom import PointCloud
 from scenekin.simworld import (
@@ -50,6 +56,12 @@ def flat_patch_cloud(n=400, seed=0):
     return PointCloud(pts, colors=colors)
 
 
+def features(cloud, config):
+    """Features of every cloud point, `normal_up` included."""
+    return with_normals(extract_features(cloud, config, VOXEL), cloud, config,
+                        np.arange(len(cloud)))
+
+
 class TestFeatures:
     def test_flat_patch_planarity(self):
         # grid sampling mirrors the near-regular spacing of ray-cast clouds
@@ -57,8 +69,7 @@ class TestFeatures:
         gx, gy = np.meshgrid(xs, xs)
         pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
         cloud = PointCloud(pts, colors=np.full((len(pts), 3), 0.4))
-        feats = extract_features(cloud, AffordanceConfig(feature_radius=0.12),
-                                 VOXEL)
+        feats = features(cloud, AffordanceConfig(feature_radius=0.12))
         interior = feats.valid
         assert interior.sum() > 300
         planarity = feats.values[interior, 2]
@@ -72,23 +83,20 @@ class TestFeatures:
         x = rng.uniform(-0.5, 0.5, size=300)
         y = rng.uniform(-0.005, 0.005, size=300)
         cloud = PointCloud(np.column_stack([x, y, np.zeros(300)]))
-        feats = extract_features(cloud, AffordanceConfig(feature_radius=0.08),
-                                 VOXEL)
+        feats = features(cloud, AffordanceConfig(feature_radius=0.08))
         lin = feats.values[feats.valid, 3]
         assert np.median(lin) > 0.8
 
     def test_deterministic(self):
         cloud = flat_patch_cloud(seed=3)
-        a = extract_features(cloud, AffordanceConfig(feature_radius=0.07),
-                             VOXEL)
-        b = extract_features(cloud, AffordanceConfig(feature_radius=0.07),
-                             VOXEL)
+        a = features(cloud, AffordanceConfig(feature_radius=0.07))
+        b = features(cloud, AffordanceConfig(feature_radius=0.07))
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.valid, b.valid)
 
     def test_feature_dim(self):
-        feats = extract_features(flat_patch_cloud(60, seed=2),
-                                 AffordanceConfig(feature_radius=0.2), VOXEL)
+        feats = features(flat_patch_cloud(60, seed=2),
+                         AffordanceConfig(feature_radius=0.2))
         assert feats.values.shape == (60, FEATURE_DIM)
 
     @settings(max_examples=60, deadline=None)
@@ -114,13 +122,9 @@ class TestFeatures:
         np.testing.assert_array_equal(centers, ref_centers)
         np.testing.assert_array_equal(neighbors, ref_neighbors)
 
-        feats = extract_features(cloud,
-                                 AffordanceConfig(feature_radius=radius),
-                                 VOXEL)
+        feats = features(cloud, AffordanceConfig(feature_radius=radius))
         with mock.patch.object(affordance, "_neighborhoods", ball_query):
-            ref = extract_features(cloud,
-                                   AffordanceConfig(feature_radius=radius),
-                                   VOXEL)
+            ref = features(cloud, AffordanceConfig(feature_radius=radius))
         assert feats.values.tobytes() == ref.values.tobytes()
         np.testing.assert_array_equal(feats.valid, ref.valid)
 
@@ -329,3 +333,115 @@ class TestSerialization:
         back = load_model(p)
         np.testing.assert_array_equal(back.params(), model.params())
         np.testing.assert_array_equal(back.scaler_mean, model.scaler_mean)
+
+
+class TestScoreBound:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([0, 16]), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.1, 5.0), st.booleans())
+    def test_bound_reaches_every_score(self, hidden, seed, scale, tiny_std):
+        # random heads over random rows; with `tiny_std` normal_up has the
+        # scaler floor of `train`, so its standardized value spans 1e8
+        rng = np.random.default_rng(seed)
+        model = init_model(hidden, seed)
+        model = replace(
+            model.with_params(rng.normal(scale=scale,
+                                         size=model.params().shape)),
+            scaler_mean=rng.normal(size=FEATURE_DIM),
+            scaler_std=rng.uniform(0.05, 3.0, size=FEATURE_DIM))
+        if tiny_std:
+            model.scaler_std[1] = 1e-8
+        n = 200
+        values = rng.normal(scale=3.0, size=(n, FEATURE_DIM))
+        valid = rng.uniform(size=n) < 0.9
+        real_up = rng.uniform(0.0, 1.0, size=n)
+        values[:, 1] = np.nan
+        values[~valid] = 0.0
+        feats = FeatureSet(values, valid)
+        for threshold in (0.0, 0.5, 1.0):
+            kept = np.zeros(n, dtype=bool)
+            kept[rows_reaching(model, feats, threshold)] = True
+            assert not kept[~valid].any()
+            for up in (0.0, 0.25, 0.5, 0.75, 1.0, real_up):
+                exact = values.copy()
+                exact[valid, 1] = (np.broadcast_to(up, n))[valid]
+                scores = predict(model, FeatureSet(exact, valid))
+                assert kept[valid & (scores >= threshold)].all()
+
+
+# Benchmark workload configs (bench/workloads.py): (overrides, root seed and
+# room count of the training rooms).
+PROBE_DEFAULT = ({"capture": {"resolution": [64, 48]},
+                  "run": {"max_hotspots": 3}}, 0, 2)
+SURVEY_DENSE = ({"capture": {"resolution": [64, 48]},
+                 "generation": {"n_revolute": 3, "n_prismatic": 3,
+                                "n_distractor": 5},
+                 "affordance": {"samples_per_scene": 1200},
+                 "run": {"max_hotspots": 0}}, 25, 1)
+
+
+@pytest.fixture(scope="module")
+def workload_models(tmp_path_factory):
+    """{name: (run overrides, model)} trained as the benchmark's set-up
+    trains them."""
+    out = {}
+    for name, (overrides, seed, rooms) in (("probe-default", PROBE_DEFAULT),
+                                           ("survey-dense", SURVEY_DENSE)):
+        base = tmp_path_factory.mktemp(name)
+        config = config_from_dict({**overrides, "seed": seed,
+                                   "run": {**overrides["run"],
+                                           "n_scenes": rooms}})
+        pipeline.gen_scenes(config, base / "scenes")
+        pipeline.collect(config, base / "scenes", base / "data")
+        pipeline.train_model(config, base / "data", base / "model")
+        out[name] = overrides, load_model(base / "model" / "model.json")
+    return out
+
+
+def _hotspot_sha(hotspot_sets):
+    h = hashlib.sha256()
+    for spots in hotspot_sets:
+        for spot in spots.items:
+            h.update(np.int64(spot.index).tobytes()
+                     + spot.position.tobytes()
+                     + np.float64(spot.score).tobytes())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("workload, root_seed, rooms, resolution, pinned", [
+    ("probe-default", 20, 2, None,
+     "942f9fb84cf752592c37c71acd77ec0e4c922585824fee341a17cd2e24f50d89"),
+    ("survey-dense", 25, 2, None,
+     "35cc5a31b174ce1c6526a679aaa21c9e4fa4686a4dfd41f4fee1306a8c2ca022"),
+    ("probe-default", 21, 1, [160, 120],
+     "5c0b2b6eec6dc305d90fd3e1c50c8cfb137559073c12dc500169c0a6ba6621b7"),
+], ids=["probe-default", "survey-dense", "default-resolution"])
+def test_run_hotspots_equal_whole_cloud_scoring(workload_models, workload,
+                                                root_seed, rooms, resolution,
+                                                pinned):
+    """The run's hotspots, scored only where the bound reaches the
+    threshold, equal those of scoring every row, on rooms of the benchmark
+    workloads and on one room at the default 160x120 capture. The pins
+    were recorded by scoring every row before the bound existed.
+    `survey-dense` probes no hotspot, so its run artifacts cannot show
+    these sets."""
+    overrides, model = workload_models[workload]
+    capture = {"resolution": resolution or [64, 48]}
+    config = config_from_dict({**overrides, "seed": root_seed,
+                               "capture": capture})
+    run, whole = [], []
+    for k in range(rooms):
+        scene = generate_scene(derive_seed(root_seed, "scene", k),
+                               config.generation)
+        ring_rng = np.random.default_rng(
+            derive_seed(root_seed, "run", scene.seed))
+        cloud = capture_scene_cloud(scene, config.capture, ring_rng)
+        run.append(pipeline.find_hotspots(cloud, model, config))
+        every = with_normals(
+            extract_features(cloud, config.affordance, config.capture.voxel),
+            cloud, config.affordance, np.arange(len(cloud)))
+        whole.append(hotspot.nms(cloud, predict(model, every),
+                                 config.hotspot))
+        assert len(run[-1]) > 0
+    assert _hotspot_sha(run) == _hotspot_sha(whole) == pinned

@@ -103,7 +103,8 @@ class TestComponents:
 # Unbounded references for the bounded neighbour queries of the
 # re-segmentation: every point is searched to its nearest neighbour.
 def _explained_by_ref(points, target, fit_epsilon, far_cap):
-    normals, valid = target.normals(artinfer._NORMAL_K)
+    normals, valid = target.normals(artinfer._NORMAL_K,
+                                    np.arange(len(target)))
     d, idx = target.tree.query(points)
     offset = points - target.positions[idx]
     plane = np.abs(np.einsum("ni,ni->n", offset, normals[idx]))
@@ -183,14 +184,24 @@ class TestBoundedQueries:
         normal_idx = np.array(normal_idx)
         normals = np.vstack([_AXES, np.zeros(3)])[normal_idx]
         valid = normal_idx < 6
-        kwargs = dict(normals=normals, normals_valid=valid,
-                      in_plane_tol=in_plane_tol)
-        for kw in ({}, kwargs):
+        asked = []
+
+        def seed_normals(rows):
+            asked.append(rows)
+            return normals[rows], valid[rows]
+
+        for kw, ref_kw in (({}, {}),
+                           (dict(normals=seed_normals,
+                                 in_plane_tol=in_plane_tol),
+                            dict(normals=normals, normals_valid=valid,
+                                 in_plane_tol=in_plane_tol))):
             got = artinfer._competitive_labels(positions, moved, explained,
                                                ambiguity_radius, **kw)
             want = _competitive_labels_ref(positions, moved, explained,
-                                           ambiguity_radius, **kw)
+                                           ambiguity_radius, **ref_kw)
             np.testing.assert_array_equal(got, want)
+        # only mobile seeds' normals are asked for
+        assert all((roles[rows] == "m").all() for rows in asked)
 
     @settings(max_examples=200, deadline=None)
     @given(_CELLS.flatmap(lambda cells: st.tuples(

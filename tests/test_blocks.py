@@ -1,12 +1,11 @@
-"""Block-parallel per-point geometry (`geom.map_blocks`, `geom.submit_leaf`):
-results equal the whole-cloud computations bit for bit, whatever the thread
-count, a background task never outlives its caller, and the per-process pool
-survives a fork."""
+"""Block-parallel per-point geometry (`geom.map_blocks`) and per-row
+normals (`PointCloud.normals`): results equal the whole-cloud computations
+bit for bit, whatever the thread count and whichever rows are asked for,
+and the per-process pool survives a fork."""
 
 import multiprocessing
 import sys
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from unittest import mock
@@ -16,7 +15,11 @@ import pytest
 from scipy.spatial import cKDTree
 
 from scenekin import affordance, geom
-from scenekin.affordance import AffordanceConfig, extract_features
+from scenekin.affordance import (
+    AffordanceConfig,
+    extract_features,
+    with_normals,
+)
 from scenekin.geom import BLOCK_ROWS, PointCloud, estimate_normals
 from scenekin.sensing import CameraPose, CaptureConfig, _nearest_hits
 from scenekin.simworld import GenerationConfig, generate_scene
@@ -53,6 +56,12 @@ def whole_cloud_normals(cloud, k):
     return normals, valid
 
 
+def whole_features(cloud):
+    """`extract_features` completed at every row."""
+    feats = extract_features(cloud, *FEATURES)
+    return with_normals(feats, cloud, FEATURES[0], np.arange(len(cloud)))
+
+
 def one_block(fn, n):
     """Reference `map_blocks`: one call over all rows on the calling thread."""
     return [fn(slice(0, n))]
@@ -68,17 +77,69 @@ def assert_same_bytes(got, want):
 @pytest.mark.parametrize("k", [3, 12])
 def test_normals_match_whole_cloud(n, k):
     cloud = tied_cloud(n)
-    assert_same_bytes(estimate_normals(cloud, k), whole_cloud_normals(cloud, k))
+    assert_same_bytes(estimate_normals(cloud, k, np.arange(n)),
+                      whole_cloud_normals(cloud, k))
+
+
+def reference_normals(cloud, k):
+    """`whole_cloud_normals` with `PointCloud.normals`'s clamp of k."""
+    k = min(k, len(cloud))
+    if k < 3:
+        return np.zeros((len(cloud), 3)), np.zeros(len(cloud), dtype=bool)
+    return whole_cloud_normals(cloud, k)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 2 * BLOCK_ROWS + 7])
+def test_row_normals_match_whole_cloud(n, threads):
+    # unsorted, repeated, empty and all rows, asked in turn of one cloud so
+    # later requests mix cached and new rows; n = 7 is below k = 12
+    rng = np.random.default_rng(n)
+    cloud = tied_cloud(n, seed=6)
+    subsets = [rng.permutation(n)[:max(1, n // 3)],
+               rng.integers(0, n, size=n), np.zeros(0, dtype=np.int64),
+               np.arange(n)]
+    with ThreadPoolExecutor(threads) as pool, \
+            mock.patch.object(geom, "_pool", lambda: pool), \
+            mock.patch.object(geom, "_threads", lambda: threads):
+        for k in (3, 12):
+            want = reference_normals(cloud, k)
+            for rows in subsets:
+                assert_same_bytes(cloud.normals(k, rows),
+                                  (want[0][rows], want[1][rows]))
+
+
+def test_each_row_is_estimated_once_per_k(monkeypatch):
+    n = 2 * BLOCK_ROWS + 7
+    cloud = tied_cloud(n, seed=7)
+    asked = {3: [], 12: []}
+    real = geom.estimate_normals
+
+    def spy(cloud, k, rows):
+        asked[k].append(np.array(rows))
+        return real(cloud, k, rows)
+
+    monkeypatch.setattr(geom, "estimate_normals", spy)
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        for k in (3, 12):
+            cloud.normals(k, rng.integers(0, n, size=BLOCK_ROWS))
+    for k in (3, 12):
+        cloud.normals(k, np.arange(n))
+        calls = len(asked[k])
+        cloud.normals(k, rng.permutation(n))
+        assert len(asked[k]) == calls
+        rows = np.concatenate(asked[k])
+        assert np.array_equal(np.sort(rows), np.arange(n))
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_features_match_whole_cloud(n):
     cloud = tied_cloud(n, seed=1)
-    got = extract_features(cloud, *FEATURES)
+    got = whole_features(cloud)
     with mock.patch.object(affordance, "map_blocks", one_block), \
             mock.patch.object(geom, "map_blocks", one_block):
-        want = extract_features(PointCloud(cloud.positions, cloud.colors),
-                                *FEATURES)
+        want = whole_features(PointCloud(cloud.positions, cloud.colors))
     assert_same_bytes((got.values, got.valid), (want.values, want.valid))
 
 
@@ -93,77 +154,13 @@ def test_bounded_discontinuity_query_matches_unbounded():
     # a 0.78 m floor meets a wall along one edge: the far floor lies beyond
     # the cap from every discontinuity, so its bounded queries miss
     cloud = tied_cloud(2 * BLOCK_ROWS + 7, seed=4)
-    got = extract_features(cloud, *FEATURES)
+    got = whole_features(cloud)
     with mock.patch.object(affordance, "cKDTree", UnboundedTree):
-        want = extract_features(PointCloud(cloud.positions, cloud.colors),
-                                *FEATURES)
+        want = whole_features(PointCloud(cloud.positions, cloud.colors))
     assert_same_bytes((got.values, got.valid), (want.values, want.valid))
     ddist = got.values[got.valid, 9]
     cap = FEATURES[0].discontinuity_cap
     assert (ddist == cap).sum() > 100 and (ddist < cap).sum() > 100
-
-
-def _slow_sums(done, error=None):
-    """A `_neighborhood_sums` that finishes late, sets `done`, and raises
-    `error` if given."""
-    real = affordance._neighborhood_sums
-
-    def sums(cloud, radius):
-        try:
-            time.sleep(0.3)
-            if error is not None:
-                raise error
-            return real(cloud, radius)
-        finally:
-            done.set()
-    return sums
-
-
-def test_neighbourhood_task_finishes_before_features_return():
-    done = threading.Event()
-    cloud = tied_cloud(300)
-    with mock.patch.object(affordance, "_neighborhood_sums",
-                           _slow_sums(done)):
-        extract_features(cloud, *FEATURES)
-        assert done.is_set()
-
-
-def test_neighbourhood_task_error_reaches_the_caller():
-    done = threading.Event()
-    with mock.patch.object(affordance, "_neighborhood_sums",
-                           _slow_sums(done, KeyError("in the task"))), \
-            pytest.raises(KeyError, match="in the task"):
-        extract_features(tied_cloud(300), *FEATURES)
-    assert done.is_set()
-
-
-def test_normals_error_waits_for_the_neighbourhood_task():
-    done = threading.Event()
-
-    def failing_normals(cloud, k):
-        raise KeyError("in the normals")
-
-    with mock.patch.object(affordance, "_neighborhood_sums",
-                           _slow_sums(done)), \
-            mock.patch.object(geom, "estimate_normals", failing_normals), \
-            pytest.raises(KeyError, match="in the normals"):
-        extract_features(tied_cloud(300), *FEATURES)
-    assert done.is_set()
-
-
-def test_blocks_do_not_wait_behind_a_leaf_task():
-    # the leaf holds the pool's only thread; the caller runs every block
-    release = threading.Event()
-    with ThreadPoolExecutor(1) as pool, \
-            mock.patch.object(geom, "_pool", lambda: pool), \
-            mock.patch.object(geom, "_threads", lambda: 2):
-        leaf = geom.submit_leaf(release.wait, 30.0)
-        try:
-            got = geom.map_blocks(lambda rows: rows.start, 5 * BLOCK_ROWS)
-            assert not leaf.done()
-        finally:
-            release.set()
-    assert got == [k * BLOCK_ROWS for k in range(5)]
 
 
 def test_every_block_runs_once_under_contention():
@@ -203,9 +200,10 @@ def _ring_rays():
 
 def _outputs():
     cloud = tied_cloud(2 * BLOCK_ROWS + 7, seed=2)
-    feats = extract_features(cloud, *FEATURES)
+    feats = whole_features(cloud)
     boxes, origin, dirs = _ring_rays()
-    return (*cloud.normals(12), feats.values, feats.valid,
+    return (*cloud.normals(12, np.arange(len(cloud))), feats.values,
+            feats.valid,
             *_nearest_hits(boxes, origin, dirs, 10.0))
 
 
@@ -223,10 +221,12 @@ def test_pool_survives_fork():
     # a forked child inherits the parent's pool object but not its threads;
     # a child that used it would wait forever for its blocks
     cloud = tied_cloud(2 * BLOCK_ROWS + 7, seed=3)
-    want = estimate_normals(cloud, 12)           # the parent's pool is live
+    rows = np.arange(len(cloud))
+    want = estimate_normals(cloud, 12, rows)     # the parent's pool is live
     pool = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = [pool.submit(estimate_normals, cloud, 12) for _ in range(2)]
+        futures = [pool.submit(estimate_normals, cloud, 12, rows)
+                   for _ in range(2)]
         got = [f.result(timeout=60) for f in futures]
     except FutureTimeout:
         for process in pool._processes.values():

@@ -85,19 +85,19 @@ class TestPointCloud:
         cloud = PointCloud(pts)
         assert cloud.tree is cloud.tree
         np.testing.assert_array_equal(cloud.tree.data, pts)
-        assert cloud.normals(8) is cloud.normals(8)
-        for got, expect in zip(cloud.normals(8),
-                               estimate_normals(PointCloud(pts), 8)):
+        every = np.arange(40)
+        for got, expect in zip(cloud.normals(8, every),
+                               estimate_normals(PointCloud(pts), 8, every)):
             np.testing.assert_array_equal(got, expect)
-        assert cloud.normals(5) is not cloud.normals(8)
         assert cloud.subset(np.arange(10)).tree is not cloud.tree
 
     def test_normals_clamp_k_to_the_cloud_size(self):
         pts = np.random.default_rng(6).normal(size=(6, 3))
-        for got, expect in zip(PointCloud(pts).normals(10),
-                               estimate_normals(PointCloud(pts), 6)):
+        every = np.arange(6)
+        for got, expect in zip(PointCloud(pts).normals(10, every),
+                               estimate_normals(PointCloud(pts), 6, every)):
             np.testing.assert_array_equal(got, expect)
-        normals, valid = PointCloud(pts[:2]).normals(10)
+        normals, valid = PointCloud(pts[:2]).normals(10, [0, 1])
         assert normals.shape == (2, 3) and not normals.any()
         assert valid.shape == (2,) and not valid.any()
 
@@ -107,7 +107,8 @@ class TestEstimateNormals:
         rng = np.random.default_rng(1)
         xy = rng.uniform(-1, 1, size=(200, 2))
         pts = np.column_stack([xy, np.zeros(200)])
-        normals, valid = estimate_normals(PointCloud(pts), k=8)
+        normals, valid = estimate_normals(PointCloud(pts), 8,
+                                          np.arange(len(pts)))
         assert valid.all()
         dots = np.abs(normals[:, 2])
         assert np.all(dots > np.cos(np.deg2rad(1.0)))
@@ -116,7 +117,8 @@ class TestEstimateNormals:
         rng = np.random.default_rng(2)
         v = rng.normal(size=(3000, 3))
         pts = v / np.linalg.norm(v, axis=1, keepdims=True)
-        normals, valid = estimate_normals(PointCloud(pts), k=8)
+        normals, valid = estimate_normals(PointCloud(pts), 8,
+                                          np.arange(len(pts)))
         radial = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         cosang = np.abs(np.einsum("ni,ni->n", normals[valid], radial[valid]))
         frac = np.mean(cosang > np.cos(np.deg2rad(5.0)))
@@ -124,7 +126,7 @@ class TestEstimateNormals:
 
     def test_collinear_points_flagged(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        _, valid = estimate_normals(PointCloud(pts), k=3)
+        _, valid = estimate_normals(PointCloud(pts), 3, np.arange(3))
         assert not valid.any()
 
 

@@ -178,16 +178,19 @@ def _sha256(*arrays):
 
 
 def test_survey_bytes_are_pinned():
-    """The room survey (ring capture, then features over the whole cloud)
-    gives the bytes it gave before its byte-identical speedups: view-pyramid
-    culling, the overlapped neighbourhood task and the bounded discontinuity
-    query. Recorded with numpy 2.4 and SciPy 1.17; another LAPACK build may
+    """The room survey (ring capture, then features over the whole cloud,
+    with normals asked for at every row) gives the bytes it gave before its
+    byte-identical speedups: view-pyramid culling, the neighbourhood sums
+    beside the normals, the bounded discontinuity query and per-row
+    normals. Recorded with numpy 2.4 and SciPy 1.17; another LAPACK build may
     round the eigenvalues differently."""
     config = sensing.CaptureConfig(resolution=(64, 48))
     cloud = sensing.capture_scene_cloud(
         generate_scene(1, GenerationConfig()), config, None)
-    feats = affordance.extract_features(cloud, affordance.AffordanceConfig(),
-                                        config.voxel)
+    feats = affordance.with_normals(
+        affordance.extract_features(cloud, affordance.AffordanceConfig(),
+                                    config.voxel),
+        cloud, affordance.AffordanceConfig(), np.arange(len(cloud)))
     assert len(cloud) == 43901
     assert _sha256(cloud.positions, cloud.colors, cloud.part_ids,
                    cloud.point_ids) == (
@@ -215,3 +218,50 @@ def test_collect_bytes_are_pinned():
     assert _sha256(noisy.positions, noisy.colors, noisy.part_ids,
                    noisy.point_ids) == (
         "f22553c19023b9a7ae822ddaf6de8f194b9dc2600781fffec0ca8a7b2c753256")
+
+
+def _spy_normals(monkeypatch):
+    """[(cloud, rows)] of every `geom.estimate_normals` call from here on."""
+    calls = []
+    real = geom.estimate_normals
+
+    def spy(cloud, k, rows):
+        calls.append((cloud, np.array(rows)))
+        return real(cloud, k, rows)
+
+    monkeypatch.setattr(geom, "estimate_normals", spy)
+    return calls
+
+
+def test_normals_are_estimated_only_at_rows_read(moving_run, tmp_path,
+                                                 monkeypatch):
+    """A run estimates the normals of fewer scene-cloud rows than the cloud
+    holds, and training estimates none beyond its label rows."""
+    config, scenes, model = moving_run
+    captured = []
+    real_capture = sensing.capture_scene_cloud
+
+    def capture(*args):
+        captured.append(real_capture(*args))
+        return captured[-1]
+
+    monkeypatch.setattr(sensing, "capture_scene_cloud", capture)
+    calls = _spy_normals(monkeypatch)
+    for scene in scenes:
+        pipeline.run_scene(scene, model, config)
+    assert len(captured) == len(scenes)
+    for cloud in captured:
+        rows = [r for c, r in calls if c is cloud]
+        assert 0 < sum(map(len, rows)) < len(cloud)
+
+    pipeline.gen_scenes(config, tmp_path / "scenes")
+    manifest = pipeline.collect(config, tmp_path / "scenes", tmp_path / "data")
+    calls.clear()
+    pipeline.train_model(config, tmp_path / "data", tmp_path / "model")
+    assert len(calls) == len(manifest["scenes"])
+    for (cloud, rows), entry in zip(calls, manifest["scenes"]):
+        saved = geom.load_cloud_binary(tmp_path / "data" / entry["cloud"])
+        labels = affordance.labels_from_dict(pipeline._read_json(
+            tmp_path / "data" / entry["labels"]))
+        assert np.array_equal(cloud.positions, saved.positions)
+        assert np.isin(rows, labels.indices).all()
