@@ -4,9 +4,9 @@ Labels come from the simulator itself: sampled surface points are probed with
 the canonical pulls and labeled positive when any pull moves an articulated
 part. The classifier scores each scene point from ten handcrafted geometric
 features (height, verticality, covariance shape, density, neighborhood color,
-distance to the nearest surface discontinuity) with a logistic head or a
-small one-hidden-layer network, trained on the combined cross-entropy and
-dice loss.
+distance to the nearest surface discontinuity) with a small network, one
+tanh hidden layer under a logistic head, trained on the combined
+cross-entropy and dice loss.
 """
 
 from __future__ import annotations
@@ -238,56 +238,42 @@ def collect_labels(scene: SceneSpec, cloud: PointCloud, n_samples: int,
 
 @dataclass(frozen=True)
 class AffordanceModel:
-    """Logistic head over standardized features, optionally with one tanh
-    hidden layer of width `hidden` (0 = plain logistic regression)."""
+    """Logistic head over one tanh hidden layer of width `hidden`, fed with
+    standardized features."""
 
     hidden: int
     scaler_mean: np.ndarray
     scaler_std: np.ndarray
-    w1: np.ndarray | None   # (F, H) when hidden > 0
-    b1: np.ndarray | None   # (H,)
-    w2: np.ndarray          # (H,) or (F,)
+    w1: np.ndarray          # (F, H)
+    b1: np.ndarray          # (H,)
+    w2: np.ndarray          # (H,)
     b2: float
 
     def params(self) -> np.ndarray:
-        if self.hidden > 0:
-            return np.concatenate([self.w1.ravel(), self.b1, self.w2,
-                                   [self.b2]])
-        return np.concatenate([self.w2, [self.b2]])
+        return np.concatenate([self.w1.ravel(), self.b1, self.w2, [self.b2]])
 
     def with_params(self, flat: np.ndarray) -> "AffordanceModel":
         flat = np.asarray(flat, dtype=np.float64)
-        f = FEATURE_DIM
-        if self.hidden > 0:
-            h = self.hidden
-            w1 = flat[:f * h].reshape(f, h)
-            b1 = flat[f * h:f * h + h]
-            w2 = flat[f * h + h:f * h + 2 * h]
-            b2 = float(flat[-1])
-            return replace(self, w1=w1, b1=b1, w2=w2, b2=b2)
-        return replace(self, w2=flat[:f], b2=float(flat[-1]))
+        f, h = FEATURE_DIM, self.hidden
+        w1 = flat[:f * h].reshape(f, h)
+        b1 = flat[f * h:f * h + h]
+        w2 = flat[f * h + h:f * h + 2 * h]
+        return replace(self, w1=w1, b1=b1, w2=w2, b2=float(flat[-1]))
 
 
 def init_model(hidden: int, seed: int) -> AffordanceModel:
     rng = np.random.default_rng(seed)
     f = FEATURE_DIM
-    mean = np.zeros(f)
-    std = np.ones(f)
-    if hidden > 0:
-        w1 = rng.normal(0.0, 1.0 / math.sqrt(f), size=(f, hidden))
-        b1 = np.zeros(hidden)
-        w2 = rng.normal(0.0, 1.0 / math.sqrt(hidden), size=hidden)
-        return AffordanceModel(hidden, mean, std, w1, b1, w2, 0.0)
-    w = rng.normal(0.0, 1.0 / math.sqrt(f), size=f)
-    return AffordanceModel(0, mean, std, None, None, w, 0.0)
+    w1 = rng.normal(0.0, 1.0 / math.sqrt(f), size=(f, hidden))
+    w2 = rng.normal(0.0, 1.0 / math.sqrt(hidden), size=hidden)
+    return AffordanceModel(hidden, np.zeros(f), np.ones(f), w1,
+                           np.zeros(hidden), w2, 0.0)
 
 
 def _forward(model: AffordanceModel, x: np.ndarray):
-    """Logits plus hidden activations (None for the logistic head)."""
-    if model.hidden > 0:
-        h = np.tanh(x @ model.w1 + model.b1)
-        return h @ model.w2 + model.b2, h
-    return x @ model.w2 + model.b2, None
+    """Logits plus hidden activations."""
+    h = np.tanh(x @ model.w1 + model.b1)
+    return h @ model.w2 + model.b2, h
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -325,16 +311,12 @@ def loss_and_grad(model: AffordanceModel, x: np.ndarray, y: np.ndarray,
     ddice_dp = -2.0 * (y * s - q) / (s * s)
     dz = dz + lambda_dice * ddice_dp * p * (1.0 - p)
 
-    if model.hidden > 0:
-        gw2 = h.T @ dz
-        gb2 = float(dz.sum())
-        dh = np.outer(dz, model.w2) * (1.0 - h * h)
-        gw1 = x.T @ dh
-        gb1 = dh.sum(axis=0)
-        grad = np.concatenate([gw1.ravel(), gb1, gw2, [gb2]])
-    else:
-        grad = np.concatenate([x.T @ dz, [float(dz.sum())]])
-    return loss, grad
+    gw2 = h.T @ dz
+    gb2 = float(dz.sum())
+    dh = np.outer(dz, model.w2) * (1.0 - h * h)
+    gw1 = x.T @ dh
+    gb1 = dh.sum(axis=0)
+    return loss, np.concatenate([gw1.ravel(), gb1, gw2, [gb2]])
 
 
 @dataclass(frozen=True)
@@ -345,6 +327,10 @@ class TrainConfig:
     hidden: int = 16
     lambda_dice: float = 1.0
     val_fraction: float = 0.25
+
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ValidationError("affordance hidden width must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -450,36 +436,30 @@ def rows_reaching(model: AffordanceModel, features: FeatureSet,
     """Valid rows of `extract_features` output whose score can reach
     `threshold` for some `normal_up` in [0, 1]; ascending indices.
 
-    Each tanh unit (or the logistic head) is monotone in `normal_up`, so
-    over an interval its term is largest at one end, the same end for every
-    row; the sum of those largest terms bounds the logit (interval bound
-    propagation, Gowal et al. 2018). Rows are bounded over [0, 1] first,
-    then the survivors over the quarters of [0, 1] in turn, until one
-    quarter's bound reaches, block by block. A row is kept when one of its
-    bounds, plus a 1e-9 logit margin, scores at or above `threshold`, so
-    every row whose `predict` score reaches `threshold` at its real
-    `normal_up` is kept.
+    Each tanh unit is monotone in `normal_up`, so over an interval its term
+    is largest at one end, the same end for every row; the sum of those
+    largest terms bounds the logit (interval bound propagation, Gowal et
+    al. 2018). Rows are bounded over [0, 1] first, then the survivors over
+    the quarters of [0, 1] in turn, until one quarter's bound reaches, block
+    by block. A row is kept when one of its bounds, plus a 1e-9 logit
+    margin, scores at or above `threshold`, so every row whose `predict`
+    score reaches `threshold` at its real `normal_up` is kept.
     """
-    hidden = model.hidden > 0
-    w_in = model.w1 if hidden else model.w2[:, None]
-    b_in = model.b1 if hidden else np.array([model.b2])
-    out = model.w2 if hidden else np.ones(1)
-    bias = model.b2 if hidden else 0.0
-    slope = w_in[_NORMAL_UP]
-    rising = out * slope >= 0.0  # units whose term grows with normal_up
+    slope = model.w1[_NORMAL_UP]
+    rising = model.w2 * slope >= 0.0  # units whose term grows with normal_up
     knots = ((_NORMAL_UP_KNOTS - model.scaler_mean[_NORMAL_UP])
              / model.scaler_std[_NORMAL_UP])
 
     def reaches(pre, lo, hi):
         # each unit at the end of [lo, hi] where its term is largest
         a = pre + slope * np.where(rising, hi, lo)
-        z = (np.tanh(a) if hidden else a) @ out + bias
+        z = np.tanh(a) @ model.w2 + model.b2
         return _sigmoid(z + _BOUND_MARGIN) >= threshold
 
     def block(rows):
         x = (features.values[rows] - model.scaler_mean) / model.scaler_std
         x[:, _NORMAL_UP] = 0.0
-        pre = x @ w_in + b_in
+        pre = x @ model.w1 + model.b1
         left = np.flatnonzero(features.valid[rows]
                               & reaches(pre, knots[0], knots[-1]))
         kept = []
@@ -519,8 +499,8 @@ def save_model(model: AffordanceModel, path, config_hash: str,
         "hidden": model.hidden,
         "scaler_mean": model.scaler_mean.tolist(),
         "scaler_std": model.scaler_std.tolist(),
-        "w1": None if model.w1 is None else model.w1.tolist(),
-        "b1": None if model.b1 is None else model.b1.tolist(),
+        "w1": model.w1.tolist(),
+        "b1": model.b1.tolist(),
         "w2": model.w2.tolist(),
         "b2": model.b2,
         "config_hash": config_hash,
@@ -536,12 +516,15 @@ def load_model(path) -> AffordanceModel:
         doc = json.load(fh)
     if doc.get("version") != "afford_model.v1":
         raise ValidationError(f"unsupported model version {doc.get('version')!r}")
+    if int(doc["hidden"]) < 1 or doc["w1"] is None:
+        raise ValidationError(
+            f"model file {path} needs a hidden layer of width >= 1")
     return AffordanceModel(
         hidden=int(doc["hidden"]),
         scaler_mean=np.array(doc["scaler_mean"]),
         scaler_std=np.array(doc["scaler_std"]),
-        w1=None if doc["w1"] is None else np.array(doc["w1"]),
-        b1=None if doc["b1"] is None else np.array(doc["b1"]),
+        w1=np.array(doc["w1"]),
+        b1=np.array(doc["b1"]),
         w2=np.array(doc["w2"]),
         b2=float(doc["b2"]),
     )

@@ -121,7 +121,11 @@ def config_to_dict(config: PipelineConfig) -> dict:
 
 def load_config(path) -> PipelineConfig:
     with open(path) as fh:
-        return config_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path} is not valid JSON: {e}") from e
+    return config_from_dict(data)
 
 
 def config_hash(config: PipelineConfig) -> str:

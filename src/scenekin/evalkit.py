@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artinfer import PRISMATIC, REVOLUTE
 from .errors import ArtifactError, ValidationError
 from .geom import line_to_line_distance
 
@@ -61,22 +62,22 @@ def coverage(records: list[dict], gt_joints: list[dict]) -> dict:
     if not gt_joints:
         raise ValidationError("coverage needs at least one ground-truth part")
     motion = achieved_motion(records)
-    n_pris = sum(1 for g in gt_joints if g["type"] == "prismatic")
+    n_pris = sum(1 for g in gt_joints if g["type"] == PRISMATIC)
     n_rev = len(gt_joints) - n_pris
     pris_hit = 0
     rev_hits = {tau: 0 for tau in REVOLUTE_THRESHOLDS_DEG}
     for g in gt_joints:
         total = motion.get(g["index"], 0.0)
-        if g["type"] == "prismatic":
+        if g["type"] == PRISMATIC:
             pris_hit += total > PRISMATIC_MIN_TRAVEL
         else:
             for tau in REVOLUTE_THRESHOLDS_DEG:
                 rev_hits[tau] += math.degrees(total) > tau
     return {
-        "prismatic": None if n_pris == 0 else pris_hit / n_pris,
-        "revolute": {f"{tau:g}": (None if n_rev == 0 else rev_hits[tau] / n_rev)
+        PRISMATIC: None if n_pris == 0 else pris_hit / n_pris,
+        REVOLUTE: {f"{tau:g}": (None if n_rev == 0 else rev_hits[tau] / n_rev)
                      for tau in REVOLUTE_THRESHOLDS_DEG},
-        "counts": {"prismatic": n_pris, "revolute": n_rev},
+        "counts": {PRISMATIC: n_pris, REVOLUTE: n_rev},
     }
 
 
@@ -126,7 +127,7 @@ def _scene_metrics(scene: dict) -> dict:
     inferences = scene["inferences"]
     gt_joints = scene["gt_joints"]
     rows = per_joint_csv_rows([scene])
-    angle_errors = {"prismatic": [], "revolute": []}
+    angle_errors = {PRISMATIC: [], REVOLUTE: []}
     for row in rows:
         angle_errors.setdefault(row["joint_type"], []).append(
             row["angle_error_deg"])
@@ -134,8 +135,8 @@ def _scene_metrics(scene: dict) -> dict:
                   if r["position_error_m"] != ""]
     ious = [float(r["iou"]) for r in rows if r["iou"] != ""]
     cov = coverage(records, gt_joints) if gt_joints else None
-    mean_pris, med_pris = _mean_median(angle_errors["prismatic"])
-    mean_rev, med_rev = _mean_median(angle_errors["revolute"])
+    mean_pris, med_pris = _mean_median(angle_errors[PRISMATIC])
+    mean_rev, med_rev = _mean_median(angle_errors[REVOLUTE])
     mean_pos, med_pos = _mean_median(pos_errors)
     attempts = sum(1 for r in records if r.get("stage") == "initial")
     successes = sum(1 for r in records
@@ -194,8 +195,8 @@ def _fmt(value):
 def render_table(report: EvalReport) -> str:
     """Plain-text summary table of the aggregate metrics."""
     agg = report.aggregate
-    cov = agg["coverage"] or {"prismatic": None,
-                              "revolute": {f"{t:g}": None for t in
+    cov = agg["coverage"] or {PRISMATIC: None,
+                              REVOLUTE: {f"{t:g}": None for t in
                                            REVOLUTE_THRESHOLDS_DEG}}
     rows = [
         ("scenes", str(agg["counts"]["scenes"])),
@@ -203,11 +204,11 @@ def render_table(report: EvalReport) -> str:
         ("attempts / successes",
          f"{agg['counts']['attempts']} / {agg['counts']['successes']}"),
         ("precision", _fmt(agg["precision"])),
-        ("coverage prismatic", _fmt(cov["prismatic"])),
+        ("coverage prismatic", _fmt(cov[PRISMATIC])),
     ]
     for tau in REVOLUTE_THRESHOLDS_DEG:
         rows.append((f"coverage revolute >{tau:g} deg",
-                     _fmt(cov["revolute"].get(f"{tau:g}"))))
+                     _fmt(cov[REVOLUTE].get(f"{tau:g}"))))
     rows += [
         ("angle err prismatic (deg, mean/med)",
          f"{_fmt(agg['angle_error_prismatic']['mean'])} / "
@@ -241,7 +242,7 @@ def per_joint_csv_rows(scenes: list[dict]) -> list[dict]:
                 "position_error_m": "",
                 "iou": "" if inf.get("iou") is None else inf["iou"],
             }
-            if inf["kind"] == "revolute" and gt["type"] == "revolute":
+            if inf["kind"] == REVOLUTE and gt["type"] == REVOLUTE:
                 row["position_error_m"] = axis_position_error(
                     inf["axis"], inf["pivot"], gt["axis"], gt["pivot"])
             rows.append(row)

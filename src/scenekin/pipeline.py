@@ -42,7 +42,10 @@ def _write_json(doc: dict, path) -> None:
 
 def _read_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ArtifactError(f"{path} is not valid JSON: {e}") from e
 
 
 def _read_manifest(directory, version: str) -> dict:
@@ -435,9 +438,9 @@ def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
     """Score a run against the generator's ground truth; write report files.
 
     The ground truth is the `gt_joints` each inference.v1 file carries. It
-    must equal the joints of the scene of the same seed in `scenes_dir`;
-    a run scene missing from there, or one whose joints differ, raises
-    ArtifactError.
+    must equal the joints of the scene of the same seed in `scenes_dir`.
+    A listed file that is not inference.v1, a run scene missing from
+    `scenes_dir` or one whose joints differ raises ArtifactError.
     """
     run_manifest = _read_manifest(run_dir, "run_manifest.v1")
     scene_files = {e["seed"]: e["file"] for e in
@@ -451,6 +454,9 @@ def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
     scenes = []
     for entry in run_manifest["scenes"]:
         doc = _read_json(os.path.join(run_dir, entry["inference"]))
+        if doc.get("version") != "inference.v1":
+            raise ArtifactError(f"{entry['inference']} in {run_dir} is "
+                                f"{doc.get('version')}, not inference.v1")
         seed = doc["scene_seed"]
         if seed not in scene_files:
             raise ArtifactError(f"run scene {seed} is not in {scenes_dir}")

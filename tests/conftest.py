@@ -24,7 +24,7 @@ TINY = {
     "generation": {"n_revolute": 1, "n_prismatic": 1, "n_distractor": 0},
     "capture": {"resolution": [50, 40]},
     "affordance": {"samples_per_scene": 60,
-                   "train": {"epochs": 40, "hidden": 0}},
+                   "train": {"epochs": 40}},
 }
 
 

@@ -81,7 +81,7 @@ def test_criterion_2_gradient_oracle():
     rng = np.random.default_rng(1002)
     worst = 0.0
     for draw in range(100):
-        hidden = 0 if draw % 2 == 0 else 8
+        hidden = 1 if draw % 2 == 0 else 8
         model = affordance.init_model(hidden=hidden,
                                       seed=int(rng.integers(10**6)))
         params = model.params() + rng.normal(scale=0.4,

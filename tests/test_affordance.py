@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from dataclasses import replace
 from unittest import mock
@@ -32,7 +33,7 @@ from scenekin.affordance import (
     with_normals,
 )
 from scenekin.config import config_from_dict, derive_seed
-from scenekin.errors import TrainingError
+from scenekin.errors import TrainingError, ValidationError
 from scenekin.geom import PointCloud
 from scenekin.simworld import (
     GenerationConfig,
@@ -184,26 +185,28 @@ class TestCollectLabels:
 
 class TestLossAndGrad:
     def test_perfect_prediction_dice_vanishes(self):
-        model = init_model(hidden=0, seed=0)
-        # giant logits: p -> exactly 0/1 in float, dice -> 0
+        model = init_model(hidden=1, seed=0)
+        # giant logits: the unit saturates at +-1, p -> exactly 0/1 in
+        # float, dice -> 0
         x = np.array([[1.0] + [0.0] * (FEATURE_DIM - 1),
                       [-1.0] + [0.0] * (FEATURE_DIM - 1)])
-        big = model.with_params(np.array([1e3] + [0.0] * (FEATURE_DIM - 1) + [0.0]))
+        big = model.with_params(np.array(
+            [50.0] + [0.0] * (FEATURE_DIM - 1) + [0.0, 1e3, 0.0]))
         y = np.array([1.0, 0.0])
         loss, _ = loss_and_grad(big, x, y, lambda_dice=1.0)
         assert loss == pytest.approx(0.0, abs=1e-6)
 
     def test_single_positive_at_half(self):
         # p = 0.5 on one positive: CE = ln 2, dice = 1 - 2*0.5/(0.5+1+eps)
-        model = init_model(hidden=0, seed=0)
-        zero = model.with_params(np.zeros(FEATURE_DIM + 1))
+        model = init_model(hidden=1, seed=0)
+        zero = model.with_params(np.zeros_like(model.params()))
         x = np.zeros((1, FEATURE_DIM))
         y = np.ones(1)
         loss, _ = loss_and_grad(zero, x, y, lambda_dice=1.0)
         expect = math.log(2.0) + (1.0 - 2.0 * 0.5 / (1.5 + 1e-7))
         assert loss == pytest.approx(expect, abs=1e-9)
 
-    @pytest.mark.parametrize("hidden", [0, 8])
+    @pytest.mark.parametrize("hidden", [1, 8])
     def test_gradient_matches_finite_differences(self, hidden):
         rng = np.random.default_rng(42)
         for _ in range(25):
@@ -230,7 +233,7 @@ class TestLossAndGrad:
 
     def test_dice_permutation_symmetric(self):
         rng = np.random.default_rng(9)
-        model = init_model(hidden=0, seed=1)
+        model = init_model(hidden=1, seed=1)
         x = rng.normal(size=(30, FEATURE_DIM))
         y = (rng.uniform(size=30) < 0.5).astype(float)
         y[0] = 1.0
@@ -240,7 +243,7 @@ class TestLossAndGrad:
         assert l1 == pytest.approx(l2, abs=1e-12)
 
     def test_all_ignored_rejected(self):
-        model = init_model(hidden=0, seed=0)
+        model = init_model(hidden=1, seed=0)
         with pytest.raises(TrainingError):
             loss_and_grad(model, np.zeros((0, FEATURE_DIM)), np.zeros(0),
                           lambda_dice=1.0)
@@ -265,7 +268,7 @@ def separable_dataset(n_scenes=4, n=200, seed=0):
 class TestTrainPredict:
     def test_separable_data_high_accuracy(self):
         dataset = separable_dataset()
-        model, log = train(dataset, TrainConfig(epochs=300, hidden=0,
+        model, log = train(dataset, TrainConfig(epochs=300, hidden=1,
                                                 learning_rate=1.0), seed=0)
         feats, labelset = dataset[-1]
         scores = predict(model, feats)
@@ -276,9 +279,9 @@ class TestTrainPredict:
 
     def test_zero_epochs_returns_initialized(self):
         dataset = separable_dataset(2)
-        model, log = train(dataset, TrainConfig(epochs=0, hidden=0), seed=3)
-        ref = init_model(hidden=0, seed=3)
-        np.testing.assert_array_equal(model.w2, ref.w2)
+        model, log = train(dataset, TrainConfig(epochs=0, hidden=1), seed=3)
+        ref = init_model(hidden=1, seed=3)
+        np.testing.assert_array_equal(model.params(), ref.params())
         assert log == []
 
     def test_deterministic(self):
@@ -288,8 +291,8 @@ class TestTrainPredict:
         np.testing.assert_array_equal(m1.params(), m2.params())
 
     def test_predict_zero_model_is_half(self):
-        model = init_model(hidden=0, seed=0).with_params(
-            np.zeros(FEATURE_DIM + 1))
+        model = init_model(hidden=1, seed=0)
+        model = model.with_params(np.zeros_like(model.params()))
         from scenekin.affordance import FeatureSet
         feats = FeatureSet(np.random.default_rng(0).normal(size=(10, FEATURE_DIM)),
                            np.array([True] * 9 + [False]))
@@ -298,8 +301,9 @@ class TestTrainPredict:
         assert scores[9] == 0.0
 
     def test_large_bias_saturates(self):
-        model = init_model(hidden=0, seed=0).with_params(
-            np.concatenate([np.zeros(FEATURE_DIM), [50.0]]))
+        model = init_model(hidden=1, seed=0)
+        model = model.with_params(np.concatenate(
+            [np.zeros(len(model.params()) - 1), [50.0]]))
         from scenekin.affordance import FeatureSet
         feats = FeatureSet(np.zeros((5, FEATURE_DIM)), np.ones(5, dtype=bool))
         assert predict(model, feats).min() > 1.0 - 1e-9
@@ -310,7 +314,7 @@ class TestTrainPredict:
         vals = rng.normal(size=(40, FEATURE_DIM))
         feats = FeatureSet(vals, np.ones(40, dtype=bool))
         model, _ = train(separable_dataset(2),
-                         TrainConfig(epochs=40, hidden=0), seed=0)
+                         TrainConfig(epochs=40, hidden=1), seed=0)
         scores = predict(model, feats)
         perm = rng.permutation(40)
         scores_p = predict(model, FeatureSet(vals[perm], np.ones(40, bool)))
@@ -334,10 +338,20 @@ class TestSerialization:
         np.testing.assert_array_equal(back.params(), model.params())
         np.testing.assert_array_equal(back.scaler_mean, model.scaler_mean)
 
+    @pytest.mark.parametrize("field, value", [("hidden", 0), ("w1", None)])
+    def test_model_without_hidden_layer_rejected(self, tmp_path, field,
+                                                 value):
+        p = tmp_path / "model.json"
+        save_model(init_model(hidden=1, seed=0), p, "0" * 16, 0)
+        doc = json.loads(p.read_text())
+        p.write_text(json.dumps({**doc, field: value}))
+        with pytest.raises(ValidationError, match=f"model file {p}"):
+            load_model(p)
+
 
 class TestScoreBound:
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from([0, 16]), st.integers(0, 2 ** 32 - 1),
+    @given(st.sampled_from([1, 16]), st.integers(0, 2 ** 32 - 1),
            st.floats(0.1, 5.0), st.booleans())
     def test_bound_reaches_every_score(self, hidden, seed, scale, tiny_std):
         # random heads over random rows; with `tiny_std` normal_up has the

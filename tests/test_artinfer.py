@@ -363,6 +363,29 @@ class TestEstimateMotion:
         assert np.linalg.det(T.rotation) == pytest.approx(1.0, abs=1e-9)
         assert np.abs(T.apply(src) - dst).max() < 1e-9
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+               lambda v: np.linalg.norm(v) > 0.1),
+           st.floats(0.0, math.pi), st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+           st.integers(3, 40).flatmap(lambda n: st.lists(
+               st.floats(0.1, 10.0), min_size=n, max_size=n)),
+           st.one_of(st.none(), st.floats(1.0, 1e4)),
+           st.integers(0, 2 ** 32 - 1))
+    def test_kabsch_recovers_rigid_transform(self, axis, angle, shift,
+                                             weights, anchor, seed):
+        # noise-free pairs under positive weights; `anchor` appends one
+        # heavy row, as estimate_motion appends the contact pair
+        src = np.random.default_rng(seed).normal(size=(len(weights), 3))
+        w = np.array(weights)
+        if anchor is not None:
+            src = np.vstack([src, src.mean(axis=0)])
+            w = np.append(w, anchor * len(weights))
+        R = rotation_from_angle_axis(normalize(axis), angle)
+        dst = src @ R.T + np.array(shift)
+        T = kabsch(src, dst, weights=w)
+        assert np.abs(T.rotation - R).max() < 1e-9
+        assert np.abs(T.translation - shift).max() < 1e-9
+
     def test_icp_door_rotation_with_noise(self):
         # seeded benchmark: moderate door rotations, 2 mm noise
         ok = 0

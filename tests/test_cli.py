@@ -38,7 +38,7 @@ def _valid_value(default):
     if isinstance(default, bool):
         return st.booleans()
     if isinstance(default, int):
-        return st.integers(0, 10 ** 6)
+        return st.integers(1, 10 ** 6)  # affordance.train.hidden is >= 1
     if isinstance(default, float):
         return st.floats(1e-3, 1e3)
     return st.sampled_from(["icp", "oracle"])  # inference.mode
@@ -60,11 +60,11 @@ def override_dicts(draw):
 
 # sha256 of each directory the workspace fixture writes (`_tree_sha256`)
 WORKSPACE_SHA256 = {
-    "scenes": "8a90176add38e07560633356ed90573e4aaecbd28025bc571bde76f7f6897917",
-    "data": "f044cf6bbec56c9ab82af3995babb86b773f8b45a0383ef55eecf90ff10ed612",
-    "model": "7bfb2e1922fcaeed55a2a38dc0cf4185900c9d0267db688be232ab7a640a37ee",
-    "run": "786eb9acac8598922d4a144341f020db93ef46bc796f2524535646d29b046956",
-    "eval": "cc93fe8ec42a416d4677c32c1697fb20e4126ed33f127effacf479af6ccc6044",
+    "scenes": "11c26d6bc7cefa4424355d67937f50e034272e96b05cb7b0201ef060d90c43ac",
+    "data": "7b424831f00a68daf448043cce85a638f4bf1660068ab47416ea48f7602399b9",
+    "model": "b3da78deb6e25db3a7609d5408062f5c77ce1f51e82ffc4c273325d91d29bdbd",
+    "run": "d6c53ae3da48a422995e5e25d1cff26117a3f26da2d2eb81af2d094500430c67",
+    "eval": "164b52f1fdc67b09237e9f8b4f5740d7fa0dcbac7f27f2c1381165369e29314c",
 }
 
 
@@ -248,14 +248,18 @@ class TestPipelineArtifacts:
         base, _ = workspace
         manifest = json.loads((base / "run" / "manifest.json").read_text())
         assert manifest["version"] == "run_manifest.v1"
+        statuses = []
         for entry in manifest["scenes"]:
             doc = json.loads((base / "run" / entry["inference"]).read_text())
             assert doc["version"] == "inference.v1"
+            statuses += [i["status"] for i in doc["inferences"]]
             model = json.loads((base / "run" / entry["model"]).read_text())
             assert model["version"] == "scene_model.v1"
             # every artifact carries the hash of the config file
             assert model["config_hash"] == manifest["config_hash"]
         assert manifest["config_hash"] == config_hash(config_from_dict(TINY))
+        # the shipped head moves parts, so the records carry an inference
+        assert "ok" in statuses
 
     def test_eval_outputs(self, workspace):
         base, _ = workspace
@@ -349,18 +353,36 @@ class TestPipelineArtifacts:
         assert evaluate(tmp_path / "ablated", full_cfg, "--force") == 0
         assert evaluate(tmp_path / "ablated", ablated_cfg) == 0
 
-    @pytest.mark.parametrize("command", ["collect", "train", "run", "eval"])
+    @pytest.mark.parametrize("command",
+                             ["gen-scenes", "collect", "train", "run", "eval"])
     def test_missing_input_directory_is_a_named_error(self, workspace,
                                                       tmp_path, capsys,
                                                       command):
-        """An input directory without a manifest, or another stage's output
-        directory, is a named error and no output directory is made."""
+        """An input directory without a manifest, another stage's output
+        directory, a file that is not JSON or not of the version asked, or
+        a config the loader refuses is a named error and no output
+        directory is made."""
         base, cfg = workspace
         missing = str(tmp_path / "missing")
         scenes, data, run = (str(base / d) for d in ("scenes", "data", "run"))
         model = str(base / "model" / "model.json")
-        # (inputs, error message) per wrong input directory
+        # a run whose manifest is cut short, and one whose manifest lists
+        # a scene model as the inference file
+        truncated, swapped = (tmp_path / d for d in ("truncated", "swapped"))
+        for d in (truncated, swapped):
+            shutil.copytree(run, d)
+        text = (truncated / "manifest.json").read_text()
+        (truncated / "manifest.json").write_text(text[:len(text) // 2])
+        doc = json.loads((swapped / "manifest.json").read_text())
+        doc["scenes"][0]["inference"] = doc["scenes"][0]["model"]
+        (swapped / "manifest.json").write_text(json.dumps(doc))
+        not_json, no_hidden = (tmp_path / f for f in ("bad.json", "h0.json"))
+        not_json.write_text('{"seed": 5,')
+        no_hidden.write_text(json.dumps(
+            {"affordance": {"train": {"hidden": 0}}}))
+        # (inputs, error message) per wrong input
         cases = {
+            "gen-scenes": [],
             "collect": [
                 (["--scenes", missing], f"no manifest.json in {missing}"),
                 (["--scenes", run], f"manifest.json in {run} is "
@@ -383,8 +405,23 @@ class TestPipelineArtifacts:
                  "run_manifest.v1"),
                 (["--run", run, "--scenes", run],
                  f"manifest.json in {run} is run_manifest.v1, not "
-                 "scene_manifest.v1")],
+                 "scene_manifest.v1"),
+                (["--run", str(truncated), "--scenes", scenes],
+                 f"{truncated / 'manifest.json'} is not valid JSON"),
+                (["--run", str(swapped), "--scenes", scenes],
+                 f"{doc['scenes'][0]['model']} in {swapped} is "
+                 "scene_model.v1, not inference.v1")],
         }[command]
+        # the inputs of a good call, under a config file that fails to load;
+        # the later --config replaces the workspace's
+        good = {"gen-scenes": [], "collect": ["--scenes", scenes],
+                "train": ["--dataset", data],
+                "run": ["--scenes", scenes, "--model", model],
+                "eval": ["--run", run, "--scenes", scenes]}[command]
+        cases += [(["--config", str(not_json), *good],
+                   f"{not_json} is not valid JSON"),
+                  (["--config", str(no_hidden), *good],
+                   "affordance hidden width must be >= 1")]
         out = tmp_path / "out"
         for inputs, message in cases:
             assert main([command, "--config", str(cfg), *inputs,
@@ -402,10 +439,10 @@ class TestPipelineArtifacts:
         assert f"no model file {model}" in capsys.readouterr().err
 
     def test_workspace_bytes_are_pinned(self, workspace):
-        """Every file the workspace commands write keeps the bytes it had
-        before the writers lost their test-only defaults. Recorded with
-        numpy 2.4 and SciPy 1.17; another LAPACK build may round the
-        eigenvalues, and so the model and the run, differently."""
+        """Every file the workspace commands write keeps its recorded
+        bytes. Recorded with numpy 2.4 and SciPy 1.17; another LAPACK build
+        may round the eigenvalues, and so the model and the run,
+        differently."""
         base, _ = workspace
         assert {name: _tree_sha256(base / name)
                 for name in WORKSPACE_SHA256} == WORKSPACE_SHA256
