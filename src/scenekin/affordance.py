@@ -19,15 +19,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
-from .errors import PreconditionError, TrainingError, ValidationError
+from .errors import TrainingError, ValidationError
 from .geom import PointCloud, map_blocks
-from .simworld import (
-    InteractionConfig,
-    SceneSpec,
-    gripper_clearance,
-    probe,
-    surface_normal,
-)
+from .simworld import CONTACT_TOL, InteractionConfig, SceneSpec, probe
 
 FEATURE_DIM = 10
 FEATURE_NAMES = (
@@ -166,13 +160,16 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig,
 
     cap = config.discontinuity_cap
     disc = variation > config.variation_threshold
+    ddist = np.full(n, cap)
     if disc.any():
-        # points farther than the cap from every discontinuity read inf
-        ddist, _ = cKDTree(pos[disc]).query(
-            pos, distance_upper_bound=np.nextafter(cap, np.inf), workers=-1)
-        ddist = np.minimum(ddist, cap)
-    else:
-        ddist = np.full(n, cap)
+        tree, bound = cKDTree(pos[disc]), np.nextafter(cap, np.inf)
+
+        def nearest_discontinuity(rows):
+            # points farther than the cap from every discontinuity read inf
+            ddist[rows] = np.minimum(
+                tree.query(pos[rows], distance_upper_bound=bound)[0], cap)
+
+        map_blocks(nearest_discontinuity, n)
 
     feats = np.column_stack([
         pos[:, 2], np.full(n, np.nan), planarity, linearity, sphericity,
@@ -206,29 +203,36 @@ def collect_labels(scene: SceneSpec, cloud: PointCloud, n_samples: int,
                    ) -> AffordanceLabelSet:
     """Probe uniformly sampled cloud points and record the outcomes.
 
-    Points without gripper clearance are labeled ignore; the rest are probed
-    with `simworld.probe` against a pristine copy of the scene (state resets
-    between attempts) and are positive iff a canonical pull moves a part.
+    Points without gripper clearance, or farther than `CONTACT_TOL` from
+    every part, are labeled ignore. The rest are positive iff a canonical
+    pull moves a part: points on a jointed part are probed with
+    `simworld.probe` against a pristine copy of the scene (state resets
+    between attempts), and points on any other part are negative, since
+    every pull there fails. The nearest parts, face normals and clearances
+    of all samples come from one query over the scene's boxes.
     """
     if n_samples < 1:
         raise ValidationError("need at least one sample")
     rng = np.random.default_rng(seed)
     take = min(n_samples, len(cloud))
     indices = rng.choice(len(cloud), size=take, replace=False)
+    points = cloud.positions[indices]
+    parts, dists = scene.boxes.nearest(points)
+    normals = scene.boxes.face_normals(points, parts)
+    clear = scene.boxes.clear(points, normals, interaction.gripper_radius)
+    jointed = {part for part, _ in scene.joints}
     labels = []
-    for i in indices:
-        point = cloud.positions[i]
-        normal = surface_normal(scene, point)
-        if not gripper_clearance(scene, point, normal,
-                                 interaction.gripper_radius):
+    for point, part, dist, normal, ok in zip(points, parts.tolist(),
+                                             dists.tolist(), normals,
+                                             clear.tolist()):
+        # `interact` refuses a contact farther than CONTACT_TOL
+        if not ok or dist > CONTACT_TOL:
             labels.append(IGNORE)
-            continue
-        try:
+        elif part not in jointed:
+            labels.append(NEGATIVE)
+        else:
             outcome, _ = probe(scene, point, normal, interaction)
-        except PreconditionError:
-            labels.append(IGNORE)
-            continue
-        labels.append(POSITIVE if outcome.success else NEGATIVE)
+            labels.append(POSITIVE if outcome.success else NEGATIVE)
     return AffordanceLabelSet(indices, tuple(labels))
 
 
@@ -285,16 +289,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def loss_and_grad(model: AffordanceModel, x: np.ndarray, y: np.ndarray,
-                  lambda_dice: float) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy plus `lambda_dice` times the dice loss, and
-    its exact gradient.
-
-    `x` holds standardized features of the non-ignored points, `y` their 0/1
-    labels. The gradient is flattened in the order of ``model.params()``.
-    """
-    m = len(x)
-    if m == 0:
+def _loss(model: AffordanceModel, x: np.ndarray, y: np.ndarray,
+          lambda_dice: float) -> tuple:
+    """(loss, y, h, p, s, q) of `loss_and_grad`: the loss and the forward
+    values its gradient reuses."""
+    if len(x) == 0:
         raise TrainingError("no labeled points in the batch")
     y = np.asarray(y, dtype=np.float64)
     z, h = _forward(model, x)
@@ -305,9 +304,19 @@ def loss_and_grad(model: AffordanceModel, x: np.ndarray, y: np.ndarray,
     s = float(p.sum() + y.sum() + 1e-7)  # smoothing: s > 0 with no positives
     q = float((p * y).sum())
     dice = 1.0 - 2.0 * q / s
-    loss = ce + lambda_dice * dice
+    return ce + lambda_dice * dice, y, h, p, s, q
 
-    dz = (p - y) / m
+
+def loss_and_grad(model: AffordanceModel, x: np.ndarray, y: np.ndarray,
+                  lambda_dice: float) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy plus `lambda_dice` times the dice loss, and
+    its exact gradient.
+
+    `x` holds standardized features of the non-ignored points, `y` their 0/1
+    labels. The gradient is flattened in the order of ``model.params()``.
+    """
+    loss, y, h, p, s, q = _loss(model, x, y, lambda_dice)
+    dz = (p - y) / len(x)
     ddice_dp = -2.0 * (y * s - q) / (s * s)
     dz = dz + lambda_dice * ddice_dp * p * (1.0 - p)
 
@@ -401,8 +410,8 @@ def train(dataset: list, config: TrainConfig, seed: int
             raise TrainingError(f"non-finite training loss at epoch {epoch}")
         velocity = config.momentum * velocity - config.learning_rate * grad
         params = params + velocity
-        val_loss, _ = loss_and_grad(model.with_params(params), xv, yv,
-                                    config.lambda_dice)
+        val_loss = _loss(model.with_params(params), xv, yv,
+                         config.lambda_dice)[0]
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
         if val_loss < best[0]:
@@ -513,7 +522,11 @@ def save_model(model: AffordanceModel, path, config_hash: str,
 
 def load_model(path) -> AffordanceModel:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"model file {path} is not valid JSON: "
+                                  f"{e}") from e
     if doc.get("version") != "afford_model.v1":
         raise ValidationError(f"unsupported model version {doc.get('version')!r}")
     if int(doc["hidden"]) < 1 or doc["w1"] is None:

@@ -120,11 +120,13 @@ def config_to_dict(config: PipelineConfig) -> dict:
 
 
 def load_config(path) -> PipelineConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path} is not valid JSON: {e}") from e
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e.strerror}") from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path} is not valid JSON: {e}") from e
     return config_from_dict(data)
 
 

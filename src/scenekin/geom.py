@@ -269,12 +269,13 @@ def estimate_normals(cloud: PointCloud, k: int, rows
     if k < 3 or n < k:
         raise ValidationError(f"need at least k={k} >= 3 points, have {n}")
     rows = np.asarray(rows, dtype=np.intp)
-    _, idx = cloud.tree.query(cloud.positions[rows], k=k, workers=-1)
+    tree = cloud.tree
     normals = np.empty((len(rows), 3))
     valid = np.empty(len(rows), dtype=bool)
 
     def block(part):
-        neigh = cloud.positions[idx[part]]            # (B, k, 3)
+        _, idx = tree.query(cloud.positions[rows[part]], k=k)
+        neigh = cloud.positions[idx]                  # (B, k, 3)
         centered = neigh - neigh.mean(axis=1, keepdims=True)
         cov = np.einsum("nki,nkj->nij", centered, centered) / k
         w, v = np.linalg.eigh(cov)                    # ascending eigenvalues
@@ -295,6 +296,12 @@ def rotation_from_angle_axis(axis, angle: float) -> np.ndarray:
     u = as_vec3(axis)
     if not is_unit(u):
         raise ValidationError("rotation axis must be unit norm")
+    return rodrigues(u, angle)
+
+
+def rodrigues(u: np.ndarray, angle: float) -> np.ndarray:
+    """`rotation_from_angle_axis` without its checks: `u` must already be a
+    unit 3-vector."""
     ux, uy, uz = u
     K = np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)

@@ -55,6 +55,8 @@ def _read_manifest(directory, version: str) -> dict:
     if not os.path.isfile(path):
         raise ArtifactError(f"no manifest.json in {directory}")
     manifest = _read_json(path)
+    if not isinstance(manifest, dict):
+        raise ArtifactError(f"manifest.json in {directory} is not an object")
     if manifest.get("version") != version:
         raise ArtifactError(f"manifest.json in {directory} is "
                             f"{manifest.get('version')}, not {version}")
@@ -365,9 +367,8 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
 
 
 def _run_scene_job(args):
-    scene_path, model_path, config = args
-    return run_scene(simworld.load_scene(scene_path),
-                     affordance.load_model(model_path), config)
+    scene_path, model, config = args
+    return run_scene(simworld.load_scene(scene_path), model, config)
 
 
 def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
@@ -387,12 +388,13 @@ def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
     manifest = _read_manifest(scenes_dir, "scene_manifest.v1")
     if not os.path.isfile(model_path):
         raise ArtifactError(f"no model file {model_path}")
+    model = affordance.load_model(model_path)
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(config)
     flags = {"refine": config.run.refine,
              "regularity": config.inference.use_contact_heat,
              "mode": config.inference.mode}
-    jobs = [(os.path.join(scenes_dir, e["file"]), model_path, config)
+    jobs = [(os.path.join(scenes_dir, e["file"]), model, config)
             for e in manifest["scenes"]]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -32,7 +32,13 @@ import numpy as np
 
 from .artinfer import PRISMATIC, REVOLUTE
 from .errors import PreconditionError, SceneGenerationError, ValidationError
-from .geom import RigidTransform, as_vec3, normalize, rotation_from_angle_axis
+from .geom import (
+    RigidTransform,
+    as_vec3,
+    normalize,
+    rodrigues,
+    rotation_from_angle_axis,
+)
 
 PART_KINDS = ("static_body", "mobile_part", "distractor", "wall", "floor")
 
@@ -72,15 +78,6 @@ class PartGeometry:
         loc = np.atleast_2d(np.asarray(local, dtype=np.float64))
         out = loc @ self.rotation.T + self.center
         return out[0] if np.asarray(local).ndim == 1 else out
-
-    def face_normal_at(self, point) -> np.ndarray:
-        """Outward normal of the box face nearest to `point` (world frame)."""
-        p = self.to_local(point)[0]
-        gap = self.half_extents - np.abs(p)
-        axis = int(np.argmin(gap))
-        n_local = np.zeros(3)
-        n_local[axis] = 1.0 if p[axis] >= 0 else -1.0
-        return self.rotation @ n_local
 
     def transformed(self, T: RigidTransform) -> "PartGeometry":
         return replace(self, center=T.apply(self.center),
@@ -125,20 +122,70 @@ class BoxStack:
         return BoxStack(self.centers[idx], self.rotations[idx],
                         self.half_extents[idx], self.colors[idx])
 
-    def _gaps(self, point: np.ndarray) -> np.ndarray:
-        """(P, 3) |coordinate| - half extent of `point` in each box's frame."""
-        local = ((point - self.centers)[:, None, :] @ self.rotations)[:, 0, :]
+    def _gaps(self, points: np.ndarray) -> np.ndarray:
+        """(..., P, 3) |coordinate| - half extent of `points` (..., 3) in
+        each box's frame."""
+        local = ((points[..., None, :] - self.centers)[..., None, :]
+                 @ self.rotations)[..., 0, :]
         return np.abs(local) - self.half_extents
 
-    def surface_distance(self, point: np.ndarray) -> np.ndarray:
-        """(P,) distances from `point` to each box surface; 0 only on it."""
-        d = self._gaps(point)
-        inside = np.abs(np.minimum(d.max(axis=1), 0.0))
+    def surface_distance(self, points: np.ndarray) -> np.ndarray:
+        """(..., P) distances from `points` (..., 3) to each box surface; 0
+        only on it."""
+        d = self._gaps(points)
+        inside = np.abs(np.minimum(d.max(axis=-1), 0.0))
         return _norms(np.maximum(d, 0.0)) + inside
 
-    def solid_distance(self, point: np.ndarray) -> np.ndarray:
-        """(P,) distances from `point` to each solid box; 0 inside."""
-        return _norms(np.maximum(self._gaps(point), 0.0))
+    def solid_distance(self, points: np.ndarray) -> np.ndarray:
+        """(..., P) distances from `points` (..., 3) to each solid box; 0
+        inside."""
+        return _norms(np.maximum(self._gaps(points), 0.0))
+
+    def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(box index, surface distance) of the box nearest to each of the
+        (N, 3) `points`; (-1, inf) with no boxes.
+
+        Boxes are scanned in index order and a box wins only when it is
+        nearer than the current winner by more than 1e-15, so a near tie
+        goes to the lowest index. Where no other box lies within a few
+        1e-15 of the nearest, that rule picks the nearest, so only the
+        other rows are scanned box by box.
+        """
+        d = self.surface_distance(points)
+        n = len(points)
+        if d.shape[1] == 0:
+            return np.full(n, -1), np.full(n, math.inf)
+        best_i, best_d = d.argmin(axis=1), d.min(axis=1)
+        window = best_d + (4e-15 + 4 * np.spacing(best_d))
+        for row in np.flatnonzero((d <= window[:, None]).sum(axis=1) > 1):
+            best_i[row], best_d[row] = -1, math.inf
+            for i, di in enumerate(d[row].tolist()):
+                if di < best_d[row] - 1e-15:
+                    best_i[row], best_d[row] = i, di
+        return best_i, best_d
+
+    def face_normals(self, points: np.ndarray, boxes) -> np.ndarray:
+        """(N, 3) outward normal of the face of box `boxes[k]` nearest to
+        `points[k]`, world frame."""
+        rotations = self.rotations[boxes]
+        local = ((points - self.centers[boxes])[:, None, :]
+                 @ rotations)[:, 0, :]
+        axis = np.argmin(self.half_extents[boxes] - np.abs(local), axis=1)
+        rows = np.arange(len(points))
+        n_local = np.zeros((len(points), 3))
+        n_local[rows, axis] = np.where(local[rows, axis] >= 0, 1.0, -1.0)
+        return (rotations @ n_local[:, :, None])[:, :, 0]
+
+    def clear(self, points: np.ndarray, normals: np.ndarray,
+              radius: float) -> np.ndarray:
+        """(N,) whether a gripper sphere of `radius` resting on each of the
+        (N, 3) `points` fits: centred at point + radius * unit normal, it
+        overlaps no box (tangency at the contact surface is allowed)."""
+        norms = _norms(normals)
+        if (norms < 1e-12).any():
+            raise ValidationError("cannot normalize a zero vector")
+        centers = points + radius * (normals / norms[:, None])
+        return ~(self.solid_distance(centers) < radius - 1e-9).any(axis=1)
 
 
 def boxes_interpenetrate(a: BoxStack, b: BoxStack) -> np.ndarray:
@@ -548,17 +595,14 @@ def find_interpenetrations(scene: SceneSpec) -> list[tuple[int, int]]:
 
 def nearest_part(scene: SceneSpec, point) -> tuple[int, float]:
     """Part whose surface is closest to `point` (current poses); ties -> lowest index."""
-    best_i, best_d = -1, math.inf
-    for i, d in enumerate(scene.boxes.surface_distance(as_vec3(point)).tolist()):
-        if d < best_d - 1e-15:
-            best_i, best_d = i, d
-    return best_i, best_d
+    parts, dists = scene.boxes.nearest(as_vec3(point)[None])
+    return int(parts[0]), float(dists[0])
 
 
 def surface_normal(scene: SceneSpec, point) -> np.ndarray:
     """Outward normal of the nearest part face at `point`."""
     i, _ = nearest_part(scene, point)
-    return scene.part_world(i).face_normal_at(point)
+    return scene.boxes.face_normals(as_vec3(point)[None], [i])[0]
 
 
 def project_to_surface(scene: SceneSpec, point, max_snap: float
@@ -591,8 +635,8 @@ def gripper_clearance(scene: SceneSpec, point, normal, radius: float) -> bool:
     check passes when it intersects no scene geometry (tangency at the contact
     surface itself is allowed).
     """
-    center = as_vec3(point) + radius * normalize(normal)
-    return not (scene.boxes.solid_distance(center) < radius - 1e-9).any()
+    return bool(scene.boxes.clear(as_vec3(point)[None], as_vec3(normal)[None],
+                                  radius)[0])
 
 
 def canonical_pull_directions(contact_normal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -607,10 +651,6 @@ def canonical_pull_directions(contact_normal) -> tuple[np.ndarray, np.ndarray, n
         lateral = _cross(n, np.array([1.0, 0.0, 0.0]))
     lateral = lateral / np.linalg.norm(lateral)
     return n, lateral, -lateral
-
-
-def _rotate_about_line(point, axis, pivot, angle) -> np.ndarray:
-    return RigidTransform.from_rotation_about_line(axis, angle, pivot).apply(point)
 
 
 def interact(scene: SceneSpec, contact, pull_direction, budget: PullBudget,
@@ -680,7 +720,10 @@ def interact(scene: SceneSpec, contact, pull_direction, budget: PullBudget,
         if abs(actual) < 1e-15:
             break  # pinned at a limit
         if joint.joint_type == REVOLUTE:
-            p_cur = _rotate_about_line(p_cur, u, joint.pivot, actual)
+            # `RigidTransform.from_rotation_about_line`'s arithmetic without
+            # its checks; the joint checked its axis when it was built
+            R = rodrigues(u, actual)
+            p_cur = R @ p_cur + (joint.pivot - R @ joint.pivot)
         else:
             p_cur = p_cur + u * actual
         theta = new_theta

@@ -36,12 +36,15 @@ from scenekin.config import config_from_dict, derive_seed
 from scenekin.errors import TrainingError, ValidationError
 from scenekin.geom import PointCloud
 from scenekin.simworld import (
+    CONTACT_TOL,
     GenerationConfig,
     InteractionConfig,
     canonical_pull_directions,
     generate_scene,
     gripper_clearance,
     interact,
+    nearest_part,
+    probe,
     surface_normal,
 )
 from scenekin.sensing import CaptureConfig, capture_scene_cloud
@@ -182,6 +185,34 @@ class TestCollectLabels:
             else:
                 assert not any(results)
 
+    def test_probes_only_samples_on_jointed_parts(self, monkeypatch):
+        """Every sample on a jointed part with clearance and on the surface
+        is probed, and no other sample is."""
+        scene = generate_scene(6, GenerationConfig(2, 2, 1))
+        cloud = capture_scene_cloud(
+            scene, CaptureConfig(resolution=(80, 60)), None)
+        interaction = InteractionConfig()
+        probed = []
+
+        def spy(scene, contact, normal, interaction):
+            probed.append(contact.tobytes())
+            return probe(scene, contact, normal, interaction)
+
+        monkeypatch.setattr(affordance, "probe", spy)
+        labels = collect_labels(scene, cloud, 200, 13, interaction)
+        jointed = {part for part, _ in scene.joints}
+        expect = []
+        for i in labels.indices:
+            point = cloud.positions[i]
+            part, dist = nearest_part(scene, point)
+            if part in jointed and dist <= CONTACT_TOL and gripper_clearance(
+                    scene, point, surface_normal(scene, point),
+                    interaction.gripper_radius):
+                expect.append(point.tobytes())
+        assert probed == expect
+        assert 0 < len(probed) < labels.labels.count(NEGATIVE) \
+            + labels.labels.count(POSITIVE)
+
 
 class TestLossAndGrad:
     def test_perfect_prediction_dice_vanishes(self):
@@ -276,6 +307,18 @@ class TestTrainPredict:
         truth = np.array([l == POSITIVE for l in labelset.labels])
         assert (pred == truth).mean() >= 0.99
         assert len(log) == 300
+
+    def test_validation_loss_is_loss_and_grad_loss(self):
+        """The validation loss train logs, computed without a gradient,
+        equals `loss_and_grad`'s loss bit for bit."""
+        dataset = separable_dataset(4, seed=7)
+        model, log = train(dataset, TrainConfig(epochs=40, hidden=8), seed=1)
+        feats, labelset = dataset[-1]   # the validation split
+        xv = (feats.values - model.scaler_mean) / model.scaler_std
+        yv = np.array([l == POSITIVE for l in labelset.labels], dtype=float)
+        loss, _ = loss_and_grad(model, xv, yv, lambda_dice=1.0)
+        assert np.float64(min(row["val_loss"] for row in log)).tobytes() \
+            == np.float64(loss).tobytes()
 
     def test_zero_epochs_returns_initialized(self):
         dataset = separable_dataset(2)

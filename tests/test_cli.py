@@ -359,11 +359,19 @@ class TestPipelineArtifacts:
                                                       tmp_path, capsys,
                                                       command):
         """An input directory without a manifest, another stage's output
-        directory, a file that is not JSON or not of the version asked, or
-        a config the loader refuses is a named error and no output
-        directory is made."""
+        directory, a manifest that is not a JSON object, a file that is not
+        JSON or not of the version asked, a cut-short model file, or a
+        config file the loader cannot read or refuses is a named error and
+        no output directory is made."""
         base, cfg = workspace
         missing = str(tmp_path / "missing")
+        listed = tmp_path / "listed"
+        listed.mkdir()
+        (listed / "manifest.json").write_text("[]")
+        not_object = f"manifest.json in {listed} is not an object"
+        cut_model = tmp_path / "cut_model.json"
+        text = (base / "model" / "model.json").read_text()
+        cut_model.write_text(text[:len(text) // 2])
         scenes, data, run = (str(base / d) for d in ("scenes", "data", "run"))
         model = str(base / "model" / "model.json")
         # a run whose manifest is cut short, and one whose manifest lists
@@ -385,10 +393,12 @@ class TestPipelineArtifacts:
             "gen-scenes": [],
             "collect": [
                 (["--scenes", missing], f"no manifest.json in {missing}"),
+                (["--scenes", str(listed)], not_object),
                 (["--scenes", run], f"manifest.json in {run} is "
                  "run_manifest.v1, not scene_manifest.v1")],
             "train": [
                 (["--dataset", missing], f"no manifest.json in {missing}"),
+                (["--dataset", str(listed)], not_object),
                 (["--dataset", scenes], f"manifest.json in {scenes} is "
                  "scene_manifest.v1, not collect_manifest.v1")],
             "run": [
@@ -396,10 +406,14 @@ class TestPipelineArtifacts:
                  f"no manifest.json in {missing}"),
                 (["--scenes", data, "--model", model],
                  f"manifest.json in {data} is collect_manifest.v1, not "
-                 "scene_manifest.v1")],
+                 "scene_manifest.v1"),
+                (["--scenes", str(listed), "--model", model], not_object),
+                (["--scenes", scenes, "--model", str(cut_model)],
+                 f"model file {cut_model} is not valid JSON")],
             "eval": [
                 (["--run", missing, "--scenes", scenes],
                  f"no manifest.json in {missing}"),
+                (["--run", str(listed), "--scenes", scenes], not_object),
                 (["--run", data, "--scenes", scenes],
                  f"manifest.json in {data} is collect_manifest.v1, not "
                  "run_manifest.v1"),
@@ -418,7 +432,9 @@ class TestPipelineArtifacts:
                 "train": ["--dataset", data],
                 "run": ["--scenes", scenes, "--model", model],
                 "eval": ["--run", run, "--scenes", scenes]}[command]
-        cases += [(["--config", str(not_json), *good],
+        cases += [(["--config", missing, *good],
+                   f"cannot read config {missing}"),
+                  (["--config", str(not_json), *good],
                    f"{not_json} is not valid JSON"),
                   (["--config", str(no_hidden), *good],
                    "affordance hidden width must be >= 1")]

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from scenekin import sensing
 from scenekin.errors import PreconditionError, ValidationError
-from scenekin.geom import as_vec3, normalize, rotation_from_angle_axis
+from scenekin.geom import (
+    RigidTransform,
+    as_vec3,
+    normalize,
+    rotation_from_angle_axis,
+)
 from scenekin.simworld import (
     BoxStack,
     GenerationConfig,
@@ -229,8 +234,8 @@ class TestInteract:
                             if gt.joint_type == "prismatic")
         part_idx = scene.joints[drawer_joint][0]
         panel = scene.part_world(part_idx)
-        contact = panel.center + panel.face_normal_at(
-            panel.center + panel.rotation[:, 1]) * panel.half_extents[1]
+        contact = panel.center + face_normal_ref(
+            panel, panel.center + panel.rotation[:, 1]) * panel.half_extents[1]
         normal = surface_normal(scene, contact)
         outcome, new_scene = interact(scene, contact, normal, PULL, MOTION_EPS)
         assert outcome.success and outcome.moved_joint == drawer_joint
@@ -271,6 +276,66 @@ class TestInteract:
         assert o1.delta_state == o2.delta_state
         assert np.array_equal(o1.final_contact, o2.final_contact)
         assert s1.joints[0][1].state == s2.joints[0][1].state
+
+
+def revolute_pull_ref(joint, contact, direction, budget):
+    """(final contact, delta) of an engaged revolute pull that moves the
+    contact by `RigidTransform.from_rotation_about_line` at every step."""
+    u, pivot = joint.axis, joint.pivot
+    d = np.asarray(direction, dtype=np.float64)
+    d = d / np.linalg.norm(d)
+    axis_pt = pivot + np.dot(contact - pivot, u) * u
+    r = float(np.linalg.norm(contact - axis_pt))
+    sigma = 1.0 if float(np.dot(d, np.cross(u, (contact - axis_pt) / r))) \
+        > 0 else -1.0
+    lo, hi = joint.limits
+    theta, p = joint.state, contact.copy()
+    for _ in range(int(math.floor(budget.total / budget.step + 1e-9))):
+        axis_pt = pivot + np.dot(p - pivot, u) * u
+        r_vec = p - axis_pt
+        align = float(np.dot(d, np.cross(u, r_vec / np.linalg.norm(r_vec))))
+        if sigma * align <= budget.align_min:
+            break
+        new_theta = min(max(theta + budget.step * align / r, lo), hi)
+        actual = new_theta - theta
+        if abs(actual) < 1e-15:
+            break
+        p = RigidTransform.from_rotation_about_line(u, actual, pivot).apply(p)
+        theta = new_theta
+        if theta in (lo, hi):
+            break
+    return p, theta - joint.state
+
+
+class TestRevoluteSteps:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.floats(-0.6, 0.6), st.floats(-0.5, 0.5),
+           st.floats(0.01, 1.6), st.booleans(), st.floats(0.0, 1.0))
+    def test_steps_match_rigid_transforms_bit_for_bit(
+            self, data, x, z, total, hinge_left, opened):
+        """An engaged pull on a door hinged about any axis ends at the
+        contact and state change that rotating the contact with
+        `RigidTransform` at every step gives, bit for bit."""
+        rotation = data.draw(_ROTATION)
+        limits = (0.0, 2.0) if hinge_left else (-2.0, 0.0)
+        joint = GroundTruthJoint(
+            "revolute", rotation[:, 2],
+            rotation @ [-0.6 if hinge_left else 0.6, 0.0, 1.0], limits,
+            limits[0] + opened * 2.0, 0.05)
+        panel = PartGeometry(rotation @ [0.0, 0.0, 1.0], [0.6, 0.01, 0.5],
+                             rotation, [0.2, 0.4, 0.8], "mobile_part")
+        scene = SceneSpec((panel,), ((0, joint),), BIG_BOUNDS, 0)
+        contact = scene.part_world(0).to_world(np.array([x, 0.01, z]))
+        direction = data.draw(_UNIT)
+        budget = PullBudget(total=total)
+        outcome, _ = interact(scene, contact, direction, budget, MOTION_EPS)
+        if not outcome.engaged:
+            return
+        final, delta = revolute_pull_ref(joint, contact, direction, budget)
+        assert np.float64(outcome.delta_state).tobytes() == \
+            np.float64(delta).tobytes()
+        if outcome.success:
+            assert outcome.final_contact.tobytes() == final.tobytes()
 
 
 class TestWorldParts:
@@ -333,6 +398,16 @@ def surface_distance_ref(box, point):
 def solid_distance_ref(box, point):
     d = np.abs(box.to_local(point)[0]) - box.half_extents
     return float(np.linalg.norm(np.maximum(d, 0.0)))
+
+
+def face_normal_ref(box, point):
+    """Outward normal of the face of `box` nearest to `point`."""
+    p = box.to_local(point)[0]
+    gap = box.half_extents - np.abs(p)
+    axis = int(np.argmin(gap))
+    n_local = np.zeros(3)
+    n_local[axis] = 1.0 if p[axis] >= 0 else -1.0
+    return box.rotation @ n_local
 
 
 def nearest_part_ref(scene, point):
@@ -402,12 +477,14 @@ _PART = st.builds(
 @st.composite
 def _room(draw):
     """Boxes where each new one is free, touches an earlier one face to
-    face, or is an earlier one turned by an angle from 0 to 1e-3 (edge
-    crosses of norm <= 1e-12 among them), moved a little or not at all."""
+    face, is an earlier one moved by about 1e-15, or is an earlier one
+    turned by an angle from 0 to 1e-3 (edge crosses of norm <= 1e-12 among
+    them), moved a little or not at all."""
     parts = [draw(_PART)]
     for _ in range(draw(st.integers(0, 6))):
         base = parts[draw(st.integers(0, len(parts) - 1))]
-        how = draw(st.sampled_from(["free", "touching", "turned"]))
+        how = draw(st.sampled_from(["free", "touching", "turned",
+                                    "nudged"]))
         if how == "free":
             parts.append(draw(_PART))
             continue
@@ -418,6 +495,13 @@ def _room(draw):
             sign = draw(st.sampled_from([-1.0, 1.0]))
             shift = (base.half_extents[axis] + half[axis]) * sign
             center = base.center + shift * rotation[:, axis]
+        elif how == "nudged":
+            # the same box moved by about 1e-15: distances to it and to
+            # the earlier one differ by about the nearest-part tie margin
+            half = base.half_extents
+            center = base.center + draw(st.sampled_from(
+                [-4e-15, -1e-15, 5e-16, 1e-15, 2e-15])) \
+                * rotation[:, draw(st.integers(0, 2))]
         else:
             angle = draw(st.sampled_from([0.0, 1e-14, 5e-13, 1e-12, 2e-12,
                                           1e-9, 1e-3]))
@@ -433,14 +517,17 @@ def _room(draw):
 
 @st.composite
 def _probe_point(draw, scene):
-    """A free point, or one on a face of a box of `scene`."""
+    """A free point, or one on a face, an edge or a corner of a box of
+    `scene`."""
     if draw(st.booleans()):
         return np.array(draw(st.tuples(_COORD, _COORD, _COORD)))
     box = scene.parts[draw(st.integers(0, len(scene.parts) - 1))]
     local = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))) \
         * box.half_extents
-    axis = draw(st.integers(0, 2))
-    local[axis] = draw(st.sampled_from([-1.0, 1.0])) * box.half_extents[axis]
+    for axis in draw(st.lists(st.integers(0, 2), min_size=1, max_size=3,
+                              unique=True)):
+        local[axis] = draw(st.sampled_from([-1.0, 1.0])) \
+            * box.half_extents[axis]
     return box.to_world(local)
 
 
@@ -465,6 +552,48 @@ class TestStackedQueries:
             [surface_distance_ref(b, point) for b in world]).tobytes()
         assert scene.boxes.solid_distance(point).tobytes() == np.array(
             [solid_distance_ref(b, point) for b in world]).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_batched_queries_match_box_by_box_bit_for_bit(self, data):
+        """Nearest part, distance, face normal and clearance of many points
+        at once equal the box-by-box references of each point alone."""
+        scene = data.draw(_room())
+        points = np.array(data.draw(st.lists(_probe_point(scene),
+                                             min_size=1, max_size=8)))
+        radius = data.draw(st.sampled_from([0.01, 0.04, 0.3]))
+        parts, dists = scene.boxes.nearest(points)
+        ref = [nearest_part_ref(scene, p) for p in points]
+        assert parts.tolist() == [i for i, _ in ref]
+        assert dists.tobytes() == np.array([d for _, d in ref]).tobytes()
+        normals = scene.boxes.face_normals(points, parts)
+        world = scene.world_parts()
+        assert normals.tobytes() == np.array(
+            [face_normal_ref(world[i], p) for (i, _), p in zip(ref, points)]
+        ).tobytes()
+        assert scene.boxes.clear(points, normals, radius).tolist() == [
+            gripper_clearance_ref(scene, p, n, radius)
+            for p, n in zip(points, normals)]
+        assert surface_normal(scene, points[0]).tobytes() == normals[0].tobytes()
+
+    def test_near_tie_goes_to_the_lower_index(self):
+        """A box nearer by less than 1e-15 does not replace an earlier
+        one; one nearer by more does, even after such a tie."""
+        def walls(*xs):
+            # unit-thick slabs whose faces lie at x - 0.5 from the origin
+            return SceneSpec(tuple(
+                PartGeometry([x, 0.0, 0.0], [0.5, 9.0, 9.0], np.eye(3),
+                             [0.5] * 3, "wall") for x in xs), (), BIG_BOUNDS, 0)
+        origin = np.zeros((1, 3))
+        for xs, expect in ((1.5, 0), ((1.5, 1.5 - 2**-50), 0),
+                           ((1.5, 1.5 - 2**-50, 1.5 - 2**-49), 2),
+                           ((1.5 - 2**-50, 1.5), 0), ((1.5, 1.5), 0),
+                           ((2.0, 1.5, 1.5 - 2**-50), 1)):
+            scene = walls(*np.atleast_1d(xs))
+            parts, dists = scene.boxes.nearest(origin)
+            assert (int(parts[0]), float(dists[0])) == \
+                nearest_part_ref(scene, origin[0])
+            assert parts[0] == expect
 
     @settings(max_examples=200, deadline=None)
     @given(_room())
