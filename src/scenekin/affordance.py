@@ -423,12 +423,24 @@ def train(dataset: list, config: TrainConfig, seed: int
 
 
 def predict(model: AffordanceModel, features: FeatureSet) -> np.ndarray:
-    """Affordance map: sigmoid scores per point; invalid points score 0."""
+    """Affordance map: sigmoid scores per point; invalid points score 0.
+
+    The network runs per `map_blocks` block: each block's rows are
+    standardized, passed through `_forward` and the sigmoid, and a block
+    with no valid row is not evaluated. A block's products are too small for
+    OpenBLAS to thread, so every score is the one a single-thread product
+    over the whole cloud gives, whatever the thread count.
+    """
     if features.values.shape[1] != len(model.scaler_mean):
         raise ValidationError("feature dimension does not match the model")
-    x = (features.values - model.scaler_mean) / model.scaler_std
-    z, _ = _forward(model, x)
-    scores = _sigmoid(z)
+    scores = np.zeros(len(features))
+
+    def block(rows):
+        if features.valid[rows].any():
+            x = (features.values[rows] - model.scaler_mean) / model.scaler_std
+            scores[rows] = _sigmoid(_forward(model, x)[0])
+
+    map_blocks(block, len(features))
     scores[~features.valid] = 0.0
     return scores
 

@@ -74,7 +74,11 @@ def map_blocks(fn, n: int) -> list:
     blocks in turn from a shared counter. Pool threads that have not started
     when the blocks run out are cancelled, so a process on one CPU runs
     every block inline. Temporaries made inside `fn` are per block, so
-    they stay small whatever n is.
+    they stay small whatever n is. So do matrix products: run a product
+    over a whole cloud per block, and OpenBLAS, which threads only larger
+    products, stays on the thread that called it. No BLAS worker thread
+    then competes with the pool, and no row's result depends on the
+    thread count.
 
     `fn` may run on pool threads, so it may only do numpy/SciPy work,
     writing a shared output only at its own rows. It must call no function

@@ -304,19 +304,17 @@ def fuse_clouds(captures: list[PointCloud]) -> PointCloud:
 
 
 def _voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
-    """Keep one point per voxel; the lowest point id in the voxel wins."""
+    """Keep one point per voxel of a cloud whose point ids ascend, as
+    `fuse_clouds` leaves them: the lowest point id in the voxel wins, which
+    is the voxel's first row."""
     if len(cloud) == 0:
         return cloud
     grid = np.floor(cloud.positions / voxel).astype(np.int64)
     shift = 2 ** 19
     key = ((grid[:, 0] + shift) * (2 ** 20) + (grid[:, 1] + shift)) * (2 ** 20) \
         + (grid[:, 2] + shift)
-    order = np.lexsort((cloud.point_ids, key))
-    key_sorted = key[order]
-    _, first = np.unique(key_sorted, return_index=True)
-    keep = order[first]
-    keep = keep[np.argsort(cloud.point_ids[keep], kind="stable")]
-    return cloud.subset(keep)
+    _, first = np.unique(key, return_index=True)
+    return cloud.subset(np.sort(first))
 
 
 def _in_free_space(scene: SceneSpec, position: np.ndarray) -> bool:

@@ -473,6 +473,34 @@ class TestScrewDecompose:
                 assert axis_angle_deg(joint.axis, u) < 1e-7
                 assert abs(joint.state - s) < 1e-9
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+               lambda v: np.linalg.norm(v) > 0.1),
+           st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+           st.one_of(
+               st.tuples(st.just("revolute"), st.floats(
+                   InferenceConfig().theta_min + 1e-6, math.pi)),
+               st.tuples(st.just("prismatic"), st.floats(
+                   2 * InferenceConfig().motion_epsilon, 1.0))))
+    def test_round_trip_property(self, axis, pivot, motion):
+        # a rotation about the line through `pivot`, or a slide along `axis`
+        # (pivot unused), decomposes back to its kind, axis up to sign
+        # (1e-6 deg), angle or distance (1e-9) and, for a rotation, a pivot
+        # on the drawn line (1e-9 m) with no pitch (1e-9 m)
+        kind, amount = motion
+        u, q = normalize(axis), np.array(pivot)
+        if kind == "revolute":
+            T = revolute_transform(u, q, amount)
+        else:
+            T = RigidTransform.from_translation(u * amount)
+        joint = screw_decompose(T, InferenceConfig())
+        assert joint.kind == kind
+        assert axis_angle_deg(joint.axis, u) < 1e-6
+        assert abs(joint.state - amount) < 1e-9
+        if kind == "revolute":
+            assert np.linalg.norm(np.cross(joint.pivot - q, u)) < 1e-9
+            assert abs(joint.pitch) < 1e-9
+
     def test_screw_with_pitch(self):
         u = np.array([0.0, 0.0, 1.0])
         R = rotation_from_angle_axis(u, math.radians(30.0))

@@ -1,13 +1,18 @@
-"""Block-parallel per-point geometry (`geom.map_blocks`) and per-row
-normals (`PointCloud.normals`): results equal the whole-cloud computations
-bit for bit, whatever the thread count and whichever rows are asked for,
-and the per-process pool survives a fork."""
+"""Block-parallel per-point geometry and scoring (`geom.map_blocks`) and
+per-row normals (`PointCloud.normals`): results equal the whole-cloud
+computations bit for bit, whatever the thread count of the pool or of
+OpenBLAS and whichever rows are asked for, and the per-process pool survives
+a fork."""
 
+import hashlib
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,7 +22,9 @@ from scipy.spatial import cKDTree
 from scenekin import affordance, geom
 from scenekin.affordance import (
     AffordanceConfig,
+    FeatureSet,
     extract_features,
+    predict,
     with_normals,
 )
 from scenekin.geom import BLOCK_ROWS, PointCloud, estimate_normals
@@ -198,12 +205,33 @@ def _ring_rays():
     return scene.boxes, cam.position, cam.ray_directions()
 
 
+def scoring_model(feats):
+    """A 16-unit network standardized on the valid rows of `feats`."""
+    x = feats.values[feats.valid]
+    return replace(affordance.init_model(16, 0), scaler_mean=x.mean(axis=0),
+                   scaler_std=np.maximum(x.std(axis=0), 1e-8))
+
+
+def gapped_features(cloud):
+    """`extract_features` completed at every row outside the second block,
+    so that block holds no valid row."""
+    n = len(cloud)
+    rows = np.r_[0:BLOCK_ROWS, 2 * BLOCK_ROWS:n]
+    feats = with_normals(extract_features(cloud, *FEATURES), cloud,
+                         FEATURES[0], rows)
+    blocks = [feats.valid[a:a + BLOCK_ROWS] for a in range(0, n, BLOCK_ROWS)]
+    assert [b.any() for b in blocks] == [True, False, True]
+    return feats
+
+
 def _outputs():
     cloud = tied_cloud(2 * BLOCK_ROWS + 7, seed=2)
     feats = whole_features(cloud)
+    gapped = gapped_features(cloud)
     boxes, origin, dirs = _ring_rays()
     return (*cloud.normals(12, np.arange(len(cloud))), feats.values,
-            feats.valid,
+            feats.valid, predict(scoring_model(feats), feats),
+            predict(scoring_model(gapped), gapped),
             *_nearest_hits(boxes, origin, dirs, 10.0))
 
 
@@ -215,6 +243,66 @@ def test_thread_count_does_not_change_bytes():
                 mock.patch.object(geom, "_threads", lambda: threads):
             outputs.append(_outputs())
     assert_same_bytes(*outputs)
+
+
+def test_predict_evaluates_blocks_with_a_valid_row(monkeypatch):
+    cloud = tied_cloud(2 * BLOCK_ROWS + 7, seed=5)
+    feats = gapped_features(cloud)
+    model = scoring_model(feats)
+    want = predict(model, feats)
+    sizes = []
+    real = affordance._forward
+
+    def spy(model, x):
+        sizes.append(len(x))
+        return real(model, x)
+
+    monkeypatch.setattr(affordance, "_forward", spy)
+    got = predict(model, feats)
+    assert sorted(sizes) == [7, BLOCK_ROWS]
+    assert got.tobytes() == want.tobytes()
+    assert not got[BLOCK_ROWS:2 * BLOCK_ROWS].any()
+
+
+def score_digests():
+    """sha256 of `predict`'s scores and of the same network run as one
+    product over all rows, on the features of a tied cloud and on 44,001
+    random rows (a 64x48 room's size), half of them valid. At 44,001 rows
+    the one product is big enough for OpenBLAS to thread."""
+    cloud = tied_cloud(2 * BLOCK_ROWS + 7, seed=2)
+    feats = gapped_features(cloud)
+    rng = np.random.default_rng(0)
+    n = 44_001
+    random_rows = FeatureSet(rng.normal(size=(n, 10)), rng.uniform(size=n) < 0.5)
+    inputs = [(scoring_model(feats), feats),
+              (replace(affordance.init_model(16, 0), b1=rng.normal(size=16)),
+               random_rows)]
+    scores, whole = [], []
+    for model, fs in inputs:
+        scores.append(predict(model, fs))
+        x = (fs.values - model.scaler_mean) / model.scaler_std
+        z, _ = affordance._forward(model, x)
+        whole.append(np.where(fs.valid, affordance._sigmoid(z), 0.0))
+    return [hashlib.sha256(np.concatenate(a).tobytes()).hexdigest()
+            for a in (scores, whole)]
+
+
+def test_blas_thread_count_does_not_change_scores():
+    # OPENBLAS_NUM_THREADS is read when numpy loads, so each count gets a
+    # child process; only the children's environment sets it
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(affordance.__file__)))
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, tests]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import test_blocks; print(*test_blocks.score_digests())"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        digests[threads] = out.stdout.split()
+    # the same scores under both counts, equal to one single-thread product
+    assert digests["1"][0] == digests["2"][0] == digests["1"][1]
 
 
 def test_pool_survives_fork():

@@ -317,6 +317,19 @@ def lexsort_fusion(captures):
                       point_ids=ids[keep])
 
 
+def lexsort_downsample(cloud, voxel):
+    """Reference for `_voxel_downsample` on clouds in any id order: sort by
+    (voxel key, id), keep each voxel's first row, order the kept rows by id."""
+    grid = np.floor(cloud.positions / voxel).astype(np.int64)
+    shift = 2 ** 19
+    key = ((grid[:, 0] + shift) * (2 ** 20) + (grid[:, 1] + shift)) * (2 ** 20) \
+        + (grid[:, 2] + shift)
+    order = np.lexsort((cloud.point_ids, key))
+    _, first = np.unique(key[order], return_index=True)
+    keep = order[first]
+    return cloud.subset(keep[np.argsort(cloud.point_ids[keep], kind="stable")])
+
+
 # captures over 12 ids and 8 positions, so ids repeat across captures, often
 # at exactly equal positions
 _CAPTURE = st.dictionaries(st.integers(0, 11),
@@ -347,6 +360,25 @@ class TestSceneCloud:
             for field in ("positions", "colors", "part_ids", "point_ids"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1,
+                    max_size=60),
+           st.integers(0, 2 ** 32 - 1))
+    def test_downsample_matches_lexsort(self, cells, seed):
+        # points on a quarter-voxel lattice over 2x2x2 voxels, so most
+        # voxels hold several points; ids ascend with gaps, as fused ids do
+        n = len(cells)
+        rng = np.random.default_rng(seed)
+        cloud = PointCloud(
+            0.005 * np.array(cells, dtype=float) + 1e-4,
+            colors=rng.uniform(size=(n, 3)), part_ids=rng.integers(0, 4, n),
+            point_ids=np.cumsum(rng.integers(1, 4, n)))
+        got, want = _voxel_downsample(cloud, 0.02), lexsort_downsample(cloud, 0.02)
+        assert len(got) < n or n < 9
+        for field in ("positions", "colors", "part_ids", "point_ids"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_empty_room_only_shell_points(self):
         scene = generate_scene(3, GenerationConfig(0, 0, 0))
