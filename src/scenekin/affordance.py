@@ -70,44 +70,7 @@ class AffordanceLabelSet:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
-def _neighborhoods(cloud: PointCloud, radius: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(center, neighbor) index pairs within `radius`, each point its own
-    neighbor, sorted by center and then neighbor: the sequence a sorted
-    ball query concatenates to.
-
-    Each pair is sorted as the one key `center * n + neighbor`; the keys are
-    unique, so this is the (center, neighbor) order.
-    """
-    n = len(cloud)
-    pairs = cloud.tree.query_pairs(radius, output_type="ndarray")
-    own = np.arange(n)
-    keys = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1],
-                                   pairs[:, 1] * n + pairs[:, 0],
-                                   own * n + own]))
-    return keys // n, keys % n
-
-
 _IA, _IB = np.triu_indices(3)
-
-
-def _neighborhood_sums(cloud: PointCloud, radius: float
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """(neighbour count, neighbourhood sums) of every point within `radius`.
-
-    One sparse product sums positions, their pairwise products and colours
-    over every neighbourhood, adding in the neighbour order of each centre.
-    """
-    n, pos = len(cloud), cloud.positions
-    centers, neighbors = _neighborhoods(cloud, radius)
-    counts = np.bincount(centers, minlength=n)
-    adjacency = csr_matrix(
-        (np.ones(len(neighbors)), neighbors,
-         np.concatenate([[0], np.cumsum(counts)])), shape=(n, n))
-    columns = [pos, pos[:, _IA] * pos[:, _IB]]
-    if cloud.colors is not None:
-        columns.append(cloud.colors)
-    return counts, adjacency @ np.column_stack(columns)
 
 
 def extract_features(cloud: PointCloud, config: AffordanceConfig,
@@ -122,24 +85,66 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig,
     are flagged invalid and zeroed; `with_normals` also flags those whose
     normal is rank-deficient. The discontinuity distance needs every row's
     covariance, so these features are computed for the whole cloud.
+
+    One pair query finds every neighbourhood. Each block of centres then
+    takes its own pairs, sums positions, their pairwise products and
+    colours over each neighbourhood with one sparse product (adding the
+    neighbours of a centre in ascending index order), and reduces the sums
+    to counts, covariance eigenvalues and mean colours. So only the pairs'
+    keys span the whole cloud, not a CSR matrix or the sums, and each
+    row's bytes equal one product over the whole cloud.
     """
     radius = config.feature_radius
     n = len(cloud)
     if n == 0:
         raise ValidationError("cannot extract features from an empty cloud")
     pos = cloud.positions
-    counts, sums = _neighborhood_sums(cloud, radius)
+    # each pair as the keys `center * n + neighbor` of both its directions,
+    # sorted: a block's keys are then one slice of each
+    pairs = cloud.tree.query_pairs(radius, output_type="ndarray")
+    up, down = pairs[:, 0] * n, pairs[:, 1] * n
+    up += pairs[:, 1]
+    down += pairs[:, 0]
+    del pairs
+    up.sort()
+    down.sort()
+    # the columns each neighbourhood sums: positions, their pairwise
+    # products and colours, written in place so no whole-cloud temporary
+    # joins the keys
+    operand = np.empty((n, 9 if cloud.colors is None else 12))
+    operand[:, :3] = pos
+    for col, (a, b) in enumerate(zip(_IA, _IB), start=3):
+        np.multiply(pos[:, a], pos[:, b], out=operand[:, col])
+    if cloud.colors is not None:
+        operand[:, 9:] = cloud.colors
+    counts = np.empty(n, dtype=np.int64)
     w = np.empty((n, 3))
+    mean_color = np.zeros((n, 3))
 
     def block(rows):
-        c = counts[rows, None]
-        mean = sums[rows, :3] / c
+        own = np.arange(rows.start, rows.stop)
+        bounds = (rows.start * n, rows.stop * n)
+        keys = np.concatenate([
+            up[slice(*np.searchsorted(up, bounds))],
+            down[slice(*np.searchsorted(down, bounds))], own * n + own])
+        keys.sort()
+        centers, neighbors = np.divmod(keys, n)
+        c = np.bincount(centers - rows.start, minlength=len(own))
+        indptr = np.concatenate([[0], np.cumsum(c)])
+        sums = csr_matrix((np.ones(len(keys)), neighbors, indptr),
+                          shape=(len(own), n)) @ operand
+        counts[rows] = c
+        c = c[:, None]
+        mean = sums[:, :3] / c
         sq = np.empty((len(c), 3, 3))
-        sq[:, _IA, _IB] = sq[:, _IB, _IA] = sums[rows, 3:9] / c
+        sq[:, _IA, _IB] = sq[:, _IB, _IA] = sums[:, 3:9] / c
         cov = sq - np.einsum("ni,nj->nij", mean, mean)
         w[rows] = np.linalg.eigvalsh(cov)  # ascending
+        if cloud.colors is not None:
+            mean_color[rows] = sums[:, 9:] / c
 
     map_blocks(block, n)
+    del up, down, operand  # so the per-row features below do not add to them
     lam3, lam2, lam1 = w[:, 0], w[:, 1], w[:, 2]
     lam3 = np.maximum(lam3, 0.0)
     safe1 = np.maximum(lam1, 1e-18)
@@ -152,11 +157,6 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig,
 
     n_ref = math.pi * radius * radius / (voxel * voxel)
     density = np.minimum(counts / n_ref, 2.0) / 2.0
-
-    if cloud.colors is not None:
-        mean_color = sums[:, 9:] / counts[:, None]
-    else:
-        mean_color = np.zeros((n, 3))
 
     cap = config.discontinuity_cap
     disc = variation > config.variation_threshold

@@ -2,12 +2,13 @@ import hashlib
 import json
 import math
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.spatial import cKDTree
 
 from scenekin import affordance, hotspot, pipeline
 from scenekin.affordance import (
@@ -34,7 +35,7 @@ from scenekin.affordance import (
 )
 from scenekin.config import config_from_dict, derive_seed
 from scenekin.errors import TrainingError, ValidationError
-from scenekin.geom import PointCloud
+from scenekin.geom import BLOCK_ROWS, PointCloud
 from scenekin.simworld import (
     CONTACT_TOL,
     GenerationConfig,
@@ -105,32 +106,78 @@ class TestFeatures:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300),
-           st.sampled_from([0.03, 0.05, 0.1]), st.booleans())
-    def test_matches_ball_query_reference(self, seed, n, radius, flat):
-        # a thin slab or a box of points, with colors, as ray-cast clouds are
-        rng = np.random.default_rng(seed)
+           st.sampled_from([0.03, 0.05, 0.1]),
+           st.sampled_from(["box", "slab", "grid"]), st.booleans())
+    @example(0, 2 * BLOCK_ROWS + 7, 0.05, "box", True)
+    @example(1, 2 * BLOCK_ROWS + 7, 0.05, "slab", False)
+    @example(2, 2 * BLOCK_ROWS + 7, 0.03, "grid", True)
+    @example(3, 2 * BLOCK_ROWS + 7, 0.1, "grid", False)
+    def test_matches_ball_query_reference(self, seed, n, radius, kind,
+                                          colored):
+        cloud = oracle_cloud(seed, n, radius, kind, colored)
+        config = AffordanceConfig(feature_radius=radius)
+        feats = extract_features(cloud, config, VOXEL)
+        values, valid = ball_query_features(cloud, config, VOXEL)
+        assert feats.values.tobytes() == values.tobytes()
+        np.testing.assert_array_equal(feats.valid, valid)
+
+
+def oracle_cloud(seed, n, radius, kind, colored):
+    """`n` points in a box, a thin slab (as ray-cast surfaces are), or on a
+    grid whose step is `radius`, so neighbours tie at the radius, with a
+    quarter of the grid points duplicated, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        side = math.ceil(n ** (1 / 3)) + 1
+        g = radius * np.arange(side)
+        grid = np.stack(np.meshgrid(g, g, g), -1).reshape(-1, 3)
+        base = grid[rng.choice(len(grid), n - n // 4, replace=False)]
+        pts = rng.permutation(np.vstack([base, base[:n // 4]]))
+    else:
         pts = rng.uniform(-0.2, 0.2, size=(n, 3))
-        if flat:
+        if kind == "slab":
             pts[:, 2] *= 0.01
-        cloud = PointCloud(pts, colors=rng.uniform(0.0, 1.0, size=(n, 3)))
+    colors = rng.uniform(0.0, 1.0, size=(n, 3)) if colored else None
+    return PointCloud(pts, colors=colors)
 
-        def ball_query(cloud, radius):
-            lists = cloud.tree.query_ball_point(cloud.positions, r=radius,
-                                                return_sorted=True)
-            counts = [len(l) for l in lists]
-            return (np.repeat(np.arange(len(cloud)), counts),
-                    np.concatenate(lists).astype(np.int64))
 
-        centers, neighbors = affordance._neighborhoods(cloud, radius)
-        ref_centers, ref_neighbors = ball_query(cloud, radius)
-        np.testing.assert_array_equal(centers, ref_centers)
-        np.testing.assert_array_equal(neighbors, ref_neighbors)
-
-        feats = features(cloud, AffordanceConfig(feature_radius=radius))
-        with mock.patch.object(affordance, "_neighborhoods", ball_query):
-            ref = features(cloud, AffordanceConfig(feature_radius=radius))
-        assert feats.values.tobytes() == ref.values.tobytes()
-        np.testing.assert_array_equal(feats.valid, ref.valid)
+def ball_query_features(cloud, config, voxel):
+    """Reference `extract_features`: each point's sorted ball-query list,
+    one sparse product over the whole cloud, then the covariance,
+    density, colour and discontinuity steps over every row at once."""
+    n, pos, radius = len(cloud), cloud.positions, config.feature_radius
+    lists = cloud.tree.query_ball_point(pos, r=radius, return_sorted=True)
+    counts = np.array([len(l) for l in lists])
+    adjacency = csr_matrix(
+        (np.ones(counts.sum()), np.concatenate(lists).astype(np.int64),
+         np.concatenate([[0], np.cumsum(counts)])), shape=(n, n))
+    ia, ib = np.triu_indices(3)
+    columns = [pos, pos[:, ia] * pos[:, ib]]
+    if cloud.colors is not None:
+        columns.append(cloud.colors)
+    sums = adjacency @ np.column_stack(columns)
+    c = counts[:, None]
+    mean = sums[:, :3] / c
+    sq = np.empty((n, 3, 3))
+    sq[:, ia, ib] = sq[:, ib, ia] = sums[:, 3:9] / c
+    w = np.linalg.eigvalsh(sq - np.einsum("ni,nj->nij", mean, mean))
+    lam3, lam2, lam1 = np.maximum(w[:, 0], 0.0), w[:, 1], w[:, 2]
+    safe1 = np.maximum(lam1, 1e-18)
+    variation = lam3 / np.maximum(lam1 + lam2 + lam3, 1e-18)
+    disc = variation > config.variation_threshold
+    ddist = np.full(n, config.discontinuity_cap)
+    if disc.any():
+        ddist = np.minimum(cKDTree(pos[disc]).query(pos)[0], ddist)
+    density = np.minimum(counts / (math.pi * radius ** 2 / voxel ** 2),
+                         2.0) / 2.0
+    mean_color = (sums[:, 9:] / c if cloud.colors is not None
+                  else np.zeros((n, 3)))
+    values = np.column_stack([
+        pos[:, 2], np.full(n, np.nan), (lam2 - lam3) / safe1,
+        (lam1 - lam2) / safe1, lam3 / safe1, density, mean_color, ddist])
+    valid = (counts >= 3) & (lam1 > 1e-18)
+    values[~valid] = 0.0
+    return values, valid
 
 
 class TestCollectLabels:

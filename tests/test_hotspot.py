@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenekin.errors import ValidationError
 from scenekin.geom import PointCloud
@@ -61,6 +63,23 @@ class TestNms:
             hs = nms(PointCloud(pts), scores, HotspotConfig(radius, 0.3))
             expect = brute_force_nms(pts, scores, radius, 0.3)
             assert [h.index for h in hs.items] == expect, trial
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([0.125, 0.25, 0.5]), st.sampled_from([1, 2]),
+           st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                              st.integers(0, 1),
+                              st.sampled_from([0.2, 0.5, 0.7, 1.0])),
+                    min_size=1, max_size=40))
+    def test_matches_brute_force_on_ties(self, radius, per_step, points):
+        # grid steps of radius / per_step are exact binary fractions, so
+        # grid neighbours lie exactly at the radius; points repeat, and
+        # scores tie with each other and with the 0.5 threshold
+        step = radius / per_step
+        pts = np.array([p[:3] for p in points], dtype=np.float64) * step
+        scores = np.array([p[3] for p in points])
+        hs = nms(PointCloud(pts), scores, HotspotConfig(radius, 0.5))
+        assert [h.index for h in hs.items] == brute_force_nms(
+            pts, scores, radius, 0.5)
 
     def test_selected_are_spread(self):
         rng = np.random.default_rng(3)

@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -177,16 +178,25 @@ def _sha256(*arrays):
     return h.hexdigest()
 
 
-def test_survey_bytes_are_pinned():
+@pytest.fixture(scope="module")
+def survey_room():
+    """(cloud, capture config) of the room survey that
+    `test_survey_bytes_are_pinned` pins: the ring capture of the default
+    room of scene seed 1 at 64x48."""
+    config = sensing.CaptureConfig(resolution=(64, 48))
+    return sensing.capture_scene_cloud(
+        generate_scene(1, GenerationConfig()), config, None), config
+
+
+def test_survey_bytes_are_pinned(survey_room):
     """The room survey (ring capture, then features over the whole cloud,
     with normals asked for at every row) gives the bytes it gave before its
     byte-identical speedups: view-pyramid culling, the neighbourhood sums
-    beside the normals, the bounded discontinuity query and per-row
-    normals. Recorded with numpy 2.4 and SciPy 1.17; another LAPACK build may
-    round the eigenvalues differently."""
-    config = sensing.CaptureConfig(resolution=(64, 48))
-    cloud = sensing.capture_scene_cloud(
-        generate_scene(1, GenerationConfig()), config, None)
+    beside the normals, the bounded discontinuity query, per-row normals
+    and the neighbourhood sums per block of centres. Recorded with numpy
+    2.4 and SciPy 1.17; another LAPACK build may round the eigenvalues
+    differently."""
+    cloud, config = survey_room
     feats = affordance.with_normals(
         affordance.extract_features(cloud, affordance.AffordanceConfig(),
                                     config.voxel),
@@ -197,6 +207,25 @@ def test_survey_bytes_are_pinned():
         "19c03ad5ce8eab2272b0791815ab1de02d0e5829b8061513b270506e79b997af")
     assert _sha256(feats.values, feats.valid) == (
         "cf6efdf34f9b6ba9afeb5b879805bcd01d54f44e052f33c9bebcc5774fa36c2c")
+
+
+def test_survey_features_stay_small(survey_room):
+    """Features of the surveyed room allocate at most 300 bytes per point
+    at their peak, traced by `tracemalloc` with the cloud's k-d tree built
+    beforehand. Whole-cloud neighbour keys, a CSR matrix over every pair
+    and an (N, 12) sums array read 464 B per point; sums per block of
+    centres read about 235. SciPy's `query_pairs` buffer is invisible to
+    `tracemalloc`, so the pair array itself is not counted."""
+    cloud, config = survey_room
+    cloud.tree
+    tracemalloc.start()
+    try:
+        affordance.extract_features(cloud, affordance.AffordanceConfig(),
+                                    config.voxel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300 * len(cloud)
 
 
 def test_collect_bytes_are_pinned():
