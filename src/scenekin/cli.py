@@ -69,8 +69,7 @@ def cmd_run(args) -> int:
     manifest = pipeline.run(config, args.scenes, args.model, args.out,
                             workers=args.workers)
     _emit(args, {"scenes": len(manifest["scenes"]),
-                 "config_hash": manifest["config_hash"],
-                 "flags": manifest["flags"], "out": args.out})
+                 "config_hash": manifest["config_hash"], "out": args.out})
     return 0
 
 

@@ -4,10 +4,12 @@ Interaction records and inference summaries are plain dicts (the same shape
 the pipeline writes to its JSON artifacts):
 
 * interaction record: {"hotspot_id", "stage": "initial"|"refine",
-  "success": bool, "moved_joint": int|None, "delta_state": float}
+  "success": bool, "moved_joint": int|None, "delta_state": float}, or
+  {"hotspot_id", "stage": "skipped", "status"} for a hotspot never pulled.
 * inference summary: {"hotspot_id", "kind", "axis", "pivot", "state",
   "gt_joint", "iou"} where gt_joint identifies the simulator joint moved by
-  that interaction: {"index", "type", "axis", "pivot"}.
+  that interaction: {"index", "type", "axis", "pivot"}. The run does not
+  write gt_joint; `pipeline.evaluate` attaches it from the scene file.
 
 Precision counts initial-stage probes only; refinement pulls extend coverage
 (they open parts further) but are excluded from precision. Coverage counts

@@ -10,6 +10,7 @@ byte-identical.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -198,16 +199,6 @@ def train_model(config: PipelineConfig, dataset_dir, out_dir) -> dict:
 # run
 # ---------------------------------------------------------------------------
 
-def _gt_joint_dict(scene: SceneSpec, joint_index: int) -> dict:
-    _, gt = scene.joints[joint_index]
-    return {
-        "index": joint_index,
-        "type": gt.joint_type,
-        "axis": gt.axis.tolist(),
-        "pivot": None if gt.pivot is None else gt.pivot.tolist(),
-    }
-
-
 def _segmentation_iou_vs_oracle(obs, seg, part_index: int) -> float | None:
     if obs.before.part_ids is None or obs.after.part_ids is None:
         return None
@@ -288,16 +279,16 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
         if probes >= config.run.max_hotspots:
             break
         picked.append(spot)
-        record = {"hotspot_id": hid, "stage": "initial", "success": False,
-                  "moved_joint": None, "delta_state": 0.0}
         site = _approach(current, spot.position, config)
         if isinstance(site, str):
-            interactions.append({**record, "stage": "skipped",
+            interactions.append({"hotspot_id": hid, "stage": "skipped",
                                  "status": site})
             continue
         contact, normal, poses = site
 
         probes += 1
+        record = {"hotspot_id": hid, "stage": "initial", "success": False,
+                  "moved_joint": None, "delta_state": 0.0}
         probe_rng = np.random.default_rng(
             derive_seed(config.seed, "probe", scene.seed, hid))
         try:
@@ -321,9 +312,7 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
         try:
             joint, seg = infer_articulation(obs, config.inference)
         except InferenceError as e:
-            inferences.append({"hotspot_id": hid, "status": f"failed: {e}",
-                               "gt_joint": _gt_joint_dict(scene,
-                                                          outcome.moved_joint)})
+            inferences.append({"hotspot_id": hid, "status": f"failed: {e}"})
             continue
 
         if config.run.refine and joint.kind == REVOLUTE:
@@ -347,7 +336,6 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
             "pivot": None if joint.pivot is None else joint.pivot.tolist(),
             "state": float(joint.state),
             "iou": iou,
-            "gt_joint": _gt_joint_dict(scene, outcome.moved_joint),
         })
         mobile_pts = obs.after.positions[seg.mobile_mask_after]
         estimates.append((joint, mobile_pts, hid))
@@ -361,14 +349,18 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
         "inferences": inferences,
         "refinements": refinement_logs,
         "model": replace(model_out, scene_seed=scene.seed),
-        "gt_joints": [_gt_joint_dict(scene, j)
-                      for j in range(len(scene.joints))],
     }
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _run_scene_job(args):
     scene_path, model, config = args
-    return run_scene(simworld.load_scene(scene_path), model, config)
+    return {**run_scene(simworld.load_scene(scene_path), model, config),
+            "scene_sha256": _sha256(scene_path)}
 
 
 def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
@@ -377,23 +369,20 @@ def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
 
     Per scene: inference.v1 JSON (hotspots, interactions, inferences,
     refinement logs) and a scene_model.v1 export, each carrying the config
-    hash. The ablations are config keys (`run.refine`,
-    `inference.use_contact_heat`, `inference.mode`), so the hash tells every
-    run apart; `flags` repeats those three values in the artifacts. Skipped
-    hotspots and failed probes or inferences are recorded, but any other
-    error of a scene (such as a scene capture that yields no points) aborts
-    the whole run before an artifact is written. `workers` > 1 runs scenes
-    in that many processes; the artifacts are the same as in a serial run.
+    hash; the manifest records the sha256 of each scene file read. No
+    artifact holds ground truth. The ablations are config keys
+    (`run.refine`, `inference.use_contact_heat`, `inference.mode`), so the
+    hash tells every run apart. Skipped hotspots and failed probes or
+    inferences are recorded, but any other error of a scene (such as a
+    scene capture that yields no points) aborts the whole run before an
+    artifact is written. `workers` > 1 runs scenes in that many processes;
+    the artifacts are the same as in a serial run.
     """
     manifest = _read_manifest(scenes_dir, "scene_manifest.v1")
     if not os.path.isfile(model_path):
         raise ArtifactError(f"no model file {model_path}")
     model = affordance.load_model(model_path)
-    os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(config)
-    flags = {"refine": config.run.refine,
-             "regularity": config.inference.use_contact_heat,
-             "mode": config.inference.mode}
     jobs = [(os.path.join(scenes_dir, e["file"]), model, config)
             for e in manifest["scenes"]]
     if workers > 1 and len(jobs) > 1:
@@ -402,6 +391,7 @@ def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
     else:
         records = [_run_scene_job(j) for j in jobs]
 
+    os.makedirs(out_dir, exist_ok=True)
     entries = []
     for record in sorted(records, key=lambda r: r["scene_seed"]):
         seed = record["scene_seed"]
@@ -411,22 +401,20 @@ def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
             "version": "inference.v1",
             "config_hash": chash,
             "scene_seed": seed,
-            "flags": flags,
             "hotspots": record["hotspots"],
             "interactions": record["interactions"],
             "inferences": record["inferences"],
             "refinements": record["refinements"],
-            "gt_joints": record["gt_joints"],
         }
         _write_json(doc, os.path.join(out_dir, inf_file))
         scenemodel.export_model(replace(record["model"], config_hash=chash),
                                 os.path.join(out_dir, model_file))
         entries.append({"seed": seed, "inference": inf_file,
                         "model": model_file,
-                        "entries": len(record["model"].entries)})
+                        "entries": len(record["model"].entries),
+                        "scene_sha256": record["scene_sha256"]})
     run_manifest = {"version": "run_manifest.v1", "config_hash": chash,
-                    "root_seed": config.seed, "flags": flags,
-                    "scenes": entries}
+                    "root_seed": config.seed, "scenes": entries}
     _write_json(run_manifest, os.path.join(out_dir, "manifest.json"))
     return run_manifest
 
@@ -435,14 +423,22 @@ def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
 # eval
 # ---------------------------------------------------------------------------
 
+def _gt_joints(scene: SceneSpec) -> list[dict]:
+    """evalkit's ground-truth joint dicts of a scene, by joint index."""
+    return [{"index": j, "type": gt.joint_type, "axis": gt.axis.tolist(),
+             "pivot": None if gt.pivot is None else gt.pivot.tolist()}
+            for j, (_, gt) in enumerate(scene.joints)]
+
+
 def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
              force: bool = False) -> evalkit.EvalReport:
     """Score a run against the generator's ground truth; write report files.
 
-    The ground truth is the `gt_joints` each inference.v1 file carries. It
-    must equal the joints of the scene of the same seed in `scenes_dir`.
-    A listed file that is not inference.v1, a run scene missing from
-    `scenes_dir` or one whose joints differ raises ArtifactError.
+    The ground truth is the scene of the same seed in `scenes_dir`, whose
+    file must hash to the run manifest's `scene_sha256`; each ok inference
+    is scored against the joint its hotspot's initial pull moved. A listed
+    file that is not inference.v1, or a run scene missing from `scenes_dir`,
+    differing from it or without a digest, raises ArtifactError.
     """
     run_manifest = _read_manifest(run_dir, "run_manifest.v1")
     scene_files = {e["seed"]: e["file"] for e in
@@ -462,19 +458,22 @@ def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
         seed = doc["scene_seed"]
         if seed not in scene_files:
             raise ArtifactError(f"run scene {seed} is not in {scenes_dir}")
-        scene = simworld.load_scene(os.path.join(scenes_dir,
-                                                 scene_files[seed]))
-        if doc["gt_joints"] != [_gt_joint_dict(scene, j)
-                                for j in range(len(scene.joints))]:
+        scene_path = os.path.join(scenes_dir, scene_files[seed])
+        scene = simworld.load_scene(scene_path)
+        if entry.get("scene_sha256") != _sha256(scene_path):
             raise ArtifactError(
                 f"joints of run scene {seed} differ from "
                 f"{scene_files[seed]} in {scenes_dir}")
+        gt_joints = _gt_joints(scene)
+        moved = {r["hotspot_id"]: r["moved_joint"]
+                 for r in doc["interactions"] if r["stage"] == "initial"}
         scenes.append({
-            "scene_seed": doc["scene_seed"],
+            "scene_seed": seed,
             "interactions": doc["interactions"],
-            "inferences": [i for i in doc["inferences"]
+            "inferences": [{**i, "gt_joint": gt_joints[moved[i["hotspot_id"]]]}
+                           for i in doc["inferences"]
                            if i.get("status") == "ok"],
-            "gt_joints": doc["gt_joints"],
+            "gt_joints": gt_joints,
         })
     report = evalkit.build_report(scenes)
     os.makedirs(out_dir, exist_ok=True)

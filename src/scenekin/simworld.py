@@ -818,5 +818,14 @@ def save_scene(scene: SceneSpec, path, config_hash: str) -> None:
 
 
 def load_scene(path) -> SceneSpec:
+    """The scene_spec.v1 file at `path`; a file that is not JSON or lacks a
+    key is a ValidationError naming the file."""
     with open(path) as fh:
-        return scene_from_dict(json.load(fh))
+        try:
+            return scene_from_dict(json.load(fh))
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"scene file {path} is not valid JSON: "
+                                  f"{e}") from e
+        except KeyError as e:
+            raise ValidationError(f"scene file {path} is malformed: no key "
+                                  f"{e}") from e

@@ -5,12 +5,14 @@ session fixtures (a trained affordance model, the refinement benchmark) so
 the suite stays within its runtime budgets.
 """
 
+import csv
 import json
 import math
 import os
 import time
 
 import numpy as np
+import pytest
 
 from scenekin import affordance, evalkit, hotspot
 from scenekin.artinfer import InferenceConfig, screw_decompose
@@ -150,6 +152,75 @@ def test_criterion_3_nms_oracle():
     elapsed = time.time() - t0
     announce("criterion 3 (NMS vs brute-force greedy, 1000 instances)",
              elapsed < 30.0, f"{elapsed:.1f}s")
+
+
+# ---------------------------------------------------------------------------
+# Criteria 4 and 5: oracle-correspondence and ICP end to end
+# ---------------------------------------------------------------------------
+
+# TINY moves two parts at each of these root seeds
+END_TO_END_SEEDS = (5, 8)
+
+
+@pytest.fixture(scope="module")
+def end_to_end_setups(tmp_path_factory):
+    """Scenes and a trained model of TINY at each of END_TO_END_SEEDS."""
+    setups = {}
+    for seed in END_TO_END_SEEDS:
+        base = tmp_path_factory.mktemp(f"setup{seed}")
+        cfg = base / "cfg.json"
+        cfg.write_text(json.dumps({**TINY, "seed": seed}))
+        common = ["--config", str(cfg)]
+        assert main(["gen-scenes", *common, "--out", str(base / "scenes")]) == 0
+        assert main(["collect", *common, "--scenes", str(base / "scenes"),
+                     "--out", str(base / "data")]) == 0
+        assert main(["train", *common, "--dataset", str(base / "data"),
+                     "--out", str(base / "model")]) == 0
+        setups[seed] = base
+    return setups
+
+
+def end_to_end(setups: dict, mode: str, criterion: str):
+    """`run` and `eval` with `inference.mode` set to `mode` on each setup's
+    scenes and model; every inference's errors and IoU must be within
+    bounds."""
+    t0 = time.time()
+    rows = {}
+    for seed, base in setups.items():
+        cfg = base / f"{mode}.json"
+        cfg.write_text(json.dumps({**TINY, "seed": seed,
+                                   "inference": {"mode": mode}}))
+        common = ["--config", str(cfg)]
+        assert main(["run", *common, "--scenes", str(base / "scenes"),
+                     "--model", str(base / "model" / "model.json"),
+                     "--out", str(base / f"run_{mode}")]) == 0
+        assert main(["eval", *common, "--run", str(base / f"run_{mode}"),
+                     "--scenes", str(base / "scenes"),
+                     "--out", str(base / f"eval_{mode}")]) == 0
+        with open(base / f"eval_{mode}" / "per_joint.csv") as fh:
+            rows[seed] = list(csv.DictReader(fh))
+    elapsed = time.time() - t0
+    every = [r for seed_rows in rows.values() for r in seed_rows]
+    worst_angle = max(float(r["angle_error_deg"]) for r in every)
+    worst_pos = max((float(r["position_error_m"]) for r in every
+                     if r["position_error_m"]), default=0.0)
+    worst_iou = min(float(r["iou"]) for r in every)
+    counts = {seed: len(seed_rows) for seed, seed_rows in rows.items()}
+    ok = (min(counts.values()) >= 2 and worst_angle <= 0.1
+          and worst_pos <= 1e-3 and worst_iou >= 0.85 and elapsed <= 10.0)
+    announce(criterion, ok,
+             f"inferences per seed {counts}, worst axis {worst_angle:.3g} "
+             f"deg, worst revolute position {worst_pos:.2g} m, worst IoU "
+             f"{worst_iou:.3f}, {elapsed:.1f}s")
+
+
+def test_criterion_4_oracle_end_to_end(end_to_end_setups):
+    end_to_end(end_to_end_setups, "oracle",
+               "criterion 4 (oracle correspondences end to end)")
+
+
+def test_criterion_5_icp_end_to_end(end_to_end_setups):
+    end_to_end(end_to_end_setups, "icp", "criterion 5 (ICP end to end)")
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ WORKSPACE_SHA256 = {
     "scenes": "11c26d6bc7cefa4424355d67937f50e034272e96b05cb7b0201ef060d90c43ac",
     "data": "7b424831f00a68daf448043cce85a638f4bf1660068ab47416ea48f7602399b9",
     "model": "b3da78deb6e25db3a7609d5408062f5c77ce1f51e82ffc4c273325d91d29bdbd",
-    "run": "d6c53ae3da48a422995e5e25d1cff26117a3f26da2d2eb81af2d094500430c67",
+    "run": "60f2ea54371303e5036cd522bb4636c45698db21a8c6f839ef75164d400db555",
     "eval": "164b52f1fdc67b09237e9f8b4f5740d7fa0dcbac7f27f2c1381165369e29314c",
 }
 
@@ -253,6 +253,13 @@ class TestPipelineArtifacts:
             doc = json.loads((base / "run" / entry["inference"]).read_text())
             assert doc["version"] == "inference.v1"
             statuses += [i["status"] for i in doc["inferences"]]
+            # the run records what the loop did; ground truth stays in the
+            # scene files, and the config hash names the ablations
+            assert not {"flags", "gt_joints"} & (doc.keys() | manifest.keys())
+            assert not any("gt_joint" in i for i in doc["inferences"])
+            assert all(r.keys() == {"hotspot_id", "stage", "status"}
+                       for r in doc["interactions"]
+                       if r["stage"] == "skipped")
             model = json.loads((base / "run" / entry["model"]).read_text())
             assert model["version"] == "scene_model.v1"
             # every artifact carries the hash of the config file
@@ -319,16 +326,14 @@ class TestPipelineArtifacts:
         doc = json.loads(out)
         assert "aggregate" in doc
 
-    @pytest.mark.parametrize("ablation, flag", [
-        ({"run": {**TINY["run"], "refine": False}}, "refine"),
-        ({"inference": {"use_contact_heat": False}}, "regularity")],
+    @pytest.mark.parametrize("ablation", [
+        {"run": {**TINY["run"], "refine": False}},
+        {"inference": {"use_contact_heat": False}}],
         ids=["refine", "regularity"])
-    def test_ablation_is_a_config_key(self, workspace, tmp_path, ablation,
-                                      flag):
+    def test_ablation_is_a_config_key(self, workspace, tmp_path, ablation):
         """A run whose config differs from the workspace run's in one
-        ablation key differs from it in config hash and flags, and eval
-        refuses either run under the other's config unless --force is
-        given."""
+        ablation key differs from it in config hash, and eval refuses either
+        run under the other's config unless --force is given."""
         base, full_cfg = workspace
         ablated_cfg = tmp_path / "ablated.json"
         ablated_cfg.write_text(json.dumps({**TINY, **ablation}))
@@ -339,9 +344,8 @@ class TestPipelineArtifacts:
         full, ablated = (json.loads((run / "manifest.json").read_text())
                          for run in (base / "run", tmp_path / "ablated"))
         assert full["config_hash"] != ablated["config_hash"]
-        assert full["flags"] == {"refine": True, "regularity": True,
-                                 "mode": "icp"}
-        assert ablated["flags"] == {**full["flags"], flag: False}
+        assert ablated["config_hash"] == config_hash(
+            config_from_dict({**TINY, **ablation}))
 
         def evaluate(run, cfg, *extra):
             return main(["eval", "--config", str(cfg), "--run", str(run),
@@ -360,9 +364,10 @@ class TestPipelineArtifacts:
                                                       command):
         """An input directory without a manifest, another stage's output
         directory, a manifest that is not a JSON object, a file that is not
-        JSON or not of the version asked, a cut-short model file, or a
-        config file the loader cannot read or refuses is a named error and
-        no output directory is made."""
+        JSON or not of the version asked, a cut-short model or scene file, a
+        run that recorded no scene digest, or a config file the loader
+        cannot read or refuses is a named error and no output directory is
+        made."""
         base, cfg = workspace
         missing = str(tmp_path / "missing")
         listed = tmp_path / "listed"
@@ -374,16 +379,31 @@ class TestPipelineArtifacts:
         cut_model.write_text(text[:len(text) // 2])
         scenes, data, run = (str(base / d) for d in ("scenes", "data", "run"))
         model = str(base / "model" / "model.json")
-        # a run whose manifest is cut short, and one whose manifest lists
-        # a scene model as the inference file
-        truncated, swapped = (tmp_path / d for d in ("truncated", "swapped"))
-        for d in (truncated, swapped):
+        # a run whose manifest is cut short, one whose manifest lists a
+        # scene model as the inference file, and one without the digest of
+        # a scene it read
+        truncated, swapped, undigested = (
+            tmp_path / d for d in ("truncated", "swapped", "undigested"))
+        for d in (truncated, swapped, undigested):
             shutil.copytree(run, d)
         text = (truncated / "manifest.json").read_text()
         (truncated / "manifest.json").write_text(text[:len(text) // 2])
         doc = json.loads((swapped / "manifest.json").read_text())
         doc["scenes"][0]["inference"] = doc["scenes"][0]["model"]
         (swapped / "manifest.json").write_text(json.dumps(doc))
+        undigested_doc = json.loads((undigested / "manifest.json").read_text())
+        del undigested_doc["scenes"][0]["scene_sha256"]
+        (undigested / "manifest.json").write_text(json.dumps(undigested_doc))
+        scene_files = {e["seed"]: e["file"] for e in json.loads(
+            (base / "scenes" / "manifest.json").read_text())["scenes"]}
+        first = undigested_doc["scenes"][0]["seed"]
+        # a scene directory whose first scene file is cut short
+        cut_scenes = tmp_path / "cut_scenes"
+        shutil.copytree(scenes, cut_scenes)
+        cut_scene = cut_scenes / "scene_0000.json"
+        text = cut_scene.read_text()
+        cut_scene.write_text(text[:len(text) // 2])
+        cut_scene_error = f"scene file {cut_scene} is not valid JSON"
         not_json, no_hidden = (tmp_path / f for f in ("bad.json", "h0.json"))
         not_json.write_text('{"seed": 5,')
         no_hidden.write_text(json.dumps(
@@ -395,7 +415,8 @@ class TestPipelineArtifacts:
                 (["--scenes", missing], f"no manifest.json in {missing}"),
                 (["--scenes", str(listed)], not_object),
                 (["--scenes", run], f"manifest.json in {run} is "
-                 "run_manifest.v1, not scene_manifest.v1")],
+                 "run_manifest.v1, not scene_manifest.v1"),
+                (["--scenes", str(cut_scenes)], cut_scene_error)],
             "train": [
                 (["--dataset", missing], f"no manifest.json in {missing}"),
                 (["--dataset", str(listed)], not_object),
@@ -409,7 +430,9 @@ class TestPipelineArtifacts:
                  "scene_manifest.v1"),
                 (["--scenes", str(listed), "--model", model], not_object),
                 (["--scenes", scenes, "--model", str(cut_model)],
-                 f"model file {cut_model} is not valid JSON")],
+                 f"model file {cut_model} is not valid JSON"),
+                (["--scenes", str(cut_scenes), "--model", model],
+                 cut_scene_error)],
             "eval": [
                 (["--run", missing, "--scenes", scenes],
                  f"no manifest.json in {missing}"),
@@ -424,7 +447,12 @@ class TestPipelineArtifacts:
                  f"{truncated / 'manifest.json'} is not valid JSON"),
                 (["--run", str(swapped), "--scenes", scenes],
                  f"{doc['scenes'][0]['model']} in {swapped} is "
-                 "scene_model.v1, not inference.v1")],
+                 "scene_model.v1, not inference.v1"),
+                (["--run", str(undigested), "--scenes", scenes],
+                 f"joints of run scene {first} differ from "
+                 f"{scene_files[first]} in {scenes}"),
+                (["--run", run, "--scenes", str(cut_scenes)],
+                 cut_scene_error)],
         }[command]
         # the inputs of a good call, under a config file that fails to load;
         # the later --config replaces the workspace's

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -377,6 +378,16 @@ class TestSceneSerialization:
         save_scene(scene, p, "x")
         back = load_scene(p)
         assert scene_to_dict(back, "x") == scene_to_dict(scene, "x")
+
+    def test_missing_key_is_a_named_error(self, tmp_path):
+        # a cut-short file is a CLI case in test_cli.py
+        doc = scene_to_dict(generate_scene(22, GenerationConfig(1, 1, 0)), "x")
+        del doc["joints"]
+        p = tmp_path / "scene.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError,
+                           match="is malformed: no key 'joints'"):
+            load_scene(p)
 
     def test_nearest_part_identifies_panel(self):
         scene = make_drawer_scene()
