@@ -7,6 +7,13 @@ features (height, verticality, covariance shape, density, neighborhood color,
 distance to the nearest surface discontinuity) with a small network, one
 tanh hidden layer under a logistic head, trained on the combined
 cross-entropy and dice loss.
+
+Features come in two steps. `extract_features` computes every feature that
+needs the whole cloud (the neighbourhood covariances, and from them the set
+of discontinuity points). `complete` fills the two per-row features,
+`normal_up` and `discontinuity_dist`, at the rows a caller reads. Before
+any row is completed, `score_bounds` bounds each row's score from above, so
+a caller can rank rows and complete only those whose bound it needs.
 """
 
 from __future__ import annotations
@@ -30,16 +37,21 @@ FEATURE_NAMES = (
 )
 
 _NORMAL_UP = FEATURE_NAMES.index("normal_up")
+_DISCONTINUITY = FEATURE_NAMES.index("discontinuity_dist")
 
 POSITIVE, NEGATIVE, IGNORE = "positive", "negative", "ignore"
 
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Per-point feature matrix plus a validity flag for degenerate points."""
+    """Per-point feature matrix plus a validity flag for degenerate points.
+
+    `discontinuities` is the k-d tree over the cloud's discontinuity points
+    that `extract_features` builds and `complete` measures distances to."""
 
     values: np.ndarray
     valid: np.ndarray
+    discontinuities: cKDTree | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -76,15 +88,18 @@ _IA, _IB = np.triu_indices(3)
 def extract_features(cloud: PointCloud, config: AffordanceConfig,
                      voxel: float) -> FeatureSet:
     """Deterministic geometric features for every cloud point, all but
-    `normal_up`, which reads NaN until `with_normals` fills it.
+    `normal_up` and `discontinuity_dist`, which read NaN until `complete`
+    fills them.
 
     Covariance shape ratios (planarity, linearity, sphericity) come from the
     `config.feature_radius` neighborhood; density is the neighbor count
     normalized by the expected flat-surface count at the capture `voxel`
     size. Points whose neighborhood is degenerate (fewer than 3 neighbors)
-    are flagged invalid and zeroed; `with_normals` also flags those whose
-    normal is rank-deficient. The discontinuity distance needs every row's
-    covariance, so these features are computed for the whole cloud.
+    are flagged invalid and zeroed; `complete` also flags those whose
+    normal is rank-deficient. The discontinuity points are those whose
+    surface variation exceeds `config.variation_threshold`; finding them
+    needs every row's covariance, so these features are computed for the
+    whole cloud, and the result keeps a k-d tree over those points.
 
     One pair query finds every neighbourhood. Each block of centres then
     takes its own pairs, sums positions, their pairwise products and
@@ -158,44 +173,51 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig,
     n_ref = math.pi * radius * radius / (voxel * voxel)
     density = np.minimum(counts / n_ref, 2.0) / 2.0
 
-    cap = config.discontinuity_cap
-    disc = variation > config.variation_threshold
-    ddist = np.full(n, cap)
-    if disc.any():
-        tree, bound = cKDTree(pos[disc]), np.nextafter(cap, np.inf)
-
-        def nearest_discontinuity(rows):
-            # points farther than the cap from every discontinuity read inf
-            ddist[rows] = np.minimum(
-                tree.query(pos[rows], distance_upper_bound=bound)[0], cap)
-
-        map_blocks(nearest_discontinuity, n)
-
     feats = np.column_stack([
         pos[:, 2], np.full(n, np.nan), planarity, linearity, sphericity,
-        density, mean_color[:, 0], mean_color[:, 1], mean_color[:, 2], ddist,
+        density, mean_color[:, 0], mean_color[:, 1], mean_color[:, 2],
+        np.full(n, np.nan),
     ])
     feats[~valid] = 0.0
-    return FeatureSet(feats, valid)
+    disc = variation > config.variation_threshold
+    return FeatureSet(feats, valid, cKDTree(pos[disc]))
 
 
-def with_normals(features: FeatureSet, cloud: PointCloud,
-                 config: AffordanceConfig, rows) -> FeatureSet:
+def _discontinuity_dist(features: FeatureSet, cloud: PointCloud,
+                        config: AffordanceConfig, rows) -> np.ndarray:
+    """Distance from the points `rows` to the nearest discontinuity point,
+    capped at `config.discontinuity_cap`."""
+    cap = config.discontinuity_cap
+    # points farther than the cap from every discontinuity read inf
+    dist, _ = features.discontinuities.query(
+        cloud.positions[rows], distance_upper_bound=np.nextafter(cap, np.inf))
+    return np.minimum(dist, cap)
+
+
+def complete(features: FeatureSet, cloud: PointCloud,
+             config: AffordanceConfig, rows) -> FeatureSet:
     """`extract_features` output completed at the integer indices `rows`.
 
     Each of those rows gets `normal_up`, the z component of its
     `config.k_normals`-nearest-neighbor normal (`PointCloud.normals`), and
-    turns invalid when that normal is rank-deficient. Every other row is
-    invalid, so it reads as zeros and `predict` scores it 0.
+    `discontinuity_dist`, its distance to the nearest discontinuity point
+    capped at `config.discontinuity_cap`; it turns invalid, and reads
+    zeros, when its normal is rank-deficient. The rows are written into
+    `features.values` itself, so completing rows in turn copies no matrix;
+    the result shares those values, and only `rows` are valid in it, so
+    `predict` scores every other row 0.
     """
+    rows = np.asarray(rows, dtype=np.intp)
     normals, normals_valid = cloud.normals(config.k_normals, rows)
-    values = np.zeros_like(features.values)
-    valid = np.zeros(len(features), dtype=bool)
-    values[rows] = features.values[rows]
+    values = features.values
     values[rows, _NORMAL_UP] = normals[:, 2]
-    valid[rows] = features.valid[rows] & normals_valid
-    values[~valid] = 0.0
-    return FeatureSet(values, valid)
+    values[rows, _DISCONTINUITY] = _discontinuity_dist(features, cloud,
+                                                       config, rows)
+    ok = features.valid[rows] & normals_valid
+    values[rows[~ok]] = 0.0
+    valid = np.zeros(len(features), dtype=bool)
+    valid[rows[ok]] = True
+    return FeatureSet(values, valid, features.discontinuities)
 
 
 def collect_labels(scene: SceneSpec, cloud: PointCloud, n_samples: int,
@@ -445,52 +467,88 @@ def predict(model: AffordanceModel, features: FeatureSet) -> np.ndarray:
     return scores
 
 
-# Logit slack of `rows_reaching`: covers the rounding of summing the
+# Logit slack of `score_bounds`: covers the rounding of summing the
 # network's terms in another order than `predict` does.
 _BOUND_MARGIN = 1e-9
-# normal_up values that split [0, 1] into the sub-intervals of the second pass
+# normal_up values that split [0, 1] into the sub-intervals of the last pass
 _NORMAL_UP_KNOTS = np.linspace(0.0, 1.0, 5)
 
 
-def rows_reaching(model: AffordanceModel, features: FeatureSet,
-                  threshold: float) -> np.ndarray:
-    """Valid rows of `extract_features` output whose score can reach
-    `threshold` for some `normal_up` in [0, 1]; ascending indices.
+def score_bounds(model: AffordanceModel, features: FeatureSet,
+                 cloud: PointCloud, config: AffordanceConfig,
+                 threshold: float) -> np.ndarray:
+    """Upper bound on each row's `predict` score once `complete`d, for
+    `extract_features` output; invalid rows read 0, their score.
 
-    Each tanh unit is monotone in `normal_up`, so over an interval its term
-    is largest at one end, the same end for every row; the sum of those
-    largest terms bounds the logit (interval bound propagation, Gowal et
-    al. 2018). Rows are bounded over [0, 1] first, then the survivors over
-    the quarters of [0, 1] in turn, until one quarter's bound reaches, block
-    by block. A row is kept when one of its bounds, plus a 1e-9 logit
-    margin, scores at or above `threshold`, so every row whose `predict`
-    score reaches `threshold` at its real `normal_up` is kept.
+    Each tanh unit is monotone in each feature, so while a feature ranges
+    over an interval, the unit's term is largest at one end of it, the same
+    end for every row; the sum of those largest terms bounds the logit
+    (interval bound propagation, Gowal et al. 2018). The first pass leaves
+    `normal_up` in [0, 1] and `discontinuity_dist` in [0,
+    `config.discontinuity_cap`] free. Rows whose bound reaches `threshold`
+    get their exact discontinuity distance, as `complete` measures it, and
+    are bounded again over `normal_up` in [0, 1]; those that still reach
+    it take the largest of their bounds over the four quarters of [0, 1].
+    Every bound adds a 1e-9 logit margin, so it is at least the score, and
+    a row whose bound reaches `threshold` is bounded as tightly as these
+    passes go. The first pass runs per `map_blocks` block of the cloud, the
+    second per block of the rows the first keeps.
     """
+    mean, std = model.scaler_mean, model.scaler_std
+    free = [_NORMAL_UP, _DISCONTINUITY]
+    # per free feature, the units whose term grows with it
+    rising = model.w2 * model.w1[free] >= 0.0
+    # the standardized ends of [0, 1] and [0, cap]
+    low = (0.0 - mean[free]) / std[free]
+    high = (np.array([1.0, config.discontinuity_cap]) - mean[free]) / std[free]
+    # each unit's terms of the free features, each at its end where the
+    # unit's term is largest
+    free_shift = (model.w1[free] * np.where(rising, high[:, None],
+                                            low[:, None])).sum(axis=0)
     slope = model.w1[_NORMAL_UP]
-    rising = model.w2 * slope >= 0.0  # units whose term grows with normal_up
-    knots = ((_NORMAL_UP_KNOTS - model.scaler_mean[_NORMAL_UP])
-             / model.scaler_std[_NORMAL_UP])
+    knots = (_NORMAL_UP_KNOTS - mean[_NORMAL_UP]) / std[_NORMAL_UP]
 
-    def reaches(pre, lo, hi):
+    def bound(a):
+        # the score bound of the pre-activations `a`, which it overwrites
+        z = np.tanh(a, out=a) @ model.w2 + model.b2
+        return _sigmoid(z + _BOUND_MARGIN)
+
+    def normal_up_bound(pre, lo, hi):
         # each unit at the end of [lo, hi] where its term is largest
-        a = pre + slope * np.where(rising, hi, lo)
-        z = np.tanh(a) @ model.w2 + model.b2
-        return _sigmoid(z + _BOUND_MARGIN) >= threshold
+        return bound(pre + slope * np.where(rising[0], hi, lo))
 
-    def block(rows):
-        x = (features.values[rows] - model.scaler_mean) / model.scaler_std
+    bounds = np.empty(len(features))
+
+    def first(rows):
+        x = features.values[rows] - mean
+        x /= std
+        x[:, free] = 0.0
+        pre = x @ model.w1
+        pre += model.b1
+        pre += free_shift
+        bounds[rows] = np.where(features.valid[rows], bound(pre), 0.0)
+
+    map_blocks(first, len(features))
+    left = np.flatnonzero(features.valid & (bounds >= threshold))
+
+    def second(part):
+        rows = left[part]
+        x = features.values[rows] - mean
+        x[:, _DISCONTINUITY] = _discontinuity_dist(features, cloud, config,
+                                                   rows)
+        x[:, _DISCONTINUITY] -= mean[_DISCONTINUITY]
+        x /= std
         x[:, _NORMAL_UP] = 0.0
-        pre = x @ model.w1 + model.b1
-        left = np.flatnonzero(features.valid[rows]
-                              & reaches(pre, knots[0], knots[-1]))
-        kept = []
-        for lo, hi in zip(knots, knots[1:]):
-            hit = reaches(pre[left], lo, hi)
-            kept.append(left[hit])
-            left = left[~hit]
-        return rows.start + np.sort(np.concatenate(kept))
+        pre = x @ model.w1
+        pre += model.b1
+        b = normal_up_bound(pre, knots[0], knots[-1])
+        reach = b >= threshold
+        b[reach] = np.max([normal_up_bound(pre[reach], lo, hi)
+                           for lo, hi in zip(knots, knots[1:])], axis=0)
+        bounds[rows] = b
 
-    return np.concatenate(map_blocks(block, len(features)))
+    map_blocks(second, len(left))
+    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -541,15 +599,24 @@ def load_model(path) -> AffordanceModel:
                                   f"{e}") from e
     if doc.get("version") != "afford_model.v1":
         raise ValidationError(f"unsupported model version {doc.get('version')!r}")
-    if int(doc["hidden"]) < 1 or doc["w1"] is None:
+    hidden = int(doc["hidden"])
+    if hidden < 1 or doc["w1"] is None:
         raise ValidationError(
             f"model file {path} needs a hidden layer of width >= 1")
-    return AffordanceModel(
-        hidden=int(doc["hidden"]),
-        scaler_mean=np.array(doc["scaler_mean"]),
-        scaler_std=np.array(doc["scaler_std"]),
-        w1=np.array(doc["w1"]),
-        b1=np.array(doc["b1"]),
-        w2=np.array(doc["w2"]),
-        b2=float(doc["b2"]),
-    )
+    shapes = {"scaler_mean": (FEATURE_DIM,), "scaler_std": (FEATURE_DIM,),
+              "w1": (FEATURE_DIM, hidden), "b1": (hidden,), "w2": (hidden,)}
+    arrays = {}
+    for key, shape in shapes.items():
+        try:
+            arrays[key] = np.array(doc[key], dtype=np.float64)
+        except (TypeError, ValueError):
+            pass  # ragged lists or non-numbers
+        if key not in arrays or arrays[key].shape != shape:
+            raise ValidationError(f"model file {path}: {key} must be numbers "
+                                  f"of shape {shape}")
+    b2 = doc["b2"]
+    if (isinstance(b2, bool) or not isinstance(b2, (int, float))
+            or not math.isfinite(b2)):
+        raise ValidationError(f"model file {path}: b2 must be a finite "
+                              "number")
+    return AffordanceModel(hidden=hidden, b2=float(b2), **arrays)

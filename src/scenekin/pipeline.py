@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -164,26 +166,33 @@ def collect(config: PipelineConfig, scenes_dir, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 
 def train_model(config: PipelineConfig, dataset_dir, out_dir) -> dict:
-    """Train the affordance classifier from a collect output directory."""
+    """Train the affordance classifier from a collect output directory.
+
+    A labels file with a point index outside its cloud's rows raises
+    ValidationError; the output directory is made only once training has
+    finished."""
     manifest = _read_manifest(dataset_dir, "collect_manifest.v1")
-    os.makedirs(out_dir, exist_ok=True)
     dataset = []
     for entry in manifest["scenes"]:
         if entry.get("status") != "ok":
             continue
         cloud = load_cloud_binary(os.path.join(dataset_dir, entry["cloud"]))
-        labels = affordance.labels_from_dict(
-            _read_json(os.path.join(dataset_dir, entry["labels"])))
+        labels_path = os.path.join(dataset_dir, entry["labels"])
+        labels = affordance.labels_from_dict(_read_json(labels_path))
+        if not ((labels.indices >= 0) & (labels.indices < len(cloud))).all():
+            raise ValidationError(f"{labels_path} has point indices outside "
+                                  f"[0, {len(cloud)}), the cloud's rows")
         feats = affordance.extract_features(cloud, config.affordance,
                                             config.capture.voxel)
         # training reads only the labelled rows that are not ignored
         read = labels.indices[np.array(labels.labels) != affordance.IGNORE]
-        dataset.append((affordance.with_normals(feats, cloud,
-                                                config.affordance, read),
+        dataset.append((affordance.complete(feats, cloud, config.affordance,
+                                            read),
                         labels))
     model, log = affordance.train(dataset, config.affordance.train,
                                   derive_seed(config.seed, "train"))
     chash = config_hash(config)
+    os.makedirs(out_dir, exist_ok=True)
     model_path = os.path.join(out_dir, "model.json")
     affordance.save_model(model, model_path, chash, config.seed)
     with open(os.path.join(out_dir, "train_log.csv"), "w", newline="") as fh:
@@ -229,22 +238,63 @@ def _approach(scene: SceneSpec, position, config: PipelineConfig
     return contact, normal, poses
 
 
-def find_hotspots(cloud: PointCloud, model: affordance.AffordanceModel,
-                  config: PipelineConfig) -> hotspot.HotspotSet:
-    """NMS hotspots of a scene cloud's affordance map.
+# Candidate rows scored in the first round of `ranked_hotspots`; each later
+# round scores this many times as many as the one before.
+FIRST_ROUND = 256
+ROUND_GROWTH = 4
 
-    NMS reads only scores at or above `hotspot.score_threshold`, so normals
-    are estimated only at rows where a bound on the score over every
-    `normal_up` reaches it (`affordance.rows_reaching`), and every other
-    row scores 0. The hotspots equal those of scoring every row.
+
+def ranked_hotspots(cloud: PointCloud, model: affordance.AffordanceModel,
+                    config: PipelineConfig) -> Iterator[hotspot.Hotspot]:
+    """The NMS hotspots of a scene cloud's affordance map, in order, each
+    computed only when asked for.
+
+    Features and `affordance.score_bounds` run at once over the whole
+    cloud. The candidates, the rows whose bound reaches
+    `hotspot.score_threshold`, are then ranked by (-bound, index) and
+    scored in rounds: round r takes the first m rows
+    (`FIRST_ROUND` * `ROUND_GROWTH`**r), plus every row whose bound ties
+    the m-th one's, τ. It completes them (`affordance.complete`), scores
+    them with `affordance.predict` on a map in which every other row scores
+    0, runs `hotspot.nms` on that map and yields the new picks whose score
+    is at least τ. The round that takes every candidate has τ = -inf.
+
+    These picks are exactly the next ones of NMS over the whole cloud's map.
+    A row outside the round has a bound below τ, or in the last round below
+    the threshold, so its score is below it too. Every row scoring at least
+    τ is therefore in the round, and `predict`, running on its own blocks,
+    gives it the bytes it has on the whole map. Greedy NMS decides a row
+    from the picks before it alone, which score at least as much, so both
+    maps give the same picks down to τ.
     """
     feats = affordance.extract_features(cloud, config.affordance,
                                         config.capture.voxel)
-    rows = affordance.rows_reaching(model, feats,
-                                    config.hotspot.score_threshold)
-    scores = affordance.predict(model, affordance.with_normals(
-        feats, cloud, config.affordance, rows))
-    return hotspot.nms(cloud, scores, config.hotspot)
+    bounds = affordance.score_bounds(model, feats, cloud, config.affordance,
+                                     config.hotspot.score_threshold)
+    rows = np.flatnonzero(bounds >= config.hotspot.score_threshold)
+    order = rows[np.lexsort((rows, -bounds[rows]))]
+    descending = -bounds[order]
+
+    def rounds():
+        found, m = 0, FIRST_ROUND
+        while True:
+            tau = bounds[order[m - 1]] if m < len(order) else -np.inf
+            take = order[:np.searchsorted(descending, -tau, side="right")]
+            if len(take) == len(order):
+                tau = -np.inf
+            scores = affordance.predict(model, affordance.complete(
+                feats, cloud, config.affordance, take))
+            picks = hotspot.nms(cloud, scores, config.hotspot).items
+            for spot in picks[found:]:
+                if spot.score < tau:
+                    break
+                found += 1
+                yield spot
+            if tau == -np.inf:
+                return
+            m *= ROUND_GROWTH
+
+    return rounds()
 
 
 def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
@@ -255,18 +305,22 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
     until one moves a part (`simworld.probe`, the rule that labels the
     training data), before/after capture of that pull, articulation
     inference, optional refinement. A probe that moves nothing is not
-    captured. Capture noise of the scene ring and of each probed hotspot
-    comes from its own generator, seeded from (root seed, scene seed) and
-    (root seed, scene seed, hotspot id), so no hotspot's noise depends on
-    what earlier hotspots captured. The scene carries accumulated state
-    between hotspots (opened parts stay open). Every setting, the ablations
-    `run.refine`, `inference.use_contact_heat` and `inference.mode`
-    included, comes from `config`; each stage gets its own layer's section.
+    captured. The capture, its features and their score bounds are computed
+    for every scene, but the next hotspot is asked of `ranked_hotspots`
+    only while fewer than `run.max_hotspots` probes have been made, so a
+    scene's rows are completed and scored only as deep as its probes go.
+    Capture noise of the scene ring and of each probed hotspot comes from
+    its own generator, seeded from (root seed, scene seed) and (root seed,
+    scene seed, hotspot id), so no hotspot's noise depends on what earlier
+    hotspots captured. The scene carries accumulated state between hotspots
+    (opened parts stay open). Every setting, the ablations `run.refine`,
+    `inference.use_contact_heat` and `inference.mode` included, comes from
+    `config`; each stage gets its own layer's section.
     """
     ring_rng = np.random.default_rng(
         derive_seed(config.seed, "run", scene.seed))
     cloud = sensing.capture_scene_cloud(scene, config.capture, ring_rng)
-    spots = find_hotspots(cloud, model, config)
+    spots = ranked_hotspots(cloud, model, config)
 
     interactions: list[dict] = []
     inferences: list[dict] = []
@@ -275,8 +329,10 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
     current = scene
     probes = 0
     picked = []
-    for hid, spot in enumerate(spots.items):
-        if probes >= config.run.max_hotspots:
+    for hid in itertools.count():
+        # the next hotspot is ranked only while the loop will probe it
+        spot = next(spots, None) if probes < config.run.max_hotspots else None
+        if spot is None:
             break
         picked.append(spot)
         site = _approach(current, spot.position, config)
@@ -344,7 +400,7 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
     return {
         "scene_seed": scene.seed,
         "hotspots": hotspot.hotspots_to_dict(
-            hotspot.HotspotSet(tuple(picked), spots.radius)),
+            hotspot.HotspotSet(tuple(picked), config.hotspot.radius)),
         "interactions": interactions,
         "inferences": inferences,
         "refinements": refinement_logs,
@@ -437,8 +493,9 @@ def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
     The ground truth is the scene of the same seed in `scenes_dir`, whose
     file must hash to the run manifest's `scene_sha256`; each ok inference
     is scored against the joint its hotspot's initial pull moved. A listed
-    file that is not inference.v1, or a run scene missing from `scenes_dir`,
-    differing from it or without a digest, raises ArtifactError.
+    file that is not inference.v1, a run scene missing from `scenes_dir` or
+    differing from it, or a run manifest entry that recorded no scene digest
+    (each case with its own message) raises ArtifactError.
     """
     run_manifest = _read_manifest(run_dir, "run_manifest.v1")
     scene_files = {e["seed"]: e["file"] for e in
@@ -460,7 +517,12 @@ def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
             raise ArtifactError(f"run scene {seed} is not in {scenes_dir}")
         scene_path = os.path.join(scenes_dir, scene_files[seed])
         scene = simworld.load_scene(scene_path)
-        if entry.get("scene_sha256") != _sha256(scene_path):
+        if "scene_sha256" not in entry:
+            raise ArtifactError(
+                f"run scene {seed} has no recorded scene digest, so "
+                f"{scene_files[seed]} in {scenes_dir} cannot be checked "
+                "against it; re-run the loop")
+        if entry["scene_sha256"] != _sha256(scene_path):
             raise ArtifactError(
                 f"joints of run scene {seed} differ from "
                 f"{scene_files[seed]} in {scenes_dir}")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
-from scenekin import affordance, hotspot, pipeline
+from scenekin import affordance, geom, hotspot, pipeline, sensing
 from scenekin.affordance import (
     FEATURE_DIM,
+    FEATURE_NAMES,
     IGNORE,
     NEGATIVE,
     POSITIVE,
@@ -21,6 +23,7 @@ from scenekin.affordance import (
     FeatureSet,
     TrainConfig,
     collect_labels,
+    complete,
     extract_features,
     init_model,
     labels_from_dict,
@@ -28,10 +31,9 @@ from scenekin.affordance import (
     load_model,
     loss_and_grad,
     predict,
-    rows_reaching,
     save_model,
+    score_bounds,
     train,
-    with_normals,
 )
 from scenekin.config import config_from_dict, derive_seed
 from scenekin.errors import TrainingError, ValidationError
@@ -62,9 +64,9 @@ def flat_patch_cloud(n=400, seed=0):
 
 
 def features(cloud, config):
-    """Features of every cloud point, `normal_up` included."""
-    return with_normals(extract_features(cloud, config, VOXEL), cloud, config,
-                        np.arange(len(cloud)))
+    """Features of every cloud point, completed at every row."""
+    return complete(extract_features(cloud, config, VOXEL), cloud, config,
+                    np.arange(len(cloud)))
 
 
 class TestFeatures:
@@ -117,6 +119,10 @@ class TestFeatures:
         cloud = oracle_cloud(seed, n, radius, kind, colored)
         config = AffordanceConfig(feature_radius=radius)
         feats = extract_features(cloud, config, VOXEL)
+        free = [FEATURE_NAMES.index("normal_up"),
+                FEATURE_NAMES.index("discontinuity_dist")]
+        assert np.isnan(feats.values[feats.valid][:, free]).all()
+        feats = features(cloud, config)
         values, valid = ball_query_features(cloud, config, VOXEL)
         assert feats.values.tobytes() == values.tobytes()
         np.testing.assert_array_equal(feats.valid, valid)
@@ -142,9 +148,10 @@ def oracle_cloud(seed, n, radius, kind, colored):
 
 
 def ball_query_features(cloud, config, voxel):
-    """Reference `extract_features`: each point's sorted ball-query list,
-    one sparse product over the whole cloud, then the covariance,
-    density, colour and discontinuity steps over every row at once."""
+    """Reference `extract_features` completed at every row: each point's
+    sorted ball-query list, one sparse product over the whole cloud, then
+    the covariance, density, colour and discontinuity steps over every row
+    at once, with `normal_up` and its validity from `PointCloud.normals`."""
     n, pos, radius = len(cloud), cloud.positions, config.feature_radius
     lists = cloud.tree.query_ball_point(pos, r=radius, return_sorted=True)
     counts = np.array([len(l) for l in lists])
@@ -172,10 +179,11 @@ def ball_query_features(cloud, config, voxel):
                          2.0) / 2.0
     mean_color = (sums[:, 9:] / c if cloud.colors is not None
                   else np.zeros((n, 3)))
+    normals, normals_valid = cloud.normals(config.k_normals, np.arange(n))
     values = np.column_stack([
-        pos[:, 2], np.full(n, np.nan), (lam2 - lam3) / safe1,
+        pos[:, 2], normals[:, 2], (lam2 - lam3) / safe1,
         (lam1 - lam2) / safe1, lam3 / safe1, density, mean_color, ddist])
-    valid = (counts >= 3) & (lam1 > 1e-18)
+    valid = (counts >= 3) & (lam1 > 1e-18) & normals_valid
     values[~valid] = 0.0
     return values, valid
 
@@ -438,39 +446,170 @@ class TestSerialization:
         with pytest.raises(ValidationError, match=f"model file {p}"):
             load_model(p)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("scaler_mean", lambda v: v[:-1], "scaler_mean must be numbers"),
+        ("scaler_std", lambda v: v + [1.0], "scaler_std must be numbers"),
+        ("w1", lambda v: [row[:-1] for row in v], "w1 must be numbers"),
+        ("w1", lambda v: v[:1] + [v[1][:-1]] + v[2:], "w1 must be numbers"),
+        ("b1", lambda v: v[:-1], "b1 must be numbers"),
+        ("w2", lambda v: v[:-1], "w2 must be numbers"),
+        ("w2", lambda v: ["x"] * len(v), "w2 must be numbers"),
+        ("b2", lambda v: None, "b2 must be a finite number"),
+        ("b2", lambda v: "NaN", "b2 must be a finite number"),
+    ])
+    def test_model_whose_arrays_do_not_fit_rejected(self, tmp_path, field,
+                                                    value, message):
+        """Every array must have the shape the feature count and the hidden
+        width give it, and `b2` must be a finite number."""
+        p = tmp_path / "model.json"
+        save_model(init_model(hidden=4, seed=0), p, "0" * 16, 0)
+        doc = json.loads(p.read_text())
+        p.write_text(json.dumps({**doc, field: value(doc[field])}))
+        with pytest.raises(ValidationError, match=f"model file {p}: {message}"):
+            load_model(p)
+
+
+def bounded_rows(seed, n, scale, tiny_std, hidden):
+    """(model, features, cloud, config, real normal_up, real discontinuity
+    distance) of `n` random rows under a random head: every feature but
+    `normal_up` and `discontinuity_dist` drawn, those two NaN as
+    `extract_features` leaves them, a tenth of the rows invalid, and a
+    random fifth of the cloud's points as the discontinuities. With
+    `tiny_std` both free features have the scaler floor of `train`, so
+    their standardized values span 1e8."""
+    rng = np.random.default_rng(seed)
+    model = init_model(hidden, seed)
+    model = replace(
+        model.with_params(rng.normal(scale=scale, size=model.params().shape)),
+        scaler_mean=rng.normal(size=FEATURE_DIM),
+        scaler_std=rng.uniform(0.05, 3.0, size=FEATURE_DIM))
+    if tiny_std:
+        model.scaler_std[[1, 9]] = 1e-8
+    config = AffordanceConfig()
+    cloud = PointCloud(rng.uniform(-1.0, 1.0, size=(n, 3)))
+    values = rng.normal(scale=3.0, size=(n, FEATURE_DIM))
+    valid = rng.uniform(size=n) < 0.9
+    values[:, [1, 9]] = np.nan
+    values[~valid] = 0.0
+    disc = cKDTree(cloud.positions[rng.uniform(size=n) < 0.2])
+    feats = FeatureSet(values, valid, disc)
+    real_dist = np.minimum(disc.query(cloud.positions)[0],
+                           config.discontinuity_cap)
+    return (model, feats, cloud, config, rng.uniform(0.0, 1.0, size=n),
+            real_dist)
+
 
 class TestScoreBound:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([1, 16]), st.integers(0, 2 ** 32 - 1),
            st.floats(0.1, 5.0), st.booleans())
     def test_bound_reaches_every_score(self, hidden, seed, scale, tiny_std):
-        # random heads over random rows; with `tiny_std` normal_up has the
-        # scaler floor of `train`, so its standardized value spans 1e8
+        """Every bound is at least the row's score: over any `normal_up` in
+        [0, 1] and any discontinuity distance in [0, cap] where the first
+        pass leaves a row below the threshold (the threshold 2 keeps every
+        first-pass bound), and over any `normal_up` at the exact distance
+        where the first pass reaches it. Invalid rows read 0."""
+        model, feats, cloud, config, real_up, real_dist = bounded_rows(
+            seed, 200, scale, tiny_std, hidden)
+        n, valid, cap = len(feats), feats.valid, config.discontinuity_cap
         rng = np.random.default_rng(seed)
-        model = init_model(hidden, seed)
-        model = replace(
-            model.with_params(rng.normal(scale=scale,
-                                         size=model.params().shape)),
-            scaler_mean=rng.normal(size=FEATURE_DIM),
-            scaler_std=rng.uniform(0.05, 3.0, size=FEATURE_DIM))
-        if tiny_std:
-            model.scaler_std[1] = 1e-8
-        n = 200
-        values = rng.normal(scale=3.0, size=(n, FEATURE_DIM))
-        valid = rng.uniform(size=n) < 0.9
-        real_up = rng.uniform(0.0, 1.0, size=n)
-        values[:, 1] = np.nan
-        values[~valid] = 0.0
-        feats = FeatureSet(values, valid)
-        for threshold in (0.0, 0.5, 1.0):
-            kept = np.zeros(n, dtype=bool)
-            kept[rows_reaching(model, feats, threshold)] = True
-            assert not kept[~valid].any()
-            for up in (0.0, 0.25, 0.5, 0.75, 1.0, real_up):
-                exact = values.copy()
-                exact[valid, 1] = (np.broadcast_to(up, n))[valid]
-                scores = predict(model, FeatureSet(exact, valid))
-                assert kept[valid & (scores >= threshold)].all()
+        first = score_bounds(model, feats, cloud, config, 2.0)
+        for threshold in (0.0, 0.5, 1.0, 2.0):
+            bounds = score_bounds(model, feats, cloud, config, threshold)
+            assert not bounds[~valid].any()
+            second = valid & (first >= threshold)
+            for dist in (real_dist, 0.0, cap, rng.uniform(0.0, cap, n)):
+                dist = np.where(second, real_dist, dist)
+                for up in (0.0, 0.25, 0.5, 0.75, 1.0, real_up):
+                    exact = feats.values.copy()
+                    exact[:, 1] = up
+                    exact[:, 9] = dist
+                    exact[~valid] = 0.0
+                    scores = predict(model, FeatureSet(exact, valid))
+                    assert (bounds >= scores).all()
+
+
+def _spots(spots):
+    """(index, position bytes, score bytes) of each hotspot."""
+    return [(h.index, h.position.tobytes(), np.float64(h.score).tobytes())
+            for h in spots]
+
+
+def ranked_room(seed, n, radius, threshold, b2=None):
+    """(cloud, model, config) of `n` random coloured points in a 60 cm box
+    and a random 16-unit head standardized on its valid rows; `b2`, when
+    given, replaces the head's bias."""
+    rng = np.random.default_rng(seed)
+    cloud = PointCloud(rng.uniform(0.0, 0.6, size=(n, 3)),
+                       colors=rng.uniform(0.0, 1.0, size=(n, 3)))
+    config = config_from_dict({
+        "affordance": {"feature_radius": 0.15},
+        "hotspot": {"radius": radius, "score_threshold": threshold}})
+    x = features(cloud, config.affordance).values
+    model = init_model(16, seed)
+    model = replace(
+        model.with_params(rng.normal(scale=2.0, size=model.params().shape)),
+        scaler_mean=x.mean(axis=0), scaler_std=np.maximum(x.std(axis=0), 1e-8))
+    if b2 is not None:
+        model = replace(model, b2=b2)
+    return cloud, model, config
+
+
+class TestRankedHotspots:
+    def ranked(self, cloud, model, config):
+        """(hotspots of `pipeline.ranked_hotspots` with a first round of one
+        row, valid rows of each `predict` call, the candidates' bounds),
+        checked against whole-cloud NMS over every row completed."""
+        calls = []
+        real = affordance.predict
+
+        def spy(model, feats):
+            calls.append(int(feats.valid.sum()))
+            return real(model, feats)
+
+        whole = hotspot.nms(cloud, predict(model, features(
+            cloud, config.affordance)), config.hotspot).items
+        with mock.patch.object(pipeline, "FIRST_ROUND", 1), \
+                mock.patch.object(affordance, "predict", spy):
+            got = list(pipeline.ranked_hotspots(cloud, model, config))
+        assert _spots(got) == _spots(whole)
+        bounds = score_bounds(
+            model, extract_features(cloud, config.affordance,
+                                    config.capture.voxel),
+            cloud, config.affordance, config.hotspot.score_threshold)
+        return got, calls, bounds[bounds >= config.hotspot.score_threshold]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(20, 400),
+           st.sampled_from([0.05, 0.15, 0.4]), st.floats(0.2, 0.9))
+    @example(0, 400, 0.05, 0.5)
+    def test_every_prefix_equals_whole_cloud_nms(self, seed, n, radius,
+                                                 threshold):
+        """Ranked in rounds of 1, 4, 16, ... rows, the hotspots equal those
+        of NMS over every row's score, so each prefix the loop takes does
+        too; with two or more distinct candidate bounds the first round
+        cannot take every candidate, so more than one round runs."""
+        got, calls, candidates = self.ranked(
+            *ranked_room(seed, n, radius, threshold))
+        assert len(calls) >= 1
+        if len(np.unique(candidates)) >= 2:
+            assert len(calls) >= 2
+        assert max(calls) <= len(candidates)
+
+    def test_no_row_reaches(self):
+        got, calls, candidates = self.ranked(
+            *ranked_room(1, 300, 0.15, 0.5, b2=-1e3))
+        assert got == [] and len(candidates) == 0 and calls == [0]
+
+    def test_every_valid_row_reaches(self):
+        """Every valid row's bound is 1, so they all tie and one round
+        scores them all."""
+        cloud, model, config = ranked_room(2, 300, 0.15, 0.5, b2=1e3)
+        got, calls, candidates = self.ranked(cloud, model, config)
+        valid = features(cloud, config.affordance).valid
+        assert len(candidates) == valid.sum() > 0
+        assert (candidates == 1.0).all() and calls == [valid.sum()]
+        assert len(got) > 1
 
 
 # Benchmark workload configs (bench/workloads.py): (overrides, root seed and
@@ -524,12 +663,11 @@ def _hotspot_sha(hotspot_sets):
 def test_run_hotspots_equal_whole_cloud_scoring(workload_models, workload,
                                                 root_seed, rooms, resolution,
                                                 pinned):
-    """The run's hotspots, scored only where the bound reaches the
-    threshold, equal those of scoring every row, on rooms of the benchmark
-    workloads and on one room at the default 160x120 capture. The pins
-    were recorded by scoring every row before the bound existed.
-    `survey-dense` probes no hotspot, so its run artifacts cannot show
-    these sets."""
+    """The run's hotspots, ranked in rounds and drained, equal those of
+    scoring every row, on rooms of the benchmark workloads and on one room
+    at the default 160x120 capture. The pins were recorded by scoring every
+    row before the bound existed. `survey-dense` probes no hotspot, so its
+    run artifacts cannot show these sets."""
     overrides, model = workload_models[workload]
     capture = {"resolution": resolution or [64, 48]}
     config = config_from_dict({**overrides, "seed": root_seed,
@@ -541,11 +679,48 @@ def test_run_hotspots_equal_whole_cloud_scoring(workload_models, workload,
         ring_rng = np.random.default_rng(
             derive_seed(root_seed, "run", scene.seed))
         cloud = capture_scene_cloud(scene, config.capture, ring_rng)
-        run.append(pipeline.find_hotspots(cloud, model, config))
-        every = with_normals(
-            extract_features(cloud, config.affordance, config.capture.voxel),
-            cloud, config.affordance, np.arange(len(cloud)))
-        whole.append(hotspot.nms(cloud, predict(model, every),
-                                 config.hotspot))
+        run.append(hotspot.HotspotSet(
+            tuple(pipeline.ranked_hotspots(cloud, model, config)),
+            config.hotspot.radius))
+        whole.append(hotspot.nms(
+            cloud, predict(model, features(cloud, config.affordance)),
+            config.hotspot))
         assert len(run[-1]) > 0
     assert _hotspot_sha(run) == _hotspot_sha(whole) == pinned
+
+
+def test_probes_complete_only_the_rows_ranked(workload_models, monkeypatch):
+    """On the first pinned `probe-default` room (root seed 20), the
+    hotspots that 3 probes take complete at most 1,024 rows' normals and
+    20,000 rows' discontinuity distances of the 44,457-row scene cloud.
+    Here they take 256 and 15,650. Before hotspots were ranked, scoring
+    every row the bound let through completed 3,808 and 44,457 (every
+    row)."""
+    overrides, model = workload_models["probe-default"]
+    config = config_from_dict({**overrides, "seed": 20})
+    scene = generate_scene(derive_seed(20, "scene", 0), config.generation)
+    clouds, normals, dists = [], [], []
+    real_capture = sensing.capture_scene_cloud
+    real_normals = geom.estimate_normals
+    real_dist = affordance._discontinuity_dist
+
+    def capture(*args):
+        clouds.append(real_capture(*args))
+        return clouds[-1]
+
+    def estimate(cloud, k, rows):
+        normals.extend(rows if cloud is clouds[0] else [])
+        return real_normals(cloud, k, rows)
+
+    def distance(features, cloud, config, rows):
+        dists.append(len(rows) if cloud is clouds[0] else 0)
+        return real_dist(features, cloud, config, rows)
+
+    monkeypatch.setattr(sensing, "capture_scene_cloud", capture)
+    monkeypatch.setattr(geom, "estimate_normals", estimate)
+    monkeypatch.setattr(affordance, "_discontinuity_dist", distance)
+    record = pipeline.run_scene(scene, model, config)
+    assert len(clouds[0]) == 44457
+    assert sum(r["stage"] == "initial" for r in record["interactions"]) == 3
+    assert 0 < len(normals) <= 1024 and len(set(normals)) == len(normals)
+    assert 0 < sum(dists) <= 20000

@@ -23,9 +23,9 @@ from scenekin import affordance, geom
 from scenekin.affordance import (
     AffordanceConfig,
     FeatureSet,
+    complete,
     extract_features,
     predict,
-    with_normals,
 )
 from scenekin.geom import BLOCK_ROWS, PointCloud, estimate_normals
 from scenekin.sensing import CameraPose, CaptureConfig, _nearest_hits
@@ -66,7 +66,7 @@ def whole_cloud_normals(cloud, k):
 def whole_features(cloud):
     """`extract_features` completed at every row."""
     feats = extract_features(cloud, *FEATURES)
-    return with_normals(feats, cloud, FEATURES[0], np.arange(len(cloud)))
+    return complete(feats, cloud, FEATURES[0], np.arange(len(cloud)))
 
 
 def one_block(fn, n):
@@ -217,8 +217,8 @@ def gapped_features(cloud):
     so that block holds no valid row."""
     n = len(cloud)
     rows = np.r_[0:BLOCK_ROWS, 2 * BLOCK_ROWS:n]
-    feats = with_normals(extract_features(cloud, *FEATURES), cloud,
-                         FEATURES[0], rows)
+    feats = complete(extract_features(cloud, *FEATURES), cloud, FEATURES[0],
+                     rows)
     blocks = [feats.valid[a:a + BLOCK_ROWS] for a in range(0, n, BLOCK_ROWS)]
     assert [b.any() for b in blocks] == [True, False, True]
     return feats

@@ -16,6 +16,7 @@ from scenekin.config import (
     derive_seed,
 )
 from scenekin.errors import ConfigError, ValidationError
+from scenekin.geom import load_cloud_binary
 from scenekin.pipeline import load_scene_dir
 from scenekin.simworld import load_scene
 
@@ -365,9 +366,10 @@ class TestPipelineArtifacts:
         """An input directory without a manifest, another stage's output
         directory, a manifest that is not a JSON object, a file that is not
         JSON or not of the version asked, a cut-short model or scene file, a
-        run that recorded no scene digest, or a config file the loader
-        cannot read or refuses is a named error and no output directory is
-        made."""
+        model whose arrays do not fit its width, labels that point outside
+        their cloud, a run that recorded no scene digest, or a config file
+        the loader cannot read or refuses is a named error and no output
+        directory is made."""
         base, cfg = workspace
         missing = str(tmp_path / "missing")
         listed = tmp_path / "listed"
@@ -377,6 +379,11 @@ class TestPipelineArtifacts:
         cut_model = tmp_path / "cut_model.json"
         text = (base / "model" / "model.json").read_text()
         cut_model.write_text(text[:len(text) // 2])
+        # a model whose w2 is one entry short of its hidden width
+        short_model = tmp_path / "short_model.json"
+        model_doc = json.loads(text)
+        short_model.write_text(json.dumps({**model_doc,
+                                           "w2": model_doc["w2"][:-1]}))
         scenes, data, run = (str(base / d) for d in ("scenes", "data", "run"))
         model = str(base / "model" / "model.json")
         # a run whose manifest is cut short, one whose manifest lists a
@@ -404,6 +411,21 @@ class TestPipelineArtifacts:
         text = cut_scene.read_text()
         cut_scene.write_text(text[:len(text) // 2])
         cut_scene_error = f"scene file {cut_scene} is not valid JSON"
+        # datasets whose first labels file points past the cloud's last
+        # row, or before its first
+        labelled = {}
+        for name, index in (("past_end", None), ("negative", -1)):
+            labelled[name] = tmp_path / name
+            shutil.copytree(data, labelled[name])
+            entry = json.loads((labelled[name] / "manifest.json").read_text())[
+                "scenes"][0]
+            labels_path = labelled[name] / entry["labels"]
+            labels_doc = json.loads(labels_path.read_text())
+            cloud_rows = load_cloud_binary(labelled[name] / entry["cloud"])
+            labels_doc["indices"][0] = (len(cloud_rows) if index is None
+                                        else index)
+            labels_path.write_text(json.dumps(labels_doc))
+            labelled[name] = (str(labelled[name]), str(labels_path))
         not_json, no_hidden = (tmp_path / f for f in ("bad.json", "h0.json"))
         not_json.write_text('{"seed": 5,')
         no_hidden.write_text(json.dumps(
@@ -421,7 +443,10 @@ class TestPipelineArtifacts:
                 (["--dataset", missing], f"no manifest.json in {missing}"),
                 (["--dataset", str(listed)], not_object),
                 (["--dataset", scenes], f"manifest.json in {scenes} is "
-                 "scene_manifest.v1, not collect_manifest.v1")],
+                 "scene_manifest.v1, not collect_manifest.v1"),
+                *[(["--dataset", dataset], f"{labels} has point indices "
+                   "outside [0, ")
+                  for dataset, labels in labelled.values()]],
             "run": [
                 (["--scenes", missing, "--model", model],
                  f"no manifest.json in {missing}"),
@@ -431,6 +456,8 @@ class TestPipelineArtifacts:
                 (["--scenes", str(listed), "--model", model], not_object),
                 (["--scenes", scenes, "--model", str(cut_model)],
                  f"model file {cut_model} is not valid JSON"),
+                (["--scenes", scenes, "--model", str(short_model)],
+                 f"model file {short_model}: w2 must be numbers of shape"),
                 (["--scenes", str(cut_scenes), "--model", model],
                  cut_scene_error)],
             "eval": [
@@ -449,8 +476,8 @@ class TestPipelineArtifacts:
                  f"{doc['scenes'][0]['model']} in {swapped} is "
                  "scene_model.v1, not inference.v1"),
                 (["--run", str(undigested), "--scenes", scenes],
-                 f"joints of run scene {first} differ from "
-                 f"{scene_files[first]} in {scenes}"),
+                 f"run scene {first} has no recorded scene digest, so "
+                 f"{scene_files[first]} in {scenes} cannot be checked"),
                 (["--run", run, "--scenes", str(cut_scenes)],
                  cut_scene_error)],
         }[command]

@@ -190,14 +190,15 @@ def survey_room():
 
 def test_survey_bytes_are_pinned(survey_room):
     """The room survey (ring capture, then features over the whole cloud,
-    with normals asked for at every row) gives the bytes it gave before its
+    completed at every row) gives the bytes it gave before its
     byte-identical speedups: view-pyramid culling, the neighbourhood sums
-    beside the normals, the bounded discontinuity query, per-row normals
-    and the neighbourhood sums per block of centres. Recorded with numpy
+    beside the normals, the bounded discontinuity query, per-row normals,
+    the neighbourhood sums per block of centres and per-row discontinuity
+    distances. Recorded with numpy
     2.4 and SciPy 1.17; another LAPACK build may round the eigenvalues
     differently."""
     cloud, config = survey_room
-    feats = affordance.with_normals(
+    feats = affordance.complete(
         affordance.extract_features(cloud, affordance.AffordanceConfig(),
                                     config.voxel),
         cloud, affordance.AffordanceConfig(), np.arange(len(cloud)))
