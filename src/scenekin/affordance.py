@@ -27,8 +27,14 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import TrainingError, ValidationError
-from .geom import PointCloud, map_blocks
-from .simworld import CONTACT_TOL, InteractionConfig, SceneSpec, probe
+from .geom import PointCloud, map_blocks, query_within
+from .simworld import (
+    CONTACT_TOL,
+    GRIPPER_RADIUS,
+    InteractionConfig,
+    SceneSpec,
+    probe,
+)
 
 FEATURE_DIM = 10
 FEATURE_NAMES = (
@@ -38,6 +44,10 @@ FEATURE_NAMES = (
 
 _NORMAL_UP = FEATURE_NAMES.index("normal_up")
 _DISCONTINUITY = FEATURE_NAMES.index("discontinuity_dist")
+
+K_NORMALS = 12              # neighbours per `normal_up` normal
+VARIATION_THRESHOLD = 0.02  # surface variation of a discontinuity point
+DISCONTINUITY_CAP = 0.5     # meters
 
 POSITIVE, NEGATIVE, IGNORE = "positive", "negative", "ignore"
 
@@ -97,7 +107,7 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig,
     size. Points whose neighborhood is degenerate (fewer than 3 neighbors)
     are flagged invalid and zeroed; `complete` also flags those whose
     normal is rank-deficient. The discontinuity points are those whose
-    surface variation exceeds `config.variation_threshold`; finding them
+    surface variation exceeds `VARIATION_THRESHOLD`; finding them
     needs every row's covariance, so these features are computed for the
     whole cloud, and the result keeps a k-d tree over those points.
 
@@ -179,40 +189,37 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig,
         np.full(n, np.nan),
     ])
     feats[~valid] = 0.0
-    disc = variation > config.variation_threshold
+    disc = variation > VARIATION_THRESHOLD
     return FeatureSet(feats, valid, cKDTree(pos[disc]))
 
 
 def _discontinuity_dist(features: FeatureSet, cloud: PointCloud,
-                        config: AffordanceConfig, rows) -> np.ndarray:
+                        rows) -> np.ndarray:
     """Distance from the points `rows` to the nearest discontinuity point,
-    capped at `config.discontinuity_cap`."""
-    cap = config.discontinuity_cap
+    capped at `DISCONTINUITY_CAP`."""
     # points farther than the cap from every discontinuity read inf
-    dist, _ = features.discontinuities.query(
-        cloud.positions[rows], distance_upper_bound=np.nextafter(cap, np.inf))
-    return np.minimum(dist, cap)
+    dist, _ = query_within(features.discontinuities, cloud.positions[rows],
+                           DISCONTINUITY_CAP)
+    return np.minimum(dist, DISCONTINUITY_CAP)
 
 
-def complete(features: FeatureSet, cloud: PointCloud,
-             config: AffordanceConfig, rows) -> FeatureSet:
+def complete(features: FeatureSet, cloud: PointCloud, rows) -> FeatureSet:
     """`extract_features` output completed at the integer indices `rows`.
 
     Each of those rows gets `normal_up`, the z component of its
-    `config.k_normals`-nearest-neighbor normal (`PointCloud.normals`), and
+    `K_NORMALS`-nearest-neighbor normal (`PointCloud.normals`), and
     `discontinuity_dist`, its distance to the nearest discontinuity point
-    capped at `config.discontinuity_cap`; it turns invalid, and reads
+    capped at `DISCONTINUITY_CAP`; it turns invalid, and reads
     zeros, when its normal is rank-deficient. The rows are written into
     `features.values` itself, so completing rows in turn copies no matrix;
     the result shares those values, and only `rows` are valid in it, so
     `predict` scores every other row 0.
     """
     rows = np.asarray(rows, dtype=np.intp)
-    normals, normals_valid = cloud.normals(config.k_normals, rows)
+    normals, normals_valid = cloud.normals(K_NORMALS, rows)
     values = features.values
     values[rows, _NORMAL_UP] = normals[:, 2]
-    values[rows, _DISCONTINUITY] = _discontinuity_dist(features, cloud,
-                                                       config, rows)
+    values[rows, _DISCONTINUITY] = _discontinuity_dist(features, cloud, rows)
     ok = features.valid[rows] & normals_valid
     values[rows[~ok]] = 0.0
     valid = np.zeros(len(features), dtype=bool)
@@ -241,7 +248,7 @@ def collect_labels(scene: SceneSpec, cloud: PointCloud, n_samples: int,
     points = cloud.positions[indices]
     parts, dists = scene.boxes.nearest(points)
     normals = scene.boxes.face_normals(points, parts)
-    clear = scene.boxes.clear(points, normals, interaction.gripper_radius)
+    clear = scene.boxes.clear(points, normals, GRIPPER_RADIUS)
     jointed = {part for part, _ in scene.joints}
     labels = []
     for point, part, dist, normal, ok in zip(points, parts.tolist(),
@@ -350,14 +357,16 @@ def loss_and_grad(model: AffordanceModel, x: np.ndarray, y: np.ndarray,
     return loss, np.concatenate([gw1.ravel(), gb1, gw2, [gb2]])
 
 
+MOMENTUM = 0.9       # of `train`'s gradient descent
+VAL_FRACTION = 0.25  # trailing share of the scenes `train` validates on
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 600
     learning_rate: float = 0.5
-    momentum: float = 0.9
     hidden: int = 16
     lambda_dice: float = 1.0
-    val_fraction: float = 0.25
 
     def __post_init__(self):
         if self.hidden < 1:
@@ -369,9 +378,6 @@ class AffordanceConfig:
     """Feature geometry, label sampling and classifier training."""
 
     feature_radius: float = 0.05
-    k_normals: int = 12
-    variation_threshold: float = 0.02
-    discontinuity_cap: float = 0.5
     samples_per_scene: int = 600
     train: TrainConfig = field(default_factory=TrainConfig)
 
@@ -396,7 +402,7 @@ def train(dataset: list, config: TrainConfig, seed: int
     """Full-batch gradient descent with momentum; returns (best model, log).
 
     `dataset` is a list of (FeatureSet, AffordanceLabelSet) pairs, one per
-    scene; the trailing `val_fraction` of scenes form the validation split.
+    scene; the trailing `VAL_FRACTION` of scenes form the validation split.
     The model with the lowest validation loss wins, and the log has one row
     per epoch: {"epoch", "train_loss", "val_loss"}. `seed` draws the
     initial weights.
@@ -404,7 +410,7 @@ def train(dataset: list, config: TrainConfig, seed: int
     if not dataset:
         raise TrainingError("dataset is empty")
     n_scenes = len(dataset)
-    n_val = min(n_scenes - 1, max(1, round(config.val_fraction * n_scenes))) \
+    n_val = min(n_scenes - 1, max(1, round(VAL_FRACTION * n_scenes))) \
         if n_scenes > 1 else 0
     train_entries = dataset[:n_scenes - n_val] if n_val else dataset
     val_entries = dataset[n_scenes - n_val:] if n_val else dataset
@@ -430,7 +436,7 @@ def train(dataset: list, config: TrainConfig, seed: int
                                    config.lambda_dice)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite training loss at epoch {epoch}")
-        velocity = config.momentum * velocity - config.learning_rate * grad
+        velocity = MOMENTUM * velocity - config.learning_rate * grad
         params = params + velocity
         val_loss = _loss(model.with_params(params), xv, yv,
                          config.lambda_dice)[0]
@@ -475,8 +481,7 @@ _NORMAL_UP_KNOTS = np.linspace(0.0, 1.0, 5)
 
 
 def score_bounds(model: AffordanceModel, features: FeatureSet,
-                 cloud: PointCloud, config: AffordanceConfig,
-                 threshold: float) -> np.ndarray:
+                 cloud: PointCloud, threshold: float) -> np.ndarray:
     """Upper bound on each row's `predict` score once `complete`d, for
     `extract_features` output; invalid rows read 0, their score.
 
@@ -485,7 +490,7 @@ def score_bounds(model: AffordanceModel, features: FeatureSet,
     end for every row; the sum of those largest terms bounds the logit
     (interval bound propagation, Gowal et al. 2018). The first pass leaves
     `normal_up` in [0, 1] and `discontinuity_dist` in [0,
-    `config.discontinuity_cap`] free. Rows whose bound reaches `threshold`
+    `DISCONTINUITY_CAP`] free. Rows whose bound reaches `threshold`
     get their exact discontinuity distance, as `complete` measures it, and
     are bounded again over `normal_up` in [0, 1]; those that still reach
     it take the largest of their bounds over the four quarters of [0, 1].
@@ -500,7 +505,7 @@ def score_bounds(model: AffordanceModel, features: FeatureSet,
     rising = model.w2 * model.w1[free] >= 0.0
     # the standardized ends of [0, 1] and [0, cap]
     low = (0.0 - mean[free]) / std[free]
-    high = (np.array([1.0, config.discontinuity_cap]) - mean[free]) / std[free]
+    high = (np.array([1.0, DISCONTINUITY_CAP]) - mean[free]) / std[free]
     # each unit's terms of the free features, each at its end where the
     # unit's term is largest
     free_shift = (model.w1[free] * np.where(rising, high[:, None],
@@ -534,8 +539,7 @@ def score_bounds(model: AffordanceModel, features: FeatureSet,
     def second(part):
         rows = left[part]
         x = features.values[rows] - mean
-        x[:, _DISCONTINUITY] = _discontinuity_dist(features, cloud, config,
-                                                   rows)
+        x[:, _DISCONTINUITY] = _discontinuity_dist(features, cloud, rows)
         x[:, _DISCONTINUITY] -= mean[_DISCONTINUITY]
         x /= std
         x[:, _NORMAL_UP] = 0.0

@@ -33,6 +33,7 @@ from .geom import (
     RigidTransform,
     as_vec3,
     normalize,
+    query_within,
     rotation_from_angle_axis,
     rotation_to_angle_axis,
 )
@@ -42,6 +43,14 @@ REVOLUTE = "revolute"
 
 # neighbours per normal of an observation cloud
 _NORMAL_K = 10
+FIT_EPSILON = 0.01        # residual below which the motion explains a point
+AMBIGUITY_RADIUS = 0.15   # max seed distance when labeling revealed points
+ATTACH_RADIUS = 0.06      # max distance from the detected changed component
+CLOSE_SLAB_MARGIN = 0.015    # box-closure margin along the panel
+CLOSE_NORMAL_MARGIN = 0.005  # box-closure margin across the panel
+THETA_MIN = math.radians(2.0)  # smallest rotation read as a hinge
+ICP_MAX_ITER = 50
+ICP_TOL = 1e-6            # RMS change below which ICP has converged
 
 
 @dataclass(frozen=True)
@@ -122,20 +131,11 @@ class InferenceConfig:
     """Parameters of the change-detect / align / decompose chain."""
 
     epsilon: float = 0.01          # displacement above which a point counts as moved
-    fit_epsilon: float = 0.01      # residual below which the motion explains a point
-    ambiguity_radius: float = 0.15  # max seed distance when labeling revealed points
     fit_far_cap: float = 0.05      # max sample distance for the plane-residual test
-    attach_radius: float = 0.06    # max distance from the detected changed component
-    close_slab_margin: float = 0.015  # box-closure margin along the panel
-    close_normal_margin: float = 0.005  # box-closure margin across the panel
     component_radius: float = 0.04  # neighbor-graph link radius (2 x capture voxel)
     use_contact_heat: bool = True  # False: largest component instead of heat mass
     mode: str = "icp"              # correspondence source: "oracle" or "icp"
-    theta_min: float = math.radians(2.0)
     motion_epsilon: float = 1e-3
-    reseg_rounds: int = 1
-    icp_max_iter: int = 50
-    icp_tol: float = 1e-6
     anchor_weight: float = 0.25    # contact-pair share of the alignment weight
     heat_sigma: float = 0.05
 
@@ -292,7 +292,7 @@ def estimate_motion(obs: ObservationPair, seg: PartSegmentation,
     tree = cKDTree(dst)
     prev_rms = np.inf
     rising = 0
-    for _ in range(config.icp_max_iter):
+    for _ in range(ICP_MAX_ITER):
         moved = T.apply(src)
         dists, nn = tree.query(moved)
         med = float(np.median(dists))
@@ -322,7 +322,7 @@ def estimate_motion(obs: ObservationPair, seg: PartSegmentation,
                 raise MotionEstimationError("ICP diverged (RMS rose 5 iterations)")
         else:
             rising = 0
-        if abs(prev_rms - rms) < config.icp_tol:
+        if abs(prev_rms - rms) < ICP_TOL:
             break
         prev_rms = rms
     return T
@@ -331,7 +331,7 @@ def estimate_motion(obs: ObservationPair, seg: PartSegmentation,
 def screw_decompose(T: RigidTransform, config: InferenceConfig) -> JointModel:
     """Factor a rigid transform into a joint model.
 
-    Rotation angle >= `config.theta_min` yields a revolute joint: the pivot is the
+    Rotation angle >= `THETA_MIN` yields a revolute joint: the pivot is the
     minimal-norm solution of (I - R) q = t - (u . t) u, i.e. the axis point
     closest to the origin, and the axis translation component is kept as the
     pitch diagnostic. Otherwise the transform is treated as a pure slide,
@@ -339,7 +339,7 @@ def screw_decompose(T: RigidTransform, config: InferenceConfig) -> JointModel:
     """
     axis, theta = rotation_to_angle_axis(T.rotation)
     t = T.translation
-    if theta >= config.theta_min:
+    if theta >= THETA_MIN:
         pitch = float(np.dot(axis, t))
         t_perp = t - pitch * axis
         A = np.eye(3) - T.rotation
@@ -351,18 +351,6 @@ def screw_decompose(T: RigidTransform, config: InferenceConfig) -> JointModel:
             f"rotation {math.degrees(theta):.3f} deg and translation "
             f"{norm_t:.4f} m are both below thresholds")
     return JointModel(PRISMATIC, t / norm_t, None, norm_t)
-
-
-def _query_within(tree: cKDTree, points: np.ndarray, radius: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest neighbour of each point, searched only out to `radius`.
-
-    Every neighbour at distance <= `radius` is found, with the distance and
-    index an unbounded query returns; farther ones read as distance inf and
-    index `tree.n`. SciPy's bound is strict, hence the next float up.
-    """
-    return tree.query(points,
-                      distance_upper_bound=np.nextafter(radius, np.inf))
 
 
 def _competitive_labels(positions: np.ndarray, moved: np.ndarray,
@@ -391,11 +379,11 @@ def _competitive_labels(positions: np.ndarray, moved: np.ndarray,
         return mask
     amb_pts = positions[ambiguous]
     seed_idx = np.flatnonzero(mobile_seeds)
-    d_mob, nn = _query_within(cKDTree(positions[mobile_seeds]), amb_pts,
-                              ambiguity_radius)
+    d_mob, nn = query_within(cKDTree(positions[mobile_seeds]), amb_pts,
+                             ambiguity_radius)
     if static_seeds.any():
-        d_sta, _ = _query_within(cKDTree(positions[static_seeds]), amb_pts,
-                                 ambiguity_radius)
+        d_sta, _ = query_within(cKDTree(positions[static_seeds]), amb_pts,
+                                ambiguity_radius)
     else:
         d_sta = np.full(len(amb_pts), np.inf)
     take = (d_mob < d_sta) & (d_mob <= ambiguity_radius)
@@ -421,7 +409,7 @@ def _explained_by(points: np.ndarray, target: PointCloud, fit_epsilon: float,
     normal fall back to the point distance. Normals are estimated only at
     the samples the plane test reads.
     """
-    d, idx = _query_within(target.tree, points, max(far_cap, fit_epsilon))
+    d, idx = query_within(target.tree, points, max(far_cap, fit_epsilon))
     explained = d <= fit_epsilon
     near = ~explained & (d <= far_cap)
     idx = idx[near]
@@ -445,14 +433,13 @@ def _consistency_reseg(obs: ObservationPair, T: RigidTransform,
     condition drops occlusion shadows on far surfaces parallel to the
     motion, which T cannot reject on its own.
     """
-    fit_epsilon, far_cap = config.fit_epsilon, config.fit_far_cap
     moved_b, moved_a = moved
 
     def explained(points, target, moved):
         # `_competitive_labels` reads the fit only where a point moved
         fit = np.zeros(len(points), dtype=bool)
-        fit[moved] = _explained_by(points[moved], target, fit_epsilon,
-                                   far_cap)
+        fit[moved] = _explained_by(points[moved], target, FIT_EPSILON,
+                                   config.fit_far_cap)
         return fit
 
     fit_b = explained(T.apply(obs.before.positions), obs.after, moved_b)
@@ -460,28 +447,27 @@ def _consistency_reseg(obs: ObservationPair, T: RigidTransform,
     # here are either sampling gaps of the part's image (coplanar) or
     # occlusion shadows of its new pose (offset behind the part)
     mask_b = _competitive_labels(
-        obs.before.positions, moved_b, fit_b, config.ambiguity_radius,
+        obs.before.positions, moved_b, fit_b, AMBIGUITY_RADIUS,
         normals=partial(obs.before.normals, _NORMAL_K),
-        in_plane_tol=fit_epsilon)
+        in_plane_tol=FIT_EPSILON)
     fit_a = explained(T.inverse().apply(obs.after.positions), obs.before,
                       moved_a)
     mask_a = _competitive_labels(obs.after.positions, moved_a,
-                                 fit_a, config.ambiguity_radius)
+                                 fit_a, AMBIGUITY_RADIUS)
 
     if anchor.mobile_mask_before.any():
         mask_b &= _attached(obs.before.positions, anchor.mobile_mask_before,
-                            config.attach_radius)
+                            ATTACH_RADIUS)
     if anchor.mobile_mask_after.any():
         mask_a &= _attached(obs.after.positions, anchor.mobile_mask_after,
-                            config.attach_radius)
+                            ATTACH_RADIUS)
     return PartSegmentation(mask_b, mask_a)
 
 
 def _attached(positions: np.ndarray, seeds: np.ndarray,
               attach_radius: float) -> np.ndarray:
     """Points within `attach_radius` of a `seeds` point."""
-    near, _ = _query_within(cKDTree(positions[seeds]), positions,
-                            attach_radius)
+    near, _ = query_within(cKDTree(positions[seeds]), positions, attach_radius)
     return near <= attach_radius
 
 
@@ -499,25 +485,23 @@ def _fit_slab(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 
 
 def _box_closure(positions: np.ndarray, mask: np.ndarray, slab,
-                 transform: RigidTransform | None,
-                 config: InferenceConfig) -> np.ndarray:
+                 transform: RigidTransform | None) -> np.ndarray:
     """Close a mobile mask over the slab the before mask outlines.
 
     Mobile parts are box panels, so points the motion tests cannot classify
     (the near-axis sliver, edge faces moving within their own planes) are
     reclaimed by taking in every point on the fitted slab: generous along the
     two slab axes, tight along the thin axis so surfaces one standoff behind
-    the panel stay out (margins `config.close_slab_margin` and
-    `config.close_normal_margin`). `transform` maps the slab to this cloud's
-    pose.
+    the panel stay out (margins `CLOSE_SLAB_MARGIN` and
+    `CLOSE_NORMAL_MARGIN`). `transform` maps the slab to this cloud's pose.
     """
     mean, axes, lows, highs = slab
     if transform is not None:
         mean = transform.apply(mean)
         axes = transform.rotation @ axes
     local = (positions - mean) @ axes
-    margin = np.array([config.close_normal_margin, config.close_slab_margin,
-                       config.close_slab_margin])
+    margin = np.array([CLOSE_NORMAL_MARGIN, CLOSE_SLAB_MARGIN,
+                       CLOSE_SLAB_MARGIN])
     inside = np.all((local >= lows - margin) & (local <= highs + margin),
                     axis=1)
     return mask | inside
@@ -537,23 +521,20 @@ def infer_articulation(obs: ObservationPair, config: InferenceConfig
         seg = detect_change(obs, moved, config)
     except (NoMotionError, ValidationError) as e:
         raise InferenceError(f"change_detection: {e}") from e
-    anchor = seg
     try:
         T = estimate_motion(obs, seg, config)
-        for _ in range(config.reseg_rounds):
-            refined = _consistency_reseg(obs, T, anchor, moved, config)
-            if not (refined.mobile_mask_before.any()
-                    and refined.mobile_mask_after.any()):
-                break
+        refined = _consistency_reseg(obs, T, seg, moved, config)
+        if (refined.mobile_mask_before.any()
+                and refined.mobile_mask_after.any()):
             seg = refined
             T = estimate_motion(obs, seg, config)
-        if config.close_slab_margin > 0.0 and seg.mobile_mask_before.sum() >= 8:
+        if seg.mobile_mask_before.sum() >= 8:
             slab = _fit_slab(obs.before.positions[seg.mobile_mask_before])
             seg = PartSegmentation(
                 _box_closure(obs.before.positions, seg.mobile_mask_before,
-                             slab, None, config),
+                             slab, None),
                 _box_closure(obs.after.positions, seg.mobile_mask_after,
-                             slab, T, config))
+                             slab, T))
     except MotionEstimationError as e:
         raise InferenceError(f"motion_estimation: {e}") from e
     try:

@@ -1,17 +1,23 @@
-"""Pipeline configuration: one nested document covering every setting.
+"""Pipeline configuration: one nested document of the settings callers vary.
 
 Each section is the config dataclass of one layer and lives in that layer's
 module (`capture` in sensing, `hotspot` in hotspot, ...); the stage functions
 of a layer take their section whole. This module holds the top-level
 `PipelineConfig`, the `run` section and the load, hash and seed helpers.
 
-The on-disk format is JSON. Loading is strict: unknown keys are rejected, and
-every value must match its field's annotation, down to the type and number
-of tuple items. All lengths are meters and angles are radians unless a field
-name says ``_deg``. Every key can change what a run writes, and no command
-option overrides one, so the config hash identifies a run's settings;
-settings that change no artifact (such as the number of worker processes)
-are arguments, not keys.
+A setting is a key only when some caller (a module, a test, a benchmark
+workload or a README example) sets it to another value than its default;
+every other one is a constant beside the code that reads it. The
+`generation` section, the scene distribution, is kept whole.
+
+The on-disk format is JSON. Loading is strict: unknown keys, removed ones
+included, are rejected by name, every value must match its field's
+annotation, down to the type and number of tuple items, and every number
+must be finite. All lengths are meters and angles are radians unless a
+field name says ``_deg``. Every key can change what a run writes, and no
+command option overrides one, so the config hash identifies a run's
+settings; settings that change no artifact (such as the number of worker
+processes) are arguments, not keys.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass, field, fields
 
@@ -28,8 +35,6 @@ from .affordance import AffordanceConfig
 from .artinfer import InferenceConfig
 from .errors import ConfigError
 from .hotspot import HotspotConfig
-from .refine import RefineConfig
-from .scenemodel import AggregateConfig
 from .sensing import CaptureConfig
 from .simworld import GenerationConfig, InteractionConfig
 
@@ -50,8 +55,6 @@ class PipelineConfig:
     affordance: AffordanceConfig = field(default_factory=AffordanceConfig)
     hotspot: HotspotConfig = field(default_factory=HotspotConfig)
     inference: InferenceConfig = field(default_factory=InferenceConfig)
-    refine: RefineConfig = field(default_factory=RefineConfig)
-    aggregate: AggregateConfig = field(default_factory=AggregateConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
 
@@ -69,9 +72,7 @@ def _coerce(ftype, value, path: str):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
         items = typing.get_args(ftype)
-        if len(items) == 2 and items[1] is Ellipsis:
-            items = (items[0],) * len(value)
-        elif len(value) != len(items):
+        if len(value) != len(items):
             raise ConfigError(
                 f"{path}: expected {len(items)} items, got {len(value)}")
         return tuple(_coerce(t, v, f"{path}[{k}]")
@@ -81,6 +82,9 @@ def _coerce(ftype, value, path: str):
     if not isinstance(value, accepted) or (
             isinstance(value, bool) and ftype is not bool):
         raise ConfigError(f"{path}: expected {what}, got {value!r}")
+    # JSON's NaN and Infinity pass every range check as false
+    if ftype is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return ftype(value)
 
 

@@ -295,6 +295,18 @@ def estimate_normals(cloud: PointCloud, k: int, rows
     return normals, valid
 
 
+def query_within(tree: cKDTree, points: np.ndarray, radius: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest neighbour in `tree` of each point, searched out to `radius`.
+
+    Every neighbour at distance <= `radius` is found, with the distance and
+    index an unbounded query returns; farther ones read as distance inf and
+    index `tree.n`. SciPy's bound is strict, hence the next float up.
+    """
+    return tree.query(points,
+                      distance_upper_bound=np.nextafter(radius, np.inf))
+
+
 def rotation_from_angle_axis(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix for `angle` radians about unit `axis`."""
     u = as_vec3(axis)

@@ -186,9 +186,7 @@ def train_model(config: PipelineConfig, dataset_dir, out_dir) -> dict:
                                             config.capture.voxel)
         # training reads only the labelled rows that are not ignored
         read = labels.indices[np.array(labels.labels) != affordance.IGNORE]
-        dataset.append((affordance.complete(feats, cloud, config.affordance,
-                                            read),
-                        labels))
+        dataset.append((affordance.complete(feats, cloud, read), labels))
     model, log = affordance.train(dataset, config.affordance.train,
                                   derive_seed(config.seed, "train"))
     chash = config_hash(config)
@@ -224,12 +222,12 @@ def _approach(scene: SceneSpec, position, config: PipelineConfig
     """(contact, normal, camera poses) of a hotspot, or why it is skipped."""
     try:
         contact = project_to_surface(scene, position,
-                                     config.interaction.snap_tolerance)
+                                     simworld.SNAP_TOLERANCE)
     except PreconditionError:
         return "off surface"
     normal = simworld.surface_normal(scene, contact)
     if not simworld.gripper_clearance(scene, contact, normal,
-                                      config.interaction.gripper_radius):
+                                      simworld.GRIPPER_RADIUS):
         return "no gripper clearance"
     try:
         poses = sensing.object_view_poses(scene, contact, config.capture)
@@ -269,7 +267,7 @@ def ranked_hotspots(cloud: PointCloud, model: affordance.AffordanceModel,
     """
     feats = affordance.extract_features(cloud, config.affordance,
                                         config.capture.voxel)
-    bounds = affordance.score_bounds(model, feats, cloud, config.affordance,
+    bounds = affordance.score_bounds(model, feats, cloud,
                                      config.hotspot.score_threshold)
     rows = np.flatnonzero(bounds >= config.hotspot.score_threshold)
     order = rows[np.lexsort((rows, -bounds[rows]))]
@@ -282,8 +280,8 @@ def ranked_hotspots(cloud: PointCloud, model: affordance.AffordanceModel,
             take = order[:np.searchsorted(descending, -tau, side="right")]
             if len(take) == len(order):
                 tau = -np.inf
-            scores = affordance.predict(model, affordance.complete(
-                feats, cloud, config.affordance, take))
+            scores = affordance.predict(
+                model, affordance.complete(feats, cloud, take))
             picks = hotspot.nms(cloud, scores, config.hotspot).items
             for spot in picks[found:]:
                 if spot.score < tau:
@@ -372,9 +370,9 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
             continue
 
         if config.run.refine and joint.kind == REVOLUTE:
-            result = refine_loop(current, obs, joint, seg, config.refine,
-                                 config.inference, config.capture,
-                                 config.interaction, probe_rng)
+            result = refine_loop(current, obs, joint, seg, config.inference,
+                                 config.capture, config.interaction,
+                                 probe_rng)
             interactions += [{"hotspot_id": hid, "stage": "refine", **pull}
                              for pull in result.pulls]
             refinement_logs.append({"hotspot_id": hid,
@@ -396,7 +394,7 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
         mobile_pts = obs.after.positions[seg.mobile_mask_after]
         estimates.append((joint, mobile_pts, hid))
 
-    model_out = scenemodel.aggregate(estimates, config.aggregate)
+    model_out = scenemodel.aggregate(estimates)
     return {
         "scene_seed": scene.seed,
         "hotspots": hotspot.hotspots_to_dict(

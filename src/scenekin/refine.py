@@ -27,6 +27,7 @@ from dataclasses import replace as dc_replace
 import numpy as np
 
 from .artinfer import (
+    FIT_EPSILON,
     REVOLUTE,
     InferenceConfig,
     JointModel,
@@ -51,6 +52,8 @@ from .sensing import (
     range_image,
 )
 from .simworld import (
+    GRIPPER_RADIUS,
+    SNAP_TOLERANCE,
     InteractionConfig,
     SceneSpec,
     gripper_clearance,
@@ -68,14 +71,12 @@ class RefinementPlan:
     force_direction: np.ndarray
 
 
-@dataclass(frozen=True)
-class RefineConfig:
-    target_state: float = math.radians(30.0)
-    max_iters: int = 2
-    # a re-estimate whose axis swings further than this from the current one
-    # is treated as a failed fit and rejected outright; within it, the
-    # free-space evidence decides which axis is kept
-    axis_consistency_deg: float = 15.0
+TARGET_STATE = math.radians(30.0)
+MAX_ITERS = 2
+# a re-estimate whose axis swings further than this from the current one is
+# treated as a failed fit and rejected outright; within it, the free-space
+# evidence decides which axis is kept
+AXIS_CONSISTENCY_DEG = 15.0
 
 
 # Openings tried for the current axis on the accumulated pair, around the
@@ -214,18 +215,18 @@ def _better_supported(current: JointModel, new: JointModel,
 
 
 def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
-                seg: PartSegmentation, refine_config: RefineConfig,
-                infer_config: InferenceConfig, capture_config: CaptureConfig,
-                interaction: InteractionConfig,
+                seg: PartSegmentation, infer_config: InferenceConfig,
+                capture_config: CaptureConfig, interaction: InteractionConfig,
                 rng: np.random.Generator | None) -> RefineResult:
     """Open a partially moved hinge further and re-estimate it.
 
-    Each iteration plans with part_affordance, pulls with the `interaction`
-    settings of the initial probes, recaptures the after cloud (noise drawn
-    from `rng`), and re-infers
-    against the ORIGINAL before cloud so the state tracks total opening. A
-    re-estimate is rejected when it is not revolute, its |state| did not
-    increase, or its axis swings more than `axis_consistency_deg`. Otherwise
+    While the hinge's |state| is below `TARGET_STATE`, for at most
+    `MAX_ITERS` iterations, each iteration plans with part_affordance, pulls
+    with the `interaction` settings of the initial probes, recaptures the
+    after cloud (noise drawn from `rng`), and re-infers against the
+    ORIGINAL before cloud so the state tracks total opening. A re-estimate
+    is rejected when it is not revolute, its |state| did not increase, or
+    its axis swings more than `AXIS_CONSISTENCY_DEG`. Otherwise
     its opening is taken, and its axis and pivot too when free-space evidence
     supports them at least as well as the current ones (see
     `_better_supported`); the log entry records both scores. Interaction,
@@ -235,14 +236,12 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
     log: list[dict] = []
     pulls: list[dict] = []
     iters = 0
-    while (joint.kind == REVOLUTE
-           and abs(joint.state) < refine_config.target_state
-           and iters < refine_config.max_iters):
+    while (joint.kind == REVOLUTE and abs(joint.state) < TARGET_STATE
+           and iters < MAX_ITERS):
         iters += 1
         entry: dict = {"iteration": iters}
         try:
-            plan = part_affordance(joint, seg, obs.after, scene,
-                                   interaction.gripper_radius)
+            plan = part_affordance(joint, seg, obs.after, scene, GRIPPER_RADIUS)
         except RefinementUnavailable as e:
             entry["status"] = f"unavailable: {e}"
             log.append(entry)
@@ -250,8 +249,7 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
         entry["hotspot"] = plan.hotspot.tolist()
         entry["direction"] = plan.force_direction.tolist()
         try:
-            grasp = project_to_surface(scene, plan.hotspot,
-                                       interaction.snap_tolerance)
+            grasp = project_to_surface(scene, plan.hotspot, SNAP_TOLERANCE)
             outcome, scene = interact(scene, grasp, plan.force_direction,
                                       interaction.pull,
                                       interaction.motion_epsilon)
@@ -306,11 +304,11 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
             entry["status"] = f"rejected (re-estimate is {new_joint.kind})"
         elif abs(new_joint.state) <= abs(joint.state):
             entry["status"] = "rejected (no |state| increase)"
-        elif axis_swing > refine_config.axis_consistency_deg:
+        elif axis_swing > AXIS_CONSISTENCY_DEG:
             entry["status"] = f"rejected (axis swing {axis_swing:.1f} deg)"
         else:
             joint, kept_new, new_score, current_score = _better_supported(
-                joint, new_joint, new_obs, new_seg, infer_config.fit_epsilon)
+                joint, new_joint, new_obs, new_seg, FIT_EPSILON)
             seg, obs = new_seg, new_obs
             entry["status"] = ("accepted" if kept_new else
                                "accepted opening, kept axis (re-estimate "

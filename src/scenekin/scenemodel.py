@@ -21,12 +21,11 @@ from .errors import ValidationError
 from .geom import PointCloud, line_to_line_distance, save_cloud_binary
 
 
-@dataclass(frozen=True)
-class AggregateConfig:
-    merge_angle_deg: float = 10.0
-    merge_line_dist: float = 0.05
-    merge_iou: float = 0.3
-    iou_voxel: float = 0.05
+# the merge thresholds of `aggregate`
+MERGE_ANGLE_DEG = 10.0
+MERGE_LINE_DIST = 0.05
+MERGE_IOU = 0.3
+IOU_VOXEL = 0.05
 
 
 @dataclass(frozen=True)
@@ -94,31 +93,30 @@ def _joints_compatible(a: JointModel, b: JointModel, angle_deg: float,
     return True
 
 
-def aggregate(estimates: list[tuple[JointModel, np.ndarray, int]],
-              config: AggregateConfig) -> SceneArticulationModel:
+def aggregate(estimates: list[tuple[JointModel, np.ndarray, int]]
+              ) -> SceneArticulationModel:
     """Merge per-interaction estimates into one entry per articulated part.
 
     `estimates` holds (joint, mobile point set, source hotspot id) triples.
-    Estimates whose mobile clouds overlap (voxelized IoU >
-    `config.merge_iou`) touch the same part; among those, joint-compatible
-    ones (axes within `merge_angle_deg`, hinge lines within
-    `merge_line_dist`) merge into one entry keeping the largest-|state|
-    observation. Confidence is the fraction of same-part estimates that
-    agree with the entry.
+    Estimates whose mobile clouds overlap (IoU > `MERGE_IOU` over voxels of
+    `IOU_VOXEL`) touch the same part; among those, joint-compatible ones
+    (axes within `MERGE_ANGLE_DEG`, hinge lines within `MERGE_LINE_DIST`)
+    merge into one entry keeping the largest-|state| observation.
+    Confidence is the fraction of same-part estimates that agree with the
+    entry.
     """
     n = len(estimates)
     if n == 0:
         return SceneArticulationModel(())
-    keys = [_voxel_keys(pts, config.iou_voxel) for _, pts, _ in estimates]
+    keys = [_voxel_keys(pts, IOU_VOXEL) for _, pts, _ in estimates]
     overlap = np.zeros((n, n), dtype=bool)
     mergeable = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(i + 1, n):
-            if _cloud_iou(keys[i], keys[j]) > config.merge_iou:
+            if _cloud_iou(keys[i], keys[j]) > MERGE_IOU:
                 overlap[i, j] = overlap[j, i] = True
                 if _joints_compatible(estimates[i][0], estimates[j][0],
-                                      config.merge_angle_deg,
-                                      config.merge_line_dist):
+                                      MERGE_ANGLE_DEG, MERGE_LINE_DIST):
                     mergeable[i, j] = mergeable[j, i] = True
 
     # components are numbered in order of their lowest estimate index

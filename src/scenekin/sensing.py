@@ -48,12 +48,10 @@ class CameraPose:
     look_at: np.ndarray
     vfov_deg: float
     resolution: tuple[int, int]
-    up: np.ndarray = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         object.__setattr__(self, "position", as_vec3(self.position))
         object.__setattr__(self, "look_at", as_vec3(self.look_at))
-        object.__setattr__(self, "up", normalize(self.up))
         if np.allclose(self.position, self.look_at):
             raise ValidationError("camera position must differ from look_at")
         if not (1.0 < self.vfov_deg < 179.0):
@@ -64,7 +62,7 @@ class CameraPose:
 
     def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         forward = normalize(self.look_at - self.position)
-        up = self.up
+        up = WORLD_UP
         if abs(float(np.dot(forward, up))) > 1.0 - 1e-9:
             up = np.array([1.0, 0.0, 0.0])
         right = normalize(np.cross(forward, up))
@@ -115,11 +113,6 @@ class CaptureConfig:
 
     resolution: tuple[int, int] = (160, 120)
     vfov_deg: float = 60.0
-    ring_cameras: int = 8            # per tilt row
-    ring_tilts_deg: tuple[float, ...] = (-30.0,)          # outward-facing rows
-    ring_inward_tilts_deg: tuple[float, ...] = (-12.0,)   # cross-room rows
-    ring_height: float = 1.35
-    ring_radius_frac: float = 0.3    # fraction of the smaller room dimension
     object_view_distance: float = 1.0
     max_range: float = 10.0
     noise_sigma: float = 0.0
@@ -322,8 +315,15 @@ def _in_free_space(scene: SceneSpec, position: np.ndarray) -> bool:
     return not (scene.boxes.solid_distance(position) < 0.05).any()
 
 
+# (tilt in degrees, +1 facing outward or -1 across the room) per ring row
+RING_ROWS = ((-30.0, 1.0), (-12.0, -1.0))
+RING_CAMERAS = 8        # per row
+RING_HEIGHT = 1.35
+RING_RADIUS_FRAC = 0.3  # of the smaller room dimension
+
+
 def ring_poses(scene: SceneSpec, config: CaptureConfig) -> list[CameraPose]:
-    """Viewpoint ring inside the room.
+    """Viewpoint ring inside the room, one circle of cameras per row.
 
     Outward-facing rows give closeups of the near walls and floor; inward
     rows see the opposite side of the room at full height, which covers
@@ -332,16 +332,14 @@ def ring_poses(scene: SceneSpec, config: CaptureConfig) -> list[CameraPose]:
     """
     lo, hi = scene.bounds
     center = (lo + hi) / 2.0
-    radius = config.ring_radius_frac * float(min(hi[0] - lo[0], hi[1] - lo[1]))
+    radius = RING_RADIUS_FRAC * float(min(hi[0] - lo[0], hi[1] - lo[1]))
     poses = []
-    rows = [(t, 1.0) for t in config.ring_tilts_deg] \
-        + [(t, -1.0) for t in config.ring_inward_tilts_deg]
-    for tilt, facing in rows:
+    for tilt, facing in RING_ROWS:
         tt = math.tan(math.radians(tilt))
-        for k in range(config.ring_cameras):
-            ang = 2.0 * math.pi * k / config.ring_cameras
+        for k in range(RING_CAMERAS):
+            ang = 2.0 * math.pi * k / RING_CAMERAS
             out = np.array([math.cos(ang), math.sin(ang), 0.0])
-            pos = np.array([center[0], center[1], config.ring_height]) + radius * out
+            pos = np.array([center[0], center[1], RING_HEIGHT]) + radius * out
             if not _in_free_space(scene, pos):
                 continue
             look = pos + facing * out + np.array([0.0, 0.0, tt])

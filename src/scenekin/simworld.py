@@ -46,6 +46,8 @@ WORLD_UP = np.array([0.0, 0.0, 1.0])
 
 # farthest a pulled contact may lie off the nearest part surface, meters
 CONTACT_TOL = 5e-3
+GRIPPER_RADIUS = 0.04
+SNAP_TOLERANCE = 0.03  # commanded contact -> surface projection, meters
 
 
 @dataclass(frozen=True)
@@ -319,12 +321,10 @@ class PullBudget:
 
 @dataclass(frozen=True)
 class InteractionConfig:
-    """How the agent pulls: budget, success test, gripper size, contact snap."""
+    """How the agent pulls: budget and success test."""
 
     pull: PullBudget = field(default_factory=PullBudget)
     motion_epsilon: float = 1e-3   # joint-state change that counts as motion
-    gripper_radius: float = 0.04
-    snap_tolerance: float = 0.03   # commanded contact -> surface projection
 
 
 @dataclass(frozen=True)

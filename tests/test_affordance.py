@@ -13,11 +13,14 @@ from scipy.spatial import cKDTree
 
 from scenekin import affordance, geom, hotspot, pipeline, sensing
 from scenekin.affordance import (
+    DISCONTINUITY_CAP,
     FEATURE_DIM,
     FEATURE_NAMES,
     IGNORE,
+    K_NORMALS,
     NEGATIVE,
     POSITIVE,
+    VARIATION_THRESHOLD,
     AffordanceConfig,
     AffordanceLabelSet,
     FeatureSet,
@@ -40,6 +43,7 @@ from scenekin.errors import TrainingError, ValidationError
 from scenekin.geom import BLOCK_ROWS, PointCloud
 from scenekin.simworld import (
     CONTACT_TOL,
+    GRIPPER_RADIUS,
     GenerationConfig,
     InteractionConfig,
     canonical_pull_directions,
@@ -65,7 +69,7 @@ def flat_patch_cloud(n=400, seed=0):
 
 def features(cloud, config):
     """Features of every cloud point, completed at every row."""
-    return complete(extract_features(cloud, config, VOXEL), cloud, config,
+    return complete(extract_features(cloud, config, VOXEL), cloud,
                     np.arange(len(cloud)))
 
 
@@ -171,15 +175,15 @@ def ball_query_features(cloud, config, voxel):
     lam3, lam2, lam1 = np.maximum(w[:, 0], 0.0), w[:, 1], w[:, 2]
     safe1 = np.maximum(lam1, 1e-18)
     variation = lam3 / np.maximum(lam1 + lam2 + lam3, 1e-18)
-    disc = variation > config.variation_threshold
-    ddist = np.full(n, config.discontinuity_cap)
+    disc = variation > VARIATION_THRESHOLD
+    ddist = np.full(n, DISCONTINUITY_CAP)
     if disc.any():
         ddist = np.minimum(cKDTree(pos[disc]).query(pos)[0], ddist)
     density = np.minimum(counts / (math.pi * radius ** 2 / voxel ** 2),
                          2.0) / 2.0
     mean_color = (sums[:, 9:] / c if cloud.colors is not None
                   else np.zeros((n, 3)))
-    normals, normals_valid = cloud.normals(config.k_normals, np.arange(n))
+    normals, normals_valid = cloud.normals(K_NORMALS, np.arange(n))
     values = np.column_stack([
         pos[:, 2], normals[:, 2], (lam2 - lam3) / safe1,
         (lam1 - lam2) / safe1, lam3 / safe1, density, mean_color, ddist])
@@ -228,8 +232,7 @@ class TestCollectLabels:
                 continue
             point = cloud.positions[i]
             normal = surface_normal(scene, point)
-            assert gripper_clearance(scene, point, normal,
-                                     interaction.gripper_radius)
+            assert gripper_clearance(scene, point, normal, GRIPPER_RADIUS)
             results = []
             for d in canonical_pull_directions(normal):
                 outcome, _ = interact(scene, point, d, interaction.pull,
@@ -262,7 +265,7 @@ class TestCollectLabels:
             part, dist = nearest_part(scene, point)
             if part in jointed and dist <= CONTACT_TOL and gripper_clearance(
                     scene, point, surface_normal(scene, point),
-                    interaction.gripper_radius):
+                    GRIPPER_RADIUS):
                 expect.append(point.tobytes())
         assert probed == expect
         assert 0 < len(probed) < labels.labels.count(NEGATIVE) \
@@ -470,7 +473,7 @@ class TestSerialization:
 
 
 def bounded_rows(seed, n, scale, tiny_std, hidden):
-    """(model, features, cloud, config, real normal_up, real discontinuity
+    """(model, features, cloud, real normal_up, real discontinuity
     distance) of `n` random rows under a random head: every feature but
     `normal_up` and `discontinuity_dist` drawn, those two NaN as
     `extract_features` leaves them, a tenth of the rows invalid, and a
@@ -485,7 +488,6 @@ def bounded_rows(seed, n, scale, tiny_std, hidden):
         scaler_std=rng.uniform(0.05, 3.0, size=FEATURE_DIM))
     if tiny_std:
         model.scaler_std[[1, 9]] = 1e-8
-    config = AffordanceConfig()
     cloud = PointCloud(rng.uniform(-1.0, 1.0, size=(n, 3)))
     values = rng.normal(scale=3.0, size=(n, FEATURE_DIM))
     valid = rng.uniform(size=n) < 0.9
@@ -493,10 +495,8 @@ def bounded_rows(seed, n, scale, tiny_std, hidden):
     values[~valid] = 0.0
     disc = cKDTree(cloud.positions[rng.uniform(size=n) < 0.2])
     feats = FeatureSet(values, valid, disc)
-    real_dist = np.minimum(disc.query(cloud.positions)[0],
-                           config.discontinuity_cap)
-    return (model, feats, cloud, config, rng.uniform(0.0, 1.0, size=n),
-            real_dist)
+    real_dist = np.minimum(disc.query(cloud.positions)[0], DISCONTINUITY_CAP)
+    return model, feats, cloud, rng.uniform(0.0, 1.0, size=n), real_dist
 
 
 class TestScoreBound:
@@ -509,13 +509,13 @@ class TestScoreBound:
         pass leaves a row below the threshold (the threshold 2 keeps every
         first-pass bound), and over any `normal_up` at the exact distance
         where the first pass reaches it. Invalid rows read 0."""
-        model, feats, cloud, config, real_up, real_dist = bounded_rows(
+        model, feats, cloud, real_up, real_dist = bounded_rows(
             seed, 200, scale, tiny_std, hidden)
-        n, valid, cap = len(feats), feats.valid, config.discontinuity_cap
+        n, valid, cap = len(feats), feats.valid, DISCONTINUITY_CAP
         rng = np.random.default_rng(seed)
-        first = score_bounds(model, feats, cloud, config, 2.0)
+        first = score_bounds(model, feats, cloud, 2.0)
         for threshold in (0.0, 0.5, 1.0, 2.0):
-            bounds = score_bounds(model, feats, cloud, config, threshold)
+            bounds = score_bounds(model, feats, cloud, threshold)
             assert not bounds[~valid].any()
             second = valid & (first >= threshold)
             for dist in (real_dist, 0.0, cap, rng.uniform(0.0, cap, n)):
@@ -576,7 +576,7 @@ class TestRankedHotspots:
         bounds = score_bounds(
             model, extract_features(cloud, config.affordance,
                                     config.capture.voxel),
-            cloud, config.affordance, config.hotspot.score_threshold)
+            cloud, config.hotspot.score_threshold)
         return got, calls, bounds[bounds >= config.hotspot.score_threshold]
 
     @settings(max_examples=40, deadline=None)
@@ -712,9 +712,9 @@ def test_probes_complete_only_the_rows_ranked(workload_models, monkeypatch):
         normals.extend(rows if cloud is clouds[0] else [])
         return real_normals(cloud, k, rows)
 
-    def distance(features, cloud, config, rows):
+    def distance(features, cloud, rows):
         dists.append(len(rows) if cloud is clouds[0] else 0)
-        return real_dist(features, cloud, config, rows)
+        return real_dist(features, cloud, rows)
 
     monkeypatch.setattr(sensing, "capture_scene_cloud", capture)
     monkeypatch.setattr(geom, "estimate_normals", estimate)

@@ -479,7 +479,7 @@ class TestScrewDecompose:
            st.tuples(*[st.floats(-2.0, 2.0)] * 3),
            st.one_of(
                st.tuples(st.just("revolute"), st.floats(
-                   InferenceConfig().theta_min + 1e-6, math.pi)),
+                   artinfer.THETA_MIN + 1e-6, math.pi)),
                st.tuples(st.just("prismatic"), st.floats(
                    2 * InferenceConfig().motion_epsilon, 1.0))))
     def test_round_trip_property(self, axis, pivot, motion):

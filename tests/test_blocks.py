@@ -66,7 +66,7 @@ def whole_cloud_normals(cloud, k):
 def whole_features(cloud):
     """`extract_features` completed at every row."""
     feats = extract_features(cloud, *FEATURES)
-    return complete(feats, cloud, FEATURES[0], np.arange(len(cloud)))
+    return complete(feats, cloud, np.arange(len(cloud)))
 
 
 def one_block(fn, n):
@@ -166,7 +166,7 @@ def test_bounded_discontinuity_query_matches_unbounded():
         want = whole_features(PointCloud(cloud.positions, cloud.colors))
     assert_same_bytes((got.values, got.valid), (want.values, want.valid))
     ddist = got.values[got.valid, 9]
-    cap = FEATURES[0].discontinuity_cap
+    cap = affordance.DISCONTINUITY_CAP
     assert (ddist == cap).sum() > 100 and (ddist < cap).sum() > 100
 
 
@@ -217,8 +217,7 @@ def gapped_features(cloud):
     so that block holds no valid row."""
     n = len(cloud)
     rows = np.r_[0:BLOCK_ROWS, 2 * BLOCK_ROWS:n]
-    feats = complete(extract_features(cloud, *FEATURES), cloud, FEATURES[0],
-                     rows)
+    feats = complete(extract_features(cloud, *FEATURES), cloud, rows)
     blocks = [feats.valid[a:a + BLOCK_ROWS] for a in range(0, n, BLOCK_ROWS)]
     assert [b.any() for b in blocks] == [True, False, True]
     return feats

@@ -61,11 +61,11 @@ def override_dicts(draw):
 
 # sha256 of each directory the workspace fixture writes (`_tree_sha256`)
 WORKSPACE_SHA256 = {
-    "scenes": "11c26d6bc7cefa4424355d67937f50e034272e96b05cb7b0201ef060d90c43ac",
-    "data": "7b424831f00a68daf448043cce85a638f4bf1660068ab47416ea48f7602399b9",
-    "model": "b3da78deb6e25db3a7609d5408062f5c77ce1f51e82ffc4c273325d91d29bdbd",
-    "run": "60f2ea54371303e5036cd522bb4636c45698db21a8c6f839ef75164d400db555",
-    "eval": "164b52f1fdc67b09237e9f8b4f5740d7fa0dcbac7f27f2c1381165369e29314c",
+    "scenes": "a755a46fdfe83fdb963100b02ae57d09de8ad0e63ef339103e57c492765a5bd7",
+    "data": "f605f2d10c9496c25989822d9ccc4611a5c5b8450b4ae88e380848a9445cf788",
+    "model": "242dd966bb9417cf0b80c4592cc23f1175d2383f8b7929ec4a249c2b11ece442",
+    "run": "85448d01a08daa6db181e0d26b0cb1dcf2612d8bf991b4b2decf984b5096aab9",
+    "eval": "36e41902855c845044f545e42526a0d860cf5ad37c833ee57bcc1f7b9e64e982",
 }
 
 
@@ -103,11 +103,43 @@ def workspace(tmp_path_factory):
 
 
 class TestConfig:
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            config_from_dict({"seed": 1, "no_such_section": {}})
-        with pytest.raises(ConfigError, match="unknown key"):
-            config_from_dict({"generation": {"n_doors": 3}})
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        """Unknown keys, and keys of settings that became constants, are
+        refused by name, and a command given them exits 2."""
+        for doc, name in (({"seed": 1, "no_such_section": {}},
+                           "no_such_section"),
+                          ({"generation": {"n_doors": 3}}, "n_doors"),
+                          ({"refine": {"max_iters": 3}}, "refine"),
+                          ({"aggregate": {"merge_iou": 0.5}}, "aggregate"),
+                          ({"inference": {"icp_tol": 1e-6}}, "icp_tol")):
+            with pytest.raises(ConfigError,
+                               match=rf"unknown key\(s\) \['{name}'\]"):
+                config_from_dict(doc)
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            assert main(["gen-scenes", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert f"unknown key(s) ['{name}']" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,key,literal", [
+        ("capture", "voxel", "NaN"), ("hotspot", "radius", "Infinity")])
+    def test_non_finite_number_is_a_named_error(self, tmp_path, capsys,
+                                                section, key, literal):
+        """JSON's NaN and Infinity are refused with the key's path (a NaN
+        voxel passed the `voxel <= 0` check and collapsed every room's
+        cloud to one point), and the command exits 2."""
+        text = (f'{{"run": {{"n_scenes": 1}}, '
+                f'"{section}": {{"{key}": {literal}}}}}')
+        message = f"{section}.{key}: expected a finite number"
+        with pytest.raises(ConfigError, match=message.replace(".", r"\.")):
+            config_from_dict(json.loads(text))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["gen-scenes", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_type_rejected(self):
         with pytest.raises(ConfigError):
@@ -130,8 +162,6 @@ class TestConfig:
     def test_tuple_items_type_checked(self):
         with pytest.raises(ConfigError, match=r"capture\.resolution\[0\]"):
             config_from_dict({"capture": {"resolution": ["64", 48]}})
-        with pytest.raises(ConfigError, match=r"ring_tilts_deg\[1\]"):
-            config_from_dict({"capture": {"ring_tilts_deg": [-30.0, True]}})
 
     def test_tuple_length_checked(self):
         with pytest.raises(ConfigError, match="generation.room_width"):
@@ -159,7 +189,7 @@ class TestConfig:
     def test_default_hash_is_pinned(self):
         # the value every default-config artifact carries; moving a config
         # class between modules must not change it
-        assert config_hash(PipelineConfig()) == "b5cbfcc54f48b05f"
+        assert config_hash(PipelineConfig()) == "2c487c8c0ecc80b8"
 
     @given(override_dicts())
     def test_overrides_round_trip(self, overrides):

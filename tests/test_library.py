@@ -2,14 +2,19 @@
 
 import ast
 import dataclasses
+import json
 import pathlib
+import re
 import typing
 
 import scenekin
 from scenekin.config import PipelineConfig
+from scenekin.simworld import GenerationConfig
 
 SRC = pathlib.Path(scenekin.__file__).parent
-BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+TESTS = pathlib.Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
+README = TESTS.parent / "README.md"
 
 LIBRARY = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
 
@@ -234,3 +239,37 @@ def test_every_dataclass_field_is_read():
             and isinstance(node.ctx, ast.Load)}
     assert sorted(f"{owner}.{name}" for owner, name in _dataclass_fields()
                   if name not in read) == []
+
+
+
+def _json_keys(doc) -> set:
+    """Every object key of a JSON document, at every level."""
+    if not isinstance(doc, dict):
+        return set()
+    return set(doc).union(*map(_json_keys, doc.values()))
+
+
+def test_every_config_key_has_a_setter():
+    """Every PipelineConfig key is set by name somewhere other than its
+    definition: as a keyword argument of a call or a string key of a dict
+    literal in the package, its tests or the benchmark harness, or as a key
+    of a JSON object in README.md. A setting no caller sets to another
+    value is a constant beside its reader, not a key.
+
+    `generation` is exempt: it is the scene distribution, whose planned
+    caller is ROADMAP item 7's robustness sweep over room sizes and
+    cabinet density."""
+    set_by = set()
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py"),
+                        *BENCH.glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                set_by |= {k.arg for k in node.keywords if k.arg}
+            elif isinstance(node, ast.Dict):
+                set_by |= {k.value for k in node.keys
+                           if isinstance(k, ast.Constant)
+                           and isinstance(k.value, str)}
+    for span in re.findall(r'`(\{".*?\})`', README.read_text()):
+        set_by |= _json_keys(json.loads(span))
+    keys = _field_names(PipelineConfig) - _field_names(GenerationConfig)
+    assert sorted(keys - set_by) == []

@@ -201,7 +201,7 @@ def test_survey_bytes_are_pinned(survey_room):
     feats = affordance.complete(
         affordance.extract_features(cloud, affordance.AffordanceConfig(),
                                     config.voxel),
-        cloud, affordance.AffordanceConfig(), np.arange(len(cloud)))
+        cloud, np.arange(len(cloud)))
     assert len(cloud) == 43901
     assert _sha256(cloud.positions, cloud.colors, cloud.part_ids,
                    cloud.point_ids) == (

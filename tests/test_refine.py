@@ -14,13 +14,13 @@ from scenekin.artinfer import (
 from scenekin.errors import RefinementUnavailable, ValidationError
 from scenekin.geom import PointCloud, RigidTransform, rotation_from_angle_axis
 from scenekin.refine import (
-    RefineConfig,
     _free_space_conflicts,
     part_affordance,
     refine_loop,
 )
 from scenekin.sensing import CameraPose, CaptureConfig, raycast_capture
 from scenekin.simworld import (
+    GRIPPER_RADIUS,
     GenerationConfig,
     InteractionConfig,
     PullBudget,
@@ -56,8 +56,7 @@ class TestPartAffordance:
                                rng.uniform(0.6, 1.4, 60)])
         cloud = PointCloud(pts)
         seg = PartSegmentation(np.ones(60, bool), np.ones(60, bool))
-        plan = part_affordance(joint, seg, cloud, scene,
-                               INTERACTION.gripper_radius)
+        plan = part_affordance(joint, seg, cloud, scene, GRIPPER_RADIUS)
         dists = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
         assert np.allclose(plan.hotspot, pts[np.argmax(dists)])
 
@@ -68,8 +67,7 @@ class TestPartAffordance:
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         # place a panel surface near the point so clearance sees a normal
         seg = PartSegmentation(np.array([True]), np.array([True]))
-        plan = part_affordance(joint, seg, cloud, scene,
-                               INTERACTION.gripper_radius)
+        plan = part_affordance(joint, seg, cloud, scene, GRIPPER_RADIUS)
         lever = plan.hotspot - np.array([0.0, 0.0, plan.hotspot[2]])
         d = plan.force_direction
         np.testing.assert_allclose(d, [0.0, 1.0, 0.0], atol=1e-9)
@@ -79,8 +77,7 @@ class TestPartAffordance:
         joint = JointModel("revolute", [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], -0.4)
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         seg = PartSegmentation(np.array([True]), np.array([True]))
-        plan = part_affordance(joint, seg, cloud, scene,
-                               INTERACTION.gripper_radius)
+        plan = part_affordance(joint, seg, cloud, scene, GRIPPER_RADIUS)
         np.testing.assert_allclose(plan.force_direction, [0.0, -1.0, 0.0],
                                    atol=1e-9)
 
@@ -96,8 +93,7 @@ class TestPartAffordance:
             pts = rng.uniform(-1, 1, size=(20, 3)) + np.array([2.0, 0.0, 1.0])
             cloud = PointCloud(pts)
             seg = PartSegmentation(np.ones(20, bool), np.ones(20, bool))
-            plan = part_affordance(joint, seg, cloud, scene,
-                                   INTERACTION.gripper_radius)
+            plan = part_affordance(joint, seg, cloud, scene, GRIPPER_RADIUS)
             r = plan.hotspot - (joint.pivot + np.dot(plan.hotspot - joint.pivot,
                                                      joint.axis) * joint.axis)
             assert abs(np.dot(plan.force_direction, joint.axis)) < 1e-9
@@ -110,8 +106,7 @@ class TestPartAffordance:
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         seg = PartSegmentation(np.array([True]), np.array([True]))
         with pytest.raises(ValidationError):
-            part_affordance(joint, seg, cloud, scene,
-                            INTERACTION.gripper_radius)
+            part_affordance(joint, seg, cloud, scene, GRIPPER_RADIUS)
 
     def test_no_mobile_point_raises(self):
         scene = free_space_scene()
@@ -119,8 +114,7 @@ class TestPartAffordance:
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         seg = PartSegmentation(np.array([False]), np.array([False]))
         with pytest.raises(RefinementUnavailable):
-            part_affordance(joint, seg, cloud, scene,
-                            INTERACTION.gripper_radius)
+            part_affordance(joint, seg, cloud, scene, GRIPPER_RADIUS)
 
 
 class TestFreeSpaceEvidence:
@@ -202,8 +196,8 @@ class TestRefineLoop:
         from scenekin.artinfer import ObservationPair
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         obs = ObservationPair(cloud, cloud, [1, 0, 1], [1, 0, 1])
-        result = refine_loop(scene, obs, joint, seg, RefineConfig(),
-                             InferenceConfig(), CAPTURE, INTERACTION, None)
+        result = refine_loop(scene, obs, joint, seg, InferenceConfig(),
+                             CAPTURE, INTERACTION, None)
         assert result.joint is joint
         assert result.log == ()
 
@@ -214,8 +208,8 @@ class TestRefineLoop:
         from scenekin.artinfer import ObservationPair
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         obs = ObservationPair(cloud, cloud, [1, 0, 1], [1, 0, 1])
-        result = refine_loop(scene, obs, joint, seg, RefineConfig(),
-                             InferenceConfig(), CAPTURE, INTERACTION, None)
+        result = refine_loop(scene, obs, joint, seg, InferenceConfig(),
+                             CAPTURE, INTERACTION, None)
         assert result.joint is joint
 
     def test_ajar_door_reopened_past_target(self):
@@ -229,9 +223,8 @@ class TestRefineLoop:
         joint, seg = infer_articulation(obs, infer_cfg)
         assert joint.kind == "revolute"
         err_before = axis_err_deg(joint.axis, gt.axis)
-        result = refine_loop(scene2, obs, joint, seg,
-                             RefineConfig(), infer_cfg, cap, INTERACTION,
-                             rng=rng)
+        result = refine_loop(scene2, obs, joint, seg, infer_cfg, cap,
+                             INTERACTION, rng=rng)
         assert abs(result.joint.state) >= math.radians(30.0)
         err_after = axis_err_deg(result.joint.axis, gt.axis)
         assert err_after <= err_before + 1e-9
@@ -259,8 +252,8 @@ class TestRefineLoop:
                                                                 noise=0.004)
         infer_cfg = InferenceConfig(mode="icp", epsilon=0.015)
         joint, seg = infer_articulation(obs, infer_cfg)
-        result = refine_loop(scene2, obs, joint, seg, RefineConfig(),
-                             infer_cfg, cap, INTERACTION, rng=rng)
+        result = refine_loop(scene2, obs, joint, seg, infer_cfg, cap,
+                             INTERACTION, rng=rng)
         assert result.log[-1]["status"].startswith("step tracking error: ")
         assert result.joint is joint
         assert result.observation is obs
@@ -270,8 +263,8 @@ class TestRefineLoop:
                                                                 noise=0.0)
         infer_cfg = InferenceConfig(mode="oracle")
         joint, seg = infer_articulation(obs, infer_cfg)
-        result = refine_loop(scene2, obs, joint, seg, RefineConfig(),
-                             infer_cfg, cap, INTERACTION, rng=rng)
+        result = refine_loop(scene2, obs, joint, seg, infer_cfg, cap,
+                             INTERACTION, rng=rng)
         assert len(result.log) >= 1
         assert result.log[0]["iteration"] == 1
         assert "hotspot" in result.log[0]

@@ -7,15 +7,12 @@ import pytest
 from scenekin.artinfer import JointModel
 from scenekin.geom import load_cloud_binary, normalize
 from scenekin.scenemodel import (
-    AggregateConfig,
     ModelEntry,
     SceneArticulationModel,
     aggregate,
     export_model,
     fit_oriented_box,
 )
-
-AGGREGATE = AggregateConfig()
 
 
 def load_model(path) -> tuple[SceneArticulationModel, list[dict]]:
@@ -79,7 +76,7 @@ class TestAggregate:
         pts = slab_points([1.0, 0.5, 0.8])
         j1 = JointModel("revolute", [0, 0, 1], [0.8, 0.5, 0.0], 0.4)
         j2 = JointModel("revolute", [0, 0, 1.0001], [0.81, 0.5, 0.0], 0.6)
-        model = aggregate([(j1, pts, 0), (j2, pts + 0.001, 1)], AGGREGATE)
+        model = aggregate([(j1, pts, 0), (j2, pts + 0.001, 1)])
         assert len(model.entries) == 1
         entry = model.entries[0]
         assert entry.confidence == pytest.approx(1.0)
@@ -91,18 +88,18 @@ class TestAggregate:
         pts_b = slab_points([3.0, 2.0, 0.8], seed=2)
         j1 = JointModel("revolute", [0, 0, 1], [0.8, 0.5, 0.0], 0.4)
         j2 = JointModel("revolute", [0, 0, 1], [2.8, 2.0, 0.0], 0.5)
-        model = aggregate([(j1, pts_a, 0), (j2, pts_b, 1)], AGGREGATE)
+        model = aggregate([(j1, pts_a, 0), (j2, pts_b, 1)])
         assert len(model.entries) == 2
 
     def test_empty_input(self):
-        model = aggregate([], AGGREGATE)
+        model = aggregate([])
         assert model.entries == ()
 
     def test_same_part_incompatible_joints_split_confidence(self):
         pts = slab_points([1.0, 0.5, 0.8])
         j1 = JointModel("revolute", [0, 0, 1], [0.8, 0.5, 0.0], 0.4)
         j2 = JointModel("prismatic", [0, 1, 0], None, 0.3)
-        model = aggregate([(j1, pts, 0), (j2, pts + 0.001, 1)], AGGREGATE)
+        model = aggregate([(j1, pts, 0), (j2, pts + 0.001, 1)])
         assert len(model.entries) == 2
         for e in model.entries:
             assert e.confidence == pytest.approx(0.5)
@@ -116,10 +113,10 @@ class TestAggregate:
             (JointModel("prismatic", [0, 1, 0], None, 0.3),
              slab_points([3.0, 2.0, 0.8], seed=9), 2),
         ]
-        base = aggregate(ests, AGGREGATE)
+        base = aggregate(ests)
         for _ in range(5):
             perm = list(rng.permutation(3))
-            model = aggregate([ests[i] for i in perm], AGGREGATE)
+            model = aggregate([ests[i] for i in perm])
             assert len(model.entries) == len(base.entries)
             states = sorted(abs(e.joint.state) for e in model.entries)
             base_states = sorted(abs(e.joint.state) for e in base.entries)
@@ -132,9 +129,9 @@ class TestAggregate:
             (JointModel("revolute", [0, 0, 1], [0.8, 0.5, 0.0], 0.6),
              pts + 0.002, 1),
         ]
-        once = aggregate(ests, AGGREGATE)
+        once = aggregate(ests)
         again = aggregate([(e.joint, e.mobile_points, e.hotspot_ids[0])
-                           for e in once.entries], AGGREGATE)
+                           for e in once.entries])
         assert len(again.entries) == len(once.entries)
         for a, b in zip(again.entries, once.entries):
             np.testing.assert_allclose(a.joint.axis, b.joint.axis)
@@ -162,7 +159,7 @@ class TestExport:
             (JointModel("prismatic", [0, 1, 0], None, 0.3),
              slab_points([3.0, 2.0, 0.8], seed=7), 2),
         ]
-        model = aggregate(ests, AGGREGATE)
+        model = aggregate(ests)
         path = tmp_path / "model.json"
         export_model(model, path)
         back, boxes = load_model(path)
@@ -175,7 +172,7 @@ class TestExport:
 
     def test_empty_model(self, tmp_path):
         path = tmp_path / "empty.json"
-        export_model(aggregate([], AGGREGATE), path)
+        export_model(aggregate([]), path)
         back, _ = load_model(path)
         assert back.entries == ()
 
@@ -188,7 +185,7 @@ class TestExport:
                                     rng.uniform(-1, 1, 3),
                                     float(rng.uniform(0.1, 1.0))),
                          slab_points(rng.uniform(0, 5, 3), seed=k), k))
-        model = aggregate(ests, AGGREGATE)
+        model = aggregate(ests)
         path = tmp_path / "m.json"
         export_model(model, path)
         back, _ = load_model(path)
