@@ -28,6 +28,7 @@ from scipy.spatial import cKDTree
 
 from .errors import TrainingError, ValidationError
 from .geom import PointCloud, map_blocks, query_within
+from .sensing import VOXEL
 from .simworld import (
     CONTACT_TOL,
     GRIPPER_RADIUS,
@@ -95,19 +96,19 @@ class AffordanceLabelSet:
 _IA, _IB = np.triu_indices(3)
 
 
-def extract_features(cloud: PointCloud, config: AffordanceConfig,
-                     voxel: float) -> FeatureSet:
+def extract_features(cloud: PointCloud, config: AffordanceConfig
+                     ) -> FeatureSet:
     """Deterministic geometric features for every cloud point, all but
     `normal_up` and `discontinuity_dist`, which read NaN until `complete`
     fills them.
 
     Covariance shape ratios (planarity, linearity, sphericity) come from the
     `config.feature_radius` neighborhood; density is the neighbor count
-    normalized by the expected flat-surface count at the capture `voxel`
-    size. Points whose neighborhood is degenerate (fewer than 3 neighbors)
-    are flagged invalid and zeroed; `complete` also flags those whose
-    normal is rank-deficient. The discontinuity points are those whose
-    surface variation exceeds `VARIATION_THRESHOLD`; finding them
+    normalized by the expected flat-surface count at the scene cloud's
+    `sensing.VOXEL` spacing. Points whose neighborhood is degenerate (fewer
+    than 3 neighbors) are flagged invalid and zeroed; `complete` also flags
+    those whose normal is rank-deficient. The discontinuity points are those
+    whose surface variation exceeds `VARIATION_THRESHOLD`; finding them
     needs every row's covariance, so these features are computed for the
     whole cloud, and the result keeps a k-d tree over those points.
 
@@ -180,7 +181,7 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig,
 
     valid = (counts >= 3) & (lam1 > 1e-18)
 
-    n_ref = math.pi * radius * radius / (voxel * voxel)
+    n_ref = math.pi * radius * radius / (VOXEL * VOXEL)
     density = np.minimum(counts / n_ref, 2.0) / 2.0
 
     feats = np.column_stack([
@@ -309,6 +310,11 @@ def _forward(model: AffordanceModel, x: np.ndarray):
     return h @ model.w2 + model.b2, h
 
 
+MOMENTUM = 0.9       # of `train`'s gradient descent
+VAL_FRACTION = 0.25  # trailing share of the scenes `train` validates on
+LAMBDA_DICE = 1.0    # weight of the dice term of the training loss
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -318,8 +324,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _loss(model: AffordanceModel, x: np.ndarray, y: np.ndarray,
-          lambda_dice: float) -> tuple:
+def _loss(model: AffordanceModel, x: np.ndarray, y: np.ndarray) -> tuple:
     """(loss, y, h, p, s, q) of `loss_and_grad`: the loss and the forward
     values its gradient reuses."""
     if len(x) == 0:
@@ -333,21 +338,21 @@ def _loss(model: AffordanceModel, x: np.ndarray, y: np.ndarray,
     s = float(p.sum() + y.sum() + 1e-7)  # smoothing: s > 0 with no positives
     q = float((p * y).sum())
     dice = 1.0 - 2.0 * q / s
-    return ce + lambda_dice * dice, y, h, p, s, q
+    return ce + LAMBDA_DICE * dice, y, h, p, s, q
 
 
-def loss_and_grad(model: AffordanceModel, x: np.ndarray, y: np.ndarray,
-                  lambda_dice: float) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy plus `lambda_dice` times the dice loss, and
+def loss_and_grad(model: AffordanceModel, x: np.ndarray, y: np.ndarray
+                  ) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy plus `LAMBDA_DICE` times the dice loss, and
     its exact gradient.
 
     `x` holds standardized features of the non-ignored points, `y` their 0/1
     labels. The gradient is flattened in the order of ``model.params()``.
     """
-    loss, y, h, p, s, q = _loss(model, x, y, lambda_dice)
+    loss, y, h, p, s, q = _loss(model, x, y)
     dz = (p - y) / len(x)
     ddice_dp = -2.0 * (y * s - q) / (s * s)
-    dz = dz + lambda_dice * ddice_dp * p * (1.0 - p)
+    dz = dz + LAMBDA_DICE * ddice_dp * p * (1.0 - p)
 
     gw2 = h.T @ dz
     gb2 = float(dz.sum())
@@ -357,16 +362,11 @@ def loss_and_grad(model: AffordanceModel, x: np.ndarray, y: np.ndarray,
     return loss, np.concatenate([gw1.ravel(), gb1, gw2, [gb2]])
 
 
-MOMENTUM = 0.9       # of `train`'s gradient descent
-VAL_FRACTION = 0.25  # trailing share of the scenes `train` validates on
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 600
     learning_rate: float = 0.5
     hidden: int = 16
-    lambda_dice: float = 1.0
 
     def __post_init__(self):
         if self.hidden < 1:
@@ -399,7 +399,8 @@ def _design_matrix(entries):
 
 def train(dataset: list, config: TrainConfig, seed: int
           ) -> tuple[AffordanceModel, list[dict]]:
-    """Full-batch gradient descent with momentum; returns (best model, log).
+    """Full-batch gradient descent with momentum on `loss_and_grad`'s loss
+    (`LAMBDA_DICE` weighs its dice term); returns (best model, log).
 
     `dataset` is a list of (FeatureSet, AffordanceLabelSet) pairs, one per
     scene; the trailing `VAL_FRACTION` of scenes form the validation split.
@@ -432,14 +433,12 @@ def train(dataset: list, config: TrainConfig, seed: int
     best = (np.inf, params.copy())
     log = []
     for epoch in range(config.epochs):
-        loss, grad = loss_and_grad(model.with_params(params), x, y,
-                                   config.lambda_dice)
+        loss, grad = loss_and_grad(model.with_params(params), x, y)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite training loss at epoch {epoch}")
         velocity = MOMENTUM * velocity - config.learning_rate * grad
         params = params + velocity
-        val_loss = _loss(model.with_params(params), xv, yv,
-                         config.lambda_dice)[0]
+        val_loss = _loss(model.with_params(params), xv, yv)[0]
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
         if val_loss < best[0]:
@@ -595,14 +594,22 @@ def save_model(model: AffordanceModel, path, config_hash: str,
 
 
 def load_model(path) -> AffordanceModel:
+    """The afford_model.v1 file at `path`; a malformed file is a
+    ValidationError naming it."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise ValidationError(f"model file {path} is not valid JSON: "
                                   f"{e}") from e
+    if not isinstance(doc, dict):
+        raise ValidationError(f"model file {path} is not a JSON object")
     if doc.get("version") != "afford_model.v1":
         raise ValidationError(f"unsupported model version {doc.get('version')!r}")
+    for key in ("hidden", "scaler_mean", "scaler_std", "w1", "b1", "w2", "b2"):
+        if key not in doc:
+            raise ValidationError(f"model file {path} is malformed: no key "
+                                  f"{key!r}")
     hidden = int(doc["hidden"])
     if hidden < 1 or doc["w1"] is None:
         raise ValidationError(

@@ -354,16 +354,15 @@ def screw_decompose(T: RigidTransform, config: InferenceConfig) -> JointModel:
 
 
 def _competitive_labels(positions: np.ndarray, moved: np.ndarray,
-                        explained: np.ndarray, ambiguity_radius: float,
-                        normals=None, in_plane_tol: float = 0.0
-                        ) -> np.ndarray:
+                        explained: np.ndarray, normals=None,
+                        in_plane_tol: float = 0.0) -> np.ndarray:
     """Final mobile mask for one cloud.
 
     Confident mobile points moved and are explained by the motion; confident
     static points did not move. Points that moved but have no rigid preimage
     or image (surfaces the motion newly revealed: the back of a drawer front,
     the carcase face behind a door) take the label of the nearer confident
-    set, and stay static when no seed lies within `ambiguity_radius`.
+    set, and stay static when no seed lies within `AMBIGUITY_RADIUS`.
 
     With `in_plane_tol` > 0 an ambiguous point is adopted only when it is
     coplanar with its nearest mobile seed (offset along the seed normal below
@@ -380,13 +379,13 @@ def _competitive_labels(positions: np.ndarray, moved: np.ndarray,
     amb_pts = positions[ambiguous]
     seed_idx = np.flatnonzero(mobile_seeds)
     d_mob, nn = query_within(cKDTree(positions[mobile_seeds]), amb_pts,
-                             ambiguity_radius)
+                             AMBIGUITY_RADIUS)
     if static_seeds.any():
         d_sta, _ = query_within(cKDTree(positions[static_seeds]), amb_pts,
-                                ambiguity_radius)
+                                AMBIGUITY_RADIUS)
     else:
         d_sta = np.full(len(amb_pts), np.inf)
-    take = (d_mob < d_sta) & (d_mob <= ambiguity_radius)
+    take = (d_mob < d_sta) & (d_mob <= AMBIGUITY_RADIUS)
     if in_plane_tol > 0.0 and normals is not None:
         seeds = seed_idx[nn[take]]
         seed_normals, seed_valid = normals(seeds)
@@ -447,28 +446,24 @@ def _consistency_reseg(obs: ObservationPair, T: RigidTransform,
     # here are either sampling gaps of the part's image (coplanar) or
     # occlusion shadows of its new pose (offset behind the part)
     mask_b = _competitive_labels(
-        obs.before.positions, moved_b, fit_b, AMBIGUITY_RADIUS,
+        obs.before.positions, moved_b, fit_b,
         normals=partial(obs.before.normals, _NORMAL_K),
         in_plane_tol=FIT_EPSILON)
     fit_a = explained(T.inverse().apply(obs.after.positions), obs.before,
                       moved_a)
-    mask_a = _competitive_labels(obs.after.positions, moved_a,
-                                 fit_a, AMBIGUITY_RADIUS)
+    mask_a = _competitive_labels(obs.after.positions, moved_a, fit_a)
 
     if anchor.mobile_mask_before.any():
-        mask_b &= _attached(obs.before.positions, anchor.mobile_mask_before,
-                            ATTACH_RADIUS)
+        mask_b &= _attached(obs.before.positions, anchor.mobile_mask_before)
     if anchor.mobile_mask_after.any():
-        mask_a &= _attached(obs.after.positions, anchor.mobile_mask_after,
-                            ATTACH_RADIUS)
+        mask_a &= _attached(obs.after.positions, anchor.mobile_mask_after)
     return PartSegmentation(mask_b, mask_a)
 
 
-def _attached(positions: np.ndarray, seeds: np.ndarray,
-              attach_radius: float) -> np.ndarray:
-    """Points within `attach_radius` of a `seeds` point."""
-    near, _ = query_within(cKDTree(positions[seeds]), positions, attach_radius)
-    return near <= attach_radius
+def _attached(positions: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Points within `ATTACH_RADIUS` of a `seeds` point."""
+    near, _ = query_within(cKDTree(positions[seeds]), positions, ATTACH_RADIUS)
+    return near <= ATTACH_RADIUS
 
 
 def _fit_slab(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -7,8 +7,11 @@ of a layer take their section whole. This module holds the top-level
 
 A setting is a key only when some caller (a module, a test, a benchmark
 workload or a README example) sets it to another value than its default;
-every other one is a constant beside the code that reads it. The
-`generation` section, the scene distribution, is kept whole.
+every other one is a constant beside the code that reads it. A caller sets
+a key through its own config class or `replace`, or at its path in a config
+document. Writing the default literal does not count, and neither does a
+config that a test only hands to `pytest.raises`, since the loader refuses
+it. The `generation` section, the scene distribution, is kept whole.
 
 The on-disk format is JSON. Loading is strict: unknown keys, removed ones
 included, are rejected by name, every value must match its field's

@@ -27,25 +27,15 @@ class Hotspot:
     score: float
 
 
-@dataclass(frozen=True)
-class HotspotSet:
-    """Selected peaks, scores non-increasing, pairwise farther than `radius`."""
-
-    items: tuple[Hotspot, ...]
-    radius: float
-
-    def __len__(self):
-        return len(self.items)
-
-
 def nms(cloud: PointCloud, scores: np.ndarray, config: HotspotConfig
-        ) -> HotspotSet:
+        ) -> tuple[Hotspot, ...]:
     """Greedy peak extraction.
 
     Repeatedly take the highest-scoring unsuppressed point at or above
     `config.score_threshold` (ties break to the lowest point index) and
-    suppress everything within `config.radius` of it. The empty result is
-    allowed.
+    suppress everything within `config.radius` of it. The picks come in
+    that order, so their scores do not increase and they lie pairwise
+    farther apart than the radius. The empty result is allowed.
     """
     radius = config.radius
     scores = np.asarray(scores, dtype=np.float64)
@@ -53,7 +43,7 @@ def nms(cloud: PointCloud, scores: np.ndarray, config: HotspotConfig
         raise ValidationError("scores must align with the cloud")
     eligible = np.flatnonzero(scores >= config.score_threshold)
     if len(eligible) == 0:
-        return HotspotSet((), radius)
+        return ()
     # sorting by (-score, index) makes a single pass equivalent to the greedy loop
     order = eligible[np.lexsort((eligible, -scores[eligible]))]
     tree = cloud.tree
@@ -65,15 +55,16 @@ def nms(cloud: PointCloud, scores: np.ndarray, config: HotspotConfig
         picked.append(Hotspot(int(i), cloud.positions[i].copy(),
                               float(scores[i])))
         suppressed[tree.query_ball_point(cloud.positions[i], r=radius)] = True
-    return HotspotSet(tuple(picked), radius)
+    return tuple(picked)
 
 
-def hotspots_to_dict(hs: HotspotSet) -> dict:
+def hotspots_to_dict(items, radius: float) -> dict:
+    """The hotspots.v1 record of the picks `items` of an NMS at `radius`."""
     return {
         "version": "hotspots.v1",
-        "radius": hs.radius,
+        "radius": radius,
         "items": [
             {"index": h.index, "position": h.position.tolist(), "score": h.score}
-            for h in hs.items
+            for h in items
         ],
     }

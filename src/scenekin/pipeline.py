@@ -52,8 +52,8 @@ def _read_json(path) -> dict:
 
 
 def _read_manifest(directory, version: str) -> dict:
-    """The manifest.json of a stage's output directory, which must be of
-    `version`: another stage's directory is an ArtifactError."""
+    """The manifest.json of a stage's output directory: one of another
+    `version`, or without `scenes`, is an ArtifactError."""
     path = os.path.join(directory, "manifest.json")
     if not os.path.isfile(path):
         raise ArtifactError(f"no manifest.json in {directory}")
@@ -63,6 +63,9 @@ def _read_manifest(directory, version: str) -> dict:
     if manifest.get("version") != version:
         raise ArtifactError(f"manifest.json in {directory} is "
                             f"{manifest.get('version')}, not {version}")
+    if "scenes" not in manifest:
+        raise ArtifactError(f"manifest.json in {directory} is malformed: no "
+                            "key 'scenes'")
     return manifest
 
 
@@ -178,12 +181,15 @@ def train_model(config: PipelineConfig, dataset_dir, out_dir) -> dict:
             continue
         cloud = load_cloud_binary(os.path.join(dataset_dir, entry["cloud"]))
         labels_path = os.path.join(dataset_dir, entry["labels"])
-        labels = affordance.labels_from_dict(_read_json(labels_path))
+        try:
+            labels = affordance.labels_from_dict(_read_json(labels_path))
+        except KeyError as e:
+            raise ArtifactError(f"labels file {labels_path} is malformed: "
+                                f"no key {e}") from e
         if not ((labels.indices >= 0) & (labels.indices < len(cloud))).all():
             raise ValidationError(f"{labels_path} has point indices outside "
                                   f"[0, {len(cloud)}), the cloud's rows")
-        feats = affordance.extract_features(cloud, config.affordance,
-                                            config.capture.voxel)
+        feats = affordance.extract_features(cloud, config.affordance)
         # training reads only the labelled rows that are not ignored
         read = labels.indices[np.array(labels.labels) != affordance.IGNORE]
         dataset.append((affordance.complete(feats, cloud, read), labels))
@@ -221,8 +227,7 @@ def _approach(scene: SceneSpec, position, config: PipelineConfig
               ) -> str | tuple:
     """(contact, normal, camera poses) of a hotspot, or why it is skipped."""
     try:
-        contact = project_to_surface(scene, position,
-                                     simworld.SNAP_TOLERANCE)
+        contact = project_to_surface(scene, position)
     except PreconditionError:
         return "off surface"
     normal = simworld.surface_normal(scene, contact)
@@ -265,8 +270,7 @@ def ranked_hotspots(cloud: PointCloud, model: affordance.AffordanceModel,
     from the picks before it alone, which score at least as much, so both
     maps give the same picks down to τ.
     """
-    feats = affordance.extract_features(cloud, config.affordance,
-                                        config.capture.voxel)
+    feats = affordance.extract_features(cloud, config.affordance)
     bounds = affordance.score_bounds(model, feats, cloud,
                                      config.hotspot.score_threshold)
     rows = np.flatnonzero(bounds >= config.hotspot.score_threshold)
@@ -282,7 +286,7 @@ def ranked_hotspots(cloud: PointCloud, model: affordance.AffordanceModel,
                 tau = -np.inf
             scores = affordance.predict(
                 model, affordance.complete(feats, cloud, take))
-            picks = hotspot.nms(cloud, scores, config.hotspot).items
+            picks = hotspot.nms(cloud, scores, config.hotspot)
             for spot in picks[found:]:
                 if spot.score < tau:
                     break
@@ -397,8 +401,7 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
     model_out = scenemodel.aggregate(estimates)
     return {
         "scene_seed": scene.seed,
-        "hotspots": hotspot.hotspots_to_dict(
-            hotspot.HotspotSet(tuple(picked), config.hotspot.radius)),
+        "hotspots": hotspot.hotspots_to_dict(picked, config.hotspot.radius),
         "interactions": interactions,
         "inferences": inferences,
         "refinements": refinement_logs,

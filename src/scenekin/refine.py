@@ -53,7 +53,6 @@ from .sensing import (
 )
 from .simworld import (
     GRIPPER_RADIUS,
-    SNAP_TOLERANCE,
     InteractionConfig,
     SceneSpec,
     gripper_clearance,
@@ -99,14 +98,14 @@ class RefineResult:
 
 
 def part_affordance(joint: JointModel, seg: PartSegmentation,
-                    cloud, scene: SceneSpec,
-                    gripper_radius: float) -> RefinementPlan:
+                    cloud, scene: SceneSpec) -> RefinementPlan:
     """Plan the next pull from a hinge estimate and its mobile segmentation.
 
     `cloud` is the post-interaction observation; the mobile point farthest
     from the axis line wins (ties to the lowest index), falling back to the
-    farthest point with gripper clearance. The force direction is the moment
-    of the axis at that point, signed to continue the observed opening.
+    farthest point with clearance for a `GRIPPER_RADIUS` gripper. The force
+    direction is the moment of the axis at that point, signed to continue
+    the observed opening.
     """
     if joint.kind != REVOLUTE:
         raise ValidationError("part-level planning applies to revolute joints")
@@ -129,7 +128,7 @@ def part_affordance(joint: JointModel, seg: PartSegmentation,
             continue
         direction = sign * np.cross(joint.axis, r_vec / r)
         normal = surface_normal(scene, p)
-        if gripper_clearance(scene, p, normal, gripper_radius):
+        if gripper_clearance(scene, p, normal, GRIPPER_RADIUS):
             return RefinementPlan(p.copy(), direction)
     raise RefinementUnavailable("no mobile point with gripper clearance")
 
@@ -241,7 +240,7 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
         iters += 1
         entry: dict = {"iteration": iters}
         try:
-            plan = part_affordance(joint, seg, obs.after, scene, GRIPPER_RADIUS)
+            plan = part_affordance(joint, seg, obs.after, scene)
         except RefinementUnavailable as e:
             entry["status"] = f"unavailable: {e}"
             log.append(entry)
@@ -249,10 +248,9 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
         entry["hotspot"] = plan.hotspot.tolist()
         entry["direction"] = plan.force_direction.tolist()
         try:
-            grasp = project_to_surface(scene, plan.hotspot, SNAP_TOLERANCE)
+            grasp = project_to_surface(scene, plan.hotspot)
             outcome, scene = interact(scene, grasp, plan.force_direction,
-                                      interaction.pull,
-                                      interaction.motion_epsilon)
+                                      interaction.pull.total)
         except (PreconditionError, ValidationError) as e:
             entry["status"] = f"interaction error: {e}"
             log.append(entry)

@@ -39,6 +39,11 @@ from .simworld import WORLD_UP, BoxStack, SceneSpec, surface_normal
 _ID_RANGE = 100_000
 _ID_CELL = 0.005  # surface-coordinate quantization, meters
 
+VFOV_DEG = 60.0     # vertical field of view of every capture camera
+MAX_RANGE = 10.0    # farthest hit a capture keeps, meters
+VOXEL = 0.02        # scene-cloud downsampling cell, meters
+CROP_RADIUS = 1.2   # object views keep points this near the focus, meters
+
 
 @dataclass(frozen=True)
 class CameraPose:
@@ -112,18 +117,12 @@ class CaptureConfig:
     """Capture settings for the scene ring and the per-object views."""
 
     resolution: tuple[int, int] = (160, 120)
-    vfov_deg: float = 60.0
     object_view_distance: float = 1.0
-    max_range: float = 10.0
     noise_sigma: float = 0.0
-    voxel: float = 0.02
-    crop_radius: float = 1.2
 
     def __post_init__(self):
         if self.noise_sigma < 0:
             raise ValidationError("noise sigma must be >= 0")
-        if self.voxel <= 0:
-            raise ValidationError("capture voxel must be > 0")
 
 
 def _nearest_hits(boxes: BoxStack, origin: np.ndarray, dirs: np.ndarray,
@@ -343,7 +342,7 @@ def ring_poses(scene: SceneSpec, config: CaptureConfig) -> list[CameraPose]:
             if not _in_free_space(scene, pos):
                 continue
             look = pos + facing * out + np.array([0.0, 0.0, tt])
-            poses.append(CameraPose(pos, look, vfov_deg=config.vfov_deg,
+            poses.append(CameraPose(pos, look, vfov_deg=VFOV_DEG,
                                     resolution=config.resolution))
     return poses
 
@@ -357,16 +356,16 @@ def _fused_captures(scene: SceneSpec, poses, config: CaptureConfig,
         sub = None
         if config.noise_sigma > 0.0:
             sub = np.random.default_rng(rng.integers(0, 2 ** 63 - 1))
-        captures.append(raycast_capture(scene, pose, config.max_range,
+        captures.append(raycast_capture(scene, pose, MAX_RANGE,
                                         config.noise_sigma, sub))
     return fuse_clouds(captures)
 
 
 def capture_scene_cloud(scene: SceneSpec, config: CaptureConfig,
                         rng: np.random.Generator | None) -> PointCloud:
-    """Fused, voxel-downsampled scene cloud from the viewpoint ring."""
+    """Fused scene cloud from the viewpoint ring, one point per `VOXEL`."""
     fused = _fused_captures(scene, ring_poses(scene, config), config, rng)
-    return _voxel_downsample(fused, config.voxel)
+    return _voxel_downsample(fused, VOXEL)
 
 
 def object_view_poses(scene: SceneSpec, focus, config: CaptureConfig
@@ -392,7 +391,7 @@ def object_view_poses(scene: SceneSpec, focus, config: CaptureConfig
             continue
         if not _in_free_space(scene, pos):
             continue
-        poses.append(CameraPose(pos, focus, vfov_deg=config.vfov_deg,
+        poses.append(CameraPose(pos, focus, vfov_deg=VFOV_DEG,
                                 resolution=config.resolution))
     if not poses:
         raise CaptureError("all object-view cameras collide with the scene")
@@ -402,7 +401,7 @@ def object_view_poses(scene: SceneSpec, focus, config: CaptureConfig
 def capture_object_views(scene: SceneSpec, focus, config: CaptureConfig,
                          rng: np.random.Generator | None,
                          poses: list[CameraPose] | None = None) -> PointCloud:
-    """Egocentric object cloud: fused captures cropped around `focus`.
+    """Object cloud: fused captures within `CROP_RADIUS` of `focus`.
 
     Pass `poses` to reuse a previous placement (e.g. the before-interaction
     cameras for the after capture); without them cameras are placed around
@@ -414,7 +413,7 @@ def capture_object_views(scene: SceneSpec, focus, config: CaptureConfig,
     fused = _fused_captures(scene, poses, config, rng)
     if len(fused) == 0:
         return fused
-    keep = np.linalg.norm(fused.positions - focus, axis=1) <= config.crop_radius
+    keep = np.linalg.norm(fused.positions - focus, axis=1) <= CROP_RADIUS
     return fused.subset(keep)
 
 
@@ -425,9 +424,9 @@ def capture_interaction_after(scene: SceneSpec, crop_center, poses,
 
     Fuses the reused before-capture cameras (static surfaces keep identical
     samples) with fresh cameras aimed at the advected contact (frontal
-    sampling of the moved part), cropped to the before capture's sphere so
-    both clouds share support. Falls back to the reused cameras alone when
-    no fresh placement is collision-free.
+    sampling of the moved part), cropped to the before capture's
+    `CROP_RADIUS` sphere so both clouds share support. Falls back to the
+    reused cameras alone when no fresh placement is collision-free.
     """
     crop_center = as_vec3(crop_center)
     after = capture_object_views(scene, crop_center, config, rng, poses=poses)
@@ -435,7 +434,7 @@ def capture_interaction_after(scene: SceneSpec, crop_center, poses,
         fresh = capture_object_views(scene, focus_new, config, rng)
         after = fuse_clouds([after, fresh])
         keep = np.linalg.norm(after.positions - crop_center,
-                              axis=1) <= config.crop_radius
+                              axis=1) <= CROP_RADIUS
         after = after.subset(keep)
     except CaptureError:
         pass

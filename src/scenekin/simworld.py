@@ -48,6 +48,9 @@ WORLD_UP = np.array([0.0, 0.0, 1.0])
 CONTACT_TOL = 5e-3
 GRIPPER_RADIUS = 0.04
 SNAP_TOLERANCE = 0.03  # commanded contact -> surface projection, meters
+PULL_STEP = 0.01       # pulled length per step of `interact`, meters
+PULL_ALIGN_MIN = 0.5   # a pull stops when its tangent alignment decays to this
+MOTION_EPSILON = 1e-3  # joint-state change that counts as motion
 
 
 @dataclass(frozen=True)
@@ -312,19 +315,16 @@ class InteractionOutcome:
 
 @dataclass(frozen=True)
 class PullBudget:
-    """Stepping parameters for one pull."""
+    """Length of one pull; `interact` steps it by `PULL_STEP`."""
 
-    step: float = 0.01        # pulled length per step, meters
     total: float = 0.4        # total pulled length, meters
-    align_min: float = 0.5    # stop when pull/tangent alignment decays to this
 
 
 @dataclass(frozen=True)
 class InteractionConfig:
-    """How the agent pulls: budget and success test."""
+    """How far the agent pulls; `interact` fixes the rest of a pull."""
 
     pull: PullBudget = field(default_factory=PullBudget)
-    motion_epsilon: float = 1e-3   # joint-state change that counts as motion
 
 
 @dataclass(frozen=True)
@@ -605,18 +605,17 @@ def surface_normal(scene: SceneSpec, point) -> np.ndarray:
     return scene.boxes.face_normals(as_vec3(point)[None], [i])[0]
 
 
-def project_to_surface(scene: SceneSpec, point, max_snap: float
-                       ) -> np.ndarray:
+def project_to_surface(scene: SceneSpec, point) -> np.ndarray:
     """Snap a commanded contact onto the nearest part surface.
 
     Covers sensing noise between a cloud point and the true surface; raises
-    when the point is farther than `max_snap` from all geometry.
+    when the point is farther than `SNAP_TOLERANCE` from all geometry.
     """
     p = as_vec3(point)
     idx, dist = nearest_part(scene, p)
-    if dist > max_snap:
-        raise PreconditionError(
-            f"point is {dist:.4f} m from the nearest surface (> {max_snap})")
+    if dist > SNAP_TOLERANCE:
+        raise PreconditionError(f"point is {dist:.4f} m from the nearest "
+                                f"surface (> {SNAP_TOLERANCE})")
     box = scene.part_world(idx)
     local = box.to_local(p)[0]
     clamped = np.clip(local, -box.half_extents, box.half_extents)
@@ -653,12 +652,15 @@ def canonical_pull_directions(contact_normal) -> tuple[np.ndarray, np.ndarray, n
     return n, lateral, -lateral
 
 
-def interact(scene: SceneSpec, contact, pull_direction, budget: PullBudget,
-             motion_epsilon: float) -> tuple[InteractionOutcome, SceneSpec]:
-    """Pull at `contact` along `pull_direction`; returns (outcome, new scene).
+def interact(scene: SceneSpec, contact, pull_direction, total: float
+             ) -> tuple[InteractionOutcome, SceneSpec]:
+    """Pull `total` meters at `contact` along `pull_direction`, in steps
+    of `PULL_STEP`; returns (outcome, new scene).
 
-    The contact must lie on a part surface (within `CONTACT_TOL`). Success
-    means the touched joint moved by more than `motion_epsilon`; the returned
+    The contact must lie on a part surface (within `CONTACT_TOL`). The pull
+    stops early once its alignment with the contact's path falls to
+    `PULL_ALIGN_MIN`. Success means the touched joint moved by more than
+    `MOTION_EPSILON`; the returned
     scene carries the updated joint state and the outcome's final contact is
     the contact point advected by the joint motion.
     """
@@ -700,21 +702,21 @@ def interact(scene: SceneSpec, contact, pull_direction, budget: PullBudget,
 
     sigma = 1.0 if a0 > 0 else -1.0
     p_cur = contact.copy()
-    n_steps = int(math.floor(budget.total / budget.step + 1e-9))
+    n_steps = int(math.floor(total / PULL_STEP + 1e-9))
     for _ in range(n_steps):
         if joint.joint_type == REVOLUTE:
             axis_pt = joint.pivot + np.dot(p_cur - joint.pivot, u) * u
             r_vec = p_cur - axis_pt
             tangent = _cross(u, r_vec / np.linalg.norm(r_vec))
             align = float(np.dot(d, tangent))
-            if sigma * align <= budget.align_min:
+            if sigma * align <= PULL_ALIGN_MIN:
                 break
-            dtheta = budget.step * align / r
+            dtheta = PULL_STEP * align / r
         else:
             align = a0
-            if sigma * align <= budget.align_min:
+            if sigma * align <= PULL_ALIGN_MIN:
                 break
-            dtheta = budget.step * align
+            dtheta = PULL_STEP * align
         new_theta = min(max(theta + dtheta, lo), hi)
         actual = new_theta - theta
         if abs(actual) < 1e-15:
@@ -731,7 +733,7 @@ def interact(scene: SceneSpec, contact, pull_direction, budget: PullBudget,
             break
 
     delta = theta - joint.state
-    if abs(delta) <= motion_epsilon:
+    if abs(delta) <= MOTION_EPSILON:
         return (InteractionOutcome(False, None, delta, contact.copy(), True),
                 scene)
     new_scene = scene.with_joint_state(joint_idx, theta)
@@ -747,8 +749,8 @@ def probe(scene: SceneSpec, contact, normal, interaction: InteractionConfig
     moves. Errors of `interact` propagate.
     """
     for direction in canonical_pull_directions(normal):
-        outcome, after = interact(scene, contact, direction, interaction.pull,
-                                  interaction.motion_epsilon)
+        outcome, after = interact(scene, contact, direction,
+                                  interaction.pull.total)
         if outcome.success:
             break
     return outcome, after

@@ -10,7 +10,7 @@ from scenekin.sensing import (
     capture_object_views,
     object_view_poses,
 )
-from scenekin.simworld import InteractionConfig, PullBudget, interact
+from scenekin.simworld import InteractionConfig, interact
 
 # Every run draws the same examples, and a failing one replays without a
 # local example database.
@@ -33,8 +33,8 @@ def identity() -> RigidTransform:
 
 
 def observe_interaction(scene, contact, direction, capture_config=None,
-                        budget=None, rng=None):
-    """Capture before views, pull, capture after views.
+                        total=InteractionConfig().pull.total, rng=None):
+    """Capture before views, pull `total` meters, capture after views.
 
     Returns (obs, outcome, scene_after). Raises on capture failure.
     """
@@ -42,9 +42,7 @@ def observe_interaction(scene, contact, direction, capture_config=None,
     poses = object_view_poses(scene, contact, capture_config)
     before = capture_object_views(scene, contact, capture_config, rng,
                                   poses=poses)
-    outcome, scene_after = interact(scene, contact, direction,
-                                    budget or PullBudget(),
-                                    InteractionConfig().motion_epsilon)
+    outcome, scene_after = interact(scene, contact, direction, total)
     after = capture_interaction_after(scene_after, contact, poses,
                                       outcome.final_contact, capture_config,
                                       rng)

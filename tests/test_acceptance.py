@@ -93,15 +93,13 @@ def test_criterion_2_gradient_oracle():
         y = (rng.uniform(size=10) < 0.4).astype(float)
         if y.sum() == 0:
             y[0] = 1.0
-        _, grad = affordance.loss_and_grad(model, x, y, lambda_dice=1.0)
+        _, grad = affordance.loss_and_grad(model, x, y)
         eps = 1e-6
         for k in range(len(params)):
             up = params.copy(); up[k] += eps
             dn = params.copy(); dn[k] -= eps
-            lu, _ = affordance.loss_and_grad(model.with_params(up), x, y,
-                                             lambda_dice=1.0)
-            ld, _ = affordance.loss_and_grad(model.with_params(dn), x, y,
-                                             lambda_dice=1.0)
+            lu, _ = affordance.loss_and_grad(model.with_params(up), x, y)
+            ld, _ = affordance.loss_and_grad(model.with_params(dn), x, y)
             fd = (lu - ld) / (2.0 * eps)
             denom = max(abs(fd), abs(grad[k]), 1e-8)
             worst = max(worst, abs(grad[k] - fd) / denom)
@@ -146,7 +144,7 @@ def test_criterion_3_nms_oracle():
         threshold = float(rng.choice([0.0, 0.3, 0.5]))
         config = hotspot.HotspotConfig(radius, threshold)
         got = [h.index for h in hotspot.nms(PointCloud(pts), scores,
-                                            config).items]
+                                            config)]
         expect = _brute_nms(pts, scores, radius, threshold)
         assert got == expect, f"trial {trial}"
     elapsed = time.time() - t0

@@ -54,9 +54,7 @@ from scenekin.simworld import (
     probe,
     surface_normal,
 )
-from scenekin.sensing import CaptureConfig, capture_scene_cloud
-
-VOXEL = CaptureConfig().voxel
+from scenekin.sensing import VOXEL, CaptureConfig, capture_scene_cloud
 
 
 def flat_patch_cloud(n=400, seed=0):
@@ -69,7 +67,7 @@ def flat_patch_cloud(n=400, seed=0):
 
 def features(cloud, config):
     """Features of every cloud point, completed at every row."""
-    return complete(extract_features(cloud, config, VOXEL), cloud,
+    return complete(extract_features(cloud, config), cloud,
                     np.arange(len(cloud)))
 
 
@@ -122,7 +120,7 @@ class TestFeatures:
                                           colored):
         cloud = oracle_cloud(seed, n, radius, kind, colored)
         config = AffordanceConfig(feature_radius=radius)
-        feats = extract_features(cloud, config, VOXEL)
+        feats = extract_features(cloud, config)
         free = [FEATURE_NAMES.index("normal_up"),
                 FEATURE_NAMES.index("discontinuity_dist")]
         assert np.isnan(feats.values[feats.valid][:, free]).all()
@@ -235,8 +233,8 @@ class TestCollectLabels:
             assert gripper_clearance(scene, point, normal, GRIPPER_RADIUS)
             results = []
             for d in canonical_pull_directions(normal):
-                outcome, _ = interact(scene, point, d, interaction.pull,
-                                      interaction.motion_epsilon)
+                outcome, _ = interact(scene, point, d,
+                                      interaction.pull.total)
                 results.append(outcome.success)
             if label == POSITIVE:
                 assert any(results)
@@ -282,7 +280,7 @@ class TestLossAndGrad:
         big = model.with_params(np.array(
             [50.0] + [0.0] * (FEATURE_DIM - 1) + [0.0, 1e3, 0.0]))
         y = np.array([1.0, 0.0])
-        loss, _ = loss_and_grad(big, x, y, lambda_dice=1.0)
+        loss, _ = loss_and_grad(big, x, y)
         assert loss == pytest.approx(0.0, abs=1e-6)
 
     def test_single_positive_at_half(self):
@@ -291,7 +289,7 @@ class TestLossAndGrad:
         zero = model.with_params(np.zeros_like(model.params()))
         x = np.zeros((1, FEATURE_DIM))
         y = np.ones(1)
-        loss, _ = loss_and_grad(zero, x, y, lambda_dice=1.0)
+        loss, _ = loss_and_grad(zero, x, y)
         expect = math.log(2.0) + (1.0 - 2.0 * 0.5 / (1.5 + 1e-7))
         assert loss == pytest.approx(expect, abs=1e-9)
 
@@ -307,15 +305,13 @@ class TestLossAndGrad:
             y = (rng.uniform(size=12) < 0.4).astype(float)
             if y.sum() == 0:
                 y[0] = 1.0
-            _, grad = loss_and_grad(model, x, y, lambda_dice=1.0)
+            _, grad = loss_and_grad(model, x, y)
             eps = 1e-6
             for k in rng.choice(len(params), size=6, replace=False):
                 up = params.copy(); up[k] += eps
                 dn = params.copy(); dn[k] -= eps
-                lu, _ = loss_and_grad(model.with_params(up), x, y,
-                                      lambda_dice=1.0)
-                ld, _ = loss_and_grad(model.with_params(dn), x, y,
-                                      lambda_dice=1.0)
+                lu, _ = loss_and_grad(model.with_params(up), x, y)
+                ld, _ = loss_and_grad(model.with_params(dn), x, y)
                 fd = (lu - ld) / (2 * eps)
                 denom = max(abs(fd), abs(grad[k]), 1e-8)
                 assert abs(grad[k] - fd) / denom < 1e-4
@@ -327,15 +323,14 @@ class TestLossAndGrad:
         y = (rng.uniform(size=30) < 0.5).astype(float)
         y[0] = 1.0
         perm = rng.permutation(30)
-        l1, _ = loss_and_grad(model, x, y, lambda_dice=1.0)
-        l2, _ = loss_and_grad(model, x[perm], y[perm], lambda_dice=1.0)
+        l1, _ = loss_and_grad(model, x, y)
+        l2, _ = loss_and_grad(model, x[perm], y[perm])
         assert l1 == pytest.approx(l2, abs=1e-12)
 
     def test_all_ignored_rejected(self):
         model = init_model(hidden=1, seed=0)
         with pytest.raises(TrainingError):
-            loss_and_grad(model, np.zeros((0, FEATURE_DIM)), np.zeros(0),
-                          lambda_dice=1.0)
+            loss_and_grad(model, np.zeros((0, FEATURE_DIM)), np.zeros(0))
 
 
 def separable_dataset(n_scenes=4, n=200, seed=0):
@@ -374,7 +369,7 @@ class TestTrainPredict:
         feats, labelset = dataset[-1]   # the validation split
         xv = (feats.values - model.scaler_mean) / model.scaler_std
         yv = np.array([l == POSITIVE for l in labelset.labels], dtype=float)
-        loss, _ = loss_and_grad(model, xv, yv, lambda_dice=1.0)
+        loss, _ = loss_and_grad(model, xv, yv)
         assert np.float64(min(row["val_loss"] for row in log)).tobytes() \
             == np.float64(loss).tobytes()
 
@@ -568,14 +563,13 @@ class TestRankedHotspots:
             return real(model, feats)
 
         whole = hotspot.nms(cloud, predict(model, features(
-            cloud, config.affordance)), config.hotspot).items
+            cloud, config.affordance)), config.hotspot)
         with mock.patch.object(pipeline, "FIRST_ROUND", 1), \
                 mock.patch.object(affordance, "predict", spy):
             got = list(pipeline.ranked_hotspots(cloud, model, config))
         assert _spots(got) == _spots(whole)
         bounds = score_bounds(
-            model, extract_features(cloud, config.affordance,
-                                    config.capture.voxel),
+            model, extract_features(cloud, config.affordance),
             cloud, config.hotspot.score_threshold)
         return got, calls, bounds[bounds >= config.hotspot.score_threshold]
 
@@ -644,7 +638,7 @@ def workload_models(tmp_path_factory):
 def _hotspot_sha(hotspot_sets):
     h = hashlib.sha256()
     for spots in hotspot_sets:
-        for spot in spots.items:
+        for spot in spots:
             h.update(np.int64(spot.index).tobytes()
                      + spot.position.tobytes()
                      + np.float64(spot.score).tobytes())
@@ -679,9 +673,7 @@ def test_run_hotspots_equal_whole_cloud_scoring(workload_models, workload,
         ring_rng = np.random.default_rng(
             derive_seed(root_seed, "run", scene.seed))
         cloud = capture_scene_cloud(scene, config.capture, ring_rng)
-        run.append(hotspot.HotspotSet(
-            tuple(pipeline.ranked_hotspots(cloud, model, config)),
-            config.hotspot.radius))
+        run.append(tuple(pipeline.ranked_hotspots(cloud, model, config)))
         whole.append(hotspot.nms(
             cloud, predict(model, features(cloud, config.affordance)),
             config.hotspot))

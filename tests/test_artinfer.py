@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -144,7 +145,9 @@ def _attached_ref(positions, seeds, attach_radius):
 
 
 # Integer coordinates and radii put points at exactly a radius from each
-# other, on the boundary of every bounded query.
+# other, on the boundary of every bounded query. The radii of
+# `_competitive_labels` and `_attached` are module constants, so their tests
+# patch them to these radii.
 _CELLS = st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1,
                   max_size=30)
 _RADIUS = st.sampled_from([1.0, 2.0, 3.0])
@@ -195,8 +198,10 @@ class TestBoundedQueries:
                                  in_plane_tol=in_plane_tol),
                             dict(normals=normals, normals_valid=valid,
                                  in_plane_tol=in_plane_tol))):
-            got = artinfer._competitive_labels(positions, moved, explained,
-                                               ambiguity_radius, **kw)
+            with mock.patch.object(artinfer, "AMBIGUITY_RADIUS",
+                                   ambiguity_radius):
+                got = artinfer._competitive_labels(positions, moved,
+                                                   explained, **kw)
             want = _competitive_labels_ref(positions, moved, explained,
                                            ambiguity_radius, **ref_kw)
             np.testing.assert_array_equal(got, want)
@@ -213,9 +218,10 @@ class TestBoundedQueries:
         cells, seeds = drawn
         positions = np.array(cells, dtype=np.float64)
         seeds = np.array(seeds)
+        with mock.patch.object(artinfer, "ATTACH_RADIUS", attach_radius):
+            got = artinfer._attached(positions, seeds)
         np.testing.assert_array_equal(
-            artinfer._attached(positions, seeds, attach_radius),
-            _attached_ref(positions, seeds, attach_radius))
+            got, _attached_ref(positions, seeds, attach_radius))
 
 
 class TestContactHeatmap:
@@ -536,9 +542,8 @@ class TestInferArticulation:
         panel = scene.part_world(part_idx)
         contact = panel.center + panel.rotation[:, 1] * panel.half_extents[1]
         normal = surface_normal(scene, contact)
-        from scenekin.simworld import PullBudget
         obs, outcome, _ = observe_interaction(scene, contact, normal,
-                                              budget=PullBudget(total=0.25))
+                                              total=0.25)
         assert outcome.delta_state == pytest.approx(0.25, abs=1e-9)
         joint, _ = infer_articulation(obs, InferenceConfig(mode="oracle"))
         assert joint.kind == "prismatic"

@@ -28,11 +28,10 @@ from scenekin.affordance import (
     predict,
 )
 from scenekin.geom import BLOCK_ROWS, PointCloud, estimate_normals
-from scenekin.sensing import CameraPose, CaptureConfig, _nearest_hits
+from scenekin.sensing import CameraPose, _nearest_hits
 from scenekin.simworld import GenerationConfig, generate_scene
 
 SIZES = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7)
-FEATURES = (AffordanceConfig(), CaptureConfig().voxel)
 
 
 def tied_cloud(n, seed=0):
@@ -65,7 +64,7 @@ def whole_cloud_normals(cloud, k):
 
 def whole_features(cloud):
     """`extract_features` completed at every row."""
-    feats = extract_features(cloud, *FEATURES)
+    feats = extract_features(cloud, AffordanceConfig())
     return complete(feats, cloud, np.arange(len(cloud)))
 
 
@@ -217,7 +216,7 @@ def gapped_features(cloud):
     so that block holds no valid row."""
     n = len(cloud)
     rows = np.r_[0:BLOCK_ROWS, 2 * BLOCK_ROWS:n]
-    feats = complete(extract_features(cloud, *FEATURES), cloud, rows)
+    feats = complete(extract_features(cloud, AffordanceConfig()), cloud, rows)
     blocks = [feats.valid[a:a + BLOCK_ROWS] for a in range(0, n, BLOCK_ROWS)]
     assert [b.any() for b in blocks] == [True, False, True]
     return feats

@@ -61,11 +61,11 @@ def override_dicts(draw):
 
 # sha256 of each directory the workspace fixture writes (`_tree_sha256`)
 WORKSPACE_SHA256 = {
-    "scenes": "a755a46fdfe83fdb963100b02ae57d09de8ad0e63ef339103e57c492765a5bd7",
-    "data": "f605f2d10c9496c25989822d9ccc4611a5c5b8450b4ae88e380848a9445cf788",
-    "model": "242dd966bb9417cf0b80c4592cc23f1175d2383f8b7929ec4a249c2b11ece442",
-    "run": "85448d01a08daa6db181e0d26b0cb1dcf2612d8bf991b4b2decf984b5096aab9",
-    "eval": "36e41902855c845044f545e42526a0d860cf5ad37c833ee57bcc1f7b9e64e982",
+    "scenes": "4b592cceff3120207da5fa0c8ed16c7748f214de5cc171d8a32c74c71db736a8",
+    "data": "dc005fdb07fc03048ac5e74acc2d66762dd394ee7b0aa99a9c3e5a0423057618",
+    "model": "7fcd78f60a6b57dc1e7198f8868993d7405f54cc7b3a726a99a14c73b4d6ed23",
+    "run": "f3c9be7581b7375c7fbd7de537f1d0e7fa03a475a06a2cee412e005de98bef21",
+    "eval": "466a3b730d0282ca204b8752baeefd4c0be517f11f3dd1e2f986e6dbc9d7d0dd",
 }
 
 
@@ -111,7 +111,10 @@ class TestConfig:
                           ({"generation": {"n_doors": 3}}, "n_doors"),
                           ({"refine": {"max_iters": 3}}, "refine"),
                           ({"aggregate": {"merge_iou": 0.5}}, "aggregate"),
-                          ({"inference": {"icp_tol": 1e-6}}, "icp_tol")):
+                          ({"inference": {"icp_tol": 1e-6}}, "icp_tol"),
+                          ({"capture": {"voxel": 0.02}}, "voxel"),
+                          ({"interaction": {"motion_epsilon": 0.001}},
+                           "motion_epsilon")):
             with pytest.raises(ConfigError,
                                match=rf"unknown key\(s\) \['{name}'\]"):
                 config_from_dict(doc)
@@ -123,12 +126,13 @@ class TestConfig:
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section,key,literal", [
-        ("capture", "voxel", "NaN"), ("hotspot", "radius", "Infinity")])
+        ("capture", "noise_sigma", "NaN"), ("hotspot", "radius", "Infinity")])
     def test_non_finite_number_is_a_named_error(self, tmp_path, capsys,
                                                 section, key, literal):
-        """JSON's NaN and Infinity are refused with the key's path (a NaN
-        voxel passed the `voxel <= 0` check and collapsed every room's
-        cloud to one point), and the command exits 2."""
+        """JSON's NaN and Infinity are refused with the key's path (NaN
+        passes every range check as false: a NaN capture voxel, when that
+        was a key, collapsed every room's cloud to one point), and the
+        command exits 2."""
         text = (f'{{"run": {{"n_scenes": 1}}, '
                 f'"{section}": {{"{key}": {literal}}}}}')
         message = f"{section}.{key}: expected a finite number"
@@ -189,7 +193,7 @@ class TestConfig:
     def test_default_hash_is_pinned(self):
         # the value every default-config artifact carries; moving a config
         # class between modules must not change it
-        assert config_hash(PipelineConfig()) == "2c487c8c0ecc80b8"
+        assert config_hash(PipelineConfig()) == "5feed875d9545c81"
 
     @given(override_dicts())
     def test_overrides_round_trip(self, overrides):
@@ -197,11 +201,6 @@ class TestConfig:
         back = config_from_dict(config_to_dict(config))
         assert back == config
         assert config_hash(back) == config_hash(config)
-
-    @pytest.mark.parametrize("voxel", [0.0, -0.02])
-    def test_non_positive_voxel_rejected(self, voxel):
-        with pytest.raises(ValidationError, match="capture voxel"):
-            config_from_dict({"capture": {"voxel": voxel}})
 
     def test_hash_changes_with_values(self):
         a = config_from_dict({"seed": 1})
@@ -394,12 +393,13 @@ class TestPipelineArtifacts:
                                                       tmp_path, capsys,
                                                       command):
         """An input directory without a manifest, another stage's output
-        directory, a manifest that is not a JSON object, a file that is not
-        JSON or not of the version asked, a cut-short model or scene file, a
-        model whose arrays do not fit its width, labels that point outside
-        their cloud, a run that recorded no scene digest, or a config file
-        the loader cannot read or refuses is a named error and no output
-        directory is made."""
+        directory, a manifest that is not a JSON object or lists no scenes,
+        a file that is not JSON or not of the version asked, a cut-short
+        model or scene file, a model that is not a JSON object, lacks a key
+        or whose arrays do not fit its width, labels that lack their indices
+        or point outside their cloud, a run that recorded no scene digest,
+        or a config file the loader cannot read or refuses is a named error
+        and no output directory is made."""
         base, cfg = workspace
         missing = str(tmp_path / "missing")
         listed = tmp_path / "listed"
@@ -414,7 +414,24 @@ class TestPipelineArtifacts:
         model_doc = json.loads(text)
         short_model.write_text(json.dumps({**model_doc,
                                            "w2": model_doc["w2"][:-1]}))
+        # a model without its width, and one that is a JSON list
+        widthless_model, list_model = (
+            tmp_path / f for f in ("widthless_model.json", "list_model.json"))
+        widthless_model.write_text(json.dumps(
+            {k: v for k, v in model_doc.items() if k != "hidden"}))
+        list_model.write_text("[]")
         scenes, data, run = (str(base / d) for d in ("scenes", "data", "run"))
+        # a copy of each stage directory whose manifest lists no scenes
+        unlisted = {}
+        for d in (scenes, data, run):
+            unlisted[d] = tmp_path / ("unlisted_" + os.path.basename(d))
+            shutil.copytree(d, unlisted[d])
+            path = unlisted[d] / "manifest.json"
+            path.write_text(json.dumps({
+                k: v for k, v in json.loads(path.read_text()).items()
+                if k != "scenes"}))
+        unlisted_error = {d: f"manifest.json in {u} is malformed: no key "
+                          "'scenes'" for d, u in unlisted.items()}
         model = str(base / "model" / "model.json")
         # a run whose manifest is cut short, one whose manifest lists a
         # scene model as the inference file, and one without the digest of
@@ -456,6 +473,15 @@ class TestPipelineArtifacts:
                                         else index)
             labels_path.write_text(json.dumps(labels_doc))
             labelled[name] = (str(labelled[name]), str(labels_path))
+        # a dataset whose first labels file has no indices
+        indexless = tmp_path / "indexless"
+        shutil.copytree(data, indexless)
+        entry = json.loads((indexless / "manifest.json").read_text())[
+            "scenes"][0]
+        indexless_labels = indexless / entry["labels"]
+        indexless_labels.write_text(json.dumps(
+            {k: v for k, v in json.loads(indexless_labels.read_text()).items()
+             if k != "indices"}))
         not_json, no_hidden = (tmp_path / f for f in ("bad.json", "h0.json"))
         not_json.write_text('{"seed": 5,')
         no_hidden.write_text(json.dumps(
@@ -468,7 +494,8 @@ class TestPipelineArtifacts:
                 (["--scenes", str(listed)], not_object),
                 (["--scenes", run], f"manifest.json in {run} is "
                  "run_manifest.v1, not scene_manifest.v1"),
-                (["--scenes", str(cut_scenes)], cut_scene_error)],
+                (["--scenes", str(cut_scenes)], cut_scene_error),
+                (["--scenes", str(unlisted[scenes])], unlisted_error[scenes])],
             "train": [
                 (["--dataset", missing], f"no manifest.json in {missing}"),
                 (["--dataset", str(listed)], not_object),
@@ -476,7 +503,10 @@ class TestPipelineArtifacts:
                  "scene_manifest.v1, not collect_manifest.v1"),
                 *[(["--dataset", dataset], f"{labels} has point indices "
                    "outside [0, ")
-                  for dataset, labels in labelled.values()]],
+                  for dataset, labels in labelled.values()],
+                (["--dataset", str(indexless)], f"labels file "
+                 f"{indexless_labels} is malformed: no key 'indices'"),
+                (["--dataset", str(unlisted[data])], unlisted_error[data])],
             "run": [
                 (["--scenes", missing, "--model", model],
                  f"no manifest.json in {missing}"),
@@ -488,6 +518,13 @@ class TestPipelineArtifacts:
                  f"model file {cut_model} is not valid JSON"),
                 (["--scenes", scenes, "--model", str(short_model)],
                  f"model file {short_model}: w2 must be numbers of shape"),
+                (["--scenes", scenes, "--model", str(widthless_model)],
+                 f"model file {widthless_model} is malformed: no key "
+                 "'hidden'"),
+                (["--scenes", scenes, "--model", str(list_model)],
+                 f"model file {list_model} is not a JSON object"),
+                (["--scenes", str(unlisted[scenes]), "--model", model],
+                 unlisted_error[scenes]),
                 (["--scenes", str(cut_scenes), "--model", model],
                  cut_scene_error)],
             "eval": [
@@ -509,7 +546,11 @@ class TestPipelineArtifacts:
                  f"run scene {first} has no recorded scene digest, so "
                  f"{scene_files[first]} in {scenes} cannot be checked"),
                 (["--run", run, "--scenes", str(cut_scenes)],
-                 cut_scene_error)],
+                 cut_scene_error),
+                (["--run", str(unlisted[run]), "--scenes", scenes],
+                 unlisted_error[run]),
+                (["--run", run, "--scenes", str(unlisted[scenes])],
+                 unlisted_error[scenes])],
         }[command]
         # the inputs of a good call, under a config file that fails to load;
         # the later --config replaces the workspace's

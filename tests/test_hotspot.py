@@ -36,17 +36,17 @@ class TestNms:
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0]]))
         hs = nms(cloud, np.array([0.9]), HotspotConfig(0.25, 0.5))
         assert len(hs) == 1
-        assert hs.items[0].index == 0
+        assert hs[0].index == 0
 
     def test_close_pair_keeps_stronger(self):
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]))
         hs = nms(cloud, np.array([0.8, 0.9]), HotspotConfig(0.25, 0.5))
-        assert [h.index for h in hs.items] == [1]
+        assert [h.index for h in hs] == [1]
 
     def test_threshold_filters(self):
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
         hs = nms(cloud, np.array([0.4, 0.9]), HotspotConfig(0.25, 0.5))
-        assert [h.index for h in hs.items] == [1]
+        assert [h.index for h in hs] == [1]
 
     def test_empty_result_allowed(self):
         cloud = PointCloud(np.zeros((3, 3)))
@@ -62,7 +62,7 @@ class TestNms:
             radius = float(rng.uniform(0.05, 0.4))
             hs = nms(PointCloud(pts), scores, HotspotConfig(radius, 0.3))
             expect = brute_force_nms(pts, scores, radius, 0.3)
-            assert [h.index for h in hs.items] == expect, trial
+            assert [h.index for h in hs] == expect, trial
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([0.125, 0.25, 0.5]), st.sampled_from([1, 2]),
@@ -78,7 +78,7 @@ class TestNms:
         pts = np.array([p[:3] for p in points], dtype=np.float64) * step
         scores = np.array([p[3] for p in points])
         hs = nms(PointCloud(pts), scores, HotspotConfig(radius, 0.5))
-        assert [h.index for h in hs.items] == brute_force_nms(
+        assert [h.index for h in hs] == brute_force_nms(
             pts, scores, radius, 0.5)
 
     def test_selected_are_spread(self):
@@ -86,7 +86,7 @@ class TestNms:
         pts = rng.uniform(0, 1, size=(200, 3))
         scores = rng.uniform(0.5, 1.0, size=200)
         hs = nms(PointCloud(pts), scores, HotspotConfig(0.3, 0.5))
-        sel = np.array([h.position for h in hs.items])
+        sel = np.array([h.position for h in hs])
         for i in range(len(sel)):
             for j in range(i + 1, len(sel)):
                 assert np.linalg.norm(sel[i] - sel[j]) > 0.3
@@ -96,7 +96,7 @@ class TestNms:
         pts = rng.uniform(0, 1, size=(150, 3))
         scores = rng.uniform(0, 1, size=150)
         hs = nms(PointCloud(pts), scores, HotspotConfig(0.15, 0.2))
-        vals = [h.score for h in hs.items]
+        vals = [h.score for h in hs]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_dominated_points_property(self):
@@ -106,9 +106,9 @@ class TestNms:
         pts = rng.uniform(0, 1, size=(300, 3))
         scores = rng.uniform(0, 1, size=300)
         hs = nms(PointCloud(pts), scores, HotspotConfig(0.2, 0.4))
-        chosen = {h.index for h in hs.items}
-        sel_pos = np.array([h.position for h in hs.items])
-        sel_scores = np.array([h.score for h in hs.items])
+        chosen = {h.index for h in hs}
+        sel_pos = np.array([h.position for h in hs])
+        sel_scores = np.array([h.score for h in hs])
         for i in range(300):
             if i in chosen or scores[i] < 0.4:
                 continue
@@ -123,8 +123,8 @@ class TestNms:
         perm = rng.permutation(100)
         hs2 = nms(PointCloud(pts[perm]), scores[perm],
                   HotspotConfig(0.2, 0.3))
-        set1 = {tuple(np.round(h.position, 12)) for h in hs1.items}
-        set2 = {tuple(np.round(h.position, 12)) for h in hs2.items}
+        set1 = {tuple(np.round(h.position, 12)) for h in hs1}
+        set2 = {tuple(np.round(h.position, 12)) for h in hs2}
         assert set1 == set2
 
     def test_bad_radius_rejected(self):
@@ -135,9 +135,9 @@ class TestNms:
     def test_round_trip(self):
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
         hs = nms(cloud, np.array([0.9, 0.8]), HotspotConfig(0.25))
-        back = json.loads(json.dumps(hotspots_to_dict(hs)))
+        back = json.loads(json.dumps(hotspots_to_dict(hs, 0.25)))
         assert back["version"] == "hotspots.v1"
-        assert back["radius"] == hs.radius
+        assert back["radius"] == 0.25
         assert back["items"] == [
             {"index": h.index, "position": h.position.tolist(),
-             "score": h.score} for h in hs.items]
+             "score": h.score} for h in hs]

@@ -8,8 +8,7 @@ import re
 import typing
 
 import scenekin
-from scenekin.config import PipelineConfig
-from scenekin.simworld import GenerationConfig
+from scenekin.config import PipelineConfig, config_to_dict
 
 SRC = pathlib.Path(scenekin.__file__).parent
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -97,10 +96,11 @@ def test_every_library_name_has_a_caller():
 
 
 def _defaulted_functions() -> dict:
-    """{key: (kind, name, positional parameters, defaulted parameters)} of
-    every function ("module.function"), method ("module.Class.method",
-    `self` dropped) and nested function ("module.outer.function") of the
-    package, with kind "function", "method" or "nested"."""
+    """{key: (kind, name, positional parameters, {defaulted parameter:
+    default expression})} of every function ("module.function"), method
+    ("module.Class.method", `self` dropped) and nested function
+    ("module.outer.function") of the package, with kind "function",
+    "method" or "nested"."""
     out = {}
 
     def visit(node, prefix, kind):
@@ -114,9 +114,11 @@ def _defaulted_functions() -> dict:
                              for d in child.decorator_list)
                 if kind == "method" and not static:
                     positional = positional[1:]
-                defaulted = positional[len(positional) - len(args.defaults):]
-                defaulted += [a.arg for a, d in zip(args.kwonlyargs,
-                                                    args.kw_defaults) if d]
+                defaulted = dict(zip(
+                    positional[len(positional) - len(args.defaults):],
+                    args.defaults))
+                defaulted |= {a.arg: d for a, d in zip(args.kwonlyargs,
+                                                       args.kw_defaults) if d}
                 key = f"{prefix}.{child.name}"
                 out[key] = (kind, child.name, positional, defaulted)
                 visit(child, key, "nested")
@@ -181,6 +183,97 @@ def test_every_parameter_default_is_used():
     assert DEFAULTS_ALLOWED <= defaults
 
 
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")
+
+
+def _readable(node, module: str, imported: dict) -> str | None:
+    """An argument's value as far as an AST scan can read it: the repr of
+    a literal, or "module.NAME" of a module constant; otherwise None."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        pass
+    if isinstance(node, ast.Name) and CONSTANT.match(node.id):
+        return f"{imported.get(node.id, module)}.{node.id}"
+    if (isinstance(node, ast.Attribute) and _owner(node)
+            and CONSTANT.match(node.attr)):
+        return f"{_owner(node)}.{node.attr}"
+    return None
+
+
+def _examples(test) -> dict:
+    """{parameter: [argument, ...]} of the `@example(...)` decorators of
+    a hypothesis test."""
+    names = [a.arg for a in test.args.args if a.arg != "self"]
+    out = {}
+    for d in test.decorator_list:
+        if isinstance(d, ast.Call) and getattr(d.func, "id", "") == "example":
+            for name, arg in [*zip(names, d.args),
+                              *((k.arg, k.value) for k in d.keywords)]:
+                out.setdefault(name, []).append(arg)
+    return out
+
+
+def test_no_parameter_gets_one_value():
+    """No parameter of a library function gets the same module constant
+    or literal at every call (two or more) in the package, its tests and
+    the benchmark harness: such a value is a constant beside its reader.
+
+    A call that leaves a parameter out passes its default. An argument the
+    scan cannot read (a variable, an attribute, an expression) is a value
+    of its own, except a parameter a hypothesis test draws for itself: the
+    test passes only what its `@example` decorators give, since the values
+    it draws sweep the function rather than choose a setting."""
+    functions = _defaulted_functions()
+    given = {}  # (function, parameter) -> values passed
+
+    def visit(node, module, imported, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, imported, child)
+                continue
+            visit(child, module, imported, enclosing)
+            if not isinstance(child, ast.Call) or any(
+                    isinstance(a, ast.Starred) for a in child.args):
+                continue
+            keywords = {k.arg: k.value for k in child.keywords}
+            for key in _callees(child, module if module in LIBRARY else None,
+                                imported, functions):
+                _, _, positional, defaulted = functions[key]
+                owner = key.split(".")[0]
+                for i, name in enumerate(positional):
+                    if i < len(child.args) or name in keywords:
+                        arg = (child.args[i] if i < len(child.args)
+                               else keywords[name])
+                        drawn = (isinstance(arg, ast.Name)
+                                 and enclosing is not None
+                                 and enclosing.name.startswith("test")
+                                 and arg.id in {a.arg for a in
+                                                enclosing.args.args})
+                        args = (_examples(enclosing).get(arg.id, [])
+                                if drawn else [arg])
+                        values = [_readable(a, module, imported) or a
+                                  for a in args]
+                    elif None in keywords:
+                        continue  # perhaps in **kwargs
+                    elif name in defaulted:
+                        values = [_readable(defaulted[name], owner,
+                                            _imported(LIBRARY[owner]))
+                                  or defaulted[name]]
+                    else:
+                        continue
+                    given.setdefault((key, name), []).extend(values)
+
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py"),
+                        *BENCH.glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        visit(tree, path.stem, _imported(tree), None)
+    one_value = sorted(f"{key}({name})"
+                       for (key, name), values in given.items()
+                       if len(values) >= 2 and len(set(values)) == 1)
+    assert one_value == []
+
+
 def _field_names(dc_type) -> set:
     """Field names of a config dataclass and of every section nested in it."""
     names = set()
@@ -241,35 +334,158 @@ def test_every_dataclass_field_is_read():
                   if name not in read) == []
 
 
+def _flatten(doc, path="") -> dict:
+    """{"section.key": value} of every leaf of a nested config document."""
+    out = {}
+    for name, value in doc.items():
+        if isinstance(value, dict):
+            out |= _flatten(value, f"{path}{name}.")
+        else:
+            out[path + name] = value
+    return out
 
-def _json_keys(doc) -> set:
-    """Every object key of a JSON document, at every level."""
-    if not isinstance(doc, dict):
-        return set()
-    return set(doc).union(*map(_json_keys, doc.values()))
+
+def _config_classes(dc_type=PipelineConfig, path="") -> dict:
+    """{class name: (section path, field names)} of PipelineConfig and of
+    every section nested in it."""
+    out = {dc_type.__name__: (path, [f.name for f in dataclasses.fields(
+        dc_type)])}
+    for name, hint in typing.get_type_hints(dc_type).items():
+        if dataclasses.is_dataclass(hint):
+            out |= _config_classes(hint, f"{path}{name}.")
+    return out
+
+
+CONFIG_CLASSES = _config_classes()
+DEFAULTS = _flatten(config_to_dict(PipelineConfig()))
+
+
+def _is_raises(node) -> bool:
+    """Whether `node` is a `pytest.raises(...)` or `raises(...)` call."""
+    func = getattr(node, "func", None)
+    return isinstance(func, (ast.Name, ast.Attribute)) and "raises" in (
+        getattr(func, "id", None), getattr(func, "attr", None))
+
+
+def _as_json(value):
+    """`value` with its tuples as lists, as a config document holds it."""
+    if isinstance(value, (tuple, list)):
+        return [_as_json(v) for v in value]
+    return value
+
+
+def _is_dict_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "dict")
+
+
+class _Setters(ast.NodeVisitor):
+    """The config keys a module sets, each as a path ("capture.voxel") or,
+    for a keyword of `replace`/`dc_replace`, whose target the scan cannot
+    type, as "*." plus the field name.
+
+    A key is set by a keyword or positional argument of its own config
+    class, a keyword of `replace`/`dc_replace`, or a string key of a dict
+    literal (or of a `dict(...)` call) at its path, where every dict is read
+    as a config document: its top-level keys are sections. A literal equal
+    to the key's default sets nothing, and nothing inside
+    `with pytest.raises(...)` counts."""
+
+    def __init__(self):
+        self.found = set()
+
+    def _set(self, path, value):
+        try:
+            literal = _as_json(ast.literal_eval(value))
+        except ValueError:
+            literal = None
+        if path.startswith("*."):
+            if all(literal != d for p, d in DEFAULTS.items()
+                   if p.rsplit(".", 1)[-1] == path[2:]):
+                self.found.add(path)
+        elif path not in DEFAULTS or literal != DEFAULTS[path]:
+            self.found.add(path)
+        self.visit(value)
+
+    def _keywords(self, keywords, path):
+        for k in keywords:
+            if k.arg:
+                self._entry(path + k.arg, k.value)
+            else:
+                self.visit(k.value)
+
+    def _document(self, node, path):
+        """Keys of a dict literal or `dict(...)` call at section `path`."""
+        if isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and isinstance(key.value,
+                                                                 str):
+                    self._entry(path + key.value, value)
+                else:
+                    self.visit(value)
+            return
+        for arg in node.args:
+            if isinstance(arg, ast.Dict):
+                self._document(arg, path)
+            else:
+                self.visit(arg)
+        self._keywords(node.keywords, path)
+
+    def _entry(self, path, value):
+        if isinstance(value, ast.Dict) or _is_dict_call(value):
+            self._document(value, path + ".")
+        else:
+            self._set(path, value)
+
+    def visit_With(self, node):
+        if not any(_is_raises(item.context_expr) for item in node.items):
+            self.generic_visit(node)
+
+    def visit_Dict(self, node):
+        self._document(node, "")
+
+    def visit_Call(self, node):
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name in CONFIG_CLASSES:
+            path, names = CONFIG_CLASSES[name]
+            for field, arg in zip(names, node.args):
+                self._entry(path + field, arg)
+            self._keywords(node.keywords, path)
+        elif name in ("replace", "dc_replace"):
+            for arg in node.args:
+                self.visit(arg)
+            for k in node.keywords:
+                if k.arg:
+                    self._set(f"*.{k.arg}", k.value)
+                else:
+                    self.visit(k.value)
+        elif _is_dict_call(node):
+            self._document(node, "")
+        else:
+            self.generic_visit(node)
 
 
 def test_every_config_key_has_a_setter():
-    """Every PipelineConfig key is set by name somewhere other than its
-    definition: as a keyword argument of a call or a string key of a dict
-    literal in the package, its tests or the benchmark harness, or as a key
-    of a JSON object in README.md. A setting no caller sets to another
-    value is a constant beside its reader, not a key.
+    """Every PipelineConfig key is set to another value than its default in
+    a config context (`_Setters`) somewhere in the package, its tests or the
+    benchmark harness, or at its path in a JSON object of README.md. A
+    setting no caller sets to another value is a constant beside its
+    reader, not a key.
 
     `generation` is exempt: it is the scene distribution, whose planned
     caller is ROADMAP item 7's robustness sweep over room sizes and
     cabinet density."""
-    set_by = set()
+    setters = _Setters()
     for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py"),
                         *BENCH.glob("*.py")]):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                set_by |= {k.arg for k in node.keywords if k.arg}
-            elif isinstance(node, ast.Dict):
-                set_by |= {k.value for k in node.keys
-                           if isinstance(k, ast.Constant)
-                           and isinstance(k.value, str)}
+        setters.visit(ast.parse(path.read_text()))
     for span in re.findall(r'`(\{".*?\})`', README.read_text()):
-        set_by |= _json_keys(json.loads(span))
-    keys = _field_names(PipelineConfig) - _field_names(GenerationConfig)
-    assert sorted(keys - set_by) == []
+        setters.found |= {key for key, value in
+                          _flatten(json.loads(span)).items()
+                          if DEFAULTS.get(key) != value}
+    set_by = {key for key in DEFAULTS
+              if key in setters.found
+              or f"*.{key.rsplit('.', 1)[-1]}" in setters.found}
+    assert sorted(key for key in set(DEFAULTS) - set_by
+                  if not key.startswith("generation.")) == []

@@ -26,8 +26,7 @@ from scenekin.simworld import (
 from conftest import TINY
 
 CONTACT = np.array([0.28, 0.0, 0.5])
-PULL = InteractionConfig().pull
-MOTION_EPS = InteractionConfig().motion_epsilon
+PULL = InteractionConfig().pull.total
 
 
 def narrow_drawer_scene():
@@ -49,7 +48,7 @@ def narrow_drawer_scene():
 
 
 def _pull(scene, direction):
-    return interact(scene, CONTACT, direction, PULL, MOTION_EPS)
+    return interact(scene, CONTACT, direction, PULL)
 
 
 def test_probe_returns_the_pull_that_moved():
@@ -60,8 +59,8 @@ def test_probe_returns_the_pull_that_moved():
     contact = np.array([0.27, -0.28, 0.5])
     normal = np.array([0.0, -1.0, 0.0])
     backward, left, right = canonical_pull_directions(normal)
-    assert not interact(scene, contact, backward, PULL, MOTION_EPS)[0].engaged
-    stuck, _ = interact(scene, contact, left, PULL, MOTION_EPS)
+    assert not interact(scene, contact, backward, PULL)[0].engaged
+    stuck, _ = interact(scene, contact, left, PULL)
     assert stuck.engaged and not stuck.success and stuck.delta_state == 0.0
 
     outcome, after = probe(scene, contact, normal, InteractionConfig())
@@ -180,12 +179,11 @@ def _sha256(*arrays):
 
 @pytest.fixture(scope="module")
 def survey_room():
-    """(cloud, capture config) of the room survey that
-    `test_survey_bytes_are_pinned` pins: the ring capture of the default
-    room of scene seed 1 at 64x48."""
-    config = sensing.CaptureConfig(resolution=(64, 48))
+    """The cloud of the room survey that `test_survey_bytes_are_pinned`
+    pins: the ring capture of the default room of scene seed 1 at 64x48."""
     return sensing.capture_scene_cloud(
-        generate_scene(1, GenerationConfig()), config, None), config
+        generate_scene(1, GenerationConfig()),
+        sensing.CaptureConfig(resolution=(64, 48)), None)
 
 
 def test_survey_bytes_are_pinned(survey_room):
@@ -197,10 +195,9 @@ def test_survey_bytes_are_pinned(survey_room):
     distances. Recorded with numpy
     2.4 and SciPy 1.17; another LAPACK build may round the eigenvalues
     differently."""
-    cloud, config = survey_room
+    cloud = survey_room
     feats = affordance.complete(
-        affordance.extract_features(cloud, affordance.AffordanceConfig(),
-                                    config.voxel),
+        affordance.extract_features(cloud, affordance.AffordanceConfig()),
         cloud, np.arange(len(cloud)))
     assert len(cloud) == 43901
     assert _sha256(cloud.positions, cloud.colors, cloud.part_ids,
@@ -217,12 +214,11 @@ def test_survey_features_stay_small(survey_room):
     and an (N, 12) sums array read 464 B per point; sums per block of
     centres read about 235. SciPy's `query_pairs` buffer is invisible to
     `tracemalloc`, so the pair array itself is not counted."""
-    cloud, config = survey_room
+    cloud = survey_room
     cloud.tree
     tracemalloc.start()
     try:
-        affordance.extract_features(cloud, affordance.AffordanceConfig(),
-                                    config.voxel)
+        affordance.extract_features(cloud, affordance.AffordanceConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -18,12 +18,15 @@ from scenekin.refine import (
     part_affordance,
     refine_loop,
 )
-from scenekin.sensing import CameraPose, CaptureConfig, raycast_capture
+from scenekin.sensing import (
+    MAX_RANGE,
+    CameraPose,
+    CaptureConfig,
+    raycast_capture,
+)
 from scenekin.simworld import (
-    GRIPPER_RADIUS,
     GenerationConfig,
     InteractionConfig,
-    PullBudget,
     generate_scene,
     surface_normal,
 )
@@ -56,7 +59,7 @@ class TestPartAffordance:
                                rng.uniform(0.6, 1.4, 60)])
         cloud = PointCloud(pts)
         seg = PartSegmentation(np.ones(60, bool), np.ones(60, bool))
-        plan = part_affordance(joint, seg, cloud, scene, GRIPPER_RADIUS)
+        plan = part_affordance(joint, seg, cloud, scene)
         dists = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
         assert np.allclose(plan.hotspot, pts[np.argmax(dists)])
 
@@ -67,7 +70,7 @@ class TestPartAffordance:
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         # place a panel surface near the point so clearance sees a normal
         seg = PartSegmentation(np.array([True]), np.array([True]))
-        plan = part_affordance(joint, seg, cloud, scene, GRIPPER_RADIUS)
+        plan = part_affordance(joint, seg, cloud, scene)
         lever = plan.hotspot - np.array([0.0, 0.0, plan.hotspot[2]])
         d = plan.force_direction
         np.testing.assert_allclose(d, [0.0, 1.0, 0.0], atol=1e-9)
@@ -77,7 +80,7 @@ class TestPartAffordance:
         joint = JointModel("revolute", [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], -0.4)
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         seg = PartSegmentation(np.array([True]), np.array([True]))
-        plan = part_affordance(joint, seg, cloud, scene, GRIPPER_RADIUS)
+        plan = part_affordance(joint, seg, cloud, scene)
         np.testing.assert_allclose(plan.force_direction, [0.0, -1.0, 0.0],
                                    atol=1e-9)
 
@@ -93,7 +96,7 @@ class TestPartAffordance:
             pts = rng.uniform(-1, 1, size=(20, 3)) + np.array([2.0, 0.0, 1.0])
             cloud = PointCloud(pts)
             seg = PartSegmentation(np.ones(20, bool), np.ones(20, bool))
-            plan = part_affordance(joint, seg, cloud, scene, GRIPPER_RADIUS)
+            plan = part_affordance(joint, seg, cloud, scene)
             r = plan.hotspot - (joint.pivot + np.dot(plan.hotspot - joint.pivot,
                                                      joint.axis) * joint.axis)
             assert abs(np.dot(plan.force_direction, joint.axis)) < 1e-9
@@ -106,7 +109,7 @@ class TestPartAffordance:
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         seg = PartSegmentation(np.array([True]), np.array([True]))
         with pytest.raises(ValidationError):
-            part_affordance(joint, seg, cloud, scene, GRIPPER_RADIUS)
+            part_affordance(joint, seg, cloud, scene)
 
     def test_no_mobile_point_raises(self):
         scene = free_space_scene()
@@ -114,7 +117,7 @@ class TestPartAffordance:
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         seg = PartSegmentation(np.array([False]), np.array([False]))
         with pytest.raises(RefinementUnavailable):
-            part_affordance(joint, seg, cloud, scene, GRIPPER_RADIUS)
+            part_affordance(joint, seg, cloud, scene)
 
 
 class TestFreeSpaceEvidence:
@@ -125,7 +128,7 @@ class TestFreeSpaceEvidence:
         from scenekin.artinfer import ObservationPair
         cam = CameraPose([0.3, 1.0, 1.0], [0.3, 0.0, 1.0], vfov_deg=60.0,
                          resolution=(40, 30))
-        before = raycast_capture(free_space_scene(), cam, CAPTURE.max_range,
+        before = raycast_capture(free_space_scene(), cam, MAX_RANGE,
                                  CAPTURE.noise_sigma, None)
         after = before
         if revealed:
@@ -183,7 +186,7 @@ def open_door_slightly(seed, noise=0.0):
     rng = np.random.default_rng(900 + seed)
     obs, outcome, scene2 = observe_interaction(
         scene, contact, direction, capture_config=cap,
-        budget=PullBudget(total=1.0), rng=rng)
+        total=1.0, rng=rng)
     return scene2, obs, outcome, gt, cap, rng
 
 

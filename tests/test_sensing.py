@@ -15,6 +15,9 @@ from scenekin.geom import (
     rotation_from_angle_axis,
 )
 from scenekin.sensing import (
+    CROP_RADIUS,
+    MAX_RANGE,
+    VOXEL,
     CameraPose,
     CaptureConfig,
     capture_object_views,
@@ -36,7 +39,7 @@ from scenekin.simworld import (
 )
 
 BIG_BOUNDS = (np.array([-10.0, -10.0, -10.0]), np.array([10.0, 10.0, 10.0]))
-MAX_RANGE, NOISE = CaptureConfig().max_range, CaptureConfig().noise_sigma
+NOISE = CaptureConfig().noise_sigma
 
 
 def single_box_scene(center, half, kind="static_body"):
@@ -390,9 +393,9 @@ class TestSceneCloud:
 
     def test_voxel_uniqueness(self):
         scene = generate_scene(4, GenerationConfig(1, 1, 1))
-        config = CaptureConfig(resolution=(80, 60), voxel=0.02)
-        cloud = capture_scene_cloud(scene, config, None)
-        keys = np.floor(cloud.positions / config.voxel).astype(np.int64)
+        cloud = capture_scene_cloud(
+            scene, CaptureConfig(resolution=(80, 60)), None)
+        keys = np.floor(cloud.positions / VOXEL).astype(np.int64)
         assert len(np.unique(keys, axis=0)) == len(cloud)
 
     def test_fusion_order_independent(self):
@@ -401,8 +404,8 @@ class TestSceneCloud:
         poses = ring_poses(scene, config)
         captures = [raycast_capture(scene, p, MAX_RANGE, NOISE, None)
                     for p in poses]
-        a = _voxel_downsample(fuse_clouds(captures), config.voxel)
-        b = _voxel_downsample(fuse_clouds(captures[::-1]), config.voxel)
+        a = _voxel_downsample(fuse_clouds(captures), VOXEL)
+        b = _voxel_downsample(fuse_clouds(captures[::-1]), VOXEL)
         np.testing.assert_array_equal(a.point_ids, b.point_ids)
         np.testing.assert_array_equal(a.positions, b.positions)
 
@@ -468,10 +471,11 @@ class TestObjectViews:
     def test_crop_radius_enforced(self):
         scene = self._cabinet_scene()
         focus = np.array([0.0, 0.28, 0.8])
-        config = CaptureConfig(resolution=(80, 60), crop_radius=1.2)
+        config = CaptureConfig(resolution=(80, 60))
         cloud = capture_object_views(scene, focus, config, None)
         assert len(cloud) > 100
-        assert np.linalg.norm(cloud.positions - focus, axis=1).max() <= 1.2
+        assert np.linalg.norm(cloud.positions - focus,
+                              axis=1).max() <= CROP_RADIUS
 
     def test_pose_reuse_is_stable(self):
         scene = self._cabinet_scene()

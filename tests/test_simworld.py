@@ -19,8 +19,9 @@ from scenekin.simworld import (
     GenerationConfig,
     GroundTruthJoint,
     InteractionConfig,
+    PULL_ALIGN_MIN,
+    PULL_STEP,
     PartGeometry,
-    PullBudget,
     SceneSpec,
     boxes_interpenetrate,
     canonical_pull_directions,
@@ -36,8 +37,7 @@ from scenekin.simworld import (
     surface_normal,
 )
 
-PULL = InteractionConfig().pull
-MOTION_EPS = InteractionConfig().motion_epsilon
+PULL = InteractionConfig().pull.total
 
 
 def make_drawer_scene(travel=0.3, a_min=0.5):
@@ -168,8 +168,7 @@ class TestInteract:
     def test_drawer_limit_clamped(self):
         scene = make_drawer_scene(travel=0.3)
         contact = np.array([0.28, 0.0, 0.5])
-        outcome, new_scene = interact(scene, contact, [1.0, 0.0, 0.0],
-                                      PullBudget(total=0.4), MOTION_EPS)
+        outcome, new_scene = interact(scene, contact, [1.0, 0.0, 0.0], 0.4)
         assert outcome.success
         assert outcome.delta_state == pytest.approx(0.3, abs=1e-12)
         assert new_scene.joints[0][1].state == pytest.approx(0.3, abs=1e-12)
@@ -179,53 +178,48 @@ class TestInteract:
     def test_near_hinge_engagement_failure(self):
         scene = make_door_scene(rho_min=0.05)
         contact = np.array([-0.59, 0.01, 1.0])  # 0.01 m from the hinge line
-        outcome, same = interact(scene, contact, [0.0, 1.0, 0.0], PULL,
-                                 MOTION_EPS)
+        outcome, same = interact(scene, contact, [0.0, 1.0, 0.0], PULL)
         assert not outcome.success
         assert outcome.delta_state == 0.0
         assert same is scene
 
     def test_alignment_stop_at_60_degrees(self):
-        # pull along the initial tangent with a large budget: the stepping
-        # model must stop when the tangent has rotated to acos(align_min)
+        # pull along the initial tangent with a long pull: the stepping
+        # model must stop when the tangent has rotated to
+        # acos(PULL_ALIGN_MIN)
         scene = make_door_scene(width=1.2, max_angle=3.0)
         contact = np.array([0.5, 0.011, 1.0])  # r ~ 1.1 m from hinge at x=-0.6
-        outcome, _ = interact(scene, contact, [0.0, 1.0, 0.0],
-                              PullBudget(step=0.01, total=3.0, align_min=0.5),
-                              MOTION_EPS)
+        outcome, _ = interact(scene, contact, [0.0, 1.0, 0.0], 3.0)
         assert outcome.success
         assert np.degrees(outcome.delta_state) == pytest.approx(60.0, abs=2.0)
 
     def test_right_hinged_door_opens_negative(self):
         scene = make_door_scene(hinge_left=False)
         contact = np.array([-0.5, 0.011, 1.0])
-        outcome, _ = interact(scene, contact, [0.0, 1.0, 0.0],
-                              PullBudget(total=0.5), MOTION_EPS)
+        outcome, _ = interact(scene, contact, [0.0, 1.0, 0.0], 0.5)
         assert outcome.success
         assert outcome.delta_state < -0.1
 
     def test_static_part_fails(self):
         scene = make_drawer_scene()
         outcome, _ = interact(scene, [ -0.25, 0.0, 0.5], [-1.0, 0.0, 0.0],
-                              PULL, MOTION_EPS)
+                              PULL)
         assert not outcome.success
         assert outcome.moved_joint is None
 
     def test_off_surface_rejected(self):
         scene = make_drawer_scene()
         with pytest.raises(PreconditionError):
-            interact(scene, [2.0, 2.0, 2.0], [1.0, 0.0, 0.0], PULL, MOTION_EPS)
+            interact(scene, [2.0, 2.0, 2.0], [1.0, 0.0, 0.0], PULL)
 
     def test_zero_direction_rejected(self):
         scene = make_drawer_scene()
         with pytest.raises(ValidationError):
-            interact(scene, [0.28, 0.0, 0.5], [0.0, 0.0, 0.0], PULL,
-                     MOTION_EPS)
+            interact(scene, [0.28, 0.0, 0.5], [0.0, 0.0, 0.0], PULL)
 
     def test_lateral_pull_on_drawer_fails(self):
         scene = make_drawer_scene()
-        outcome, _ = interact(scene, [0.28, 0.0, 0.5], [0.0, 1.0, 0.0], PULL,
-                              MOTION_EPS)
+        outcome, _ = interact(scene, [0.28, 0.0, 0.5], [0.0, 1.0, 0.0], PULL)
         assert not outcome.success
 
     def test_only_touched_joint_moves(self):
@@ -238,7 +232,7 @@ class TestInteract:
         contact = panel.center + face_normal_ref(
             panel, panel.center + panel.rotation[:, 1]) * panel.half_extents[1]
         normal = surface_normal(scene, contact)
-        outcome, new_scene = interact(scene, contact, normal, PULL, MOTION_EPS)
+        outcome, new_scene = interact(scene, contact, normal, PULL)
         assert outcome.success and outcome.moved_joint == drawer_joint
         for j, (_, gt) in enumerate(new_scene.joints):
             if j != drawer_joint:
@@ -249,16 +243,14 @@ class TestInteract:
         contact = np.array([0.6, 0.011, 1.0])
         prev = 0.0
         for total in (0.1, 0.2, 0.4, 0.8, 1.6):
-            outcome, _ = interact(scene, contact, [0.0, 1.0, 0.0],
-                                  PullBudget(total=total), MOTION_EPS)
+            outcome, _ = interact(scene, contact, [0.0, 1.0, 0.0], total)
             assert abs(outcome.delta_state) >= prev - 1e-12
             prev = abs(outcome.delta_state)
 
     def test_radius_preserved_for_revolute(self):
         scene = make_door_scene()
         contact = np.array([0.4, 0.011, 1.3])
-        outcome, _ = interact(scene, contact, [0.0, 1.0, 0.0],
-                              PullBudget(total=0.6), MOTION_EPS)
+        outcome, _ = interact(scene, contact, [0.0, 1.0, 0.0], 0.6)
         assert outcome.success
         hinge = np.array([-0.6, 0.0, 0.0])
         axis = np.array([0.0, 0.0, 1.0])
@@ -271,15 +263,15 @@ class TestInteract:
     def test_deterministic(self):
         scene = make_door_scene()
         contact = np.array([0.4, 0.011, 1.0])
-        o1, s1 = interact(scene, contact, [0.0, 1.0, 0.0], PULL, MOTION_EPS)
-        o2, s2 = interact(scene, contact, [0.0, 1.0, 0.0], PULL, MOTION_EPS)
+        o1, s1 = interact(scene, contact, [0.0, 1.0, 0.0], PULL)
+        o2, s2 = interact(scene, contact, [0.0, 1.0, 0.0], PULL)
         assert o1.success == o2.success
         assert o1.delta_state == o2.delta_state
         assert np.array_equal(o1.final_contact, o2.final_contact)
         assert s1.joints[0][1].state == s2.joints[0][1].state
 
 
-def revolute_pull_ref(joint, contact, direction, budget):
+def revolute_pull_ref(joint, contact, direction, total):
     """(final contact, delta) of an engaged revolute pull that moves the
     contact by `RigidTransform.from_rotation_about_line` at every step."""
     u, pivot = joint.axis, joint.pivot
@@ -291,13 +283,13 @@ def revolute_pull_ref(joint, contact, direction, budget):
         > 0 else -1.0
     lo, hi = joint.limits
     theta, p = joint.state, contact.copy()
-    for _ in range(int(math.floor(budget.total / budget.step + 1e-9))):
+    for _ in range(int(math.floor(total / PULL_STEP + 1e-9))):
         axis_pt = pivot + np.dot(p - pivot, u) * u
         r_vec = p - axis_pt
         align = float(np.dot(d, np.cross(u, r_vec / np.linalg.norm(r_vec))))
-        if sigma * align <= budget.align_min:
+        if sigma * align <= PULL_ALIGN_MIN:
             break
-        new_theta = min(max(theta + budget.step * align / r, lo), hi)
+        new_theta = min(max(theta + PULL_STEP * align / r, lo), hi)
         actual = new_theta - theta
         if abs(actual) < 1e-15:
             break
@@ -328,11 +320,10 @@ class TestRevoluteSteps:
         scene = SceneSpec((panel,), ((0, joint),), BIG_BOUNDS, 0)
         contact = scene.part_world(0).to_world(np.array([x, 0.01, z]))
         direction = data.draw(_UNIT)
-        budget = PullBudget(total=total)
-        outcome, _ = interact(scene, contact, direction, budget, MOTION_EPS)
+        outcome, _ = interact(scene, contact, direction, total)
         if not outcome.engaged:
             return
-        final, delta = revolute_pull_ref(joint, contact, direction, budget)
+        final, delta = revolute_pull_ref(joint, contact, direction, total)
         assert np.float64(outcome.delta_state).tobytes() == \
             np.float64(delta).tobytes()
         if outcome.success:
@@ -348,7 +339,7 @@ class TestWorldParts:
         scene = make_drawer_scene(travel=0.3)
         closed = scene.world_parts()
         outcome, pulled = interact(scene, [0.28, 0.0, 0.5], [1.0, 0.0, 0.0],
-                                   PullBudget(total=0.4), MOTION_EPS)
+                                   0.4)
         assert outcome.success
         np.testing.assert_allclose(pulled.world_parts()[1].center,
                                    closed[1].center + [0.3, 0.0, 0.0],
