@@ -610,7 +610,9 @@ def load_model(path) -> AffordanceModel:
         if key not in doc:
             raise ValidationError(f"model file {path} is malformed: no key "
                                   f"{key!r}")
-    hidden = int(doc["hidden"])
+    hidden = doc["hidden"]
+    if isinstance(hidden, bool) or not isinstance(hidden, int):
+        raise ValidationError(f"model file {path}: hidden must be an integer")
     if hidden < 1 or doc["w1"] is None:
         raise ValidationError(
             f"model file {path} needs a hidden layer of width >= 1")

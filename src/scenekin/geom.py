@@ -176,15 +176,15 @@ class RigidTransform:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Immutable point set with optional per-point color, part label, and identity.
+    """Immutable point set with optional per-point color and identity.
 
-    ``part_ids`` are oracle labels from the simulator; ``point_ids`` are stable
-    surface-patch identities (simulation oracle only) and must be unique.
+    ``point_ids`` are stable surface-patch identities (simulation oracle
+    only) and must be unique; `sensing.id_parts` reads the part each one
+    lies on.
     """
 
     positions: np.ndarray
     colors: np.ndarray | None = None
-    part_ids: np.ndarray | None = None
     point_ids: np.ndarray | None = None
 
     def __post_init__(self):
@@ -198,11 +198,6 @@ class PointCloud:
             if col.shape != (n, 3):
                 raise ValidationError("colors must align with positions")
             object.__setattr__(self, "colors", col)
-        if self.part_ids is not None:
-            pid = np.asarray(self.part_ids, dtype=np.int64)
-            if pid.shape != (n,):
-                raise ValidationError("part_ids must align with positions")
-            object.__setattr__(self, "part_ids", pid)
         if self.point_ids is not None:
             ids = np.asarray(self.point_ids, dtype=np.int64)
             if ids.shape != (n,):
@@ -251,7 +246,6 @@ class PointCloud:
         return PointCloud(
             positions=self.positions[index],
             colors=None if self.colors is None else self.colors[index],
-            part_ids=None if self.part_ids is None else self.part_ids[index],
             point_ids=None if self.point_ids is None else self.point_ids[index],
         )
 
@@ -404,7 +398,8 @@ def line_to_line_distance(origin_a, dir_a, origin_b, dir_b) -> float:
 # Cloud serialization, binary little-endian layout:
 #   magic  b"SKPC", u16 version (=1), u16 flags, u64 count,
 #   f64 positions [N*3], then per flag bit: f64 colors [N*3] (bit 0),
-#   i64 part_ids [N] (bit 1), i64 point_ids [N] (bit 2).
+#   i64 point_ids [N] (bit 2). Bit 1 marked per-point part ids, which clouds
+#   no longer carry; a file with it set is refused.
 # ---------------------------------------------------------------------------
 
 _BIN_MAGIC = b"SKPC"
@@ -415,8 +410,6 @@ def save_cloud_binary(cloud: PointCloud, path) -> None:
     flags = 0
     if cloud.colors is not None:
         flags |= _FLAG_COLORS
-    if cloud.part_ids is not None:
-        flags |= _FLAG_PARTS
     if cloud.point_ids is not None:
         flags |= _FLAG_IDS
     with open(path, "wb") as fh:
@@ -425,8 +418,6 @@ def save_cloud_binary(cloud: PointCloud, path) -> None:
         fh.write(cloud.positions.astype("<f8").tobytes())
         if cloud.colors is not None:
             fh.write(cloud.colors.astype("<f8").tobytes())
-        if cloud.part_ids is not None:
-            fh.write(cloud.part_ids.astype("<i8").tobytes())
         if cloud.point_ids is not None:
             fh.write(cloud.point_ids.astype("<i8").tobytes())
 
@@ -434,8 +425,9 @@ def save_cloud_binary(cloud: PointCloud, path) -> None:
 def load_cloud_binary(path) -> PointCloud:
     """Read a cloud written by `save_cloud_binary`.
 
-    Raises ValidationError when the magic, version or flags are unknown or
-    the file length differs from the one its header implies.
+    Raises ValidationError when the magic, version or flags are unknown,
+    when the file holds part ids (flag bit 1, written before clouds dropped
+    them), or when the file length differs from the one its header implies.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -450,11 +442,13 @@ def load_cloud_binary(path) -> PointCloud:
         raise ValidationError(f"unsupported cloud file version {version}")
     if flags & ~(_FLAG_COLORS | _FLAG_PARTS | _FLAG_IDS):
         raise ValidationError(f"unknown cloud file flags {flags:#x}")
+    if flags & _FLAG_PARTS:
+        raise ValidationError(f"cloud file {path} holds part ids, a field "
+                              "clouds no longer carry; re-run collect to "
+                              "rewrite it")
     fields = [("positions", "<f8", (n, 3))]
     if flags & _FLAG_COLORS:
         fields.append(("colors", "<f8", (n, 3)))
-    if flags & _FLAG_PARTS:
-        fields.append(("part_ids", "<i8", (n,)))
     if flags & _FLAG_IDS:
         fields.append(("point_ids", "<i8", (n,)))
     expected = 16 + sum(8 * math.prod(shape) for _, _, shape in fields)

@@ -51,9 +51,16 @@ def _read_json(path) -> dict:
             raise ArtifactError(f"{path} is not valid JSON: {e}") from e
 
 
+# the keys that readers take from each scene entry of a manifest, by version
+_ENTRY_KEYS = {"scene_manifest.v1": ("file", "seed"),
+               "collect_manifest.v1": ("cloud", "labels"),
+               "run_manifest.v1": ("inference",)}
+
+
 def _read_manifest(directory, version: str) -> dict:
     """The manifest.json of a stage's output directory: one of another
-    `version`, or without `scenes`, is an ArtifactError."""
+    `version`, without `scenes`, or with a scene entry that lacks a key of
+    `_ENTRY_KEYS`, is an ArtifactError."""
     path = os.path.join(directory, "manifest.json")
     if not os.path.isfile(path):
         raise ArtifactError(f"no manifest.json in {directory}")
@@ -66,6 +73,12 @@ def _read_manifest(directory, version: str) -> dict:
     if "scenes" not in manifest:
         raise ArtifactError(f"manifest.json in {directory} is malformed: no "
                             "key 'scenes'")
+    for entry in manifest["scenes"]:
+        missing = [k for k in _ENTRY_KEYS[version] if k not in entry]
+        # a collect entry names its files only when its status is "ok"
+        if missing and entry.get("status", "ok") == "ok":
+            raise ArtifactError(f"manifest.json in {directory} is malformed: "
+                                f"a scene entry has no key {missing[0]!r}")
     return manifest
 
 
@@ -181,8 +194,12 @@ def train_model(config: PipelineConfig, dataset_dir, out_dir) -> dict:
             continue
         cloud = load_cloud_binary(os.path.join(dataset_dir, entry["cloud"]))
         labels_path = os.path.join(dataset_dir, entry["labels"])
+        doc = _read_json(labels_path)
+        if not isinstance(doc, dict):
+            raise ValidationError(f"labels file {labels_path} is not a JSON "
+                                  "object")
         try:
-            labels = affordance.labels_from_dict(_read_json(labels_path))
+            labels = affordance.labels_from_dict(doc)
         except KeyError as e:
             raise ArtifactError(f"labels file {labels_path} is malformed: "
                                 f"no key {e}") from e
@@ -213,12 +230,12 @@ def train_model(config: PipelineConfig, dataset_dir, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 
 def _segmentation_iou_vs_oracle(obs, seg, part_index: int) -> float | None:
-    if obs.before.part_ids is None or obs.after.part_ids is None:
+    if obs.before.point_ids is None or obs.after.point_ids is None:
         return None
     vals = []
     for mask, cloud in ((seg.mobile_mask_before, obs.before),
                         (seg.mobile_mask_after, obs.after)):
-        gt = cloud.part_ids == part_index
+        gt = sensing.id_parts(cloud.point_ids) == part_index
         vals.append(evalkit.segmentation_iou(mask, gt))
     return float(np.mean(vals))
 

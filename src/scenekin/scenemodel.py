@@ -1,42 +1,34 @@
-"""Scene-level articulation model: aggregation and export.
+"""Scene-level articulation model: one entry per inferred articulation, and
+its export.
 
-Per-interaction joint estimates are merged into one entry per physical part.
-Two estimates merge when they describe the same joint (same type, axes within
-an angular threshold and, for hinges, nearby axis lines) on overlapping mobile
-geometry; the most-opened estimate wins the merged entry.
+The loop infers at most one articulation per probed hotspot, and each
+becomes its own entry, in hotspot order. Estimates are not merged: a probe
+reaches a part that an earlier probe of the scene moved only rarely, and
+none of those measured moved the part again, so no two estimates of one
+scene have described the same motion.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
-from .artinfer import REVOLUTE, JointModel
+from .artinfer import JointModel
 from .errors import ValidationError
-from .geom import PointCloud, line_to_line_distance, save_cloud_binary
-
-
-# the merge thresholds of `aggregate`
-MERGE_ANGLE_DEG = 10.0
-MERGE_LINE_DIST = 0.05
-MERGE_IOU = 0.3
-IOU_VOXEL = 0.05
+from .geom import PointCloud, save_cloud_binary
 
 
 @dataclass(frozen=True)
 class ModelEntry:
-    """One articulated part: joint, mobile geometry, provenance, agreement."""
+    """One articulated part: joint, mobile geometry, source hotspot. An
+    entry's id is its index in the model."""
 
-    entry_id: int
     joint: JointModel
     mobile_points: np.ndarray
-    hotspot_ids: tuple[int, ...]
-    confidence: float
+    hotspot_id: int
 
 
 @dataclass(frozen=True)
@@ -64,125 +56,52 @@ def fit_oriented_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return center, half, axes
 
 
-def _voxel_keys(points: np.ndarray, voxel: float) -> set:
-    idx = np.floor(np.asarray(points) / voxel).astype(np.int64)
-    return set(map(tuple, idx))
-
-
-def _cloud_iou(keys_a: set, keys_b: set) -> float:
-    union = len(keys_a | keys_b)
-    if union == 0:
-        return 1.0
-    return len(keys_a & keys_b) / union
-
-
-def _axis_angle_deg(u: np.ndarray, v: np.ndarray) -> float:
-    c = min(abs(float(np.dot(u, v))), 1.0)
-    return math.degrees(math.acos(c))
-
-
-def _joints_compatible(a: JointModel, b: JointModel, angle_deg: float,
-                       line_dist: float) -> bool:
-    if a.kind != b.kind:
-        return False
-    if _axis_angle_deg(a.axis, b.axis) >= angle_deg:
-        return False
-    if a.kind == REVOLUTE:
-        if line_to_line_distance(a.pivot, a.axis, b.pivot, b.axis) >= line_dist:
-            return False
-    return True
-
-
 def aggregate(estimates: list[tuple[JointModel, np.ndarray, int]]
               ) -> SceneArticulationModel:
-    """Merge per-interaction estimates into one entry per articulated part.
+    """One entry per estimate, in the order of their hotspots.
 
     `estimates` holds (joint, mobile point set, source hotspot id) triples.
-    Estimates whose mobile clouds overlap (IoU > `MERGE_IOU` over voxels of
-    `IOU_VOXEL`) touch the same part; among those, joint-compatible ones
-    (axes within `MERGE_ANGLE_DEG`, hinge lines within `MERGE_LINE_DIST`)
-    merge into one entry keeping the largest-|state| observation.
-    Confidence is the fraction of same-part estimates that agree with the
-    entry.
     """
-    n = len(estimates)
-    if n == 0:
-        return SceneArticulationModel(())
-    keys = [_voxel_keys(pts, IOU_VOXEL) for _, pts, _ in estimates]
-    overlap = np.zeros((n, n), dtype=bool)
-    mergeable = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _cloud_iou(keys[i], keys[j]) > MERGE_IOU:
-                overlap[i, j] = overlap[j, i] = True
-                if _joints_compatible(estimates[i][0], estimates[j][0],
-                                      MERGE_ANGLE_DEG, MERGE_LINE_DIST):
-                    mergeable[i, j] = mergeable[j, i] = True
-
-    # components are numbered in order of their lowest estimate index
-    _, part_of = connected_components(overlap, directed=False)
-    part_size = np.bincount(part_of)
-    n_groups, merge_of = connected_components(mergeable, directed=False)
-
-    entries = []
-    for g in range(n_groups):
-        group = np.flatnonzero(merge_of == g)
-        winner = min(group, key=lambda k: (-abs(estimates[k][0].state),
-                                           estimates[k][2]))
-        joint, pts, _ = estimates[winner]
-        hotspots = tuple(sorted(estimates[k][2] for k in group))
-        denom = int(part_size[part_of[winner]])
-        entries.append((hotspots[0], ModelEntry(
-            entry_id=-1, joint=joint, mobile_points=np.asarray(pts, dtype=np.float64),
-            hotspot_ids=hotspots, confidence=len(group) / denom)))
-    entries.sort(key=lambda t: t[0])
-    final = tuple(replace(e, entry_id=i) for i, (_, e) in enumerate(entries))
-    return SceneArticulationModel(final)
+    return SceneArticulationModel(tuple(
+        ModelEntry(joint, np.asarray(pts, dtype=np.float64), hid)
+        for joint, pts, hid in sorted(estimates, key=lambda e: e[2])))
 
 
 # ---------------------------------------------------------------------------
-# Export / import (scene_model.v1)
+# Export (scene_model.v1)
 # ---------------------------------------------------------------------------
 
-def model_to_dict(model: SceneArticulationModel, points_files: dict[int, str]
-                  ) -> dict:
-    """scene_model.v1 document; each entry's box is `fit_oriented_box` of its
-    mobile points."""
+def export_model(model: SceneArticulationModel, path) -> None:
+    """Write the scene_model.v1 JSON plus one sidecar cloud file per entry.
+
+    Entry k has id k, and its box is `fit_oriented_box` of its mobile
+    points."""
+    path = str(path)
+    stem = os.path.splitext(os.path.basename(path))[0]
+    out_dir = os.path.dirname(path) or "."
     entries = []
-    for e in model.entries:
+    for k, e in enumerate(model.entries):
+        points_file = f"{stem}_entry{k}_points.xyzb"
+        save_cloud_binary(PointCloud(e.mobile_points),
+                          os.path.join(out_dir, points_file))
         c, h, r = fit_oriented_box(e.mobile_points)
-        box = {"center": c.tolist(), "half_extents": h.tolist(),
-               "rotation_3x3": r.reshape(-1).tolist()}
         entries.append({
-            "id": int(e.entry_id),
+            "id": k,
             "type": e.joint.kind,
             "axis": e.joint.axis.tolist(),
             "pivot": None if e.joint.pivot is None else e.joint.pivot.tolist(),
             "state": float(e.joint.state),
-            "mobile_box": box,
-            "mobile_points_file": points_files[e.entry_id],
-            "hotspots": [int(h) for h in e.hotspot_ids],
-            "confidence": float(e.confidence),
+            "mobile_box": {"center": c.tolist(), "half_extents": h.tolist(),
+                           "rotation_3x3": r.reshape(-1).tolist()},
+            "mobile_points_file": points_file,
+            # one hotspot and full confidence per entry: fields of
+            # scene_model.v1, a version string the benchmark's checks pin,
+            # so they go when the version next changes
+            "hotspots": [int(e.hotspot_id)],
+            "confidence": 1.0,
         })
-    return {
-        "version": "scene_model.v1",
-        "scene_seed": model.scene_seed,
-        "config_hash": model.config_hash,
-        "entries": entries,
-    }
-
-
-def export_model(model: SceneArticulationModel, path) -> None:
-    """Write the model JSON plus one sidecar cloud file per entry."""
-    path = str(path)
-    stem = os.path.splitext(os.path.basename(path))[0]
-    out_dir = os.path.dirname(path) or "."
-    points_files = {}
-    for e in model.entries:
-        fname = f"{stem}_entry{e.entry_id}_points.xyzb"
-        save_cloud_binary(PointCloud(e.mobile_points),
-                          os.path.join(out_dir, fname))
-        points_files[e.entry_id] = fname
+    doc = {"version": "scene_model.v1", "scene_seed": model.scene_seed,
+           "config_hash": model.config_hash, "entries": entries}
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model, points_files), fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -2,11 +2,12 @@
 around a contact point.
 
 Every returned point is an exact ray/box intersection (plus optional Gaussian
-noise along the ray) and carries the hit part's color and index together with
-a stable point id derived from the quantized surface coordinate in the part's
-local frame. Because the id is local to the part, the same physical surface
-patch keeps its identity when the part moves, which gives downstream code an
-oracle correspondence channel that survives articulation.
+noise along the ray) and carries the hit part's color together with a
+stable point id that packs the part's index and the quantized surface
+coordinate in the part's local frame (`id_parts` reads the index back).
+Because the id is local to the part, the same physical surface patch keeps
+its identity when the part moves, which gives downstream code an oracle
+correspondence channel that survives articulation.
 
 A capture first drops every box that lies wholly outside one side plane of
 the camera's view pyramid (Assarsson & Möller, "Optimized View Frustum
@@ -190,6 +191,11 @@ def _point_ids(part: np.ndarray, local_pts: np.ndarray, half: np.ndarray
     return ((part * 6 + face) * _ID_RANGE + iu) * _ID_RANGE + iv
 
 
+def id_parts(point_ids: np.ndarray) -> np.ndarray:
+    """Index of the box each point id of `_point_ids` lies on."""
+    return np.asarray(point_ids) // (6 * _ID_RANGE * _ID_RANGE)
+
+
 def _visible_parts(boxes: BoxStack, camera: CameraPose) -> np.ndarray:
     """Indices, ascending, of the boxes of `boxes` that do not lie wholly
     outside any one side plane of `camera`'s view pyramid.
@@ -218,9 +224,9 @@ def raycast_capture(scene: SceneSpec, camera: CameraPose, max_range: float,
                     rng: np.random.Generator | None) -> PointCloud:
     """One depth capture: nearest box hit per pixel within range.
 
-    Points carry part color, part index, and quantized-surface point ids;
-    pixels hitting the same 5 mm surface patch are deduplicated. Gaussian
-    noise (if any) is drawn from `rng` and added along the ray after
+    Points carry part color and quantized-surface point ids; pixels
+    hitting the same 5 mm surface patch are deduplicated. Gaussian noise
+    (if any) is drawn from `rng` and added along the ray after
     identification; `rng` may be None only when `noise_sigma` is 0. The
     returned cloud is sorted by point id.
     """
@@ -243,8 +249,7 @@ def raycast_capture(scene: SceneSpec, camera: CameraPose, max_range: float,
         noise = np.empty(len(keep))
         noise[np.argsort(first)] = rng.normal(0.0, noise_sigma, len(keep))
         pts = pts + dirs[keep] * noise[:, None]
-    return PointCloud(pts, colors=boxes.colors[part], part_ids=part,
-                      point_ids=ids)
+    return PointCloud(pts, colors=boxes.colors[part], point_ids=ids)
 
 
 def range_image(cloud: PointCloud, camera: CameraPose) -> np.ndarray:
@@ -276,7 +281,6 @@ def fuse_clouds(captures: list[PointCloud]) -> PointCloud:
         return PointCloud(np.zeros((0, 3)))
     pos = np.vstack([c.positions for c in captures])
     col = np.vstack([c.colors for c in captures])
-    part = np.concatenate([c.part_ids for c in captures])
     ids = np.concatenate([c.point_ids for c in captures])
     order = np.argsort(ids, kind="stable")
     ids_sorted = ids[order]
@@ -291,8 +295,7 @@ def fuse_clouds(captures: list[PointCloud]) -> PointCloud:
                               ids[rep]))]
         rep_ids = ids[rep]
         keep[repeated] = rep[np.r_[True, rep_ids[1:] != rep_ids[:-1]]]
-    return PointCloud(pos[keep], colors=col[keep], part_ids=part[keep],
-                      point_ids=ids_sorted[start])
+    return PointCloud(pos[keep], colors=col[keep], point_ids=ids_sorted[start])
 
 
 def _voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:

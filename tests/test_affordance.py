@@ -54,7 +54,12 @@ from scenekin.simworld import (
     probe,
     surface_normal,
 )
-from scenekin.sensing import VOXEL, CaptureConfig, capture_scene_cloud
+from scenekin.sensing import (
+    VOXEL,
+    CaptureConfig,
+    capture_scene_cloud,
+    id_parts,
+)
 
 
 def flat_patch_cloud(n=400, seed=0):
@@ -205,7 +210,7 @@ class TestCollectLabels:
         cloud = capture_scene_cloud(
             scene, CaptureConfig(resolution=(100, 75)), None)
         labels = collect_labels(scene, cloud, 400, 7, InteractionConfig())
-        on_panel = cloud.part_ids[labels.indices] == part_idx
+        on_panel = id_parts(cloud.point_ids[labels.indices]) == part_idx
         got = [l for l, m in zip(labels.labels, on_panel) if m]
         assert got.count(POSITIVE) >= max(1, int(0.8 * len(got)))
 

@@ -35,6 +35,7 @@ from scenekin.geom import (
     normalize,
     rotation_from_angle_axis,
 )
+from scenekin.sensing import id_parts
 from scenekin.simworld import GenerationConfig, generate_scene, surface_normal
 
 from conftest import identity, observe_interaction
@@ -320,7 +321,7 @@ class TestDetectChange:
         joint_est, seg = infer_articulation(obs, InferenceConfig(mode="oracle"))
         for mask, cloud in ((seg.mobile_mask_before, obs.before),
                             (seg.mobile_mask_after, obs.after)):
-            gt = cloud.part_ids == part_idx
+            gt = id_parts(cloud.point_ids) == part_idx
             iou = np.logical_and(mask, gt).sum() / np.logical_or(mask, gt).sum()
             assert iou >= 0.95
 

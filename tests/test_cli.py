@@ -62,7 +62,7 @@ def override_dicts(draw):
 # sha256 of each directory the workspace fixture writes (`_tree_sha256`)
 WORKSPACE_SHA256 = {
     "scenes": "4b592cceff3120207da5fa0c8ed16c7748f214de5cc171d8a32c74c71db736a8",
-    "data": "dc005fdb07fc03048ac5e74acc2d66762dd394ee7b0aa99a9c3e5a0423057618",
+    "data": "4ebd83869033e04a05b52888162204fe2b7f96e5b6d46bae6d959ed93ee63526",
     "model": "7fcd78f60a6b57dc1e7198f8868993d7405f54cc7b3a726a99a14c73b4d6ed23",
     "run": "f3c9be7581b7375c7fbd7de537f1d0e7fa03a475a06a2cee412e005de98bef21",
     "eval": "466a3b730d0282ca204b8752baeefd4c0be517f11f3dd1e2f986e6dbc9d7d0dd",
@@ -394,12 +394,14 @@ class TestPipelineArtifacts:
                                                       command):
         """An input directory without a manifest, another stage's output
         directory, a manifest that is not a JSON object or lists no scenes,
-        a file that is not JSON or not of the version asked, a cut-short
-        model or scene file, a model that is not a JSON object, lacks a key
-        or whose arrays do not fit its width, labels that lack their indices
-        or point outside their cloud, a run that recorded no scene digest,
-        or a config file the loader cannot read or refuses is a named error
-        and no output directory is made."""
+        a manifest whose scene entry lacks a key its reader takes, a file
+        that is not JSON or not of the version asked, a cut-short model or
+        scene file, a model that is not a JSON object, lacks a key, has a
+        width that is not an integer or arrays that do not fit its width,
+        labels that are not a JSON object, lack their indices or point
+        outside their cloud, a run that recorded no scene digest, or a
+        config file the loader cannot read or refuses is a named error and
+        no output directory is made."""
         base, cfg = workspace
         missing = str(tmp_path / "missing")
         listed = tmp_path / "listed"
@@ -420,6 +422,10 @@ class TestPipelineArtifacts:
         widthless_model.write_text(json.dumps(
             {k: v for k, v in model_doc.items() if k != "hidden"}))
         list_model.write_text("[]")
+        # models whose width is not an integer; the workspace's is 16
+        odd_width_models = [tmp_path / f"width_{k}.json" for k in range(4)]
+        for path, hidden in zip(odd_width_models, ("abc", None, True, 16.5)):
+            path.write_text(json.dumps({**model_doc, "hidden": hidden}))
         scenes, data, run = (str(base / d) for d in ("scenes", "data", "run"))
         # a copy of each stage directory whose manifest lists no scenes
         unlisted = {}
@@ -432,6 +438,21 @@ class TestPipelineArtifacts:
                 if k != "scenes"}))
         unlisted_error = {d: f"manifest.json in {u} is malformed: no key "
                           "'scenes'" for d, u in unlisted.items()}
+        # a copy of a stage directory whose manifest's first scene entry
+        # lacks a key its readers take, per key
+        keyless = {}
+        for d, key in ((scenes, "file"), (scenes, "seed"), (data, "cloud"),
+                       (data, "labels"), (run, "inference")):
+            keyless[key] = tmp_path / f"no_{key}"
+            shutil.copytree(d, keyless[key])
+            path = keyless[key] / "manifest.json"
+            manifest_doc = json.loads(path.read_text())
+            del manifest_doc["scenes"][0][key]
+            path.write_text(json.dumps(manifest_doc))
+        keyless_error = {key: f"manifest.json in {d} is malformed: a scene "
+                         f"entry has no key {key!r}"
+                         for key, d in keyless.items()}
+        keyless = {key: str(d) for key, d in keyless.items()}
         model = str(base / "model" / "model.json")
         # a run whose manifest is cut short, one whose manifest lists a
         # scene model as the inference file, and one without the digest of
@@ -482,6 +503,11 @@ class TestPipelineArtifacts:
         indexless_labels.write_text(json.dumps(
             {k: v for k, v in json.loads(indexless_labels.read_text()).items()
              if k != "indices"}))
+        # a dataset whose first labels file is a JSON list
+        list_labels_data = tmp_path / "list_labels"
+        shutil.copytree(data, list_labels_data)
+        list_labels = list_labels_data / entry["labels"]
+        list_labels.write_text("[]")
         not_json, no_hidden = (tmp_path / f for f in ("bad.json", "h0.json"))
         not_json.write_text('{"seed": 5,')
         no_hidden.write_text(json.dumps(
@@ -495,7 +521,8 @@ class TestPipelineArtifacts:
                 (["--scenes", run], f"manifest.json in {run} is "
                  "run_manifest.v1, not scene_manifest.v1"),
                 (["--scenes", str(cut_scenes)], cut_scene_error),
-                (["--scenes", str(unlisted[scenes])], unlisted_error[scenes])],
+                (["--scenes", str(unlisted[scenes])], unlisted_error[scenes]),
+                (["--scenes", keyless["file"]], keyless_error["file"])],
             "train": [
                 (["--dataset", missing], f"no manifest.json in {missing}"),
                 (["--dataset", str(listed)], not_object),
@@ -506,7 +533,11 @@ class TestPipelineArtifacts:
                   for dataset, labels in labelled.values()],
                 (["--dataset", str(indexless)], f"labels file "
                  f"{indexless_labels} is malformed: no key 'indices'"),
-                (["--dataset", str(unlisted[data])], unlisted_error[data])],
+                (["--dataset", str(list_labels_data)], f"labels file "
+                 f"{list_labels} is not a JSON object"),
+                (["--dataset", str(unlisted[data])], unlisted_error[data]),
+                *[(["--dataset", keyless[key]], keyless_error[key])
+                  for key in ("cloud", "labels")]],
             "run": [
                 (["--scenes", missing, "--model", model],
                  f"no manifest.json in {missing}"),
@@ -523,6 +554,11 @@ class TestPipelineArtifacts:
                  "'hidden'"),
                 (["--scenes", scenes, "--model", str(list_model)],
                  f"model file {list_model} is not a JSON object"),
+                *[(["--scenes", scenes, "--model", str(m)],
+                   f"model file {m}: hidden must be an integer")
+                  for m in odd_width_models],
+                (["--scenes", keyless["file"], "--model", model],
+                 keyless_error["file"]),
                 (["--scenes", str(unlisted[scenes]), "--model", model],
                  unlisted_error[scenes]),
                 (["--scenes", str(cut_scenes), "--model", model],
@@ -550,7 +586,11 @@ class TestPipelineArtifacts:
                 (["--run", str(unlisted[run]), "--scenes", scenes],
                  unlisted_error[run]),
                 (["--run", run, "--scenes", str(unlisted[scenes])],
-                 unlisted_error[scenes])],
+                 unlisted_error[scenes]),
+                (["--run", keyless["inference"], "--scenes", scenes],
+                 keyless_error["inference"]),
+                (["--run", run, "--scenes", keyless["seed"]],
+                 keyless_error["seed"])],
         }[command]
         # the inputs of a good call, under a config file that fails to load;
         # the later --config replaces the workspace's

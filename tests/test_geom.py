@@ -1,5 +1,7 @@
 import itertools
 import os
+import re
+import struct
 import tempfile
 
 import numpy as np
@@ -75,10 +77,10 @@ class TestPointCloud:
 
     def test_subset_by_mask(self):
         cloud = PointCloud(np.arange(12, dtype=float).reshape(4, 3),
-                           part_ids=np.array([0, 1, 2, 3]))
+                           point_ids=np.array([0, 1, 2, 3]))
         sub = cloud.subset(np.array([True, False, True, False]))
         assert len(sub) == 2
-        np.testing.assert_array_equal(sub.part_ids, [0, 2])
+        np.testing.assert_array_equal(sub.point_ids, [0, 2])
 
     def test_tree_and_normals_built_once(self):
         pts = np.random.default_rng(5).normal(size=(40, 3))
@@ -231,7 +233,6 @@ class TestCloudSerialization:
         return PointCloud(
             rng.normal(size=(17, 3)),
             colors=rng.uniform(0, 1, size=(17, 3)),
-            part_ids=rng.integers(0, 5, size=17),
             point_ids=np.arange(17) * 3 + 1,
         )
 
@@ -242,29 +243,26 @@ class TestCloudSerialization:
         back = load_cloud_binary(p)
         np.testing.assert_array_equal(back.positions, cloud.positions)
         np.testing.assert_array_equal(back.colors, cloud.colors)
-        np.testing.assert_array_equal(back.part_ids, cloud.part_ids)
         np.testing.assert_array_equal(back.point_ids, cloud.point_ids)
 
     @pytest.mark.parametrize("fields",
-                             itertools.product([False, True], repeat=3))
+                             itertools.product([False, True], repeat=2))
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_binary_round_trip_is_exact(self, fields, data):
         n = data.draw(st.integers(0, 12))
-        with_colors, with_parts, with_ids = fields
+        with_colors, with_ids = fields
         cloud = PointCloud(
             data.draw(hnp.arrays(np.float64, (n, 3))),
             colors=data.draw(hnp.arrays(np.float64, (n, 3)))
             if with_colors else None,
-            part_ids=data.draw(hnp.arrays(np.int64, n))
-            if with_parts else None,
             point_ids=data.draw(hnp.arrays(np.int64, n, unique=True))
             if with_ids else None)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "cloud.xyzb")
             save_cloud_binary(cloud, path)
             back = load_cloud_binary(path)
-        for name in ("positions", "colors", "part_ids", "point_ids"):
+        for name in ("positions", "colors", "point_ids"):
             a, b = getattr(cloud, name), getattr(back, name)
             assert (a is None) == (b is None)
             if a is not None:
@@ -273,14 +271,30 @@ class TestCloudSerialization:
 
     @pytest.mark.parametrize("size", [0, 3, 10, 20, 653, 657, 700])
     def test_binary_length_must_match_header(self, tmp_path, size):
-        # 10 points with every field take 16 + 10 * 64 = 656 bytes
+        # 20 points with positions and ids take 16 + 20 * 32 = 656 bytes
         p = tmp_path / "cloud.xyzb"
-        save_cloud_binary(self._cloud().subset(np.arange(10)), p)
+        save_cloud_binary(PointCloud(np.zeros((20, 3)),
+                                     point_ids=np.arange(20)), p)
         data = p.read_bytes()
         assert len(data) == 656
         p.write_bytes((data + bytes(100))[:size])
         with pytest.raises(ValidationError):
             load_cloud_binary(p)
+
+    def test_binary_refuses_part_ids(self, tmp_path):
+        """A file in the layout that carried per-point part ids (flag bit
+        1, between the colours and the point ids) is refused with its path
+        and the advice to re-run collect."""
+        cloud = self._cloud()
+        p = tmp_path / "parts.xyzb"
+        p.write_bytes(b"SKPC" + struct.pack("<HHQ", 1, 7, len(cloud))
+                      + cloud.positions.tobytes() + cloud.colors.tobytes()
+                      + np.arange(len(cloud)).tobytes()
+                      + cloud.point_ids.tobytes())
+        with pytest.raises(ValidationError, match=re.escape(
+                f"cloud file {p} holds part ids")) as err:
+            load_cloud_binary(p)
+        assert "re-run collect" in str(err.value)
 
     def test_binary_rejects_unknown_flags(self, tmp_path):
         p = tmp_path / "cloud.xyzb"
@@ -297,4 +311,4 @@ class TestCloudSerialization:
         save_cloud_binary(cloud, p)
         back = load_cloud_binary(p)
         np.testing.assert_array_equal(back.positions, cloud.positions)
-        assert back.colors is None and back.part_ids is None
+        assert back.colors is None and back.point_ids is None

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sys
 import threading
 import tracemalloc
@@ -94,6 +95,29 @@ def moving_run(tmp_path_factory):
               for e in manifest["scenes"]]
     model = pipeline.affordance.load_model(base / "model" / "model.json")
     return config, scenes, model
+
+
+def test_run_models_one_entry_per_ok_inference(tmp_path):
+    """On TINY (root seed 5) each scene's model holds one entry per ok
+    inference, in hotspot order, each listing that inference's hotspot
+    alone; the run manifest's `entries` counts them."""
+    config = config_from_dict(TINY)
+    pipeline.gen_scenes(config, tmp_path / "scenes")
+    pipeline.collect(config, tmp_path / "scenes", tmp_path / "data")
+    pipeline.train_model(config, tmp_path / "data", tmp_path / "model")
+    manifest = pipeline.run(config, tmp_path / "scenes",
+                            tmp_path / "model" / "model.json",
+                            tmp_path / "run")
+    inferred = 0
+    for entry in manifest["scenes"]:
+        doc, model = (json.loads((tmp_path / "run" / entry[k]).read_text())
+                      for k in ("inference", "model"))
+        ok = [i["hotspot_id"] for i in doc["inferences"]
+              if i["status"] == "ok"]
+        assert entry["entries"] == len(ok)
+        assert [e["hotspots"] for e in model["entries"]] == [[h] for h in ok]
+        inferred += len(ok)
+    assert inferred > 0
 
 
 def test_run_scene_captures_only_moving_pulls(moving_run, monkeypatch):
@@ -200,9 +224,8 @@ def test_survey_bytes_are_pinned(survey_room):
         affordance.extract_features(cloud, affordance.AffordanceConfig()),
         cloud, np.arange(len(cloud)))
     assert len(cloud) == 43901
-    assert _sha256(cloud.positions, cloud.colors, cloud.part_ids,
-                   cloud.point_ids) == (
-        "19c03ad5ce8eab2272b0791815ab1de02d0e5829b8061513b270506e79b997af")
+    assert _sha256(cloud.positions, cloud.colors, cloud.point_ids) == (
+        "00dfd2d1c5ece91c5dfce8c4fc7d11754040ca96c83674a0d29ccf6d80eb8a2a")
     assert _sha256(feats.values, feats.valid) == (
         "cf6efdf34f9b6ba9afeb5b879805bcd01d54f44e052f33c9bebcc5774fa36c2c")
 
@@ -241,9 +264,8 @@ def test_collect_bytes_are_pinned():
         generate_scene(1, GenerationConfig()),
         sensing.CaptureConfig(resolution=(64, 48), noise_sigma=0.002),
         np.random.default_rng(3))
-    assert _sha256(noisy.positions, noisy.colors, noisy.part_ids,
-                   noisy.point_ids) == (
-        "f22553c19023b9a7ae822ddaf6de8f194b9dc2600781fffec0ca8a7b2c753256")
+    assert _sha256(noisy.positions, noisy.colors, noisy.point_ids) == (
+        "290d98268cf54c0f4c104565a0ffdbc81301d47441e6057e9083ecaf0ffd99ff")
 
 
 def _spy_normals(monkeypatch):

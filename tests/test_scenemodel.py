@@ -24,12 +24,14 @@ def load_model(path) -> tuple[SceneArticulationModel, list[dict]]:
     assert doc["version"] == "scene_model.v1"
     out_dir = os.path.dirname(path) or "."
     entries = []
-    for d in doc["entries"]:
+    for k, d in enumerate(doc["entries"]):
+        assert d["id"] == k
+        # scene_model.v1 lists one hotspot per entry at full confidence
+        assert len(d["hotspots"]) == 1 and d["confidence"] == 1.0
         joint = JointModel(d["type"], d["axis"], d["pivot"], d["state"])
         pts = load_cloud_binary(os.path.join(
             out_dir, d["mobile_points_file"])).positions
-        entries.append(ModelEntry(int(d["id"]), joint, pts,
-                                  tuple(d["hotspots"]), float(d["confidence"])))
+        entries.append(ModelEntry(joint, pts, d["hotspots"][0]))
     model = SceneArticulationModel(tuple(entries),
                                    scene_seed=doc.get("scene_seed"),
                                    config_hash=doc.get("config_hash"))
@@ -42,10 +44,7 @@ def models_equivalent(a: SceneArticulationModel, b: SceneArticulationModel,
     if len(a.entries) != len(b.entries):
         return False
     for ea, eb in zip(a.entries, b.entries):
-        if (ea.entry_id != eb.entry_id or ea.joint.kind != eb.joint.kind
-                or ea.hotspot_ids != eb.hotspot_ids):
-            return False
-        if abs(ea.confidence - eb.confidence) > atol:
+        if ea.joint.kind != eb.joint.kind or ea.hotspot_id != eb.hotspot_id:
             return False
         if not np.allclose(ea.joint.axis, eb.joint.axis, atol=atol):
             return False
@@ -72,16 +71,23 @@ def slab_points(center, normal_axis=1, w=0.4, h=0.8, n=300, seed=0):
 
 
 class TestAggregate:
-    def test_duplicate_pair_merges(self):
+    def test_one_entry_per_estimate_in_hotspot_order(self):
+        # two estimates of one part, a third of another part on an
+        # incompatible joint, handed over out of hotspot order: each keeps
+        # its own entry, joint, points and hotspot
         pts = slab_points([1.0, 0.5, 0.8])
-        j1 = JointModel("revolute", [0, 0, 1], [0.8, 0.5, 0.0], 0.4)
-        j2 = JointModel("revolute", [0, 0, 1.0001], [0.81, 0.5, 0.0], 0.6)
-        model = aggregate([(j1, pts, 0), (j2, pts + 0.001, 1)])
-        assert len(model.entries) == 1
-        entry = model.entries[0]
-        assert entry.confidence == pytest.approx(1.0)
-        assert entry.hotspot_ids == (0, 1)
-        assert entry.joint.state == pytest.approx(0.6)  # most-opened wins
+        ests = [
+            (JointModel("prismatic", [0, 1, 0], None, 0.3), pts + 0.001, 7),
+            (JointModel("revolute", [0, 0, 1], [0.8, 0.5, 0.0], 0.4), pts, 2),
+            (JointModel("revolute", [0, 0, 1.0001], [0.81, 0.5, 0.0], 0.6),
+             pts + 0.001, 4),
+        ]
+        model = aggregate(ests)
+        assert [e.hotspot_id for e in model.entries] == [2, 4, 7]
+        for entry, (joint, points, _) in zip(model.entries,
+                                             [ests[1], ests[2], ests[0]]):
+            assert entry.joint is joint
+            np.testing.assert_array_equal(entry.mobile_points, points)
 
     def test_two_parts_stay_separate(self):
         pts_a = slab_points([1.0, 0.5, 0.8], seed=1)
@@ -94,15 +100,6 @@ class TestAggregate:
     def test_empty_input(self):
         model = aggregate([])
         assert model.entries == ()
-
-    def test_same_part_incompatible_joints_split_confidence(self):
-        pts = slab_points([1.0, 0.5, 0.8])
-        j1 = JointModel("revolute", [0, 0, 1], [0.8, 0.5, 0.0], 0.4)
-        j2 = JointModel("prismatic", [0, 1, 0], None, 0.3)
-        model = aggregate([(j1, pts, 0), (j2, pts + 0.001, 1)])
-        assert len(model.entries) == 2
-        for e in model.entries:
-            assert e.confidence == pytest.approx(0.5)
 
     def test_order_insensitive_entry_count(self):
         rng = np.random.default_rng(3)
@@ -130,7 +127,7 @@ class TestAggregate:
              pts + 0.002, 1),
         ]
         once = aggregate(ests)
-        again = aggregate([(e.joint, e.mobile_points, e.hotspot_ids[0])
+        again = aggregate([(e.joint, e.mobile_points, e.hotspot_id)
                            for e in once.entries])
         assert len(again.entries) == len(once.entries)
         for a, b in zip(again.entries, once.entries):

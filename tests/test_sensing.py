@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,7 @@ from scenekin.sensing import (
     raycast_capture,
     ring_poses,
     fuse_clouds,
+    id_parts,
     _nearest_hits,
     _voxel_downsample,
 )
@@ -36,7 +38,10 @@ from scenekin.simworld import (
     PartGeometry,
     SceneSpec,
     generate_scene,
+    surface_normal,
 )
+
+from conftest import observe_interaction
 
 BIG_BOUNDS = (np.array([-10.0, -10.0, -10.0]), np.array([10.0, 10.0, 10.0]))
 NOISE = CaptureConfig().noise_sigma
@@ -136,7 +141,8 @@ class TestRaycast:
         cloud = capture_scene_cloud(scene, config, None)
         assert len(cloud) > 500
         dists = np.array([scene.boxes.surface_distance(q)[p]
-                          for p, q in zip(cloud.part_ids, cloud.positions)])
+                          for p, q in zip(id_parts(cloud.point_ids),
+                                          cloud.positions)])
         assert dists.max() < 1e-9
 
     def test_noise_moves_points_along_ray(self):
@@ -259,7 +265,7 @@ class TestBatchedRaycast:
                 mock.patch.object(sensing, "_visible_parts",
                                   lambda _, camera: np.arange(len(world))):
             ref = raycast_capture(scene, cam, max_range, NOISE, None)
-        for field in ("positions", "colors", "part_ids", "point_ids"):
+        for field in ("positions", "colors", "point_ids"):
             a, b = getattr(cloud, field), getattr(ref, field)
             assert (a is None) == (b is None)
             if a is not None:
@@ -315,8 +321,6 @@ def lexsort_fusion(captures):
     keep = order[first]
     return PointCloud(pos[keep],
                       colors=np.vstack([c.colors for c in captures])[keep],
-                      part_ids=np.concatenate([c.part_ids
-                                               for c in captures])[keep],
                       point_ids=ids[keep])
 
 
@@ -344,7 +348,7 @@ class TestSceneCloud:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_CAPTURE, min_size=1, max_size=4))
     def test_fusion_matches_full_lexsort(self, rows_by_capture):
-        # every row has its own part id and colour, so the winner shows
+        # every row has its own colour, so the winner shows
         captures, row = [], 0
         for rows in rows_by_capture:
             ids = np.array(list(rows), dtype=np.int64)
@@ -353,14 +357,14 @@ class TestSceneCloud:
                 np.array(list(rows.values())).reshape(n, 3),
                 colors=np.repeat(np.arange(row, row + n, dtype=float)[:, None],
                                  3, axis=1),
-                part_ids=np.arange(row, row + n), point_ids=ids))
+                point_ids=ids))
             row += n
         if row == 0:
             assert len(fuse_clouds(captures)) == 0
             return
         for ordered in (captures, captures[::-1]):
             got, want = fuse_clouds(ordered), lexsort_fusion(ordered)
-            for field in ("positions", "colors", "part_ids", "point_ids"):
+            for field in ("positions", "colors", "point_ids"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -375,11 +379,11 @@ class TestSceneCloud:
         rng = np.random.default_rng(seed)
         cloud = PointCloud(
             0.005 * np.array(cells, dtype=float) + 1e-4,
-            colors=rng.uniform(size=(n, 3)), part_ids=rng.integers(0, 4, n),
+            colors=rng.uniform(size=(n, 3)),
             point_ids=np.cumsum(rng.integers(1, 4, n)))
         got, want = _voxel_downsample(cloud, 0.02), lexsort_downsample(cloud, 0.02)
         assert len(got) < n or n < 9
-        for field in ("positions", "colors", "part_ids", "point_ids"):
+        for field in ("positions", "colors", "point_ids"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -387,7 +391,8 @@ class TestSceneCloud:
         scene = generate_scene(3, GenerationConfig(0, 0, 0))
         cloud = capture_scene_cloud(
             scene, CaptureConfig(resolution=(60, 45)), None)
-        kinds = {scene.parts[p].kind for p in np.unique(cloud.part_ids)}
+        kinds = {scene.parts[p].kind
+                 for p in np.unique(id_parts(cloud.point_ids))}
         assert kinds <= {"wall", "floor"}
         assert len(cloud) > 200
 
@@ -416,7 +421,7 @@ class TestSceneCloud:
         for seed in range(20):
             scene = generate_scene(seed, GenerationConfig(2, 2, 2))
             cloud = capture_scene_cloud(scene, config, None)
-            seen = set(np.unique(cloud.part_ids))
+            seen = set(np.unique(id_parts(cloud.point_ids)))
             for part_idx, _ in scene.joints:
                 box = scene.part_world(part_idx)
                 front = box.center + box.rotation[:, 1] * box.half_extents[1]
@@ -431,6 +436,69 @@ class TestSceneCloud:
                         break
                 if visible:
                     assert part_idx in seen, (seed, part_idx)
+
+
+def recorded_captures(run):
+    """(`run()`, [(scene, camera, max range, cloud)] of every
+    `raycast_capture` that `run()` made)."""
+    calls = []
+    real = sensing.raycast_capture
+
+    def spy(scene, camera, max_range, *args):
+        calls.append((scene, camera, max_range,
+                      real(scene, camera, max_range, *args)))
+        return calls[-1][-1]
+
+    with mock.patch.object(sensing, "raycast_capture", spy):
+        return run(), calls
+
+
+def _rows(cloud):
+    return set(zip(cloud.point_ids.tolist(),
+                   [p.tobytes() for p in cloud.positions]))
+
+
+class TestIdParts:
+    @pytest.mark.parametrize("case", ["ring", "noisy ring", "object views",
+                                      "noisy after pull"])
+    def test_decoded_part_is_the_box_the_ray_hit(self, case):
+        """`id_parts` of every point of a capture is the box that the
+        box-by-box reference scan hits along the point's pixel ray (noise
+        moves a point along its ray, so it projects to the same pixel),
+        and every point of the fused cloud is a point of one capture."""
+        scene = generate_scene(13, GenerationConfig(1, 1, 1))
+        config = CaptureConfig(resolution=(40, 30))
+        noisy = replace(config, noise_sigma=0.002)
+        panel = scene.part_world(scene.joints[0][0])
+        contact = panel.center + panel.rotation[:, 1] * panel.half_extents[1]
+        run = {
+            "ring": lambda: capture_scene_cloud(scene, config, None),
+            "noisy ring": lambda: capture_scene_cloud(
+                scene, noisy, np.random.default_rng(1)),
+            "object views": lambda: capture_object_views(
+                scene, contact, config, None),
+            "noisy after pull": lambda: observe_interaction(
+                scene, contact, surface_normal(scene, contact), noisy,
+                rng=np.random.default_rng(2))[0].after,
+        }[case]
+        cloud, calls = recorded_captures(run)
+        rows = set()
+        for world, camera, max_range, capture in calls:
+            w, h = camera.resolution
+            ray, part, _, _ = sequential_hits(
+                world.world_parts(), camera.position,
+                camera.ray_directions(), max_range)
+            hit = np.full(w * h, -1)
+            hit[ray] = part
+            col, row, _ = camera.project(capture.positions)
+            pixel = np.rint(row).astype(np.int64) * w + np.rint(col).astype(
+                np.int64)
+            np.testing.assert_array_equal(id_parts(capture.point_ids),
+                                          hit[pixel])
+            rows |= _rows(capture)
+        assert len(cloud) > 100 and _rows(cloud) <= rows
+        # the probed panel is in view
+        assert scene.joints[0][0] in id_parts(cloud.point_ids)
 
 
 class TestObjectViews:
