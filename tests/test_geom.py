@@ -245,8 +245,12 @@ class TestCloudSerialization:
         np.testing.assert_array_equal(back.colors, cloud.colors)
         np.testing.assert_array_equal(back.point_ids, cloud.point_ids)
 
+    # The ids keep each case's place in the product over (colors, part ids,
+    # point ids) that covered the layout with the part-id flag bit; the
+    # cases with part ids (2, 3, 6 and 7) left with that field.
     @pytest.mark.parametrize("fields",
-                             itertools.product([False, True], repeat=2))
+                             itertools.product([False, True], repeat=2),
+                             ids=["fields0", "fields1", "fields4", "fields5"])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_binary_round_trip_is_exact(self, fields, data):
