@@ -12,8 +12,11 @@ Features come in two steps. `extract_features` computes every feature that
 needs the whole cloud (the neighbourhood covariances, and from them the set
 of discontinuity points). `complete` fills the two per-row features,
 `normal_up` and `discontinuity_dist`, at the rows a caller reads. Before
-any row is completed, `score_bounds` bounds each row's score from above, so
-a caller can rank rows and complete only those whose bound it needs.
+any row is completed, `score_bounds` bounds each row's score from above
+without measuring anything, and `refine_bounds` tightens the bound of a row
+by measuring its discontinuity distance, which `complete` then reuses. So a
+caller can rank rows, refine only as deep as its ranking reads, and
+complete only the rows whose bound it needs.
 """
 
 from __future__ import annotations
@@ -211,16 +214,21 @@ def complete(features: FeatureSet, cloud: PointCloud, rows) -> FeatureSet:
     `K_NORMALS`-nearest-neighbor normal (`PointCloud.normals`), and
     `discontinuity_dist`, its distance to the nearest discontinuity point
     capped at `DISCONTINUITY_CAP`; it turns invalid, and reads
-    zeros, when its normal is rank-deficient. The rows are written into
-    `features.values` itself, so completing rows in turn copies no matrix;
-    the result shares those values, and only `rows` are valid in it, so
-    `predict` scores every other row 0.
+    zeros, when its normal is rank-deficient. A distance is measured only
+    where the column still reads NaN: one that `refine_bounds` measured
+    is kept, and rows `extract_features` zeroed stay invalid. The rows are
+    written into `features.values` itself, so completing rows in turn
+    copies no matrix and measures no row twice; the result shares those
+    values, and only `rows` are valid in it, so `predict` scores every
+    other row 0.
     """
     rows = np.asarray(rows, dtype=np.intp)
     normals, normals_valid = cloud.normals(K_NORMALS, rows)
     values = features.values
     values[rows, _NORMAL_UP] = normals[:, 2]
-    values[rows, _DISCONTINUITY] = _discontinuity_dist(features, cloud, rows)
+    unmeasured = rows[np.isnan(values[rows, _DISCONTINUITY])]
+    values[unmeasured, _DISCONTINUITY] = _discontinuity_dist(
+        features, cloud, unmeasured)
     ok = features.valid[rows] & normals_valid
     values[rows[~ok]] = 0.0
     valid = np.zeros(len(features), dtype=bool)
@@ -472,85 +480,119 @@ def predict(model: AffordanceModel, features: FeatureSet) -> np.ndarray:
     return scores
 
 
-# Logit slack of `score_bounds`: covers the rounding of summing the
+# Logit slack of the score bounds: covers the rounding of summing the
 # network's terms in another order than `predict` does.
 _BOUND_MARGIN = 1e-9
-# normal_up values that split [0, 1] into the sub-intervals of the last pass
+# normal_up values that split [0, 1] into the sub-intervals of `refine_bounds`
 _NORMAL_UP_KNOTS = np.linspace(0.0, 1.0, 5)
+_FREE = [_NORMAL_UP, _DISCONTINUITY]
 
 
-def score_bounds(model: AffordanceModel, features: FeatureSet,
-                 cloud: PointCloud, threshold: float) -> np.ndarray:
+# OpenBLAS sums a row of the last, partial group of this many rows of a
+# matrix-vector product, or a lone row of a matrix product, in another order
+# than the rows of whole groups.
+_ROW_GROUP = 4
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`a @ b` for a 2-D `a`, with each row's bytes depending on that row
+    alone: `a` is padded with zero rows to whole `_ROW_GROUP`s."""
+    n = len(a)
+    if n % _ROW_GROUP:
+        a = np.concatenate([a, np.zeros((-n % _ROW_GROUP, a.shape[1]))])
+    return (a @ b)[:n]
+
+
+def _bound(model: AffordanceModel, a: np.ndarray) -> np.ndarray:
+    """The score bound of the pre-activations `a`, which it overwrites."""
+    z = _product(np.tanh(a, out=a), model.w2) + model.b2
+    return _sigmoid(z + _BOUND_MARGIN)
+
+
+def _rising(model: AffordanceModel) -> np.ndarray:
+    """Per free feature, the units whose term grows with it."""
+    return model.w2 * model.w1[_FREE] >= 0.0
+
+
+def score_bounds(model: AffordanceModel, features: FeatureSet) -> np.ndarray:
     """Upper bound on each row's `predict` score once `complete`d, for
     `extract_features` output; invalid rows read 0, their score.
 
     Each tanh unit is monotone in each feature, so while a feature ranges
     over an interval, the unit's term is largest at one end of it, the same
     end for every row; the sum of those largest terms bounds the logit
-    (interval bound propagation, Gowal et al. 2018). The first pass leaves
+    (interval bound propagation, Gowal et al. 2018). This pass leaves
     `normal_up` in [0, 1] and `discontinuity_dist` in [0,
-    `DISCONTINUITY_CAP`] free. Rows whose bound reaches `threshold`
-    get their exact discontinuity distance, as `complete` measures it, and
-    are bounded again over `normal_up` in [0, 1]; those that still reach
-    it take the largest of their bounds over the four quarters of [0, 1].
-    Every bound adds a 1e-9 logit margin, so it is at least the score, and
-    a row whose bound reaches `threshold` is bounded as tightly as these
-    passes go. The first pass runs per `map_blocks` block of the cloud, the
-    second per block of the rows the first keeps.
+    `DISCONTINUITY_CAP`] free, so it measures nothing; `refine_bounds`
+    tightens the bound of the rows a caller ranks. Every bound adds a 1e-9
+    logit margin, so it is at least the score. The pass runs per
+    `map_blocks` block of the cloud.
     """
     mean, std = model.scaler_mean, model.scaler_std
-    free = [_NORMAL_UP, _DISCONTINUITY]
-    # per free feature, the units whose term grows with it
-    rising = model.w2 * model.w1[free] >= 0.0
+    rising = _rising(model)
     # the standardized ends of [0, 1] and [0, cap]
-    low = (0.0 - mean[free]) / std[free]
-    high = (np.array([1.0, DISCONTINUITY_CAP]) - mean[free]) / std[free]
+    low = (0.0 - mean[_FREE]) / std[_FREE]
+    high = (np.array([1.0, DISCONTINUITY_CAP]) - mean[_FREE]) / std[_FREE]
     # each unit's terms of the free features, each at its end where the
     # unit's term is largest
-    free_shift = (model.w1[free] * np.where(rising, high[:, None],
-                                            low[:, None])).sum(axis=0)
+    free_shift = (model.w1[_FREE] * np.where(rising, high[:, None],
+                                             low[:, None])).sum(axis=0)
+    bounds = np.empty(len(features))
+
+    def block(rows):
+        x = features.values[rows] - mean
+        x /= std
+        x[:, _FREE] = 0.0
+        pre = _product(x, model.w1)
+        pre += model.b1
+        pre += free_shift
+        bounds[rows] = np.where(features.valid[rows], _bound(model, pre), 0.0)
+
+    map_blocks(block, len(features))
+    return bounds
+
+
+def refine_bounds(model: AffordanceModel, features: FeatureSet,
+                  cloud: PointCloud, rows, threshold: float) -> np.ndarray:
+    """Upper bounds on the `predict` scores of the valid rows `rows`
+    (integer indices) once `complete`d, tighter than `score_bounds`'.
+
+    Each row gets its exact discontinuity distance, as `complete` measures
+    it, and is bounded again over `normal_up` in [0, 1]; a row whose bound
+    still reaches `threshold` takes the largest of its bounds over the four
+    quarters of [0, 1]. So a row's bound depends on that row alone, and a
+    row whose bound reaches `threshold` is bounded as tightly as these
+    passes go. The distances are written into `features.values`, where
+    `complete` reads them instead of measuring again. The rows run per
+    `map_blocks` block of `rows`.
+    """
+    mean, std = model.scaler_mean, model.scaler_std
+    rising = _rising(model)[0]
     slope = model.w1[_NORMAL_UP]
     knots = (_NORMAL_UP_KNOTS - mean[_NORMAL_UP]) / std[_NORMAL_UP]
-
-    def bound(a):
-        # the score bound of the pre-activations `a`, which it overwrites
-        z = np.tanh(a, out=a) @ model.w2 + model.b2
-        return _sigmoid(z + _BOUND_MARGIN)
+    values = features.values
+    rows = np.asarray(rows, dtype=np.intp)
+    bounds = np.empty(len(rows))
 
     def normal_up_bound(pre, lo, hi):
         # each unit at the end of [lo, hi] where its term is largest
-        return bound(pre + slope * np.where(rising[0], hi, lo))
+        return _bound(model, pre + slope * np.where(rising, hi, lo))
 
-    bounds = np.empty(len(features))
-
-    def first(rows):
-        x = features.values[rows] - mean
-        x /= std
-        x[:, free] = 0.0
-        pre = x @ model.w1
-        pre += model.b1
-        pre += free_shift
-        bounds[rows] = np.where(features.valid[rows], bound(pre), 0.0)
-
-    map_blocks(first, len(features))
-    left = np.flatnonzero(features.valid & (bounds >= threshold))
-
-    def second(part):
-        rows = left[part]
-        x = features.values[rows] - mean
-        x[:, _DISCONTINUITY] = _discontinuity_dist(features, cloud, rows)
-        x[:, _DISCONTINUITY] -= mean[_DISCONTINUITY]
+    def block(part):
+        own = rows[part]
+        values[own, _DISCONTINUITY] = _discontinuity_dist(features, cloud, own)
+        x = values[own] - mean
         x /= std
         x[:, _NORMAL_UP] = 0.0
-        pre = x @ model.w1
+        pre = _product(x, model.w1)
         pre += model.b1
         b = normal_up_bound(pre, knots[0], knots[-1])
         reach = b >= threshold
         b[reach] = np.max([normal_up_bound(pre[reach], lo, hi)
                            for lo, hi in zip(knots, knots[1:])], axis=0)
-        bounds[rows] = b
+        bounds[part] = b
 
-    map_blocks(second, len(left))
+    map_blocks(block, len(rows))
     return bounds
 
 

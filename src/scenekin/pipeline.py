@@ -104,20 +104,37 @@ def observe_interaction(scene: SceneSpec, contact,
 # gen-scenes
 # ---------------------------------------------------------------------------
 
+# Seeds `gen_scenes` tries per scene: its own, then re-draws.
+SCENE_ATTEMPTS = 3
+
+
 def gen_scenes(config: PipelineConfig, out_dir) -> dict:
     """Write n_scenes seeded scene_spec.v1 files plus an index manifest.
 
-    A scene the generator cannot build raises SceneGenerationError naming
-    its index and seed."""
+    Scene k is drawn from `derive_seed(config.seed, "scene", k)`. A scene
+    the generator cannot build from that seed is re-drawn from
+    `derive_seed(config.seed, "scene", k, attempt)`, attempt 1, 2, ...,
+    up to `SCENE_ATTEMPTS` seeds in all, and the manifest records the seed
+    that built it. When none does, SceneGenerationError names its index,
+    its first seed and the first seed's failure."""
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(config)
     entries = []
     for k in range(config.run.n_scenes):
-        seed = derive_seed(config.seed, "scene", k)
-        try:
-            scene = simworld.generate_scene(seed, config.generation)
-        except SceneGenerationError as e:
-            raise SceneGenerationError(f"scene {k} (seed {seed}): {e}") from e
+        seeds = [derive_seed(config.seed, "scene", k)] + [
+            derive_seed(config.seed, "scene", k, attempt)
+            for attempt in range(1, SCENE_ATTEMPTS)]
+        failures = []
+        for seed in seeds:
+            try:
+                scene = simworld.generate_scene(seed, config.generation)
+                break
+            except SceneGenerationError as e:
+                failures.append(e)
+        else:
+            raise SceneGenerationError(
+                f"scene {k} (seed {seeds[0]}): {failures[0]}; the "
+                f"{len(seeds) - 1} re-draws failed too") from failures[0]
         fname = f"scene_{k:04d}.json"
         simworld.save_scene(scene, os.path.join(out_dir, fname), chash)
         entries.append({
@@ -269,37 +286,56 @@ def ranked_hotspots(cloud: PointCloud, model: affordance.AffordanceModel,
     """The NMS hotspots of a scene cloud's affordance map, in order, each
     computed only when asked for.
 
-    Features and `affordance.score_bounds` run at once over the whole
-    cloud. The candidates, the rows whose bound reaches
-    `hotspot.score_threshold`, are then ranked by (-bound, index) and
-    scored in rounds: round r takes the first m rows
-    (`FIRST_ROUND` * `ROUND_GROWTH`**r), plus every row whose bound ties
-    the m-th one's, τ. It completes them (`affordance.complete`), scores
-    them with `affordance.predict` on a map in which every other row scores
-    0, runs `hotspot.nms` on that map and yields the new picks whose score
-    is at least τ. The round that takes every candidate has τ = -inf.
+    Features and the first-pass `affordance.score_bounds` run at once over
+    the whole cloud; nothing else runs until the first hotspot is asked
+    for. The candidates, the valid rows whose first-pass bound reaches
+    `hotspot.score_threshold`, are then ranked by (-first-pass bound,
+    index), refined in that order by `affordance.refine_bounds` and scored
+    in rounds. Round r has depth m = `FIRST_ROUND` *
+    `ROUND_GROWTH`**r: it refines chunks of m candidates until at least m
+    refined rows reach the threshold and the next unrefined candidate's
+    first-pass bound is below the m-th refined bound, τ (the threshold
+    algorithm of Fagin, Lotem & Naor, PODS 2001), and takes every refined
+    row whose bound is at least τ. It completes them
+    (`affordance.complete`), scores them with `affordance.predict` on a
+    map in which every other row scores 0, runs `hotspot.nms` on that map
+    and yields the new picks whose score is at least τ. The round that has
+    refined every candidate and takes every one that reaches the threshold
+    has τ = -inf.
 
     These picks are exactly the next ones of NMS over the whole cloud's map.
-    A row outside the round has a bound below τ, or in the last round below
-    the threshold, so its score is below it too. Every row scoring at least
-    τ is therefore in the round, and `predict`, running on its own blocks,
-    gives it the bytes it has on the whole map. Greedy NMS decides a row
-    from the picks before it alone, which score at least as much, so both
-    maps give the same picks down to τ.
+    A row outside the round is bounded below τ: a refined row by its
+    refined bound, an unrefined one by its first-pass bound, and a row that
+    is no candidate by a bound below the threshold, which τ reaches. So its
+    score is below τ too. Every row scoring at least τ is therefore in the
+    round, and `predict`, running on its own blocks, gives it the bytes it
+    has on the whole map. Greedy NMS decides a row from the picks before it
+    alone, which score at least as much, so both maps give the same picks
+    down to τ.
     """
     feats = affordance.extract_features(cloud, config.affordance)
-    bounds = affordance.score_bounds(model, feats, cloud,
-                                     config.hotspot.score_threshold)
-    rows = np.flatnonzero(bounds >= config.hotspot.score_threshold)
-    order = rows[np.lexsort((rows, -bounds[rows]))]
-    descending = -bounds[order]
+    first = affordance.score_bounds(model, feats)
 
     def rounds():
-        found, m = 0, FIRST_ROUND
+        threshold = config.hotspot.score_threshold
+        rows = np.flatnonzero(feats.valid & (first >= threshold))
+        order = rows[np.lexsort((rows, -first[rows]))]
+        refined = np.empty(len(order))  # the refined bounds of `order`
+        found, m, done = 0, FIRST_ROUND, 0
         while True:
-            tau = bounds[order[m - 1]] if m < len(order) else -np.inf
-            take = order[:np.searchsorted(descending, -tau, side="right")]
-            if len(take) == len(order):
+            while True:
+                reach = refined[:done][refined[:done] >= threshold]
+                # the m-th largest refined bound
+                tau = (-np.partition(-reach, m - 1)[m - 1]
+                       if len(reach) >= m else -np.inf)
+                if done == len(order) or first[order[done]] < tau:
+                    break
+                part = order[done:done + m]
+                refined[done:done + m] = affordance.refine_bounds(
+                    model, feats, cloud, part, threshold)
+                done += len(part)
+            take = order[:done][refined[:done] >= max(tau, threshold)]
+            if done == len(order) and len(take) == len(reach):
                 tau = -np.inf
             scores = affordance.predict(
                 model, affordance.complete(feats, cloud, take))
@@ -324,10 +360,11 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
     until one moves a part (`simworld.probe`, the rule that labels the
     training data), before/after capture of that pull, articulation
     inference, optional refinement. A probe that moves nothing is not
-    captured. The capture, its features and their score bounds are computed
-    for every scene, but the next hotspot is asked of `ranked_hotspots`
-    only while fewer than `run.max_hotspots` probes have been made, so a
-    scene's rows are completed and scored only as deep as its probes go.
+    captured. The capture, its features and their first-pass score bounds
+    are computed for every scene, but the next hotspot is asked of
+    `ranked_hotspots` only while fewer than `run.max_hotspots` probes have
+    been made, so a scene's rows are refined, completed and scored only as
+    deep as its probes go, and not at all when it probes none.
     Capture noise of the scene ring and of each probed hotspot comes from
     its own generator, seeded from (root seed, scene seed) and (root seed,
     scene seed, hotspot id), so no hotspot's noise depends on what earlier

@@ -34,6 +34,7 @@ from scenekin.affordance import (
     load_model,
     loss_and_grad,
     predict,
+    refine_bounds,
     save_model,
     score_bounds,
     train,
@@ -499,25 +500,107 @@ def bounded_rows(seed, n, scale, tiny_std, hidden):
     return model, feats, cloud, rng.uniform(0.0, 1.0, size=n), real_dist
 
 
+def two_pass_bounds(model, feats, cloud, threshold):
+    """(bounds, loose rows) of the eager two-pass `score_bounds` that
+    `refine_bounds` replaced: the first pass over every row, then every
+    valid row whose first-pass bound reaches `threshold` refined in index
+    order, per block of those rows. Kept as the reference the refinement
+    must equal byte for byte; `feats` is left as it was.
+
+    The loose rows are those whose bytes here depend on the rows beside
+    them: OpenBLAS sums the last `len % 4` rows of a matrix-vector product,
+    and a lone row of a matrix product, in another order. `refine_bounds`
+    pads its products to whole groups of 4, so it may differ from the
+    reference in the last bits there."""
+    mean, std = model.scaler_mean, model.scaler_std
+    up, disc = FEATURE_NAMES.index("normal_up"), FEATURE_NAMES.index(
+        "discontinuity_dist")
+    free = [up, disc]
+    rising = model.w2 * model.w1[free] >= 0.0
+    low = (0.0 - mean[free]) / std[free]
+    high = (np.array([1.0, DISCONTINUITY_CAP]) - mean[free]) / std[free]
+    free_shift = (model.w1[free] * np.where(rising, high[:, None],
+                                            low[:, None])).sum(axis=0)
+    slope = model.w1[up]
+    knots = (np.linspace(0.0, 1.0, 5) - mean[up]) / std[up]
+    loose = []
+
+    def product(a, b, rows):
+        loose.extend(rows[len(rows) - len(rows) % 4:] if b.ndim == 1
+                     else rows if len(rows) == 1 else [])
+        return a @ b
+
+    def bound(a, rows):
+        z = product(np.tanh(a, out=a), model.w2, rows) + model.b2
+        return affordance._sigmoid(z + 1e-9)
+
+    def normal_up_bound(pre, lo, hi, rows):
+        return bound(pre + slope * np.where(rising[0], hi, lo), rows)
+
+    bounds = np.empty(len(feats))
+
+    def first(rows):
+        x = feats.values[rows] - mean
+        x /= std
+        x[:, free] = 0.0
+        rows = np.arange(rows.start, rows.stop)
+        pre = product(x, model.w1, rows)
+        pre += model.b1
+        pre += free_shift
+        bounds[rows] = np.where(feats.valid[rows], bound(pre, rows), 0.0)
+
+    geom.map_blocks(first, len(feats))
+    left = np.flatnonzero(feats.valid & (bounds >= threshold))
+
+    def second(part):
+        rows = left[part]
+        x = feats.values[rows] - mean
+        x[:, disc] = np.minimum(geom.query_within(
+            feats.discontinuities, cloud.positions[rows],
+            DISCONTINUITY_CAP)[0], DISCONTINUITY_CAP)
+        x[:, disc] -= mean[disc]
+        x /= std
+        x[:, up] = 0.0
+        pre = product(x, model.w1, rows)
+        pre += model.b1
+        b = normal_up_bound(pre, knots[0], knots[-1], rows)
+        reach = b >= threshold
+        b[reach] = np.max([normal_up_bound(pre[reach], lo, hi, rows[reach])
+                           for lo, hi in zip(knots, knots[1:])], axis=0)
+        bounds[rows] = b
+
+    geom.map_blocks(second, len(left))
+    return bounds, np.unique(np.asarray(loose, dtype=np.intp))
+
+
 class TestScoreBound:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([1, 16]), st.integers(0, 2 ** 32 - 1),
            st.floats(0.1, 5.0), st.booleans())
     def test_bound_reaches_every_score(self, hidden, seed, scale, tiny_std):
-        """Every bound is at least the row's score: over any `normal_up` in
-        [0, 1] and any discontinuity distance in [0, cap] where the first
-        pass leaves a row below the threshold (the threshold 2 keeps every
-        first-pass bound), and over any `normal_up` at the exact distance
-        where the first pass reaches it. Invalid rows read 0."""
+        """Every bound is at least the row's score: the first pass's over
+        any `normal_up` in [0, 1] and any discontinuity distance in [0,
+        cap] (the threshold 2 refines no row), and the refined one, of
+        each valid row whose first-pass bound reaches the threshold, over
+        any `normal_up` at the exact distance. The bounds equal the
+        two-pass reference's outside its loose rows. Invalid rows read
+        0."""
         model, feats, cloud, real_up, real_dist = bounded_rows(
             seed, 200, scale, tiny_std, hidden)
         n, valid, cap = len(feats), feats.valid, DISCONTINUITY_CAP
         rng = np.random.default_rng(seed)
-        first = score_bounds(model, feats, cloud, 2.0)
+        first = score_bounds(model, feats)
         for threshold in (0.0, 0.5, 1.0, 2.0):
-            bounds = score_bounds(model, feats, cloud, threshold)
-            assert not bounds[~valid].any()
+            reference, loose = two_pass_bounds(model, feats, cloud,
+                                               threshold)
             second = valid & (first >= threshold)
+            bounds = first.copy()
+            bounds[second] = refine_bounds(model, feats, cloud,
+                                           np.flatnonzero(second), threshold)
+            same = np.ones(n, dtype=bool)
+            same[loose] = False
+            assert bounds[same].tobytes() == reference[same].tobytes()
+            assert not bounds[~valid].any()
             for dist in (real_dist, 0.0, cap, rng.uniform(0.0, cap, n)):
                 dist = np.where(second, real_dist, dist)
                 for up in (0.0, 0.25, 0.5, 0.75, 1.0, real_up):
@@ -573,7 +656,7 @@ class TestRankedHotspots:
                 mock.patch.object(affordance, "predict", spy):
             got = list(pipeline.ranked_hotspots(cloud, model, config))
         assert _spots(got) == _spots(whole)
-        bounds = score_bounds(
+        bounds, _ = two_pass_bounds(
             model, extract_features(cloud, config.affordance),
             cloud, config.hotspot.score_threshold)
         return got, calls, bounds[bounds >= config.hotspot.score_threshold]
@@ -594,6 +677,34 @@ class TestRankedHotspots:
         if len(np.unique(candidates)) >= 2:
             assert len(calls) >= 2
         assert max(calls) <= len(candidates)
+
+    def test_refinement_reorders_candidates(self):
+        """The top candidate of the first pass is not the top once refined,
+        so the first round of depth 1 refines past its first chunk before
+        it scores anything."""
+        cloud, model, config = ranked_room(0, 300, 0.15, 0.5)
+        feats = extract_features(cloud, config.affordance)
+        first = score_bounds(model, feats)
+        refined, _ = two_pass_bounds(model, feats, cloud, 0.5)
+        rows = np.flatnonzero(feats.valid & (first >= 0.5))
+        assert (rows[np.lexsort((rows, -first[rows]))][0]
+                != rows[np.lexsort((rows, -refined[rows]))][0])
+        events = []
+        real_refine, real_predict = affordance.refine_bounds, predict
+
+        def refine(*args):
+            events.append("refine")
+            return real_refine(*args)
+
+        def score(*args):
+            events.append("predict")
+            return real_predict(*args)
+
+        with mock.patch.object(affordance, "refine_bounds", refine), \
+                mock.patch.object(affordance, "predict", score):
+            got, calls, candidates = self.ranked(cloud, model, config)
+        assert events.index("predict") >= 2
+        assert len(calls) >= 2 and len(got) > 1
 
     def test_no_row_reaches(self):
         got, calls, candidates = self.ranked(
@@ -689,8 +800,9 @@ def test_run_hotspots_equal_whole_cloud_scoring(workload_models, workload,
 def test_probes_complete_only_the_rows_ranked(workload_models, monkeypatch):
     """On the first pinned `probe-default` room (root seed 20), the
     hotspots that 3 probes take complete at most 1,024 rows' normals and
-    20,000 rows' discontinuity distances of the 44,457-row scene cloud.
-    Here they take 256 and 15,650. Before hotspots were ranked, scoring
+    measure at most 5,000 rows' discontinuity distances of the 44,457-row
+    scene cloud. Here they take 256 and 2,560. With the eager two-pass
+    bounds they measured 15,650; before hotspots were ranked, scoring
     every row the bound let through completed 3,808 and 44,457 (every
     row)."""
     overrides, model = workload_models["probe-default"]
@@ -720,4 +832,59 @@ def test_probes_complete_only_the_rows_ranked(workload_models, monkeypatch):
     assert len(clouds[0]) == 44457
     assert sum(r["stage"] == "initial" for r in record["interactions"]) == 3
     assert 0 < len(normals) <= 1024 and len(set(normals)) == len(normals)
-    assert 0 < sum(dists) <= 20000
+    assert 0 < sum(dists) <= 5000
+
+
+@pytest.mark.parametrize("workload, root_seed", [("probe-default", 20),
+                                                 ("survey-dense", 25)])
+def test_refined_bounds_equal_two_pass_bounds(workload_models, workload,
+                                              root_seed):
+    """Drained on the first room of a pinned workload set, the ranking
+    refines every candidate once, and each refined bound has the bytes the
+    eager two-pass bounds give that row, unless the reference's own bytes
+    there depend on the rows beside it (under 1 %: 19 of 15,394 rows on
+    `probe-default` and 71 of 37,057 on `survey-dense`)."""
+    overrides, model = workload_models[workload]
+    config = config_from_dict({**overrides, "seed": root_seed})
+    scene = generate_scene(derive_seed(root_seed, "scene", 0),
+                           config.generation)
+    cloud = capture_scene_cloud(scene, config.capture, np.random.default_rng(
+        derive_seed(root_seed, "run", scene.seed)))
+    refined = []
+    real = affordance.refine_bounds
+
+    def refine(model, feats, cloud, rows, threshold):
+        refined.append((rows.copy(), real(model, feats, cloud, rows,
+                                          threshold)))
+        return refined[-1][1]
+
+    with mock.patch.object(affordance, "refine_bounds", refine):
+        assert len(list(pipeline.ranked_hotspots(cloud, model, config))) > 0
+    rows = np.concatenate([r for r, _ in refined])
+    threshold = config.hotspot.score_threshold
+    feats = extract_features(cloud, config.affordance)
+    first = score_bounds(model, feats)
+    reference, loose = two_pass_bounds(model, feats, cloud, threshold)
+    assert len(refined) > 1
+    assert np.array_equal(np.sort(rows),
+                          np.flatnonzero(feats.valid & (first >= threshold)))
+    got = np.concatenate([b for _, b in refined])
+    same = ~np.isin(rows, loose)
+    assert got[same].tobytes() == reference[rows[same]].tobytes()
+    # each of the reference's products leaves at most 3 rows loose
+    assert (~same).sum() < 0.01 * len(rows)
+
+
+def test_survey_measures_no_row(workload_models, monkeypatch):
+    """`survey-dense` probes no hotspot, so its run measures no
+    discontinuity distance and estimates no normal."""
+    overrides, model = workload_models["survey-dense"]
+    config = config_from_dict({**overrides, "seed": 25})
+    scene = generate_scene(derive_seed(25, "scene", 0), config.generation)
+    calls = []
+    monkeypatch.setattr(geom, "estimate_normals",
+                        lambda *args: calls.append("normals"))
+    monkeypatch.setattr(affordance, "_discontinuity_dist",
+                        lambda *args: calls.append("distance"))
+    record = pipeline.run_scene(scene, model, config)
+    assert record["hotspots"]["items"] == [] and calls == []

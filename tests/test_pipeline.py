@@ -10,6 +10,7 @@ import pytest
 
 from scenekin import affordance, geom, pipeline, sensing
 from scenekin.config import config_from_dict, derive_seed
+from scenekin.errors import SceneGenerationError
 from scenekin.sensing import object_view_poses
 from scenekin.simworld import (
     GenerationConfig,
@@ -118,6 +119,23 @@ def test_run_models_one_entry_per_ok_inference(tmp_path):
         assert [e["hotspots"] for e in model["entries"]] == [[h] for h in ok]
         inferred += len(ok)
     assert inferred > 0
+
+
+def test_unbuildable_scene_is_redrawn(tmp_path):
+    """Root seed 39 under `survey-dense`'s generation section cannot build
+    scene 2 from its own seed; `gen_scenes` builds it from the first
+    re-draw and records that seed, while scenes 0 and 1 keep theirs."""
+    generation = {"n_revolute": 3, "n_prismatic": 3, "n_distractor": 5}
+    config = config_from_dict({"seed": 39, "generation": generation,
+                               "run": {"n_scenes": 3}})
+    first = derive_seed(39, "scene", 2)
+    with pytest.raises(SceneGenerationError, match="could not place"):
+        generate_scene(first, config.generation)
+    manifest = pipeline.gen_scenes(config, tmp_path)
+    seeds = [e["seed"] for e in manifest["scenes"]]
+    assert seeds == [derive_seed(39, "scene", 0), derive_seed(39, "scene", 1),
+                     derive_seed(39, "scene", 2, 1)]
+    assert load_scene(tmp_path / "scene_0002.json").seed == seeds[2]
 
 
 def test_run_scene_captures_only_moving_pulls(moving_run, monkeypatch):
