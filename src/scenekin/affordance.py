@@ -21,7 +21,6 @@ complete only the rows whose bound it needs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -29,6 +28,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
+from .artifacts import read_doc, write_doc
 from .errors import TrainingError, ValidationError
 from .geom import PointCloud, map_blocks, query_within
 from .sensing import VOXEL
@@ -610,15 +610,13 @@ def labels_to_dict(labelset: AffordanceLabelSet, scene_seed: int) -> dict:
 
 
 def labels_from_dict(doc: dict) -> AffordanceLabelSet:
-    if doc.get("version") != "afford_labels.v1":
-        raise ValidationError(f"unsupported labels version {doc.get('version')!r}")
     return AffordanceLabelSet(np.array(doc["indices"], dtype=np.int64),
                               tuple(doc["labels"]))
 
 
 def save_model(model: AffordanceModel, path, config_hash: str,
                seed: int) -> None:
-    doc = {
+    write_doc({
         "version": "afford_model.v1",
         "hidden": model.hidden,
         "scaler_mean": model.scaler_mean.tolist(),
@@ -629,49 +627,38 @@ def save_model(model: AffordanceModel, path, config_hash: str,
         "b2": model.b2,
         "config_hash": config_hash,
         "seed": seed,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    }, path)
 
 
 def load_model(path) -> AffordanceModel:
-    """The afford_model.v1 file at `path`; a malformed file is a
-    ValidationError naming it."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"model file {path} is not valid JSON: "
-                                  f"{e}") from e
-    if not isinstance(doc, dict):
-        raise ValidationError(f"model file {path} is not a JSON object")
-    if doc.get("version") != "afford_model.v1":
-        raise ValidationError(f"unsupported model version {doc.get('version')!r}")
-    for key in ("hidden", "scaler_mean", "scaler_std", "w1", "b1", "w2", "b2"):
-        if key not in doc:
-            raise ValidationError(f"model file {path} is malformed: no key "
-                                  f"{key!r}")
-    hidden = doc["hidden"]
-    if isinstance(hidden, bool) or not isinstance(hidden, int):
-        raise ValidationError(f"model file {path}: hidden must be an integer")
-    if hidden < 1 or doc["w1"] is None:
-        raise ValidationError(
-            f"model file {path} needs a hidden layer of width >= 1")
-    shapes = {"scaler_mean": (FEATURE_DIM,), "scaler_std": (FEATURE_DIM,),
-              "w1": (FEATURE_DIM, hidden), "b1": (hidden,), "w2": (hidden,)}
-    arrays = {}
-    for key, shape in shapes.items():
-        try:
-            arrays[key] = np.array(doc[key], dtype=np.float64)
-        except (TypeError, ValueError):
-            pass  # ragged lists or non-numbers
-        if key not in arrays or arrays[key].shape != shape:
-            raise ValidationError(f"model file {path}: {key} must be numbers "
-                                  f"of shape {shape}")
-    b2 = doc["b2"]
-    if (isinstance(b2, bool) or not isinstance(b2, (int, float))
-            or not math.isfinite(b2)):
-        raise ValidationError(f"model file {path}: b2 must be a finite "
-                              "number")
-    return AffordanceModel(hidden=hidden, b2=float(b2), **arrays)
+    """The afford_model.v1 file at `path`. Each fault of the file is an
+    ArtifactError naming it (`artifacts.read_doc`); a width, an array or
+    `b2` that does not fit the model is a ValidationError naming it."""
+    def parse(doc):
+        hidden = doc["hidden"]
+        if isinstance(hidden, bool) or not isinstance(hidden, int):
+            raise ValidationError(f"model file {path}: hidden must be an "
+                                  "integer")
+        if hidden < 1 or doc["w1"] is None:
+            raise ValidationError(
+                f"model file {path} needs a hidden layer of width >= 1")
+        shapes = {"scaler_mean": (FEATURE_DIM,), "scaler_std": (FEATURE_DIM,),
+                  "w1": (FEATURE_DIM, hidden), "b1": (hidden,),
+                  "w2": (hidden,)}
+        arrays = {}
+        for key, shape in shapes.items():
+            try:
+                arrays[key] = np.array(doc[key], dtype=np.float64)
+            except (TypeError, ValueError):
+                pass  # ragged lists or non-numbers
+            if key not in arrays or arrays[key].shape != shape:
+                raise ValidationError(f"model file {path}: {key} must be "
+                                      f"numbers of shape {shape}")
+        b2 = doc["b2"]
+        if (isinstance(b2, bool) or not isinstance(b2, (int, float))
+                or not math.isfinite(b2)):
+            raise ValidationError(f"model file {path}: b2 must be a finite "
+                                  "number")
+        return AffordanceModel(hidden=hidden, b2=float(b2), **arrays)
+
+    return read_doc(path, f"model file {path}", "afford_model.v1", parse)

@@ -6,7 +6,9 @@ class SceneKinError(Exception):
 
 
 class ValidationError(SceneKinError):
-    """Malformed input: bad shapes, non-unit axes, non-orthonormal rotations."""
+    """An in-memory value outside its domain: bad shapes, non-unit axes,
+    non-orthonormal rotations. A value read intact from a file but unfit
+    for its use (a model width, a label index past its cloud) is one too."""
 
 
 class SceneGenerationError(SceneKinError):
@@ -50,4 +52,7 @@ class ConfigError(SceneKinError):
 
 
 class ArtifactError(SceneKinError):
-    """A pipeline artifact is missing, malformed, or inconsistent."""
+    """A fault of an artifact file: missing, not JSON, not a JSON object,
+    of another version, or malformed (a missing key, a value of the wrong
+    type); or artifacts that disagree, such as a run and its scenes. See
+    `artifacts.read_doc` for the messages."""

@@ -20,7 +20,6 @@ segmentation IoU of one inference is the mean over its before/after masks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -250,9 +249,3 @@ def per_joint_csv_rows(scenes: list[dict]) -> list[dict]:
             rows.append(row)
     return rows
 
-
-def report_to_json(report: EvalReport, config_hash: str, seed: int) -> str:
-    doc = report.to_dict()
-    doc["config_hash"] = config_hash
-    doc["seed"] = seed
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"

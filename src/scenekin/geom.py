@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ValidationError
+from .errors import ArtifactError, ValidationError
 
 UNIT_TOL = 1e-9
 ORTHO_TOL = 1e-9
@@ -425,12 +425,16 @@ def save_cloud_binary(cloud: PointCloud, path) -> None:
 def load_cloud_binary(path) -> PointCloud:
     """Read a cloud written by `save_cloud_binary`.
 
-    Raises ValidationError when the magic, version or flags are unknown,
-    when the file holds part ids (flag bit 1, written before clouds dropped
-    them), or when the file length differs from the one its header implies.
+    Raises ArtifactError when there is no such file, and ValidationError
+    when the magic, version or flags are unknown, when the file holds part
+    ids (flag bit 1, written before clouds dropped them), or when the file
+    length differs from the one its header implies.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError as e:
+        raise ArtifactError(f"no cloud file {path}") from e
     magic = data[:4]
     if magic != _BIN_MAGIC:
         raise ValidationError(f"bad cloud file magic {magic!r}")

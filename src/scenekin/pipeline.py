@@ -3,8 +3,8 @@ the probe-observe-infer-refine loop, and evaluation.
 
 Every command is a pure function of (config, input files, seed): child seeds
 fan out from the global seed via config.derive_seed, artifacts embed the
-config hash, and JSON is written with sorted keys so repeated runs are
-byte-identical.
+config hash, and every JSON artifact is written and read through
+`artifacts`, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,15 +12,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
-import json
 import os
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 
 from . import affordance, evalkit, hotspot, scenemodel, sensing, simworld
+from .artifacts import read_doc, write_doc
 from .artinfer import REVOLUTE, ObservationPair, infer_articulation
 from .config import PipelineConfig, config_hash, derive_seed
 from .errors import (
@@ -37,20 +36,6 @@ from .refine import refine_loop
 from .simworld import SceneSpec, project_to_surface
 
 
-def _write_json(doc: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_json(path) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ArtifactError(f"{path} is not valid JSON: {e}") from e
-
-
 # the keys that readers take from each scene entry of a manifest, by version
 _ENTRY_KEYS = {"scene_manifest.v1": ("file", "seed"),
                "collect_manifest.v1": ("cloud", "labels"),
@@ -61,25 +46,16 @@ def _read_manifest(directory, version: str) -> dict:
     """The manifest.json of a stage's output directory: one of another
     `version`, without `scenes`, or with a scene entry that lacks a key of
     `_ENTRY_KEYS`, is an ArtifactError."""
-    path = os.path.join(directory, "manifest.json")
-    if not os.path.isfile(path):
-        raise ArtifactError(f"no manifest.json in {directory}")
-    manifest = _read_json(path)
-    if not isinstance(manifest, dict):
-        raise ArtifactError(f"manifest.json in {directory} is not an object")
-    if manifest.get("version") != version:
-        raise ArtifactError(f"manifest.json in {directory} is "
-                            f"{manifest.get('version')}, not {version}")
-    if "scenes" not in manifest:
-        raise ArtifactError(f"manifest.json in {directory} is malformed: no "
-                            "key 'scenes'")
-    for entry in manifest["scenes"]:
-        missing = [k for k in _ENTRY_KEYS[version] if k not in entry]
-        # a collect entry names its files only when its status is "ok"
-        if missing and entry.get("status", "ok") == "ok":
-            raise ArtifactError(f"manifest.json in {directory} is malformed: "
-                                f"a scene entry has no key {missing[0]!r}")
-    return manifest
+    def parse(manifest):
+        for entry in manifest["scenes"]:
+            missing = [k for k in _ENTRY_KEYS[version] if k not in entry]
+            # a collect entry names its files only when its status is "ok"
+            if missing and entry.get("status", "ok") == "ok":
+                raise ValueError(f"a scene entry has no key {missing[0]!r}")
+        return manifest
+
+    return read_doc(os.path.join(directory, "manifest.json"),
+                    f"manifest.json in {directory}", version, parse)
 
 
 def observe_interaction(scene: SceneSpec, contact,
@@ -136,7 +112,8 @@ def gen_scenes(config: PipelineConfig, out_dir) -> dict:
                 f"scene {k} (seed {seeds[0]}): {failures[0]}; the "
                 f"{len(seeds) - 1} re-draws failed too") from failures[0]
         fname = f"scene_{k:04d}.json"
-        simworld.save_scene(scene, os.path.join(out_dir, fname), chash)
+        write_doc(simworld.scene_to_dict(scene, chash),
+                  os.path.join(out_dir, fname))
         entries.append({
             "file": fname,
             "seed": seed,
@@ -145,7 +122,7 @@ def gen_scenes(config: PipelineConfig, out_dir) -> dict:
         })
     manifest = {"version": "scene_manifest.v1", "config_hash": chash,
                 "root_seed": config.seed, "scenes": entries}
-    _write_json(manifest, os.path.join(out_dir, "manifest.json"))
+    write_doc(manifest, os.path.join(out_dir, "manifest.json"))
     return manifest
 
 
@@ -180,8 +157,8 @@ def collect(config: PipelineConfig, scenes_dir, out_dir) -> dict:
         cloud_file = f"scene_{scene.seed}_cloud.xyzb"
         labels_file = f"scene_{scene.seed}_labels.json"
         save_cloud_binary(cloud, os.path.join(out_dir, cloud_file))
-        _write_json(affordance.labels_to_dict(labels, scene.seed),
-                    os.path.join(out_dir, labels_file))
+        write_doc(affordance.labels_to_dict(labels, scene.seed),
+                  os.path.join(out_dir, labels_file))
         counts = {v: labels.labels.count(v)
                   for v in (affordance.POSITIVE, affordance.NEGATIVE,
                             affordance.IGNORE)}
@@ -190,7 +167,7 @@ def collect(config: PipelineConfig, scenes_dir, out_dir) -> dict:
                         "counts": counts})
     manifest = {"version": "collect_manifest.v1", "config_hash": chash,
                 "root_seed": config.seed, "scenes": entries}
-    _write_json(manifest, os.path.join(out_dir, "manifest.json"))
+    write_doc(manifest, os.path.join(out_dir, "manifest.json"))
     return manifest
 
 
@@ -211,15 +188,8 @@ def train_model(config: PipelineConfig, dataset_dir, out_dir) -> dict:
             continue
         cloud = load_cloud_binary(os.path.join(dataset_dir, entry["cloud"]))
         labels_path = os.path.join(dataset_dir, entry["labels"])
-        doc = _read_json(labels_path)
-        if not isinstance(doc, dict):
-            raise ValidationError(f"labels file {labels_path} is not a JSON "
-                                  "object")
-        try:
-            labels = affordance.labels_from_dict(doc)
-        except KeyError as e:
-            raise ArtifactError(f"labels file {labels_path} is malformed: "
-                                f"no key {e}") from e
+        labels = read_doc(labels_path, f"labels file {labels_path}",
+                          "afford_labels.v1", affordance.labels_from_dict)
         if not ((labels.indices >= 0) & (labels.indices < len(cloud))).all():
             raise ValidationError(f"{labels_path} has point indices outside "
                                   f"[0, {len(cloud)}), the cloud's rows")
@@ -452,14 +422,13 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
         mobile_pts = obs.after.positions[seg.mobile_mask_after]
         estimates.append((joint, mobile_pts, hid))
 
-    model_out = scenemodel.aggregate(estimates)
     return {
         "scene_seed": scene.seed,
         "hotspots": hotspot.hotspots_to_dict(picked, config.hotspot.radius),
         "interactions": interactions,
         "inferences": inferences,
         "refinements": refinement_logs,
-        "model": replace(model_out, scene_seed=scene.seed),
+        "model": scenemodel.aggregate(estimates),
     }
 
 
@@ -490,8 +459,6 @@ def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
     the artifacts are the same as in a serial run.
     """
     manifest = _read_manifest(scenes_dir, "scene_manifest.v1")
-    if not os.path.isfile(model_path):
-        raise ArtifactError(f"no model file {model_path}")
     model = affordance.load_model(model_path)
     chash = config_hash(config)
     jobs = [(os.path.join(scenes_dir, e["file"]), model, config)
@@ -517,16 +484,16 @@ def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
             "inferences": record["inferences"],
             "refinements": record["refinements"],
         }
-        _write_json(doc, os.path.join(out_dir, inf_file))
-        scenemodel.export_model(replace(record["model"], config_hash=chash),
-                                os.path.join(out_dir, model_file))
+        write_doc(doc, os.path.join(out_dir, inf_file))
+        scenemodel.export_model(record["model"],
+                                os.path.join(out_dir, model_file), seed, chash)
         entries.append({"seed": seed, "inference": inf_file,
                         "model": model_file,
                         "entries": len(record["model"].entries),
                         "scene_sha256": record["scene_sha256"]})
     run_manifest = {"version": "run_manifest.v1", "config_hash": chash,
                     "root_seed": config.seed, "scenes": entries}
-    _write_json(run_manifest, os.path.join(out_dir, "manifest.json"))
+    write_doc(run_manifest, os.path.join(out_dir, "manifest.json"))
     return run_manifest
 
 
@@ -539,6 +506,16 @@ def _gt_joints(scene: SceneSpec) -> list[dict]:
     return [{"index": j, "type": gt.joint_type, "axis": gt.axis.tolist(),
              "pivot": None if gt.pivot is None else gt.pivot.tolist()}
             for j, (_, gt) in enumerate(scene.joints)]
+
+
+def _inference_log(doc: dict) -> tuple:
+    """(scene seed, interactions, [(ok inference, index of the joint its
+    hotspot's initial pull moved), ...]) of an inference.v1 document."""
+    moved = {r["hotspot_id"]: r["moved_joint"]
+             for r in doc["interactions"] if r["stage"] == "initial"}
+    return doc["scene_seed"], doc["interactions"], [
+        (i, moved[i["hotspot_id"]]) for i in doc["inferences"]
+        if i["status"] == "ok"]
 
 
 def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
@@ -563,11 +540,10 @@ def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
             "evaluate anyway")
     scenes = []
     for entry in run_manifest["scenes"]:
-        doc = _read_json(os.path.join(run_dir, entry["inference"]))
-        if doc.get("version") != "inference.v1":
-            raise ArtifactError(f"{entry['inference']} in {run_dir} is "
-                                f"{doc.get('version')}, not inference.v1")
-        seed = doc["scene_seed"]
+        seed, interactions, inferences = read_doc(
+            os.path.join(run_dir, entry["inference"]),
+            f"{entry['inference']} in {run_dir}", "inference.v1",
+            _inference_log)
         if seed not in scene_files:
             raise ArtifactError(f"run scene {seed} is not in {scenes_dir}")
         scene_path = os.path.join(scenes_dir, scene_files[seed])
@@ -582,20 +558,17 @@ def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
                 f"joints of run scene {seed} differ from "
                 f"{scene_files[seed]} in {scenes_dir}")
         gt_joints = _gt_joints(scene)
-        moved = {r["hotspot_id"]: r["moved_joint"]
-                 for r in doc["interactions"] if r["stage"] == "initial"}
         scenes.append({
             "scene_seed": seed,
-            "interactions": doc["interactions"],
-            "inferences": [{**i, "gt_joint": gt_joints[moved[i["hotspot_id"]]]}
-                           for i in doc["inferences"]
-                           if i.get("status") == "ok"],
+            "interactions": interactions,
+            "inferences": [{**i, "gt_joint": gt_joints[joint]}
+                           for i, joint in inferences],
             "gt_joints": gt_joints,
         })
     report = evalkit.build_report(scenes)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(evalkit.report_to_json(report, chash, config.seed))
+    write_doc({**report.to_dict(), "config_hash": chash, "seed": config.seed},
+              os.path.join(out_dir, "report.json"))
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write(evalkit.render_table(report) + "\n")
     rows = evalkit.per_joint_csv_rows(scenes)

@@ -10,12 +10,12 @@ scene have described the same motion.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_doc
 from .artinfer import JointModel
 from .errors import ValidationError
 from .geom import PointCloud, save_cloud_binary
@@ -34,8 +34,6 @@ class ModelEntry:
 @dataclass(frozen=True)
 class SceneArticulationModel:
     entries: tuple[ModelEntry, ...]
-    scene_seed: int | None = None
-    config_hash: str | None = None
 
 
 def fit_oriented_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,11 +69,12 @@ def aggregate(estimates: list[tuple[JointModel, np.ndarray, int]]
 # Export (scene_model.v1)
 # ---------------------------------------------------------------------------
 
-def export_model(model: SceneArticulationModel, path) -> None:
+def export_model(model: SceneArticulationModel, path, scene_seed: int,
+                 config_hash: str) -> None:
     """Write the scene_model.v1 JSON plus one sidecar cloud file per entry.
 
-    Entry k has id k, and its box is `fit_oriented_box` of its mobile
-    points."""
+    The header names the scene's seed and the run's config hash. Entry k
+    has id k, and its box is `fit_oriented_box` of its mobile points."""
     path = str(path)
     stem = os.path.splitext(os.path.basename(path))[0]
     out_dir = os.path.dirname(path) or "."
@@ -100,8 +99,5 @@ def export_model(model: SceneArticulationModel, path) -> None:
             "hotspots": [int(e.hotspot_id)],
             "confidence": 1.0,
         })
-    doc = {"version": "scene_model.v1", "scene_seed": model.scene_seed,
-           "config_hash": model.config_hash, "entries": entries}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_doc({"version": "scene_model.v1", "scene_seed": scene_seed,
+               "config_hash": config_hash, "entries": entries}, path)

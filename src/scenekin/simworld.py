@@ -23,7 +23,6 @@ bit what a box-by-box scan gives.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -31,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .artinfer import PRISMATIC, REVOLUTE
+from .artifacts import read_doc
 from .errors import PreconditionError, SceneGenerationError, ValidationError
 from .geom import (
     RigidTransform,
@@ -793,8 +793,6 @@ def scene_to_dict(scene: SceneSpec, config_hash: str) -> dict:
 
 
 def scene_from_dict(doc: dict) -> SceneSpec:
-    if doc.get("version") != "scene_spec.v1":
-        raise ValidationError(f"unsupported scene version {doc.get('version')!r}")
     parts = tuple(
         PartGeometry(p["center"], p["half_extents"],
                      np.array(p["rotation"], dtype=np.float64).reshape(3, 3),
@@ -813,21 +811,9 @@ def scene_from_dict(doc: dict) -> SceneSpec:
                      int(doc["seed"]))
 
 
-def save_scene(scene: SceneSpec, path, config_hash: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(scene_to_dict(scene, config_hash), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def load_scene(path) -> SceneSpec:
-    """The scene_spec.v1 file at `path`; a file that is not JSON or lacks a
-    key is a ValidationError naming the file."""
-    with open(path) as fh:
-        try:
-            return scene_from_dict(json.load(fh))
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"scene file {path} is not valid JSON: "
-                                  f"{e}") from e
-        except KeyError as e:
-            raise ValidationError(f"scene file {path} is malformed: no key "
-                                  f"{e}") from e
+    """The scene_spec.v1 file at `path`; each fault of the file is an
+    ArtifactError naming it (`artifacts.read_doc`), and a scene the file
+    describes but `SceneSpec` refuses is a ValidationError."""
+    return read_doc(path, f"scene file {path}", "scene_spec.v1",
+                    scene_from_dict)

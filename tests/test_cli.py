@@ -398,16 +398,19 @@ class TestPipelineArtifacts:
         that is not JSON or not of the version asked, a cut-short model or
         scene file, a model that is not a JSON object, lacks a key, has a
         width that is not an integer or arrays that do not fit its width,
-        labels that are not a JSON object, lack their indices or point
-        outside their cloud, a run that recorded no scene digest, or a
-        config file the loader cannot read or refuses is a named error and
-        no output directory is made."""
+        labels that are not a JSON object, lack their indices, hold an index
+        that is not a number or point outside their cloud, a scene or cloud
+        file the manifest lists but the directory lacks, a scene part whose
+        centre is not numbers, an inference log without its scene seed or
+        with interactions without their stage, a run that recorded no scene
+        digest, or a config file the loader cannot read or refuses is a
+        named error and no output directory is made."""
         base, cfg = workspace
         missing = str(tmp_path / "missing")
         listed = tmp_path / "listed"
         listed.mkdir()
         (listed / "manifest.json").write_text("[]")
-        not_object = f"manifest.json in {listed} is not an object"
+        not_object = f"manifest.json in {listed} is not a JSON object"
         cut_model = tmp_path / "cut_model.json"
         text = (base / "model" / "model.json").read_text()
         cut_model.write_text(text[:len(text) // 2])
@@ -508,6 +511,43 @@ class TestPipelineArtifacts:
         shutil.copytree(data, list_labels_data)
         list_labels = list_labels_data / entry["labels"]
         list_labels.write_text("[]")
+
+        def broken(d, name, file, edit):
+            """(copy of stage directory `d`, path of its `file`), `file`
+            rewritten as `edit` of its document, or removed if `edit` is
+            None."""
+            copy = tmp_path / name
+            shutil.copytree(d, copy)
+            path = copy / file
+            if edit is None:
+                path.unlink()
+            else:
+                path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+            return str(copy), path
+
+        # a scene directory without its first scene file, and one whose
+        # first scene's first part has a centre that is not numbers
+        no_scene = broken(scenes, "sceneless", "scene_0000.json", None)
+        lettered_scene = broken(scenes, "lettered_scene", "scene_0000.json",
+                                lambda doc: {**doc, "parts": [
+                                    {**doc["parts"][0], "center": "x"},
+                                    *doc["parts"][1:]]})
+        # a dataset without its first cloud, and one whose first labels
+        # file has an index that is not a number
+        no_cloud = broken(data, "cloudless", entry["cloud"], None)
+        lettered_labels = broken(data, "lettered_labels", entry["labels"],
+                                 lambda doc: {**doc, "indices": [
+                                     "a", *doc["indices"][1:]]})
+        # runs whose first inference log has no scene seed, or whose
+        # interactions have no stage
+        inference = json.loads((base / "run" / "manifest.json").read_text())[
+            "scenes"][0]["inference"]
+        seedless_log = broken(run, "seedless_log", inference, lambda doc: {
+            k: v for k, v in doc.items() if k != "scene_seed"})
+        stageless_log = broken(run, "stageless_log", inference, lambda doc: {
+            **doc, "interactions": [{k: v for k, v in r.items()
+                                     if k != "stage"}
+                                    for r in doc["interactions"]]})
         not_json, no_hidden = (tmp_path / f for f in ("bad.json", "h0.json"))
         not_json.write_text('{"seed": 5,')
         no_hidden.write_text(json.dumps(
@@ -536,6 +576,10 @@ class TestPipelineArtifacts:
                 (["--dataset", str(list_labels_data)], f"labels file "
                  f"{list_labels} is not a JSON object"),
                 (["--dataset", str(unlisted[data])], unlisted_error[data]),
+                (["--dataset", no_cloud[0]], f"no cloud file {no_cloud[1]}"),
+                (["--dataset", lettered_labels[0]],
+                 f"labels file {lettered_labels[1]} is malformed: invalid "
+                 "literal for int()"),
                 *[(["--dataset", keyless[key]], keyless_error[key])
                   for key in ("cloud", "labels")]],
             "run": [
@@ -562,7 +606,12 @@ class TestPipelineArtifacts:
                 (["--scenes", str(unlisted[scenes]), "--model", model],
                  unlisted_error[scenes]),
                 (["--scenes", str(cut_scenes), "--model", model],
-                 cut_scene_error)],
+                 cut_scene_error),
+                (["--scenes", no_scene[0], "--model", model],
+                 f"no scene file {no_scene[1]}"),
+                (["--scenes", lettered_scene[0], "--model", model],
+                 f"scene file {lettered_scene[1]} is malformed: could not "
+                 "convert string to float: 'x'")],
             "eval": [
                 (["--run", missing, "--scenes", scenes],
                  f"no manifest.json in {missing}"),
@@ -574,7 +623,7 @@ class TestPipelineArtifacts:
                  f"manifest.json in {run} is run_manifest.v1, not "
                  "scene_manifest.v1"),
                 (["--run", str(truncated), "--scenes", scenes],
-                 f"{truncated / 'manifest.json'} is not valid JSON"),
+                 f"manifest.json in {truncated} is not valid JSON"),
                 (["--run", str(swapped), "--scenes", scenes],
                  f"{doc['scenes'][0]['model']} in {swapped} is "
                  "scene_model.v1, not inference.v1"),
@@ -590,7 +639,13 @@ class TestPipelineArtifacts:
                 (["--run", keyless["inference"], "--scenes", scenes],
                  keyless_error["inference"]),
                 (["--run", run, "--scenes", keyless["seed"]],
-                 keyless_error["seed"])],
+                 keyless_error["seed"]),
+                (["--run", seedless_log[0], "--scenes", scenes],
+                 f"{inference} in {seedless_log[0]} is malformed: no key "
+                 "'scene_seed'"),
+                (["--run", stageless_log[0], "--scenes", scenes],
+                 f"{inference} in {stageless_log[0]} is malformed: no key "
+                 "'stage'")],
         }[command]
         # the inputs of a good call, under a config file that fails to load;
         # the later --config replaces the workspace's

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from scenekin.artifacts import write_doc
 from scenekin.errors import ArtifactError, ValidationError
 from scenekin.evalkit import (
     angle_error,
@@ -13,7 +14,6 @@ from scenekin.evalkit import (
     per_joint_csv_rows,
     precision,
     render_table,
-    report_to_json,
     segmentation_iou,
 )
 
@@ -186,10 +186,11 @@ class TestBuildReport:
         assert agg["coverage"]["revolute"]["30"] == 0.0
         assert agg["angle_error_revolute"]["mean"] is None
 
-    def test_deterministic_json(self):
+    def test_deterministic_json(self, tmp_path):
         scenes = [make_scene_record(0), make_scene_record(1)]
-        a = report_to_json(build_report(scenes), config_hash="x", seed=1)
-        b = report_to_json(build_report(scenes), config_hash="x", seed=1)
+        for name in ("a.json", "b.json"):
+            write_doc(build_report(scenes).to_dict(), tmp_path / name)
+        a, b = ((tmp_path / n).read_text() for n in ("a.json", "b.json"))
         assert a == b
         json.loads(a)
 

@@ -334,6 +334,25 @@ def test_every_dataclass_field_is_read():
                   if name not in read) == []
 
 
+def test_only_artifacts_reads_and_writes_json_files():
+    """No module calls `json.dump` or `json.load` but `artifacts`, the one
+    writer and reader of the documents the stages hand each other, and
+    `config.load_config`, which reads the user's config file."""
+    calls = set()
+    for module, tree in LIBRARY.items():
+        for top in tree.body:
+            calls |= {(module, getattr(top, "name", None))
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr in ("dump", "load")
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "json"
+                      or isinstance(node, ast.ImportFrom)
+                      and node.module == "json"}
+    assert sorted(c for c in calls if c[0] != "artifacts"
+                  and c != ("config", "load_config")) == []
+
+
 def _flatten(doc, path="") -> dict:
     """{"section.key": value} of every leaf of a nested config document."""
     out = {}

@@ -327,7 +327,7 @@ def test_normals_are_estimated_only_at_rows_read(moving_run, tmp_path,
     assert len(calls) == len(manifest["scenes"])
     for (cloud, rows), entry in zip(calls, manifest["scenes"]):
         saved = geom.load_cloud_binary(tmp_path / "data" / entry["cloud"])
-        labels = affordance.labels_from_dict(pipeline._read_json(
-            tmp_path / "data" / entry["labels"]))
+        labels = affordance.labels_from_dict(json.loads(
+            (tmp_path / "data" / entry["labels"]).read_text()))
         assert np.array_equal(cloud.positions, saved.positions)
         assert np.isin(rows, labels.indices).all()

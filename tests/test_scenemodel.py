@@ -32,10 +32,8 @@ def load_model(path) -> tuple[SceneArticulationModel, list[dict]]:
         pts = load_cloud_binary(os.path.join(
             out_dir, d["mobile_points_file"])).positions
         entries.append(ModelEntry(joint, pts, d["hotspots"][0]))
-    model = SceneArticulationModel(tuple(entries),
-                                   scene_seed=doc.get("scene_seed"),
-                                   config_hash=doc.get("config_hash"))
-    return model, [d["mobile_box"] for d in doc["entries"]]
+    return (SceneArticulationModel(tuple(entries)),
+            [d["mobile_box"] for d in doc["entries"]])
 
 
 def models_equivalent(a: SceneArticulationModel, b: SceneArticulationModel,
@@ -158,9 +156,11 @@ class TestExport:
         ]
         model = aggregate(ests)
         path = tmp_path / "model.json"
-        export_model(model, path)
+        export_model(model, path, 3, "c0ffee")
         back, boxes = load_model(path)
         assert models_equivalent(back, model, atol=1e-12)
+        doc = json.loads(path.read_text())
+        assert (doc["scene_seed"], doc["config_hash"]) == (3, "c0ffee")
         # the file's box is the box fitted to the entry's mobile points
         for e, box in zip(model.entries, boxes):
             c, h, r = fit_oriented_box(e.mobile_points)
@@ -169,7 +169,7 @@ class TestExport:
 
     def test_empty_model(self, tmp_path):
         path = tmp_path / "empty.json"
-        export_model(aggregate([]), path)
+        export_model(aggregate([]), path, 0, "x")
         back, _ = load_model(path)
         assert back.entries == ()
 
@@ -184,7 +184,7 @@ class TestExport:
                          slab_points(rng.uniform(0, 5, 3), seed=k), k))
         model = aggregate(ests)
         path = tmp_path / "m.json"
-        export_model(model, path)
+        export_model(model, path, 1, "y")
         back, _ = load_model(path)
         for e in back.entries:
             assert abs(np.linalg.norm(e.joint.axis) - 1.0) < 1e-9

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenekin import sensing
-from scenekin.errors import PreconditionError, ValidationError
+from scenekin.artifacts import write_doc
+from scenekin.errors import ArtifactError, PreconditionError, ValidationError
 from scenekin.geom import (
     RigidTransform,
     as_vec3,
@@ -31,7 +32,6 @@ from scenekin.simworld import (
     interact,
     load_scene,
     nearest_part,
-    save_scene,
     scene_from_dict,
     scene_to_dict,
     surface_normal,
@@ -366,7 +366,7 @@ class TestSceneSerialization:
     def test_file_round_trip(self, tmp_path):
         scene = generate_scene(22, GenerationConfig(1, 1, 0))
         p = tmp_path / "scene.json"
-        save_scene(scene, p, "x")
+        write_doc(scene_to_dict(scene, "x"), p)
         back = load_scene(p)
         assert scene_to_dict(back, "x") == scene_to_dict(scene, "x")
 
@@ -376,7 +376,7 @@ class TestSceneSerialization:
         del doc["joints"]
         p = tmp_path / "scene.json"
         p.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError,
+        with pytest.raises(ArtifactError,
                            match="is malformed: no key 'joints'"):
             load_scene(p)
 
