@@ -7,8 +7,11 @@ Conventions used across the package:
 * Rotations are ``(3, 3)`` orthonormal matrices with determinant +1.
 * Direction vectors used as joint axes are unit norm (tolerance 1e-9).
 
-Per-point work over clouds and ray sets runs in fixed blocks of rows, shared
-between the calling thread and one thread pool per process (`map_blocks`).
+Per-point work runs in fixed blocks of rows (`row_blocks`). Over clouds the
+blocks are shared between the calling thread and one thread pool per process
+(`map_blocks`); ray sets are cast block by block on the calling thread
+(`sensing`), since a slab-test block is too short to gain from a second
+thread.
 Normals are estimated per row on demand: `PointCloud.normals(k, rows)`
 estimates only the rows not yet cached for that k.
 """
@@ -66,9 +69,15 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive `BLOCK_ROWS`-row slices of range(n); the last may be
+    shorter."""
+    return [slice(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
+
+
 def map_blocks(fn, n: int) -> list:
-    """`fn(rows)` for each consecutive `BLOCK_ROWS`-row slice `rows` of
-    range(n), returned in block order.
+    """`fn(rows)` for each slice `rows` of `row_blocks(n)`, returned in
+    block order.
 
     The calling thread and up to one pool thread per further CPU claim
     blocks in turn from a shared counter. Pool threads that have not started
@@ -84,8 +93,13 @@ def map_blocks(fn, n: int) -> list:
     writing a shared output only at its own rows. It must call no function
     that `bench/tracing.py` wraps in a span (the tracer keeps one span
     stack), nor `map_blocks`.
+
+    Work whose blocks are short loops over `row_blocks` on the calling
+    thread instead. A ray-casting block of `sensing` is about 30 short numpy
+    calls and a few 1,024x3 products, and on two CPUs two threads sharing
+    those blocks ran slower than one.
     """
-    blocks = [slice(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
+    blocks = row_blocks(n)
     results = [None] * len(blocks)
     claim = itertools.count()
 
@@ -112,6 +126,13 @@ def as_vec3(v) -> np.ndarray:
     if a.shape != (3,):
         raise ValidationError(f"expected 3-vector, got shape {a.shape}")
     return a
+
+
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of 3-vectors in Python floats: bit for bit `np.cross`, cheaper."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def normalize(v) -> np.ndarray:
@@ -425,7 +446,7 @@ def save_cloud_binary(cloud: PointCloud, path) -> None:
 def load_cloud_binary(path) -> PointCloud:
     """Read a cloud written by `save_cloud_binary`.
 
-    Raises ArtifactError when there is no such file, and ValidationError
+    Raises an ArtifactError naming the file when there is no such file,
     when the magic, version or flags are unknown, when the file holds part
     ids (flag bit 1, written before clouds dropped them), or when the file
     length differs from the one its header implies.
@@ -437,19 +458,19 @@ def load_cloud_binary(path) -> PointCloud:
         raise ArtifactError(f"no cloud file {path}") from e
     magic = data[:4]
     if magic != _BIN_MAGIC:
-        raise ValidationError(f"bad cloud file magic {magic!r}")
+        raise ArtifactError(f"cloud file {path} has bad magic {magic!r}")
     if len(data) < 16:
-        raise ValidationError(
-            f"cloud file header truncated at {len(data)} bytes")
+        raise ArtifactError(f"cloud file {path} has a header truncated at "
+                            f"{len(data)} bytes")
     version, flags, n = struct.unpack_from("<HHQ", data, 4)
     if version != 1:
-        raise ValidationError(f"unsupported cloud file version {version}")
+        raise ArtifactError(f"cloud file {path} is version {version}, not 1")
     if flags & ~(_FLAG_COLORS | _FLAG_PARTS | _FLAG_IDS):
-        raise ValidationError(f"unknown cloud file flags {flags:#x}")
+        raise ArtifactError(f"cloud file {path} has unknown flags {flags:#x}")
     if flags & _FLAG_PARTS:
-        raise ValidationError(f"cloud file {path} holds part ids, a field "
-                              "clouds no longer carry; re-run collect to "
-                              "rewrite it")
+        raise ArtifactError(f"cloud file {path} holds part ids, a field "
+                            "clouds no longer carry; re-run collect to "
+                            "rewrite it")
     fields = [("positions", "<f8", (n, 3))]
     if flags & _FLAG_COLORS:
         fields.append(("colors", "<f8", (n, 3)))
@@ -457,8 +478,8 @@ def load_cloud_binary(path) -> PointCloud:
         fields.append(("point_ids", "<i8", (n,)))
     expected = 16 + sum(8 * math.prod(shape) for _, _, shape in fields)
     if len(data) != expected:
-        raise ValidationError(f"cloud file holds {len(data)} bytes, its "
-                              f"header implies {expected}")
+        raise ArtifactError(f"cloud file {path} holds {len(data)} bytes, "
+                            f"its header implies {expected}")
     arrays, offset = {}, 16
     for name, dtype, shape in fields:
         count = math.prod(shape)

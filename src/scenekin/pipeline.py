@@ -44,10 +44,12 @@ _ENTRY_KEYS = {"scene_manifest.v1": ("file", "seed"),
 
 def _read_manifest(directory, version: str) -> dict:
     """The manifest.json of a stage's output directory: one of another
-    `version`, without `scenes`, or with a scene entry that lacks a key of
-    `_ENTRY_KEYS`, is an ArtifactError."""
+    `version`, without `scenes`, or with a scene entry that is not a JSON
+    object or lacks a key of `_ENTRY_KEYS`, is an ArtifactError."""
     def parse(manifest):
         for entry in manifest["scenes"]:
+            if not isinstance(entry, dict):
+                raise ValueError("a scene entry is not a JSON object")
             missing = [k for k in _ENTRY_KEYS[version] if k not in entry]
             # a collect entry names its files only when its status is "ok"
             if missing and entry.get("status", "ok") == "ok":
@@ -525,7 +527,8 @@ def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
     The ground truth is the scene of the same seed in `scenes_dir`, whose
     file must hash to the run manifest's `scene_sha256`; each ok inference
     is scored against the joint its hotspot's initial pull moved. A listed
-    file that is not inference.v1, a run scene missing from `scenes_dir` or
+    file that is not inference.v1, an ok inference whose initial pull names
+    no joint of its scene, a run scene missing from `scenes_dir` or
     differing from it, or a run manifest entry that recorded no scene digest
     (each case with its own message) raises ArtifactError.
     """
@@ -540,9 +543,9 @@ def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
             "evaluate anyway")
     scenes = []
     for entry in run_manifest["scenes"]:
+        log = f"{entry['inference']} in {run_dir}"
         seed, interactions, inferences = read_doc(
-            os.path.join(run_dir, entry["inference"]),
-            f"{entry['inference']} in {run_dir}", "inference.v1",
+            os.path.join(run_dir, entry["inference"]), log, "inference.v1",
             _inference_log)
         if seed not in scene_files:
             raise ArtifactError(f"run scene {seed} is not in {scenes_dir}")
@@ -558,6 +561,12 @@ def evaluate(config: PipelineConfig, run_dir, scenes_dir, out_dir,
                 f"joints of run scene {seed} differ from "
                 f"{scene_files[seed]} in {scenes_dir}")
         gt_joints = _gt_joints(scene)
+        for i, joint in inferences:
+            if type(joint) is not int or not 0 <= joint < len(gt_joints):
+                raise ArtifactError(
+                    f"{log} is malformed: the initial pull of ok inference "
+                    f"{i['hotspot_id']} moved joint {joint!r}, "
+                    f"not one of the {len(gt_joints)} joints of scene {seed}")
         scenes.append({
             "scene_seed": seed,
             "interactions": interactions,

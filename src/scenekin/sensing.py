@@ -14,15 +14,23 @@ the camera's view pyramid (Assarsson & Möller, "Optimized View Frustum
 Culling Algorithms for Bounding Boxes", JGT 2000); no pixel ray can reach
 it. It then tests every pixel ray against each remaining box in batched slab
 tests (Kay & Kajiya, "Ray Tracing Complex Scenes", SIGGRAPH 1986), one per
-fixed block of rays (`geom.map_blocks`). Each ray keeps its nearest entry
+fixed block of rays (`geom.row_blocks`). Each ray keeps its nearest entry
 and, on a tie, the lowest-index box: bit for bit what a box-by-box scan over
 every box of the room that replaces a hit only when strictly closer keeps.
+
+The blocks run on the calling thread, not on the `geom.map_blocks` pool: a
+block is about 30 short numpy calls and a few 1,024x3 products, and on two
+CPUs two threads sharing them cast a ring slower than one. What a capture
+reads of its camera and its room is computed once: the pixel grid per
+resolution and field of view, each `CameraPose`'s basis and ray directions,
+and each `BoxStack`'s corners.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,9 +38,10 @@ from .errors import CaptureError, ValidationError
 from .geom import (
     PointCloud,
     as_vec3,
-    map_blocks,
+    cross3,
     normalize,
     rotation_from_angle_axis,
+    row_blocks,
 )
 from .simworld import WORLD_UP, BoxStack, SceneSpec, surface_normal
 
@@ -46,9 +55,37 @@ VOXEL = 0.02        # scene-cloud downsampling cell, meters
 CROP_RADIUS = 1.2   # object views keep points this near the focus, meters
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _half_tangents(resolution, vfov_deg: float) -> tuple[float, float]:
+    w, h = resolution
+    tan_v = math.tan(math.radians(vfov_deg) / 2.0)
+    return tan_v, tan_v * w / h
+
+
+@lru_cache(maxsize=8)
+def _pixel_grid(resolution: tuple[int, int], vfov_deg: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(W*H,) image-plane x and y of every pixel centre at unit depth,
+    row-major, read-only; one pair per resolution and field of view."""
+    w, h = resolution
+    tan_v, tan_h = _half_tangents(resolution, vfov_deg)
+    xs = (2.0 * (np.arange(w) + 0.5) / w - 1.0) * tan_h
+    ys = (1.0 - 2.0 * (np.arange(h) + 0.5) / h) * tan_v
+    gx, gy = np.meshgrid(xs, ys)
+    return _read_only(gx.ravel()), _read_only(gy.ravel())
+
+
 @dataclass(frozen=True)
 class CameraPose:
-    """Pinhole camera: position, target, vertical field of view, pixel grid."""
+    """Pinhole camera: position, target, vertical field of view, pixel grid.
+
+    Its basis and ray directions are computed on first use and kept, as
+    read-only arrays.
+    """
 
     position: np.ndarray
     look_at: np.ndarray
@@ -66,33 +103,39 @@ class CameraPose:
         if w < 1 or h < 1:
             raise ValidationError("resolution must be positive")
 
-    def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    @cached_property
+    def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         forward = normalize(self.look_at - self.position)
         up = WORLD_UP
         if abs(float(np.dot(forward, up))) > 1.0 - 1e-9:
             up = np.array([1.0, 0.0, 0.0])
-        right = normalize(np.cross(forward, up))
-        cam_up = np.cross(right, forward)
-        return forward, right, cam_up
+        right = normalize(cross3(forward, up))
+        cam_up = cross3(right, forward)
+        return tuple(map(_read_only, (forward, right, cam_up)))
+
+    @cached_property
+    def _ray_directions(self) -> np.ndarray:
+        gx, gy = _pixel_grid(tuple(self.resolution), self.vfov_deg)
+        # one axis at a time over every pixel: the bytes of the (W*H, 3)
+        # broadcast and of `np.linalg.norm` along its rows, a third the cost
+        dirs = np.array([f + gx * r + gy * u
+                         for f, r, u in zip(*self.basis())])
+        sq = dirs * dirs
+        dirs /= np.sqrt(sq[0] + sq[1] + sq[2])
+        return _read_only(np.ascontiguousarray(dirs.T))
+
+    def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(forward, right, up) unit vectors of the camera frame."""
+        return self._basis
 
     def half_tangents(self) -> tuple[float, float]:
         """(tan_v, tan_h): tangents of the half vertical and horizontal
         fields of view."""
-        w, h = self.resolution
-        tan_v = math.tan(math.radians(self.vfov_deg) / 2.0)
-        return tan_v, tan_v * w / h
+        return _half_tangents(self.resolution, self.vfov_deg)
 
     def ray_directions(self) -> np.ndarray:
         """(W*H, 3) unit directions through all pixel centers, row-major."""
-        w, h = self.resolution
-        forward, right, cam_up = self.basis()
-        tan_v, tan_h = self.half_tangents()
-        xs = (2.0 * (np.arange(w) + 0.5) / w - 1.0) * tan_h
-        ys = (1.0 - 2.0 * (np.arange(h) + 0.5) / h) * tan_v
-        gx, gy = np.meshgrid(xs, ys)
-        dirs = (forward[None, :] + gx.reshape(-1, 1) * right[None, :]
-                + gy.reshape(-1, 1) * cam_up[None, :])
-        return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        return self._ray_directions
 
     def project(self, points: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,60 +175,68 @@ def _nearest_hits(boxes: BoxStack, origin: np.ndarray, dirs: np.ndarray,
     """Nearest box entry of each ray from `origin` along `dirs` (N, 3).
 
     One slab test (Kay & Kajiya 1986) of every ray of a block against every
-    box, per `geom.map_blocks` block of rays. Returns (ray, part, t, local)
-    for the rays that enter a box at 1e-9 < t <= `max_range`, in ray order:
-    the entry distance, the box (on a tie, the lowest index) and the entry
-    point in that box's frame.
+    box, per `geom.row_blocks` block of rays, on the calling thread. Returns
+    (ray, part, t, local) for the rays that enter a box at 1e-9 < t <=
+    `max_range`, in ray order: the entry distance, the box (on a tie, the
+    lowest index) and the entry point in that box's frame.
+
+    The slab arrays are axis-major, (3, boxes, rays), so that each step of
+    the three-slab max/min chains reads whole contiguous planes.
     """
     if len(boxes.centers) == 0:
         return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                 np.zeros(0), np.zeros((0, 3)))
-    o = (origin - boxes.centers)[:, None, :] @ boxes.rotations
-    h = boxes.half_extents[:, None, :]
-
-    def block(rows):
-        d = np.empty((len(o), rows.stop - rows.start, 3))
+    o = ((origin - boxes.centers)[:, None, :] @ boxes.rotations)[:, 0].T
+    h = boxes.half_extents.T
+    lo, hi = (-h - o)[:, :, None], (h - o)[:, :, None]       # (3, P, 1)
+    inside = (np.abs(o) <= h)[:, :, None]
+    found = []
+    for rows in row_blocks(len(dirs)):
+        block_dirs = dirs[rows]
+        n = len(block_dirs)
+        d = np.empty((3, len(boxes.rotations), n))
         for pi, rotation in enumerate(boxes.rotations):
-            d[pi] = dirs[rows] @ rotation
+            d[:, pi] = (block_dirs @ rotation).T
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / d
-            t1 = (-h - o) * inv
-            t2 = np.multiply(h - o, inv, out=inv)
+            t1 = lo * inv
+            t2 = np.multiply(hi, inv, out=inv)
         near = np.minimum(t1, t2)
         far = np.maximum(t1, t2, out=t1)
         # rays parallel to a slab: inside it -> no constraint, outside -> miss
         par = np.abs(d) < 1e-12
         if par.any():
-            inside = np.abs(o) <= h
             near = np.where(par, np.where(inside, -np.inf, np.inf), near)
             far = np.where(par, np.where(inside, np.inf, -np.inf), far)
-        # chained over the three slabs: much faster than a 3-wide max/min
-        t_enter = np.maximum(np.maximum(near[..., 0], near[..., 1]),
-                             near[..., 2])
-        t_exit = np.minimum(np.minimum(far[..., 0], far[..., 1]), far[..., 2])
+        t_enter = np.maximum(np.maximum(near[0], near[1]), near[2])
+        t_exit = np.minimum(np.minimum(far[0], far[1]), far[2])
         hit = (t_enter <= t_exit) & (t_enter > 1e-9) & (t_enter <= max_range)
         t_enter = np.where(hit, t_enter, np.inf)
         part = np.argmin(t_enter, axis=0)  # the first of tied minima
         ray = np.flatnonzero(hit.any(axis=0))
         part = part[ray]
-        t = t_enter[part, ray]
-        local = o[part, 0] + t[:, None] * d[part, ray]
-        return ray + rows.start, part, t, local
-
-    return tuple(map(np.concatenate, zip(*map_blocks(block, len(dirs)))))
+        at = part * n + ray           # flat index of (part, ray) in a plane
+        t = t_enter.reshape(-1)[at]
+        local = (np.take(o, part, axis=1)
+                 + t * np.take(d.reshape(3, -1), at, axis=1)).T
+        found.append((ray + rows.start, part, t, local))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def _point_ids(part: np.ndarray, local_pts: np.ndarray, half: np.ndarray
                ) -> np.ndarray:
     """Point ids of hits on boxes `part` (N,) with half extents `half` (N, 3)
     at box-frame points `local_pts` (N, 3)."""
-    rel = np.abs(local_pts) / np.maximum(half, 1e-12)
-    axis = np.argmax(rel, axis=1)
-    rows = np.arange(len(local_pts))
-    face = axis * 2 + (local_pts[rows, axis] > 0).astype(np.int64)
-    ua, va = np.array([[1, 2], [0, 2], [0, 1]])[axis].T
-    u = local_pts[rows, ua] + half[rows, ua]
-    v = local_pts[rows, va] + half[rows, va]
+    p, h = local_pts.T, half.T
+    rel = np.abs(p) / np.maximum(h, 1e-12)
+    # the face's axis: the first of the largest relative coordinates
+    axis = (rel[1] > rel[0]).astype(np.int64)
+    axis[rel[2] > np.maximum(rel[0], rel[1])] = 2
+    on_x, on_z = axis == 0, axis == 2
+    face = axis * 2 + (np.where(on_x, p[0], np.where(on_z, p[2], p[1])) > 0)
+    # (u, v) are the face's other two axes, in ascending order
+    u = np.where(on_x, p[1], p[0]) + np.where(on_x, h[1], h[0])
+    v = np.where(on_z, p[1], p[2]) + np.where(on_z, h[1], h[2])
     iu = np.clip(np.floor(u / _ID_CELL).astype(np.int64), 0, _ID_RANGE - 1)
     iv = np.clip(np.floor(v / _ID_CELL).astype(np.int64), 0, _ID_RANGE - 1)
     return ((part * 6 + face) * _ID_RANGE + iu) * _ID_RANGE + iv
@@ -210,12 +261,7 @@ def _visible_parts(boxes: BoxStack, camera: CameraPose) -> np.ndarray:
     # outward normals of the right, left, top and bottom planes
     planes = np.array([right - tan_h * forward, -right - tan_h * forward,
                        cam_up - tan_v * forward, -cam_up - tan_v * forward])
-    signs = np.array([[sx, sy, sz] for sx in (-1.0, 1.0)
-                      for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)])
-    corners = boxes.centers[:, None, :] + np.einsum(
-        "pij,pcj->pci", boxes.rotations,
-        signs[None] * boxes.half_extents[:, None, :])
-    outside = (corners - camera.position) @ planes.T > 0.0   # (P, 8, 4)
+    outside = (boxes.corners - camera.position) @ planes.T > 0.0  # (P, 8, 4)
     return np.flatnonzero(~outside.all(axis=1).any(axis=1))
 
 
@@ -238,18 +284,21 @@ def raycast_capture(scene: SceneSpec, camera: CameraPose, max_range: float,
     if len(ray) == 0:
         return PointCloud(np.zeros((0, 3)))
     part = visible[part]
-    ids = _point_ids(part, local, boxes.half_extents[part])
+    ids = _point_ids(part, local, np.take(boxes.half_extents, part, axis=0))
     # one point per surface patch, in id order: the first pixel that saw it
     ids, first = np.unique(ids, return_index=True)
     keep, part = ray[first], part[first]
 
-    pts = camera.position[None, :] + t[first, None] * dirs[keep]
+    pts = np.take(dirs, keep, axis=0)
+    pts *= t[first, None]
+    pts += camera.position
     if noise_sigma > 0.0:
         # the noise is drawn in pixel order
         noise = np.empty(len(keep))
         noise[np.argsort(first)] = rng.normal(0.0, noise_sigma, len(keep))
         pts = pts + dirs[keep] * noise[:, None]
-    return PointCloud(pts, colors=boxes.colors[part], point_ids=ids)
+    return PointCloud(pts, colors=np.take(boxes.colors, part, axis=0),
+                      point_ids=ids)
 
 
 def range_image(cloud: PointCloud, camera: CameraPose) -> np.ndarray:

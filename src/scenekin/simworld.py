@@ -35,6 +35,7 @@ from .errors import PreconditionError, SceneGenerationError, ValidationError
 from .geom import (
     RigidTransform,
     as_vec3,
+    cross3,
     normalize,
     rodrigues,
     rotation_from_angle_axis,
@@ -94,13 +95,6 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b of 3-vectors in Python floats: bit for bit `np.cross`, cheaper."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
 @dataclass(frozen=True)
 class BoxStack:
     """Oriented boxes stacked along axis 0: centers (P, 3), rotations
@@ -126,6 +120,18 @@ class BoxStack:
     def take(self, idx) -> "BoxStack":
         return BoxStack(self.centers[idx], self.rotations[idx],
                         self.half_extents[idx], self.colors[idx])
+
+    @cached_property
+    def corners(self) -> np.ndarray:
+        """(P, 8, 3) world corners of each box, read-only; built on first
+        use."""
+        signs = np.array([[sx, sy, sz] for sx in (-1.0, 1.0)
+                          for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)])
+        corners = self.centers[:, None, :] + np.einsum(
+            "pij,pcj->pci", self.rotations,
+            signs[None] * self.half_extents[:, None, :])
+        corners.flags.writeable = False
+        return corners
 
     def _gaps(self, points: np.ndarray) -> np.ndarray:
         """(..., P, 3) |coordinate| - half extent of `points` (..., 3) in
@@ -645,9 +651,9 @@ def canonical_pull_directions(contact_normal) -> tuple[np.ndarray, np.ndarray, n
     falling back to world +x as the lateral seed when the normal is vertical.
     """
     n = normalize(contact_normal)
-    lateral = _cross(n, WORLD_UP)
+    lateral = cross3(n, WORLD_UP)
     if np.linalg.norm(lateral) < 1e-9:
-        lateral = _cross(n, np.array([1.0, 0.0, 0.0]))
+        lateral = cross3(n, np.array([1.0, 0.0, 0.0]))
     lateral = lateral / np.linalg.norm(lateral)
     return n, lateral, -lateral
 
@@ -691,7 +697,7 @@ def interact(scene: SceneSpec, contact, pull_direction, total: float
         r = float(np.linalg.norm(r_vec))
         if r < 1e-9:
             return fail, scene
-        tangent = _cross(u, r_vec / r)
+        tangent = cross3(u, r_vec / r)
         a0 = float(np.dot(d, tangent))
         if r * abs(a0) < joint.resistance:
             return fail, scene
@@ -707,7 +713,7 @@ def interact(scene: SceneSpec, contact, pull_direction, total: float
         if joint.joint_type == REVOLUTE:
             axis_pt = joint.pivot + np.dot(p_cur - joint.pivot, u) * u
             r_vec = p_cur - axis_pt
-            tangent = _cross(u, r_vec / np.linalg.norm(r_vec))
+            tangent = cross3(u, r_vec / np.linalg.norm(r_vec))
             align = float(np.dot(d, tangent))
             if sigma * align <= PULL_ALIGN_MIN:
                 break

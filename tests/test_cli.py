@@ -401,8 +401,10 @@ class TestPipelineArtifacts:
         labels that are not a JSON object, lack their indices, hold an index
         that is not a number or point outside their cloud, a scene or cloud
         file the manifest lists but the directory lacks, a scene part whose
-        centre is not numbers, an inference log without its scene seed or
-        with interactions without their stage, a run that recorded no scene
+        centre is not numbers, a manifest whose scene entry is not a JSON
+        object, an inference log without its scene seed, with interactions
+        without their stage, or whose ok inference's initial pull moved no
+        joint or a joint the scene lacks, a run that recorded no scene
         digest, or a config file the loader cannot read or refuses is a
         named error and no output directory is made."""
         base, cfg = workspace
@@ -548,6 +550,27 @@ class TestPipelineArtifacts:
             **doc, "interactions": [{k: v for k, v in r.items()
                                      if k != "stage"}
                                     for r in doc["interactions"]]})
+        # runs whose first inference log says the initial pull of its ok
+        # inference moved no joint, or a joint its scene lacks
+        def moved(joint):
+            def edit(doc):
+                ok = [i["hotspot_id"] for i in doc["inferences"]
+                      if i["status"] == "ok"]
+                assert ok, "the first run scene has no ok inference"
+                return {**doc, "interactions": [
+                    {**r, "moved_joint": joint}
+                    if r["stage"] == "initial" and r["hotspot_id"] == ok[0]
+                    else r for r in doc["interactions"]]}
+            return edit
+
+        jointless_log, far_joint_log = (
+            broken(run, name, inference, moved(joint))
+            for name, joint in (("jointless_log", None),
+                                ("far_joint_log", 99)))
+        # a scene directory whose manifest's first scene entry is a list
+        listed_entry = broken(scenes, "listed_entry", "manifest.json",
+                              lambda doc: {**doc, "scenes": [
+                                  [1, 2], *doc["scenes"][1:]]})
         not_json, no_hidden = (tmp_path / f for f in ("bad.json", "h0.json"))
         not_json.write_text('{"seed": 5,')
         no_hidden.write_text(json.dumps(
@@ -611,7 +634,10 @@ class TestPipelineArtifacts:
                  f"no scene file {no_scene[1]}"),
                 (["--scenes", lettered_scene[0], "--model", model],
                  f"scene file {lettered_scene[1]} is malformed: could not "
-                 "convert string to float: 'x'")],
+                 "convert string to float: 'x'"),
+                (["--scenes", listed_entry[0], "--model", model],
+                 f"manifest.json in {listed_entry[0]} is malformed: a scene "
+                 "entry is not a JSON object")],
             "eval": [
                 (["--run", missing, "--scenes", scenes],
                  f"no manifest.json in {missing}"),
@@ -645,7 +671,13 @@ class TestPipelineArtifacts:
                  "'scene_seed'"),
                 (["--run", stageless_log[0], "--scenes", scenes],
                  f"{inference} in {stageless_log[0]} is malformed: no key "
-                 "'stage'")],
+                 "'stage'"),
+                *[(["--run", log[0], "--scenes", scenes],
+                   f"{inference} in {log[0]} is malformed: the initial pull "
+                   f"of ok inference 0 moved joint {joint}, not one of the "
+                   "2 joints of scene ")
+                  for log, joint in ((jointless_log, None),
+                                     (far_joint_log, 99))]],
         }[command]
         # the inputs of a good call, under a config file that fails to load;
         # the later --config replaces the workspace's

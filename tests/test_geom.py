@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from scenekin.errors import ValidationError
+from scenekin.errors import ArtifactError, ValidationError
 from scenekin.geom import (
     ORTHO_TOL,
     PointCloud,
@@ -282,7 +282,7 @@ class TestCloudSerialization:
         data = p.read_bytes()
         assert len(data) == 656
         p.write_bytes((data + bytes(100))[:size])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ArtifactError, match=re.escape(f"cloud file {p} ")):
             load_cloud_binary(p)
 
     def test_binary_refuses_part_ids(self, tmp_path):
@@ -295,7 +295,7 @@ class TestCloudSerialization:
                       + cloud.positions.tobytes() + cloud.colors.tobytes()
                       + np.arange(len(cloud)).tobytes()
                       + cloud.point_ids.tobytes())
-        with pytest.raises(ValidationError, match=re.escape(
+        with pytest.raises(ArtifactError, match=re.escape(
                 f"cloud file {p} holds part ids")) as err:
             load_cloud_binary(p)
         assert "re-run collect" in str(err.value)
@@ -306,7 +306,8 @@ class TestCloudSerialization:
         data = bytearray(p.read_bytes())
         data[6] |= 8
         p.write_bytes(bytes(data))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ArtifactError, match=re.escape(
+                f"cloud file {p} has unknown flags 0x8")):
             load_cloud_binary(p)
 
     def test_binary_without_aux(self, tmp_path):

@@ -277,6 +277,104 @@ class TestBatchedRaycast:
                          resolution=(4, 4))
         assert len(raycast_capture(scene, cam, MAX_RANGE, NOISE, None)) == 0
 
+    @pytest.mark.parametrize("resolution", [(64, 48), (160, 120)])
+    def test_ring_matches_sequential_scan_bit_for_bit(self, resolution):
+        """Every ring camera of a generated room, over every box of the room
+        and over the boxes its view pyramid keeps, at the benchmark's and
+        the default resolution."""
+        scene = generate_scene(2, GenerationConfig())
+        world = scene.world_parts()
+        for cam in ring_poses(scene, CaptureConfig(resolution=resolution)):
+            dirs = cam.ray_directions()
+            want = sequential_hits(world, cam.position, dirs, MAX_RANGE)
+            visible = sensing._visible_parts(scene.boxes, cam)
+            ray, part, t, local = _nearest_hits(
+                scene.boxes.take(visible), cam.position, dirs, MAX_RANGE)
+            for got in (_nearest_hits(scene.boxes, cam.position, dirs,
+                                      MAX_RANGE),
+                        (ray, visible[part], t, local)):
+                for a, b in zip(got, want, strict=True):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+
+    def test_capture_runs_on_the_calling_thread(self, monkeypatch):
+        """Ray blocks never reach the block pool, even where `map_blocks`
+        would share them with a second thread."""
+        def no_pool():
+            raise AssertionError("a capture submitted work to the pool")
+
+        monkeypatch.setattr(geom, "_pool", no_pool)
+        monkeypatch.setattr(geom, "_threads", lambda: 2)
+        scene = generate_scene(2, GenerationConfig())
+        config = CaptureConfig(resolution=(64, 48))
+        panel = scene.part_world(scene.joints[0][0])
+        contact = panel.center + panel.rotation[:, 1] * panel.half_extents[1]
+        assert len(capture_scene_cloud(scene, config, None)) > 1000
+        assert len(capture_object_views(scene, contact, config, None)) > 100
+        with pytest.raises(AssertionError, match="submitted work"):
+            geom.map_blocks(lambda rows: rows, 2 * geom.BLOCK_ROWS)
+
+
+class TestCaptureConstants:
+    """What a capture reads of its camera and room is computed once, kept
+    read-only, and holds the bytes of the formula computed afresh."""
+
+    @staticmethod
+    def fresh_rays(cam):
+        forward = normalize(cam.look_at - cam.position)
+        up = np.array([0.0, 0.0, 1.0])
+        if abs(float(np.dot(forward, up))) > 1.0 - 1e-9:
+            up = np.array([1.0, 0.0, 0.0])
+        right = normalize(np.cross(forward, up))
+        cam_up = np.cross(right, forward)
+        w, h = cam.resolution
+        tan_v = math.tan(math.radians(cam.vfov_deg) / 2.0)
+        tan_h = tan_v * w / h
+        xs = (2.0 * (np.arange(w) + 0.5) / w - 1.0) * tan_h
+        ys = (1.0 - 2.0 * (np.arange(h) + 0.5) / h) * tan_v
+        gx, gy = np.meshgrid(xs, ys)
+        dirs = (forward[None, :] + gx.reshape(-1, 1) * right[None, :]
+                + gy.reshape(-1, 1) * cam_up[None, :])
+        return ((forward, right, cam_up),
+                dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("look", [(2.0, 0.5, 0.7), (0.3, -0.2, -1.0),
+                                      (0.3, -0.2, 3.0)])
+    def test_basis_and_rays(self, look):
+        # the last two cameras look straight down and up, so their bases
+        # take the x axis for up
+        cam = CameraPose([0.3, -0.2, 1.1], look, vfov_deg=50.0,
+                         resolution=(16, 9))
+        basis, dirs = self.fresh_rays(cam)
+        for got, want in zip((*cam.basis(), cam.ray_directions()),
+                             (*basis, dirs), strict=True):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert cam.ray_directions() is cam.ray_directions()
+        assert cam.basis()[0] is cam.basis()[0]
+
+    def test_pixel_grid_is_shared(self):
+        a, b = (CameraPose(p, [2.0, 0.5, 0.7], vfov_deg=50.0,
+                           resolution=(16, 9))
+                for p in ([0.3, -0.2, 1.1], [0.0, 0.0, 0.0]))
+        grids = [sensing._pixel_grid(c.resolution, c.vfov_deg)
+                 for c in (a, b)]
+        for g, h in zip(*grids, strict=True):
+            assert g is h and not g.flags.writeable
+
+    def test_box_corners(self):
+        boxes = generate_scene(2, GenerationConfig()).boxes
+        signs = np.array([[sx, sy, sz] for sx in (-1.0, 1.0)
+                          for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)])
+        want = boxes.centers[:, None, :] + np.einsum(
+            "pij,pcj->pci", boxes.rotations,
+            signs[None] * boxes.half_extents[:, None, :])
+        assert boxes.corners.tobytes() == want.tobytes()
+        assert boxes.corners.shape == want.shape
+        assert not boxes.corners.flags.writeable
+        assert boxes.corners is boxes.corners
+
 
 class TestProjection:
     def test_project_inverts_ray_directions(self):
