@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
-from .artifacts import read_doc, write_doc
+from .artifacts import integer, read_doc, write_doc
 from .errors import TrainingError, ValidationError
 from .geom import PointCloud, map_blocks, query_within
 from .sensing import VOXEL
@@ -610,7 +610,8 @@ def labels_to_dict(labelset: AffordanceLabelSet, scene_seed: int) -> dict:
 
 
 def labels_from_dict(doc: dict) -> AffordanceLabelSet:
-    return AffordanceLabelSet(np.array(doc["indices"], dtype=np.int64),
+    indices = [integer(i, "point index") for i in doc["indices"]]
+    return AffordanceLabelSet(np.array(indices, dtype=np.int64),
                               tuple(doc["labels"]))
 
 

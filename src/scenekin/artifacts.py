@@ -23,6 +23,15 @@ def write_doc(doc: dict, path) -> None:
         fh.write("\n")
 
 
+def integer(value, what: str) -> int:
+    """`value`, a field of a document that must be a JSON integer; a
+    ValueError naming it as `what` otherwise, so that `read_doc` names the
+    file. A number with a fraction, a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def read_doc(path, what: str, version: str, parse):
     """`parse(doc)` of the `version` document at `path`.
 

@@ -218,9 +218,7 @@ def train_model(config: PipelineConfig, dataset_dir, out_dir) -> dict:
 # run
 # ---------------------------------------------------------------------------
 
-def _segmentation_iou_vs_oracle(obs, seg, part_index: int) -> float | None:
-    if obs.before.point_ids is None or obs.after.point_ids is None:
-        return None
+def _segmentation_iou_vs_oracle(obs, seg, part_index: int) -> float:
     vals = []
     for mask, cloud in ((seg.mobile_mask_before, obs.before),
                         (seg.mobile_mask_after, obs.after)):

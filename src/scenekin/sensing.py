@@ -2,12 +2,12 @@
 around a contact point.
 
 Every returned point is an exact ray/box intersection (plus optional Gaussian
-noise along the ray) and carries the hit part's color together with a
-stable point id that packs the part's index and the quantized surface
-coordinate in the part's local frame (`id_parts` reads the index back).
-Because the id is local to the part, the same physical surface patch keeps
-its identity when the part moves, which gives downstream code an oracle
-correspondence channel that survives articulation.
+noise along the ray) and carries a stable point id that packs the hit
+part's index and the quantized surface coordinate in the part's local frame
+(`id_parts` reads the index back). Because the id is local to the part, the
+same physical surface patch keeps its identity when the part moves, which
+gives downstream code an oracle correspondence channel that survives
+articulation. A capture holds positions and point ids only.
 
 A capture first drops every box that lies wholly outside one side plane of
 the camera's view pyramid (Assarsson & Möller, "Optimized View Frustum
@@ -29,7 +29,7 @@ and each `BoxStack`'s corners.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -270,24 +270,21 @@ def raycast_capture(scene: SceneSpec, camera: CameraPose, max_range: float,
                     rng: np.random.Generator | None) -> PointCloud:
     """One depth capture: nearest box hit per pixel within range.
 
-    Points carry part color and quantized-surface point ids; pixels
-    hitting the same 5 mm surface patch are deduplicated. Gaussian noise
-    (if any) is drawn from `rng` and added along the ray after
-    identification; `rng` may be None only when `noise_sigma` is 0. The
-    returned cloud is sorted by point id.
+    Points carry quantized-surface point ids; pixels hitting the same 5 mm
+    surface patch are deduplicated. Gaussian noise (if any) is drawn from
+    `rng` and added along the ray after identification; `rng` may be None
+    only when `noise_sigma` is 0. The returned cloud is sorted by point id.
     """
     dirs = camera.ray_directions()
     boxes = scene.boxes
     visible = _visible_parts(boxes, camera)
     ray, part, t, local = _nearest_hits(boxes.take(visible), camera.position,
                                         dirs, max_range)
-    if len(ray) == 0:
-        return PointCloud(np.zeros((0, 3)))
     part = visible[part]
     ids = _point_ids(part, local, np.take(boxes.half_extents, part, axis=0))
     # one point per surface patch, in id order: the first pixel that saw it
     ids, first = np.unique(ids, return_index=True)
-    keep, part = ray[first], part[first]
+    keep = ray[first]
 
     pts = np.take(dirs, keep, axis=0)
     pts *= t[first, None]
@@ -297,8 +294,7 @@ def raycast_capture(scene: SceneSpec, camera: CameraPose, max_range: float,
         noise = np.empty(len(keep))
         noise[np.argsort(first)] = rng.normal(0.0, noise_sigma, len(keep))
         pts = pts + dirs[keep] * noise[:, None]
-    return PointCloud(pts, colors=np.take(boxes.colors, part, axis=0),
-                      point_ids=ids)
+    return PointCloud(pts, point_ids=ids)
 
 
 def range_image(cloud: PointCloud, camera: CameraPose) -> np.ndarray:
@@ -325,11 +321,10 @@ def fuse_clouds(captures: list[PointCloud]) -> PointCloud:
     first in concatenation order wins. Only the rows whose id repeats are
     sorted by position.
     """
-    captures = [c for c in captures if len(c) > 0]
-    if not captures:
-        return PointCloud(np.zeros((0, 3)))
+    if not any(len(c) for c in captures):  # `order[start]` needs a row
+        return PointCloud(np.zeros((0, 3)),
+                          point_ids=np.zeros(0, dtype=np.int64))
     pos = np.vstack([c.positions for c in captures])
-    col = np.vstack([c.colors for c in captures])
     ids = np.concatenate([c.point_ids for c in captures])
     order = np.argsort(ids, kind="stable")
     ids_sorted = ids[order]
@@ -344,15 +339,13 @@ def fuse_clouds(captures: list[PointCloud]) -> PointCloud:
                               ids[rep]))]
         rep_ids = ids[rep]
         keep[repeated] = rep[np.r_[True, rep_ids[1:] != rep_ids[:-1]]]
-    return PointCloud(pos[keep], colors=col[keep], point_ids=ids_sorted[start])
+    return PointCloud(np.take(pos, keep, axis=0), point_ids=ids_sorted[start])
 
 
 def _voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     """Keep one point per voxel of a cloud whose point ids ascend, as
     `fuse_clouds` leaves them: the lowest point id in the voxel wins, which
     is the voxel's first row."""
-    if len(cloud) == 0:
-        return cloud
     grid = np.floor(cloud.positions / voxel).astype(np.int64)
     shift = 2 ** 19
     key = ((grid[:, 0] + shift) * (2 ** 20) + (grid[:, 1] + shift)) * (2 ** 20) \
@@ -415,9 +408,13 @@ def _fused_captures(scene: SceneSpec, poses, config: CaptureConfig,
 
 def capture_scene_cloud(scene: SceneSpec, config: CaptureConfig,
                         rng: np.random.Generator | None) -> PointCloud:
-    """Fused scene cloud from the viewpoint ring, one point per `VOXEL`."""
+    """Fused scene cloud from the viewpoint ring, one point per `VOXEL`,
+    each coloured as the part its id lies on."""
     fused = _fused_captures(scene, ring_poses(scene, config), config, rng)
-    return _voxel_downsample(fused, VOXEL)
+    cloud = _voxel_downsample(fused, VOXEL)
+    colours = np.array([p.color for p in scene.parts]).reshape(-1, 3)
+    return replace(cloud, colors=np.take(colours, id_parts(cloud.point_ids),
+                                         axis=0))
 
 
 def object_view_poses(scene: SceneSpec, focus, config: CaptureConfig
@@ -463,8 +460,6 @@ def capture_object_views(scene: SceneSpec, focus, config: CaptureConfig,
     if poses is None:
         poses = object_view_poses(scene, focus, config)
     fused = _fused_captures(scene, poses, config, rng)
-    if len(fused) == 0:
-        return fused
     keep = np.linalg.norm(fused.positions - focus, axis=1) <= CROP_RADIUS
     return fused.subset(keep)
 

@@ -16,9 +16,10 @@ is reached, or the pull budget runs out. This reproduces the qualitative
 behaviors that matter downstream: grasps near a hinge fail outright, and a
 fixed pull direction opens a door only until the alignment decays.
 
-Geometry queries (nearest part, gripper clearance, box overlap) run as one
-array operation over a scene's stacked boxes (`SceneSpec.boxes`), bit for
-bit what a box-by-box scan gives.
+Every geometry query (nearest part, surface normal, gripper clearance, the
+contact snap, box overlap) reads a scene's stacked boxes (`SceneSpec.boxes`)
+and answers as one array operation over them, bit for bit what a box-by-box
+scan gives.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .artinfer import PRISMATIC, REVOLUTE
-from .artifacts import read_doc
+from .artifacts import integer, read_doc
 from .errors import PreconditionError, SceneGenerationError, ValidationError
 from .geom import (
     RigidTransform,
@@ -76,15 +77,6 @@ class PartGeometry:
         if self.kind not in PART_KINDS:
             raise ValidationError(f"unknown part kind {self.kind!r}")
 
-    def to_local(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return (pts - self.center) @ self.rotation
-
-    def to_world(self, local: np.ndarray) -> np.ndarray:
-        loc = np.atleast_2d(np.asarray(local, dtype=np.float64))
-        out = loc @ self.rotation.T + self.center
-        return out[0] if np.asarray(local).ndim == 1 else out
-
     def transformed(self, T: RigidTransform) -> "PartGeometry":
         return replace(self, center=T.apply(self.center),
                        rotation=T.rotation @ self.rotation)
@@ -97,8 +89,8 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoxStack:
-    """Oriented boxes stacked along axis 0: centers (P, 3), rotations
-    (P, 3, 3), half extents (P, 3) and colors (P, 3).
+    """The geometry of oriented boxes, stacked along axis 0: centers
+    (P, 3), rotations (P, 3, 3) and half extents (P, 3).
 
     A query answers for all P boxes at once, bit for bit what the same
     arithmetic on each `PartGeometry` alone gives.
@@ -107,7 +99,6 @@ class BoxStack:
     centers: np.ndarray
     rotations: np.ndarray
     half_extents: np.ndarray
-    colors: np.ndarray
 
     @staticmethod
     def of(boxes) -> "BoxStack":
@@ -115,11 +106,11 @@ class BoxStack:
             return np.array([getattr(b, name) for b in boxes],
                             dtype=np.float64).reshape(-1, *shape)
         return BoxStack(stack("center", 3), stack("rotation", 3, 3),
-                        stack("half_extents", 3), stack("color", 3))
+                        stack("half_extents", 3))
 
     def take(self, idx) -> "BoxStack":
         return BoxStack(self.centers[idx], self.rotations[idx],
-                        self.half_extents[idx], self.colors[idx])
+                        self.half_extents[idx])
 
     @cached_property
     def corners(self) -> np.ndarray:
@@ -284,9 +275,6 @@ class SceneSpec:
             if idx == part_index:
                 return j, joint
         return None
-
-    def part_world(self, part_index: int) -> PartGeometry:
-        return self._world_parts[part_index]
 
     def world_parts(self) -> tuple[PartGeometry, ...]:
         """Every part at its current pose, computed once per scene."""
@@ -622,15 +610,15 @@ def project_to_surface(scene: SceneSpec, point) -> np.ndarray:
     if dist > SNAP_TOLERANCE:
         raise PreconditionError(f"point is {dist:.4f} m from the nearest "
                                 f"surface (> {SNAP_TOLERANCE})")
-    box = scene.part_world(idx)
-    local = box.to_local(p)[0]
-    clamped = np.clip(local, -box.half_extents, box.half_extents)
-    gap = box.half_extents - np.abs(clamped)
-    axis = int(np.argmin(gap))
+    boxes = scene.boxes
+    c, R = boxes.centers[idx], boxes.rotations[idx]
+    half = boxes.half_extents[idx]
+    clamped = np.clip(((p[None] - c) @ R)[0], -half, half)
+    axis = int(np.argmin(half - np.abs(clamped)))
     # inside the box: push out through the closest face
-    clamped[axis] = math.copysign(box.half_extents[axis],
+    clamped[axis] = math.copysign(half[axis],
                                   clamped[axis] if clamped[axis] != 0 else 1.0)
-    return box.to_world(clamped)
+    return (clamped[None] @ R.T + c)[0]
 
 
 def gripper_clearance(scene: SceneSpec, point, normal, radius: float) -> bool:
@@ -806,7 +794,7 @@ def scene_from_dict(doc: dict) -> SceneSpec:
         for p in doc["parts"]
     )
     joints = tuple(
-        (int(j["part_index"]),
+        (integer(j["part_index"], "joint part_index"),
          GroundTruthJoint(j["type"], j["axis"], j["pivot"],
                           (j["limits"][0], j["limits"][1]),
                           j["state"], j["resistance"]))
@@ -814,7 +802,7 @@ def scene_from_dict(doc: dict) -> SceneSpec:
     )
     return SceneSpec(parts, joints,
                      (np.array(doc["bounds"]["min"]), np.array(doc["bounds"]["max"])),
-                     int(doc["seed"]))
+                     integer(doc["seed"], "seed"))
 
 
 def load_scene(path) -> SceneSpec:

@@ -430,6 +430,10 @@ class TestSerialization:
         back = labels_from_dict(labels_to_dict(ls, scene_seed=7))
         np.testing.assert_array_equal(back.indices, ls.indices)
         assert back.labels == ls.labels
+        # a set that sampled no points is a valid one
+        empty = labels_from_dict(labels_to_dict(
+            AffordanceLabelSet(np.zeros(0, dtype=np.int64), ()), 7))
+        assert empty.indices.dtype == np.int64 and empty.indices.shape == (0,)
 
     def test_model_round_trip(self, tmp_path):
         model, _ = train(separable_dataset(2),

@@ -313,7 +313,7 @@ class TestDetectChange:
     def test_drawer_capture_iou(self):
         scene = generate_scene(13, GenerationConfig(0, 1, 0))
         part_idx, joint = scene.joints[0]
-        panel = scene.part_world(part_idx)
+        panel = scene.world_parts()[part_idx]
         contact = panel.center + panel.rotation[:, 1] * panel.half_extents[1]
         normal = surface_normal(scene, contact)
         obs, outcome, _ = observe_interaction(scene, contact, normal)
@@ -540,7 +540,7 @@ class TestInferArticulation:
     def test_drawer_end_to_end(self):
         scene = generate_scene(17, GenerationConfig(0, 1, 0))
         part_idx, gt = scene.joints[0]
-        panel = scene.part_world(part_idx)
+        panel = scene.world_parts()[part_idx]
         contact = panel.center + panel.rotation[:, 1] * panel.half_extents[1]
         normal = surface_normal(scene, contact)
         obs, outcome, _ = observe_interaction(scene, contact, normal,
@@ -554,7 +554,7 @@ class TestInferArticulation:
     def test_door_end_to_end_oracle(self):
         scene = generate_scene(19, GenerationConfig(1, 0, 0))
         part_idx, gt = scene.joints[0]
-        panel = scene.part_world(part_idx)
+        panel = scene.world_parts()[part_idx]
         contact = panel.center + panel.rotation[:, 1] * panel.half_extents[1]
         normal = surface_normal(scene, contact)
         obs, outcome, scene_after = observe_interaction(scene, contact, normal)
@@ -602,7 +602,7 @@ class TestInferArticulation:
 
     def test_no_motion_is_inference_error(self):
         scene = generate_scene(23, GenerationConfig(0, 0, 2))
-        part = scene.part_world(5)
+        part = scene.world_parts()[5]
         contact = part.center + part.rotation[:, 1] * part.half_extents[1]
         normal = surface_normal(scene, contact)
         obs, outcome, _ = observe_interaction(scene, contact, normal)

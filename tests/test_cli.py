@@ -399,9 +399,10 @@ class TestPipelineArtifacts:
         scene file, a model that is not a JSON object, lacks a key, has a
         width that is not an integer or arrays that do not fit its width,
         labels that are not a JSON object, lack their indices, hold an index
-        that is not a number or point outside their cloud, a scene or cloud
+        that is not an integer or point outside their cloud, a scene or cloud
         file the manifest lists but the directory lacks, a scene part whose
-        centre is not numbers, a manifest whose scene entry is not a JSON
+        centre is not numbers, a scene whose seed or joint part index is not
+        an integer, a manifest whose scene entry is not a JSON
         object, an inference log without its scene seed, with interactions
         without their stage, or whose ok inference's initial pull moved no
         joint or a joint the scene lacks, a run that recorded no scene
@@ -540,6 +541,23 @@ class TestPipelineArtifacts:
         lettered_labels = broken(data, "lettered_labels", entry["labels"],
                                  lambda doc: {**doc, "indices": [
                                      "a", *doc["indices"][1:]]})
+        # datasets whose first labels file's first index is not an integer
+        odd_labels = {value: broken(data, f"labels_{k}", entry["labels"],
+                                    lambda doc, v=value: {**doc, "indices": [
+                                        v, *doc["indices"][1:]]})
+                      for k, value in enumerate((1.7, True, "3"))}
+        # scene directories whose first scene's seed, or its first joint's
+        # part index, is not an integer
+        fractional_seed = broken(scenes, "fractional_seed", "scene_0000.json",
+                                 lambda doc: {**doc, "seed": doc["seed"] + 0.9})
+        fractional_joint = broken(
+            scenes, "fractional_joint", "scene_0000.json",
+            lambda doc: {**doc, "joints": [
+                {**doc["joints"][0],
+                 "part_index": doc["joints"][0]["part_index"] + 0.4},
+                *doc["joints"][1:]]})
+        scene_doc = json.loads((base / "scenes" / "scene_0000.json")
+                               .read_text())
         # runs whose first inference log has no scene seed, or whose
         # interactions have no stage
         inference = json.loads((base / "run" / "manifest.json").read_text())[
@@ -601,8 +619,11 @@ class TestPipelineArtifacts:
                 (["--dataset", str(unlisted[data])], unlisted_error[data]),
                 (["--dataset", no_cloud[0]], f"no cloud file {no_cloud[1]}"),
                 (["--dataset", lettered_labels[0]],
-                 f"labels file {lettered_labels[1]} is malformed: invalid "
-                 "literal for int()"),
+                 f"labels file {lettered_labels[1]} is malformed: point "
+                 "index 'a' is not an integer"),
+                *[(["--dataset", d], f"labels file {path} is malformed: "
+                   f"point index {value!r} is not an integer")
+                  for value, (d, path) in odd_labels.items()],
                 *[(["--dataset", keyless[key]], keyless_error[key])
                   for key in ("cloud", "labels")]],
             "run": [
@@ -635,6 +656,13 @@ class TestPipelineArtifacts:
                 (["--scenes", lettered_scene[0], "--model", model],
                  f"scene file {lettered_scene[1]} is malformed: could not "
                  "convert string to float: 'x'"),
+                (["--scenes", fractional_seed[0], "--model", model],
+                 f"scene file {fractional_seed[1]} is malformed: seed "
+                 f"{scene_doc['seed'] + 0.9!r} is not an integer"),
+                (["--scenes", fractional_joint[0], "--model", model],
+                 f"scene file {fractional_joint[1]} is malformed: joint "
+                 f"part_index {scene_doc['joints'][0]['part_index'] + 0.4!r} "
+                 "is not an integer"),
                 (["--scenes", listed_entry[0], "--model", model],
                  f"manifest.json in {listed_entry[0]} is malformed: a scene "
                  "entry is not a JSON object")],

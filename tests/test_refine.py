@@ -175,7 +175,7 @@ def weak_pull_direction(gt, normal):
 def open_door_slightly(seed, noise=0.0):
     scene = generate_scene(seed, GenerationConfig(1, 0, 0))
     part_idx, gt = scene.joints[0]
-    panel = scene.part_world(part_idx)
+    panel = scene.world_parts()[part_idx]
     along = panel.rotation[:, 0]
     hs = np.sign(np.dot(gt.pivot - panel.center, along))
     contact = panel.center + panel.rotation[:, 1] * panel.half_extents[1] \

@@ -18,9 +18,11 @@ from scenekin.geom import (
 from scenekin.sensing import (
     CROP_RADIUS,
     MAX_RANGE,
+    VFOV_DEG,
     VOXEL,
     CameraPose,
     CaptureConfig,
+    capture_interaction_after,
     capture_object_views,
     capture_scene_cloud,
     object_view_poses,
@@ -265,17 +267,18 @@ class TestBatchedRaycast:
                 mock.patch.object(sensing, "_visible_parts",
                                   lambda _, camera: np.arange(len(world))):
             ref = raycast_capture(scene, cam, max_range, NOISE, None)
-        for field in ("positions", "colors", "point_ids"):
+        for field in ("positions", "point_ids"):
             a, b = getattr(cloud, field), getattr(ref, field)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.tobytes() == b.tobytes()
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_empty_scene_gives_empty_cloud(self):
         scene = SceneSpec((), (), BIG_BOUNDS, 0)
         cam = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], vfov_deg=60.0,
                          resolution=(4, 4))
         assert len(raycast_capture(scene, cam, MAX_RANGE, NOISE, None)) == 0
+        cloud = capture_scene_cloud(scene, CaptureConfig(resolution=(4, 4)),
+                                    None)
+        assert len(cloud) == 0 and cloud.colors.shape == (0, 3)
 
     @pytest.mark.parametrize("resolution", [(64, 48), (160, 120)])
     def test_ring_matches_sequential_scan_bit_for_bit(self, resolution):
@@ -307,7 +310,7 @@ class TestBatchedRaycast:
         monkeypatch.setattr(geom, "_threads", lambda: 2)
         scene = generate_scene(2, GenerationConfig())
         config = CaptureConfig(resolution=(64, 48))
-        panel = scene.part_world(scene.joints[0][0])
+        panel = scene.world_parts()[scene.joints[0][0]]
         contact = panel.center + panel.rotation[:, 1] * panel.half_extents[1]
         assert len(capture_scene_cloud(scene, config, None)) > 1000
         assert len(capture_object_views(scene, contact, config, None)) > 100
@@ -411,15 +414,12 @@ class TestProjection:
 def lexsort_fusion(captures):
     """Reference for `fuse_clouds`: sort every row by (id, x, y, z), equal
     rows in concatenation order, and keep the first row of each id."""
-    captures = [c for c in captures if len(c) > 0]
     pos = np.vstack([c.positions for c in captures])
     ids = np.concatenate([c.point_ids for c in captures])
     order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], ids))
     _, first = np.unique(ids[order], return_index=True)
     keep = order[first]
-    return PointCloud(pos[keep],
-                      colors=np.vstack([c.colors for c in captures])[keep],
-                      point_ids=ids[keep])
+    return PointCloud(pos[keep], point_ids=ids[keep])
 
 
 def lexsort_downsample(cloud, voxel):
@@ -435,6 +435,12 @@ def lexsort_downsample(cloud, voxel):
     return cloud.subset(keep[np.argsort(cloud.point_ids[keep], kind="stable")])
 
 
+def assert_empty(cloud):
+    """`cloud` has no rows, an empty int64 id array and no colours."""
+    assert cloud.positions.shape == (0, 3) and cloud.colors is None
+    assert cloud.point_ids.dtype == np.int64 and cloud.point_ids.shape == (0,)
+
+
 # captures over 12 ids and 8 positions, so ids repeat across captures, often
 # at exactly equal positions
 _CAPTURE = st.dictionaries(st.integers(0, 11),
@@ -446,23 +452,16 @@ class TestSceneCloud:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_CAPTURE, min_size=1, max_size=4))
     def test_fusion_matches_full_lexsort(self, rows_by_capture):
-        # every row has its own colour, so the winner shows
-        captures, row = [], 0
-        for rows in rows_by_capture:
-            ids = np.array(list(rows), dtype=np.int64)
-            n = len(ids)
-            captures.append(PointCloud(
-                np.array(list(rows.values())).reshape(n, 3),
-                colors=np.repeat(np.arange(row, row + n, dtype=float)[:, None],
-                                 3, axis=1),
-                point_ids=ids))
-            row += n
-        if row == 0:
-            assert len(fuse_clouds(captures)) == 0
+        captures = [PointCloud(np.array(list(rows.values())).reshape(-1, 3),
+                               point_ids=np.array(list(rows), dtype=np.int64))
+                    for rows in rows_by_capture]
+        if not any(len(c) for c in captures):
+            assert_empty(fuse_clouds(captures))
             return
         for ordered in (captures, captures[::-1]):
             got, want = fuse_clouds(ordered), lexsort_fusion(ordered)
-            for field in ("positions", "colors", "point_ids"):
+            assert got.colors is None
+            for field in ("positions", "point_ids"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -521,7 +520,7 @@ class TestSceneCloud:
             cloud = capture_scene_cloud(scene, config, None)
             seen = set(np.unique(id_parts(cloud.point_ids)))
             for part_idx, _ in scene.joints:
-                box = scene.part_world(part_idx)
+                box = scene.world_parts()[part_idx]
                 front = box.center + box.rotation[:, 1] * box.half_extents[1]
                 visible = False
                 for pose in ring_poses(scene, config):
@@ -534,6 +533,73 @@ class TestSceneCloud:
                         break
                 if visible:
                     assert part_idx in seen, (seed, part_idx)
+
+
+class TestCapturedFields:
+    """A capture holds positions and point ids; only the scene cloud holds
+    colours, each its point's part's."""
+
+    scene = generate_scene(13, GenerationConfig(1, 1, 1))
+    config = CaptureConfig(resolution=(40, 30))
+
+    def test_captures_carry_ids_and_no_colours(self):
+        scene, config = self.scene, self.config
+        panel = scene.world_parts()[scene.joints[0][0]]
+        contact = panel.center + panel.rotation[:, 1] * panel.half_extents[1]
+        poses = object_view_poses(scene, contact, config)
+        for cloud in (
+                raycast_capture(scene, ring_poses(scene, config)[0], MAX_RANGE,
+                                NOISE, None),
+                capture_object_views(scene, contact, config, None),
+                capture_interaction_after(scene, contact, poses, contact,
+                                          config, None)):
+            assert len(cloud) > 100 and cloud.colors is None
+            assert cloud.point_ids.dtype == np.int64
+            assert cloud.point_ids.shape == (len(cloud),)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.002])
+    def test_scene_cloud_colours_are_its_parts(self, noise):
+        # the door half open, so a part's colour follows it
+        scene = self.scene.with_joint_state(
+            0, 0.5 * sum(self.scene.joints[0][1].limits))
+        cloud = capture_scene_cloud(scene, replace(self.config,
+                                                   noise_sigma=noise),
+                                    np.random.default_rng(3))
+        want = np.array([scene.parts[i].color
+                         for i in id_parts(cloud.point_ids)])
+        assert len(cloud) > 500
+        assert cloud.colors.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["culled", "out of range"])
+    def test_zero_hit_capture_is_empty_with_ids(self, case):
+        """A camera above the room looking up (every box culled), or one in
+        the room whose range ends before any box, gives a capture with no
+        rows and an empty id array; its noise draws nothing, and fusion,
+        downsampling and the object-view crop keep the shape."""
+        scene, config = self.scene, self.config
+        lo, hi = scene.bounds
+        if case == "culled":
+            position = np.array([(lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2,
+                                 hi[2] + 2.0])
+            cam = CameraPose(position, position + [0.0, 0.0, 1.0], VFOV_DEG,
+                             config.resolution)
+            max_range = MAX_RANGE
+            assert len(sensing._visible_parts(scene.boxes, cam)) == 0
+        else:
+            cam = ring_poses(scene, config)[0]
+            max_range = 1e-3
+            assert len(sensing._visible_parts(scene.boxes, cam)) > 0
+        rng = np.random.default_rng(7)
+        cloud = raycast_capture(scene, cam, max_range, 0.002, rng)
+        assert_empty(cloud)
+        np.testing.assert_array_equal(rng.random(4),
+                                      np.random.default_rng(7).random(4))
+        for fused in (fuse_clouds([cloud, cloud]), fuse_clouds([])):
+            assert_empty(fused)
+            assert_empty(_voxel_downsample(fused, VOXEL))
+        if case == "culled":
+            assert_empty(capture_object_views(scene, position, config, None,
+                                              poses=[cam]))
 
 
 def recorded_captures(run):
@@ -567,7 +633,7 @@ class TestIdParts:
         scene = generate_scene(13, GenerationConfig(1, 1, 1))
         config = CaptureConfig(resolution=(40, 30))
         noisy = replace(config, noise_sigma=0.002)
-        panel = scene.part_world(scene.joints[0][0])
+        panel = scene.world_parts()[scene.joints[0][0]]
         contact = panel.center + panel.rotation[:, 1] * panel.half_extents[1]
         run = {
             "ring": lambda: capture_scene_cloud(scene, config, None),

@@ -23,6 +23,7 @@ from scenekin.simworld import (
     PULL_ALIGN_MIN,
     PULL_STEP,
     PartGeometry,
+    SNAP_TOLERANCE,
     SceneSpec,
     boxes_interpenetrate,
     canonical_pull_directions,
@@ -32,6 +33,7 @@ from scenekin.simworld import (
     interact,
     load_scene,
     nearest_part,
+    project_to_surface,
     scene_from_dict,
     scene_to_dict,
     surface_normal,
@@ -228,7 +230,7 @@ class TestInteract:
         drawer_joint = next(j for j, (_, gt) in enumerate(scene.joints)
                             if gt.joint_type == "prismatic")
         part_idx = scene.joints[drawer_joint][0]
-        panel = scene.part_world(part_idx)
+        panel = scene.world_parts()[part_idx]
         contact = panel.center + face_normal_ref(
             panel, panel.center + panel.rotation[:, 1]) * panel.half_extents[1]
         normal = surface_normal(scene, contact)
@@ -318,7 +320,9 @@ class TestRevoluteSteps:
         panel = PartGeometry(rotation @ [0.0, 0.0, 1.0], [0.6, 0.01, 0.5],
                              rotation, [0.2, 0.4, 0.8], "mobile_part")
         scene = SceneSpec((panel,), ((0, joint),), BIG_BOUNDS, 0)
-        contact = scene.part_world(0).to_world(np.array([x, 0.01, z]))
+        panel = scene.world_parts()[0]
+        contact = (np.array([[x, 0.01, z]]) @ panel.rotation.T
+                   + panel.center)[0]
         direction = data.draw(_UNIT)
         outcome, _ = interact(scene, contact, direction, total)
         if not outcome.engaged:
@@ -391,20 +395,22 @@ class TestSceneSerialization:
 # `BoxStack` replace, which they must match bit for bit.
 
 def surface_distance_ref(box, point):
-    d = np.abs(box.to_local(point)[0]) - box.half_extents
+    local = ((np.atleast_2d(point) - box.center) @ box.rotation)[0]
+    d = np.abs(local) - box.half_extents
     outside = np.linalg.norm(np.maximum(d, 0.0))
     inside = abs(min(float(d.max()), 0.0))
     return float(outside + inside)
 
 
 def solid_distance_ref(box, point):
-    d = np.abs(box.to_local(point)[0]) - box.half_extents
+    local = ((np.atleast_2d(point) - box.center) @ box.rotation)[0]
+    d = np.abs(local) - box.half_extents
     return float(np.linalg.norm(np.maximum(d, 0.0)))
 
 
 def face_normal_ref(box, point):
     """Outward normal of the face of `box` nearest to `point`."""
-    p = box.to_local(point)[0]
+    p = ((np.atleast_2d(point) - box.center) @ box.rotation)[0]
     gap = box.half_extents - np.abs(p)
     axis = int(np.argmin(gap))
     n_local = np.zeros(3)
@@ -419,6 +425,34 @@ def nearest_part_ref(scene, point):
         if d < best_d - 1e-15:
             best_i, best_d = i, d
     return best_i, best_d
+
+
+def project_to_surface_ref(scene, point):
+    """The snap box by box: the point in its nearest part's frame, clamped
+    to the box, pushed out through the closest face when inside, and mapped
+    back to the world."""
+    p = as_vec3(point)
+    idx, dist = nearest_part_ref(scene, p)
+    if dist > SNAP_TOLERANCE:
+        return None
+    box = scene.world_parts()[idx]
+    local = ((np.atleast_2d(p) - box.center) @ box.rotation)[0]
+    clamped = np.clip(local, -box.half_extents, box.half_extents)
+    gap = box.half_extents - np.abs(clamped)
+    axis = int(np.argmin(gap))
+    clamped[axis] = math.copysign(box.half_extents[axis],
+                                  clamped[axis] if clamped[axis] != 0 else 1.0)
+    return (np.atleast_2d(clamped) @ box.rotation.T + box.center)[0]
+
+
+def assert_snap_matches_ref(scene, point):
+    want = project_to_surface_ref(scene, point)
+    if want is None:
+        with pytest.raises(PreconditionError):
+            project_to_surface(scene, point)
+    else:
+        got = project_to_surface(scene, point)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def gripper_clearance_ref(scene, point, normal, radius):
@@ -530,7 +564,7 @@ def _probe_point(draw, scene):
                               unique=True)):
         local[axis] = draw(st.sampled_from([-1.0, 1.0])) \
             * box.half_extents[axis]
-    return box.to_world(local)
+    return (np.atleast_2d(local) @ box.rotation.T + box.center)[0]
 
 
 class TestStackedQueries:
@@ -549,6 +583,7 @@ class TestStackedQueries:
             gripper_clearance_ref(scene, point, normal, radius)
         assert sensing._in_free_space(scene, point) == \
             in_free_space_ref(scene, point)
+        assert_snap_matches_ref(scene, point)
         world = scene.world_parts()
         assert scene.boxes.surface_distance(point).tobytes() == np.array(
             [surface_distance_ref(b, point) for b in world]).tobytes()
@@ -616,13 +651,25 @@ class TestStackedQueries:
         assert gripper_clearance(scene, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.04)
         assert find_interpenetrations(scene) == []
 
-    def test_part_world_is_the_cached_pose(self):
-        scene = make_drawer_scene().with_joint_state(0, 0.2)
-        world = scene.world_parts()
-        assert all(scene.part_world(i) is world[i] for i in range(2))
-        assert scene.boxes.centers.tobytes() == np.array(
-            [b.center for b in world]).tobytes()
-        np.testing.assert_allclose(world[1].center, [0.47, 0.0, 0.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_snap_matches_box_by_box_bit_for_bit(self, seed):
+        """`project_to_surface` of points on, inside and off every box of
+        a room with its doors and drawers part open equals the box-by-box
+        snap, and both refuse the points beyond `SNAP_TOLERANCE`."""
+        scene = generate_scene(seed, GenerationConfig())
+        for j, (_, joint) in enumerate(scene.joints):
+            scene = scene.with_joint_state(j, 0.5 * joint.limits[1]
+                                           + 0.5 * joint.limits[0])
+        rng = np.random.default_rng(seed)
+        for box in scene.world_parts():
+            local = rng.uniform(-1.0, 1.0, (24, 3)) * box.half_extents
+            face = rng.integers(0, 3, 24)
+            local[np.arange(24), face] = np.where(
+                rng.random(24) < 0.5, -1.0, 1.0) * box.half_extents[face]
+            points = (local @ box.rotation.T + box.center
+                      + rng.normal(0.0, 0.02, (24, 3)))
+            for point in points:
+                assert_snap_matches_ref(scene, point)
 
 
 _DENSE = GenerationConfig(n_revolute=3, n_prismatic=3, n_distractor=5)
