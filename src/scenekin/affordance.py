@@ -10,7 +10,8 @@ cross-entropy and dice loss.
 
 Features come in two steps. `extract_features` computes every feature that
 needs the whole cloud (the neighbourhood covariances, and from them the set
-of discontinuity points). `complete` fills the two per-row features,
+of discontinuity points), in one pass per block of centres over one sorted
+list of every point's neighbours. `complete` fills the two per-row features,
 `normal_up` and `discontinuity_dist`, at the rows a caller reads. Before
 any row is completed, `score_bounds` bounds each row's score from above
 without measuring anything, and `refine_bounds` tightens the bound of a row
@@ -115,85 +116,68 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig
     needs every row's covariance, so these features are computed for the
     whole cloud, and the result keeps a k-d tree over those points.
 
-    One pair query finds every neighbourhood. Each block of centres then
-    takes its own pairs, sums positions, their pairwise products and
-    colours over each neighbourhood with one sparse product (adding the
-    neighbours of a centre in ascending index order), and reduces the sums
-    to counts, covariance eigenvalues and mean colours. So only the pairs'
-    keys span the whole cloud, not a CSR matrix or the sums, and each
-    row's bytes equal one product over the whole cloud.
+    One pair query finds every neighbourhood, and one sort of the keys
+    `center * n + neighbor` (both directions of each pair, and each point
+    itself) lays them out centre by centre, neighbours ascending. Each
+    block of centres takes its neighbours as one slice, sums positions,
+    their pairwise products and colours over each neighbourhood through
+    one sparse matrix, and writes its rows of the result. A sparse product
+    adds each column on its own in index order, so each row's bytes equal
+    one product over the whole cloud.
     """
     radius = config.feature_radius
     n = len(cloud)
     if n == 0:
         raise ValidationError("cannot extract features from an empty cloud")
-    pos = cloud.positions
-    # each pair as the keys `center * n + neighbor` of both its directions,
-    # sorted: a block's keys are then one slice of each
+    pos, colors = cloud.positions, cloud.colors
     pairs = cloud.tree.query_pairs(radius, output_type="ndarray")
-    up, down = pairs[:, 0] * n, pairs[:, 1] * n
-    up += pairs[:, 1]
-    down += pairs[:, 0]
+    m = len(pairs)
+    # written in place, so no whole-cloud temporary joins the keys
+    keys = np.empty(2 * m + n, dtype=np.int64)
+    np.multiply(pairs[:, 0], n, out=keys[:m])
+    keys[:m] += pairs[:, 1]
+    np.multiply(pairs[:, 1], n, out=keys[m:2 * m])
+    keys[m:2 * m] += pairs[:, 0]
     del pairs
-    up.sort()
-    down.sort()
-    # the columns each neighbourhood sums: positions, their pairwise
-    # products and colours, written in place so no whole-cloud temporary
-    # joins the keys
-    operand = np.empty((n, 9 if cloud.colors is None else 12))
-    operand[:, :3] = pos
-    for col, (a, b) in enumerate(zip(_IA, _IB), start=3):
-        np.multiply(pos[:, a], pos[:, b], out=operand[:, col])
-    if cloud.colors is not None:
-        operand[:, 9:] = cloud.colors
-    counts = np.empty(n, dtype=np.int64)
-    w = np.empty((n, 3))
-    mean_color = np.zeros((n, 3))
+    np.multiply(np.arange(n), n + 1, out=keys[2 * m:])
+    keys.sort()
+    # row i's neighbours are keys[starts[i]:starts[i + 1]]
+    starts = np.searchsorted(keys, np.arange(n + 1) * n)
+    products = np.empty((n, 6))
+    for col, (a, b) in enumerate(zip(_IA, _IB)):
+        np.multiply(pos[:, a], pos[:, b], out=products[:, col])
+    n_ref = math.pi * radius * radius / (VOXEL * VOXEL)
+    feats = np.empty((n, FEATURE_DIM))
+    valid = np.empty(n, dtype=bool)
+    disc = np.empty(n, dtype=bool)
 
     def block(rows):
-        own = np.arange(rows.start, rows.stop)
-        bounds = (rows.start * n, rows.stop * n)
-        keys = np.concatenate([
-            up[slice(*np.searchsorted(up, bounds))],
-            down[slice(*np.searchsorted(down, bounds))], own * n + own])
-        keys.sort()
-        centers, neighbors = np.divmod(keys, n)
-        c = np.bincount(centers - rows.start, minlength=len(own))
-        indptr = np.concatenate([[0], np.cumsum(c)])
-        sums = csr_matrix((np.ones(len(keys)), neighbors, indptr),
-                          shape=(len(own), n)) @ operand
-        counts[rows] = c
-        c = c[:, None]
-        mean = sums[:, :3] / c
+        first, last = starts[rows.start], starts[rows.stop]
+        indptr = starts[rows.start:rows.stop + 1] - first
+        near = csr_matrix((np.ones(last - first), keys[first:last] % n,
+                           indptr), shape=(len(indptr) - 1, n))
+        counts = np.diff(indptr)
+        c = counts[:, None]
+        mean = near @ pos / c
         sq = np.empty((len(c), 3, 3))
-        sq[:, _IA, _IB] = sq[:, _IB, _IA] = sums[:, 3:9] / c
-        cov = sq - np.einsum("ni,nj->nij", mean, mean)
-        w[rows] = np.linalg.eigvalsh(cov)  # ascending
-        if cloud.colors is not None:
-            mean_color[rows] = sums[:, 9:] / c
+        sq[:, _IA, _IB] = sq[:, _IB, _IA] = near @ products / c
+        w = np.linalg.eigvalsh(sq - np.einsum("ni,nj->nij", mean, mean))
+        lam3, lam2, lam1 = np.maximum(w[:, 0], 0.0), w[:, 1], w[:, 2]
+        safe1 = np.maximum(lam1, 1e-18)
+        out = feats[rows]
+        out[:, 0] = pos[rows, 2]           # height
+        out[:, _NORMAL_UP] = out[:, _DISCONTINUITY] = np.nan
+        out[:, 2] = (lam2 - lam3) / safe1  # planarity
+        out[:, 3] = (lam1 - lam2) / safe1  # linearity
+        out[:, 4] = lam3 / safe1           # sphericity
+        out[:, 5] = np.minimum(counts / n_ref, 2.0) / 2.0  # density
+        out[:, 6:9] = 0.0 if colors is None else near @ colors / c
+        ok = valid[rows] = (counts >= 3) & (lam1 > 1e-18)
+        out[~ok] = 0.0
+        variation = lam3 / np.maximum(lam1 + lam2 + lam3, 1e-18)
+        disc[rows] = variation > VARIATION_THRESHOLD
 
     map_blocks(block, n)
-    del up, down, operand  # so the per-row features below do not add to them
-    lam3, lam2, lam1 = w[:, 0], w[:, 1], w[:, 2]
-    lam3 = np.maximum(lam3, 0.0)
-    safe1 = np.maximum(lam1, 1e-18)
-    linearity = (lam1 - lam2) / safe1
-    planarity = (lam2 - lam3) / safe1
-    sphericity = lam3 / safe1
-    variation = lam3 / np.maximum(lam1 + lam2 + lam3, 1e-18)
-
-    valid = (counts >= 3) & (lam1 > 1e-18)
-
-    n_ref = math.pi * radius * radius / (VOXEL * VOXEL)
-    density = np.minimum(counts / n_ref, 2.0) / 2.0
-
-    feats = np.column_stack([
-        pos[:, 2], np.full(n, np.nan), planarity, linearity, sphericity,
-        density, mean_color[:, 0], mean_color[:, 1], mean_color[:, 2],
-        np.full(n, np.nan),
-    ])
-    feats[~valid] = 0.0
-    disc = variation > VARIATION_THRESHOLD
     return FeatureSet(feats, valid, cKDTree(pos[disc]))
 
 

@@ -31,6 +31,13 @@ def _load(args) -> PipelineConfig:
     return load_config(args.config) if args.config else PipelineConfig()
 
 
+def _workers(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _emit(args, summary: dict) -> None:
     if args.json:
         print(json.dumps(summary, sort_keys=True))
@@ -115,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the interactive perception loop")
     common(p, needs=("scenes",))
     p.add_argument("--model", required=True, help="trained model JSON")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_workers, default=1,
                    help="parallel scene workers; not a config key, so the "
                         "config hash and the artifacts do not depend on it")
     p.set_defaults(func=cmd_run)

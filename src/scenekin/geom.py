@@ -263,12 +263,20 @@ class PointCloud:
         return normals[rows], valid[rows]
 
     def subset(self, index) -> "PointCloud":
-        """Select points by boolean mask or integer indices, carrying aux data."""
-        return PointCloud(
-            positions=self.positions[index],
-            colors=None if self.colors is None else self.colors[index],
-            point_ids=None if self.point_ids is None else self.point_ids[index],
-        )
+        """Select points by boolean mask or integer indices, carrying aux
+        data. Indices gather with `np.take` (faster than fancy indexing, same
+        bytes), which would read a mask as the indices 0 and 1."""
+        index = np.asarray(index)
+
+        def pick(a):
+            if a is None:
+                return None
+            if index.dtype == bool:
+                return a[index]
+            return np.take(a, index, axis=0)
+
+        return PointCloud(pick(self.positions), pick(self.colors),
+                          pick(self.point_ids))
 
 
 def estimate_normals(cloud: PointCloud, k: int, rows

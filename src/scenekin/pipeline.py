@@ -455,8 +455,8 @@ def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
     hash tells every run apart. Skipped hotspots and failed probes or
     inferences are recorded, but any other error of a scene (such as a
     scene capture that yields no points) aborts the whole run before an
-    artifact is written. `workers` > 1 runs scenes in that many processes;
-    the artifacts are the same as in a serial run.
+    artifact is written. `workers` > 1 runs scenes in as many processes,
+    or one per scene if fewer; the artifacts equal a serial run's.
     """
     manifest = _read_manifest(scenes_dir, "scene_manifest.v1")
     model = affordance.load_model(model_path)
@@ -464,7 +464,7 @@ def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
     jobs = [(os.path.join(scenes_dir, e["file"]), model, config)
             for e in manifest["scenes"]]
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             records = list(pool.map(_run_scene_job, jobs))
     else:
         records = [_run_scene_job(j) for j in jobs]

@@ -1,16 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from scenekin.artinfer import ObservationPair
-from scenekin.geom import RigidTransform
+from scenekin.geom import RigidTransform, rotation_from_angle_axis
 from scenekin.sensing import (
     CaptureConfig,
     capture_interaction_after,
     capture_object_views,
     object_view_poses,
 )
-from scenekin.simworld import InteractionConfig, interact
+from scenekin.simworld import (
+    GenerationConfig,
+    InteractionConfig,
+    generate_scene,
+    interact,
+    surface_normal,
+)
 
 # Every run draws the same examples, and a failing one replays without a
 # local example database.
@@ -49,6 +57,35 @@ def observe_interaction(scene, contact, direction, capture_config=None,
     obs = ObservationPair(before, after, contact, outcome.final_contact,
                           tuple(poses))
     return obs, outcome, scene_after
+
+
+def weak_pull_direction(gt, normal):
+    """Pull tilted away from the closed-door tangent so the swing stalls early."""
+    sigma = 1.0 if gt.limits[1] > 0 else -1.0
+    tilt = math.radians(48.0)
+    R = rotation_from_angle_axis(np.array([0.0, 0.0, 1.0]), -sigma * tilt)
+    return R @ normal
+
+
+def open_door_slightly(seed, noise=0.0):
+    """A one-door room pulled ajar by a weak pull, captured at 100x75 with
+    `noise`: (scene after, obs, outcome, the door's joint, capture config,
+    the capture rng)."""
+    scene = generate_scene(seed, GenerationConfig(1, 0, 0))
+    part_idx, gt = scene.joints[0]
+    panel = scene.world_parts()[part_idx]
+    along = panel.rotation[:, 0]
+    hs = np.sign(np.dot(gt.pivot - panel.center, along))
+    contact = panel.center + panel.rotation[:, 1] * panel.half_extents[1] \
+        - hs * along * panel.half_extents[0] * 0.6
+    normal = surface_normal(scene, contact)
+    direction = weak_pull_direction(gt, normal)
+    cap = CaptureConfig(resolution=(100, 75), noise_sigma=noise)
+    rng = np.random.default_rng(900 + seed)
+    obs, outcome, scene2 = observe_interaction(
+        scene, contact, direction, capture_config=cap,
+        total=1.0, rng=rng)
+    return scene2, obs, outcome, gt, cap, rng
 
 
 @pytest.fixture(scope="session")

@@ -117,11 +117,16 @@ class TestFeatures:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300),
            st.sampled_from([0.03, 0.05, 0.1]),
-           st.sampled_from(["box", "slab", "grid"]), st.booleans())
+           st.sampled_from(["box", "slab", "grid", "apart"]), st.booleans())
     @example(0, 2 * BLOCK_ROWS + 7, 0.05, "box", True)
     @example(1, 2 * BLOCK_ROWS + 7, 0.05, "slab", False)
     @example(2, 2 * BLOCK_ROWS + 7, 0.03, "grid", True)
     @example(3, 2 * BLOCK_ROWS + 7, 0.1, "grid", False)
+    @example(4, 1, 0.05, "box", True)
+    @example(5, 300, 0.05, "apart", True)
+    @example(6, BLOCK_ROWS, 0.05, "slab", True)
+    # the last block holds one row
+    @example(7, BLOCK_ROWS + 1, 0.03, "grid", False)
     def test_matches_ball_query_reference(self, seed, n, radius, kind,
                                           colored):
         cloud = oracle_cloud(seed, n, radius, kind, colored)
@@ -130,6 +135,9 @@ class TestFeatures:
         free = [FEATURE_NAMES.index("normal_up"),
                 FEATURE_NAMES.index("discontinuity_dist")]
         assert np.isnan(feats.values[feats.valid][:, free]).all()
+        if kind == "apart" or n == 1:
+            # every neighbourhood is the point alone
+            assert not feats.valid.any()
         feats = features(cloud, config)
         values, valid = ball_query_features(cloud, config, VOXEL)
         assert feats.values.tobytes() == values.tobytes()
@@ -138,15 +146,17 @@ class TestFeatures:
 
 def oracle_cloud(seed, n, radius, kind, colored):
     """`n` points in a box, a thin slab (as ray-cast surfaces are), or on a
-    grid whose step is `radius`, so neighbours tie at the radius, with a
-    quarter of the grid points duplicated, in shuffled order."""
+    grid, in shuffled order. The "grid" step is `radius`, so neighbours tie
+    at the radius, and a quarter of its points are duplicated; the "apart"
+    step is twice the radius, so no point has a neighbour."""
     rng = np.random.default_rng(seed)
-    if kind == "grid":
+    if kind in ("grid", "apart"):
         side = math.ceil(n ** (1 / 3)) + 1
-        g = radius * np.arange(side)
+        g = radius * np.arange(side) * (1 if kind == "grid" else 2)
         grid = np.stack(np.meshgrid(g, g, g), -1).reshape(-1, 3)
-        base = grid[rng.choice(len(grid), n - n // 4, replace=False)]
-        pts = rng.permutation(np.vstack([base, base[:n // 4]]))
+        dup = n // 4 if kind == "grid" else 0
+        base = grid[rng.choice(len(grid), n - dup, replace=False)]
+        pts = rng.permutation(np.vstack([base, base[:dup]]))
     else:
         pts = rng.uniform(-0.2, 0.2, size=(n, 3))
         if kind == "slab":

@@ -2,11 +2,13 @@ import hashlib
 import json
 import os
 import shutil
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scenekin import pipeline
 from scenekin.cli import main
 from scenekin.config import (
     PipelineConfig,
@@ -734,6 +736,50 @@ class TestPipelineArtifacts:
                      "--scenes", str(base / "scenes"), "--model", model,
                      "--out", str(tmp_path / "out")]) == 2
         assert f"no model file {model}" in capsys.readouterr().err
+
+    def test_run_starts_no_more_processes_than_scenes(self, workspace,
+                                                      tmp_path):
+        """`--workers 64` on the workspace's 2 scenes asks the pool for 2
+        processes, and the artifacts equal the serial run's. The pool is a
+        stand-in that maps on the calling thread, so no process starts."""
+        base, cfg = workspace
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        with mock.patch.object(pipeline, "ProcessPoolExecutor", InlinePool):
+            assert main(["run", "--config", str(cfg),
+                         "--scenes", str(base / "scenes"),
+                         "--model", str(base / "model" / "model.json"),
+                         "--out", str(tmp_path / "run"),
+                         "--workers", "64"]) == 0
+        assert sizes == [2]
+        assert _tree_sha256(tmp_path / "run") == _tree_sha256(base / "run")
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_workers_below_one_are_refused(self, workspace, tmp_path,
+                                           capsys, workers):
+        base, cfg = workspace
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--config", str(cfg),
+                  "--scenes", str(base / "scenes"),
+                  "--model", str(base / "model" / "model.json"),
+                  "--out", str(tmp_path / "run"), "--workers", workers])
+        assert exit_.value.code == 2
+        assert "--workers: must be an integer of at least 1" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     def test_workspace_bytes_are_pinned(self, workspace):
         """Every file the workspace commands write keeps its recorded

@@ -82,6 +82,18 @@ class TestPointCloud:
         assert len(sub) == 2
         np.testing.assert_array_equal(sub.point_ids, [0, 2])
 
+    def test_subset_by_indices_equals_subset_by_mask(self):
+        rng = np.random.default_rng(7)
+        cloud = PointCloud(rng.normal(size=(50, 3)),
+                           colors=rng.uniform(size=(50, 3)),
+                           point_ids=np.arange(0, 100, 2))
+        mask = rng.uniform(size=50) < 0.4
+        by_mask, by_index = (cloud.subset(mask),
+                             cloud.subset(np.flatnonzero(mask)))
+        for field in ("positions", "colors", "point_ids"):
+            a, b = getattr(by_mask, field), getattr(by_index, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_tree_and_normals_built_once(self):
         pts = np.random.default_rng(5).normal(size=(40, 3))
         cloud = PointCloud(pts)

@@ -12,7 +12,7 @@ from scenekin.artinfer import (
     infer_articulation,
 )
 from scenekin.errors import RefinementUnavailable, ValidationError
-from scenekin.geom import PointCloud, RigidTransform, rotation_from_angle_axis
+from scenekin.geom import PointCloud, RigidTransform
 from scenekin.refine import (
     _free_space_conflicts,
     part_affordance,
@@ -24,14 +24,9 @@ from scenekin.sensing import (
     CaptureConfig,
     raycast_capture,
 )
-from scenekin.simworld import (
-    GenerationConfig,
-    InteractionConfig,
-    generate_scene,
-    surface_normal,
-)
+from scenekin.simworld import InteractionConfig
 
-from conftest import identity, observe_interaction
+from conftest import identity, open_door_slightly
 
 BIG_BOUNDS = (np.array([-5.0, -5.0, 0.0]), np.array([5.0, 5.0, 3.0]))
 INTERACTION = InteractionConfig()
@@ -162,32 +157,6 @@ class TestFreeSpaceEvidence:
         conflicts = _free_space_conflicts(replace(obs, capture_poses=()),
                                           seg, 0.01)
         assert conflicts(RigidTransform.from_translation([0, 0.02, 0])) == 0.0
-
-
-def weak_pull_direction(gt, normal):
-    """Pull tilted away from the closed-door tangent so the swing stalls early."""
-    sigma = 1.0 if gt.limits[1] > 0 else -1.0
-    tilt = math.radians(48.0)
-    R = rotation_from_angle_axis(np.array([0.0, 0.0, 1.0]), -sigma * tilt)
-    return R @ normal
-
-
-def open_door_slightly(seed, noise=0.0):
-    scene = generate_scene(seed, GenerationConfig(1, 0, 0))
-    part_idx, gt = scene.joints[0]
-    panel = scene.world_parts()[part_idx]
-    along = panel.rotation[:, 0]
-    hs = np.sign(np.dot(gt.pivot - panel.center, along))
-    contact = panel.center + panel.rotation[:, 1] * panel.half_extents[1] \
-        - hs * along * panel.half_extents[0] * 0.6
-    normal = surface_normal(scene, contact)
-    direction = weak_pull_direction(gt, normal)
-    cap = CaptureConfig(resolution=(100, 75), noise_sigma=noise)
-    rng = np.random.default_rng(900 + seed)
-    obs, outcome, scene2 = observe_interaction(
-        scene, contact, direction, capture_config=cap,
-        total=1.0, rng=rng)
-    return scene2, obs, outcome, gt, cap, rng
 
 
 class TestRefineLoop:
