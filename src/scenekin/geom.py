@@ -264,19 +264,14 @@ class PointCloud:
 
     def subset(self, index) -> "PointCloud":
         """Select points by boolean mask or integer indices, carrying aux
-        data. Indices gather with `np.take` (faster than fancy indexing, same
-        bytes), which would read a mask as the indices 0 and 1."""
+        data. A mask becomes its indices, and every array gathers with
+        `np.take` (faster than fancy indexing, same bytes)."""
         index = np.asarray(index)
-
-        def pick(a):
-            if a is None:
-                return None
-            if index.dtype == bool:
-                return a[index]
-            return np.take(a, index, axis=0)
-
-        return PointCloud(pick(self.positions), pick(self.colors),
-                          pick(self.point_ids))
+        if index.dtype == bool:
+            index = np.flatnonzero(index)
+        return PointCloud(*(None if a is None else np.take(a, index, axis=0)
+                            for a in (self.positions, self.colors,
+                                      self.point_ids)))
 
 
 def estimate_normals(cloud: PointCloud, k: int, rows
