@@ -17,7 +17,8 @@ any row is completed, `score_bounds` bounds each row's score from above
 without measuring anything, and `refine_bounds` tightens the bound of a row
 by measuring its discontinuity distance, which `complete` then reuses. So a
 caller can rank rows, refine only as deep as its ranking reads, and
-complete only the rows whose bound it needs.
+complete only the rows whose bound it needs; `hotspot.ranked` is that
+caller.
 """
 
 from __future__ import annotations
@@ -384,8 +385,6 @@ def _design_matrix(entries):
         keep = (lab != IGNORE) & feats.valid[labelset.indices]
         xs.append(vals[keep])
         ys.append((lab[keep] == POSITIVE).astype(np.float64))
-    if not xs:
-        return np.zeros((0, FEATURE_DIM)), np.zeros(0)
     return np.vstack(xs), np.concatenate(ys)
 
 
@@ -493,6 +492,19 @@ def _bound(model: AffordanceModel, a: np.ndarray) -> np.ndarray:
     return _sigmoid(z + _BOUND_MARGIN)
 
 
+def _pre_activations(model: AffordanceModel, values: np.ndarray,
+                     free) -> np.ndarray:
+    """The hidden units' pre-activations of the feature rows `values`,
+    standardized, with the columns `free` zeroed: the start of both bound
+    passes."""
+    x = values - model.scaler_mean
+    x /= model.scaler_std
+    x[:, free] = 0.0
+    pre = _product(x, model.w1)
+    pre += model.b1
+    return pre
+
+
 def _rising(model: AffordanceModel) -> np.ndarray:
     """Per free feature, the units whose term grows with it."""
     return model.w2 * model.w1[_FREE] >= 0.0
@@ -510,7 +522,9 @@ def score_bounds(model: AffordanceModel, features: FeatureSet) -> np.ndarray:
     `DISCONTINUITY_CAP`] free, so it measures nothing; `refine_bounds`
     tightens the bound of the rows a caller ranks. Every bound adds a 1e-9
     logit margin, so it is at least the score. The pass runs per
-    `map_blocks` block of the cloud.
+    `map_blocks` block of the cloud; `hotspot.ranked` runs it when the loop
+    asks for a room's first hotspot, so a room that probes none is never
+    bounded.
     """
     mean, std = model.scaler_mean, model.scaler_std
     rising = _rising(model)
@@ -524,11 +538,7 @@ def score_bounds(model: AffordanceModel, features: FeatureSet) -> np.ndarray:
     bounds = np.empty(len(features))
 
     def block(rows):
-        x = features.values[rows] - mean
-        x /= std
-        x[:, _FREE] = 0.0
-        pre = _product(x, model.w1)
-        pre += model.b1
+        pre = _pre_activations(model, features.values[rows], _FREE)
         pre += free_shift
         bounds[rows] = np.where(features.valid[rows], _bound(model, pre), 0.0)
 
@@ -565,11 +575,7 @@ def refine_bounds(model: AffordanceModel, features: FeatureSet,
     def block(part):
         own = rows[part]
         values[own, _DISCONTINUITY] = _discontinuity_dist(features, cloud, own)
-        x = values[own] - mean
-        x /= std
-        x[:, _NORMAL_UP] = 0.0
-        pre = _product(x, model.w1)
-        pre += model.b1
+        pre = _pre_activations(model, values[own], _NORMAL_UP)
         b = normal_up_bound(pre, knots[0], knots[-1])
         reach = b >= threshold
         b[reach] = np.max([normal_up_bound(pre[reach], lo, hi)

@@ -223,16 +223,14 @@ def detect_change(obs: ObservationPair,
 
 
 def kabsch(src: np.ndarray, dst: np.ndarray,
-           weights: np.ndarray | None = None) -> RigidTransform:
-    """Least-squares rigid transform mapping src onto dst (cross-covariance SVD)."""
+           weights: np.ndarray) -> RigidTransform:
+    """Least-squares rigid transform mapping src onto dst under the pair
+    weights `weights` (cross-covariance SVD)."""
     if len(src) < 3 or len(src) != len(dst):
         raise MotionEstimationError(
             f"need >= 3 paired points, got {len(src)}/{len(dst)}")
-    if weights is None:
-        w = np.full(len(src), 1.0 / len(src))
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        w = w / w.sum()
+    w = np.asarray(weights, dtype=np.float64)
+    w = w / w.sum()
     cs = w @ src
     cd = w @ dst
     H = (src - cs).T @ ((dst - cd) * w[:, None])
@@ -286,7 +284,7 @@ def estimate_motion(obs: ObservationPair, seg: PartSegmentation,
         if len(common) < 3:
             raise MotionEstimationError(
                 f"only {len(common)} id correspondences (need >= 3)")
-        return kabsch(src[bi], dst[ai])
+        return kabsch(src[bi], dst[ai], np.ones(len(common)))
 
     T = _icp_init(src, dst, obs.contact_before, obs.contact_after)
     tree = cKDTree(dst)

@@ -13,7 +13,6 @@ import csv
 import hashlib
 import itertools
 import os
-from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
     SceneKinError,
     ValidationError,
 )
-from .geom import PointCloud, load_cloud_binary, save_cloud_binary
+from .geom import load_cloud_binary, save_cloud_binary
 from .refine import refine_loop
 from .simworld import SceneSpec, project_to_surface
 
@@ -245,83 +244,6 @@ def _approach(scene: SceneSpec, position, config: PipelineConfig
     return contact, normal, poses
 
 
-# Candidate rows scored in the first round of `ranked_hotspots`; each later
-# round scores this many times as many as the one before.
-FIRST_ROUND = 256
-ROUND_GROWTH = 4
-
-
-def ranked_hotspots(cloud: PointCloud, model: affordance.AffordanceModel,
-                    config: PipelineConfig) -> Iterator[hotspot.Hotspot]:
-    """The NMS hotspots of a scene cloud's affordance map, in order, each
-    computed only when asked for.
-
-    Features and the first-pass `affordance.score_bounds` run at once over
-    the whole cloud; nothing else runs until the first hotspot is asked
-    for. The candidates, the valid rows whose first-pass bound reaches
-    `hotspot.score_threshold`, are then ranked by (-first-pass bound,
-    index), refined in that order by `affordance.refine_bounds` and scored
-    in rounds. Round r has depth m = `FIRST_ROUND` *
-    `ROUND_GROWTH`**r: it refines chunks of m candidates until at least m
-    refined rows reach the threshold and the next unrefined candidate's
-    first-pass bound is below the m-th refined bound, τ (the threshold
-    algorithm of Fagin, Lotem & Naor, PODS 2001), and takes every refined
-    row whose bound is at least τ. It completes them
-    (`affordance.complete`), scores them with `affordance.predict` on a
-    map in which every other row scores 0, runs `hotspot.nms` on that map
-    and yields the new picks whose score is at least τ. The round that has
-    refined every candidate and takes every one that reaches the threshold
-    has τ = -inf.
-
-    These picks are exactly the next ones of NMS over the whole cloud's map.
-    A row outside the round is bounded below τ: a refined row by its
-    refined bound, an unrefined one by its first-pass bound, and a row that
-    is no candidate by a bound below the threshold, which τ reaches. So its
-    score is below τ too. Every row scoring at least τ is therefore in the
-    round, and `predict`, running on its own blocks, gives it the bytes it
-    has on the whole map. Greedy NMS decides a row from the picks before it
-    alone, which score at least as much, so both maps give the same picks
-    down to τ.
-    """
-    feats = affordance.extract_features(cloud, config.affordance)
-    first = affordance.score_bounds(model, feats)
-
-    def rounds():
-        threshold = config.hotspot.score_threshold
-        rows = np.flatnonzero(feats.valid & (first >= threshold))
-        order = rows[np.lexsort((rows, -first[rows]))]
-        refined = np.empty(len(order))  # the refined bounds of `order`
-        found, m, done = 0, FIRST_ROUND, 0
-        while True:
-            while True:
-                reach = refined[:done][refined[:done] >= threshold]
-                # the m-th largest refined bound
-                tau = (-np.partition(-reach, m - 1)[m - 1]
-                       if len(reach) >= m else -np.inf)
-                if done == len(order) or first[order[done]] < tau:
-                    break
-                part = order[done:done + m]
-                refined[done:done + m] = affordance.refine_bounds(
-                    model, feats, cloud, part, threshold)
-                done += len(part)
-            take = order[:done][refined[:done] >= max(tau, threshold)]
-            if done == len(order) and len(take) == len(reach):
-                tau = -np.inf
-            scores = affordance.predict(
-                model, affordance.complete(feats, cloud, take))
-            picks = hotspot.nms(cloud, scores, config.hotspot)
-            for spot in picks[found:]:
-                if spot.score < tau:
-                    break
-                found += 1
-                yield spot
-            if tau == -np.inf:
-                return
-            m *= ROUND_GROWTH
-
-    return rounds()
-
-
 def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
               config: PipelineConfig) -> dict:
     """Full interactive loop on one scene; returns the run record.
@@ -330,11 +252,11 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
     until one moves a part (`simworld.probe`, the rule that labels the
     training data), before/after capture of that pull, articulation
     inference, optional refinement. A probe that moves nothing is not
-    captured. The capture, its features and their first-pass score bounds
-    are computed for every scene, but the next hotspot is asked of
-    `ranked_hotspots` only while fewer than `run.max_hotspots` probes have
-    been made, so a scene's rows are refined, completed and scored only as
-    deep as its probes go, and not at all when it probes none.
+    captured. The capture and its features are computed for every scene,
+    but the next hotspot is asked of `hotspot.ranked` only while fewer
+    than `run.max_hotspots` probes have been made, so a scene's rows are
+    bounded, refined, completed and scored only as deep as its probes go,
+    and not at all when it probes none.
     Capture noise of the scene ring and of each probed hotspot comes from
     its own generator, seeded from (root seed, scene seed) and (root seed,
     scene seed, hotspot id), so no hotspot's noise depends on what earlier
@@ -346,7 +268,8 @@ def run_scene(scene: SceneSpec, model: affordance.AffordanceModel,
     ring_rng = np.random.default_rng(
         derive_seed(config.seed, "run", scene.seed))
     cloud = sensing.capture_scene_cloud(scene, config.capture, ring_rng)
-    spots = ranked_hotspots(cloud, model, config)
+    feats = affordance.extract_features(cloud, config.affordance)
+    spots = hotspot.ranked(cloud, feats, model, config.hotspot)
 
     interactions: list[dict] = []
     inferences: list[dict] = []
@@ -489,7 +412,7 @@ def run(config: PipelineConfig, scenes_dir, model_path, out_dir,
                                 os.path.join(out_dir, model_file), seed, chash)
         entries.append({"seed": seed, "inference": inf_file,
                         "model": model_file,
-                        "entries": len(record["model"].entries),
+                        "entries": len(record["model"]),
                         "scene_sha256": record["scene_sha256"]})
     run_manifest = {"version": "run_manifest.v1", "config_hash": chash,
                     "root_seed": config.seed, "scenes": entries}

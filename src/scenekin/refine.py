@@ -62,14 +62,6 @@ from .simworld import (
 )
 
 
-@dataclass(frozen=True)
-class RefinementPlan:
-    """Next interaction: grasp the lever tip, push along the moment direction."""
-
-    hotspot: np.ndarray
-    force_direction: np.ndarray
-
-
 TARGET_STATE = math.radians(30.0)
 MAX_ITERS = 2
 # a re-estimate whose axis swings further than this from the current one is
@@ -98,8 +90,10 @@ class RefineResult:
 
 
 def part_affordance(joint: JointModel, seg: PartSegmentation,
-                    cloud, scene: SceneSpec) -> RefinementPlan:
-    """Plan the next pull from a hinge estimate and its mobile segmentation.
+                    cloud, scene: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Plan the next pull from a hinge estimate and its mobile segmentation:
+    (grasp point, force direction), the lever tip and the push along the
+    moment direction there.
 
     `cloud` is the post-interaction observation; the mobile point farthest
     from the axis line wins (ties to the lowest index), falling back to the
@@ -129,7 +123,7 @@ def part_affordance(joint: JointModel, seg: PartSegmentation,
         direction = sign * np.cross(joint.axis, r_vec / r)
         normal = surface_normal(scene, p)
         if gripper_clearance(scene, p, normal, GRIPPER_RADIUS):
-            return RefinementPlan(p.copy(), direction)
+            return p.copy(), direction
     raise RefinementUnavailable("no mobile point with gripper clearance")
 
 
@@ -240,16 +234,16 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
         iters += 1
         entry: dict = {"iteration": iters}
         try:
-            plan = part_affordance(joint, seg, obs.after, scene)
+            grasp, direction = part_affordance(joint, seg, obs.after, scene)
         except RefinementUnavailable as e:
             entry["status"] = f"unavailable: {e}"
             log.append(entry)
             break
-        entry["hotspot"] = plan.hotspot.tolist()
-        entry["direction"] = plan.force_direction.tolist()
+        entry["hotspot"] = grasp.tolist()
+        entry["direction"] = direction.tolist()
         try:
-            grasp = project_to_surface(scene, plan.hotspot)
-            outcome, scene = interact(scene, grasp, plan.force_direction,
+            contact = project_to_surface(scene, grasp)
+            outcome, scene = interact(scene, contact, direction,
                                       interaction.pull.total)
         except (PreconditionError, ValidationError) as e:
             entry["status"] = f"interaction error: {e}"
@@ -275,7 +269,7 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
         # the accumulated pair can be inferred: estimate the incremental
         # motion (whose contact pair p* -> final IS valid) and advect with it
         try:
-            step_obs = ObservationPair(obs.after, after, plan.hotspot,
+            step_obs = ObservationPair(obs.after, after, grasp,
                                        outcome.final_contact)
             _, step_seg = infer_articulation(step_obs, infer_config)
             step_T = estimate_motion(step_obs, step_seg, infer_config)

@@ -1,5 +1,5 @@
 """Scene-level articulation model: one entry per inferred articulation, and
-its export.
+its export. A scene's model is the tuple of its entries.
 
 The loop infers at most one articulation per probed hotspot, and each
 becomes its own entry, in hotspot order. Estimates are not merged: a probe
@@ -24,16 +24,11 @@ from .geom import PointCloud, save_cloud_binary
 @dataclass(frozen=True)
 class ModelEntry:
     """One articulated part: joint, mobile geometry, source hotspot. An
-    entry's id is its index in the model."""
+    entry's id is its index in the scene's tuple of entries."""
 
     joint: JointModel
     mobile_points: np.ndarray
     hotspot_id: int
-
-
-@dataclass(frozen=True)
-class SceneArticulationModel:
-    entries: tuple[ModelEntry, ...]
 
 
 def fit_oriented_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -55,21 +50,20 @@ def fit_oriented_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def aggregate(estimates: list[tuple[JointModel, np.ndarray, int]]
-              ) -> SceneArticulationModel:
+              ) -> tuple[ModelEntry, ...]:
     """One entry per estimate, in the order of their hotspots.
 
     `estimates` holds (joint, mobile point set, source hotspot id) triples.
     """
-    return SceneArticulationModel(tuple(
-        ModelEntry(joint, np.asarray(pts, dtype=np.float64), hid)
-        for joint, pts, hid in sorted(estimates, key=lambda e: e[2])))
+    return tuple(ModelEntry(joint, np.asarray(pts, dtype=np.float64), hid)
+                 for joint, pts, hid in sorted(estimates, key=lambda e: e[2]))
 
 
 # ---------------------------------------------------------------------------
 # Export (scene_model.v1)
 # ---------------------------------------------------------------------------
 
-def export_model(model: SceneArticulationModel, path, scene_seed: int,
+def export_model(entries: tuple[ModelEntry, ...], path, scene_seed: int,
                  config_hash: str) -> None:
     """Write the scene_model.v1 JSON plus one sidecar cloud file per entry.
 
@@ -78,13 +72,13 @@ def export_model(model: SceneArticulationModel, path, scene_seed: int,
     path = str(path)
     stem = os.path.splitext(os.path.basename(path))[0]
     out_dir = os.path.dirname(path) or "."
-    entries = []
-    for k, e in enumerate(model.entries):
+    docs = []
+    for k, e in enumerate(entries):
         points_file = f"{stem}_entry{k}_points.xyzb"
         save_cloud_binary(PointCloud(e.mobile_points),
                           os.path.join(out_dir, points_file))
         c, h, r = fit_oriented_box(e.mobile_points)
-        entries.append({
+        docs.append({
             "id": k,
             "type": e.joint.kind,
             "axis": e.joint.axis.tolist(),
@@ -100,4 +94,4 @@ def export_model(model: SceneArticulationModel, path, scene_seed: int,
             "confidence": 1.0,
         })
     write_doc({"version": "scene_model.v1", "scene_seed": scene_seed,
-               "config_hash": config_hash, "entries": entries}, path)
+               "config_hash": config_hash, "entries": docs}, path)

@@ -634,6 +634,13 @@ def _spots(spots):
             for h in spots]
 
 
+def run_ranking(cloud, model, config):
+    """`hotspot.ranked` of a cloud's features, extracted as
+    `pipeline.run_scene` extracts them."""
+    return hotspot.ranked(cloud, extract_features(cloud, config.affordance),
+                          model, config.hotspot)
+
+
 def ranked_room(seed, n, radius, threshold, b2=None):
     """(cloud, model, config) of `n` random coloured points in a 60 cm box
     and a random 16-unit head standardized on its valid rows; `b2`, when
@@ -656,7 +663,7 @@ def ranked_room(seed, n, radius, threshold, b2=None):
 
 class TestRankedHotspots:
     def ranked(self, cloud, model, config):
-        """(hotspots of `pipeline.ranked_hotspots` with a first round of one
+        """(hotspots of `hotspot.ranked` with a first round of one
         row, valid rows of each `predict` call, the candidates' bounds),
         checked against whole-cloud NMS over every row completed."""
         calls = []
@@ -668,9 +675,9 @@ class TestRankedHotspots:
 
         whole = hotspot.nms(cloud, predict(model, features(
             cloud, config.affordance)), config.hotspot)
-        with mock.patch.object(pipeline, "FIRST_ROUND", 1), \
+        with mock.patch.object(hotspot, "FIRST_ROUND", 1), \
                 mock.patch.object(affordance, "predict", spy):
-            got = list(pipeline.ranked_hotspots(cloud, model, config))
+            got = list(run_ranking(cloud, model, config))
         assert _spots(got) == _spots(whole)
         bounds, _ = two_pass_bounds(
             model, extract_features(cloud, config.affordance),
@@ -805,7 +812,7 @@ def test_run_hotspots_equal_whole_cloud_scoring(workload_models, workload,
         ring_rng = np.random.default_rng(
             derive_seed(root_seed, "run", scene.seed))
         cloud = capture_scene_cloud(scene, config.capture, ring_rng)
-        run.append(tuple(pipeline.ranked_hotspots(cloud, model, config)))
+        run.append(tuple(run_ranking(cloud, model, config)))
         whole.append(hotspot.nms(
             cloud, predict(model, features(cloud, config.affordance)),
             config.hotspot))
@@ -875,7 +882,7 @@ def test_refined_bounds_equal_two_pass_bounds(workload_models, workload,
         return refined[-1][1]
 
     with mock.patch.object(affordance, "refine_bounds", refine):
-        assert len(list(pipeline.ranked_hotspots(cloud, model, config))) > 0
+        assert len(list(run_ranking(cloud, model, config))) > 0
     rows = np.concatenate([r for r, _ in refined])
     threshold = config.hotspot.score_threshold
     feats = extract_features(cloud, config.affordance)
@@ -892,8 +899,8 @@ def test_refined_bounds_equal_two_pass_bounds(workload_models, workload,
 
 
 def test_survey_measures_no_row(workload_models, monkeypatch):
-    """`survey-dense` probes no hotspot, so its run measures no
-    discontinuity distance and estimates no normal."""
+    """`survey-dense` probes no hotspot, so its run bounds no row's score,
+    measures no discontinuity distance and estimates no normal."""
     overrides, model = workload_models["survey-dense"]
     config = config_from_dict({**overrides, "seed": 25})
     scene = generate_scene(derive_seed(25, "scene", 0), config.generation)
@@ -902,5 +909,7 @@ def test_survey_measures_no_row(workload_models, monkeypatch):
                         lambda *args: calls.append("normals"))
     monkeypatch.setattr(affordance, "_discontinuity_dist",
                         lambda *args: calls.append("distance"))
+    monkeypatch.setattr(affordance, "score_bounds",
+                        lambda *args: calls.append("bounds"))
     record = pipeline.run_scene(scene, model, config)
     assert record["hotspots"]["items"] == [] and calls == []

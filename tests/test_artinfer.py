@@ -366,7 +366,7 @@ class TestEstimateMotion:
         src = rng.normal(size=(30, 3))
         R = rotation_from_angle_axis(normalize([1.0, 2.0, 0.5]), 2.5)
         dst = src @ R.T + np.array([0.1, 0.2, -0.3])
-        T = kabsch(src, dst)
+        T = kabsch(src, dst, np.ones(len(src)))
         assert np.linalg.det(T.rotation) == pytest.approx(1.0, abs=1e-9)
         assert np.abs(T.apply(src) - dst).max() < 1e-9
 

@@ -353,6 +353,21 @@ def test_only_artifacts_reads_and_writes_json_files():
                   and c != ("config", "load_config")) == []
 
 
+def test_only_hotspot_ranks_rows():
+    """No module calls `score_bounds`, `refine_bounds`, `predict` or `nms`
+    but `hotspot`, whose `ranked` decides which row the loop pulls next."""
+    ranking = ("score_bounds", "refine_bounds", "predict", "nms")
+    calls = set()
+    for module, tree in LIBRARY.items():
+        for top in tree.body:
+            calls |= {(module, getattr(top, "name", None))
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and (getattr(node.func, "id", None) in ranking
+                           or getattr(node.func, "attr", None) in ranking)}
+    assert sorted(c for c in calls if c[0] != "hotspot") == []
+
+
 def _flatten(doc, path="") -> dict:
     """{"section.key": value} of every leaf of a nested config document."""
     out = {}

@@ -54,9 +54,9 @@ class TestPartAffordance:
                                rng.uniform(0.6, 1.4, 60)])
         cloud = PointCloud(pts)
         seg = PartSegmentation(np.ones(60, bool), np.ones(60, bool))
-        plan = part_affordance(joint, seg, cloud, scene)
+        grasp, _ = part_affordance(joint, seg, cloud, scene)
         dists = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
-        assert np.allclose(plan.hotspot, pts[np.argmax(dists)])
+        assert np.allclose(grasp, pts[np.argmax(dists)])
 
     def test_moment_direction_by_hand(self):
         # axis +z through origin, lever (1, 0, 0), prior state > 0 -> (0, 1, 0)
@@ -65,9 +65,8 @@ class TestPartAffordance:
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         # place a panel surface near the point so clearance sees a normal
         seg = PartSegmentation(np.array([True]), np.array([True]))
-        plan = part_affordance(joint, seg, cloud, scene)
-        lever = plan.hotspot - np.array([0.0, 0.0, plan.hotspot[2]])
-        d = plan.force_direction
+        grasp, d = part_affordance(joint, seg, cloud, scene)
+        lever = grasp - np.array([0.0, 0.0, grasp[2]])
         np.testing.assert_allclose(d, [0.0, 1.0, 0.0], atol=1e-9)
 
     def test_negative_state_flips_direction(self):
@@ -75,8 +74,8 @@ class TestPartAffordance:
         joint = JointModel("revolute", [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], -0.4)
         cloud = PointCloud(np.array([[1.0, 0.0, 1.0]]))
         seg = PartSegmentation(np.array([True]), np.array([True]))
-        plan = part_affordance(joint, seg, cloud, scene)
-        np.testing.assert_allclose(plan.force_direction, [0.0, -1.0, 0.0],
+        _, direction = part_affordance(joint, seg, cloud, scene)
+        np.testing.assert_allclose(direction, [0.0, -1.0, 0.0],
                                    atol=1e-9)
 
     def test_orthogonality_invariants(self):
@@ -91,12 +90,12 @@ class TestPartAffordance:
             pts = rng.uniform(-1, 1, size=(20, 3)) + np.array([2.0, 0.0, 1.0])
             cloud = PointCloud(pts)
             seg = PartSegmentation(np.ones(20, bool), np.ones(20, bool))
-            plan = part_affordance(joint, seg, cloud, scene)
-            r = plan.hotspot - (joint.pivot + np.dot(plan.hotspot - joint.pivot,
-                                                     joint.axis) * joint.axis)
-            assert abs(np.dot(plan.force_direction, joint.axis)) < 1e-9
-            assert abs(np.dot(plan.force_direction, r)) < 1e-9
-            assert np.linalg.norm(plan.force_direction) == pytest.approx(1.0)
+            grasp, direction = part_affordance(joint, seg, cloud, scene)
+            r = grasp - (joint.pivot + np.dot(grasp - joint.pivot,
+                                              joint.axis) * joint.axis)
+            assert abs(np.dot(direction, joint.axis)) < 1e-9
+            assert abs(np.dot(direction, r)) < 1e-9
+            assert np.linalg.norm(direction) == pytest.approx(1.0)
 
     def test_prismatic_rejected(self):
         scene = free_space_scene()

@@ -8,16 +8,16 @@ from scenekin.artinfer import JointModel
 from scenekin.geom import load_cloud_binary, normalize
 from scenekin.scenemodel import (
     ModelEntry,
-    SceneArticulationModel,
     aggregate,
     export_model,
     fit_oriented_box,
 )
 
 
-def load_model(path) -> tuple[SceneArticulationModel, list[dict]]:
-    """Read a scene_model.v1 file written by `export_model`, sidecar clouds
-    included; also returns each entry's `mobile_box` as written."""
+def load_model(path) -> tuple[tuple[ModelEntry, ...], list[dict]]:
+    """Read the entries of a scene_model.v1 file written by `export_model`,
+    sidecar clouds included; also returns each entry's `mobile_box` as
+    written."""
     path = str(path)
     with open(path) as fh:
         doc = json.load(fh)
@@ -32,16 +32,16 @@ def load_model(path) -> tuple[SceneArticulationModel, list[dict]]:
         pts = load_cloud_binary(os.path.join(
             out_dir, d["mobile_points_file"])).positions
         entries.append(ModelEntry(joint, pts, d["hotspots"][0]))
-    return (SceneArticulationModel(tuple(entries)),
+    return (tuple(entries),
             [d["mobile_box"] for d in doc["entries"]])
 
 
-def models_equivalent(a: SceneArticulationModel, b: SceneArticulationModel,
+def models_equivalent(a: tuple[ModelEntry, ...], b: tuple[ModelEntry, ...],
                       atol: float = 1e-12) -> bool:
     """Field-wise equality of two models within `atol`."""
-    if len(a.entries) != len(b.entries):
+    if len(a) != len(b):
         return False
-    for ea, eb in zip(a.entries, b.entries):
+    for ea, eb in zip(a, b):
         if ea.joint.kind != eb.joint.kind or ea.hotspot_id != eb.hotspot_id:
             return False
         if not np.allclose(ea.joint.axis, eb.joint.axis, atol=atol):
@@ -81,8 +81,8 @@ class TestAggregate:
              pts + 0.001, 4),
         ]
         model = aggregate(ests)
-        assert [e.hotspot_id for e in model.entries] == [2, 4, 7]
-        for entry, (joint, points, _) in zip(model.entries,
+        assert [e.hotspot_id for e in model] == [2, 4, 7]
+        for entry, (joint, points, _) in zip(model,
                                              [ests[1], ests[2], ests[0]]):
             assert entry.joint is joint
             np.testing.assert_array_equal(entry.mobile_points, points)
@@ -93,11 +93,11 @@ class TestAggregate:
         j1 = JointModel("revolute", [0, 0, 1], [0.8, 0.5, 0.0], 0.4)
         j2 = JointModel("revolute", [0, 0, 1], [2.8, 2.0, 0.0], 0.5)
         model = aggregate([(j1, pts_a, 0), (j2, pts_b, 1)])
-        assert len(model.entries) == 2
+        assert len(model) == 2
 
     def test_empty_input(self):
         model = aggregate([])
-        assert model.entries == ()
+        assert model == ()
 
     def test_order_insensitive_entry_count(self):
         rng = np.random.default_rng(3)
@@ -112,9 +112,9 @@ class TestAggregate:
         for _ in range(5):
             perm = list(rng.permutation(3))
             model = aggregate([ests[i] for i in perm])
-            assert len(model.entries) == len(base.entries)
-            states = sorted(abs(e.joint.state) for e in model.entries)
-            base_states = sorted(abs(e.joint.state) for e in base.entries)
+            assert len(model) == len(base)
+            states = sorted(abs(e.joint.state) for e in model)
+            base_states = sorted(abs(e.joint.state) for e in base)
             assert states == pytest.approx(base_states)
 
     def test_idempotent_on_entries(self):
@@ -126,9 +126,9 @@ class TestAggregate:
         ]
         once = aggregate(ests)
         again = aggregate([(e.joint, e.mobile_points, e.hotspot_id)
-                           for e in once.entries])
-        assert len(again.entries) == len(once.entries)
-        for a, b in zip(again.entries, once.entries):
+                           for e in once])
+        assert len(again) == len(once)
+        for a, b in zip(again, once):
             np.testing.assert_allclose(a.joint.axis, b.joint.axis)
             assert a.joint.state == b.joint.state
 
@@ -162,7 +162,7 @@ class TestExport:
         doc = json.loads(path.read_text())
         assert (doc["scene_seed"], doc["config_hash"]) == (3, "c0ffee")
         # the file's box is the box fitted to the entry's mobile points
-        for e, box in zip(model.entries, boxes):
+        for e, box in zip(model, boxes):
             c, h, r = fit_oriented_box(e.mobile_points)
             assert box == {"center": c.tolist(), "half_extents": h.tolist(),
                            "rotation_3x3": r.reshape(-1).tolist()}
@@ -171,7 +171,7 @@ class TestExport:
         path = tmp_path / "empty.json"
         export_model(aggregate([]), path, 0, "x")
         back, _ = load_model(path)
-        assert back.entries == ()
+        assert back == ()
 
     def test_axes_reparse_unit_norm(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -186,5 +186,5 @@ class TestExport:
         path = tmp_path / "m.json"
         export_model(model, path, 1, "y")
         back, _ = load_model(path)
-        for e in back.entries:
+        for e in back:
             assert abs(np.linalg.norm(e.joint.axis) - 1.0) < 1e-9
