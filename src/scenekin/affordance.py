@@ -32,7 +32,7 @@ from scipy.spatial import cKDTree
 
 from .artifacts import integer, read_doc, write_doc
 from .errors import TrainingError, ValidationError
-from .geom import PointCloud, map_blocks, query_within
+from .geom import PointCloud, query_within, row_blocks
 from .sensing import VOXEL
 from .simworld import (
     CONTACT_TOL,
@@ -152,7 +152,7 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig
     valid = np.empty(n, dtype=bool)
     disc = np.empty(n, dtype=bool)
 
-    def block(rows):
+    for rows in row_blocks(n):
         first, last = starts[rows.start], starts[rows.stop]
         indptr = starts[rows.start:rows.stop + 1] - first
         near = csr_matrix((np.ones(last - first), keys[first:last] % n,
@@ -177,8 +177,6 @@ def extract_features(cloud: PointCloud, config: AffordanceConfig
         out[~ok] = 0.0
         variation = lam3 / np.maximum(lam1 + lam2 + lam3, 1e-18)
         disc[rows] = variation > VARIATION_THRESHOLD
-
-    map_blocks(block, n)
     return FeatureSet(feats, valid, cKDTree(pos[disc]))
 
 
@@ -443,22 +441,20 @@ def train(dataset: list, config: TrainConfig, seed: int
 def predict(model: AffordanceModel, features: FeatureSet) -> np.ndarray:
     """Affordance map: sigmoid scores per point; invalid points score 0.
 
-    The network runs per `map_blocks` block: each block's rows are
+    The network runs per `row_blocks` block: each block's rows are
     standardized, passed through `_forward` and the sigmoid, and a block
     with no valid row is not evaluated. A block's products are too small for
     OpenBLAS to thread, so every score is the one a single-thread product
-    over the whole cloud gives, whatever the thread count.
+    over the whole cloud gives, whatever OpenBLAS's thread count.
     """
     if features.values.shape[1] != len(model.scaler_mean):
         raise ValidationError("feature dimension does not match the model")
     scores = np.zeros(len(features))
 
-    def block(rows):
+    for rows in row_blocks(len(features)):
         if features.valid[rows].any():
             x = (features.values[rows] - model.scaler_mean) / model.scaler_std
             scores[rows] = _sigmoid(_forward(model, x)[0])
-
-    map_blocks(block, len(features))
     scores[~features.valid] = 0.0
     return scores
 
@@ -522,7 +518,7 @@ def score_bounds(model: AffordanceModel, features: FeatureSet) -> np.ndarray:
     `DISCONTINUITY_CAP`] free, so it measures nothing; `refine_bounds`
     tightens the bound of the rows a caller ranks. Every bound adds a 1e-9
     logit margin, so it is at least the score. The pass runs per
-    `map_blocks` block of the cloud; `hotspot.ranked` runs it when the loop
+    `row_blocks` block of the cloud; `hotspot.ranked` runs it when the loop
     asks for a room's first hotspot, so a room that probes none is never
     bounded.
     """
@@ -537,12 +533,10 @@ def score_bounds(model: AffordanceModel, features: FeatureSet) -> np.ndarray:
                                              low[:, None])).sum(axis=0)
     bounds = np.empty(len(features))
 
-    def block(rows):
+    for rows in row_blocks(len(features)):
         pre = _pre_activations(model, features.values[rows], _FREE)
         pre += free_shift
         bounds[rows] = np.where(features.valid[rows], _bound(model, pre), 0.0)
-
-    map_blocks(block, len(features))
     return bounds
 
 
@@ -558,7 +552,7 @@ def refine_bounds(model: AffordanceModel, features: FeatureSet,
     row whose bound reaches `threshold` is bounded as tightly as these
     passes go. The distances are written into `features.values`, where
     `complete` reads them instead of measuring again. The rows run per
-    `map_blocks` block of `rows`.
+    `row_blocks` block of `rows`.
     """
     mean, std = model.scaler_mean, model.scaler_std
     rising = _rising(model)[0]
@@ -572,7 +566,7 @@ def refine_bounds(model: AffordanceModel, features: FeatureSet,
         # each unit at the end of [lo, hi] where its term is largest
         return _bound(model, pre + slope * np.where(rising, hi, lo))
 
-    def block(part):
+    for part in row_blocks(len(rows)):
         own = rows[part]
         values[own, _DISCONTINUITY] = _discontinuity_dist(features, cloud, own)
         pre = _pre_activations(model, values[own], _NORMAL_UP)
@@ -581,8 +575,6 @@ def refine_bounds(model: AffordanceModel, features: FeatureSet,
         b[reach] = np.max([normal_up_bound(pre[reach], lo, hi)
                            for lo, hi in zip(knots, knots[1:])], axis=0)
         bounds[part] = b
-
-    map_blocks(block, len(rows))
     return bounds
 
 

@@ -32,7 +32,8 @@ def _load(args) -> PipelineConfig:
 
 
 def _workers(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    # str.isdigit alone also takes non-ASCII digits such as "²" and "٣"
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"must be an integer of at least 1, got {text!r}")
     return int(text)

@@ -7,23 +7,17 @@ Conventions used across the package:
 * Rotations are ``(3, 3)`` orthonormal matrices with determinant +1.
 * Direction vectors used as joint axes are unit norm (tolerance 1e-9).
 
-Per-point work runs in fixed blocks of rows (`row_blocks`). Over clouds the
-blocks are shared between the calling thread and one thread pool per process
-(`map_blocks`); ray sets are cast block by block on the calling thread
-(`sensing`), since a slab-test block is too short to gain from a second
-thread.
+Per-point work (normals, features, scores, ray casting in `sensing`) runs
+in fixed blocks of rows (`row_blocks`), one block after another on the
+calling thread.
 Normals are estimated per row on demand: `PointCloud.normals(k, rows)`
 estimates only the rows not yet cached for that k.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,88 +30,17 @@ UNIT_TOL = 1e-9
 ORTHO_TOL = 1e-9
 _EYE = np.eye(3)
 
-# Rows per `map_blocks` block. It is fixed, so each block holds the same rows
-# whatever the thread count, and row-independent work gives the same bytes.
+# Rows per `row_blocks` block. Fixed blocks bound each block's temporaries
+# whatever the cloud size, and keep every dense product of a block below the
+# size at which OpenBLAS threads, so no row's bytes depend on OpenBLAS's
+# thread count.
 BLOCK_ROWS = 1024
-
-_pool_lock = threading.Lock()
-_pool_executor: ThreadPoolExecutor | None = None
-
-
-def _threads() -> int:
-    """CPUs the process may use."""
-    return len(os.sched_getaffinity(0))
-
-
-def _pool() -> ThreadPoolExecutor:
-    """The process's block pool, one thread per CPU the process may use,
-    created on first use."""
-    global _pool_executor
-    with _pool_lock:
-        if _pool_executor is None:
-            _pool_executor = ThreadPoolExecutor(
-                _threads(), thread_name_prefix="scenekin")
-        return _pool_executor
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool_lock, _pool_executor
-    _pool_lock, _pool_executor = threading.Lock(), None
-
-
-os.register_at_fork(after_in_child=_forget_pool)
 
 
 def row_blocks(n: int) -> list[slice]:
     """Consecutive `BLOCK_ROWS`-row slices of range(n); the last may be
     shorter."""
     return [slice(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
-
-
-def map_blocks(fn, n: int) -> list:
-    """`fn(rows)` for each slice `rows` of `row_blocks(n)`, returned in
-    block order.
-
-    The calling thread and up to one pool thread per further CPU claim
-    blocks in turn from a shared counter. Pool threads that have not started
-    when the blocks run out are cancelled, so a process on one CPU runs
-    every block inline. Temporaries made inside `fn` are per block, so
-    they stay small whatever n is. So do matrix products: run a product
-    over a whole cloud per block, and OpenBLAS, which threads only larger
-    products, stays on the thread that called it. No BLAS worker thread
-    then competes with the pool, and no row's result depends on the
-    thread count.
-
-    `fn` may run on pool threads, so it may only do numpy/SciPy work,
-    writing a shared output only at its own rows. It must call no function
-    that `bench/tracing.py` wraps in a span (the tracer keeps one span
-    stack), nor `map_blocks`.
-
-    Work whose blocks are short loops over `row_blocks` on the calling
-    thread instead. A ray-casting block of `sensing` is about 30 short numpy
-    calls and a few 1,024x3 products, and on two CPUs two threads sharing
-    those blocks ran slower than one.
-    """
-    blocks = row_blocks(n)
-    results = [None] * len(blocks)
-    claim = itertools.count()
-
-    def drain():
-        while (i := next(claim)) < len(blocks):
-            results[i] = fn(blocks[i])
-
-    helpers = [_pool().submit(drain)
-               for _ in range(min(_threads(), len(blocks)) - 1)]
-    try:
-        drain()
-    finally:
-        # a cancelled helper counts as done only once a pool thread takes it
-        started = [helper for helper in helpers if not helper.cancel()]
-        wait(started)
-    for helper in started:
-        helper.result()
-    return results
 
 
 def as_vec3(v) -> np.ndarray:
@@ -295,7 +218,7 @@ def estimate_normals(cloud: PointCloud, k: int, rows
     normals = np.empty((len(rows), 3))
     valid = np.empty(len(rows), dtype=bool)
 
-    def block(part):
+    for part in row_blocks(len(rows)):
         _, idx = tree.query(cloud.positions[rows[part]], k=k)
         neigh = cloud.positions[idx]                  # (B, k, 3)
         centered = neigh - neigh.mean(axis=1, keepdims=True)
@@ -308,8 +231,6 @@ def estimate_normals(cloud: PointCloud, k: int, rows
         nrm[nrm[:, 2] < 0.0] *= -1.0
         nrm[~ok] = 0.0
         normals[part], valid[part] = nrm, ok
-
-    map_blocks(block, len(rows))
     return normals, valid
 
 

@@ -18,12 +18,9 @@ fixed block of rays (`geom.row_blocks`). Each ray keeps its nearest entry
 and, on a tie, the lowest-index box: bit for bit what a box-by-box scan over
 every box of the room that replaces a hit only when strictly closer keeps.
 
-The blocks run on the calling thread, not on the `geom.map_blocks` pool: a
-block is about 30 short numpy calls and a few 1,024x3 products, and on two
-CPUs two threads sharing them cast a ring slower than one. What a capture
-reads of its camera and its room is computed once: the pixel grid per
-resolution and field of view, each `CameraPose`'s basis and ray directions,
-and each `BoxStack`'s corners.
+What a capture reads of its camera and its room is computed once: the pixel
+grid per resolution and field of view, each `CameraPose`'s basis and ray
+directions, and each `BoxStack`'s corners.
 """
 
 from __future__ import annotations
@@ -175,7 +172,7 @@ def _nearest_hits(boxes: BoxStack, origin: np.ndarray, dirs: np.ndarray,
     """Nearest box entry of each ray from `origin` along `dirs` (N, 3).
 
     One slab test (Kay & Kajiya 1986) of every ray of a block against every
-    box, per `geom.row_blocks` block of rays, on the calling thread. Returns
+    box, per `geom.row_blocks` block of rays. Returns
     (ray, part, t, local) for the rays that enter a box at 1e-9 < t <=
     `max_range`, in ray order: the entry distance, the box (on a tie, the
     lowest index) and the entry point in that box's frame.

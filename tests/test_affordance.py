@@ -565,7 +565,8 @@ def two_pass_bounds(model, feats, cloud, threshold):
         pre += free_shift
         bounds[rows] = np.where(feats.valid[rows], bound(pre, rows), 0.0)
 
-    geom.map_blocks(first, len(feats))
+    for rows in geom.row_blocks(len(feats)):
+        first(rows)
     left = np.flatnonzero(feats.valid & (bounds >= threshold))
 
     def second(part):
@@ -585,7 +586,8 @@ def two_pass_bounds(model, feats, cloud, threshold):
                            for lo, hi in zip(knots, knots[1:])], axis=0)
         bounds[rows] = b
 
-    geom.map_blocks(second, len(left))
+    for part in geom.row_blocks(len(left)):
+        second(part)
     return bounds, np.unique(np.asarray(loose, dtype=np.intp))
 
 

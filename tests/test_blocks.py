@@ -1,17 +1,12 @@
-"""Block-parallel per-point geometry and scoring (`geom.map_blocks`) and
-per-row normals (`PointCloud.normals`): results equal the whole-cloud
-computations bit for bit, whatever the thread count of the pool or of
-OpenBLAS and whichever rows are asked for, and the per-process pool survives
-a fork."""
+"""Per-point geometry and scoring in fixed blocks of rows (`geom.row_blocks`)
+and per-row normals (`PointCloud.normals`): results equal the whole-cloud
+computations bit for bit, whatever OpenBLAS's thread count and whichever
+rows are asked for."""
 
 import hashlib
-import multiprocessing
 import os
 import subprocess
 import sys
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import replace
 from unittest import mock
 
@@ -28,8 +23,6 @@ from scenekin.affordance import (
     predict,
 )
 from scenekin.geom import BLOCK_ROWS, PointCloud, estimate_normals
-from scenekin.sensing import CameraPose, _nearest_hits
-from scenekin.simworld import GenerationConfig, generate_scene
 
 SIZES = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7)
 
@@ -68,9 +61,9 @@ def whole_features(cloud):
     return complete(feats, cloud, np.arange(len(cloud)))
 
 
-def one_block(fn, n):
-    """Reference `map_blocks`: one call over all rows on the calling thread."""
-    return [fn(slice(0, n))]
+def one_block(n):
+    """Reference `row_blocks`: one block of all rows."""
+    return [slice(0, n)]
 
 
 def assert_same_bytes(got, want):
@@ -95,9 +88,8 @@ def reference_normals(cloud, k):
     return whole_cloud_normals(cloud, k)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 2 * BLOCK_ROWS + 7])
-def test_row_normals_match_whole_cloud(n, threads):
+def test_row_normals_match_whole_cloud(n):
     # unsorted, repeated, empty and all rows, asked in turn of one cloud so
     # later requests mix cached and new rows; n = 7 is below k = 12
     rng = np.random.default_rng(n)
@@ -105,14 +97,11 @@ def test_row_normals_match_whole_cloud(n, threads):
     subsets = [rng.permutation(n)[:max(1, n // 3)],
                rng.integers(0, n, size=n), np.zeros(0, dtype=np.int64),
                np.arange(n)]
-    with ThreadPoolExecutor(threads) as pool, \
-            mock.patch.object(geom, "_pool", lambda: pool), \
-            mock.patch.object(geom, "_threads", lambda: threads):
-        for k in (3, 12):
-            want = reference_normals(cloud, k)
-            for rows in subsets:
-                assert_same_bytes(cloud.normals(k, rows),
-                                  (want[0][rows], want[1][rows]))
+    for k in (3, 12):
+        want = reference_normals(cloud, k)
+        for rows in subsets:
+            assert_same_bytes(cloud.normals(k, rows),
+                              (want[0][rows], want[1][rows]))
 
 
 def test_each_row_is_estimated_once_per_k(monkeypatch):
@@ -143,8 +132,8 @@ def test_each_row_is_estimated_once_per_k(monkeypatch):
 def test_features_match_whole_cloud(n):
     cloud = tied_cloud(n, seed=1)
     got = whole_features(cloud)
-    with mock.patch.object(affordance, "map_blocks", one_block), \
-            mock.patch.object(geom, "map_blocks", one_block):
+    with mock.patch.object(affordance, "row_blocks", one_block), \
+            mock.patch.object(geom, "row_blocks", one_block):
         want = whole_features(PointCloud(cloud.positions, cloud.colors))
     assert_same_bytes((got.values, got.valid), (want.values, want.valid))
 
@@ -169,41 +158,6 @@ def test_bounded_discontinuity_query_matches_unbounded():
     assert (ddist == cap).sum() > 100 and (ddist < cap).sum() > 100
 
 
-def test_every_block_runs_once_under_contention():
-    # eight claimants on a short switch interval: a block claimed twice or
-    # never shows in its list of claimants
-    claimed = [[] for _ in range(4000)]
-    out = {}
-
-    def run():
-        out["got"] = geom.map_blocks(
-            lambda rows: claimed[rows.start].append(rows.start) or rows.start,
-            len(claimed))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(7) as pool, \
-                mock.patch.object(geom, "BLOCK_ROWS", 1), \
-                mock.patch.object(geom, "_pool", lambda: pool), \
-                mock.patch.object(geom, "_threads", lambda: 8):
-            caller = threading.Thread(target=run)
-            caller.start()
-            caller.join(60)
-            assert not caller.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert [len(c) for c in claimed] == [1] * len(claimed)
-    assert out["got"] == list(range(len(claimed)))
-
-
-def _ring_rays():
-    scene = generate_scene(2, GenerationConfig())
-    cam = CameraPose([2.0, 1.5, 1.3], [3.0, 2.0, 1.0], vfov_deg=60.0,
-                     resolution=(64, 48))
-    return scene.boxes, cam.position, cam.ray_directions()
-
-
 def scoring_model(feats):
     """A 16-unit network standardized on the valid rows of `feats`."""
     x = feats.values[feats.valid]
@@ -220,27 +174,6 @@ def gapped_features(cloud):
     blocks = [feats.valid[a:a + BLOCK_ROWS] for a in range(0, n, BLOCK_ROWS)]
     assert [b.any() for b in blocks] == [True, False, True]
     return feats
-
-
-def _outputs():
-    cloud = tied_cloud(2 * BLOCK_ROWS + 7, seed=2)
-    feats = whole_features(cloud)
-    gapped = gapped_features(cloud)
-    boxes, origin, dirs = _ring_rays()
-    return (*cloud.normals(12, np.arange(len(cloud))), feats.values,
-            feats.valid, predict(scoring_model(feats), feats),
-            predict(scoring_model(gapped), gapped),
-            *_nearest_hits(boxes, origin, dirs, 10.0))
-
-
-def test_thread_count_does_not_change_bytes():
-    outputs = []
-    for threads in (1, 3):
-        with ThreadPoolExecutor(threads) as pool, \
-                mock.patch.object(geom, "_pool", lambda: pool), \
-                mock.patch.object(geom, "_threads", lambda: threads):
-            outputs.append(_outputs())
-    assert_same_bytes(*outputs)
 
 
 def test_predict_evaluates_blocks_with_a_valid_row(monkeypatch):
@@ -301,24 +234,3 @@ def test_blas_thread_count_does_not_change_scores():
         digests[threads] = out.stdout.split()
     # the same scores under both counts, equal to one single-thread product
     assert digests["1"][0] == digests["2"][0] == digests["1"][1]
-
-
-def test_pool_survives_fork():
-    # a forked child inherits the parent's pool object but not its threads;
-    # a child that used it would wait forever for its blocks
-    cloud = tied_cloud(2 * BLOCK_ROWS + 7, seed=3)
-    rows = np.arange(len(cloud))
-    want = estimate_normals(cloud, 12, rows)     # the parent's pool is live
-    pool = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = [pool.submit(estimate_normals, cloud, 12, rows)
-                   for _ in range(2)]
-        got = [f.result(timeout=60) for f in futures]
-    except FutureTimeout:
-        for process in pool._processes.values():
-            process.kill()
-        raise
-    finally:
-        pool.shutdown(cancel_futures=True)
-    for result in got:
-        assert_same_bytes(result, want)

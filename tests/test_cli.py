@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -767,7 +769,32 @@ class TestPipelineArtifacts:
         assert sizes == [2]
         assert _tree_sha256(tmp_path / "run") == _tree_sha256(base / "run")
 
-    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_run_starts_no_thread(self, workspace, tmp_path):
+        """`run` works on the calling thread alone: in a fresh process whose
+        `threading.Thread.start` raises, it writes the bytes of an unpatched
+        run. The workspace's rooms extract features, bound, refine and
+        score rows, and estimate normals, over clouds of many blocks."""
+        base, cfg = workspace
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        script = "\n".join([
+            "import sys, threading",
+            "from scenekin import pipeline",
+            "from scenekin.config import load_config",
+            "def refuse(thread):",
+            "    raise AssertionError(f'run started thread {thread.name}')",
+            "threading.Thread.start = refuse",
+            "cfg, scenes, model, out = sys.argv[1:]",
+            "pipeline.run(load_config(cfg), scenes, model, out)"])
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(cfg), str(base / "scenes"),
+             str(base / "model" / "model.json"), str(tmp_path / "run")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        assert _tree_sha256(tmp_path / "run") == _tree_sha256(base / "run")
+
+    # "²" and "٣" are digits to str.isdigit, but not ASCII ones
+    @pytest.mark.parametrize("workers", ["0", "-3", "two", "²", "٣"])
     def test_workers_below_one_are_refused(self, workspace, tmp_path,
                                            capsys, workers):
         base, cfg = workspace

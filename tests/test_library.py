@@ -368,6 +368,23 @@ def test_only_hotspot_ranks_rows():
     assert sorted(c for c in calls if c[0] != "hotspot") == []
 
 
+def test_only_pipeline_imports_concurrency():
+    """No module imports `threading`: every block of rows runs on the
+    calling thread. Only `pipeline` imports from `concurrent.futures`, for
+    the `ProcessPoolExecutor` that runs rooms in parallel (`--workers`)."""
+    imports = set()
+    for module, tree in LIBRARY.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports |= {(module, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports |= {(module, f"{node.module}.{alias.name}")
+                            for alias in node.names}
+    assert sorted(i for i in imports
+                  if i[1].split(".")[0] in ("threading", "concurrent")) == [
+        ("pipeline", "concurrent.futures.ProcessPoolExecutor")]
+
+
 def _flatten(doc, path="") -> dict:
     """{"section.key": value} of every leaf of a nested config document."""
     out = {}

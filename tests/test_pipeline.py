@@ -186,9 +186,8 @@ def test_each_probe_captures_from_its_own_stream(moving_run, monkeypatch):
 
 
 def test_traced_layers_run_on_the_main_thread(moving_run, monkeypatch):
-    """Block pools run only numpy/SciPy leaf work: every function here that
-    the benchmark tracer wraps in a span still runs on the main thread, where
-    its single span stack lives."""
+    """Every function here that the benchmark tracer wraps in a span runs on
+    the main thread, where its single span stack lives."""
     config, scenes, model = moving_run
     threads = {}
     for module, name in ((sensing, "raycast_capture"),

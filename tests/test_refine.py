@@ -67,7 +67,10 @@ class TestPartAffordance:
         seg = PartSegmentation(np.array([True]), np.array([True]))
         grasp, d = part_affordance(joint, seg, cloud, scene)
         lever = grasp - np.array([0.0, 0.0, grasp[2]])
-        np.testing.assert_allclose(d, [0.0, 1.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(lever, [1.0, 0.0, 0.0], atol=1e-9)
+        moment = np.cross(joint.axis, lever)
+        np.testing.assert_allclose(d, moment / np.linalg.norm(moment),
+                                   atol=1e-9)
 
     def test_negative_state_flips_direction(self):
         scene = free_space_scene()

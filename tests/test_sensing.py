@@ -300,23 +300,6 @@ class TestBatchedRaycast:
                     assert a.dtype == b.dtype and a.shape == b.shape
                     assert a.tobytes() == b.tobytes()
 
-    def test_capture_runs_on_the_calling_thread(self, monkeypatch):
-        """Ray blocks never reach the block pool, even where `map_blocks`
-        would share them with a second thread."""
-        def no_pool():
-            raise AssertionError("a capture submitted work to the pool")
-
-        monkeypatch.setattr(geom, "_pool", no_pool)
-        monkeypatch.setattr(geom, "_threads", lambda: 2)
-        scene = generate_scene(2, GenerationConfig())
-        config = CaptureConfig(resolution=(64, 48))
-        panel = scene.world_parts()[scene.joints[0][0]]
-        contact = panel.center + panel.rotation[:, 1] * panel.half_extents[1]
-        assert len(capture_scene_cloud(scene, config, None)) > 1000
-        assert len(capture_object_views(scene, contact, config, None)) > 100
-        with pytest.raises(AssertionError, match="submitted work"):
-            geom.map_blocks(lambda rows: rows, 2 * geom.BLOCK_ROWS)
-
 
 class TestCaptureConstants:
     """What a capture reads of its camera and room is computed once, kept
