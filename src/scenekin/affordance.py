@@ -501,7 +501,7 @@ def _pre_activations(model: AffordanceModel, values: np.ndarray,
     return pre
 
 
-def _rising(model: AffordanceModel) -> np.ndarray:
+def _increasing(model: AffordanceModel) -> np.ndarray:
     """Per free feature, the units whose term grows with it."""
     return model.w2 * model.w1[_FREE] >= 0.0
 
@@ -523,13 +523,13 @@ def score_bounds(model: AffordanceModel, features: FeatureSet) -> np.ndarray:
     bounded.
     """
     mean, std = model.scaler_mean, model.scaler_std
-    rising = _rising(model)
+    increasing = _increasing(model)
     # the standardized ends of [0, 1] and [0, cap]
     low = (0.0 - mean[_FREE]) / std[_FREE]
     high = (np.array([1.0, DISCONTINUITY_CAP]) - mean[_FREE]) / std[_FREE]
     # each unit's terms of the free features, each at its end where the
     # unit's term is largest
-    free_shift = (model.w1[_FREE] * np.where(rising, high[:, None],
+    free_shift = (model.w1[_FREE] * np.where(increasing, high[:, None],
                                              low[:, None])).sum(axis=0)
     bounds = np.empty(len(features))
 
@@ -555,7 +555,7 @@ def refine_bounds(model: AffordanceModel, features: FeatureSet,
     `row_blocks` block of `rows`.
     """
     mean, std = model.scaler_mean, model.scaler_std
-    rising = _rising(model)[0]
+    increasing = _increasing(model)[0]
     slope = model.w1[_NORMAL_UP]
     knots = (_NORMAL_UP_KNOTS - mean[_NORMAL_UP]) / std[_NORMAL_UP]
     values = features.values
@@ -564,7 +564,7 @@ def refine_bounds(model: AffordanceModel, features: FeatureSet,
 
     def normal_up_bound(pre, lo, hi):
         # each unit at the end of [lo, hi] where its term is largest
-        return _bound(model, pre + slope * np.where(rising, hi, lo))
+        return _bound(model, pre + slope * np.where(increasing, hi, lo))
 
     for part in row_blocks(len(rows)):
         own = rows[part]

@@ -28,7 +28,7 @@ class NoMotionError(SceneKinError):
 
 
 class MotionEstimationError(SceneKinError):
-    """Rigid motion could not be estimated (too few correspondences, divergence)."""
+    """Rigid motion could not be estimated (empty masks, too few correspondences)."""
 
 
 class DegenerateMotionError(SceneKinError):

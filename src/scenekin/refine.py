@@ -33,13 +33,11 @@ from .artinfer import (
     JointModel,
     ObservationPair,
     PartSegmentation,
-    estimate_motion,
     infer_articulation,
 )
 from .errors import (
     CaptureError,
     InferenceError,
-    MotionEstimationError,
     PreconditionError,
     RefinementUnavailable,
     ValidationError,
@@ -127,13 +125,6 @@ def part_affordance(joint: JointModel, seg: PartSegmentation,
     raise RefinementUnavailable("no mobile point with gripper clearance")
 
 
-def _joint_motion(joint: JointModel) -> RigidTransform:
-    """Rigid motion of a revolute estimate: its rotation plus the pitch slide."""
-    T = RigidTransform.from_rotation_about_line(joint.axis, joint.state,
-                                                joint.pivot)
-    return RigidTransform(T.rotation, T.translation + joint.pitch * joint.axis)
-
-
 def _seen_through(points: np.ndarray, camera: CameraPose,
                   image: np.ndarray, margin: float) -> np.ndarray:
     """Points more than `margin` in front of the surface `camera` recorded.
@@ -195,7 +186,7 @@ def _better_supported(current: JointModel, new: JointModel,
     was for. Returns (joint, re-estimate kept, its score, current's score).
     """
     conflicts = _free_space_conflicts(obs, seg, margin)
-    new_score = conflicts(_joint_motion(new))
+    new_score = conflicts(new.motion())
     sign = 1.0 if float(np.dot(new.axis, current.axis)) >= 0.0 else -1.0
     current_score = min(
         conflicts(RigidTransform.from_rotation_about_line(
@@ -216,13 +207,15 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
     While the hinge's |state| is below `TARGET_STATE`, for at most
     `MAX_ITERS` iterations, each iteration plans with part_affordance, pulls
     with the `interaction` settings of the initial probes, recaptures the
-    after cloud (noise drawn from `rng`), and re-infers against the
-    ORIGINAL before cloud so the state tracks total opening. A re-estimate
-    is rejected when it is not revolute, its |state| did not increase, or
-    its axis swings more than `AXIS_CONSISTENCY_DEG`. Otherwise
-    its opening is taken, and its axis and pivot too when free-space evidence
-    supports them at least as well as the current ones (see
-    `_better_supported`); the log entry records both scores. Interaction,
+    after cloud (noise drawn from `rng`), carries the contact through the
+    pull with the motion of the step pair's estimate (one
+    `infer_articulation` of the previous and the new after cloud), and
+    re-infers against the ORIGINAL before cloud so the state tracks total
+    opening. A re-estimate is rejected when it is not revolute, its |state|
+    did not increase, or its axis swings more than `AXIS_CONSISTENCY_DEG`.
+    Otherwise its opening is taken, and its axis and pivot too when
+    free-space evidence supports them at least as well as the current ones
+    (see `_better_supported`); the log entry records both scores. Interaction,
     capture, tracking or inference failures end the loop with the best
     estimate so far; prismatic inputs pass through unchanged.
     """
@@ -266,15 +259,14 @@ def refine_loop(scene: SceneSpec, obs: ObservationPair, joint: JointModel,
             log.append(entry)
             break
         # the original grasp point must be tracked through this pull before
-        # the accumulated pair can be inferred: estimate the incremental
-        # motion (whose contact pair p* -> final IS valid) and advect with it
+        # the accumulated pair can be inferred: infer the step pair (whose
+        # contact pair p* -> final IS valid) and advect with its motion
         try:
             step_obs = ObservationPair(obs.after, after, grasp,
                                        outcome.final_contact)
-            _, step_seg = infer_articulation(step_obs, infer_config)
-            step_T = estimate_motion(step_obs, step_seg, infer_config)
-            contact_now = step_T.apply(obs.contact_after)
-        except (InferenceError, MotionEstimationError, ValidationError) as e:
+            step, _ = infer_articulation(step_obs, infer_config)
+            contact_now = step.motion().apply(obs.contact_after)
+        except (InferenceError, ValidationError) as e:
             entry["status"] = f"step tracking error: {e}"
             log.append(entry)
             break

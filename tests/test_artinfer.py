@@ -58,6 +58,11 @@ def revolute_transform(axis, pivot, angle):
     return RigidTransform.from_rotation_about_line(axis, angle, pivot)
 
 
+# the origin and the three unit points: two rigid motions that agree on
+# them agree everywhere
+FRAME = np.vstack([np.zeros(3), np.eye(3)])
+
+
 def _bfs_labels(points, radius):
     """Brute-force components of the graph linking points within `radius`,
     numbered in order of their lowest index."""
@@ -474,11 +479,14 @@ class TestScrewDecompose:
             else:
                 u = normalize(rng.normal(size=3))
                 s = rng.uniform(1e-3, 0.5)
-                joint = screw_decompose(RigidTransform.from_translation(u * s),
+                T = RigidTransform.from_translation(u * s)
+                joint = screw_decompose(T,
                                         InferenceConfig(motion_epsilon=0.5e-3))
                 assert joint.kind == "prismatic"
                 assert axis_angle_deg(joint.axis, u) < 1e-7
                 assert abs(joint.state - s) < 1e-9
+            assert np.abs(joint.motion().apply(FRAME)
+                          - T.apply(FRAME)).max() < 1e-9
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
@@ -515,6 +523,8 @@ class TestScrewDecompose:
         joint = screw_decompose(T, InferenceConfig())
         assert joint.kind == "revolute"
         assert joint.pitch == pytest.approx(0.05, abs=1e-12)
+        assert np.abs(joint.motion().apply(FRAME)
+                      - T.apply(FRAME)).max() < 1e-9
 
     def test_frame_equivariance(self):
         rng = np.random.default_rng(10)

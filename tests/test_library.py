@@ -353,19 +353,33 @@ def test_only_artifacts_reads_and_writes_json_files():
                   and c != ("config", "load_config")) == []
 
 
-def test_only_hotspot_ranks_rows():
-    """No module calls `score_bounds`, `refine_bounds`, `predict` or `nms`
-    but `hotspot`, whose `ranked` decides which row the loop pulls next."""
-    ranking = ("score_bounds", "refine_bounds", "predict", "nms")
+def _callers(names) -> list:
+    """Sorted (module, top-level definition) pairs of the library whose
+    code calls a function or method named in `names`."""
     calls = set()
     for module, tree in LIBRARY.items():
         for top in tree.body:
             calls |= {(module, getattr(top, "name", None))
                       for node in ast.walk(top)
                       if isinstance(node, ast.Call)
-                      and (getattr(node.func, "id", None) in ranking
-                           or getattr(node.func, "attr", None) in ranking)}
-    assert sorted(c for c in calls if c[0] != "hotspot") == []
+                      and (getattr(node.func, "id", None) in names
+                           or getattr(node.func, "attr", None) in names)}
+    return sorted(calls)
+
+
+def test_only_hotspot_ranks_rows():
+    """No module calls `score_bounds`, `refine_bounds`, `predict` or `nms`
+    but `hotspot`, whose `ranked` decides which row the loop pulls next."""
+    ranking = ("score_bounds", "refine_bounds", "predict", "nms")
+    assert [c for c in _callers(ranking) if c[0] != "hotspot"] == []
+
+
+def test_only_artinfer_fits_motion():
+    """No module calls `estimate_motion` or `kabsch` but `artinfer`, where
+    only `infer_articulation` calls `estimate_motion`: every observation
+    pair is fitted inside `infer_articulation`."""
+    assert _callers(("estimate_motion", "kabsch")) == [
+        ("artinfer", "estimate_motion"), ("artinfer", "infer_articulation")]
 
 
 def test_only_pipeline_imports_concurrency():
