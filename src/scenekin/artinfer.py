@@ -457,10 +457,8 @@ def _consistency_reseg(obs: ObservationPair, T: RigidTransform,
                       moved_a)
     mask_a = _competitive_labels(obs.after.positions, moved_a, fit_a)
 
-    if anchor.mobile_mask_before.any():
-        mask_b &= _attached(obs.before.positions, anchor.mobile_mask_before)
-    if anchor.mobile_mask_after.any():
-        mask_a &= _attached(obs.after.positions, anchor.mobile_mask_after)
+    mask_b &= _attached(obs.before.positions, anchor.mobile_mask_before)
+    mask_a &= _attached(obs.after.positions, anchor.mobile_mask_after)
     return PartSegmentation(mask_b, mask_a)
 
 

@@ -66,11 +66,12 @@ def observe_interaction(scene: SceneSpec, contact,
     """Observation pair of a known pull at `contact`.
 
     `outcome` and `scene_after` are what `simworld.interact` returned for
-    the pull on `scene`. The before views use the cameras `poses`; the
-    after views reuse them plus fresh cameras aimed at the advected
-    contact. `rng` draws the capture noise."""
-    before = sensing.capture_object_views(scene, contact, capture, rng,
-                                          poses=poses)
+    the pull on `scene`. The before views are the cameras `poses`. The
+    after views are one capture of `scene_after` from those cameras plus
+    fresh ones around the advected contact, cropped to the before views'
+    sphere around `contact` (`sensing.capture_interaction_after`). `rng`
+    draws the capture noise, the before cameras' first."""
+    before = sensing.capture_object_views(scene, contact, poses, capture, rng)
     after = sensing.capture_interaction_after(
         scene_after, contact, poses, outcome.final_contact, capture, rng)
     return ObservationPair(before, after, contact, outcome.final_contact,

@@ -9,6 +9,12 @@ same physical surface patch keeps its identity when the part moves, which
 gives downstream code an oracle correspondence channel that survives
 articulation. A capture holds positions and point ids only.
 
+Each set of cameras is captured once and fused once (`_fused_captures`):
+the scene ring, downsampled to `VOXEL`, and the object views, cropped to
+`CROP_RADIUS` of their focus. The after views of a pull are one object-view
+set: the before cameras plus fresh ones around the moved contact, cropped
+to the before sphere.
+
 A capture first drops every box that lies wholly outside one side plane of
 the camera's view pyramid (Assarsson & Möller, "Optimized View Frustum
 Culling Algorithms for Bounding Boxes", JGT 2000); no pixel ray can reach
@@ -80,8 +86,8 @@ def _pixel_grid(resolution: tuple[int, int], vfov_deg: float
 class CameraPose:
     """Pinhole camera: position, target, vertical field of view, pixel grid.
 
-    Its basis and ray directions are computed on first use and kept, as
-    read-only arrays.
+    Its basis, half tangents and ray directions are computed on first use
+    and kept; the arrays are read-only.
     """
 
     position: np.ndarray
@@ -101,7 +107,8 @@ class CameraPose:
             raise ValidationError("resolution must be positive")
 
     @cached_property
-    def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(forward, right, up) unit vectors of the camera frame."""
         forward = normalize(self.look_at - self.position)
         up = WORLD_UP
         if abs(float(np.dot(forward, up))) > 1.0 - 1e-9:
@@ -111,28 +118,22 @@ class CameraPose:
         return tuple(map(_read_only, (forward, right, cam_up)))
 
     @cached_property
-    def _ray_directions(self) -> np.ndarray:
-        gx, gy = _pixel_grid(tuple(self.resolution), self.vfov_deg)
-        # one axis at a time over every pixel: the bytes of the (W*H, 3)
-        # broadcast and of `np.linalg.norm` along its rows, a third the cost
-        dirs = np.array([f + gx * r + gy * u
-                         for f, r, u in zip(*self.basis())])
-        sq = dirs * dirs
-        dirs /= np.sqrt(sq[0] + sq[1] + sq[2])
-        return _read_only(np.ascontiguousarray(dirs.T))
-
-    def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(forward, right, up) unit vectors of the camera frame."""
-        return self._basis
-
     def half_tangents(self) -> tuple[float, float]:
         """(tan_v, tan_h): tangents of the half vertical and horizontal
         fields of view."""
         return _half_tangents(self.resolution, self.vfov_deg)
 
+    @cached_property
     def ray_directions(self) -> np.ndarray:
         """(W*H, 3) unit directions through all pixel centers, row-major."""
-        return self._ray_directions
+        gx, gy = _pixel_grid(tuple(self.resolution), self.vfov_deg)
+        # one axis at a time over every pixel: the bytes of the (W*H, 3)
+        # broadcast and of `np.linalg.norm` along its rows, a third the cost
+        dirs = np.array([f + gx * r + gy * u
+                         for f, r, u in zip(*self.basis)])
+        sq = dirs * dirs
+        dirs /= np.sqrt(sq[0] + sq[1] + sq[2])
+        return _read_only(np.ascontiguousarray(dirs.T))
 
     def project(self, points: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,8 +144,8 @@ class CameraPose:
         NaN coordinates.
         """
         w, h = self.resolution
-        forward, right, cam_up = self.basis()
-        tan_v, tan_h = self.half_tangents()
+        forward, right, cam_up = self.basis
+        tan_v, tan_h = self.half_tangents
         rel = np.asarray(points, dtype=np.float64) - self.position
         depth = rel @ forward
         depth = np.where(depth > 1e-12, depth, np.nan)
@@ -253,8 +254,8 @@ def _visible_parts(boxes: BoxStack, camera: CameraPose) -> np.ndarray:
     """
     if len(boxes.centers) == 0:
         return np.zeros(0, dtype=np.int64)
-    forward, right, cam_up = camera.basis()
-    tan_v, tan_h = camera.half_tangents()
+    forward, right, cam_up = camera.basis
+    tan_v, tan_h = camera.half_tangents
     # outward normals of the right, left, top and bottom planes
     planes = np.array([right - tan_h * forward, -right - tan_h * forward,
                        cam_up - tan_v * forward, -cam_up - tan_v * forward])
@@ -272,7 +273,7 @@ def raycast_capture(scene: SceneSpec, camera: CameraPose, max_range: float,
     `rng` and added along the ray after identification; `rng` may be None
     only when `noise_sigma` is 0. The returned cloud is sorted by point id.
     """
-    dirs = camera.ray_directions()
+    dirs = camera.ray_directions
     boxes = scene.boxes
     visible = _visible_parts(boxes, camera)
     ray, part, t, local = _nearest_hits(boxes.take(visible), camera.position,
@@ -444,20 +445,13 @@ def object_view_poses(scene: SceneSpec, focus, config: CaptureConfig
     return poses
 
 
-def capture_object_views(scene: SceneSpec, focus, config: CaptureConfig,
-                         rng: np.random.Generator | None,
-                         poses: list[CameraPose] | None = None) -> PointCloud:
-    """Object cloud: fused captures within `CROP_RADIUS` of `focus`.
-
-    Pass `poses` to reuse a previous placement (e.g. the before-interaction
-    cameras for the after capture); without them cameras are placed around
-    `focus` (`object_view_poses`).
-    """
-    focus = as_vec3(focus)
-    if poses is None:
-        poses = object_view_poses(scene, focus, config)
+def capture_object_views(scene: SceneSpec, focus, poses, config: CaptureConfig,
+                         rng: np.random.Generator | None) -> PointCloud:
+    """Object cloud: the fused captures of the cameras `poses`, cropped to
+    `CROP_RADIUS` of `focus`."""
     fused = _fused_captures(scene, poses, config, rng)
-    keep = np.linalg.norm(fused.positions - focus, axis=1) <= CROP_RADIUS
+    keep = np.linalg.norm(fused.positions - as_vec3(focus),
+                          axis=1) <= CROP_RADIUS
     return fused.subset(keep)
 
 
@@ -466,20 +460,17 @@ def capture_interaction_after(scene: SceneSpec, crop_center, poses,
                               rng: np.random.Generator | None) -> PointCloud:
     """After-interaction capture for one observation pair.
 
-    Fuses the reused before-capture cameras (static surfaces keep identical
-    samples) with fresh cameras aimed at the advected contact (frontal
-    sampling of the moved part), cropped to the before capture's
-    `CROP_RADIUS` sphere so both clouds share support. Falls back to the
-    reused cameras alone when no fresh placement is collision-free.
+    One object-view capture (`capture_object_views`) from the reused
+    before-capture cameras `poses` (static surfaces keep identical samples)
+    and fresh cameras placed around the advected contact `focus_new`
+    (frontal sampling of the moved part), fused once and cropped to the
+    before capture's sphere around `crop_center`, so both clouds share
+    support. When no fresh placement is collision-free, the reused cameras
+    capture alone.
     """
-    crop_center = as_vec3(crop_center)
-    after = capture_object_views(scene, crop_center, config, rng, poses=poses)
     try:
-        fresh = capture_object_views(scene, focus_new, config, rng)
-        after = fuse_clouds([after, fresh])
-        keep = np.linalg.norm(after.positions - crop_center,
-                              axis=1) <= CROP_RADIUS
-        after = after.subset(keep)
+        fresh = object_view_poses(scene, focus_new, config)
     except CaptureError:
-        pass
-    return after
+        fresh = []
+    return capture_object_views(scene, crop_center, list(poses) + fresh,
+                                config, rng)

@@ -48,8 +48,7 @@ def observe_interaction(scene, contact, direction, capture_config=None,
     """
     capture_config = capture_config or CaptureConfig(resolution=(100, 75))
     poses = object_view_poses(scene, contact, capture_config)
-    before = capture_object_views(scene, contact, capture_config, rng,
-                                  poses=poses)
+    before = capture_object_views(scene, contact, poses, capture_config, rng)
     outcome, scene_after = interact(scene, contact, direction, total)
     after = capture_interaction_after(scene_after, contact, poses,
                                       outcome.final_contact, capture_config,

@@ -382,6 +382,17 @@ def test_only_artinfer_fits_motion():
         ("artinfer", "estimate_motion"), ("artinfer", "infer_articulation")]
 
 
+def test_each_view_set_is_captured_once():
+    """Only `sensing._fused_captures` calls `fuse_clouds`, so every set of
+    cameras is fused once. Only `pipeline._approach` (the before cameras)
+    and `sensing.capture_interaction_after` (the fresh after cameras)
+    place object views: `capture_object_views` captures the cameras it is
+    given."""
+    assert _callers(("fuse_clouds",)) == [("sensing", "_fused_captures")]
+    assert _callers(("object_view_poses",)) == [
+        ("pipeline", "_approach"), ("sensing", "capture_interaction_after")]
+
+
 def test_only_pipeline_imports_concurrency():
     """No module imports `threading`: every block of rows runs on the
     calling thread. Only `pipeline` imports from `concurrent.futures`, for

@@ -215,15 +215,15 @@ class TestRefineLoop:
         assert all(p["moved_joint"] in (None, j) for p in result.pulls)
         assert sum(p["delta_state"] for p in result.pulls) == pytest.approx(
             result.scene.joints[j][1].state - scene2.joints[j][1].state)
-        # the bytes of both estimates and of the log: the first estimate's
-        # recorded while observation pairs still carried their own contact
-        # heat maps, the refined ones since step tracking takes the motion
-        # of the step pair's joint estimate
+        # the bytes of both estimates and of the log: the log's recorded
+        # since step tracking takes the motion of the step pair's joint
+        # estimate, the estimates' since the after views are one capture
+        # (their masks span the after cloud)
         assert (_estimate_digest(joint, seg),
                 _estimate_digest(result.joint, result.segmentation),
                 hashlib.sha256(json.dumps(result.log, sort_keys=True).encode()
                                ).hexdigest()[:16]) == (
-            "c8967f309254f995", "1f6e1211e6ed0596", "39d55c75e275fd20")
+            "9a3877791be6c570", "eb364aba248d4f60", "39d55c75e275fd20")
 
     @pytest.mark.parametrize("noise, seed", [(0.0, 2), (0.0, 14),
                                              (0.004, 4), (0.004, 9)])

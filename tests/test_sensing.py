@@ -43,7 +43,7 @@ from scenekin.simworld import (
     surface_normal,
 )
 
-from conftest import observe_interaction
+from conftest import observe_interaction, open_door_slightly
 
 BIG_BOUNDS = (np.array([-10.0, -10.0, -10.0]), np.array([10.0, 10.0, 10.0]))
 NOISE = CaptureConfig().noise_sigma
@@ -252,7 +252,7 @@ class TestBatchedRaycast:
         scene = _box_scene(boxes, duplicate_first)
         cam = CameraPose(position, np.add(position, view), vfov_deg=70.0,
                          resolution=resolution)
-        world, dirs = scene.world_parts(), cam.ray_directions()
+        world, dirs = scene.world_parts(), cam.ray_directions
         with mock.patch.object(geom, "BLOCK_ROWS", 7):
             got = _nearest_hits(scene.boxes, cam.position, dirs, max_range)
             cloud = raycast_capture(scene, cam, max_range, NOISE, None)
@@ -288,7 +288,7 @@ class TestBatchedRaycast:
         scene = generate_scene(2, GenerationConfig())
         world = scene.world_parts()
         for cam in ring_poses(scene, CaptureConfig(resolution=resolution)):
-            dirs = cam.ray_directions()
+            dirs = cam.ray_directions
             want = sequential_hits(world, cam.position, dirs, MAX_RANGE)
             visible = sensing._visible_parts(scene.boxes, cam)
             ray, part, t, local = _nearest_hits(
@@ -332,13 +332,13 @@ class TestCaptureConstants:
         cam = CameraPose([0.3, -0.2, 1.1], look, vfov_deg=50.0,
                          resolution=(16, 9))
         basis, dirs = self.fresh_rays(cam)
-        for got, want in zip((*cam.basis(), cam.ray_directions()),
+        for got, want in zip((*cam.basis, cam.ray_directions),
                              (*basis, dirs), strict=True):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
             assert not got.flags.writeable
-        assert cam.ray_directions() is cam.ray_directions()
-        assert cam.basis()[0] is cam.basis()[0]
+        assert cam.ray_directions is cam.ray_directions
+        assert cam.basis[0] is cam.basis[0]
 
     def test_pixel_grid_is_shared(self):
         a, b = (CameraPose(p, [2.0, 0.5, 0.7], vfov_deg=50.0,
@@ -366,7 +366,7 @@ class TestProjection:
     def test_project_inverts_ray_directions(self):
         cam = CameraPose([0.3, -0.2, 1.1], [2.0, 0.5, 0.7], vfov_deg=50.0,
                          resolution=(16, 9))
-        dirs = cam.ray_directions()
+        dirs = cam.ray_directions
         col, row, rng = cam.project(cam.position + 2.0 * dirs)
         np.testing.assert_allclose(col, np.tile(np.arange(16), 9), atol=1e-9)
         np.testing.assert_allclose(row, np.repeat(np.arange(9), 16),
@@ -387,7 +387,7 @@ class TestProjection:
                          resolution=(12, 12))
         cloud = raycast_capture(scene, cam, MAX_RANGE, NOISE, None)
         image = range_image(cloud, cam)
-        dirs = cam.ray_directions()
+        dirs = cam.ray_directions
         np.testing.assert_allclose(image.ravel(), 2.0 / dirs[:, 0], atol=1e-9)
         behind = PointCloud(np.vstack([cloud.positions,
                                        cloud.positions * 1.5]))
@@ -533,7 +533,7 @@ class TestCapturedFields:
         for cloud in (
                 raycast_capture(scene, ring_poses(scene, config)[0], MAX_RANGE,
                                 NOISE, None),
-                capture_object_views(scene, contact, config, None),
+                capture_object_views(scene, contact, poses, config, None),
                 capture_interaction_after(scene, contact, poses, contact,
                                           config, None)):
             assert len(cloud) > 100 and cloud.colors is None
@@ -581,8 +581,8 @@ class TestCapturedFields:
             assert_empty(fused)
             assert_empty(_voxel_downsample(fused, VOXEL))
         if case == "culled":
-            assert_empty(capture_object_views(scene, position, config, None,
-                                              poses=[cam]))
+            assert_empty(capture_object_views(scene, position, [cam], config,
+                                              None))
 
 
 def recorded_captures(run):
@@ -623,7 +623,8 @@ class TestIdParts:
             "noisy ring": lambda: capture_scene_cloud(
                 scene, noisy, np.random.default_rng(1)),
             "object views": lambda: capture_object_views(
-                scene, contact, config, None),
+                scene, contact, object_view_poses(scene, contact, config),
+                config, None),
             "noisy after pull": lambda: observe_interaction(
                 scene, contact, surface_normal(scene, contact), noisy,
                 rng=np.random.default_rng(2))[0].after,
@@ -634,7 +635,7 @@ class TestIdParts:
             w, h = camera.resolution
             ray, part, _, _ = sequential_hits(
                 world.world_parts(), camera.position,
-                camera.ray_directions(), max_range)
+                camera.ray_directions, max_range)
             hit = np.full(w * h, -1)
             hit[ray] = part
             col, row, _ = camera.project(capture.positions)
@@ -687,17 +688,36 @@ class TestObjectViews:
         scene = self._cabinet_scene()
         focus = np.array([0.0, 0.28, 0.8])
         config = CaptureConfig(resolution=(80, 60))
-        cloud = capture_object_views(scene, focus, config, None)
+        poses = object_view_poses(scene, focus, config)
+        cloud = capture_object_views(scene, focus, poses, config, None)
         assert len(cloud) > 100
         assert np.linalg.norm(cloud.positions - focus,
                               axis=1).max() <= CROP_RADIUS
 
-    def test_pose_reuse_is_stable(self):
-        scene = self._cabinet_scene()
-        focus = np.array([0.0, 0.28, 0.8])
-        config = CaptureConfig(resolution=(60, 45))
-        poses = object_view_poses(scene, focus, config)
-        cloud1 = capture_object_views(scene, focus, config, None)
-        cloud2 = capture_object_views(scene, focus, config, None, poses=poses)
-        np.testing.assert_array_equal(cloud1.positions, cloud2.positions)
-        np.testing.assert_array_equal(cloud1.point_ids, cloud2.point_ids)
+    @pytest.mark.parametrize("fresh_rig", ["placed", "every camera collides"])
+    def test_after_views_are_one_capture(self, fresh_rig):
+        """The after cloud is one object-view capture of the reused and the
+        fresh cameras, cropped once, to the before sphere: it keeps what
+        the fresh cameras see near the old contact but far from the new.
+        When every fresh placement collides, the reused cameras capture
+        alone."""
+        scene_after, obs, _, _, config, _ = open_door_slightly(1)
+        c, focus_new = obs.contact_before, obs.contact_after
+        poses = list(obs.capture_poses)
+        if fresh_rig == "placed":
+            fresh = object_view_poses(scene_after, focus_new, config)
+        else:
+            # every fresh camera outside the room
+            config = replace(config, object_view_distance=10.0)
+            with pytest.raises(CaptureError):
+                object_view_poses(scene_after, focus_new, config)
+            fresh = []
+        after = capture_interaction_after(scene_after, c, poses, focus_new,
+                                          config, None)
+        want = capture_object_views(scene_after, c, poses + fresh, config,
+                                    None)
+        assert len(after) > 100
+        assert after.positions.tobytes() == want.positions.tobytes()
+        assert after.point_ids.tobytes() == want.point_ids.tobytes()
+        assert (np.linalg.norm(after.positions - focus_new, axis=1)
+                > CROP_RADIUS).any()
